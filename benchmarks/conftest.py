@@ -2,7 +2,7 @@
 
 Environment knobs:
 
-* ``REPRO_BENCH_SF``      — TPC-H scale factor (default 0.002),
+* ``REPRO_BENCH_SF``      — TPC-H scale factor (default 0.001),
 * ``REPRO_BENCH_INSERTS`` — Insert-step statement count (default 100;
   the paper uses 1000 at SF 1),
 * ``REPRO_BENCH_UPDATES`` — Update-step statement count (default 20;

@@ -52,15 +52,19 @@ from repro.clockwork import LogicalClock
 from repro.db import csvio
 from repro.db import parallel as parmod
 from repro.db.catalog import Catalog
-from repro.db.executor import MaterializedSource
-from repro.db.expressions import Evaluator, bound_parameters
+from repro.db.executor import IndexScan, MaterializedSource
+from repro.db.expressions import (
+    bound_parameters,
+    compile_expression,
+    compile_predicate,
+)
 from repro.db.mvcc import (
     ReadView,
     Session,
     TableOverlay,
     TransactionContext,
 )
-from repro.db.planner import PlannedQuery, plan_select
+from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.stats import TableStats, compute_table_stats
 from repro.db.vector import BatchOperator
@@ -1356,10 +1360,10 @@ class Database:
                            for values, lineage in planned.root]
             result.source_tables = planned.source_tables
         else:
-            evaluator = Evaluator(Schema([]))
+            empty = Schema([])
             source_rows = []
             for expression_row in insert.rows:
-                values = tuple(evaluator.evaluate(expression, ())
+                values = tuple(compile_expression(expression, empty)(())
                                for expression in expression_row)
                 source_rows.append((values, EMPTY_LINEAGE))
         positions = self._column_positions(table, insert.columns)
@@ -1408,20 +1412,34 @@ class Database:
     ) -> list[tuple[int, tuple, int]]:
         """``(rowid, values, version)`` of the rows a DML statement
         targets — read through the ambient view, so inside a
-        transaction this is the snapshot merged with the write-set."""
-        evaluator = Evaluator(table.schema.qualified(table.name))
-        matched = []
-        for rowid, values, version in table.scan_versions():
-            if where is None or evaluator.matches(where, values):
-                matched.append((rowid, values, version))
-        return matched
+        transaction this is the snapshot merged with the write-set.
+
+        When a hash index answers one WHERE conjunct
+        (:func:`repro.db.planner.index_probe`), only the rows it
+        fetches are candidates; every candidate is re-checked against
+        the whole compiled WHERE, so the matched set equals the full
+        scan's by construction.
+        """
+        if where is None:
+            return list(table.scan_versions())
+        schema = table.schema.qualified(table.name)
+        matches = compile_predicate(where, schema)
+        probe = index_probe(table, schema, where)
+        if probe is None:
+            candidates = table.scan_versions()
+        else:
+            candidates = IndexScan(
+                table, table.name, probe.index, probe.values, False,
+                bounds=probe.bounds).scan_versions()
+        return [entry for entry in candidates if matches(entry[1])]
 
     def _execute_update(self, update: ast.Update,
                         session: Session) -> StatementResult:
         table = self.catalog.get_table(update.table)
-        evaluator = Evaluator(table.schema.qualified(table.name))
-        assignment_positions = [
-            (table.schema.index_of(name), expression)
+        schema = table.schema.qualified(table.name)
+        assignments = [
+            (table.schema.index_of(name),
+             compile_expression(expression, schema))
             for name, expression in update.assignments]
         matched = self._matching_rows(table, update.where)
         result = StatementResult(kind="update",
@@ -1432,9 +1450,8 @@ class Database:
         context = session.txn
         for rowid, old_values, old_version in matched:
             new_values = list(old_values)
-            for position, expression in assignment_positions:
-                new_values[position] = evaluator.evaluate(
-                    expression, old_values)
+            for position, value_fn in assignments:
+                new_values[position] = value_fn(old_values)
             if context is None:
                 table.update(rowid, tuple(new_values), tick)
                 self._log_put(table, rowid)

@@ -37,9 +37,6 @@ from repro.db.storage import HeapTable
 from repro.db.types import Schema
 from repro.errors import ExecutionError
 
-# IndexScan appears before SeqScan in this module but needs Schema([])
-# for constant evaluation; both use the shared expression evaluator.
-
 Row = tuple
 Annotated = tuple[Row, frozenset]
 
@@ -78,21 +75,26 @@ class SeqScan(Operator):
 
 
 class IndexScan(Operator):
-    """Point lookup(s) through a hash index.
+    """Lookup(s) through a hash index.
 
-    ``value_expression`` is one constant expression (``col = literal``)
-    or a list of them (``col IN (literal, ...)``); each is evaluated
-    once against the empty row — the planner guarantees constness —
-    and the union of matching rowids is fetched directly. NULL probe
-    values are dropped, matching equality/IN semantics (NULL never
-    compares equal).
+    The probe is either constant expressions — one for
+    ``col = constant``, several for ``col IN (constants)`` — each
+    evaluated once per execution against the empty row (the planner
+    guarantees constness; ``$n`` parameters re-bind per execution), or
+    ``bounds`` with no expressions: the inclusive integer range of
+    ``col BETWEEN lo AND hi`` on an INTEGER column, probed value by
+    value. NULL probe values are dropped, matching equality/IN
+    semantics (NULL never compares equal). The union of matching
+    rowids is fetched in rowid order.
     """
 
     def __init__(self, table: HeapTable, qualifier: str,
-                 index, value_expression, track_lineage: bool) -> None:
+                 index, value_expression, track_lineage: bool,
+                 bounds: tuple[int, int] | None = None) -> None:
         self.table = table
         self.schema = table.schema.qualified(qualifier)
         self.index = index
+        self.bounds = bounds
         if isinstance(value_expression, (list, tuple)):
             self.value_expressions = list(value_expression)
         else:
@@ -101,50 +103,49 @@ class IndexScan(Operator):
                            for expression in self.value_expressions]
         self.track_lineage = track_lineage
 
-    @property
-    def value_expression(self) -> ast.Expression:
-        return self.value_expressions[0]
-
-    def _probe_values(self) -> list:
-        """Deduplicated non-NULL constants to probe the index with."""
-        values: list = []
-        for value_fn in self._value_fns:
-            value = value_fn(())
-            if value is None or value in values:
-                continue
-            values.append(value)
+    def _probe_values(self):
+        """The non-NULL values to probe with: the bounds as a range,
+        else the constants deduplicated in order (a dict, so the
+        snapshot path's membership test is O(1))."""
+        if self.bounds is not None:
+            low, high = self.bounds
+            return range(low, high + 1)
+        values = dict.fromkeys(value_fn(()) for value_fn in self._value_fns)
+        values.pop(None, None)
         return values
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def scan_versions(self) -> Iterator[tuple[int, tuple, int]]:
+        """``(rowid, values, version)`` of every row whose indexed
+        column holds a probe value, in rowid order — the index-backed
+        counterpart of :meth:`HeapTable.scan_versions`."""
         probe_values = self._probe_values()
-        name = self.table.name
-        view = self.table.active_view()
-        if view is not None:
+        if not probe_values:
+            return
+        table = self.table
+        if table.active_view() is not None:
             # hash buckets reflect only committed-latest state; under a
             # snapshot the index degrades to a visible scan + membership
             # filter so the result matches what SeqScan would produce
-            if not probe_values:
-                return
             position = self.index.position
-            for rowid, values, version in self.table.scan_versions():
-                if values[position] not in probe_values:
-                    continue
-                if self.track_lineage:
-                    yield values, frozenset((TupleRef(name, rowid,
-                                                      version),))
-                else:
-                    yield values, EMPTY_LINEAGE
+            for entry in table.scan_versions():
+                if entry[1][position] in probe_values:
+                    yield entry
             return
-        versions = self.table.versions
         rowids: set[int] = set()
         for value in probe_values:
             rowids.update(self.index.lookup(value))
+        rows = table.rows
+        versions = table.versions
         for rowid in sorted(rowids):
-            values = self.table.rows[rowid]
-            if self.track_lineage:
-                yield values, frozenset(
-                    (TupleRef(name, rowid, versions[rowid]),))
-            else:
+            yield rowid, rows[rowid], versions[rowid]
+
+    def __iter__(self) -> Iterator[Annotated]:
+        if self.track_lineage:
+            name = self.table.name
+            for rowid, values, version in self.scan_versions():
+                yield values, frozenset((TupleRef(name, rowid, version),))
+        else:
+            for _rowid, values, _version in self.scan_versions():
                 yield values, EMPTY_LINEAGE
 
 

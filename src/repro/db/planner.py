@@ -50,6 +50,7 @@ from repro.db.executor import (
     StripColumns,
 )
 from repro.db.sql import ast
+from repro.db.storage import HashIndex, HeapTable
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import CatalogError, ExecutionError, SQLSyntaxError
 
@@ -149,9 +150,14 @@ def explain_plan(root: Operator) -> list[str]:
             return f"FusedScanFilterProject ({', '.join(parts)})"
         if isinstance(operator, IndexScan):
             from repro.db.sql.render import render_expression
-            if len(operator.value_expressions) == 1:
+            if operator.bounds is not None:
+                low, high = operator.bounds
+                probe = (f"{operator.index.column} BETWEEN {low} "
+                         f"AND {high}")
+            elif len(operator.value_expressions) == 1:
+                (value,) = operator.value_expressions
                 probe = (f"{operator.index.column} = "
-                         f"{render_expression(operator.value_expression)}")
+                         f"{render_expression(value)}")
             else:
                 rendered = ", ".join(
                     render_expression(expression)
@@ -793,89 +799,142 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     return root, source_tables
 
 
-def _indexable_in_list(conjunct: ast.Expression):
-    """The (column, literal items) of an index-usable IN conjunct.
+@dataclass(frozen=True)
+class IndexProbe:
+    """A hash-index access path answering one WHERE conjunct.
 
-    Only non-negated ``col IN (literal, ...)`` qualifies: the probe
+    ``values`` holds the constant expressions of ``col = constant`` or
+    ``col IN (constants)``; ``bounds`` the inclusive integer range of
+    ``col BETWEEN lo AND hi``. Exactly one of the two is set. The rows
+    the probe fetches are exactly those for which the conjunct is
+    TRUE, so they are a superset of the rows the whole WHERE selects.
+    """
+
+    index: HashIndex
+    values: tuple[ast.Expression, ...] = ()
+    bounds: Optional[tuple[int, int]] = None
+
+    @property
+    def probes(self) -> int:
+        if self.bounds is not None:
+            low, high = self.bounds
+            return high - low + 1
+        return len(self.values)
+
+
+def _probe_candidates(conjunct: ast.Expression):
+    """``(column, values, bounds)`` shapes an index might answer.
+
+    Only non-negated ``col IN (constant, ...)`` qualifies: the probe
     skips NULL items, which is safe because a NULL item can only make
     the predicate UNKNOWN — never TRUE — and filters drop UNKNOWN.
+    A BETWEEN qualifies only with two ``int`` literal bounds.
     """
-    if (isinstance(conjunct, ast.InList) and not conjunct.negated
+    constant = (ast.Literal, ast.Parameter)
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+        for column, value in ((conjunct.left, conjunct.right),
+                              (conjunct.right, conjunct.left)):
+            if (isinstance(column, ast.ColumnRef)
+                    and isinstance(value, constant)):
+                yield column, (value,), None
+    elif (isinstance(conjunct, ast.InList) and not conjunct.negated
             and isinstance(conjunct.operand, ast.ColumnRef)
             and conjunct.items
-            and all(isinstance(item, (ast.Literal, ast.Parameter))
+            and all(isinstance(item, constant)
                     for item in conjunct.items)):
-        return conjunct.operand, list(conjunct.items)
+        yield conjunct.operand, tuple(conjunct.items), None
+    elif (isinstance(conjunct, ast.Between) and not conjunct.negated
+            and isinstance(conjunct.operand, ast.ColumnRef)
+            and all(isinstance(bound, ast.Literal)
+                    and type(bound.value) is int
+                    for bound in (conjunct.low, conjunct.high))):
+        yield conjunct.operand, (), (conjunct.low.value,
+                                     conjunct.high.value)
+
+
+def index_probe(table: HeapTable, schema: Schema,
+                where: Optional[ast.Expression]) -> Optional[IndexProbe]:
+    """The first top-level WHERE conjunct a hash index on ``table``
+    can answer, as an :class:`IndexProbe` (None when there is none).
+
+    ``schema`` resolves the column references (the scan's qualified
+    schema). Recognized conjuncts: ``col = constant``,
+    ``col IN (constants)``, and ``col BETWEEN lo AND hi`` on an
+    INTEGER column — a range only while ``0 <= hi - lo`` stays below
+    the live row count, since probing more values than there are rows
+    cannot beat reading them. This is the one place both SELECT
+    planning and UPDATE/DELETE targeting take their index rules from.
+    """
+    for conjunct in split_conjuncts(where):
+        for column, values, bounds in _probe_candidates(conjunct):
+            if not schema.has_column(column.name, column.qualifier):
+                continue
+            index = table.index_on(column.name)
+            if index is None:
+                continue
+            if bounds is not None:
+                low, high = bounds
+                column_type = table.schema.columns[index.position].sql_type
+                if (column_type is not SQLType.INTEGER
+                        or not 0 <= high - low
+                        < table.visible_row_count()):
+                    continue
+            return IndexProbe(index, values, bounds)
     return None
 
 
 def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                     track_lineage: bool, options: _PlanOptions) -> bool:
-    """Turn a bare SeqScan plus a ``col = constant`` or
-    ``col IN (constants)`` conjunct into an IndexScan when a hash
-    index covers the column.
+    """Turn a bare SeqScan plus a conjunct :func:`index_probe` accepts
+    into an IndexScan.
 
-    With ANALYZE statistics the conversion is cost-gated: per-literal
-    probes only win while ``probes + estimated matches`` undercuts a
-    full scan, so an IN list that rivals the table stays on the
-    (fused) sequential scan. The losing path is recorded on the scan
-    node (``cost_note``) so EXPLAIN shows which choice won and why.
-    Without statistics every indexable conjunct converts, as before.
+    With ANALYZE statistics the conversion is cost-gated: probes (one
+    per literal, or one per value of a BETWEEN range) only win while
+    ``probes + estimated matches`` undercuts a full scan, so an IN
+    list or range that rivals the table stays on the (fused)
+    sequential scan. The losing path is recorded on the scan node
+    (``cost_note``) so EXPLAIN shows which choice won and why.
+    Without statistics every probe :func:`index_probe` returns
+    converts.
     """
     operator = fragment.operator
     if not isinstance(operator, SeqScan):
         return False
+    probe = index_probe(operator.table, operator.schema, conjunct)
+    if probe is None:
+        return False
+    index = probe.index
+    if fragment.est_rows is not None:
+        probes = probe.probes
+        table_rows = max(fragment.est_rows, 1.0)
+        matched = (table_rows
+                   * _fragment_selectivity(fragment, conjunct))
+        probe_cost = (statsmod.INDEX_PROBE_COST * probes
+                      + statsmod.INDEX_ROW_COST * matched)
+        # a warm scan-cache segment replays prebuilt vectors, so
+        # the sequential alternative gets cheaper per row and the
+        # scan-vs-probe flip moves to smaller tables
+        cache = operator.table.scan_cache
+        warm = (cache is not None
+                and cache.has_cached_scan(operator.table))
+        scan_kind = "cached scan" if warm else "scan"
+        scan_cost = (table_rows * statsmod.CACHED_SCAN_ROW_COST
+                     if warm else table_rows)
+        if probe_cost >= scan_cost:
+            operator.cost_note = (
+                f"{index.name} skipped: {probes} probe(s) ~ est "
+                f"{matched:.0f} of {table_rows:.0f} rows, "
+                f"{scan_kind} is cheaper")
+            return False
     scan_class = (vector.BatchIndexScan if options.batched
                   else IndexScan)
-    candidates = []
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        for column, constant in ((conjunct.left, conjunct.right),
-                                 (conjunct.right, conjunct.left)):
-            if (isinstance(column, ast.ColumnRef)
-                    and isinstance(constant, (ast.Literal,
-                                              ast.Parameter))):
-                candidates.append((column, constant))
-    else:
-        in_list = _indexable_in_list(conjunct)
-        if in_list is not None:
-            candidates.append(in_list)
-    for column, constant in candidates:
-        if not operator.schema.has_column(column.name, column.qualifier):
-            continue
-        index = operator.table.index_on(column.name)
-        if index is None:
-            continue
-        if fragment.est_rows is not None:
-            probes = (len(constant) if isinstance(constant, list)
-                      else 1)
-            table_rows = max(fragment.est_rows, 1.0)
-            matched = (table_rows
-                       * _fragment_selectivity(fragment, conjunct))
-            probe_cost = (statsmod.INDEX_PROBE_COST * probes
-                          + statsmod.INDEX_ROW_COST * matched)
-            # a warm scan-cache segment replays prebuilt vectors, so
-            # the sequential alternative gets cheaper per row and the
-            # scan-vs-probe flip moves to smaller tables
-            cache = operator.table.scan_cache
-            warm = (cache is not None
-                    and cache.has_cached_scan(operator.table))
-            scan_kind = "cached scan" if warm else "scan"
-            scan_cost = (table_rows * statsmod.CACHED_SCAN_ROW_COST
-                         if warm else table_rows)
-            if probe_cost >= scan_cost:
-                operator.cost_note = (
-                    f"{index.name} skipped: {probes} probe(s) ~ est "
-                    f"{matched:.0f} of {table_rows:.0f} rows, "
-                    f"{scan_kind} is cheaper")
-                return False
-        fragment.operator = scan_class(
-            operator.table, operator.qualifier, index, constant,
-            track_lineage)
-        if fragment.est_rows is not None:
-            fragment.operator.cost_note = (
-                f"cost {probe_cost:.0f} < {scan_kind} {scan_cost:.0f}")
-        return True
-    return False
+    fragment.operator = scan_class(
+        operator.table, operator.qualifier, index, probe.values,
+        track_lineage, bounds=probe.bounds)
+    if fragment.est_rows is not None:
+        fragment.operator.cost_note = (
+            f"cost {probe_cost:.0f} < {scan_kind} {scan_cost:.0f}")
+    return True
 
 
 def _collect_source_tables(sources) -> list[str]:

@@ -5,9 +5,17 @@ import pytest
 
 from repro.db import Database, DBServer
 from repro.db.provtypes import TupleRef
+from repro.db.sql import ast
+from repro.db.sql.parser import parse_sql
+from repro.db.sql.render import render_select
 from repro.errors import AuditError
 from repro.monitor import AuditSession
-from repro.monitor.dbmonitor import DBMonitor, RelevantTupleStore, ReplayLog
+from repro.monitor.dbmonitor import (
+    DBMonitor,
+    RelevantTupleStore,
+    ReplayLog,
+    _MonitorInterceptor,
+)
 from repro.provenance.combined import TraceBuilder
 from repro.vos import VirtualOS
 
@@ -153,6 +161,42 @@ class TestProvenanceMode:
         with AuditSession(vos, "server-included", database=database) as s:
             run_client_app(vos, ["SELECT * FROM t", "SELECT * FROM t"])
         assert s.relevant_tuples.tuple_count == 3  # not 6
+
+
+class TestReenactmentThroughTheIndex:
+    """With an index on the WHERE column, the statement and its
+    reenactment SELECT both go through the index; the pre-state refs
+    the monitor records must be exactly the statement's old refs."""
+
+    STATEMENTS = [
+        "UPDATE t SET v = v + 1 WHERE id BETWEEN 3 AND 6",
+        "UPDATE t SET v = 0 WHERE id IN (2, 9, NULL) AND v > 25",
+        "DELETE FROM t WHERE id BETWEEN 4 AND 5 OR id = 8",
+        "DELETE FROM t WHERE id = 7",
+    ]
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_reenactment_refs_equal_the_old_refs(self, world, sql):
+        vos, database = world
+        database.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({k}, {k * 10})" for k in range(4, 11)))
+        database.execute("CREATE INDEX t_id ON t (id)")
+        statement = parse_sql(sql)[0]
+        reenactment = render_select(
+            _MonitorInterceptor._reenactment_query(statement))
+        if " OR " not in sql:
+            assert "IndexScan on t using t_id" in "\n".join(
+                row[0] for row in
+                database.execute("EXPLAIN " + reenactment).rows)
+        with AuditSession(vos, "server-included", database=database) as s:
+            (result,) = run_client_app(vos, [sql])
+        if isinstance(statement, ast.Update):
+            old_refs = {ref for deps in result.written_lineage.values()
+                        for ref in deps}
+        else:
+            old_refs = set(result.deleted)
+        assert old_refs and result.rowcount == len(old_refs)
+        assert s.relevant_tuples.refs() == old_refs
 
 
 class TestRecordMode:

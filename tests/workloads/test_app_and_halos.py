@@ -52,6 +52,15 @@ class TestBenchmarkWorld:
         assert set(world.registry) == {
             APP_BINARY, INSERT_BINARY, SELECT_BINARY, UPDATE_BINARY}
 
+    def test_update_step_ranges_probe_the_orderkey_index(self, world):
+        # the Update step's WHERE, and its reenactment query, must not
+        # scan all of orders
+        plan = "\n".join(row[0] for row in world.database.execute(
+            "EXPLAIN SELECT * FROM orders "
+            "WHERE o_orderkey BETWEEN 1 AND 5").rows)
+        assert ("IndexScan on orders using idx_orders_orderkey "
+                "(o_orderkey BETWEEN 1 AND 5)") in plan
+
 
 class TestStepPrograms:
     def test_insert_step_adds_orders(self):
