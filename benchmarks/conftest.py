@@ -56,6 +56,11 @@ def timed(fn, *args, **kwargs):
     return time.perf_counter() - start, result
 
 
+def best_of(fn, repeats: int) -> float:
+    """The fastest of ``repeats`` timed calls of ``fn``, in seconds."""
+    return min(timed(fn)[0] for _ in range(repeats))
+
+
 # ---------------------------------------------------------------------------
 # report collection
 # ---------------------------------------------------------------------------

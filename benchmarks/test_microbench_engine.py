@@ -22,7 +22,7 @@ import pytest
 from repro.db import Database, DBClient, DBServer
 from repro.db.vector import row_at_a_time_plans
 
-from benchmarks.conftest import BENCH_CONFIG, RESULTS_DIR, fresh_world, timed
+from benchmarks.conftest import BENCH_CONFIG, RESULTS_DIR, best_of, fresh_world
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +55,14 @@ def test_operator_throughput(benchmark, world, label, sql):
     ("hash_join", JOIN),
     ("aggregate", AGGREGATE),
 ])
-def test_lineage_tax(benchmark, world, report, label, sql):
-    """Provenance-tracked execution vs plain execution."""
-    import time
-
-    start = time.perf_counter()
-    world.database.execute(sql)
-    plain = time.perf_counter() - start
-
-    result = benchmark(world.database.execute, sql, True)
-    tracked = benchmark.stats.stats.mean
+def test_lineage_tax(world, report, label, sql):
+    """Provenance-tracked execution vs plain execution, both warm (plan
+    and scan caches primed by an untimed run), best of 5 each."""
+    database = world.database
+    database.execute(sql)
+    plain = best_of(lambda: database.execute(sql), repeats=5)
+    result = database.execute(sql, True)
+    tracked = best_of(lambda: database.execute(sql, True), repeats=5)
     assert all(result.lineages)
     report.add(
         "Microbench — lineage tax (seconds per query)",
@@ -100,21 +98,21 @@ def test_index_vs_scan(benchmark, world, report):
     assert indexed_mean < scan_seconds
 
 
-def test_wire_tax(benchmark, world, report):
-    """Client/server round trip vs direct engine call."""
-    import time
-
-    server = DBServer(world.database)
+def test_wire_tax(world, report):
+    """Client/server round trip vs direct engine call, both warm, best
+    of 5 each. The server's result cache is off, so every wired query
+    executes, as every direct one does."""
+    database = world.database
+    server = DBServer(database, result_cache_max_rows=0)
     client = DBClient(server.transport())
     client.connect()
 
-    start = time.perf_counter()
-    world.database.query(FILTER)
-    direct = time.perf_counter() - start
-
-    benchmark(client.query, FILTER)
-    wired = benchmark.stats.stats.mean
+    direct_rows = database.query(FILTER)
+    direct = best_of(lambda: database.query(FILTER), repeats=5)
+    wired_rows = client.query(FILTER)
+    wired = best_of(lambda: client.query(FILTER), repeats=5)
     client.close()
+    assert wired_rows == direct_rows
     report.add(
         "Microbench — wire protocol tax (seconds per query)",
         ("path", "direct", "through_wire", "tax"),
@@ -131,10 +129,6 @@ JOIN_AGG = ("SELECT l_returnflag, count(*), sum(l_extendedprice), "
             "GROUP BY l_returnflag ORDER BY l_returnflag")
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    return min(timed(fn)[0] for _ in range(repeats))
-
-
 def test_compiled_vs_interpreted(world, report):
     """The tentpole claim: closure-compiled expressions beat the seed
     AST interpreter on a TPC-H-style join+aggregate. Both paths run
@@ -146,11 +140,12 @@ def test_compiled_vs_interpreted(world, report):
     database = world.database
     database.plan_cache.clear()
     compiled_rows = database.query(JOIN_AGG)  # warm the plan cache
-    compiled = _best_of(lambda: database.query(JOIN_AGG))
+    compiled = best_of(lambda: database.query(JOIN_AGG), repeats=5)
     with exprs.interpreted_expressions():
         database.plan_cache.clear()  # force a re-plan in interpreted mode
         interpreted_rows = database.query(JOIN_AGG)
-        interpreted = _best_of(lambda: database.query(JOIN_AGG))
+        interpreted = best_of(lambda: database.query(JOIN_AGG),
+                              repeats=5)
     database.plan_cache.clear()  # drop the interpreted plan
     assert compiled_rows == interpreted_rows
 
@@ -183,13 +178,13 @@ def test_plan_cache_skips_parse_and_plan(world, report):
 
     database.plan_cache.clear()
     database.query(sql)  # prime the entry
-    hot = _best_of(lambda: database.query(sql), repeats=7)
+    hot = best_of(lambda: database.query(sql), repeats=7)
 
     def cold():
         database.plan_cache.clear()
         return database.query(sql)
 
-    cold_seconds = _best_of(cold, repeats=7)
+    cold_seconds = best_of(cold, repeats=7)
     report.add(
         "Microbench — plan cache (seconds per statement)",
         ("path", "seconds", "speedup"),
@@ -246,11 +241,11 @@ def _time_modes(database, sql):
     a warm plan cache for its own mode."""
     database.plan_cache.clear()
     batch_rows = database.query(sql)
-    batch_seconds = _best_of(lambda: database.query(sql), repeats=3)
+    batch_seconds = best_of(lambda: database.query(sql), repeats=3)
     with row_at_a_time_plans():
         database.plan_cache.clear()  # re-plan with row operators
         tuple_rows = database.query(sql)
-        tuple_seconds = _best_of(lambda: database.query(sql), repeats=3)
+        tuple_seconds = best_of(lambda: database.query(sql), repeats=3)
     database.plan_cache.clear()  # drop the row-mode plan
     assert batch_rows is not tuple_rows
     return batch_seconds, tuple_seconds, batch_rows, tuple_rows
@@ -367,13 +362,13 @@ def test_analyze_informed_plan_beats_rote_planner(optimizer_db, report):
     database.plan_cache.clear()
     rote_plan = plan()
     rote_rows = database.query(OPTIMIZER_QUERY)
-    rote_seconds = _best_of(
+    rote_seconds = best_of(
         lambda: database.query(OPTIMIZER_QUERY), repeats=3)
 
     database.execute("ANALYZE")  # invalidates every cached plan
     informed_plan = plan()
     informed_rows = database.query(OPTIMIZER_QUERY)
-    informed_seconds = _best_of(
+    informed_seconds = best_of(
         lambda: database.query(OPTIMIZER_QUERY), repeats=3)
 
     assert informed_rows == rote_rows
@@ -449,12 +444,12 @@ def test_parallel_pipeline_speedup(pipeline_db, report):
         database.set_parallel_workers(1, min_rows=0)
         database.plan_cache.clear()
         serial_rows = database.query(PARALLEL_QUERY)
-        serial_seconds = _best_of(
+        serial_seconds = best_of(
             lambda: database.query(PARALLEL_QUERY), repeats=3)
 
         database.set_parallel_workers(PARALLEL_WORKERS)
         parallel_rows = database.query(PARALLEL_QUERY)
-        parallel_seconds = _best_of(
+        parallel_seconds = best_of(
             lambda: database.query(PARALLEL_QUERY), repeats=3)
     finally:
         database.set_parallel_workers(1)
@@ -534,11 +529,11 @@ def test_parallel_operator_speedup(pipeline_db, report, label, sql):
         database.set_parallel_workers(1, min_rows=0)
         database.plan_cache.clear()
         serial_rows = database.query(sql)
-        serial_seconds = _best_of(lambda: database.query(sql), repeats=3)
+        serial_seconds = best_of(lambda: database.query(sql), repeats=3)
 
         database.set_parallel_workers(PARALLEL_WORKERS, min_rows=0)
         parallel_rows = database.query(sql)
-        parallel_seconds = _best_of(
+        parallel_seconds = best_of(
             lambda: database.query(sql), repeats=3)
         pool_forks = database.parallel_pool.forks
     finally:
@@ -615,7 +610,7 @@ def test_scan_cache_warm_hits_beat_rebuilds(pipeline_db, report):
     cache.enabled = False
     try:
         cold_rows = database.query(SCAN_CACHE_QUERY)
-        cold_seconds = _best_of(
+        cold_seconds = best_of(
             lambda: database.query(SCAN_CACHE_QUERY), repeats=3)
     finally:
         cache.enabled = True
@@ -623,7 +618,7 @@ def test_scan_cache_warm_hits_beat_rebuilds(pipeline_db, report):
     cache.invalidate_all()
     warm_rows = database.query(SCAN_CACHE_QUERY)  # builds the segment
     hits_before = cache.hits
-    warm_seconds = _best_of(
+    warm_seconds = best_of(
         lambda: database.query(SCAN_CACHE_QUERY), repeats=3)
     assert warm_rows == cold_rows
     assert cache.hits > hits_before, "timed runs were not cache hits"

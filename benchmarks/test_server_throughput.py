@@ -26,7 +26,7 @@ import pytest
 
 from repro.db import Database, DBClient, DBServer
 
-from benchmarks.conftest import timed
+from benchmarks.conftest import best_of
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
@@ -43,10 +43,6 @@ SPEEDUP_FLOOR = 2.0
 TTFR_FLOOR = 2.0
 # CI fails when throughput drops below 70% of the committed trajectory
 REGRESSION_FLOOR = 0.7
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    return min(timed(fn)[0] for _ in range(repeats))
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +116,8 @@ def test_prepared_pipelined_vs_text_baseline(serving, report):
     assert sorted(map(tuple, (r[0] for r in baseline_rows))) == \
         sorted(map(tuple, (r[0] for r in fast_rows)))
 
-    baseline_seconds = _best_of(baseline)
-    fast_seconds = _best_of(fast)
+    baseline_seconds = best_of(baseline, repeats=3)
+    fast_seconds = best_of(fast, repeats=3)
     speedup = baseline_seconds / max(fast_seconds, 1e-9)
     measured = {
         "clients": N_CLIENTS,
@@ -176,8 +172,8 @@ def test_streamed_time_to_first_row(serving, report):
     total_rows = full()
     assert first_chunk() == STREAM_CHUNK
 
-    full_seconds = _best_of(full)
-    ttfr_seconds = _best_of(first_chunk)
+    full_seconds = best_of(full, repeats=3)
+    ttfr_seconds = best_of(first_chunk, repeats=3)
     speedup = full_seconds / max(ttfr_seconds, 1e-9)
     measured = {
         "scan_rows": SCAN_ROWS,

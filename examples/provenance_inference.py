@@ -32,21 +32,17 @@ def build_figure2():
     builder.read_from(1, "/B", TimeInterval(7, 8))
     insert1 = builder.statement("insert1", "insert")
     builder.run(1, insert1, TimeInterval.point(5))
-    builder.has_returned(insert1, TupleRef("db", 1, 5), 5)
-    builder.has_returned(insert1, TupleRef("db", 2, 5), 5)
+    builder.has_returned(insert1, [TupleRef("db", 1, 5),
+                                   TupleRef("db", 2, 5)], 5)
     insert2 = builder.statement("insert2", "insert")
     builder.run(1, insert2, TimeInterval.point(8))
-    builder.has_returned(insert2, TupleRef("db", 3, 8), 8)
+    builder.has_returned(insert2, [TupleRef("db", 3, 8)], 8)
     query = builder.statement("query", "query")
     builder.run(2, query, TimeInterval.point(9))
-    builder.has_read(query, TupleRef("db", 1, 5), 9)
-    builder.has_read(query, TupleRef("db", 3, 8), 9)
-    builder.has_returned(query, TupleRef("db", 4, 9), 9,
-                         [TupleRef("db", 1, 5)])
-    builder.has_returned(query, TupleRef("db", 5, 9), 9,
-                         [TupleRef("db", 3, 8)])
-    builder.read_from_db(2, TupleRef("db", 4, 9), 9)
-    builder.read_from_db(2, TupleRef("db", 5, 9), 9)
+    builder.has_read(query, [TupleRef("db", 1, 5), TupleRef("db", 3, 8)], 9)
+    builder.has_returned(query, [TupleRef("db", 4, 9), TupleRef("db", 5, 9)],
+                         9, [[TupleRef("db", 1, 5)], [TupleRef("db", 3, 8)]])
+    builder.read_from_db(2, [TupleRef("db", 4, 9), TupleRef("db", 5, 9)], 9)
     builder.has_written(2, "/C", TimeInterval(7, 12))
     return builder.trace
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
@@ -55,34 +55,36 @@ class RelevantTupleStore:
     """
 
     def __init__(self) -> None:
-        self._tables: dict[str, dict[tuple[int, int], tuple]] = {}
+        # keyed by plain (table, rowid, version) tuples, which equal
+        # their TupleRefs: the collector stops tracking those, but not
+        # namedtuples, and the store lives as long as the audit
+        self._rows: dict[tuple[str, int, int], tuple] = {}
+
+    def __contains__(self, ref: TupleRef) -> bool:
+        return ref in self._rows
 
     def add(self, ref: TupleRef, values: tuple) -> bool:
         """Record one tuple version; returns False if already present."""
-        table = self._tables.setdefault(ref.table, {})
-        key = (ref.rowid, ref.version)
-        if key in table:
+        if ref in self._rows:
             return False
-        table[key] = values
+        self._rows[tuple(ref)] = values
         return True
 
     def tables(self) -> list[str]:
-        return sorted(self._tables)
+        return sorted({table for table, _rowid, _version in self._rows})
 
     def rows_for(self, table: str) -> list[tuple[int, int, tuple]]:
         """``(rowid, version, values)`` triples, in rowid order."""
-        entries = self._tables.get(table, {})
-        return [(rowid, version, entries[(rowid, version)])
-                for rowid, version in sorted(entries)]
+        return sorted((rowid, version, values)
+                      for (ref_table, rowid, version), values
+                      in self._rows.items() if ref_table == table)
 
     def refs(self) -> set[TupleRef]:
-        return {TupleRef(table, rowid, version)
-                for table, entries in self._tables.items()
-                for rowid, version in entries}
+        return {TupleRef(*key) for key in self._rows}
 
     @property
     def tuple_count(self) -> int:
-        return sum(len(entries) for entries in self._tables.values())
+        return len(self._rows)
 
 
 @dataclass
@@ -199,21 +201,21 @@ class DBMonitor:
     # -- provenance-mode helpers ------------------------------------------------------
 
     def record_relevant(self, refs: Iterable[TupleRef],
-                        rows: Iterable[tuple] | None = None) -> int:
+                        rows: Sequence[tuple] | None = None) -> int:
         """Add tuple versions to the relevant store, excluding versions
-        the application itself created (Section II / VII-D). Returns
-        the number of new entries."""
+        the application itself created (Section II / VII-D). ``rows``
+        holds each ref's values; without it, the values of new
+        versions are read from the server database. Returns the number
+        of new entries."""
         added = 0
-        refs = list(refs)
-        if rows is None:
-            rows = [self._current_values(ref) for ref in refs]
-        for ref, values in zip(refs, rows):
-            if ref in self.created_refs:
-                continue
-            if ref.table.startswith("_result"):
-                continue  # synthetic query-result entities
-            if self.relevant.add(ref, values):
-                added += 1
+        for index, ref in enumerate(refs):
+            if (ref in self.relevant or ref in self.created_refs
+                    or ref.table.startswith("_result")):
+                continue  # stored, app-created, or a query result
+            values = (rows[index] if rows is not None
+                      else self._current_values(ref))
+            self.relevant.add(ref, values)
+            added += 1
         return added
 
     def _current_values(self, ref: TupleRef) -> tuple:
@@ -335,16 +337,14 @@ class _MonitorInterceptor(Interceptor):
                 "provenance query returned a different result "
                 f"({len(prov.rows)} vs {len(result.rows)} rows)")
         tick = monitor.clock.now
-        all_read: dict[TupleRef, None] = {}
-        for index, (row, lineage) in enumerate(
-                zip(prov.rows, prov.lineages)):
-            for ref in lineage:
-                all_read.setdefault(ref, None)
-            result_ref = TupleRef(f"_result_{statement_id}", index + 1, tick)
-            builder.has_returned(node, result_ref, tick, lineage)
-            builder.read_from_db(self.process.pid, result_ref, tick)
-        for ref in all_read:
-            builder.has_read(node, ref, tick)
+        result_table = f"_result_{statement_id}"
+        result_refs = [TupleRef(result_table, index, tick)
+                       for index in range(1, len(prov.rows) + 1)]
+        builder.has_returned(node, result_refs, tick, prov.lineages,
+                             reader=self.process.pid)
+        all_read = dict.fromkeys(ref for lineage in prov.lineages
+                                 for ref in lineage)
+        builder.has_read(node, all_read, tick)
         # versioning marks + relevant tuple collection
         if monitor.versions is not None:
             monitor.versions.mark_used(all_read, statement_id,
@@ -361,23 +361,21 @@ class _MonitorInterceptor(Interceptor):
         if self._pending_reenactment is not None:
             pre_refs, pre_rows = self._pending_reenactment
             self._pending_reenactment = None
-        for ref in pre_refs:
-            builder.has_read(node, ref, tick)
-        for new_ref in result.written:
-            lineage = result.written_lineage.get(new_ref, frozenset())
-            builder.has_returned(node, new_ref, tick, lineage)
-            monitor.created_refs.add(new_ref)
-        for old_ref in result.deleted:
-            builder.has_read(node, old_ref, tick)
+        # only DELETE removes versions, and it writes none, so reading
+        # them with the pre-state keeps the edge order of the statement
+        read = pre_refs + result.deleted
+        if read:  # a plain INSERT ... VALUES reads nothing
+            builder.has_read(node, read, tick)
+        builder.has_returned(
+            node, result.written, tick,
+            [result.written_lineage.get(ref, frozenset())
+             for ref in result.written])
+        monitor.created_refs.update(result.written)
         if monitor.versions is not None and pre_refs:
             monitor.versions.mark_used(pre_refs, statement_id,
                                        str(self.process.pid))
         if pre_refs:
             monitor.record_relevant(pre_refs, pre_rows)
-        if result.deleted:
-            # deleted rows' values are gone post-execution; reenactment
-            # captured them in pre_rows already (same refs)
-            pass
 
     # -- record mode --------------------------------------------------------------------
 

@@ -27,10 +27,6 @@ from repro.provenance.trace import ExecutionTrace, Node
 RUN = "run"
 READ_FROM_DB = "readFromDB"
 
-_CROSS_EDGES = [
-    EdgeType(RUN, bb.PROCESS, statement_type)
-    for statement_type in lineage.STATEMENT_TYPES
-]
 # one typed RUN edge per statement type, same naming scheme as lineage
 _CROSS_EDGES = (
     [EdgeType(RUN, bb.PROCESS, lineage.QUERY)]
@@ -64,6 +60,11 @@ class TraceBuilder:
 
     def __init__(self) -> None:
         self.trace = ExecutionTrace(COMBINED_MODEL)
+        # node ids of the tuple versions this builder has added; traces
+        # never drop nodes, so a hit needs no formatting and no lookup.
+        # Keyed by plain tuples, which equal their TupleRefs: the
+        # collector stops tracking those, but not namedtuples
+        self._tuple_ids: dict[tuple[str, int, int], str] = {}
 
     # -- OS side -----------------------------------------------------------------
 
@@ -107,30 +108,75 @@ class TraceBuilder:
         return node_id
 
     def tuple_version(self, ref: TupleRef) -> str:
-        node_id = lineage.tuple_node_id(ref)
-        self.trace.add_entity(node_id, lineage.TUPLE, "lin",
-                              table=ref.table, rowid=ref.rowid,
-                              version=ref.version)
+        (node_id,) = self._tuple_nodes((ref,))
         return node_id
 
-    def has_read(self, statement_node: str, ref: TupleRef,
-                 tick: int) -> None:
-        statement_type = self.trace.node(statement_node).type_label
-        self.trace.add_edge(self.tuple_version(ref), statement_node,
-                            lineage.read_label(statement_type),
-                            TimeInterval.point(tick))
+    def _tuple_nodes(self, refs: Iterable[TupleRef]) -> list[str]:
+        """Add the tuple-version nodes of ``refs``; their node ids, in
+        ``refs`` order."""
+        known = self._tuple_ids
+        node_ids = []
+        new: dict[TupleRef, str] = {}
+        for ref in refs:
+            node_id = known.get(ref)
+            if node_id is None:
+                node_id = new[ref] = lineage.tuple_node_id(ref)
+            node_ids.append(node_id)
+        if new:
+            self.trace.add_entities(lineage.TUPLE, "lin", [
+                (node_id, (("rowid", ref.rowid), ("table", ref.table),
+                           ("version", ref.version)))
+                for ref, node_id in new.items()])
+            for ref, node_id in new.items():
+                known[tuple(ref)] = node_id
+        return node_ids
 
-    def has_returned(self, statement_node: str, ref: TupleRef, tick: int,
-                     lineage_refs: Iterable[TupleRef] = ()) -> None:
-        """Statement produced a tuple version; ``lineage_refs`` is its
-        Lineage attribution (Definition 7)."""
+    def _lineage_ids(self, refs: Iterable[TupleRef]) -> list[str]:
+        """A hasReturned edge's ``lineage`` attribute: the sorted node
+        ids of the contributing tuple versions."""
+        known = self._tuple_ids
+        return sorted([known.get(ref) or lineage.tuple_node_id(ref)
+                       for ref in refs])
+
+    # The per-statement methods below take all of one statement's tuple
+    # versions at once: the statement type, the interval and the model
+    # check are settled once per call, not once per tuple.
+
+    def has_read(self, statement_node: str, refs: Iterable[TupleRef],
+                 tick: int) -> None:
+        """The statement read the tuple versions ``refs``."""
         statement_type = self.trace.node(statement_node).type_label
-        self.trace.add_edge(
-            statement_node, self.tuple_version(ref),
-            lineage.returned_label(statement_type),
-            TimeInterval.point(tick),
-            lineage=sorted(lineage.tuple_node_id(dep)
-                           for dep in lineage_refs))
+        self.trace.add_edges(
+            lineage.read_label(statement_type), TimeInterval.point(tick),
+            [(node_id, statement_node)
+             for node_id in self._tuple_nodes(refs)])
+
+    def has_returned(self, statement_node: str, refs: Iterable[TupleRef],
+                     tick: int,
+                     lineages: Iterable[Iterable[TupleRef]] | None = None,
+                     reader: int | None = None) -> None:
+        """The statement produced the tuple versions ``refs``.
+
+        ``lineages``, when given, holds each version's Lineage
+        attribution (Definition 7), in ``refs`` order; without it every
+        attribution is empty. ``reader`` is the pid of a process that
+        consumed each returned tuple (a query's client): its readFromDB
+        edge is added right after the tuple's hasReturned edge.
+        """
+        statement_type = self.trace.node(statement_node).type_label
+        label = lineage.returned_label(statement_type)
+        node_ids = self._tuple_nodes(refs)
+        if lineages is None:
+            lineages = [()] * len(node_ids)
+        attrs = [{"lineage": self._lineage_ids(deps)} for deps in lineages]
+        pairs = [(statement_node, node_id) for node_id in node_ids]
+        if reader is not None:
+            process = bb.process_node_id(reader)
+            pairs = [pair for node_id, returned in zip(node_ids, pairs)
+                     for pair in (returned, (node_id, process))]
+            label = [label, READ_FROM_DB] * len(node_ids)
+            attrs = [attr for returned in attrs for attr in (returned, None)]
+        self.trace.add_edges(label, TimeInterval.point(tick), pairs, attrs)
 
     # -- cross-model edges -------------------------------------------------------------
 
@@ -140,8 +186,10 @@ class TraceBuilder:
         self.trace.add_edge(bb.process_node_id(pid), statement_node,
                             run_label(statement_type), interval)
 
-    def read_from_db(self, pid: int, ref: TupleRef, tick: int) -> None:
-        """The process consumed a result tuple returned by a query."""
-        self.trace.add_edge(self.tuple_version(ref),
-                            bb.process_node_id(pid),
-                            READ_FROM_DB, TimeInterval.point(tick))
+    def read_from_db(self, pid: int, refs: Iterable[TupleRef],
+                     tick: int) -> None:
+        """The process consumed the result tuples ``refs`` of a query."""
+        process = bb.process_node_id(pid)
+        self.trace.add_edges(
+            READ_FROM_DB, TimeInterval.point(tick),
+            [(node_id, process) for node_id in self._tuple_nodes(refs)])

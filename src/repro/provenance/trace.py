@@ -14,7 +14,8 @@ inside every LDV package).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from itertools import repeat
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ModelViolationError, ProvenanceError, UnknownNodeError
 from repro.provenance.interval import TimeInterval
@@ -46,7 +47,7 @@ class Node:
         return default
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """A typed, time-annotated edge."""
 
@@ -77,19 +78,34 @@ class ExecutionTrace:
                 f"{type_label!r} is not an activity type of "
                 f"{self.model.name!r}")
         return self._add_node(node_id, "activity", type_label,
-                              model_name, attrs)
+                              model_name, tuple(sorted(attrs.items())))
 
     def add_entity(self, node_id: str, type_label: str,
                    model_name: str | None = None, **attrs: Any) -> Node:
+        self.add_entities(type_label, model_name,
+                          [(node_id, tuple(sorted(attrs.items())))])
+        return self._nodes[node_id]
+
+    def add_entities(self, type_label: str, model_name: str | None,
+                     nodes: Iterable[tuple[str, tuple[tuple[str, Any], ...]]]
+                     ) -> None:
+        """Add entity nodes of one type, given as ``(node_id, attrs)``
+        with ``attrs`` in :attr:`Node.attrs` form (``(key, value)``
+        pairs sorted by key), checking the type once.
+
+        An existing node of the same type is kept as it is; one of
+        another type raises :class:`ProvenanceError`.
+        """
         if not self.model.is_entity_type(type_label):
             raise ModelViolationError(
                 f"{type_label!r} is not an entity type of "
                 f"{self.model.name!r}")
-        return self._add_node(node_id, "entity", type_label,
-                              model_name, attrs)
+        for node_id, attrs in nodes:
+            self._add_node(node_id, "entity", type_label, model_name, attrs)
 
     def _add_node(self, node_id: str, kind: str, type_label: str,
-                  model_name: str | None, attrs: dict[str, Any]) -> Node:
+                  model_name: str | None,
+                  attrs: tuple[tuple[str, Any], ...]) -> Node:
         existing = self._nodes.get(node_id)
         if existing is not None:
             if existing.type_label != type_label:
@@ -98,8 +114,7 @@ class ExecutionTrace:
                     f"{existing.type_label!r}")
             return existing
         node = Node(node_id, kind, type_label,
-                    model_name or self.model.name,
-                    tuple(sorted(attrs.items())))
+                    model_name or self.model.name, attrs)
         self._nodes[node_id] = node
         self._out[node_id] = []
         self._in[node_id] = []
@@ -107,29 +122,74 @@ class ExecutionTrace:
 
     def add_edge(self, source: str, target: str, label: str,
                  interval: TimeInterval, **attrs: Any) -> Edge:
-        """Add (or widen) a typed edge.
+        """Add (or widen) one typed edge; see :meth:`add_edges`."""
+        self.add_edges(label, interval, [(source, target)], [attrs])
+        return self._edges[(source, target, label)]
+
+    def add_edges(self, label: str | Sequence[str], interval: TimeInterval,
+                  pairs: Sequence[tuple[str, str]],
+                  attrs: Sequence[dict[str, Any] | None] | None = None
+                  ) -> None:
+        """Add (or widen) typed ``source -> target`` edges, in order.
+
+        ``label`` is every edge's label, or one label per pair;
+        ``attrs``, when given, holds one attribute dict (or None) per
+        pair.
 
         Adding the same ``(source, target, label)`` again widens the
-        existing interval to the hull — this is how a process that
-        re-opens a file keeps a single readFrom edge spanning all of
-        its reads.
+        existing interval to the hull and merges the new attributes
+        over the old — this is how a process that re-opens a file keeps
+        a single readFrom edge spanning all of its reads.
+
+        Each endpoint is looked up once, and the model check runs once
+        per distinct ``(label, source type, target type)``. A pair with
+        an unknown endpoint or an inadmissible type raises before it is
+        added, leaving the pairs before it added, exactly as one
+        :meth:`add_edge` per pair would.
         """
-        source_node = self.node(source)
-        target_node = self.node(target)
-        self.model.check_edge(label, source_node.type_label,
-                              target_node.type_label)
-        key = (source, target, label)
-        existing = self._edges.get(key)
-        if existing is not None:
-            existing.interval = existing.interval.hull(interval)
-            for attr_key, value in attrs.items():
-                existing.attrs[attr_key] = value
-            return existing
-        edge = Edge(source, target, label, interval, dict(attrs))
-        self._edges[key] = edge
-        self._out[source].append(edge)
-        self._in[target].append(edge)
-        return edge
+        if isinstance(label, str):
+            labels: Iterable[str] = repeat(label, len(pairs))
+        elif len(label) != len(pairs):
+            raise ProvenanceError(
+                f"{len(label)} labels for {len(pairs)} edges")
+        else:
+            labels = label
+        if attrs is None:
+            attr_dicts: Iterable[dict[str, Any] | None] = repeat(None)
+        elif len(attrs) != len(pairs):
+            raise ProvenanceError(
+                f"{len(attrs)} attribute dicts for {len(pairs)} edges")
+        else:
+            attr_dicts = attrs
+        nodes = self._nodes
+        edges = self._edges
+        out_edges = self._out
+        in_edges = self._in
+        checked: set[tuple[str, str, str]] = set()
+        for (source, target), edge_label, edge_attrs in zip(
+                pairs, labels, attr_dicts):
+            source_node = nodes.get(source)
+            if source_node is None:
+                raise UnknownNodeError(f"unknown trace node {source!r}")
+            target_node = nodes.get(target)
+            if target_node is None:
+                raise UnknownNodeError(f"unknown trace node {target!r}")
+            types = (edge_label, source_node.type_label,
+                     target_node.type_label)
+            if types not in checked:
+                self.model.check_edge(*types)
+                checked.add(types)
+            key = (source, target, edge_label)
+            existing = edges.get(key)
+            if existing is not None:
+                existing.interval = existing.interval.hull(interval)
+                if edge_attrs:
+                    existing.attrs.update(edge_attrs)
+                continue
+            edge = edges[key] = Edge(source, target, edge_label, interval,
+                                     dict(edge_attrs) if edge_attrs else {})
+            out_edges[source].append(edge)
+            in_edges[target].append(edge)
 
     # -- queries -----------------------------------------------------------------
 

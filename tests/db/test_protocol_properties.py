@@ -92,10 +92,10 @@ def random_traces(draw):
         builder.run(draw(st.integers(0, n_procs - 1)), statement,
                     TimeInterval.point(draw(st.integers(0, 60))))
         ref = TupleRef("t", draw(st.integers(1, 9)), 1)
-        builder.has_read(statement, ref, draw(st.integers(0, 60)))
+        builder.has_read(statement, [ref], draw(st.integers(0, 60)))
         out = TupleRef("_result_q1", 1, 2)
-        builder.has_returned(statement, out,
-                             draw(st.integers(0, 60)), [ref])
+        builder.has_returned(statement, [out],
+                             draw(st.integers(0, 60)), [[ref]])
     return builder.trace
 
 

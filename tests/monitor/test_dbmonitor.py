@@ -3,7 +3,7 @@ collection, replay-log recording."""
 
 import pytest
 
-from repro.db import Database, DBServer
+from repro.db import Database, DBServer, csvio
 from repro.db.provtypes import TupleRef
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_sql
@@ -11,6 +11,7 @@ from repro.db.sql.render import render_select
 from repro.errors import AuditError
 from repro.monitor import AuditSession
 from repro.monitor.dbmonitor import (
+    MODE_PROVENANCE,
     DBMonitor,
     RelevantTupleStore,
     ReplayLog,
@@ -280,7 +281,67 @@ class TestSessionModes:
             DBMonitor(TraceBuilder(), "bogus", None)
 
 
+class TestRecordRelevant:
+    """Refs already stored, created by the app, or synthetic query
+    results are skipped before any value is read from the server."""
+
+    @pytest.fixture
+    def monitor(self, world, monkeypatch):
+        _vos, database = world
+        monitor = DBMonitor(TraceBuilder(), MODE_PROVENANCE, database)
+        reads = []
+        current_values = monitor._current_values
+        monkeypatch.setattr(monitor, "_current_values",
+                            lambda ref: (reads.append(ref),
+                                         current_values(ref))[1])
+        monitor.reads = reads
+        return monitor
+
+    @staticmethod
+    def stored(monitor, database):
+        schema = database.catalog.get_table("t").schema
+        rows = monitor.relevant.rows_for("t")
+        return rows, csvio.format_versioned_rows(rows, schema)
+
+    def test_values_are_read_once_per_new_version(self, world, monitor):
+        _vos, database = world
+        result = database.execute("SELECT * FROM t", provenance=True)
+        refs = [ref for lineage in result.lineages for ref in lineage]
+        assert monitor.record_relevant(refs) == 3
+        assert sorted(monitor.reads) == sorted(refs)
+        first = self.stored(monitor, database)
+        assert first[0] == [(ref.rowid, ref.version, row)
+                            for ref, row in sorted(zip(refs, result.rows))]
+        assert monitor.record_relevant(refs + refs) == 0
+        assert len(monitor.reads) == 3
+        assert self.stored(monitor, database) == first
+
+    def test_created_and_result_refs_are_never_read(self, world, monitor):
+        _vos, database = world
+        result = database.execute("SELECT * FROM t WHERE id = 1",
+                                  provenance=True)
+        (ref,) = result.lineages[0]
+        monitor.created_refs.add(ref)
+        synthetic = TupleRef("_result_q1", 1, 9)
+        assert monitor.record_relevant([ref, synthetic]) == 0
+        assert monitor.reads == []
+        assert monitor.relevant.tuple_count == 0
+
+    def test_given_rows_are_stored_without_reads(self, world, monitor):
+        ref = TupleRef("t", 1, 1)
+        assert monitor.record_relevant([ref, ref], [(1, 10), (1, 99)]) == 1
+        assert monitor.reads == []
+        assert monitor.relevant.rows_for("t") == [(1, 1, (1, 10))]
+
+
 class TestRelevantTupleStore:
+    def test_membership(self):
+        store = RelevantTupleStore()
+        store.add(TupleRef("t", 1, 1), (1,))
+        assert TupleRef("t", 1, 1) in store
+        assert TupleRef("t", 1, 2) not in store
+        assert TupleRef("u", 1, 1) not in store
+
     def test_add_dedups(self):
         store = RelevantTupleStore()
         ref = TupleRef("t", 1, 1)

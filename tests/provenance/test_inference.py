@@ -79,8 +79,8 @@ class TestBasics:
         query = builder.statement("q", "query")
         builder.read_from(1, "/cfg", TimeInterval(1, 2))
         builder.run(1, query, TimeInterval.point(3))
-        builder.has_read(query, t(1), 3)
-        builder.has_returned(query, t(9), 3, [t(1)])
+        builder.has_read(query, [t(1)], 3)
+        builder.has_returned(query, [t(9)], 3, [[t(1)]])
         inference = DependencyInference(builder.trace)
         deps = inference.dependencies_of("stmt:q")
         assert "file:/cfg" in deps
@@ -122,10 +122,8 @@ class TestLineageConditions:
         t2): r1 must not depend on t2."""
         builder = TraceBuilder()
         query = builder.statement("q", "query")
-        builder.has_read(query, t(1), 5)
-        builder.has_read(query, t(2), 5)
-        builder.has_returned(query, t(11), 5, [t(1)])
-        builder.has_returned(query, t(12), 5, [t(2)])
+        builder.has_read(query, [t(1), t(2)], 5)
+        builder.has_returned(query, [t(11), t(12)], 5, [[t(1)], [t(2)]])
         inference = DependencyInference(builder.trace)
         r1, r2 = tuple_node_id(t(11)), tuple_node_id(t(12))
         assert inference.depends_on(r1, tuple_node_id(t(1)))
@@ -137,13 +135,13 @@ class TestLineageConditions:
         reads v2 — the query result depends on both versions."""
         builder = TraceBuilder()
         insert = builder.statement("i", "insert")
-        builder.has_returned(insert, t(1, 1), 2)
+        builder.has_returned(insert, [t(1, 1)], 2)
         update = builder.statement("u", "update")
-        builder.has_read(update, t(1, 1), 4)
-        builder.has_returned(update, t(1, 2), 4, [t(1, 1)])
+        builder.has_read(update, [t(1, 1)], 4)
+        builder.has_returned(update, [t(1, 2)], 4, [[t(1, 1)]])
         query = builder.statement("q", "query")
-        builder.has_read(query, t(1, 2), 6)
-        builder.has_returned(query, t(99), 6, [t(1, 2)])
+        builder.has_read(query, [t(1, 2)], 6)
+        builder.has_returned(query, [t(99)], 6, [[t(1, 2)]])
         inference = DependencyInference(builder.trace)
         result = tuple_node_id(t(99))
         assert inference.depends_on(result, tuple_node_id(t(1, 2)))
@@ -153,11 +151,11 @@ class TestLineageConditions:
         """A query that read v2 does not depend on a later v3."""
         builder = TraceBuilder()
         update = builder.statement("u", "update")
-        builder.has_read(update, t(1, 2), 10)
-        builder.has_returned(update, t(1, 3), 10, [t(1, 2)])
+        builder.has_read(update, [t(1, 2)], 10)
+        builder.has_returned(update, [t(1, 3)], 10, [[t(1, 2)]])
         query = builder.statement("q", "query")
-        builder.has_read(query, t(1, 2), 5)
-        builder.has_returned(query, t(50), 5, [t(1, 2)])
+        builder.has_read(query, [t(1, 2)], 5)
+        builder.has_returned(query, [t(50)], 5, [[t(1, 2)]])
         inference = DependencyInference(builder.trace)
         assert not inference.depends_on(
             tuple_node_id(t(50)), tuple_node_id(t(1, 3)))

@@ -42,19 +42,16 @@ def figure2():
     builder.read_from(1, "/B", TimeInterval(7, 8))
     insert1 = builder.statement("i1", "insert")
     builder.run(1, insert1, TimeInterval.point(5))
-    builder.has_returned(insert1, t("db", 1), 5)
-    builder.has_returned(insert1, t("db", 2), 5)
+    builder.has_returned(insert1, [t("db", 1), t("db", 2)], 5)
     insert2 = builder.statement("i2", "insert")
     builder.run(1, insert2, TimeInterval.point(8))
-    builder.has_returned(insert2, t("db", 3), 8)
+    builder.has_returned(insert2, [t("db", 3)], 8)
     query = builder.statement("q1", "query")
     builder.run(2, query, TimeInterval.point(9))
-    builder.has_read(query, t("db", 1), 9)
-    builder.has_read(query, t("db", 3), 9)
-    builder.has_returned(query, t("db", 4), 9, [t("db", 1)])
-    builder.has_returned(query, t("db", 5), 9, [t("db", 3)])
-    builder.read_from_db(2, t("db", 4), 9)
-    builder.read_from_db(2, t("db", 5), 9)
+    builder.has_read(query, [t("db", 1), t("db", 3)], 9)
+    builder.has_returned(query, [t("db", 4), t("db", 5)], 9,
+                         [[t("db", 1)], [t("db", 3)]])
+    builder.read_from_db(2, [t("db", 4), t("db", 5)], 9)
     builder.has_written(2, "/C", TimeInterval(7, 12))
     return builder.trace
 
@@ -106,10 +103,9 @@ class TestFigure3LineageDependencies:
         Figure 5's table: t4 depends on t2 and t3."""
         builder = TraceBuilder()
         query = builder.statement("q1", "query")
-        for rowid in (2, 3):
-            builder.has_read(query, t("sales", rowid), 4)
-        builder.has_returned(query, t("sales", 4), 4,
-                             [t("sales", 2), t("sales", 3)])
+        builder.has_read(query, [t("sales", 2), t("sales", 3)], 4)
+        builder.has_returned(query, [t("sales", 4)], 4,
+                             [[t("sales", 2), t("sales", 3)]])
         deps = lin_dependencies(builder.trace)
         assert deps == {
             (tuple_node_id(t("sales", 4)), tuple_node_id(t("sales", 2))),
@@ -226,10 +222,10 @@ class TestFigure6Example8:
         builder = TraceBuilder()
         builder.process(2, "P2")
         query = builder.statement("q", "query")
-        builder.has_read(query, t("db", 1), 4)  # t_a read by q
+        builder.has_read(query, [t("db", 1)], 4)  # t_a read by q
         # q returns t_b, but t_a is NOT in t_b's lineage
-        builder.has_returned(query, t("db", 2), 5, lineage_refs=[])
-        builder.read_from_db(2, t("db", 2), 6)
+        builder.has_returned(query, [t("db", 2)], 5, lineages=[[]])
+        builder.read_from_db(2, [t("db", 2)], 6)
         builder.has_written(2, "/C", TimeInterval(7, 8))
         inference = DependencyInference(builder.trace)
         t_a = tuple_node_id(t("db", 1))

@@ -17,10 +17,10 @@ def document():
     query = builder.statement("q1", "query", sql="SELECT 1")
     builder.run(1, query, TimeInterval.point(7))
     ref = TupleRef("t", 1, 1)
-    builder.has_read(query, ref, 7)
+    builder.has_read(query, [ref], 7)
     out = TupleRef("t", 9, 7)
-    builder.has_returned(query, out, 7, [ref])
-    builder.read_from_db(1, out, 7)
+    builder.has_returned(query, [out], 7, [[ref]])
+    builder.read_from_db(1, [out], 7)
     builder.has_written(1, "/B", TimeInterval(8, 9))
     return trace_to_prov(builder.trace, include_dependencies=True)
 
