@@ -112,11 +112,11 @@ def _stub_transport(request_text: str) -> str:
     elif kind == "prepare":
         # parse locally for the parameter count; planning happens
         # nowhere — execution will be substituted
-        from repro.db.sql.params import max_parameter_index
+        from repro.db.sql.params import Binder
         from repro.db.sql.parser import parse_sql
 
         statements = parse_sql(frame.get("sql", ""))
-        count = max_parameter_index(statements[0]) if statements else 0
+        count = Binder(statements[0]).param_count if statements else 0
         response = protocol.prepared_frame(frame.get("name", ""), count)
     elif kind == "deallocate":
         response = protocol.deallocated_frame(frame.get("name", ""))

@@ -69,7 +69,7 @@ from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.stats import TableStats, compute_table_stats
 from repro.db.vector import BatchOperator
 from repro.db.sql import ast
-from repro.db.sql.params import bind_statement, max_parameter_index
+from repro.db.sql.params import Binder
 from repro.db.sql.parser import parse_sql
 from repro.db.subquery import expand_statement, has_subqueries
 from repro.db.fileio import FileIO
@@ -285,11 +285,19 @@ class PreparedStatement:
 
     sql: str
     statement: ast.Statement
-    param_count: int
     cacheable: bool
     # normalized once at prepare time; plan-cache and result-cache
     # keys on the execution path reuse it instead of re-normalizing
     normalized_sql: str = ""
+    # the statement compiled for binding ``$n`` values, once
+    binder: Binder = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.binder = Binder(self.statement)
+
+    @property
+    def param_count(self) -> int:
+        return self.binder.param_count
 
 
 class Cursor:
@@ -814,7 +822,6 @@ class Database:
         statement = statements[0]
         return PreparedStatement(
             sql=sql, statement=statement,
-            param_count=max_parameter_index(statement),
             cacheable=self._plan_cacheable(statement),
             normalized_sql=PlanCache.normalize(sql))
 
@@ -875,8 +882,7 @@ class Database:
                 result = self._run_planned_select(planned)
             result.cacheable = True
             return result
-        statement = (bind_statement(prepared.statement, params)
-                     if prepared.param_count else prepared.statement)
+        statement = prepared.binder(params)
         return self.execute_statement(statement, provenance, session,
                                       token=token)
 

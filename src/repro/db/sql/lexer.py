@@ -3,13 +3,21 @@
 Produces a flat list of :class:`Token` objects. Keywords are recognized
 case-insensitively; identifiers preserve their original spelling but are
 matched case-insensitively downstream. String literals use single quotes
-with ``''`` escaping, as in standard SQL.
+with ``''`` escaping, as in standard SQL. Numbers and ``$n`` parameters
+are ASCII digits only.
+
+One compiled regular expression, :data:`TOKEN_RE`, defines every token:
+each match skips whitespace and ``--`` comments and then matches exactly
+one token in the named group of its kind. :func:`tokens_of` turns the
+matches into tokens; :func:`scan_shape` reads a statement's shape from
+the same matches without building any (the parser's shape cache).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import Iterable, NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -39,13 +47,41 @@ KEYWORDS = frozenset({
     "then", "else", "end",
 })
 
-# Multi-character operators must be checked before single-character ones.
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
-_PUNCT = {",", "(", ")", ";", "."}
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)"
+
+# Group order is match priority: a float before the integer prefix it
+# starts with, a number before the "." it may start with, two-character
+# operators before their one-character prefixes. A string ends at the
+# first quote that does not start a doubled quote. A word starting with
+# a non-ASCII character is a ``uword``, which only a letter may start
+# (checked in tokens_of: no regex class says str.isalpha). ``error``
+# catches any other character, so consecutive matches tile the input.
+TOKEN_RE = re.compile(rf"""
+    (?:\s|--[^\n]*)*
+    (?:
+        (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+){_EXPONENT}?|[0-9]+{_EXPONENT})
+      | (?P<integer>[0-9]+)
+      | (?P<word>[A-Za-z_]\w*)
+      | (?P<uword>[^\W\d]\w*)
+      | (?P<param>\$[0-9]+)
+      | (?P<quoted>"[^"]*")
+      | (?P<operator><>|!=|<=|>=|\|\||[=<>+\-*/%])
+      | (?P<punct>[,();.])
+      | (?P<end>\Z)
+      | (?P<error>.)
+    )""", re.VERBOSE | re.DOTALL)
+
+# literal groups, with the converter the parser applies to each token's
+# text to get the literal's value
+LITERAL_KINDS = {
+    "integer": (TokenKind.INTEGER, int),
+    "float": (TokenKind.FLOAT, float),
+    "string": (TokenKind.STRING, str),
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
@@ -57,121 +93,96 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}@{self.position})"
 
 
+def _string_text(raw: str) -> str:
+    """The value of a quoted string literal's source text."""
+    return raw[1:-1].replace("''", "'")
+
+
+def _lex_error(sql: str, position: int) -> SQLSyntaxError:
+    """The error for input at ``position`` that starts no token."""
+    ch = sql[position]
+    if ch == "'":
+        return SQLSyntaxError("unterminated string literal", position)
+    if ch == '"':
+        return SQLSyntaxError("unterminated quoted identifier", position)
+    return SQLSyntaxError(f"unexpected character {ch!r}", position)
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize SQL text, raising :class:`SQLSyntaxError` on bad input."""
+    return tokens_of(sql, TOKEN_RE.finditer(sql))
+
+
+def tokens_of(sql: str, matches: Iterable[re.Match]) -> list[Token]:
+    """The tokens of ``sql`` from its :data:`TOKEN_RE` matches, in order
+    (all of them, as ``finditer`` yields them)."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # line comments
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        # string literal
-        if ch == "'":
-            i, text = _read_string(sql, i)
-            tokens.append(Token(TokenKind.STRING, text, i))
-            continue
-        # number
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            i, token = _read_number(sql, i)
-            tokens.append(token)
-            continue
-        # identifier / keyword
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            lowered = word.lower()
+    append = tokens.append
+    for match in matches:
+        group = match.lastgroup
+        start = match.start(group)
+        text = match[group]
+        if group == "word" or group == "uword":
+            if group == "uword" and not text[0].isalpha():
+                raise _lex_error(sql, start)
+            lowered = text.lower()
             if lowered in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, lowered, start))
+                append(Token(TokenKind.KEYWORD, lowered, start))
             else:
-                tokens.append(Token(TokenKind.IDENTIFIER, word, start))
-            continue
-        # positional parameter ($1, $2, ...)
-        if ch == "$" and i + 1 < n and sql[i + 1].isdigit():
-            start = i
-            i += 1
-            while i < n and sql[i].isdigit():
-                i += 1
-            tokens.append(Token(TokenKind.PARAM, sql[start + 1:i], start))
-            continue
-        # quoted identifier
-        if ch == '"':
-            end = sql.find('"', i + 1)
-            if end == -1:
-                raise SQLSyntaxError("unterminated quoted identifier", i)
-            tokens.append(Token(TokenKind.IDENTIFIER, sql[i + 1:end], i))
-            i = end + 1
-            continue
-        # operators
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenKind.EOF, "", n))
+                append(Token(TokenKind.IDENTIFIER, text, start))
+        elif group == "operator":
+            append(Token(TokenKind.OPERATOR, text, start))
+        elif group == "punct":
+            append(Token(TokenKind.PUNCT, text, start))
+        elif group == "integer":
+            append(Token(TokenKind.INTEGER, text, start))
+        elif group == "string":
+            append(Token(TokenKind.STRING, _string_text(text), start))
+        elif group == "float":
+            append(Token(TokenKind.FLOAT, text, start))
+        elif group == "param":
+            append(Token(TokenKind.PARAM, text[1:], start))
+        elif group == "quoted":
+            append(Token(TokenKind.IDENTIFIER, text[1:-1], start))
+        elif group == "end":
+            break
+        else:
+            raise _lex_error(sql, start)
+    tokens.append(Token(TokenKind.EOF, "", len(sql)))
     return tokens
 
 
-def _read_string(sql: str, start: int) -> tuple[int, str]:
-    """Read a single-quoted string literal starting at ``start``."""
-    i = start + 1
-    n = len(sql)
-    parts: list[str] = []
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":  # escaped quote
-                parts.append("'")
-                i += 2
-                continue
-            return i + 1, "".join(parts)
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", start)
+# what stands for a literal of each kind in a shape key: text that
+# always lexes as a literal, so it can never be another token's text
+_SHAPE_MARKS = {"integer": "0", "float": "0.0", "string": "''"}
 
 
-def _read_number(sql: str, start: int) -> tuple[int, Token]:
-    """Read an integer or float literal starting at ``start``."""
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            # exponent must be followed by digits (optionally signed)
-            j = i + 1
-            if j < n and sql[j] in "+-":
-                j += 1
-            if j < n and sql[j].isdigit():
-                seen_exp = True
-                i = j
+def scan_shape(matches: Iterable[re.Match]
+               ) -> "tuple[tuple[str, ...], list] | None":
+    """A statement's shape key and its literal values, from its
+    :data:`TOKEN_RE` matches, without building any token.
+
+    The key is the token source texts with each literal replaced by a
+    mark of its kind; the values are converted as the parser converts
+    literal tokens. Returns None for text with a ``$n`` parameter or
+    text that does not lex (the parser reports the error).
+    """
+    key: list[str] = []
+    values: list = []
+    for match in matches:
+        group = match.lastgroup
+        text = match[group]
+        mark = _SHAPE_MARKS.get(group)
+        if mark is not None:
+            key.append(mark)
+            if group == "string":
+                values.append(_string_text(text))
             else:
-                break
+                values.append(LITERAL_KINDS[group][1](text))
+        elif group == "end":
+            return tuple(key), values
+        elif group == "param" or group == "error":
+            return None
         else:
-            break
-    text = sql[start:i]
-    kind = TokenKind.FLOAT if (seen_dot or seen_exp) else TokenKind.INTEGER
-    return i, Token(kind, text, start)
+            key.append(text)
+    return None

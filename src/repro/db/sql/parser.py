@@ -11,27 +11,39 @@ statements. The expression grammar uses precedence climbing:
     multiplic  := unary ((*|/|%) unary)*
     unary      := - unary | primary
     primary    := literal | column | function(...) | ( or_expr ) | CASE ...
+
+``parse_sql`` serves statements whose shape it has parsed before from a
+:class:`ShapeCache` of templates. That is exact because the parser
+branches on token kinds and texts but never on a literal's text: every
+statement of one shape takes the same path through the grammar.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from collections import OrderedDict
+from typing import Any, Optional
 
 from repro.db.sql import ast
-from repro.db.sql.lexer import Token, TokenKind, tokenize
+from repro.db.sql.lexer import (LITERAL_KINDS, TOKEN_RE, Token, TokenKind,
+                                scan_shape, tokenize, tokens_of)
+from repro.db.sql.params import Binder
 from repro.errors import SQLSyntaxError
 
 _AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 
 _COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
+# literal token kind -> the conversion of its text to the literal's value
+_LITERAL_VALUE = dict(LITERAL_KINDS.values())
+
 
 class _Parser:
     """Stateful token-stream parser; one instance per parse call."""
 
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: list[Token] | None = None) -> None:
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens = tokenize(sql) if tokens is None else tokens
         self.pos = 0
 
     # -- token-stream helpers -------------------------------------------------
@@ -558,15 +570,10 @@ class _Parser:
 
     def _parse_primary(self) -> ast.Expression:
         token = self.peek()
-        if token.kind is TokenKind.INTEGER:
+        convert = _LITERAL_VALUE.get(token.kind)
+        if convert is not None:
             self.advance()
-            return ast.Literal(int(token.text))
-        if token.kind is TokenKind.FLOAT:
-            self.advance()
-            return ast.Literal(float(token.text))
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(token.text)
+            return ast.Literal(convert(token.text))
         if token.kind is TokenKind.PARAM:
             self.advance()
             index = int(token.text)
@@ -640,9 +647,117 @@ class _Parser:
         return ast.ColumnRef(name)
 
 
+# statement shapes the cache remembers (first sightings included)
+SHAPE_CACHE_CAPACITY = 512
+
+# cache entries that are not a template's binder
+_SEEN_ONCE = "seen once"
+_UNCACHEABLE = "uncacheable"
+
+
+class ShapeCache:
+    """LRU map from statement shape to the parsed template of that shape.
+
+    A shape is a statement's token texts with each literal replaced by
+    a mark of its kind (:func:`repro.db.sql.lexer.scan_shape`). The
+    first sighting of a shape only records it; the second builds the
+    template: the statement parsed once more with each literal token
+    swapped for a ``$i`` parameter token, kept as a :class:`Binder`
+    only if binding this statement's literals to it reproduces the
+    direct parse exactly. Shapes that fail the check (the parser reads
+    the literal somewhere other than as an expression operand, or
+    folds it, as in ``-5`` or ``LIMIT 3``) are remembered as
+    uncacheable. Every later sighting of a kept shape binds its
+    literals to the template instead of tokenizing and parsing.
+
+    Parsing does not depend on the catalog, so one cache serves every
+    database in the process; lookups, stores and the LRU order run
+    under one lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def sighting(self, key: tuple) -> Any:
+        """The entry for ``key``, or None on its first sighting (which
+        is recorded)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._store(key, _SEEN_ONCE)
+            else:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: tuple, entry: Any) -> None:
+        with self._lock:
+            self._store(key, entry)
+
+    def _store(self, key: tuple, entry: Any) -> None:
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+SHAPE_CACHE = ShapeCache(SHAPE_CACHE_CAPACITY)
+
+
+def _template_binder(sql: str, tokens: list[Token],
+                     statements: list[ast.Statement], values: list) -> Any:
+    """The binder of the shape of ``sql`` (lexed as ``tokens``), or
+    :data:`_UNCACHEABLE` when binding ``values`` to the template does
+    not give ``statements``."""
+    tokens = list(tokens)
+    index = 0
+    for position, token in enumerate(tokens):
+        if token.kind in _LITERAL_VALUE:
+            index += 1
+            tokens[position] = Token(TokenKind.PARAM, str(index),
+                                     token.position)
+    try:
+        template = tuple(_Parser(sql, tokens).parse_statements())
+    except SQLSyntaxError:
+        return _UNCACHEABLE
+    binder = Binder(template)
+    # compared by repr: == takes Literal(1) for Literal(1.0) or
+    # Literal(True)
+    if repr(binder(values)) != repr(tuple(statements)):
+        return _UNCACHEABLE
+    return binder
+
+
 def parse_sql(sql: str) -> list[ast.Statement]:
-    """Parse SQL text into a list of statements."""
-    return _Parser(sql).parse_statements()
+    """Parse SQL text into a list of statements.
+
+    Text whose shape (see :class:`ShapeCache`) was parsed before is
+    served by binding its literals to the cached template; the result
+    equals the direct parse.
+    """
+    matches = list(TOKEN_RE.finditer(sql))
+    shape = None
+    try:
+        shape = scan_shape(matches)
+    except ValueError:  # a literal too long to convert; the parse reports it
+        pass
+    if shape is None:
+        return _Parser(sql, tokens_of(sql, matches)).parse_statements()
+    key, values = shape
+    entry = SHAPE_CACHE.sighting(key)
+    if isinstance(entry, Binder):
+        return list(entry(values))
+    tokens = tokens_of(sql, matches)
+    statements = _Parser(sql, tokens).parse_statements()
+    if entry is _SEEN_ONCE:
+        SHAPE_CACHE.put(key, _template_binder(sql, tokens, statements,
+                                              values))
+    return statements
 
 
 def parse_one(sql: str) -> ast.Statement:

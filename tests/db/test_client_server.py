@@ -10,6 +10,7 @@ from repro.errors import (
     CatalogError,
     ConnectionClosedError,
     ProtocolError,
+    SQLSyntaxError,
 )
 
 
@@ -107,6 +108,30 @@ class TestClient:
     def test_server_error_raises_matching_exception(self, client):
         with pytest.raises(CatalogError):
             client.execute("SELECT * FROM ghost")
+
+    @pytest.mark.parametrize("sql, char", [("SELECT ²", "²"),
+                                           ("SELECT ١٢", "١")])
+    def test_non_ascii_digits_get_a_one_line_error_frame(
+            self, server, sql, char):
+        responses = []
+
+        def recording(request_text):
+            responses.append(server.handle_wire(request_text))
+            return responses[-1]
+
+        db_client = DBClient(recording, "test-app", "pid-1")
+        db_client.connect()
+        with pytest.raises(SQLSyntaxError) as info:
+            db_client.execute(sql)
+        frame = protocol.decode_frame(responses[-1])
+        assert frame["frame"] == "error"
+        assert frame["error_type"] == "SQLSyntaxError"
+        assert frame["message"] == f"unexpected character {char!r}"
+        assert str(info.value) == frame["message"]
+        assert "\n" not in responses[-1] and "Traceback" not in responses[-1]
+        # the connection survives the rejected statement
+        assert db_client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
+        db_client.close()
 
     def test_execute_before_connect_raises(self, server):
         fresh = DBClient(server.transport())

@@ -260,3 +260,32 @@ class TestErrors:
     def test_multiple_statements_with_semicolons(self):
         statements = parse_sql("SELECT 1; SELECT 2;")
         assert len(statements) == 2
+
+    def test_error_after_a_string_points_at_the_next_token(self):
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql("SELECT a FROM t WHERE 'abc' 'def'")
+        assert str(info.value) == "expected statement, found 'def'"
+        assert info.value.position == 28
+
+    def test_error_at_a_string_points_at_its_opening_quote(self):
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql("SELECT a FROM t LIMIT 'x'")
+        assert info.value.position == 22
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("sql, char", [
+        ("SELECT ²", "²"),
+        ("SELECT ١٢", "١"),
+        ("SELECT 1١", "١"),
+        ("SELECT $١", "$"),
+        ("INSERT INTO t VALUES (٣)", "٣"),
+    ])
+    def test_rejected_with_a_syntax_error(self, sql, char):
+        for _ in range(3):  # also once the statement's shape is known
+            with pytest.raises(SQLSyntaxError) as info:
+                parse_sql(sql)
+            assert str(info.value) == f"unexpected character {char!r}"
+
+    def test_ascii_digits_still_parse(self):
+        assert parse_one("SELECT 12").items[0].expression == ast.Literal(12)
