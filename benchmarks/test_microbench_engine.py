@@ -413,178 +413,6 @@ def test_analyze_informed_plan_beats_rote_planner(optimizer_db, report):
 
 
 # ---------------------------------------------------------------------------
-# partition-parallel execution: multi-worker gather vs serial
-# ---------------------------------------------------------------------------
-
-# at 4 workers on >= 4 cores the gather must beat serial by this much
-# in-run; on smaller machines the parity assertion still runs but the
-# timing floor is advisory (the committed entry records its core count)
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_WORKERS = 4
-
-PARALLEL_QUERY = (
-    "SELECT j, count(*), sum(a), min(a), max(k) FROM big "
-    "WHERE (a * 17 + k) % 13 < 9 AND b < 0.9 GROUP BY j")
-
-
-def test_parallel_pipeline_speedup(pipeline_db, report):
-    """The parallelism claim: a compute-heavy aggregation over the
-    100k-row pipeline speeds up across forked workers, answering
-    byte-for-byte what serial answers. Records the trajectory in
-    BENCH_engine.json under ``parallel`` (refresh with
-    ``REPRO_BENCH_UPDATE=1``); the 2.5x floor and the regression gate
-    only bind where >= 4 cores exist (CI runners), so a laptop or
-    1-core container still verifies parity without a vacuous timing
-    failure."""
-    committed = (json.loads(BENCH_FILE.read_text())
-                 if BENCH_FILE.exists() else None)
-    database = pipeline_db
-    cores = os.cpu_count() or 1
-    try:
-        database.set_parallel_workers(1, min_rows=0)
-        database.plan_cache.clear()
-        serial_rows = database.query(PARALLEL_QUERY)
-        serial_seconds = best_of(
-            lambda: database.query(PARALLEL_QUERY), repeats=3)
-
-        database.set_parallel_workers(PARALLEL_WORKERS)
-        parallel_rows = database.query(PARALLEL_QUERY)
-        parallel_seconds = best_of(
-            lambda: database.query(PARALLEL_QUERY), repeats=3)
-    finally:
-        database.set_parallel_workers(1)
-        database.plan_cache.clear()
-
-    # parity is unconditional: the gather must be indistinguishable
-    assert parallel_rows == serial_rows
-
-    speedup = serial_seconds / max(parallel_seconds, 1e-9)
-    measured = {
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "serial_rows_per_s": round(BENCH_ROWS / serial_seconds),
-        "parallel_rows_per_s": round(BENCH_ROWS / parallel_seconds),
-        "speedup": round(speedup, 2),
-        "workers": PARALLEL_WORKERS,
-        "cores": cores,
-    }
-    report.add(
-        "Microbench — partition-parallel gather vs serial (seconds)",
-        ("query", "serial", f"{PARALLEL_WORKERS} workers", "speedup"),
-        ("scan_aggregate", serial_seconds, parallel_seconds,
-         f"{speedup:.2f}x on {cores} cores"))
-
-    failures = []
-    if cores >= PARALLEL_WORKERS and speedup < PARALLEL_SPEEDUP_FLOOR:
-        failures.append(
-            f"parallel gather only {speedup:.2f}x over serial at "
-            f"{PARALLEL_WORKERS} workers on {cores} cores "
-            f"(floor {PARALLEL_SPEEDUP_FLOOR}x)")
-    baseline_entry = (committed or {}).get("parallel")
-    if (baseline_entry is not None and cores >= PARALLEL_WORKERS
-            and baseline_entry.get("cores", 0) >= PARALLEL_WORKERS):
-        baseline = baseline_entry["parallel_rows_per_s"]
-        ratio = measured["parallel_rows_per_s"] / baseline
-        if ratio < REGRESSION_FLOOR:
-            failures.append(
-                f"parallel throughput fell to {ratio:.0%} of the "
-                f"committed {baseline} rows/s "
-                f"(floor {REGRESSION_FLOOR:.0%})")
-
-    if os.environ.get("REPRO_BENCH_UPDATE") == "1":
-        _merge_into_bench_file({"parallel": measured})
-    assert not failures, "; ".join(failures)
-
-
-# at 4 workers on >= 4 cores the new parallel operators (per-partition
-# sort with a k-way merge; in-worker hash-table build) must beat their
-# serial twins by this much; parity and the fork-count bound are
-# asserted unconditionally
-PARALLEL_OPERATOR_FLOOR = 1.5
-
-PARALLEL_SORT_QUERY = (
-    "SELECT k, j, a, b FROM big WHERE a < 900 "
-    "ORDER BY a DESC, k LIMIT 500")
-PARALLEL_JOIN_QUERY = (
-    "SELECT count(*), sum(t.a) FROM big t, big u "
-    "WHERE t.k = u.k AND t.a < 500 AND u.a < 800")
-
-
-@pytest.mark.parametrize("label,sql", [
-    ("parallel_sort", PARALLEL_SORT_QUERY),
-    ("parallel_join", PARALLEL_JOIN_QUERY),
-])
-def test_parallel_operator_speedup(pipeline_db, report, label, sql):
-    """Parallel sort and parallel hash-join build vs their serial
-    twins, served by the persistent worker pool (forked once, reused
-    across every timed repetition). Records trajectories in
-    BENCH_engine.json under ``parallel_sort`` / ``parallel_join``;
-    the 1.5x floor and the regression gate bind only where >= 4 cores
-    exist, parity and the fork-count bound always."""
-    committed = (json.loads(BENCH_FILE.read_text())
-                 if BENCH_FILE.exists() else None)
-    database = pipeline_db
-    cores = os.cpu_count() or 1
-    try:
-        database.set_parallel_workers(1, min_rows=0)
-        database.plan_cache.clear()
-        serial_rows = database.query(sql)
-        serial_seconds = best_of(lambda: database.query(sql), repeats=3)
-
-        database.set_parallel_workers(PARALLEL_WORKERS, min_rows=0)
-        parallel_rows = database.query(sql)
-        parallel_seconds = best_of(
-            lambda: database.query(sql), repeats=3)
-        pool_forks = database.parallel_pool.forks
-    finally:
-        database.set_parallel_workers(1)
-        database.plan_cache.clear()
-
-    # parity is unconditional — same rows in the same order
-    assert parallel_rows == serial_rows
-    # and so is pool reuse: the read-only loop above forked the
-    # residents exactly once, not once per statement
-    assert pool_forks <= PARALLEL_WORKERS, (
-        f"{label}: {pool_forks} forks for {PARALLEL_WORKERS} workers "
-        f"— the persistent pool is not being reused")
-
-    speedup = serial_seconds / max(parallel_seconds, 1e-9)
-    measured = {
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "speedup": round(speedup, 2),
-        "workers": PARALLEL_WORKERS,
-        "forks": pool_forks,
-        "cores": cores,
-    }
-    report.add(
-        "Microbench — parallel operators vs serial (seconds)",
-        ("query", "serial", f"{PARALLEL_WORKERS} workers", "speedup"),
-        (label, serial_seconds, parallel_seconds,
-         f"{speedup:.2f}x on {cores} cores"))
-
-    failures = []
-    if cores >= PARALLEL_WORKERS and speedup < PARALLEL_OPERATOR_FLOOR:
-        failures.append(
-            f"{label}: only {speedup:.2f}x over serial at "
-            f"{PARALLEL_WORKERS} workers on {cores} cores "
-            f"(floor {PARALLEL_OPERATOR_FLOOR}x)")
-    baseline_entry = (committed or {}).get(label)
-    if (baseline_entry is not None and cores >= PARALLEL_WORKERS
-            and baseline_entry.get("cores", 0) >= PARALLEL_WORKERS):
-        baseline = baseline_entry["parallel_seconds"]
-        ratio = baseline / max(parallel_seconds, 1e-9)
-        if ratio < REGRESSION_FLOOR:
-            failures.append(
-                f"{label}: latency rose to {1 / ratio:.2f}x the "
-                f"committed {baseline}s (floor {REGRESSION_FLOOR:.0%})")
-
-    if os.environ.get("REPRO_BENCH_UPDATE") == "1":
-        _merge_into_bench_file({label: measured})
-    assert not failures, "; ".join(failures)
-
-
-# ---------------------------------------------------------------------------
 # columnar scan cache: warm segment hits vs rebuilding the batch pipeline
 # ---------------------------------------------------------------------------
 

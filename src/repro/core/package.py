@@ -157,14 +157,32 @@ class Package:
         return len(payload)
 
     def read_trace(self) -> dict[str, Any]:
-        """Load the serialized execution trace."""
+        """Load the serialized execution trace.
+
+        A truncated or bit-flipped ``trace.json.gz`` raises a one-line
+        :class:`PackageError` instead of leaking the gzip/zlib/JSON
+        exception it tripped over.
+        """
         import gzip
         import json as json_module
+        import zlib
 
         path = self.root / TRACE_NAME
         if not path.exists():
             raise PackageError("package has no execution trace")
-        return json_module.loads(gzip.decompress(path.read_bytes()))
+        data = path.read_bytes()
+        try:
+            payload = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: cannot decompress "
+                f"({type(exc).__name__}: {exc})") from exc
+        try:
+            return json_module.loads(payload)
+        except ValueError as exc:
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: not valid JSON "
+                f"({type(exc).__name__}: {exc})") from exc
 
     def read_text(self, relative: str) -> str:
         path = self.root / relative

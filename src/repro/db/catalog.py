@@ -121,28 +121,6 @@ class Catalog:
         if dumped:
             self.stats_version += 1
 
-    # -- hash partitioning -------------------------------------------------------
-
-    def dump_partitions(self) -> dict[str, dict]:
-        """JSON-ready snapshot of partition specs (checkpoint meta).
-
-        Partitioning deliberately lives outside the ``.tbl`` files so
-        declaring or changing it never alters packaged table bytes."""
-        return {
-            name: table.partition_spec.to_dict()
-            for name, table in sorted(self._tables.items())
-            if table.partition_spec is not None
-        }
-
-    def load_partitions(self, dumped: dict[str, dict]) -> None:
-        """Restore checkpointed partition specs, rebuilding bucket
-        membership from the loaded heaps (entries for tables the
-        catalog no longer knows are dropped)."""
-        for name, entry in dumped.items():
-            if name.lower() in self._tables:
-                self._tables[name.lower()].set_partitioning(
-                    entry["column"], int(entry["count"]))
-
     def table_of_index(self, index_name: str) -> HeapTable:
         """Find the table holding a (globally unique) index name."""
         wanted = index_name.lower()

@@ -50,7 +50,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import csvio
-from repro.db import parallel as parmod
 from repro.db.catalog import Catalog
 from repro.db.executor import IndexScan, MaterializedSource
 from repro.db.expressions import (
@@ -132,18 +131,14 @@ class PlanCache:
     """LRU cache of planned SELECT operator trees.
 
     Keyed by ``(normalized SQL text, provenance flag, catalog
-    version, stats version, parallel worker setting)``. Including the
-    catalog version makes every cached plan built against an older
-    schema unreachable the moment any DDL runs — DDL handlers
+    version, stats version)``. Including the catalog version makes
+    every cached plan built against an older schema unreachable the
+    moment any DDL runs — DDL handlers
     additionally :meth:`clear` the cache so stale entries do not
     linger until LRU eviction. The stats version does the same for the
     cost model: ANALYZE bumps it, so plans costed against superseded
     statistics are re-planned on the next execution instead of being
-    served forever. The worker setting is part of the key because a
-    plan is *shaped* by it: a plan costed (and built) under one worker
-    must never be served once :meth:`Database.set_parallel_workers`
-    changes the setting — the serial plan has no Gather operators and
-    would silently ignore the new parallelism (and vice versa).
+    served forever.
 
     Only plain SELECT statements without subqueries are cacheable:
     subquery expansion inlines executed results into the AST, which
@@ -440,6 +435,10 @@ class Database:
     [('a',)]
     """
 
+    # queries execute serially; kept as a constant so run metadata
+    # that records the worker count stays readable
+    parallel_workers = 1
+
     def __init__(self, data_directory: str | Path | None = None,
                  clock: LogicalClock | None = None,
                  autoflush: bool = False,
@@ -454,19 +453,6 @@ class Database:
         self.autoflush = autoflush
         self.timer = timer
         self.plan_cache = PlanCache(plan_cache_size)
-        # partition-parallel execution settings (see set_parallel_workers):
-        # 1 worker means serial plans, exactly as before this knob existed
-        self.parallel_workers = 1
-        self.parallel_pool_factory: Optional[Callable[[], Any]] = None
-        self.parallel_min_rows = parmod.DEFAULT_MIN_ROWS
-        # the resident worker pool (PersistentForkPool) when workers>1
-        # and no explicit pool factory was injected; torn down on
-        # close/drain and recycled whenever engine state moves
-        self.parallel_pool: Optional[parmod.PersistentForkPool] = None
-        # bumped on every set_table_partitioning call; part of the
-        # plan-cache key so a co-partitioned join plan can never be
-        # served after the specs it was planned against changed
-        self.partition_epoch = 0
         # MVCC state lives on the catalog so tables can consult it;
         # sessions are handed out here (one per server connection, plus
         # the default one used by the embedded single-connection API)
@@ -507,7 +493,8 @@ class Database:
             meta = directory.load_meta()
             self.dedupe_ledger.load(meta.get("ledger", []))
             self.catalog.load_stats(meta.get("stats", {}))
-            self.catalog.load_partitions(meta.get("partitions", {}))
+            # a legacy "partitions" meta key (hash-partition specs
+            # from when the engine had parallel scans) is ignored
             self._replay_recovered(self.last_recovery)
             self._restore_clock(directory, self.last_recovery)
             # recovery may have replayed DDL; plans cached before it
@@ -569,13 +556,10 @@ class Database:
                     record["table"],
                     TableStats.from_dict(record["stats"]))
         elif operation == "partition":
-            if self.catalog.has_table(record["table"]):
-                table = self.catalog.get_table(record["table"])
-                if record.get("column") is None:
-                    table.clear_partitioning()
-                else:
-                    table.set_partitioning(record["column"],
-                                           int(record["count"]))
+            # legacy hash-partition spec from when the engine had
+            # parallel scans: physical-plan metadata only, no row
+            # state, so skipping it recovers the same tables
+            pass
         elif operation == "ledger":
             self.dedupe_ledger.record(
                 record["token"], record["result"],
@@ -778,8 +762,7 @@ class Database:
             if replayed is not None:
                 return replayed
         key = (PlanCache.normalize(sql), bool(provenance),
-               self.catalog.version, self.catalog.stats_version,
-               self.partition_epoch, self.parallel_workers)
+               self.catalog.version, self.catalog.stats_version)
         planned = self.plan_cache.get(key)
         if planned is not None:
             with self._read_view(session):
@@ -797,8 +780,7 @@ class Database:
             # estimates must see the transaction's own overlay (a bulk
             # insert into one join side steers this plan's build side)
             with self._read_view(session):
-                planned = plan_select(statement, self.catalog, track,
-                                      parallel=self._parallel_context())
+                planned = plan_select(statement, self.catalog, track)
                 result = self._run_planned_select(planned)
             if session.txn is None:
                 # overlay-costed plans stay private to the planning
@@ -842,13 +824,11 @@ class Database:
         are used but not cached."""
         key = (prepared.normalized_sql or PlanCache.normalize(prepared.sql),
                bool(provenance), self.catalog.version,
-               self.catalog.stats_version, self.partition_epoch,
-               self.parallel_workers)
+               self.catalog.stats_version)
         planned = self.plan_cache.get(key)
         if planned is None:
             track = provenance or prepared.statement.provenance
-            planned = plan_select(prepared.statement, self.catalog, track,
-                                  parallel=self._parallel_context())
+            planned = plan_select(prepared.statement, self.catalog, track)
             if session is None or session.txn is None:
                 self.plan_cache.put(key, planned)
         return planned
@@ -1122,24 +1102,16 @@ class Database:
             # recovery still dedupes and the planner keeps its stats
             directory.save_meta({"clock": self.clock.now,
                                  "ledger": self.dedupe_ledger.dump(),
-                                 "stats": self.catalog.dump_stats(),
-                                 "partitions": self.catalog.dump_partitions()})
+                                 "stats": self.catalog.dump_stats()})
         if self.wal is not None:
             self.wal.reset()
-        # resident pool workers inherited pre-checkpoint file state;
-        # retire them so the next statement forks fresh ones
-        if self.parallel_pool is not None:
-            self.parallel_pool.recycle()
 
     def close(self) -> None:
         """Checkpoint and release (no open handles are held otherwise).
 
         A failed (poisoned) instance skips the checkpoint: its heap has
         diverged from the log and must not overwrite the durable state.
-        The resident worker pool is torn down either way — worker
-        processes must never outlive the engine.
         """
-        self._teardown_parallel_pool()
         if self.failed:
             return
         self.checkpoint()
@@ -1149,115 +1121,11 @@ class Database:
         after each commit; exposed for leak checks and tests)."""
         self._prune_mvcc()
 
-    # -- partition-parallel execution ----------------------------------------------
-
-    def set_parallel_workers(self, workers: int,
-                             pool_factory: Callable[[], Any] | None = None,
-                             min_rows: int | None = None) -> None:
-        """Configure partition-parallel query execution.
-
-        ``workers=1`` (the default) plans exactly as before — no
-        Gather operators, no pools. More workers makes the planner
-        wrap eligible scans and aggregations in partition-parallel
-        Gathers whenever the estimated input clears ``min_rows``
-        (default :data:`repro.db.parallel.DEFAULT_MIN_ROWS`).
-        ``pool_factory`` overrides how worker pools are obtained — the
-        test suites inject :class:`repro.db.parallel.InProcessPool`
-        for deterministic, coverage-visible execution; production uses
-        forked processes (:class:`repro.db.parallel.ForkPool`).
-
-        The worker count is part of the plan-cache key, so plans built
-        under the old setting become unreachable instead of being
-        served with the wrong shape; changing ``min_rows`` clears the
-        cache outright since the key does not carry it.
-        """
-        workers = max(1, int(workers))
-        if min_rows is not None and min_rows != self.parallel_min_rows:
-            self.plan_cache.clear()
-            self.parallel_min_rows = int(min_rows)
-        self._teardown_parallel_pool()
-        self.parallel_workers = workers
-        self.parallel_pool_factory = pool_factory
-        if workers > 1 and pool_factory is None:
-            # one resident pool per setting: workers spawn lazily at
-            # the first parallel dispatch and are reused across
-            # statements until DDL/checkpoint/repartition recycles
-            # them or close()/drain tears the pool down
-            self.parallel_pool = parmod.PersistentForkPool(
-                workers, engine=self)
-
-    def _teardown_parallel_pool(self) -> None:
-        if self.parallel_pool is not None:
-            self.parallel_pool.close()
-            self.parallel_pool = None
-
-    def parallel_pool_counters(self) -> Optional[dict]:
-        """Resident-pool counters (forks/reuse/crashes/respawns and
-        live worker pids) for the stats frames; None without a pool."""
-        if self.parallel_pool is None:
-            return None
-        return self.parallel_pool.counters()
-
-    def _parallel_context(self) -> Optional[parmod.ParallelContext]:
-        if self.parallel_workers <= 1:
-            return None
-        pool_factory = self.parallel_pool_factory
-        if pool_factory is None:
-            # late-bound: cached plans hold their planning context, so
-            # the factory must resolve the engine's *current* resident
-            # pool at dispatch time (a drained/torn-down pool falls
-            # back to fork-per-statement, which stays correct)
-            def pool_factory():
-                pool = self.parallel_pool
-                if pool is not None:
-                    return pool
-                return parmod.default_pool_factory()
-        return parmod.ParallelContext(
-            self.parallel_workers, pool_factory,
-            self.parallel_min_rows)
-
-    def set_table_partitioning(self, table_name: str, column: str | None,
-                               count: int = 0) -> None:
-        """Hash-partition a table's heap on ``column`` into ``count``
-        buckets (``column=None`` clears the partitioning).
-
-        Partitioning is physical-plan metadata: it never changes the
-        table's serialized bytes, only how parallel scans split rowids
-        across workers. Like DDL it is autocommit-only, is WAL-logged
-        (``{"op": "partition", ...}``) so it survives a crash, and is
-        persisted in the checkpoint meta once the WAL resets.
-        """
-        self._ensure_usable()
-        if self.mvcc.has_active():
-            raise TransactionError(
-                "cannot change partitioning during an open transaction")
-        table = self.catalog.get_table(table_name)
-        if column is None:
-            table.clear_partitioning()
-            record = {"op": "partition", "table": table.name,
-                      "column": None, "count": 0}
-        else:
-            table.set_partitioning(column, count)
-            spec = table.partition_spec
-            record = {"op": "partition", "table": table.name,
-                      "column": spec.column, "count": spec.count}
-        # the partition epoch invalidates cached plans (a cached
-        # co-partitioned join must not outlive the specs it was
-        # planned against) and re-syncs resident pool workers
-        self.partition_epoch += 1
-        # partition-scan segments are keyed per rowid list; repartition
-        # changes every list, so drop them rather than let signature
-        # validation discover it one miss at a time
-        self.scan_cache.invalidate_table(table.name)
-        self._log_ddl(record)
-        self._commit_wal_batch()
-
     # -- SELECT --------------------------------------------------------------------
 
     def _execute_select(self, select: ast.Select,
                         track_lineage: bool) -> StatementResult:
-        planned = plan_select(select, self.catalog, track_lineage,
-                              parallel=self._parallel_context())
+        planned = plan_select(select, self.catalog, track_lineage)
         return self._run_planned_select(planned)
 
     def _materialize_root(self, root) -> tuple[list[tuple], list[frozenset]]:
@@ -1308,8 +1176,7 @@ class Database:
                        track_lineage: bool) -> StatementResult:
         from repro.db.planner import plan_setop
 
-        planned = plan_setop(setop, self.catalog, track_lineage,
-                             parallel=self._parallel_context())
+        planned = plan_setop(setop, self.catalog, track_lineage)
         rows, lineages = self._materialize_root(planned.root)
         return StatementResult(
             kind="select", schema=planned.schema, rows=rows,
@@ -1325,8 +1192,7 @@ class Database:
         # plans unfused so each Scan/Filter/Project keeps its own node
         # (and measurement) in the tree.
         planned = plan_select(explain.query, self.catalog, False,
-                              fuse=not explain.analyze,
-                              parallel=self._parallel_context())
+                              fuse=not explain.analyze)
         root = planned.root
         stats: dict[str, Any] = {}
         if explain.analyze:
@@ -1340,9 +1206,6 @@ class Database:
                 "total_seconds": (operators[0]["seconds"]
                                   if operators else 0.0),
             }
-            pool_counters = self.parallel_pool_counters()
-            if pool_counters is not None:
-                stats["analyze"]["parallel_pool"] = pool_counters
             stats["analyze"]["scan_cache"] = self.scan_cache.counters()
         lines = explain_plan(root)
         return StatementResult(

@@ -371,10 +371,6 @@ class GroupAggregate(Operator):
                              for call in self.aggregate_calls],
             "representative": representative,
             "lineage": set(),
-            # global rowid of the group's first input row, when the
-            # input stream carries a rowid side-vector (partition
-            # scans); the parallel gather orders merged groups by it
-            "first_rowid": None,
         }
 
     def _ensure_global_group(self, groups: dict, order: list) -> None:
@@ -597,27 +593,6 @@ class Union(Operator):
             yield from child
 
 
-class Gather(Operator):
-    """Marker base for the partition-parallel Exchange/Gather operators
-    (:class:`repro.db.vector.BatchGather` and
-    :class:`repro.db.vector.BatchAggregateGather`).
-
-    A gather holds the serial pipeline it replaced as ``template`` —
-    deliberately *not* a generic child attribute, because tree walkers
-    (``instrument_plan``, plan mutation) must not descend into what
-    executes inside worker processes. EXPLAIN special-cases gathers to
-    render the template subtree and the ``workers=`` setting, and
-    EXPLAIN ANALYZE reads ``partition_stats`` — per-partition row
-    counts and wall time reported back by the workers (child-process
-    counters cannot propagate into the parent's Instrumented
-    wrappers).
-    """
-
-    template: Operator
-    workers: int
-    partition_stats: list[dict] | None
-
-
 class MaterializedSource(Operator):
     """Serve pre-computed annotated rows (used by INSERT ... SELECT etc.)."""
 
@@ -680,12 +655,6 @@ def instrument_plan(root: Operator,
     from the plan cache.
     """
     from repro.db import vector  # deferred: vector imports this module
-    if isinstance(root, vector.BatchParallelHashJoin):
-        # Both join inputs execute (at least partly) inside pool
-        # workers; wrapping them would re-point the sides and defeat
-        # the leaf-scan eligibility checks. Per-partition timings
-        # surface via build_partition_stats instead.
-        return vector.BatchInstrumented(root, timer)
     for attribute in _CHILD_ATTRS:
         child = getattr(root, attribute, None)
         if isinstance(child, Operator):

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.db.sql import ast
-from repro.db.types import Schema, SQLType
+from repro.db.types import Schema
 from repro.errors import ExecutionError
 
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
@@ -224,14 +224,6 @@ class Accumulator:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "Accumulator") -> None:
-        """Fold another partial accumulator of the same kind into this
-        one (partition-parallel aggregation). Only aggregates that
-        :func:`merge_exact_aggregate` approves are ever merged — for
-        those, the merged result is bit-identical to a serial fold no
-        matter how the input rows were split across partitions."""
-        raise NotImplementedError  # pragma: no cover - interface
-
     def result(self) -> Any:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -245,9 +237,6 @@ class _CountAll(Accumulator):
 
     def add_many(self, values: list) -> None:
         self.count += len(values)
-
-    def merge(self, other: "_CountAll") -> None:
-        self.count += other.count
 
     def result(self) -> int:
         return self.count
@@ -263,9 +252,6 @@ class _Count(Accumulator):
 
     def add_many(self, values: list) -> None:
         self.count += len(values) - values.count(None)
-
-    def merge(self, other: "_Count") -> None:
-        self.count += other.count
 
     def result(self) -> int:
         return self.count
@@ -286,11 +272,6 @@ class _Sum(Accumulator):
             if value is not None:
                 total = value if total is None else total + value
         self.total = total
-
-    def merge(self, other: "_Sum") -> None:
-        if other.total is not None:
-            self.total = (other.total if self.total is None
-                          else self.total + other.total)
 
     def result(self) -> Any:
         return self.total
@@ -317,10 +298,6 @@ class _Avg(Accumulator):
         self.total = total
         self.count = count
 
-    def merge(self, other: "_Avg") -> None:
-        self.total += other.total
-        self.count += other.count
-
     def result(self) -> Any:
         if self.count == 0:
             return None
@@ -345,9 +322,6 @@ class _Min(Accumulator):
         if self.best is None or best < self.best:
             self.best = best
 
-    def merge(self, other: "_Min") -> None:
-        self.add(other.best)
-
     def result(self) -> Any:
         return self.best
 
@@ -369,9 +343,6 @@ class _Max(Accumulator):
         best = max(present)
         if self.best is None or best > self.best:
             self.best = best
-
-    def merge(self, other: "_Max") -> None:
-        self.add(other.best)
 
     def result(self) -> Any:
         return self.best
@@ -398,10 +369,6 @@ class _Distinct(Accumulator):
                 seen.add(value)
                 add(value)
 
-    def merge(self, other: "_Distinct") -> None:
-        for value in other.seen:
-            self.add(value)
-
     def result(self) -> Any:
         return self.inner.result()
 
@@ -425,35 +392,6 @@ def make_accumulator(call: ast.FunctionCall) -> Accumulator:
     if call.distinct:
         return _Distinct(inner)
     return inner
-
-
-def merge_exact_aggregate(call: ast.FunctionCall, schema: Schema) -> bool:
-    """True when partition-parallel partial accumulators for this
-    aggregate merge into a *bit-identical* final result, no matter how
-    input rows were split.
-
-    COUNT, MIN, and MAX are order-insensitive outright. SUM is exact
-    only over INTEGER columns (Python int addition is associative;
-    float addition is not, and a merged float SUM could differ in the
-    last ulp from the serial left-to-right fold). AVG accumulates a
-    float total even for integer inputs, so it is never merged —
-    parallel plans still parallelize its *scan* and fold serially.
-    DISTINCT wrappers merge by unioning seen-sets, which preserves
-    exactness for the order-insensitive inners.
-    """
-    name = call.name
-    if name in ("count", "min", "max"):
-        return True
-    if name == "sum":
-        argument = call.args[0] if call.args else None
-        if isinstance(argument, ast.ColumnRef):
-            try:
-                position = schema.index_of(argument.name,
-                                           argument.qualifier)
-            except Exception:
-                return False
-            return schema.columns[position].sql_type is SQLType.INTEGER
-    return False
 
 
 # ---------------------------------------------------------------------------

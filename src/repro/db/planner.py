@@ -29,14 +29,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.db import expressions as exprs
-from repro.db import parallel as parmod
 from repro.db import stats as statsmod
 from repro.db import vector
 from repro.db.catalog import Catalog
 from repro.db.executor import (
     Distinct,
     Filter,
-    Gather,
     GroupAggregate,
     HashJoin,
     IndexScan,
@@ -119,30 +117,6 @@ def explain_plan(root: Operator) -> list[str]:
         name = type(operator).__name__
         if name.startswith("Batch"):
             name = name[len("Batch"):]
-        if isinstance(operator, Gather):
-            if isinstance(operator, vector.BatchAggregateGather):
-                template = operator.template
-                return (f"AggregateGather (workers={operator.workers}, "
-                        f"{len(template.group_expressions)} keys, "
-                        f"{len(template.aggregate_calls)} aggregates)")
-            if isinstance(operator, vector.BatchParallelSort):
-                note = (f", top-k={operator.ship_limit}"
-                        if operator.ship_limit is not None else "")
-                return (f"Parallel Sort (workers={operator.workers}"
-                        f"{note}) on {operator.keys}")
-            return f"Gather (workers={operator.workers})"
-        if isinstance(operator, vector.BatchParallelHashJoin):
-            from repro.db.sql.render import render_expression
-            keys = " AND ".join(
-                f"{render_expression(l)} = {render_expression(r)}"
-                for l, r in zip(operator.left_keys,
-                                operator.right_keys))
-            mode = ("co-partitioned" if operator.copart
-                    else "parallel build")
-            return (f"HashJoin ({operator.kind}, "
-                    f"build={operator.build_side}) on {keys} "
-                    f"[Parallel Hash Build: {mode}, "
-                    f"workers={operator.workers}]")
         if isinstance(operator, vector.FusedScanFilterProject):
             parts = [f"{len(operator.predicates)} predicates"]
             if operator.projections is not None:
@@ -196,30 +170,6 @@ def explain_plan(root: Operator) -> list[str]:
         lines.append("  " * depth + describe(operator))
         if isinstance(operator, Instrumented):
             operator = operator.inner
-        if isinstance(operator, Gather):
-            # per-partition measurements come back from the workers
-            # themselves (child-process counters cannot propagate), so
-            # they render as annotation lines under the gather, above
-            # the (uninstrumented) template subtree
-            stats = operator.partition_stats
-            if stats:
-                for entry in stats:
-                    lines.append(
-                        "  " * (depth + 1)
-                        + f"Partition {entry['partition']}: "
-                          f"rows={entry['rows']} "
-                          f"time={entry['seconds'] * 1000.0:.3f} ms")
-            walk(operator.template, depth + 1)
-            return
-        if isinstance(operator, vector.BatchParallelHashJoin):
-            stats = operator.build_partition_stats
-            if stats:
-                for entry in stats:
-                    lines.append(
-                        "  " * (depth + 1)
-                        + f"Build Partition {entry['partition']}: "
-                          f"rows={entry['rows']} "
-                          f"time={entry['seconds'] * 1000.0:.3f} ms")
         for attr in ("child", "left", "right"):
             node = getattr(operator, attr, None)
             if isinstance(node, Operator):
@@ -284,20 +234,6 @@ def analyze_stats(root: Operator) -> list[dict]:
         estimate = getattr(inner, "est_rows", None)
         if estimate is not None:
             entry["est_rows"] = round(estimate)
-        if isinstance(inner, Gather):
-            entry["workers"] = inner.workers
-            if inner.partition_stats is not None:
-                entry["partitions"] = list(inner.partition_stats)
-            entries.append(entry)
-            walk(inner.template, depth + 1)
-            return
-        if isinstance(inner, vector.BatchParallelHashJoin):
-            entry["workers"] = inner.workers
-            entry["join_mode"] = ("co-partitioned" if inner.copart
-                                  else "parallel build")
-            if inner.build_partition_stats is not None:
-                entry["build_partitions"] = list(
-                    inner.build_partition_stats)
         entries.append(entry)
         for attr in ("child", "left", "right"):
             node = getattr(inner, attr, None)
@@ -953,184 +889,6 @@ def _collect_source_tables(sources) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Partition-parallel exchange placement
-# ---------------------------------------------------------------------------
-
-
-def _parallel_input_rows(scan: Operator) -> float:
-    """Estimated rows a parallel scan would read — delegated to
-    :func:`repro.db.stats.parallel_input_estimate` so every parallel
-    placement gate prices inputs through one policy."""
-    from repro.db.stats import parallel_input_estimate
-    return parallel_input_estimate(scan)
-
-
-def _try_gather(node: Operator,
-                context: parmod.ParallelContext) -> Operator | None:
-    """Replace an eligible sub-plan with a Gather, or return None.
-
-    Two shapes qualify:
-
-    * a Scan→Filter→Project chain (fused or not) rooted at ``node`` —
-      wrapped in :class:`repro.db.vector.BatchGather`, which runs one
-      clone of the chain per partition and merges batches back into
-      exact serial row order;
-    * a :class:`repro.db.vector.BatchGroupAggregate` over such a chain
-      — when every aggregate merges exactly
-      (:func:`repro.db.expressions.merge_exact_aggregate`) the whole
-      aggregate goes partition-parallel via
-      :class:`repro.db.vector.BatchAggregateGather` (partial states
-      merged at the gather); otherwise only the scan below it is
-      parallelized and the fold stays serial, so float accumulation
-      order — and therefore every emitted bit — matches the serial
-      plan.
-
-    Either way the replacement is cost-gated: partition dispatch only
-    pays off when the scan reads at least ``context.min_rows`` rows.
-    """
-    if isinstance(node, vector.BatchGroupAggregate):
-        scan = vector.parallel_scan_leaf(node.child)
-        if scan is None:
-            return None
-        if _parallel_input_rows(scan) < context.min_rows:
-            return None
-        if all(exprs.merge_exact_aggregate(call, node.child.schema)
-               for call in node.aggregate_calls):
-            return vector.BatchAggregateGather(node, scan, context)
-        node.child = vector.BatchGather(node.child, scan, context)
-        return node
-    if (isinstance(node, vector.BatchLimit)
-            and type(node.child) is vector.BatchSort):
-        replacement = _try_parallel_sort(node.child, node, context)
-        if replacement is None:
-            return None
-        node.child = replacement
-        return node
-    if type(node) is vector.BatchSort:
-        return _try_parallel_sort(node, None, context)
-    if type(node) is vector.BatchHashJoin:
-        return _try_parallel_join(node, context)
-    scan = vector.parallel_scan_leaf(node)
-    if scan is None:
-        return None
-    if _parallel_input_rows(scan) < context.min_rows:
-        return None
-    return vector.BatchGather(node, scan, context)
-
-
-def _try_parallel_sort(sort: Operator, limit: Operator | None,
-                       context: parmod.ParallelContext):
-    """Replace an eligible ``BatchSort`` with a
-    :class:`repro.db.vector.BatchParallelSort`. Under ORDER BY ...
-    LIMIT the limit stays in the plan but ``offset + limit`` pushes
-    down as top-k, so each worker ships at most that many rows."""
-    scan = vector.parallel_scan_leaf(sort.child)
-    if scan is None:
-        return None
-    if _parallel_input_rows(scan) < context.min_rows:
-        return None
-    ship_limit = None
-    if limit is not None and limit.limit is not None:
-        ship_limit = limit.limit + limit.offset
-    return vector.BatchParallelSort(sort.child, scan, context,
-                                    sort.keys, ship_limit)
-
-
-def _join_key_partition_column(key, side: Operator, spec) -> bool:
-    """True when ``key`` is a bare column reference that resolves, on
-    an unprojected side chain, to the side table's partition column —
-    the requirement for bucket-aligned joining."""
-    if not isinstance(key, ast.ColumnRef):
-        return False
-    node = side
-    while isinstance(node, (vector.FusedScanFilterProject,
-                            vector.BatchFilter, vector.BatchProject)):
-        if isinstance(node, vector.BatchProject):
-            return False  # projection re-shapes the side schema
-        if (isinstance(node, vector.FusedScanFilterProject)
-                and node.projections is not None):
-            return False
-        node = node.child
-    try:
-        index = side.schema.index_of(key.name, key.qualifier)
-    except CatalogError:
-        return False
-    return side.schema.columns[index].name == spec.column
-
-
-def _copart_eligible(join, context: parmod.ParallelContext) -> bool:
-    """Plan-time check for the co-partitioned join fast path: both
-    sides hash-partitioned with equal bucket counts on exactly the
-    (single) join key. Execution re-checks the cheap invariants, and
-    the plan cache keys on the engine's partition epoch, so a cached
-    copart plan can never outlive the specs it was planned against."""
-    if len(join.left_keys) != 1:
-        return False
-    left_scan = vector.parallel_scan_leaf(join.left)
-    right_scan = vector.parallel_scan_leaf(join.right)
-    if left_scan is None or right_scan is None:
-        return False
-    left_spec = left_scan.table.partition_spec
-    right_spec = right_scan.table.partition_spec
-    if (left_spec is None or right_spec is None
-            or left_spec.count != right_spec.count):
-        return False
-    return (_join_key_partition_column(join.left_keys[0], join.left,
-                                       left_spec)
-            and _join_key_partition_column(join.right_keys[0],
-                                           join.right, right_spec))
-
-
-def _try_parallel_join(join, context: parmod.ParallelContext):
-    """Parallel placement for a hash join: the co-partitioned fast
-    path when both sides qualify and the probe side clears the cost
-    gate, else a parallel build when the build side does. Returning
-    None lets the walker descend and parallelize the sides
-    individually as plain gathers (the pre-existing behavior)."""
-    build_on_left = join.build_side == "left"
-    build_side = join.left if build_on_left else join.right
-    probe_side = join.right if build_on_left else join.left
-    if _copart_eligible(join, context):
-        probe_scan = vector.parallel_scan_leaf(probe_side)
-        if _parallel_input_rows(probe_scan) >= context.min_rows:
-            return vector.BatchParallelHashJoin(join, context,
-                                                copart=True)
-    build_scan = vector.parallel_scan_leaf(build_side)
-    if build_scan is None:
-        return None
-    if _parallel_input_rows(build_scan) < context.min_rows:
-        return None
-    parallel = vector.BatchParallelHashJoin(join, context)
-    # the probe side still streams through in-process: give it its
-    # own gather when it qualifies on its own merits
-    if build_on_left:
-        parallel.right = parallelize_plan(parallel.right, context)
-    else:
-        parallel.left = parallelize_plan(parallel.left, context)
-    return parallel
-
-
-def parallelize_plan(root: Operator,
-                     context: parmod.ParallelContext) -> Operator:
-    """Walk a planned tree top-down, replacing every eligible sub-plan
-    (including scan sides of joins) with a partition-parallel Gather.
-    A replaced sub-plan becomes the gather's *template* and is not
-    descended into again."""
-    replacement = _try_gather(root, context)
-    if replacement is not None:
-        return replacement
-    for attr in ("child", "left", "right", "inner"):
-        sub = getattr(root, attr, None)
-        if isinstance(sub, Operator):
-            setattr(root, attr, parallelize_plan(sub, context))
-    children = getattr(root, "children", None)
-    if isinstance(children, list):
-        for index, sub in enumerate(children):
-            children[index] = parallelize_plan(sub, context)
-    return root
-
-
-# ---------------------------------------------------------------------------
 # Full SELECT planning
 # ---------------------------------------------------------------------------
 
@@ -1161,17 +919,13 @@ def _expand_stars(select: ast.Select, schema: Schema) -> list[ast.SelectItem]:
 
 def plan_select(select: ast.Select, catalog: Catalog,
                 track_lineage: bool = False,
-                fuse: bool = True,
-                parallel: parmod.ParallelContext | None = None
-                ) -> PlannedQuery:
+                fuse: bool = True) -> PlannedQuery:
     """Plan a SELECT statement into an executable operator tree.
 
     Plans are vectorized (batch operators) whenever
     :func:`repro.db.vector.vectorized_enabled` allows; ``fuse=False``
     keeps Scan/Filter/Project as separate nodes (EXPLAIN ANALYZE needs
-    per-operator attribution). With a ``parallel`` context of more
-    than one worker, eligible sub-plans are wrapped in partition-
-    parallel Gather operators (:func:`parallelize_plan`).
+    per-operator attribution).
     """
     options = _plan_options(fuse)
     source, source_tables = _plan_from_where(select, catalog,
@@ -1245,17 +999,12 @@ def plan_select(select: ast.Select, catalog: Catalog,
         strip_class = (vector.BatchStripColumns if options.batched
                        else StripColumns)
         root = strip_class(root, visible_width, visible_schema)
-    if (parallel is not None and parallel.workers > 1
-            and options.batched):
-        root = parallelize_plan(root, parallel)
     return PlannedQuery(root, visible_schema, source_tables)
 
 
 def plan_setop(setop: ast.SetOp, catalog: Catalog,
                track_lineage: bool = False,
-               fuse: bool = True,
-               parallel: parmod.ParallelContext | None = None
-               ) -> PlannedQuery:
+               fuse: bool = True) -> PlannedQuery:
     """Plan a UNION [ALL] chain into a Union (+ Distinct) operator."""
     from repro.db.executor import Union as UnionOp
 
@@ -1276,8 +1025,7 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
             branches.append((node, True))
 
     flatten(setop, True)
-    planned = [plan_select(select, catalog, track_lineage, fuse,
-                           parallel)
+    planned = [plan_select(select, catalog, track_lineage, fuse)
                for select, _ in branches]
     first_schema = planned[0].schema
     root: Operator = union_class([entry.root for entry in planned])

@@ -13,18 +13,13 @@ Keying and invalidation
 
 Segments are keyed by
 
-``(table name, commit watermark, partition signature, column signature)``
+``(table name, commit watermark, column signature)``
 
 * The **commit watermark** is ``mvcc.watermark(table)`` — the highest
   committed write tick, maintained by the exact bookkeeping that stamps
   row versions (``MVCCState.note_write``) and already trusted by the
   server result cache. Any committed write moves it, stranding every
   older segment.
-* The **partition signature** is ``None`` for full scans; partition
-  scans key on ``(first rowid, last rowid, count)`` of their assigned
-  rowid list, and a hit additionally verifies the stored list equals
-  the requested one (heaps grow between executions of a cached plan,
-  so partition boundaries are never trusted from the signature alone).
 * The **column signature** mirrors the scan's pruning decision: ``None``
   when the scan would materialize every column, otherwise the sorted
   tuple of column positions a fused consumer actually reads.
@@ -35,8 +30,8 @@ heap mutator also purges the table's segments eagerly
 (``HeapTable._note_mutation`` → :meth:`ScanCache.invalidate_table`).
 That same eager purge closes the mid-statement window where a
 multi-row statement has bumped the watermark on its first row but not
-yet written its last. DDL, ANALYZE, repartitioning, TRUNCATE, and WAL
-recovery invalidate through the engine on top.
+yet written its last. DDL, ANALYZE, TRUNCATE, and WAL recovery
+invalidate through the engine on top.
 
 Exactness under MVCC
 --------------------
@@ -71,9 +66,7 @@ Counters — hits, misses, builds, evictions, invalidations, delta
 merges, fallbacks, resident cells/bytes — surface in
 ``DBClient.server_stats()`` and EXPLAIN ANALYZE's ``stats["server"]``;
 the scan operators stamp a ``[scan cache: hit|miss]`` note onto the
-plan text. Forked pool workers inherit populated segments
-copy-on-write and reset the inherited counters (see
-:mod:`repro.db.parallel`).
+plan text.
 """
 
 from __future__ import annotations
@@ -86,7 +79,7 @@ from repro.db.provtypes import lineage_singletons
 
 # Default residency budget, in cells (row × column slots, plus the
 # rowid and version vectors). 8M cells comfortably holds the benchmark
-# working set (~600k cells) while bounding a worker's inherited copy.
+# working set (~600k cells) while bounding the cache's footprint.
 DEFAULT_MAX_CELLS = 8_000_000
 
 # Pointer-width estimate for the bytes counter: cached vectors hold
@@ -97,31 +90,26 @@ _CELL_BYTES = 8
 
 class Segment:
     """One immutable cached scan image: the committed-latest rows of a
-    table (optionally restricted to an explicit rowid list) prechunked
-    into :class:`~repro.db.vector.RowBatch` objects.
+    table prechunked into :class:`~repro.db.vector.RowBatch` objects.
 
     The base chunk data (row tuples, column vectors) is built once in
-    ``__init__``; the four batch *variants* — with/without lineage
-    annotation vectors, with/without rowid annotation vectors — share
-    those vectors and are built lazily on first request, so a segment
-    scanned only without provenance never allocates a lineage vector.
+    ``__init__``; the two batch *variants* — with and without lineage
+    annotation vectors — share those vectors and are built lazily on
+    first request, so a segment scanned only without provenance never
+    allocates a lineage vector.
     """
 
     __slots__ = ("name", "rowids", "versions", "row_major", "width",
                  "colsig", "count", "cells", "_chunks", "_variants",
                  "_positions")
 
-    def __init__(self, table, rowids: list[int] | None,
-                 colsig: tuple[int, ...] | None) -> None:
+    def __init__(self, table, colsig: tuple[int, ...] | None) -> None:
         heap = table.rows
         versions = table.versions
-        if rowids is None:
-            rowids = list(heap)
-            if rowids != sorted(rowids):
-                rowids = sorted(rowids)
-            row_major = [heap[rowid] for rowid in rowids]
-        else:
-            row_major = [heap[rowid] for rowid in rowids]
+        rowids = list(heap)
+        if rowids != sorted(rowids):
+            rowids = sorted(rowids)
+        row_major = [heap[rowid] for rowid in rowids]
         self.name = table.name
         self.rowids = rowids
         self.versions = [versions[rowid] for rowid in rowids]
@@ -131,7 +119,7 @@ class Segment:
         self.count = len(rowids)
         self.cells = self.count * (self.width + 2)
         self._chunks = self._build_chunks()
-        self._variants: dict[tuple[bool, bool], list] = {}
+        self._variants: dict[bool, list] = {}
         self._positions: dict[int, int] | None = None
 
     def _build_chunks(self) -> list[tuple[list, list]]:
@@ -152,20 +140,17 @@ class Segment:
             chunks.append((chunk_rows, columns))
         return chunks
 
-    def batches(self, track_lineage: bool,
-                with_rowids: bool) -> list:
+    def batches(self, track_lineage: bool) -> list:
         """The prebuilt batch list for one variant (built on first
         request, replayed verbatim afterwards — RowBatch vectors are
         immutable by contract)."""
-        key = (track_lineage, with_rowids)
-        variant = self._variants.get(key)
+        variant = self._variants.get(track_lineage)
         if variant is None:
-            variant = self._build_variant(track_lineage, with_rowids)
-            self._variants[key] = variant
+            variant = self._build_variant(track_lineage)
+            self._variants[track_lineage] = variant
         return variant
 
-    def _build_variant(self, track_lineage: bool,
-                       with_rowids: bool) -> list:
+    def _build_variant(self, track_lineage: bool) -> list:
         size = vector.BATCH_SIZE
         batches = []
         for number, (chunk_rows, columns) in enumerate(self._chunks):
@@ -178,11 +163,8 @@ class Segment:
                     list(zip(self.rowids[start:stop],
                              self.versions[start:stop])))
                 vector.note_lineage_vector_build()
-            chunk_ids = (self.rowids[start:stop] if with_rowids
-                         else None)
             batches.append(vector.RowBatch(
-                columns, len(chunk_rows), lineages, None, chunk_rows,
-                chunk_ids))
+                columns, len(chunk_rows), lineages, None, chunk_rows))
         return batches
 
     def positions(self) -> dict[int, int]:
@@ -224,11 +206,9 @@ class ScanCache:
         track_lineage = operator.track_lineage
         if view is None:
             colsig = self._colsig(operator, track_lineage)
-            segment, hit = self._segment(table, None, None, colsig)
-            if segment is None:
-                return None
+            segment, hit = self._segment(table, colsig)
             operator.cache_note = "hit" if hit else "miss"
-            return segment.batches(track_lineage, False)
+            return segment.batches(track_lineage)
         if view.snapshot < table.mvcc.watermark(table.name):
             # a commit after this snapshot: some committed-latest
             # version may be invisible and history may matter — the
@@ -239,36 +219,13 @@ class ScanCache:
         if overlay is None or overlay.empty:
             # snapshot >= watermark and no private writes: the
             # committed-latest image is exactly the visible state
-            segment, hit = self._segment(table, None, None, None)
-            if segment is None:
-                return None
+            segment, hit = self._segment(table, None)
             operator.cache_note = "hit" if hit else "miss"
-            return segment.batches(track_lineage, False)
-        segment, hit = self._segment(table, None, None, None)
-        if segment is None:
-            return None
+            return segment.batches(track_lineage)
+        segment, hit = self._segment(table, None)
         operator.cache_note = "hit" if hit else "miss"
         self.delta_merges += 1
         return self._delta_batches(segment, overlay, track_lineage)
-
-    def serve_partition_scan(self, operator, table,
-                             rowids: list[int]) -> list | None:
-        """Batches for one partition's explicit rowid list. Callers
-        guarantee no ambient view (partition scans under a view
-        resolve per-rowid through ``view_entry`` uncached)."""
-        if not self.enabled or table.mvcc is None:
-            return None
-        track_lineage = operator.track_lineage
-        colsig = self._colsig(operator, track_lineage)
-        if rowids:
-            signature = (rowids[0], rowids[-1], len(rowids))
-        else:
-            signature = (0, 0, 0)
-        segment, hit = self._segment(table, rowids, signature, colsig)
-        if segment is None:
-            return None
-        operator.cache_note = "hit" if hit else "miss"
-        return segment.batches(track_lineage, True)
 
     @staticmethod
     def _colsig(operator, track_lineage: bool) -> tuple[int, ...] | None:
@@ -280,22 +237,16 @@ class ScanCache:
             return None
         return tuple(sorted(needed))
 
-    def _segment(self, table, rowids: list[int] | None,
-                 signature, colsig) -> tuple[Segment | None, bool]:
-        key = (table.name, table.mvcc.watermark(table.name),
-               signature, colsig)
+    def _segment(self, table, colsig) -> tuple[Segment, bool]:
+        key = (table.name, table.mvcc.watermark(table.name), colsig)
         segment = self._segments.get(key)
         if segment is not None:
-            if rowids is None or segment.rowids == rowids:
-                self._segments.move_to_end(key)
-                self.hits += 1
-                return segment, True
-            # same signature, different rowid list (heap grew between
-            # executions without a watermark move): replace it
-            self._drop(key)
+            self._segments.move_to_end(key)
+            self.hits += 1
+            return segment, True
         self.misses += 1
         self.builds += 1
-        segment = Segment(table, rowids, colsig)
+        segment = Segment(table, colsig)
         self._admit(key, segment)
         return segment, False
 
@@ -405,14 +356,3 @@ class ScanCache:
             "max_cells": self.max_cells,
             "enabled": self.enabled,
         }
-
-    def reset_counters(self) -> None:
-        """Zero the event counters (pool workers call this post-fork so
-        their numbers describe the worker, not the inherited parent)."""
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.delta_merges = 0
-        self.fallbacks = 0

@@ -407,20 +407,10 @@ class DBServer:
         with nothing to abort.
         """
         self.draining = True
-        # resident pool workers are idle capacity a draining server no
-        # longer needs; in-flight parallel statements fall back to
-        # fork-per-statement pools, which stay correct
-        self.database._teardown_parallel_pool()
 
     def undrain(self) -> None:
         """Cancel drain mode and accept new work again."""
         self.draining = False
-        database = self.database
-        if (database.parallel_workers > 1
-                and database.parallel_pool_factory is None
-                and database.parallel_pool is None):
-            # restore the resident pool the drain tore down
-            database.set_parallel_workers(database.parallel_workers)
 
     @property
     def drained(self) -> bool:
@@ -555,14 +545,6 @@ class DBServer:
             if kind == "pipeline":
                 depth = len(request.get("frames") or ())
                 cost = float(min(max(depth, 1), int(self.admission.capacity)))
-            elif kind in ("query", "bind-execute"):
-                # parallel statements occupy N workers: charge them N
-                # tokens (clamped to capacity, like pipeline depth) so
-                # a wide parallel query cannot starve point queries
-                workers = self.database.parallel_workers
-                if workers > 1:
-                    cost = float(min(workers,
-                                     int(self.admission.capacity)))
             hint = self.admission.try_admit(cost)
             if hint is not None:
                 frame = protocol.error_frame(
@@ -714,9 +696,6 @@ class DBServer:
                 "plan_cache": self.database.plan_cache.counters(),
                 "scan_cache": self.database.scan_cache.counters(),
             }
-            pool_counters = self.database.parallel_pool_counters()
-            if pool_counters is not None:
-                result.stats["server"]["parallel_pool"] = pool_counters
         frame = protocol.result_to_wire(result)
         if (cache_key is not None and result.cacheable
                 and state.session.txn is None
@@ -1024,9 +1003,6 @@ class DBServer:
         }
         if self.admission is not None:
             counters["admission"] = self.admission.counters()
-        pool_counters = self.database.parallel_pool_counters()
-        if pool_counters is not None:
-            counters["parallel_pool"] = pool_counters
         return counters
 
     # -- teardown ----------------------------------------------------------------

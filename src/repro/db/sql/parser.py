@@ -38,6 +38,13 @@ _COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 _LITERAL_VALUE = dict(LITERAL_KINDS.values())
 
 
+def _too_long(token: Token) -> SQLSyntaxError:
+    """The error for a number token with more digits than ``int()``
+    converts (Python's integer string conversion limit)."""
+    return SQLSyntaxError(
+        f"number too long ({len(token.text)} digits)", token.position)
+
+
 class _Parser:
     """Stateful token-stream parser; one instance per parse call."""
 
@@ -204,7 +211,10 @@ class _Parser:
             raise SQLSyntaxError(
                 f"expected integer, found {token.text!r}", token.position)
         self.advance()
-        return int(token.text)
+        try:
+            return int(token.text)
+        except ValueError:
+            raise _too_long(token) from None
 
     def _parse_select_list(self) -> tuple[ast.SelectItem, ...]:
         items = [self._parse_select_item()]
@@ -573,10 +583,16 @@ class _Parser:
         convert = _LITERAL_VALUE.get(token.kind)
         if convert is not None:
             self.advance()
-            return ast.Literal(convert(token.text))
+            try:
+                return ast.Literal(convert(token.text))
+            except ValueError:
+                raise _too_long(token) from None
         if token.kind is TokenKind.PARAM:
             self.advance()
-            index = int(token.text)
+            try:
+                index = int(token.text)
+            except ValueError:
+                raise _too_long(token) from None
             if index < 1:
                 raise SQLSyntaxError(
                     f"parameter ${index} is out of range (parameters "

@@ -343,22 +343,3 @@ def _in_list_selectivity(conjunct: ast.InList,
 
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
-
-
-def parallel_input_estimate(scan, stats: Optional[TableStats] = None
-                            ) -> float:
-    """Estimated rows a partition-parallel placement would read.
-
-    Preference order: the per-node ``est_rows`` the planner stamped
-    from conjunct selectivities, the table's ANALYZE row count, then
-    the session-visible row count (overlay-aware, like every other
-    cost input). Shared by every parallel placement gate — gather,
-    parallel sort, parallel hash-join build — so they all price their
-    inputs identically.
-    """
-    estimate = getattr(scan, "est_rows", None)
-    if estimate is not None:
-        return float(estimate)
-    if stats is not None and stats.row_count:
-        return float(stats.row_count)
-    return float(scan.table.visible_row_count())

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import zlib
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -37,45 +36,6 @@ from repro.errors import CatalogError, ExecutionError, IntegrityError
 TABLE_FILE_SUFFIX = ".tbl"
 WAL_FILE_NAME = "wal.log"
 META_FILE_NAME = "checkpoint.json"
-
-
-def stable_hash(value: Any) -> int:
-    """Deterministic, process-independent hash for partition assignment.
-
-    ``hash()`` is randomized per process for strings (PYTHONHASHSEED),
-    which would make partition membership unstable across restarts and
-    across the parent/worker boundary. Integers map to themselves
-    (masked non-negative); everything else hashes its canonical repr
-    through crc32.
-    """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value & 0x7FFFFFFF
-    return zlib.crc32(repr(value).encode("utf-8")) & 0x7FFFFFFF
-
-
-class PartitionSpec:
-    """Logical hash partitioning of a heap on one column.
-
-    Partitioning never moves row bytes — ``.tbl`` files are unchanged,
-    so PTU packaging stays byte-identical whether or not a table is
-    partitioned. The spec (column + bucket count) is persisted through
-    the WAL and checkpoint metadata, and the table maintains an
-    incremental rowid→bucket membership map alongside its indexes.
-    """
-
-    __slots__ = ("column", "position", "count")
-
-    def __init__(self, column: str, position: int, count: int) -> None:
-        self.column = column.lower()
-        self.position = position
-        self.count = count
-
-    def to_dict(self) -> dict:
-        return {"column": self.column, "count": self.count}
 
 
 class HashIndex:
@@ -143,8 +103,6 @@ class HeapTable:
             if column.primary_key)
         self._pk_index: dict[tuple[Any, ...], int] = {}
         self.indexes: dict[str, HashIndex] = {}
-        self.partition_spec: PartitionSpec | None = None
-        self.partitions: list[set[int]] = []
 
     # -- MVCC hooks ------------------------------------------------------------
 
@@ -223,7 +181,6 @@ class HeapTable:
         self.versions[rowid] = tick
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._partition_add(rowid, row)
         self._note_mutation()
         return rowid
 
@@ -247,8 +204,6 @@ class HeapTable:
         for index in self.indexes.values():
             index.remove(rowid, old_row[index.position])
             index.add(rowid, row[index.position])
-        self._partition_remove(rowid, old_row)
-        self._partition_add(rowid, row)
         self.rows[rowid] = row
         self.versions[rowid] = tick
         self._note_mutation(rowids_changed=False)
@@ -269,7 +224,6 @@ class HeapTable:
             self._pk_index.pop(key, None)
         for index in self.indexes.values():
             index.remove(rowid, row[index.position])
-        self._partition_remove(rowid, row)
         self._note_mutation()
 
     def put_row(self, rowid: int, values: Iterable[Any],
@@ -296,7 +250,6 @@ class HeapTable:
         self.next_rowid = max(self.next_rowid, rowid + 1)
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._partition_add(rowid, row)
         self._note_mutation()
 
     def remove_row(self, rowid: int) -> None:
@@ -314,7 +267,6 @@ class HeapTable:
                 del self._pk_index[key]
         for index in self.indexes.values():
             index.remove(rowid, row[index.position])
-        self._partition_remove(rowid, row)
 
     def restore_row(self, rowid: int, values: Iterable[Any],
                     version: int) -> None:
@@ -335,7 +287,6 @@ class HeapTable:
         self.next_rowid = max(self.next_rowid, rowid + 1)
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._partition_add(rowid, row)
         self._note_mutation()
 
     def get(self, rowid: int) -> tuple[Any, ...]:
@@ -403,15 +354,12 @@ class HeapTable:
 
         This is the rowid universe :meth:`_scan_view` iterates —
         committed rows plus history chains plus the view's private
-        overlay upserts. Partition-parallel scans split this list into
-        chunks; resolving each rowid through :meth:`view_entry` then
-        yields exactly the serial scan's rows, in the serial order.
+        overlay upserts.
         """
         view = self.active_view()
         if view is None:
             # reused across scans until a mutation changes the rowid
-            # set; callers only slice it (partition splitting), so the
-            # shared list is safe
+            # set; callers must not mutate the shared list
             cached = self._rowid_cache
             if cached is None:
                 rowids = list(self.rows)
@@ -427,20 +375,6 @@ class HeapTable:
         if overlay is not None:
             universe.update(overlay.upserts)
         return sorted(universe)
-
-    def view_entry(self, rowid: int, view,
-                   overlay) -> tuple[tuple[Any, ...], int] | None:
-        """What one rowid resolves to under a view: ``(values,
-        version)`` or None when invisible — the per-rowid core of
-        :meth:`_scan_view`, exposed so partition scans can resolve an
-        explicit rowid subset with identical semantics."""
-        if overlay is not None:
-            entry = overlay.upserts.get(rowid)
-            if entry is not None:
-                return entry[0], entry[1]
-            if rowid in overlay.deletes:
-                return None
-        return self.visible_version(rowid, view)
 
     def visible_version(self, rowid: int,
                         view) -> tuple[tuple[Any, ...], int] | None:
@@ -491,49 +425,7 @@ class HeapTable:
         self._pk_index.clear()
         for index in self.indexes.values():
             index.buckets.clear()
-        for bucket in self.partitions:
-            bucket.clear()
         self._note_mutation()
-
-    # -- hash partitioning -------------------------------------------------------
-
-    def set_partitioning(self, column: str, count: int) -> PartitionSpec:
-        """(Re)declare hash partitioning on ``column`` into ``count``
-        buckets, rebuilding bucket membership from the committed heap.
-        Row bytes never move; only the membership map changes."""
-        if count < 1:
-            raise CatalogError(
-                f"partition count must be >= 1, got {count}")
-        position = self.schema.index_of(column)
-        spec = PartitionSpec(self.schema.columns[position].name,
-                             position, count)
-        self.partition_spec = spec
-        self.partitions = [set() for _ in range(count)]
-        for rowid, row in self.rows.items():
-            self.partitions[stable_hash(row[position]) % count].add(rowid)
-        return spec
-
-    def clear_partitioning(self) -> None:
-        self.partition_spec = None
-        self.partitions = []
-
-    def partition_of(self, row: tuple) -> int:
-        """The bucket a row's key value assigns it to (total: every
-        value, including NULL, lands in exactly one bucket)."""
-        spec = self.partition_spec
-        return stable_hash(row[spec.position]) % spec.count
-
-    def partition_rowids(self) -> list[list[int]]:
-        """Committed-latest bucket contents, each sorted by rowid."""
-        return [sorted(bucket) for bucket in self.partitions]
-
-    def _partition_add(self, rowid: int, row: tuple) -> None:
-        if self.partition_spec is not None:
-            self.partitions[self.partition_of(row)].add(rowid)
-
-    def _partition_remove(self, rowid: int, row: tuple) -> None:
-        if self.partition_spec is not None:
-            self.partitions[self.partition_of(row)].discard(rowid)
 
     # -- secondary indexes -------------------------------------------------------
 

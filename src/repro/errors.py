@@ -126,17 +126,6 @@ class GroupCommitError(TransientError):
     """
 
 
-class WorkerCrashError(TransientError):
-    """A parallel-query worker process died before returning results.
-
-    The gather boundary reaps every worker it forked (no zombies, no
-    leaked pipes) and the statement fails as a whole — no partial
-    batches are ever surfaced. Nothing was written (parallel plans are
-    read-only), so retrying the statement is always safe, which is why
-    this derives from :class:`TransientError`.
-    """
-
-
 class StatementTimeout(DatabaseError):
     """A statement exceeded the server's per-statement time budget."""
 

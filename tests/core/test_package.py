@@ -1,6 +1,8 @@
 """Package format and manifest tests."""
 
+import gzip
 import json
+import zlib
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.package import (
     FORMAT_VERSION,
     Manifest,
     Package,
+    TRACE_NAME,
     PackageKind,
 )
 from repro.errors import ManifestError, PackageError
@@ -111,3 +114,52 @@ class TestPackage:
         summary = package.contents_summary()
         assert summary["db_provenance"] is False
         assert summary["db_server"] is False
+
+
+class TestCorruptTrace:
+    """A damaged ``trace.json.gz`` surfaces as one-line PackageError,
+    never as the gzip/zlib/JSON exception underneath."""
+
+    TRACE = {"nodes": [{"id": f"tuple:t:{n}"} for n in range(40)],
+             "edges": []}
+
+    def packaged(self, tmp_path):
+        package = Package.create(tmp_path / "pkg", make_manifest())
+        package.write_trace(self.TRACE)
+        return package, package.root / TRACE_NAME
+
+    def test_intact_trace_round_trips(self, tmp_path):
+        package, _ = self.packaged(tmp_path)
+        assert package.read_trace() == self.TRACE
+
+    def test_truncated_trace_raises_package_error(self, tmp_path):
+        package, path = self.packaged(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(PackageError, match="corrupt") as info:
+            package.read_trace()
+        assert isinstance(info.value.__cause__, EOFError)
+        assert "\n" not in str(info.value)
+
+    def test_flipped_byte_raises_package_error(self, tmp_path):
+        package, path = self.packaged(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[10] ^= 0xFF  # first byte of the deflate stream
+        path.write_bytes(bytes(data))
+        with pytest.raises(PackageError, match="corrupt") as info:
+            package.read_trace()
+        assert isinstance(info.value.__cause__, zlib.error)
+        assert "\n" not in str(info.value)
+
+    def test_non_gzip_file_raises_package_error(self, tmp_path):
+        package, path = self.packaged(tmp_path)
+        path.write_bytes(b"plain text, no gzip header")
+        with pytest.raises(PackageError, match="cannot decompress"):
+            package.read_trace()
+
+    def test_non_json_payload_raises_package_error(self, tmp_path):
+        package, path = self.packaged(tmp_path)
+        path.write_bytes(gzip.compress(b"{not json", mtime=0))
+        with pytest.raises(PackageError, match="not valid JSON"):
+            package.read_trace()
+

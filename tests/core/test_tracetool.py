@@ -95,3 +95,21 @@ class TestTraceCli:
     def test_missing_package_is_an_error(self, tmp_path, capsys):
         assert trace_main([str(tmp_path / "nope")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_trace_is_a_one_line_error(self, package, capsys,
+                                               damage):
+        path = package / "trace.json.gz"
+        data = bytearray(path.read_bytes())
+        if damage == "truncate":
+            data = data[:len(data) // 2]
+        else:
+            data[10] ^= 0xFF  # first byte of the deflate stream
+        path.write_bytes(bytes(data))
+        assert trace_main([str(package), "--entities"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ldv-trace: error: corrupt")
+

@@ -7,12 +7,9 @@ Campaign tests are marked ``chaos``; every campaign failure message
 reproducible with ``run_campaign(seed, ...)`` locally.
 """
 
-import os
-
 import pytest
 
 from repro.db import Database, DBClient, DBServer, RetryPolicy
-from repro.db import parallel
 from repro.db import protocol
 from repro.db.chaos import (
     CampaignSpec,
@@ -28,7 +25,6 @@ from repro.errors import (
     OverloadedError,
     ServerDrainingError,
     TransientError,
-    WorkerCrashError,
 )
 from repro.faults import FaultInjector, FaultyIO
 
@@ -250,6 +246,15 @@ class TestAdmissionControl:
         assert admission.admitted == 1
         assert admission.shed == 0
 
+    def test_each_statement_costs_one_token(self):
+        server, admission, _ = self.make_loaded_server(8, 0.0)
+        client = make_client(server, retry_policy=None)
+        for _ in range(8):
+            client.query("SELECT x FROM t")
+        with pytest.raises(OverloadedError):
+            client.query("SELECT x FROM t")
+        assert admission.admitted == 8
+
 
 class TestGracefulDrain:
     def test_drain_rejects_new_statements(self):
@@ -300,150 +305,6 @@ class TestGracefulDrain:
             client.execute("INSERT INTO t VALUES (1, 10)")
         server.undrain()
         assert client.execute("INSERT INTO t VALUES (1, 10)").rowcount == 1
-
-
-class TestParallelAdmission:
-    """Parallel statements occupy N workers, so the token bucket
-    charges them N tokens (clamped to capacity): wide parallel queries
-    drain the budget proportionally and cannot starve point queries
-    for free."""
-
-    def make_parallel_server(self, capacity, workers):
-        admission = AdmissionControl(capacity=capacity,
-                                     refill_per_second=0.0,
-                                     timer=FakeClock().read)
-        database = Database()
-        database.execute("CREATE TABLE t (x integer, y integer)")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i})" for i in range(40)))
-        if workers > 1:
-            database.set_parallel_workers(
-                workers, pool_factory=parallel.InProcessPool,
-                min_rows=0)
-        return DBServer(database, admission=admission), admission
-
-    def test_parallel_statement_charged_by_worker_count(self):
-        server, admission = self.make_parallel_server(8, 4)
-        client = make_client(server, retry_policy=None)
-        client.query("SELECT x FROM t")  # 4 tokens
-        client.query("SELECT x FROM t")  # 4 tokens: bucket dry
-        with pytest.raises(OverloadedError):
-            client.query("SELECT x FROM t")
-        assert admission.admitted == 2
-        assert admission.shed == 1
-
-    def test_serial_statement_still_costs_one_token(self):
-        server, admission = self.make_parallel_server(8, 1)
-        client = make_client(server, retry_policy=None)
-        for _ in range(8):
-            client.query("SELECT x FROM t")
-        with pytest.raises(OverloadedError):
-            client.query("SELECT x FROM t")
-        assert admission.admitted == 8
-
-    def test_worker_charge_clamps_to_capacity(self):
-        # more workers than capacity must still admit, like a deep
-        # pipeline envelope: the charge clamps to the full bucket
-        server, admission = self.make_parallel_server(2, 4)
-        client = make_client(server, retry_policy=None)
-        assert client.query("SELECT x FROM t WHERE x < 3") == \
-            [(0,), (1,), (2,)]
-        assert admission.admitted == 1
-        assert admission.shed == 0
-
-
-class _CrashOncePool:
-    """Pool whose first dispatch dies like a forked worker crash."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def run(self, thunks):
-        self.calls += 1
-        if self.calls == 1:
-            raise WorkerCrashError(
-                "parallel worker(s) [0] died before returning results"
-                " (injected)")
-        return parallel.InProcessPool().run(thunks)
-
-
-class TestWorkerCrashServing:
-    """A worker crash aborts the statement with a *transient* error:
-    the client's retry policy re-runs it against the respawned pool,
-    and the idempotency ledger keeps concurrent mutation retries
-    exactly-once."""
-
-    def make_parallel_world(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer, y integer)")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i})" for i in range(60)))
-        pool = _CrashOncePool()
-        database.set_parallel_workers(
-            2, pool_factory=lambda: pool, min_rows=0)
-        return DBServer(database), pool
-
-    def test_crashed_query_is_retried_transparently(self):
-        server, pool = self.make_parallel_world()
-        client = make_client(server)
-        assert client.query("SELECT count(*) FROM t") == [(60,)]
-        assert pool.calls >= 2  # first dispatch crashed, retry ran
-        assert client.retries_performed >= 1
-        # reads are naturally idempotent: the ledger stayed out of it
-        assert server.database.dedupe_ledger.stores == 0
-
-    def test_crash_retry_leaves_ledger_exactly_once(self):
-        # a crashed parallel read and a lost mutation response in the
-        # same session: the read re-executes, the mutation replays
-        # from the ledger — each applied exactly once
-        server, pool = self.make_parallel_world()
-        drop = drop_once(lambda f: f.get("frame") == "query"
-                         and "INSERT" in f.get("sql", ""))
-        client = make_client(lossy_transport(server, drop))
-        assert client.query("SELECT count(*) FROM t") == [(60,)]
-        assert pool.calls >= 2
-        client.execute("INSERT INTO t VALUES (999, 0)")
-        assert client.query(
-            "SELECT count(*) FROM t WHERE x = 999") == [(1,)]
-        assert server.database.dedupe_ledger.hits == 1
-
-    def test_drain_tears_down_residents_and_undrain_respawns(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer, y integer)")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i})" for i in range(60)))
-        database.set_parallel_workers(2, min_rows=0)
-        server = DBServer(database)
-        client = make_client(server, retry_policy=None)
-        assert client.query("SELECT count(*) FROM t") == [(60,)]
-        pids = database.parallel_pool.worker_pids()
-        assert len(pids) == 2
-        server.drain()
-        # the resident workers die with the drain, pids reaped
-        assert database.parallel_pool is None
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-        server.undrain()
-        assert database.parallel_pool is not None
-        assert client.query("SELECT count(*) FROM t") == [(60,)]
-
-    def test_server_stats_expose_pool_counters(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer, y integer)")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i})" for i in range(60)))
-        database.set_parallel_workers(2, min_rows=0)
-        server = DBServer(database)
-        client = make_client(server, retry_policy=None)
-        client.query("SELECT count(*) FROM t")
-        client.query("SELECT count(*) FROM t WHERE x < 30")
-        pool_stats = client.server_stats()["server"]["parallel_pool"]
-        assert pool_stats["workers"] == 2
-        assert pool_stats["forks"] == 2
-        assert pool_stats["reuse_hits"] >= 1
-        assert len(pool_stats["resident_pids"]) == 2
-        database.close()
 
 
 class TestConnectionReaping:
@@ -610,113 +471,3 @@ class TestFaultCampaigns:
         assert first.final_rows == second.final_rows
         assert first.crashes == second.crashes
         assert first.retries == second.retries
-
-
-@pytest.mark.chaos
-@pytest.mark.parallel
-class TestParallelWorkerCrash:
-    """A worker process dying mid-parallel-query must fail only that
-    statement: every forked pid reaped, no snapshot pins leaked, the
-    engine fully serviceable afterwards, and the recovered package
-    byte-identical to a twin that never crashed."""
-
-    WORKLOAD = [
-        ("INSERT INTO t VALUES " + ", ".join(
-            f"({x}, {x % 7})" for x in range(250)), None),
-        ("UPDATE t SET y = y + 1 WHERE x % 5 = 0", None),
-        ("SELECT y, count(*), sum(x) FROM t GROUP BY y", "query"),
-        ("DELETE FROM t WHERE x < 10", None),
-        ("SELECT count(*) FROM t", "query"),
-    ]
-
-    def build(self, directory):
-        database = Database(data_directory=directory)
-        database.execute("CREATE TABLE t (x integer, y integer)")
-        return database
-
-    def run_workload(self, database):
-        answers = []
-        for sql, kind in self.WORKLOAD:
-            if kind == "query":
-                answers.append(database.query(sql))
-            else:
-                database.execute(sql)
-        return answers
-
-    def crash_one_query(self, database):
-        """Run a parallel query whose second worker dies mid-scan."""
-        from repro.db import parallel
-        from repro.errors import WorkerCrashError
-        pool = parallel.ForkPool(
-            child_hook=lambda index: os._exit(1) if index == 1 else None)
-        database.set_parallel_workers(
-            4, pool_factory=lambda: pool, min_rows=0)
-        with pytest.raises(WorkerCrashError):
-            database.query("SELECT y, sum(x) FROM t GROUP BY y")
-        return pool
-
-    def test_crash_mid_query_leaks_nothing_and_recovers(self, tmp_path):
-        database = self.build(tmp_path / "db")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({x}, {x % 3})" for x in range(200)))
-        serial = database.query("SELECT y, sum(x) FROM t GROUP BY y")
-        pool = self.crash_one_query(database)
-        # every forked worker was reaped — no zombies survive the error
-        assert len(pool.last_pids) == 4
-        for pid in pool.last_pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-        # no snapshot pins leaked: vacuum horizon is unobstructed
-        assert database.mvcc.active_count() == 0
-        # the engine still answers — healthy pool, same result
-        database.set_parallel_workers(4, min_rows=0)
-        assert database.query(
-            "SELECT y, sum(x) FROM t GROUP BY y") == serial
-        database.set_parallel_workers(1)
-        assert database.query(
-            "SELECT y, sum(x) FROM t GROUP BY y") == serial
-
-    def test_recovered_package_matches_never_crashed_twin(self,
-                                                          tmp_path):
-        crashed = self.build(tmp_path / "crashed")
-        answers = self.run_workload(crashed)
-        self.crash_one_query(crashed)
-        crashed.set_parallel_workers(1)
-        crashed.checkpoint()
-        crashed.close()
-
-        oracle = self.build(tmp_path / "oracle")
-        oracle_answers = self.run_workload(oracle)
-        oracle.checkpoint()
-        oracle.close()
-
-        assert answers == oracle_answers
-        assert (tree_bytes(tmp_path / "crashed")
-                == tree_bytes(tmp_path / "oracle"))
-        # and the crashed package reopens to the same answers
-        reopened = Database(data_directory=tmp_path / "crashed")
-        assert reopened.query(
-            "SELECT count(*) FROM t") == oracle_answers[-1]
-
-    def test_crash_inside_open_transaction_releases_the_pin(self,
-                                                            tmp_path):
-        from repro.db import parallel
-        from repro.errors import WorkerCrashError
-        database = self.build(tmp_path / "db")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({x}, {x})" for x in range(100)))
-        session = database.create_session("txn")
-        database.execute("BEGIN", session=session)
-        pool = parallel.ForkPool(
-            child_hook=lambda index: os._exit(1) if index == 0 else None)
-        database.set_parallel_workers(
-            2, pool_factory=lambda: pool, min_rows=0)
-        with pytest.raises(WorkerCrashError):
-            database.query("SELECT sum(y) FROM t", session=session)
-        # the transaction survives (only the statement failed) and can
-        # finish; afterwards nothing pins the horizon
-        database.execute("ROLLBACK", session=session)
-        assert database.mvcc.active_count() == 0
-        for pid in pool.last_pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)

@@ -133,6 +133,27 @@ class TestClient:
         assert db_client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
         db_client.close()
 
+    def test_overlong_integer_gets_a_one_line_error_frame(self, server):
+        responses = []
+
+        def recording(request_text):
+            responses.append(server.handle_wire(request_text))
+            return responses[-1]
+
+        db_client = DBClient(recording, "test-app", "pid-1")
+        db_client.connect()
+        with pytest.raises(SQLSyntaxError) as info:
+            db_client.execute("SELECT x FROM t WHERE x = " + "9" * 5000)
+        frame = protocol.decode_frame(responses[-1])
+        assert frame["frame"] == "error"
+        assert frame["error_type"] == "SQLSyntaxError"
+        assert frame["message"] == "number too long (5000 digits)"
+        assert str(info.value) == frame["message"]
+        assert "\n" not in responses[-1] and "Traceback" not in responses[-1]
+        # the connection survives the rejected statement
+        assert db_client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
+        db_client.close()
+
     def test_execute_before_connect_raises(self, server):
         fresh = DBClient(server.transport())
         with pytest.raises(ConnectionClosedError):

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.db import Database
-from repro.db import parallel
 from repro.db.sql.render import render_literal
-from repro.db.storage import stable_hash
 
 
 # ---------------------------------------------------------------------------
@@ -219,83 +217,3 @@ class TestLineageProperties:
             (old_ref,) = deps
             assert old_ref.rowid == new_ref.rowid
             assert old_ref.version < new_ref.version
-
-
-@pytest.mark.parallel
-class TestPartitionProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(tables(), st.sampled_from(["k", "v", "tag"]),
-           st.integers(1, 6))
-    def test_hash_assignment_is_total_stable_and_in_range(
-            self, rows, column, count):
-        database = load(rows)
-        table = database.catalog.get_table("t")
-        table.set_partitioning(column, count)
-        first = {rowid: table.partition_of(table.rows[rowid])
-                 for rowid in table.rows}
-        assert all(0 <= p < count for p in first.values())
-        # stable: asking again (and a fresh identically-built heap)
-        # assigns every row to the same bucket
-        twin = load(rows)
-        twin_table = twin.catalog.get_table("t")
-        twin_table.set_partitioning(column, count)
-        for rowid, partition in first.items():
-            assert table.partition_of(table.rows[rowid]) == partition
-            assert twin_table.partition_of(
-                twin_table.rows[rowid]) == partition
-        buckets = table.partition_rowids()
-        flat = sorted(r for bucket in buckets for r in bucket)
-        assert flat == sorted(table.rows)  # total: no row lost or doubled
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.one_of(st.none(), st.integers(-100, 100),
-                     st.floats(allow_nan=False, allow_infinity=False),
-                     st.text(max_size=20)))
-    def test_stable_hash_is_pure(self, value):
-        assert stable_hash(value) == stable_hash(value)
-        assert stable_hash(value) >= 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(tables(), st.integers(1, 5), st.integers(1, 5))
-    def test_repartitioning_round_trips_the_heap(self, rows, first,
-                                                 second):
-        database = load(rows)
-        baseline = database.query("SELECT id, k, v, tag FROM t")
-        table = database.catalog.get_table("t")
-        for step in (("k", first), ("tag", second), None):
-            if step is None:
-                table.clear_partitioning()
-            else:
-                table.set_partitioning(*step)
-            assert database.query(
-                "SELECT id, k, v, tag FROM t") == baseline
-        assert table.partition_spec is None
-
-    @settings(max_examples=30, deadline=None)
-    @given(tables(), st.integers(-5, 5), st.integers(1, 4))
-    def test_parallel_lineage_concats_to_serial(self, rows, bound,
-                                                count):
-        database = load(rows)
-        sql = f"SELECT id, k FROM t WHERE k > {bound}"
-        baseline = database.execute(sql, provenance=True)
-        database.set_table_partitioning("t", "k", count)
-        for workers in (2, 4):
-            database.set_parallel_workers(
-                workers, pool_factory=parallel.InProcessPool,
-                min_rows=0)
-            result = database.execute(sql, provenance=True)
-            assert result.rows == baseline.rows
-            assert result.lineages == baseline.lineages
-
-    @settings(max_examples=30, deadline=None)
-    @given(tables(), st.integers(1, 4), st.integers(2, 4))
-    def test_parallel_aggregates_match_serial(self, rows, count,
-                                              workers):
-        database = load(rows)
-        sql = ("SELECT k, count(*), count(v), sum(v), min(v), max(v) "
-               "FROM t GROUP BY k")
-        baseline = database.query(sql)
-        database.set_table_partitioning("t", "tag", count)
-        database.set_parallel_workers(
-            workers, pool_factory=parallel.InProcessPool, min_rows=0)
-        assert database.query(sql) == baseline

@@ -27,6 +27,7 @@ import pytest
 from repro.db.sql import ast, parser
 from repro.db.sql.params import Binder
 from repro.db.sql.parser import ShapeCache, _Parser, parse_sql
+from repro.errors import SQLSyntaxError
 from repro.workloads.tpch.dbgen import TPCHConfig, TPCHGenerator
 from repro.workloads.tpch.queries import table2_variants
 from repro.workloads.tpch.refresh import insert_statements, update_statements
@@ -264,9 +265,16 @@ def test_unlexable_text_bypasses_the_cache(fresh_cache):
 
 def test_overlong_integer_fails_like_the_direct_parse(fresh_cache):
     big = "9" * 5000
-    for sql in (f"SELECT 1, {big}", f"SELECT 2, {big}", f"SELECT 3, {big}",
-                f"SELECT FROM {big}"):
+    for sql in (f"SELECT 1, {big}", f"SELECT 2, {big}", f"SELECT 3, {big}"):
         assert_same_parse(sql)
+        # the shape scan cannot convert the literal either, so the
+        # statement falls back to the direct parse's syntax error
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql(sql)
+        assert str(info.value) == "number too long (5000 digits)"
+        assert info.value.position == 10
+    assert_same_parse(f"SELECT FROM {big}")
+    assert len(fresh_cache._entries) == 0
 
 
 def test_cached_results_are_fresh_lists(fresh_cache):

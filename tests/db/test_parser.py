@@ -273,6 +273,30 @@ class TestErrors:
         assert info.value.position == 22
 
 
+class TestOverlongNumbers:
+    """Numbers past Python's integer string conversion limit are a
+    syntax error at the literal, not a bare ValueError from int()."""
+
+    BIG = "9" * 5000
+
+    @pytest.mark.parametrize("sql, position", [
+        (f"SELECT {BIG}", 7),
+        (f"SELECT a FROM t WHERE a = {BIG}", 26),
+        (f"SELECT a FROM t LIMIT {BIG}", 22),
+        (f"SELECT a FROM t WHERE a = ${BIG}", 26),
+    ], ids=["select-list", "where", "limit", "parameter"])
+    def test_rejected_at_the_literal(self, sql, position):
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql(sql)
+        assert str(info.value) == "number too long (5000 digits)"
+        assert info.value.position == position
+
+    def test_a_long_but_convertible_integer_still_parses(self):
+        digits = "9" * 4000
+        statement = parse_one(f"SELECT {digits}")
+        assert statement.items[0].expression == ast.Literal(int(digits))
+
+
 class TestNonAsciiDigits:
     @pytest.mark.parametrize("sql, char", [
         ("SELECT ²", "²"),

@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.db import Database, InterleavingScheduler
-from repro.db import parallel
 from repro.db.engine import PlanCache
 
 pytestmark = pytest.mark.concurrency
@@ -134,101 +133,3 @@ class TestThreadHammer:
             thread.join()
         assert len(cache) == 4
         assert len(cache.keys()) == 4
-
-
-class CountingPool:
-    """Deterministic pool that records how many times it dispatched."""
-
-    dispatches = 0
-
-    def run(self, thunks):
-        type(self).dispatches += 1
-        return [thunk() for thunk in thunks]
-
-
-@pytest.mark.parallel
-class TestWorkerSettingKeysTheCache:
-    """Regression: a plan costed (and shaped) under one worker setting
-    must never be served to a session running under another. The cache
-    key carries the worker setting, so serial and parallel compilations
-    of the same SQL coexist as distinct entries."""
-
-    def big_db(self):
-        database = Database()
-        database.execute("CREATE TABLE t (id integer, v integer)")
-        database.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i % 10})" for i in range(400)))
-        return database
-
-    def test_serial_entry_is_not_served_to_a_parallel_setting(self):
-        database = self.big_db()
-        CountingPool.dispatches = 0
-        sql = "SELECT v, count(*) FROM t GROUP BY v"
-        # pin min_rows first so switching workers later does not clear
-        # the cache: the stale serial entry must still be *in* there
-        database.set_parallel_workers(1, min_rows=0)
-        baseline = database.query(sql)  # caches the serial plan
-        assert len(database.plan_cache) == 1
-        database.set_parallel_workers(2, pool_factory=CountingPool)
-        assert database.query(sql) == baseline
-        # the cached serial plan must NOT have satisfied this: the
-        # parallel compilation really ran on the pool
-        assert CountingPool.dispatches >= 1
-
-    def test_parallel_entry_is_not_served_to_a_serial_setting(self):
-        database = self.big_db()
-        CountingPool.dispatches = 0
-        sql = "SELECT id FROM t WHERE v = 3"
-        database.set_parallel_workers(
-            2, pool_factory=CountingPool, min_rows=0)
-        parallel_rows = database.query(sql)
-        dispatched = CountingPool.dispatches
-        assert dispatched >= 1
-        database.set_parallel_workers(1)
-        assert database.query(sql) == parallel_rows
-        # back to serial: no pool dispatch may have happened
-        assert CountingPool.dispatches == dispatched
-
-    def test_keys_carry_the_worker_setting(self):
-        database = self.big_db()
-        sql = "SELECT count(*) FROM t"
-        database.set_parallel_workers(1, min_rows=0)
-        database.query(sql)
-        database.set_parallel_workers(
-            4, pool_factory=parallel.InProcessPool)
-        database.query(sql)
-        keys = database.plan_cache.keys()
-        assert len(keys) == 2  # same SQL, two worker settings
-        assert {key[-1] for key in keys} == {1, 4}
-
-    def test_hammered_sessions_never_cross_settings(self):
-        """Thread hammer: serial threads and parallel threads race on
-        the same SQL; every answer must match and the pool must only
-        ever be driven by the parallel setting's entries."""
-        database = self.big_db()
-        sql = "SELECT v, count(*) FROM t GROUP BY v"
-        expected = database.query(sql)
-        parallel_db = self.big_db()
-        parallel_db.set_parallel_workers(
-            2, pool_factory=parallel.InProcessPool, min_rows=0)
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(4)
-
-        def hammer(engine):
-            try:
-                barrier.wait()
-                for _ in range(40):
-                    assert engine.query(sql) == expected
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(engine,))
-                   for engine in (database, database,
-                                  parallel_db, parallel_db)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        assert {key[-1] for key in database.plan_cache.keys()} == {1}
-        assert {key[-1] for key in parallel_db.plan_cache.keys()} == {2}

@@ -18,12 +18,11 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database, DBServer
-from repro.db import parallel, vector
+from repro.db import vector
 from repro.db.chaos import tree_bytes
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.scancache import ScanCache
 
-from tests.db.test_differential_parallel import build_parity_db
 from tests.db.test_vectorized import PARITY_QUERIES
 
 
@@ -46,9 +45,27 @@ def run_modes(database, sql, provenance):
 
 # -- the 23 parity shapes, cache on vs off ------------------------------------
 
+def build_parity_db():
+    database = Database()
+    database.execute(
+        "CREATE TABLE t (k integer, grp integer, a integer, b float, "
+        "name text)")
+    database.execute("CREATE TABLE small (k integer, label text)")
+    rows = []
+    for k in range(700):
+        b_text = "NULL" if k % 7 == 0 else str(k * 0.5)
+        name = "NULL" if k % 11 == 0 else f"'name{k % 13}'"
+        rows.append(f"({k}, {k % 5}, {(k * 37) % 100}, {b_text}, {name})")
+    database.execute("INSERT INTO t VALUES " + ", ".join(rows))
+    database.execute(
+        "INSERT INTO small VALUES " + ", ".join(
+            f"({k}, 'L{k}')" for k in range(0, 40)))
+    return database
+
+
 @pytest.fixture(scope="module")
 def parity_db():
-    return build_parity_db(False)
+    return build_parity_db()
 
 
 @pytest.mark.parametrize("sql", PARITY_QUERIES)
@@ -67,7 +84,7 @@ def test_parity_shapes_cache_on_off(parity_db, sql):
 def test_parity_under_mid_invalidation(sql):
     """Warm the cache, mutate the table (stranding the segments), and
     re-verify against a cache-disabled twin of the new state."""
-    database = build_parity_db(False)
+    database = build_parity_db()
     for provenance in (False, True):
         database.execute(sql, provenance)  # warm
         database.execute("UPDATE t SET a = a + 1 WHERE k % 13 = 0")
@@ -75,28 +92,6 @@ def test_parity_under_mid_invalidation(sql):
         reference = frame_bytes(baseline)
         assert frame_bytes(cold) == reference
         assert frame_bytes(warm) == reference
-
-
-@pytest.mark.parametrize("workers", (2, 4))
-def test_parity_parallel_partition_scans(workers):
-    """Partition scans served from cached segments gather back into
-    the exact serial answer."""
-    database = build_parity_db(True)
-    subset = [PARITY_QUERIES[0], PARITY_QUERIES[11], PARITY_QUERIES[15],
-              PARITY_QUERIES[18]]
-    for sql in subset:
-        for provenance in (False, True):
-            database.set_parallel_workers(1)
-            baseline = database.execute(sql, provenance)
-            database.set_parallel_workers(
-                workers, pool_factory=parallel.InProcessPool, min_rows=0)
-            cold = database.execute(sql, provenance)
-            warm = database.execute(sql, provenance)
-            for result in (cold, warm):
-                assert result.rows == baseline.rows
-                assert result.lineages == baseline.lineages
-                assert frame_bytes(result) == frame_bytes(baseline)
-    assert database.scan_cache.hits > 0
 
 
 def test_packaged_bytes_identical_cache_on_off(tmp_path):
@@ -276,9 +271,9 @@ class TestEviction:
         database.execute("INSERT INTO t VALUES (1), (2), (3)")
         cache = ScanCache(max_cells=50)
         table = database.catalog.get_table("t")
-        segment, hit = cache._segment(table, None, None, None)
+        segment, hit = cache._segment(table, None)
         assert not hit and segment.count == 3
-        again, hit = cache._segment(table, None, None, None)
+        again, hit = cache._segment(table, None)
         assert hit and again is segment
         assert cache.counters()["hits"] == 1
 
@@ -305,9 +300,6 @@ class TestInvalidation:
         assert cache.counters()["segments"] == 0
         warm()
         database.execute("ANALYZE t")
-        assert cache.counters()["segments"] == 0
-        warm()
-        database.set_table_partitioning("t", "grp", 4)
         assert cache.counters()["segments"] == 0
         warm()
         database.execute("DROP TABLE t")

@@ -1,5 +1,7 @@
 """Write-ahead log unit tests and engine-level durability tests."""
 
+import json
+
 import pytest
 
 from repro.db import Database
@@ -267,3 +269,45 @@ class TestEngineDurability:
         db.execute("INSERT INTO t VALUES (1)")
         reopened = Database(data_directory=tmp_path / "d")
         assert reopened.query("SELECT id FROM t") == [(1,)]
+
+
+class TestLegacyPartitionRecords:
+    """Data directories written while the engine still hash-partitioned
+    heaps for parallel scans carry ``{"op": "partition"}`` WAL records
+    and a ``"partitions"`` checkpoint meta key. Neither holds row
+    state, so recovery skips both and restores the same tables."""
+
+    def write_legacy_directory(self, directory):
+        db = Database(data_directory=directory)
+        db.execute("CREATE TABLE t (k integer, v text)")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        db.checkpoint()
+        meta_path = directory / "checkpoint.json"
+        meta = json.loads(meta_path.read_text())
+        meta["partitions"] = {"t": {"column": "k", "count": 4}}
+        meta_path.write_text(json.dumps(meta))
+        db.wal.append({"op": "partition", "table": "t",
+                       "column": "k", "count": 4})
+        db.wal.commit(tick=db.clock.now)
+        db.execute("INSERT INTO t VALUES (3, 'c')")
+        db.wal.append({"op": "partition", "table": "t",
+                       "column": None, "count": 0})
+        db.wal.commit(tick=db.clock.now)
+        db.execute("UPDATE t SET v = 'z' WHERE k = 1")
+        # no close(): that would checkpoint and reset the WAL
+
+    def test_legacy_records_recover_tables_and_rows(self, tmp_path):
+        directory = tmp_path / "d"
+        self.write_legacy_directory(directory)
+        reopened = Database(data_directory=directory)
+        assert reopened.last_recovery.committed_batches == 4
+        assert reopened.catalog.table_names() == ["t"]
+        assert reopened.query("SELECT k, v FROM t ORDER BY k") == [
+            (1, "z"), (2, "b"), (3, "c")]
+        reopened.execute("INSERT INTO t VALUES (4, 'd')")
+        reopened.checkpoint()
+        # the next checkpoint no longer writes the legacy key
+        meta = json.loads((directory / "checkpoint.json").read_text())
+        assert "partitions" not in meta
+        again = Database(data_directory=directory)
+        assert again.query("SELECT count(*) FROM t") == [(4,)]
