@@ -57,7 +57,7 @@ def test_operator_throughput(benchmark, world, label, sql):
 ])
 def test_lineage_tax(world, report, label, sql):
     """Provenance-tracked execution vs plain execution, both warm (plan
-    and scan caches primed by an untimed run), best of 5 each."""
+    cache primed by an untimed run), best of 5 each."""
     database = world.database
     database.execute(sql)
     plain = best_of(lambda: database.execute(sql), repeats=5)
@@ -409,76 +409,4 @@ def test_analyze_informed_plan_beats_rote_planner(optimizer_db, report):
 
     if os.environ.get("REPRO_BENCH_UPDATE") == "1":
         _merge_into_bench_file({"optimizer": measured})
-    assert not failures, "; ".join(failures)
-
-
-# ---------------------------------------------------------------------------
-# columnar scan cache: warm segment hits vs rebuilding the batch pipeline
-# ---------------------------------------------------------------------------
-
-# a warm cache hit must beat the uncached scan rebuild by at least this
-# much in-run (the committed file records the real, larger margin)
-SCAN_CACHE_SPEEDUP_FLOOR = 2.0
-
-SCAN_CACHE_QUERY = "SELECT count(*), sum(a) FROM big WHERE a < 500"
-
-
-def test_scan_cache_warm_hits_beat_rebuilds(pipeline_db, report):
-    """The scan cache claim: a repeated aggregate over the 100k-row
-    fact table served from a resident column segment beats re-walking
-    the heap (version checks + row pivoting) every execution. Records
-    the trajectory in BENCH_engine.json under ``scan_cache`` (refresh
-    with ``REPRO_BENCH_UPDATE=1``) and gates on a >30% regression."""
-    committed = (json.loads(BENCH_FILE.read_text())
-                 if BENCH_FILE.exists() else None)
-    database = pipeline_db
-    database.plan_cache.clear()
-    cache = database.scan_cache
-
-    cache.enabled = False
-    try:
-        cold_rows = database.query(SCAN_CACHE_QUERY)
-        cold_seconds = best_of(
-            lambda: database.query(SCAN_CACHE_QUERY), repeats=3)
-    finally:
-        cache.enabled = True
-
-    cache.invalidate_all()
-    warm_rows = database.query(SCAN_CACHE_QUERY)  # builds the segment
-    hits_before = cache.hits
-    warm_seconds = best_of(
-        lambda: database.query(SCAN_CACHE_QUERY), repeats=3)
-    assert warm_rows == cold_rows
-    assert cache.hits > hits_before, "timed runs were not cache hits"
-
-    speedup = cold_seconds / max(warm_seconds, 1e-9)
-    measured = {
-        "uncached_seconds": round(cold_seconds, 6),
-        "warm_hit_seconds": round(warm_seconds, 6),
-        "uncached_rows_per_s": round(BENCH_ROWS / cold_seconds),
-        "warm_hit_rows_per_s": round(BENCH_ROWS / warm_seconds),
-        "speedup": round(speedup, 2),
-    }
-    report.add(
-        "Microbench — scan cache warm hits vs uncached (seconds)",
-        ("query", "uncached", "warm hit", "speedup"),
-        ("scan_cache", cold_seconds, warm_seconds, f"{speedup:.2f}x"))
-
-    failures = []
-    if speedup < SCAN_CACHE_SPEEDUP_FLOOR:
-        failures.append(
-            f"scan_cache: warm hits only {speedup:.2f}x over uncached "
-            f"scans (floor {SCAN_CACHE_SPEEDUP_FLOOR}x)")
-    baseline_entry = (committed or {}).get("scan_cache")
-    if baseline_entry is not None:
-        baseline = baseline_entry["warm_hit_rows_per_s"]
-        ratio = measured["warm_hit_rows_per_s"] / baseline
-        if ratio < REGRESSION_FLOOR:
-            failures.append(
-                f"scan_cache: throughput fell to {ratio:.0%} of the "
-                f"committed {baseline} rows/s "
-                f"(floor {REGRESSION_FLOOR:.0%})")
-
-    if os.environ.get("REPRO_BENCH_UPDATE") == "1":
-        _merge_into_bench_file({"scan_cache": measured})
     assert not failures, "; ".join(failures)

@@ -37,7 +37,12 @@ from typing import Callable, Mapping, Optional
 from repro.db import csvio, protocol
 from repro.db.client import DBClient, Interceptor
 from repro.db.engine import Database, StatementResult
-from repro.errors import PackageError, ReplayError, ReplayMismatchError
+from repro.errors import (
+    PackageError,
+    ProtocolError,
+    ReplayError,
+    ReplayMismatchError,
+)
 from repro.monitor.dbmonitor import ReplayLog
 from repro.core import package as pkg
 from repro.core.package import Package, PackageKind
@@ -81,7 +86,11 @@ class ReplayInterceptor(Interceptor):
             if normalize_sql(entry.sql) == wanted:
                 self.position = index + 1
                 self.replayed += 1
-                return protocol.result_from_wire(entry.result_frame)
+                try:
+                    return protocol.result_from_wire(entry.result_frame)
+                except ProtocolError as exc:
+                    raise PackageError(
+                        f"replay log entry {entry.index}: {exc}") from exc
             if not self.allow_skip:
                 raise ReplayMismatchError(
                     "statement does not match the recorded execution "

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.db.mvcc import MVCCState
-from repro.db.scancache import ScanCache
 from repro.db.stats import TableStats
 from repro.db.storage import DataDirectory, HeapTable
 from repro.db.types import Schema
@@ -32,11 +31,6 @@ class Catalog:
         self.data_directory = data_directory
         self.version = 0
         self.mvcc = MVCCState()
-        # the columnar scan cache is shared across tables like the
-        # MVCC state, and keyed by its commit watermarks; watermark
-        # moves strand segments eagerly via the write listener
-        self.scan_cache = ScanCache()
-        self.mvcc.write_listeners.append(self.scan_cache.invalidate_table)
         # ANALYZE statistics, table name → TableStats (advisory: the
         # planner falls back to rote heuristics for absent entries)
         self.stats: dict[str, TableStats] = {}
@@ -45,7 +39,6 @@ class Catalog:
             for name in data_directory.table_names():
                 table = data_directory.load_table(name)
                 table.mvcc = self.mvcc
-                table.scan_cache = self.scan_cache
                 self._tables[name] = table
 
     def bump_version(self) -> None:
@@ -62,7 +55,6 @@ class Catalog:
             raise CatalogError(f"table {name!r} already exists")
         table = HeapTable(key, schema)
         table.mvcc = self.mvcc
-        table.scan_cache = self.scan_cache
         self._tables[key] = table
         self.version += 1
         return table
@@ -74,7 +66,6 @@ class Catalog:
                 return
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
-        self.scan_cache.invalidate_table(key)
         self.version += 1
         if key in self.stats:
             del self.stats[key]

@@ -419,36 +419,6 @@ class ChaosHarness:
         self.report.generations += 1
         self._collect_counters()
         self._build_generation()
-        self._probe_scan_cache()
-
-    def _probe_scan_cache(self) -> None:
-        """A recovered engine must never serve a stale scan-cache
-        segment — notably across the window where a crash lands between
-        a commit's heap writes and its watermark bump. The recovered
-        cache is necessarily empty (it never survives the process), so
-        the first read rebuilds from recovered state; this probes that
-        a warm hit then agrees with a cache-disabled walk of the same
-        heap. SELECTs never tick the logical clock, so the probe keeps
-        the survivor byte-identical to its fault-free oracle twin.
-        """
-        database = self.server.database
-        if not database.catalog.has_table("kv"):
-            return
-        cache = database.scan_cache
-        cold = sorted(database.query("SELECT k, v FROM kv"))
-        warm = sorted(database.query("SELECT k, v FROM kv"))
-        enabled = cache.enabled
-        cache.enabled = False
-        try:
-            reference = sorted(database.query("SELECT k, v FROM kv"))
-        finally:
-            cache.enabled = enabled
-        if not (cold == warm == reference):
-            raise CampaignFailure(
-                f"seed {self.spec.seed}: scan cache diverged after "
-                f"recovery (generation {self.generation}): "
-                f"cold={len(cold)} warm={len(warm)} "
-                f"uncached={len(reference)} rows")
 
     def _collect_counters(self) -> None:
         for client in self.clients:

@@ -439,6 +439,17 @@ class Database:
     # that records the worker count stays readable
     parallel_workers = 1
 
+    class scan_cache:
+        """Read only by benchmarks/ldv, whose run record still reports
+        scan-cache figures. The engine has no scan cache, so this one is
+        off and all of its counters stay zero."""
+        enabled = False
+        max_cells = 0
+
+        @staticmethod
+        def counters() -> dict[str, int]:
+            return {"hits": 0, "misses": 0, "invalidations": 0}
+
     def __init__(self, data_directory: str | Path | None = None,
                  clock: LogicalClock | None = None,
                  autoflush: bool = False,
@@ -457,9 +468,6 @@ class Database:
         # sessions are handed out here (one per server connection, plus
         # the default one used by the embedded single-connection API)
         self.mvcc = self.catalog.mvcc
-        # the catalog-owned columnar scan cache (repro.db.scancache);
-        # exposed here for the serving layer's counters and tests
-        self.scan_cache = self.catalog.scan_cache
         self._next_session_id = 1
         self._next_txn_id = 1
         self.session = self.create_session("default")
@@ -501,9 +509,6 @@ class Database:
             # (none today — the cache is born empty — but guard the
             # invariant against future pre-warm refactors)
             self.plan_cache.clear()
-            # same invariant for scan segments: a recovered engine must
-            # never serve a pre-crash cache image
-            self.catalog.scan_cache.invalidate_all()
         # file access hooks so a virtual OS can interpose COPY I/O
         self.read_file: Callable[[str], str] = (
             lambda path: Path(path).read_text())
@@ -1206,7 +1211,6 @@ class Database:
                 "total_seconds": (operators[0]["seconds"]
                                   if operators else 0.0),
             }
-            stats["analyze"]["scan_cache"] = self.scan_cache.counters()
         lines = explain_plan(root)
         return StatementResult(
             kind="explain",
@@ -1486,9 +1490,6 @@ class Database:
                                    create.if_not_exists)
         self.catalog.bump_version()
         self.plan_cache.clear()
-        # index DDL changes the cost landscape: drop cached segments so
-        # the planner's cached-scan discount restarts from a cold cache
-        self.scan_cache.invalidate_table(table.name)
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "create_index", "table": table.name,
                        "name": index.name, "column": index.column})
@@ -1504,7 +1505,6 @@ class Database:
         table.drop_index(drop.name)
         self.catalog.bump_version()
         self.plan_cache.clear()
-        self.scan_cache.invalidate_table(table.name)
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "drop_index", "name": drop.name.lower()})
         return StatementResult(kind="drop", source_tables=[table.name])
@@ -1532,9 +1532,6 @@ class Database:
                 "columns": len(table_stats.columns),
             }
         self.plan_cache.clear()
-        # statistics moved: strand cached segments so subsequent plans
-        # are costed against a cold cache, not yesterday's residency
-        self.scan_cache.invalidate_all()
         return StatementResult(kind="analyze", rowcount=len(names),
                                source_tables=list(names),
                                stats={"analyzed": summary})

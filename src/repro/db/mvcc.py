@@ -147,10 +147,6 @@ class MVCCState:
         # result cache keys on these, so invalidation falls out of the
         # same bookkeeping that stamps versions
         self.table_watermarks: dict[str, int] = {}
-        # called with the table name on every watermark move — the
-        # columnar scan cache registers here so committed writes strand
-        # its segments the instant the watermark that keys them moves
-        self.write_listeners: list = []
 
     # -- per-table commit watermarks ------------------------------------------
 
@@ -159,8 +155,6 @@ class MVCCState:
         current = self.table_watermarks.get(table, 0)
         if tick > current:
             self.table_watermarks[table] = tick
-            for listener in self.write_listeners:
-                listener(table)
 
     def watermark(self, table: str) -> int:
         """Commit tick of the latest write to ``table`` (0 if never

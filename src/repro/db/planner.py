@@ -142,8 +142,7 @@ def explain_plan(root: Operator) -> list[str]:
             return text + _cost_note_suffix(operator)
         if isinstance(operator, SeqScan):
             return (f"SeqScan on {operator.table.name}"
-                    + _cost_note_suffix(operator)
-                    + _scan_cache_suffix(operator))
+                    + _cost_note_suffix(operator))
         if isinstance(operator, Filter):
             from repro.db.sql.render import render_expression
             return f"Filter: {render_expression(operator.predicate)}"
@@ -187,13 +186,6 @@ def _cost_note_suffix(operator: Operator) -> str:
     """The planner's index-vs-scan verdict, when one was taken."""
     note = getattr(operator, "cost_note", None)
     return f" [{note}]" if note else ""
-
-
-def _scan_cache_suffix(operator: Operator) -> str:
-    """Whether this execution's scan was served from a resident
-    segment — stamped by the scan during EXPLAIN ANALYZE runs."""
-    note = getattr(operator, "cache_note", None)
-    return f" [scan cache: {note}]" if note else ""
 
 
 def analyze_stats(root: Operator) -> list[dict]:
@@ -847,20 +839,11 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                    * _fragment_selectivity(fragment, conjunct))
         probe_cost = (statsmod.INDEX_PROBE_COST * probes
                       + statsmod.INDEX_ROW_COST * matched)
-        # a warm scan-cache segment replays prebuilt vectors, so
-        # the sequential alternative gets cheaper per row and the
-        # scan-vs-probe flip moves to smaller tables
-        cache = operator.table.scan_cache
-        warm = (cache is not None
-                and cache.has_cached_scan(operator.table))
-        scan_kind = "cached scan" if warm else "scan"
-        scan_cost = (table_rows * statsmod.CACHED_SCAN_ROW_COST
-                     if warm else table_rows)
-        if probe_cost >= scan_cost:
+        if probe_cost >= table_rows:
             operator.cost_note = (
                 f"{index.name} skipped: {probes} probe(s) ~ est "
                 f"{matched:.0f} of {table_rows:.0f} rows, "
-                f"{scan_kind} is cheaper")
+                f"scan is cheaper")
             return False
     scan_class = (vector.BatchIndexScan if options.batched
                   else IndexScan)
@@ -869,7 +852,7 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
         track_lineage, bounds=probe.bounds)
     if fragment.est_rows is not None:
         fragment.operator.cost_note = (
-            f"cost {probe_cost:.0f} < {scan_kind} {scan_cost:.0f}")
+            f"cost {probe_cost:.0f} < scan {table_rows:.0f}")
     return True
 
 

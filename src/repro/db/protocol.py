@@ -141,28 +141,40 @@ def result_to_wire(result: StatementResult) -> dict[str, Any]:
 
 
 def result_from_wire(frame: dict[str, Any]) -> StatementResult:
-    """Deserialize a ``result`` frame back into a StatementResult."""
+    """Deserialize a ``result`` frame back into a StatementResult.
+
+    A missing field, an unknown SQL type or a malformed tuple reference
+    raises :class:`ProtocolError`.
+    """
     if frame.get("frame") != "result":
         raise ProtocolError(f"expected result frame, got {frame.get('frame')!r}")
-    columns = [Column(name, SQLType(type_name))
-               for name, type_name in zip(frame["columns"], frame["types"])]
-    return StatementResult(
-        kind=frame["kind"],
-        schema=Schema(columns),
-        rows=[tuple(row) for row in frame["rows"]],
-        lineages=[frozenset(_ref_from_wire(item) for item in lineage)
-                  for lineage in frame["lineages"]],
-        rowcount=frame["rowcount"],
-        written=[_ref_from_wire(item) for item in frame["written"]],
-        written_lineage={
-            _ref_from_wire(ref): frozenset(_ref_from_wire(dep)
-                                           for dep in deps)
-            for ref, deps in frame["written_lineage"]},
-        deleted=[_ref_from_wire(item) for item in frame["deleted"]],
-        source_tables=list(frame["source_tables"]),
-        # absent in frames recorded by older monitors: default to empty
-        stats=dict(frame.get("stats") or {}),
-    )
+    try:
+        columns = [Column(name, SQLType(type_name))
+                   for name, type_name in zip(frame["columns"],
+                                              frame["types"])]
+        return StatementResult(
+            kind=frame["kind"],
+            schema=Schema(columns),
+            rows=[tuple(row) for row in frame["rows"]],
+            lineages=[frozenset(_ref_from_wire(item) for item in lineage)
+                      for lineage in frame["lineages"]],
+            rowcount=frame["rowcount"],
+            written=[_ref_from_wire(item) for item in frame["written"]],
+            written_lineage={
+                _ref_from_wire(ref): frozenset(_ref_from_wire(dep)
+                                               for dep in deps)
+                for ref, deps in frame["written_lineage"]},
+            deleted=[_ref_from_wire(item) for item in frame["deleted"]],
+            source_tables=list(frame["source_tables"]),
+            # absent in frames recorded by older monitors: default to
+            # empty
+            stats=dict(frame.get("stats") or {}),
+        )
+    except KeyError as exc:
+        raise ProtocolError(
+            f"result frame is missing field {exc}") from exc
+    except (ValueError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed result frame: {exc}") from exc
 
 
 def connect_frame(client_name: str, process_id: str) -> dict[str, Any]:

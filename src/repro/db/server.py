@@ -694,7 +694,6 @@ class DBServer:
                 "seconds": elapsed,
                 "result_cache": self.result_cache.counters(),
                 "plan_cache": self.database.plan_cache.counters(),
-                "scan_cache": self.database.scan_cache.counters(),
             }
         frame = protocol.result_to_wire(result)
         if (cache_key is not None and result.cacheable
@@ -994,7 +993,6 @@ class DBServer:
                                        for state in self._states.values()),
             "result_cache": self.result_cache.counters(),
             "plan_cache": self.database.plan_cache.counters(),
-            "scan_cache": self.database.scan_cache.counters(),
             "dedupe_ledger": self.database.dedupe_ledger.counters(),
             "draining": self.draining,
             "drain_rejections": self.drain_rejections,

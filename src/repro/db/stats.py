@@ -40,12 +40,6 @@ DEFAULT_BOOL_SELECTIVITY = 0.5
 # (random access + per-bucket bookkeeping)
 INDEX_PROBE_COST = 4.0
 INDEX_ROW_COST = 2.0
-# visiting one row of a resident scan-cache segment: no heap walk, no
-# transpose — just replaying prebuilt column vectors. With the 4x/2x
-# index unit costs above, a warm cached scan undercuts an index probe
-# until the probe matches under ~an eighth of the table, which is the
-# planner flip the scan cache is meant to buy
-CACHED_SCAN_ROW_COST = 0.25
 
 
 @dataclass

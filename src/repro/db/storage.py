@@ -88,15 +88,6 @@ class HeapTable:
         self.versions: dict[int, int] = {}
         self.history: dict[int, list[tuple[int, int, tuple]]] = {}
         self.mvcc = None  # set by Catalog; None for standalone tables
-        # the catalog's shared columnar scan cache (see
-        # repro.db.scancache); None for standalone tables, which are
-        # never served from cached segments
-        self.scan_cache = None
-        # committed-rowid list reused across scans until a mutation
-        # changes the rowid set; builds are counted so tests can probe
-        # the reuse
-        self._rowid_cache: list[int] | None = None
-        self.rowid_cache_builds = 0
         self.next_rowid = 1
         self._pk_positions: tuple[int, ...] = tuple(
             index for index, column in enumerate(schema.columns)
@@ -138,22 +129,6 @@ class HeapTable:
             else:
                 del self.history[rowid]
 
-    def _note_mutation(self, rowids_changed: bool = True) -> None:
-        """Heap changed: strand cached scan state.
-
-        Every mutator calls this, so the scan cache can never serve a
-        stale segment — including from paths that bypass the WAL/MVCC
-        bookkeeping (direct bulk loads, WAL redo, package restore) and
-        from the mid-statement window where a multi-row statement has
-        already moved the commit watermark but not yet written its
-        last row. UPDATE keeps the rowid-list cache (the rowid *set*
-        is unchanged) but still drops segments (values changed).
-        """
-        if rowids_changed:
-            self._rowid_cache = None
-        if self.scan_cache is not None:
-            self.scan_cache.invalidate_table(self.name)
-
     def pk_key(self, row: tuple) -> tuple[Any, ...] | None:
         """The row's primary-key value, or None for PK-less tables."""
         if not self._pk_positions:
@@ -181,7 +156,6 @@ class HeapTable:
         self.versions[rowid] = tick
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._note_mutation()
         return rowid
 
     def update(self, rowid: int, values: Iterable[Any], tick: int) -> None:
@@ -206,7 +180,6 @@ class HeapTable:
             index.add(rowid, row[index.position])
         self.rows[rowid] = row
         self.versions[rowid] = tick
-        self._note_mutation(rowids_changed=False)
 
     def delete(self, rowid: int, tick: int | None = None) -> None:
         """Remove a row. ``tick`` is the logical time of the removal;
@@ -224,7 +197,6 @@ class HeapTable:
             self._pk_index.pop(key, None)
         for index in self.indexes.values():
             index.remove(rowid, row[index.position])
-        self._note_mutation()
 
     def put_row(self, rowid: int, values: Iterable[Any],
                 version: int) -> None:
@@ -250,7 +222,6 @@ class HeapTable:
         self.next_rowid = max(self.next_rowid, rowid + 1)
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._note_mutation()
 
     def remove_row(self, rowid: int) -> None:
         """Delete a row if present (idempotent WAL-redo delete)."""
@@ -287,7 +258,6 @@ class HeapTable:
         self.next_rowid = max(self.next_rowid, rowid + 1)
         for index in self.indexes.values():
             index.add(rowid, row[index.position])
-        self._note_mutation()
 
     def get(self, rowid: int) -> tuple[Any, ...]:
         row = self.rows.get(rowid)
@@ -349,33 +319,6 @@ class HeapTable:
             if found is not None:
                 yield rowid, found[0], found[1]
 
-    def candidate_rowids(self) -> list[int]:
-        """Every rowid the ambient view *might* see, sorted.
-
-        This is the rowid universe :meth:`_scan_view` iterates —
-        committed rows plus history chains plus the view's private
-        overlay upserts.
-        """
-        view = self.active_view()
-        if view is None:
-            # reused across scans until a mutation changes the rowid
-            # set; callers must not mutate the shared list
-            cached = self._rowid_cache
-            if cached is None:
-                rowids = list(self.rows)
-                cached = (rowids if rowids == sorted(rowids)
-                          else sorted(rowids))
-                self._rowid_cache = cached
-                self.rowid_cache_builds += 1
-            return cached
-        universe = set(self.rows)
-        if self.history:
-            universe.update(self.history)
-        overlay = view.overlay_for(self.name)
-        if overlay is not None:
-            universe.update(overlay.upserts)
-        return sorted(universe)
-
     def visible_version(self, rowid: int,
                         view) -> tuple[tuple[Any, ...], int] | None:
         """The committed ``(values, begin)`` a view sees for a rowid,
@@ -425,7 +368,6 @@ class HeapTable:
         self._pk_index.clear()
         for index in self.indexes.values():
             index.buckets.clear()
-        self._note_mutation()
 
     # -- secondary indexes -------------------------------------------------------
 
@@ -489,40 +431,65 @@ class HeapTable:
 
     @classmethod
     def deserialize(cls, text: str) -> "HeapTable":
-        """Parse the on-disk file format back into a table."""
+        """Parse the on-disk file format back into a table.
+
+        A malformed header, a row whose cell count does not match the
+        schema, or a cell that does not parse as its column's type
+        raises :class:`CatalogError`.
+        """
         newline = text.find("\n")
         if newline == -1:
             raise CatalogError("table file is missing its header line")
-        header = json.loads(text[:newline])
-        columns = [
-            Column(
-                name=column["name"],
-                sql_type=SQLType(column["type"]),
-                not_null=column["not_null"],
-                primary_key=column["primary_key"],
-            )
-            for column in header["columns"]
-        ]
-        table = cls(header["name"], Schema(columns))
+        try:
+            header = json.loads(text[:newline])
+            columns = [
+                Column(
+                    name=column["name"],
+                    sql_type=SQLType(column["type"]),
+                    not_null=column["not_null"],
+                    primary_key=column["primary_key"],
+                )
+                for column in header["columns"]
+            ]
+            table = cls(header["name"], Schema(columns))
+            next_rowid = int(header["next_rowid"])
+            index_defs = [(index["name"], index["column"])
+                          for index in header.get("indexes", ())]
+        except KeyError as exc:
+            raise CatalogError(
+                f"table file header is missing key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise CatalogError(
+                f"table file header is malformed: {exc}") from exc
         types = table.schema.types()
+        width = len(types) + 2
         reader = csv.reader(io.StringIO(text[newline + 1:]))
         for cells in reader:
             if not cells:
                 continue
-            rowid = int(cells[0])
-            version = int(cells[1])
-            values = tuple(
-                value_from_csv(cell, sql_type)
-                for cell, sql_type in zip(cells[2:], types))
+            try:
+                if len(cells) != width:
+                    raise ValueError(
+                        f"expected {width} cells (rowid, version and "
+                        f"{len(types)} values), got {len(cells)}")
+                rowid = int(cells[0])
+                version = int(cells[1])
+                values = tuple(
+                    value_from_csv(cell, sql_type)
+                    for cell, sql_type in zip(cells[2:], types))
+            except ValueError as exc:
+                # the header is line 1 of the file
+                raise CatalogError(
+                    f"table {table.name} line {reader.line_num + 1}: "
+                    f"{exc}") from exc
             table.rows[rowid] = values
             table.versions[rowid] = version
             if table._pk_positions:
                 key = tuple(values[i] for i in table._pk_positions)
                 table._pk_index[key] = rowid
-        table.next_rowid = max(header["next_rowid"],
-                               max(table.rows, default=0) + 1)
-        for index_def in header.get("indexes", ()):
-            table.create_index(index_def["name"], index_def["column"])
+        table.next_rowid = max(next_rowid, max(table.rows, default=0) + 1)
+        for name, column in index_defs:
+            table.create_index(name, column)
         return table
 
 

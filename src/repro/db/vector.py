@@ -55,10 +55,9 @@ BATCH_SIZE = 1024
 # same queries; production code never touches it.
 _VECTORIZED = True
 
-# Lineage annotation vectors materialized by scan paths (operators and
-# cached segments). The no-provenance path must keep this flat — zero
-# allocations — and cached segments allocate once per segment instead
-# of once per scan; tests assert both through this counter.
+# Lineage annotation vectors materialized by scan paths. The
+# no-provenance path must keep this flat — zero allocations; tests
+# assert that through this counter.
 LINEAGE_VECTOR_BUILDS = 0
 
 
@@ -222,27 +221,13 @@ class BatchSeqScan(BatchOperator, ex.SeqScan):
     all pure-vector) prunes materialization: only those column
     vectors are built, the rest stay None placeholders that the
     kernel provably never reads.
-
-    When the table belongs to a catalog with a scan cache
-    (:mod:`repro.db.scancache`), the scan is served from prebuilt
-    cached segments whenever that is provably exact — committed-latest
-    reads, and snapshot reads the cache's delta pass covers — and
-    ``cache_note`` records hit/miss for EXPLAIN ANALYZE. Anything the
-    cache declines falls through to the walk below unchanged.
     """
 
     needed_columns: set[int] | None = None
-    cache_note: str | None = None
 
     def batches(self) -> Iterator[RowBatch]:
         table = self.table
         width = len(self.schema)
-        cache = table.scan_cache
-        if cache is not None:
-            served = cache.serve_seq_scan(self, table)
-            if served is not None:
-                yield from served
-                return
         if self.track_lineage or table.active_view() is not None:
             name = table.name
             track = self.track_lineage

@@ -38,7 +38,7 @@ from repro.db.sql import ast
 from repro.db.sql.parser import parse_sql
 from repro.db.sql.render import render_select
 from repro.db.versioning import VersionManager
-from repro.errors import AuditError
+from repro.errors import AuditError, PackageError
 from repro.provenance.combined import TraceBuilder
 from repro.provenance.interval import TimeInterval
 from repro.vos.process import Process
@@ -139,10 +139,33 @@ class ReplayLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ReplayLog":
+        """Parse a log; a malformed line raises :class:`PackageError`
+        naming the line."""
         log = cls()
-        for line in text.splitlines():
-            if line.strip():
-                log.entries.append(ReplayLogEntry.from_json(json.loads(line)))
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise PackageError(
+                    f"replay log line {number} is not valid JSON: "
+                    f"{exc}") from exc
+            if not isinstance(data, dict):
+                raise PackageError(
+                    f"replay log line {number} is not a JSON object")
+            try:
+                entry = ReplayLogEntry.from_json(data)
+            except KeyError as exc:
+                raise PackageError(
+                    f"replay log line {number} is missing key "
+                    f"{exc}") from exc
+            if (not isinstance(entry.sql, str)
+                    or not isinstance(entry.result_frame, dict)):
+                raise PackageError(
+                    f"replay log line {number}: 'sql' must be a string "
+                    f"and 'result' an object")
+            log.entries.append(entry)
         return log
 
     def __len__(self) -> int:

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import VMIModel, build_cde_package, build_ptu_package
 from repro.core import ldv_audit, ldv_exec
 from repro.core.package import Package
-from repro.errors import PackageError
+from repro.errors import CatalogError, PackageError
 
 from tests.core.conftest import SERVER_BINARIES, World
 
@@ -76,6 +76,16 @@ class TestPTU:
         result = ldv_exec(tmp_path / "ptu", world.registry,
                           scratch_dir=tmp_path / "scratch")
         assert result.outputs["/data/report.txt"] == original
+
+    def test_ptu_replay_refuses_malformed_table_file(self, world, tmp_path):
+        build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
+                          world.database, "main", SERVER_BINARIES)
+        path = tmp_path / "ptu" / "db" / "data" / "sales.tbl"
+        # a row one value short of the three-column schema
+        path.write_text(path.read_text() + "9,1,9,1.0\n")
+        with pytest.raises(CatalogError, match="sales line 6: expected 5"):
+            ldv_exec(tmp_path / "ptu", world.registry,
+                     scratch_dir=tmp_path / "scratch")
 
     def test_ptu_larger_than_ldv_when_selectivity_is_low(self, tmp_path):
         """The Fig 9 effect: LDV ships only the relevant subset."""

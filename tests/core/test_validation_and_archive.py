@@ -1,11 +1,16 @@
 """Output validation (digest checks) and package archiving tests."""
 
+import json
+
 import pytest
 
 from repro.core import ldv_audit, ldv_exec
 from repro.core.cli import audit_main, exec_main
 from repro.core.package import Package
-from repro.errors import PackageError
+from repro.core.replay import ReplaySession
+from repro.db import Database, protocol
+from repro.errors import PackageError, ProtocolError
+from repro.monitor.dbmonitor import ReplayLog
 
 from tests.core.conftest import SERVER_BINARIES
 
@@ -83,6 +88,101 @@ class TestOutputValidation:
         captured = capsys.readouterr()
         assert "DIFFERS" in captured.out
         assert "validation FAILED" in captured.err
+
+
+class TestHostileReplayLog:
+    """A damaged server-excluded replay log fails with one-line
+    PackageError naming the line, never a JSON/Key/TypeError."""
+
+    GOOD = json.dumps({
+        "index": 0, "sql": "SELECT 1", "provenance": False,
+        "result": protocol.result_to_wire(
+            Database().execute("SELECT 1"))})
+
+    BAD_LINES = [
+        ('{"index":1,"sql":"SELECT 2","provenance":fal',
+         "line 2 is not valid JSON"),
+        ('{"index":1,"provenance":false,"result":{}}',
+         "line 2 is missing key 'sql'"),
+        ('{"index":1,"sql":"SELECT 2","provenance":false}',
+         "line 2 is missing key 'result'"),
+        ('["SELECT 2", {}]', "line 2 is not a JSON object"),
+        ('42', "line 2 is not a JSON object"),
+        ('{"index":1,"sql":7,"provenance":false,"result":{}}',
+         "line 2: 'sql' must be a string"),
+        ('{"index":1,"sql":"SELECT 2","provenance":false,"result":[]}',
+         "line 2: 'sql' must be a string and 'result' an object"),
+    ]
+
+    @pytest.mark.parametrize("line,message", BAD_LINES)
+    def test_from_jsonl_raises_package_error(self, line, message):
+        with pytest.raises(PackageError, match=message) as info:
+            ReplayLog.from_jsonl(self.GOOD + "\n" + line + "\n")
+        assert "\n" not in str(info.value)
+
+    def test_intact_log_parses(self):
+        log = ReplayLog.from_jsonl(self.GOOD + "\n\n")
+        assert [entry.sql for entry in log.entries] == ["SELECT 1"]
+
+    def excluded_package(self, world, tmp_path):
+        ldv_audit(world.vos, "/bin/app", tmp_path / "pkg",
+                  mode="server-excluded", database=world.database,
+                  server_name="main")
+        return tmp_path / "pkg" / "replay" / "log.jsonl"
+
+    def test_prepare_refuses_truncated_log(self, memory_world, tmp_path):
+        log_path = self.excluded_package(memory_world, tmp_path)
+        text = log_path.read_text()
+        log_path.write_text(text[:len(text) - 40])
+        session = ReplaySession(tmp_path / "pkg", memory_world.registry)
+        with pytest.raises(PackageError, match="line 4 is not valid JSON"):
+            session.prepare()
+
+    @staticmethod
+    def frame():
+        database = Database()
+        database.execute("CREATE TABLE t (k integer)")
+        database.execute("INSERT INTO t VALUES (1)")
+        return protocol.result_to_wire(
+            database.execute("SELECT k FROM t", True))
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda frame: frame.pop("rowcount"), "missing field 'rowcount'"),
+        (lambda frame: frame.update(types=["blob"]), "'blob'"),
+        (lambda frame: frame.update(lineages=[[["t", 1]]]),
+         "out of range"),
+        (lambda frame: frame.update(written=[["t", "one", 1]]),
+         "invalid literal"),
+        (lambda frame: frame.update(rows=5), "not iterable"),
+    ])
+    def test_result_from_wire_raises_protocol_error(self, damage, message):
+        frame = self.frame()
+        assert protocol.result_from_wire(frame).rows == [(1,)]
+        damage(frame)
+        with pytest.raises(ProtocolError, match=message):
+            protocol.result_from_wire(frame)
+
+    def test_replay_names_the_damaged_entry(self, memory_world, tmp_path):
+        log_path = self.excluded_package(memory_world, tmp_path)
+        log_path.write_text(log_path.read_text().replace(
+            '"types":["float"]', '"types":["money"]'))
+        with pytest.raises(PackageError,
+                           match="replay log entry 1: malformed"):
+            ldv_exec(tmp_path / "pkg", memory_world.registry)
+
+    def test_cli_reports_one_line(self, tmp_path, capsys):
+        from tests.core.test_cli import SCENARIO_SPEC
+        audit_main([SCENARIO_SPEC, "--mode", "server-excluded",
+                    "--out", str(tmp_path / "pkg")])
+        log_path = tmp_path / "pkg" / "replay" / "log.jsonl"
+        log_path.write_text(log_path.read_text() + "[]\n")
+        capsys.readouterr()
+        code = exec_main([str(tmp_path / "pkg"), SCENARIO_SPEC])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("ldv-exec: error: PackageError")
+        assert "is not a JSON object" in captured.err
 
 
 class TestArchives:

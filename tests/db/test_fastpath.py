@@ -336,7 +336,7 @@ class TestExplainAnalyze:
         result = db.execute(
             "EXPLAIN ANALYZE SELECT name FROM emp WHERE salary > 55")
         text = "\n".join(row[0] for row in result.rows)
-        assert "SeqScan on emp [scan cache: miss] (rows=5 " in text
+        assert "SeqScan on emp (rows=5 " in text
         assert "Filter: salary > 55 (rows=3 " in text
         assert "Project" in text
         operators = result.stats["analyze"]["operators"]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.db import Database, DBClient, DBServer
 from repro.db import protocol
+from repro.db.provtypes import TupleRef
 from repro.errors import (
     IntegrityError,
     TransactionError,
@@ -329,6 +330,84 @@ class TestSnapshotLineage:
         after = db.execute("SELECT balance FROM accounts WHERE id = 1",
                            provenance=True)
         assert after.lineages[0] == frozenset([written_ref])
+
+
+class TestSnapshotScans:
+    """Full-table scans under a read view return exactly the rows and
+    lineage the snapshot and the transaction's own writes define."""
+
+    def make_db(self):
+        database = Database()
+        database.execute("CREATE TABLE t (k integer, v integer)")
+        database.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({k}, {k * 10})" for k in range(50)))
+        return database
+
+    @staticmethod
+    def committed(k, v=None):
+        """Row and lineage of the initial load's row ``k`` (rowid
+        ``k + 1``, written at tick 1)."""
+        return ((k, k * 10 if v is None else v),
+                frozenset([TupleRef("t", k + 1, 1)]))
+
+    def test_open_txn_overlay_merges_insert_update_delete(self):
+        database = self.make_db()
+        session = database.create_session("writer")
+        database.execute("BEGIN", session=session)
+        (inserted,) = database.execute(
+            "INSERT INTO t VALUES (100, 1000)",
+            session=session).written_lineage
+        (updated,) = database.execute(
+            "UPDATE t SET v = -1 WHERE k = 3",
+            session=session).written_lineage
+        database.execute("DELETE FROM t WHERE k = 7", session=session)
+        expected = [self.committed(k) for k in range(50) if k != 7]
+        expected[3] = ((3, -1), frozenset([updated]))
+        expected.append(((100, 1000), frozenset([inserted])))
+        result = database.execute("SELECT k, v FROM t", True,
+                                  session=session)
+        assert list(zip(result.rows, result.lineages)) == expected
+        plain = database.execute("SELECT k, v FROM t", session=session)
+        assert plain.rows == result.rows
+        # the open overlay is private: other sessions see the snapshot
+        assert database.query("SELECT k, v FROM t") == [
+            (k, k * 10) for k in range(50)]
+        database.execute("ROLLBACK", session=session)
+
+    def test_stale_snapshot_after_concurrent_autocommit(self):
+        database = self.make_db()
+        reader = database.create_session("reader")
+        database.execute("BEGIN", session=reader)
+        old = database.execute("SELECT k, v FROM t", True, session=reader)
+        assert list(zip(old.rows, old.lineages)) == [
+            self.committed(k) for k in range(50)]
+        # another session's autocommit write lands under the open
+        # snapshot, which must keep reading the superseded versions
+        database.execute("UPDATE t SET v = 0 WHERE k < 10")
+        stale = database.execute("SELECT k, v FROM t", True,
+                                 session=reader)
+        assert stale.rows == old.rows
+        assert stale.lineages == old.lineages
+        database.execute("COMMIT", session=reader)
+        fresh = database.query("SELECT k, v FROM t", session=reader)
+        assert fresh == [(k, 0 if k < 10 else k * 10) for k in range(50)]
+
+    def test_commit_then_read_sees_committed_state(self):
+        database = self.make_db()
+        database.query("SELECT * FROM t")
+        session = database.create_session("writer")
+        database.execute("BEGIN", session=session)
+        database.execute("INSERT INTO t VALUES (100, 1000)",
+                         session=session)
+        database.execute("DELETE FROM t WHERE k = 7", session=session)
+        database.execute("COMMIT", session=session)
+        rows = database.query("SELECT k, v FROM t")
+        assert rows == [(k, k * 10) for k in range(50) if k != 7] + [
+            (100, 1000)]
+        database.execute("INSERT INTO t VALUES (500, 5000)")
+        assert database.query("SELECT k, v FROM t WHERE k = 500") == [
+            (500, 5000)]
+        assert database.query("SELECT count(*) FROM t") == [(51,)]
 
 
 class TestGroupCommit:

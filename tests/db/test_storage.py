@@ -130,6 +130,48 @@ class TestSerialization:
         with pytest.raises(CatalogError):
             HeapTable.deserialize("no newline here")
 
+    PAIR = Schema([Column("a", SQLType.INTEGER), Column("b", SQLType.TEXT)])
+
+    def pair_header(self):
+        table = HeapTable("t", self.PAIR)
+        return table.serialize()
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,1,5", "expected 4 cells"),  # one value short
+        ("2,1,6,x,extra", "expected 4 cells"),  # one cell too many
+        ("1,1", "expected 4 cells"),  # no values at all
+        ("x,1,5,a", "invalid literal"),  # non-integer rowid
+        ("1,v1,5,a", "invalid literal"),  # non-integer version
+        ("1,1,five,a", "invalid literal"),  # value of the wrong type
+    ])
+    def test_malformed_row_raises(self, row, message):
+        text = self.pair_header() + "1,1,7,ok\n" + row + "\n"
+        with pytest.raises(CatalogError, match=message) as info:
+            HeapTable.deserialize(text)
+        assert "table t line 3" in str(info.value)
+
+    @pytest.mark.parametrize("header,message", [
+        ('{"name":"t","indexes":[],"columns":[]}', "missing key 'next_rowid'"),
+        ('{"name":"t","next_rowid":1}', "missing key 'columns'"),
+        ('{"name":"t","next_rowid":"x","columns":[]}', "malformed"),
+        ('{"name":"t","next_rowid":1,"columns":[{"name":"a",'
+         '"type":"blob","not_null":false,"primary_key":false}]}',
+         "malformed"),
+        ('{"name":"t",', "malformed"),
+        ('[1, 2]', "malformed"),
+    ])
+    def test_malformed_header_raises(self, header, message):
+        with pytest.raises(CatalogError, match=message):
+            HeapTable.deserialize(header + "\n")
+
+    def test_data_directory_refuses_malformed_table_file(self, tmp_path):
+        directory = DataDirectory(tmp_path / "data")
+        directory.save_table(make_table())
+        path = directory.table_path("items")
+        path.write_text(path.read_text() + "3,10,3\n")
+        with pytest.raises(CatalogError, match="expected 5 cells"):
+            directory.load_table("items")
+
 
 class TestDataDirectory:
     def test_save_and_load(self, tmp_path):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, vector
 from repro.db.expressions import interpreted_expressions
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
@@ -201,6 +201,29 @@ def test_multi_batch_inputs_chunk_and_reassemble(parity_db):
         database, "SELECT n FROM wide WHERE n % 10 < 3 ORDER BY n DESC")
     assert_wire_identical(vectorized, interpreted)
     assert len(vectorized.rows) > BATCH_SIZE // 2
+
+
+class TestLineageAllocation:
+    def make_db(self):
+        database = Database()
+        database.execute("CREATE TABLE t (k integer)")
+        database.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({k})" for k in range(3000)))  # 3 batches per scan
+        return database
+
+    def test_no_provenance_scans_allocate_zero_lineage_vectors(self):
+        database = self.make_db()
+        before = vector.LINEAGE_VECTOR_BUILDS
+        for _ in range(3):
+            database.query("SELECT k FROM t WHERE k % 2 = 0")
+        assert vector.LINEAGE_VECTOR_BUILDS == before
+
+    def test_provenance_scans_build_one_lineage_vector_per_batch(self):
+        database = self.make_db()
+        start = vector.LINEAGE_VECTOR_BUILDS
+        for _ in range(2):
+            database.execute("SELECT k FROM t", True)
+        assert vector.LINEAGE_VECTOR_BUILDS - start == 6
 
 
 # -- provenance byte-identity on real workloads -------------------------------
