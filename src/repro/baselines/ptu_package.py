@@ -73,7 +73,7 @@ def build_ptu_package(vos: VirtualOS, entry_binary: str,
         notes={"flavor": "ptu"},
     )
     package = Package.create(out_dir, manifest)
-    package.write_trace(session.trace.to_json())
+    package.write_trace(session.trace)
     # PTU packages enable validation too (its original selling point)
     import hashlib
     digests = {}

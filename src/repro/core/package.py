@@ -4,9 +4,10 @@ A package is a plain directory (so package size is measurable as the
 byte total Figure 9 reports)::
 
     <pkg>/
-      MANIFEST.json          kind, entry point, DB metadata, counters
+      MANIFEST.json          kind, entry point, DB metadata, counters,
+                             trace_format
       trace.json.gz          serialized combined execution trace
-                             (gzip — traces are highly repetitive)
+                             (gzip-compressed JSON)
       files/<path>           virtual-FS snapshot of every input file
       db/
         server/<path>        DB server binaries        (server-included)
@@ -15,19 +16,51 @@ byte total Figure 9 reports)::
         data/.keep           the empty data directory of Table III
       replay/
         log.jsonl            ordered statement/result log (server-excluded)
+
+The manifest's ``trace_format`` says how ``trace.json.gz`` is encoded;
+a manifest without it is format 1. Packages are written in format 2
+and read in either:
+
+* **format 1** is :meth:`ExecutionTrace.to_json`: one object per node
+  and per edge, each repeating its key names, ids and attributes;
+* **format 2** is :meth:`ExecutionTrace.to_v2`, an interned, columnar
+  encoding. The node table is sorted by id, and a node is an index
+  into it. ``types`` lists the ``[kind, type, model, packed]``
+  combinations and ``nodes.type`` gives each node's code. A tuple node
+  is packed into the ``tuples`` columns (``table`` code into
+  ``tuples.tables``, ``rowid``, ``version``), its id and attributes
+  rebuilt on read; every other node is an ``[id, attrs]`` row of
+  ``nodes.rows``, in node order. Edges are parallel ``src``/``dst``/
+  ``label``/``begin``/``end`` integer columns, sorted as format 1 lists
+  them, with ``label`` a code into ``labels``. A hasReturned edge's
+  Lineage is ``lineage.nodes``, lists of node indices for the edges
+  ``lineage.edges``; an id that is not a trace node is ``~i`` for
+  ``lineage.ids[i]``. Other edge attributes are ``attrs``, ``[edge
+  index, attrs]`` pairs. ``tuples``, ``lineage`` and ``attrs`` are left
+  out when empty.
+
+Both formats read back to the same :class:`ExecutionTrace`, checked as
+it is rebuilt; a malformed trace raises one-line :class:`PackageError`.
 """
 
 from __future__ import annotations
 
 import enum
+import gzip
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ManifestError, PackageError
+from repro.errors import ManifestError, PackageError, ReproError
+from repro.provenance.model import ProvenanceModel
+from repro.provenance.trace import ExecutionTrace
 
 FORMAT_VERSION = 1
+# the trace encoding write_trace writes; read_trace reads these
+TRACE_FORMAT = 2
+TRACE_FORMATS = (1, 2)
 
 MANIFEST_NAME = "MANIFEST.json"
 TRACE_NAME = "trace.json.gz"
@@ -58,10 +91,12 @@ class Manifest:
     tables: list[str] = field(default_factory=list)
     format_version: int = FORMAT_VERSION
     notes: dict[str, Any] = field(default_factory=dict)
+    trace_format: int = TRACE_FORMAT
 
     def to_json(self) -> dict[str, Any]:
         return {
             "format_version": self.format_version,
+            "trace_format": self.trace_format,
             "kind": self.kind.value,
             "entry": {"binary": self.entry_binary,
                       "argv": self.entry_argv},
@@ -81,6 +116,7 @@ class Manifest:
                 tables=list(data["db"].get("tables", [])),
                 format_version=int(data.get("format_version", 0)),
                 notes=dict(data.get("notes", {})),
+                trace_format=int(data.get("trace_format", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest: {exc}") from exc
@@ -135,38 +171,42 @@ class Package:
         path.write_text(text)
         return len(text.encode())
 
-    def write_trace(self, trace_json: dict[str, Any]) -> int:
-        """Write the serialized execution trace, gzip-compressed.
+    def write_trace(self, trace: ExecutionTrace) -> int:
+        """Write the execution trace, in trace format 2 and
+        gzip-compressed; returns the bytes written.
 
-        Traces record one entity per produced result tuple, so they
-        compress extremely well; shipping them raw would let trace
-        metadata dominate the package for result-heavy workloads.
+        Format 2 (see the module docstring) interns every node once and
+        stores tuple nodes and edges as integer columns, so a trace of
+        one node per result tuple stays small, and it is encoded
+        straight from the trace's own tables.
         """
-        import gzip
-        import json as json_module
-
+        if self.manifest.trace_format != TRACE_FORMAT:
+            self.manifest.trace_format = TRACE_FORMAT
+            self.write_manifest()
         # mtime=0 keeps the gzip header free of wall-clock time —
         # packages of identical traces must be byte-identical no
         # matter when they were written (the replica-of-record
         # invariant the chaos harness checks)
-        payload = gzip.compress(json_module.dumps(
-            trace_json, separators=(",", ":")).encode(), mtime=0)
+        payload = gzip.compress(json.dumps(
+            trace.to_v2(), separators=(",", ":")).encode(), mtime=0)
         path = self.root / TRACE_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(payload)
         return len(payload)
 
-    def read_trace(self) -> dict[str, Any]:
-        """Load the serialized execution trace.
+    def read_trace(self, model: ProvenanceModel) -> ExecutionTrace:
+        """Load the execution trace, of either trace format, as a trace
+        of ``model``.
 
-        A truncated or bit-flipped ``trace.json.gz`` raises a one-line
-        :class:`PackageError` instead of leaking the gzip/zlib/JSON
-        exception it tripped over.
+        A truncated or bit-flipped ``trace.json.gz``, a payload that
+        is not a trace of ``model``, or an unknown trace format raises
+        a one-line :class:`PackageError` naming the fault, instead of
+        leaking the exception it tripped over.
         """
-        import gzip
-        import json as json_module
-        import zlib
-
+        trace_format = self.manifest.trace_format
+        if trace_format not in TRACE_FORMATS:
+            raise PackageError(
+                f"unsupported trace format {trace_format!r}")
         path = self.root / TRACE_NAME
         if not path.exists():
             raise PackageError("package has no execution trace")
@@ -178,11 +218,31 @@ class Package:
                 f"corrupt {TRACE_NAME}: cannot decompress "
                 f"({type(exc).__name__}: {exc})") from exc
         try:
-            return json_module.loads(payload)
-        except ValueError as exc:
+            document = json.loads(payload)
+        except (ValueError, RecursionError) as exc:
             raise PackageError(
                 f"corrupt {TRACE_NAME}: not valid JSON "
                 f"({type(exc).__name__}: {exc})") from exc
+        if not isinstance(document, dict):
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: a {type(document).__name__}, "
+                "not a trace object")
+        if document.get("model") != model.name:
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: a trace of model "
+                f"{document.get('model')!r}, not {model.name!r}")
+        try:
+            if trace_format == 1:
+                return ExecutionTrace.from_json(document, model)
+            return ExecutionTrace.from_v2(document, model)
+        except KeyError as exc:
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: missing field {exc}") from exc
+        except (ReproError, TypeError, ValueError, IndexError,
+                AttributeError) as exc:
+            raise PackageError(
+                f"corrupt {TRACE_NAME}: {type(exc).__name__}: "
+                f"{exc}") from exc
 
     def read_text(self, relative: str) -> str:
         path = self.root / relative

@@ -94,7 +94,7 @@ class Packager:
             self.vos.fs.export_file(virtual_path,
                                     package.file_path(virtual_path))
             count += 1
-        package.write_trace(self.session.trace.to_json())
+        package.write_trace(self.session.trace)
         digests = {}
         for virtual_path in sorted(self.session.ptu.written_paths):
             if self.vos.fs.is_file(virtual_path):

@@ -251,6 +251,9 @@ class ReplaySession:
         self.database = database
 
     def _restore_relevant_tuples(self, database: Database) -> None:
+        """Restore the shipped tuple versions, as many as the manifest
+        says were relevant: missing or cut restore CSVs would replay
+        over too few tuples and only show in the output digests."""
         for table_name in self.package.restore_tables():
             heap = database.catalog.get_table(table_name)
             text = self.package.read_text(
@@ -259,6 +262,11 @@ class ReplaySession:
                     text, heap.schema):
                 heap.restore_row(rowid, values, version)
                 self.restored_tuples += 1
+        expected = self.package.manifest.notes.get("relevant_tuples")
+        if expected is not None and self.restored_tuples != expected:
+            raise PackageError(
+                f"restore CSVs hold {self.restored_tuples} tuple "
+                f"versions, the manifest records {expected} relevant ones")
 
     def _restore_full_data(self, database: Database) -> None:
         """PTU packages carry complete table files under db/data."""

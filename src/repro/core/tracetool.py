@@ -30,7 +30,7 @@ from repro.provenance.trace import ExecutionTrace
 def load_package_trace(package_dir: str | Path) -> ExecutionTrace:
     """Load the combined execution trace from a package."""
     package = Package.load(package_dir)
-    return ExecutionTrace.from_json(package.read_trace(), COMBINED_MODEL)
+    return package.read_trace(COMBINED_MODEL)
 
 
 def summarize(trace: ExecutionTrace) -> dict[str, int]:

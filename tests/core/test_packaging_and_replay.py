@@ -103,9 +103,8 @@ class TestServerIncludedRoundTrip:
 
     def test_trace_shipped_and_loadable(self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")
-        from repro.provenance import ExecutionTrace, COMBINED_MODEL
-        data = Package.load(tmp_path / "pkg").read_trace()
-        trace = ExecutionTrace.from_json(data, COMBINED_MODEL)
+        from repro.provenance import COMBINED_MODEL
+        trace = Package.load(tmp_path / "pkg").read_trace(COMBINED_MODEL)
         assert trace.activities("process")
         assert trace.activities("query")
 
@@ -274,15 +273,37 @@ class TestFailureInjection:
         with pytest.raises(ReplayMismatchError):
             ldv_exec(tmp_path / "pkg", world.registry)
 
-    def test_missing_restore_csv_means_empty_table(self, world,
-                                                   tmp_path):
+    def test_missing_restore_csv_fails_prepare(self, world, tmp_path):
+        # replayed over an empty table the run would write 50.0|1, and
+        # only the output digest check would notice afterwards
         audit_included(world, tmp_path / "pkg")
         (tmp_path / "pkg" / "db" / "restore" / "sales.csv").unlink()
         session = ReplaySession(tmp_path / "pkg", world.registry,
                                 scratch_dir=tmp_path / "scratch")
+        with pytest.raises(PackageError,
+                           match="hold 0 tuple versions.* records 4"):
+            session.prepare()
+
+    def test_short_restore_csv_fails_prepare(self, world, tmp_path):
+        # half the relevant tuples would replay as 61.0|3
+        audit_included(world, tmp_path / "pkg")
+        csv_path = tmp_path / "pkg" / "db" / "restore" / "sales.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:len(lines) // 2]))
+        session = ReplaySession(tmp_path / "pkg", world.registry,
+                                scratch_dir=tmp_path / "scratch")
+        with pytest.raises(PackageError,
+                           match="hold 2 tuple versions.* records 4"):
+            session.prepare()
+
+    def test_full_restore_csvs_restore_the_relevant_count(self, world,
+                                                          tmp_path):
+        report = audit_included(world, tmp_path / "pkg")
+        session = ReplaySession(tmp_path / "pkg", world.registry,
+                                scratch_dir=tmp_path / "scratch")
         session.prepare()
-        heap = session.database.catalog.get_table("sales")
-        assert heap.row_count == 0
+        assert session.restored_tuples == \
+            report.session.relevant_tuples.tuple_count == 4
 
     def test_run_before_prepare_raises(self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")

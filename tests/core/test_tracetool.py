@@ -1,13 +1,22 @@
 """ldv-trace tool tests."""
 
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.core import ldv_audit
+from repro.core import ldv_audit, ldv_exec
+from repro.core.package import TRACE_NAME, Package
 from repro.core.tracetool import load_package_trace, summarize, trace_main
+from repro.provenance import COMBINED_MODEL, ExecutionTrace
 
-from tests.core.conftest import SERVER_BINARIES
+from tests.core.conftest import SERVER_BINARIES, World
+
+# the sales world's server-included package as written in trace format
+# 1, before format 2 existed; never rewrite it
+V1_PACKAGE = (Path(__file__).resolve().parents[1] / "fixtures"
+              / "package_v1_included")
 
 
 @pytest.fixture
@@ -113,3 +122,38 @@ class TestTraceCli:
         assert len(lines) == 1
         assert lines[0].startswith("ldv-trace: error: corrupt")
 
+
+
+class TestFrozenV1Package:
+    """A package written in trace format 1 still reads, replays and
+    inspects as it did."""
+
+    def test_manifest_without_trace_format_reads_as_format_1(self):
+        manifest = json.loads((V1_PACKAGE / "MANIFEST.json").read_text())
+        assert "trace_format" not in manifest
+        assert Package.load(V1_PACKAGE).manifest.trace_format == 1
+
+    def test_read_trace_equals_a_fresh_v1_decode(self):
+        document = json.loads(gzip.decompress(
+            (V1_PACKAGE / TRACE_NAME).read_bytes()))
+        fresh = ExecutionTrace.from_json(document, COMBINED_MODEL)
+        loaded = Package.load(V1_PACKAGE).read_trace(COMBINED_MODEL)
+        assert loaded.to_json() == fresh.to_json() == document
+
+    def test_census_matches_a_v2_repackaging(self, world, tmp_path,
+                                             capsys):
+        ldv_audit(world.vos, "/bin/app", tmp_path / "pkg",
+                  mode="server-included", database=world.database,
+                  server_name="main", server_binary_paths=SERVER_BINARIES)
+        assert Package.load(tmp_path / "pkg").manifest.trace_format == 2
+        assert trace_main([str(V1_PACKAGE)]) == 0
+        frozen = capsys.readouterr().out
+        assert trace_main([str(tmp_path / "pkg")]) == 0
+        assert capsys.readouterr().out == frozen
+        assert "entity:tuple" in frozen
+
+    def test_replays(self, tmp_path):
+        result = ldv_exec(V1_PACKAGE, World().registry,
+                          scratch_dir=tmp_path / "scratch")
+        assert result.outputs["/data/report.txt"] == b"75.0|5\n"
+        assert result.validated
