@@ -106,20 +106,54 @@ class Manifest:
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Manifest":
+    def from_json(cls, data: Any) -> "Manifest":
+        """Parse a manifest; any shape other than the one
+        :meth:`to_json` writes raises a one-line :class:`ManifestError`."""
+        data = _json_object(data, "the manifest")
         try:
+            entry = _json_object(data["entry"], '"entry"')
+            db = _json_object(data["db"], '"db"')
             return cls(
                 kind=PackageKind(data["kind"]),
-                entry_binary=data["entry"]["binary"],
-                entry_argv=list(data["entry"].get("argv", [])),
-                db_server_name=data["db"].get("server_name"),
-                tables=list(data["db"].get("tables", [])),
+                entry_binary=entry["binary"],
+                entry_argv=_json_strings(entry.get("argv", []),
+                                         '"entry.argv"'),
+                db_server_name=db.get("server_name"),
+                tables=_json_strings(db.get("tables", []), '"db.tables"'),
                 format_version=int(data.get("format_version", 0)),
-                notes=dict(data.get("notes", {})),
+                notes=dict(_json_object(data.get("notes", {}), '"notes"')),
                 trace_format=int(data.get("trace_format", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest: {exc}") from exc
+
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+                    bool: "a boolean", int: "a number", float: "a number",
+                    type(None): "null"}
+
+
+def _json_type(value: Any) -> str:
+    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def _json_object(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ManifestError(f"malformed manifest: {what} must be an "
+                            f"object, not {_json_type(value)}")
+    return value
+
+
+def _json_strings(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list):
+        raise ManifestError(f"malformed manifest: {what} must be a list "
+                            f"of strings, not {_json_type(value)}")
+    for item in value:
+        if not isinstance(item, str):
+            raise ManifestError(
+                f"malformed manifest: {what} must be a list of strings, "
+                f"but holds {_json_type(item)}")
+    return list(value)
 
 
 class Package:

@@ -66,7 +66,6 @@ from repro.db.mvcc import (
 from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.stats import TableStats, compute_table_stats
-from repro.db.vector import BatchOperator
 from repro.db.sql import ast
 from repro.db.sql.params import Binder
 from repro.db.sql.parser import parse_sql
@@ -344,7 +343,7 @@ class Cursor:
             self._context = context
             self._view = ReadView(context.snapshot, context,
                                   database.mvcc)
-            self._iterator = self._produce(planned.root)
+            self._iterator = iter(planned.root)
 
     @property
     def defunct(self) -> bool:
@@ -352,18 +351,6 @@ class Cursor:
         has ended — the server reaps such cursors."""
         return (self._owns_txn_id is None and self._context is not None
                 and self.session.txn is not self._context)
-
-    @staticmethod
-    def _produce(root) -> Iterator[tuple[tuple, frozenset]]:
-        if isinstance(root, BatchOperator):
-            for batch in root.batches():
-                rows = batch.rows()
-                lineages = batch.gathered_lineages()
-                if lineages is None:
-                    lineages = [EMPTY_LINEAGE] * len(rows)
-                yield from zip(rows, lineages)
-        else:
-            yield from root
 
     def fetch(self, max_rows: int) -> tuple[list[tuple], list[frozenset]]:
         """Pull up to ``max_rows`` more rows (with their lineages);
@@ -1136,35 +1123,19 @@ class Database:
     def _materialize_root(self, root) -> tuple[list[tuple], list[frozenset]]:
         """Pull an operator tree to completion.
 
-        Batch plans drain whole :class:`RowBatch`es — the result
-        rows/lineages are identical to row iteration, without paying a
-        generator round-trip per tuple. An installed statement
-        deadline (:meth:`statement_deadline`) is checked between
-        batches, which is what lets the server cancel runaway scans
-        mid-statement."""
+        Drains whole :class:`RowBatch`es — the result rows/lineages are
+        identical to the row view, without paying a generator
+        round-trip per tuple. An installed statement deadline
+        (:meth:`statement_deadline`) is checked between batches, which
+        is what lets the server cancel runaway scans mid-statement."""
         rows: list[tuple] = []
         lineages: list[frozenset] = []
         check = self._deadline is not None
-        if isinstance(root, BatchOperator):
-            for batch in root.batches():
-                if check:
-                    self._check_deadline()
-                rows.extend(batch.rows())
-                gathered = batch.gathered_lineages()
-                if gathered is None:
-                    lineages.extend([EMPTY_LINEAGE] * len(batch))
-                else:
-                    lineages.extend(gathered)
-        else:
-            pending = 0
-            for values, lineage in root:
-                rows.append(values)
-                lineages.append(lineage)
-                if check:
-                    pending += 1
-                    if pending >= 1024:
-                        pending = 0
-                        self._check_deadline()
+        for batch in root.batches():
+            if check:
+                self._check_deadline()
+            rows.extend(batch.rows())
+            lineages.extend(batch.picked_lineages())
         return rows, lineages
 
     def _run_planned_select(self, planned: PlannedQuery) -> StatementResult:

@@ -1,15 +1,31 @@
-"""Pull-based query operators with optional lineage propagation.
+"""Batch-at-a-time query operators with optional lineage propagation.
 
-Every operator is an iterator over ``(values, lineage)`` pairs where
-``values`` is a plain tuple and ``lineage`` is a
-``frozenset[TupleRef]`` (empty when lineage tracking is disabled, so
-downstream code never needs a None check).
+Every operator produces a stream of :class:`RowBatch` through
+:meth:`Operator.batches` — column vectors plus a parallel *annotation
+vector* of lineages — so per-tuple interpreter overhead is paid once
+per ~:data:`BATCH_SIZE` rows, and expressions evaluate as compiled
+list comprehensions over whole columns (see the batch compilation
+section of :mod:`repro.db.expressions`). Iterating an operator is the
+row view of the same stream: ``(values, lineage)`` pairs where
+``values`` is a plain tuple and ``lineage`` a ``frozenset[TupleRef]``
+(empty when lineage tracking is disabled). MVCC read views, the
+monitor's lineage capture and ``INSERT ... SELECT`` consume that view.
 
-Operators compile their expressions **once in __init__** via
-:func:`repro.db.expressions.compile_expression` — the per-row work is
-a chain of closures, not an AST walk (see docs/engine-internals.md).
-:class:`Instrumented` wraps any operator transparently to record rows
-produced and wall time for ``EXPLAIN ANALYZE``.
+Design rules:
+
+* Lineage annotations ride in a vector parallel to the columns;
+  ``None`` means "no annotations anywhere in this batch" so the
+  non-provenance path never allocates per-row frozensets.
+* A selection vector (``sel``) defers gathering after filters: a
+  filter only refines ``sel``, the next gathering operator pays the
+  copy once.
+* Operators compile their expressions **once in __init__**; row
+  closures from :func:`repro.db.expressions.compile_expression` remain
+  where evaluation is per output row (join residuals, aggregate
+  outputs, index probe constants).
+
+:class:`Instrumented` wraps any operator to record rows, batches and
+wall time for ``EXPLAIN ANALYZE``.
 
 Lineage propagation implements the paper's Lineage semantics (the
 set-of-contributing-input-tuples abstraction of the semiring framework,
@@ -28,10 +44,12 @@ aggregation) — see DESIGN.md section 1.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.db import expressions as exprs
-from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
+from repro.db.provtypes import EMPTY_LINEAGE, lineage_singletons
 from repro.db.sql import ast
 from repro.db.storage import HeapTable
 from repro.db.types import Schema
@@ -40,18 +58,179 @@ from repro.errors import ExecutionError
 Row = tuple
 Annotated = tuple[Row, frozenset]
 
+# Rows per batch: large enough to amortize per-batch dispatch, small
+# enough that column vectors stay cache-friendly Python lists.
+BATCH_SIZE = 1024
+
+# Lineage annotation vectors materialized by scan paths. The
+# no-provenance path must keep this flat — zero allocations; tests
+# assert that through this counter.
+LINEAGE_VECTOR_BUILDS = 0
+
+
+def note_lineage_vector_build() -> None:
+    global LINEAGE_VECTOR_BUILDS
+    LINEAGE_VECTOR_BUILDS += 1
+
+
+class RowBatch:
+    """A batch of rows in columnar layout with lineage annotations.
+
+    ``columns`` holds one list per schema column, each ``count`` long.
+    ``lineages`` is a parallel list of frozensets, or None when no row
+    in the batch carries lineage. ``sel`` is a selection vector of row
+    positions still alive (None = all). ``row_major`` optionally
+    caches the same rows as tuples (producers that already hold row
+    tuples — scans, join output — pass them so :meth:`rows` skips
+    re-transposing). Consumers must treat the vectors as immutable —
+    operators share them across batches.
+    """
+
+    __slots__ = ("columns", "count", "lineages", "sel", "row_major")
+
+    def __init__(self, columns: list, count: int,
+                 lineages: list | None = None,
+                 sel: Any = None,
+                 row_major: list | None = None) -> None:
+        self.columns = columns
+        self.count = count
+        self.lineages = lineages
+        self.sel = sel
+        self.row_major = row_major
+
+    def selection(self) -> Any:
+        return range(self.count) if self.sel is None else self.sel
+
+    def __len__(self) -> int:
+        return self.count if self.sel is None else len(self.sel)
+
+    def rows(self) -> list[tuple]:
+        """Selected rows as plain tuples (the row view's currency).
+
+        Transposition runs through ``zip(*columns)`` — per-row
+        ``tuple(generator)`` calls were the single hottest line of the
+        batch engine before this.
+        """
+        row_major = self.row_major
+        sel = self.sel
+        if row_major is not None:
+            if sel is None:
+                return row_major
+            return [row_major[index] for index in sel]
+        columns = self.columns
+        if not columns:
+            return [()] * (self.count if sel is None else len(sel))
+        if sel is None:
+            return list(zip(*columns))
+        if len(columns) == 1:
+            column = columns[0]
+            return [(column[index],) for index in sel]
+        return list(zip(*[[column[index] for index in sel]
+                          for column in columns]))
+
+    def gathered_lineages(self) -> list | None:
+        """Annotation vector aligned with :meth:`rows`, or None."""
+        if self.lineages is None:
+            return None
+        if self.sel is None:
+            return self.lineages
+        return [self.lineages[index] for index in self.sel]
+
+    def picked_lineages(self) -> list:
+        """Like :meth:`gathered_lineages` with the empty-lineage fill."""
+        gathered = self.gathered_lineages()
+        if gathered is None:
+            return [EMPTY_LINEAGE] * len(self)
+        return gathered
+
+    def slice(self, start: int, stop: int) -> "RowBatch":
+        """A sub-range of the selected rows (shares the vectors)."""
+        sel = self.selection()
+        return RowBatch(self.columns, self.count, self.lineages,
+                        sel[start:stop], self.row_major)
+
 
 class Operator:
-    """Base class: an iterable of annotated rows with a fixed schema."""
+    """Base class: a stream of :class:`RowBatch` with a fixed schema."""
 
     schema: Schema
 
-    def __iter__(self) -> Iterator[Annotated]:  # pragma: no cover - interface
+    def batches(self) -> Iterator[RowBatch]:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Annotated]:
+        """The row view: ``(values, lineage)`` pairs decoded from
+        :meth:`batches`."""
+        for batch in self.batches():
+            lineages = batch.gathered_lineages()
+            if lineages is None:
+                for values in batch.rows():
+                    yield values, EMPTY_LINEAGE
+            else:
+                yield from zip(batch.rows(), lineages)
+
+
+def _chunk_annotated(iterator: Iterator[Annotated],
+                     width: int) -> Iterator[RowBatch]:
+    """Chunk an annotated-row iterator into dense batches."""
+    while True:
+        chunk = list(islice(iterator, BATCH_SIZE))
+        if not chunk:
+            return
+        columns = (list(zip(*(values for values, _ in chunk)))
+                   if width else [])
+        lineages: list | None = [lineage for _, lineage in chunk]
+        if not any(lineages):
+            lineages = None
+        yield RowBatch(columns, len(chunk), lineages, None)
+
+
+def _version_batches(entries: Iterable[tuple[int, tuple, int]],
+                     name: str, track_lineage: bool,
+                     width: int) -> Iterator[RowBatch]:
+    """Chunk ``(rowid, values, version)`` scan entries into batches,
+    annotating each row with its singleton lineage when tracking."""
+    iterator = iter(entries)
+    while True:
+        chunk = list(islice(iterator, BATCH_SIZE))
+        if not chunk:
+            return
+        chunk_rows = [values for _, values, _ in chunk]
+        columns = list(zip(*chunk_rows)) if width else []
+        lineages = None
+        if track_lineage:
+            lineages = lineage_singletons(
+                name, [(rowid, version) for rowid, _, version in chunk])
+            note_lineage_vector_build()
+        yield RowBatch(columns, len(chunk), lineages, None, chunk_rows)
+
+
+def _dense_batch(rows: list[tuple], lineages: list | None,
+                 width: int) -> RowBatch:
+    """Dense batch from produced row tuples (zip-transposed)."""
+    columns = list(zip(*rows)) if width else []
+    return RowBatch(columns, len(rows),
+                    lineages if lineages and any(lineages) else None,
+                    None, rows)
 
 
 class SeqScan(Operator):
-    """Full scan of a heap table, optionally producing lineage."""
+    """Columnar full scan of a heap table, optionally producing lineage.
+
+    Under an MVCC read view (or with lineage tracking) rows flow
+    through ``scan_versions()``, which reports the begin stamp of the
+    version the ambient read view actually saw — under a snapshot that
+    may be a history entry or the session's own write, so lineage
+    references the snapshot's tuple versions. The committed-latest
+    no-lineage case slices the heap directly.
+
+    ``needed_columns`` (set by a fused parent whose expressions are
+    all pure-vector) prunes materialization: only those column
+    vectors are built, the rest stay None placeholders that the
+    kernel provably never reads.
+    """
+
+    needed_columns: set[int] | None = None
 
     def __init__(self, table: HeapTable, qualifier: str,
                  track_lineage: bool) -> None:
@@ -60,18 +239,39 @@ class SeqScan(Operator):
         self.schema = table.schema.qualified(qualifier)
         self.track_lineage = track_lineage
 
-    def __iter__(self) -> Iterator[Annotated]:
-        if self.track_lineage:
-            name = self.table.name
-            # scan_versions reports the begin stamp of the version the
-            # ambient read view actually saw — under a snapshot that
-            # may be a history entry or the session's own write, so
-            # lineage references the snapshot's tuple versions
-            for rowid, values, version in self.table.scan_versions():
-                yield values, frozenset((TupleRef(name, rowid, version),))
+    def batches(self) -> Iterator[RowBatch]:
+        table = self.table
+        width = len(self.schema)
+        if self.track_lineage or table.active_view() is not None:
+            yield from _version_batches(table.scan_versions(), table.name,
+                                        self.track_lineage, width)
+            return
+        heap = table.rows
+        rowids = sorted(heap)
+        if rowids == list(heap):
+            # rowids are allocated monotonically, so the heap dict is
+            # almost always already in rowid order — skip 1 dict
+            # lookup per row
+            ordered = list(heap.values())
         else:
-            for _rowid, values in self.table.scan():
-                yield values, EMPTY_LINEAGE
+            ordered = [heap[rowid] for rowid in rowids]
+        needed = self.needed_columns
+        if needed is not None and len(needed) < width:
+            getters = [(index, itemgetter(index))
+                       for index in sorted(needed)]
+            for start in range(0, len(ordered), BATCH_SIZE):
+                chunk_rows = ordered[start:start + BATCH_SIZE]
+                columns: list = [None] * width
+                for index, getter in getters:
+                    columns[index] = list(map(getter, chunk_rows))
+                yield RowBatch(columns, len(chunk_rows), None, None,
+                               chunk_rows)
+            return
+        for start in range(0, len(ordered), BATCH_SIZE):
+            chunk_rows = ordered[start:start + BATCH_SIZE]
+            columns = list(zip(*chunk_rows)) if width else []
+            yield RowBatch(columns, len(chunk_rows), None, None,
+                           chunk_rows)
 
 
 class IndexScan(Operator):
@@ -139,34 +339,100 @@ class IndexScan(Operator):
         for rowid in sorted(rowids):
             yield rowid, rows[rowid], versions[rowid]
 
-    def __iter__(self) -> Iterator[Annotated]:
-        if self.track_lineage:
-            name = self.table.name
-            for rowid, values, version in self.scan_versions():
-                yield values, frozenset((TupleRef(name, rowid, version),))
+    def batches(self) -> Iterator[RowBatch]:
+        return _version_batches(self.scan_versions(), self.table.name,
+                                self.track_lineage, len(self.schema))
+
+
+class FusedScanFilterProject(Operator):
+    """Scan→Filter→Project fused into one compiled per-batch kernel.
+
+    The planner grows this node bottom-up: predicates pushed onto a
+    scan join the fusion via :meth:`add_predicate`, and the final
+    SELECT-list projection lands via :meth:`absorb_projections`. Each
+    mutation recompiles the kernel (plan-time cost only). One batch
+    then takes a single call: refine the selection through every
+    predicate, gather the projected columns, pick the surviving
+    lineage annotations.
+    """
+
+    def __init__(self, child: Operator,
+                 predicates: list | None = None,
+                 projections: list | None = None,
+                 output_schema=None) -> None:
+        self.child = child
+        self.predicates = list(predicates or [])
+        self.projections: list | None = None
+        self.schema = child.schema
+        if projections is not None:
+            self.absorb_projections(projections, output_schema)
         else:
-            for _rowid, values, _version in self.scan_versions():
-                yield values, EMPTY_LINEAGE
+            self._recompile()
+
+    def _recompile(self) -> None:
+        self._kernel = exprs.compile_fused_kernel(
+            self.predicates, self.projections, self.child.schema)
+
+    def add_predicate(self, predicate: ast.Expression) -> None:
+        if self.projections is not None:
+            raise ExecutionError(
+                "cannot add a predicate below an absorbed projection")
+        self.predicates.append(predicate)
+        self._recompile()
+
+    def absorb_projections(self, projections: list,
+                           output_schema) -> None:
+        self.projections = list(projections)
+        self.schema = output_schema
+        self._recompile()
+        # with a dense output this node is the scan's sole consumer;
+        # if every expression is pure-vector the scan can skip
+        # materializing the columns nothing reads
+        if isinstance(self.child, SeqScan):
+            self.child.needed_columns = exprs.vector_safe_columns(
+                self.predicates + self.projections, self.child.schema)
+
+    def batches(self) -> Iterator[RowBatch]:
+        kernel = self._kernel
+        dense = self.projections is not None
+        for batch in self.child.batches():
+            out_columns, out_sel, picked = kernel(batch.columns,
+                                                  batch.selection())
+            if not picked:
+                continue
+            if dense:
+                lineages = (None if batch.lineages is None else
+                            [batch.lineages[index] for index in picked])
+                yield RowBatch(out_columns, len(picked), lineages)
+            else:
+                yield RowBatch(out_columns, batch.count, batch.lineages,
+                               out_sel, batch.row_major)
 
 
 class Filter(Operator):
-    """Keep rows for which the predicate evaluates to TRUE."""
+    """Keep rows for which the predicate evaluates to TRUE.
+
+    A selection-vector filter: refines ``sel``, copies nothing."""
 
     def __init__(self, child: Operator, predicate: ast.Expression) -> None:
         self.child = child
         self.schema = child.schema
         self.predicate = predicate
-        self._matches = exprs.compile_predicate(predicate, child.schema)
+        self._refine = exprs.compile_batch_predicate(predicate,
+                                                     child.schema)
 
-    def __iter__(self) -> Iterator[Annotated]:
-        matches = self._matches
-        for values, lineage in self.child:
-            if matches(values):
-                yield values, lineage
+    def batches(self) -> Iterator[RowBatch]:
+        refine = self._refine
+        for batch in self.child.batches():
+            sel = refine(batch.columns, batch.selection())
+            if sel:
+                yield RowBatch(batch.columns, batch.count,
+                               batch.lineages, sel, batch.row_major)
 
 
 class Project(Operator):
-    """Evaluate a list of output expressions per input row."""
+    """Evaluate a list of output expressions: one compiled vector
+    closure per output column."""
 
     def __init__(self, child: Operator,
                  output_expressions: list[ast.Expression],
@@ -174,18 +440,23 @@ class Project(Operator):
         self.child = child
         self.schema = output_schema
         self.output_expressions = output_expressions
-        self._output_fns = [exprs.compile_expression(expression, child.schema)
-                            for expression in output_expressions]
+        self._batch_fns = [
+            exprs.compile_batch_expression(expression, child.schema)
+            for expression in output_expressions]
 
-    def __iter__(self) -> Iterator[Annotated]:
-        output_fns = self._output_fns
-        for values, lineage in self.child:
-            out = tuple(fn(values) for fn in output_fns)
-            yield out, lineage
+    def batches(self) -> Iterator[RowBatch]:
+        batch_fns = self._batch_fns
+        for batch in self.child.batches():
+            sel = batch.selection()
+            if not sel:
+                continue
+            columns = [fn(batch.columns, sel) for fn in batch_fns]
+            yield RowBatch(columns, len(sel), batch.gathered_lineages())
 
 
 class HashJoin(Operator):
-    """Equi-join: build a hash table on one side, probe with the other.
+    """Equi-join: build a hash table on one side, probe with the other
+    one batch at a time.
 
     ``kind`` is ``"inner"`` or ``"left"``. Join keys are expressions
     evaluated against each side's schema. A residual predicate (the
@@ -193,6 +464,15 @@ class HashJoin(Operator):
     concatenated row. ``build_side`` names which input is hashed —
     the planner picks the smaller one; a LEFT join must build on the
     right so the probe pass can pad unmatched preserved rows.
+
+    The build side is hashed as row tuples (probe output is
+    row-shaped anyway); the probe side evaluates its key expressions
+    as column vectors, so the per-row probe loop touches only the hash
+    lookup. NULL keys are never inserted into the build table, so
+    probe lookups need no NULL checks — a missing key and a NULL key
+    both miss. When neither input carries lineage annotations the
+    probe loop skips all per-row lineage bookkeeping (no frozenset
+    unions).
     """
 
     def __init__(self, left: Operator, right: Operator,
@@ -219,67 +499,161 @@ class HashJoin(Operator):
         self.residual = residual
         self.build_side = build_side
         self.schema = left.schema.concat(right.schema)
-        self._left_key_fns = [exprs.compile_expression(expression, left.schema)
-                              for expression in left_keys]
-        self._right_key_fns = [exprs.compile_expression(expression,
-                                                        right.schema)
-                               for expression in right_keys]
         self._residual_fn = (exprs.compile_predicate(residual, self.schema)
                              if residual is not None else None)
+        self._left_batch_keys = [
+            exprs.compile_batch_expression(expression, left.schema)
+            for expression in left_keys]
+        self._right_batch_keys = [
+            exprs.compile_batch_expression(expression, right.schema)
+            for expression in right_keys]
+        self._prune_side(left, left_keys)
+        self._prune_side(right, right_keys)
 
-    def __iter__(self) -> Iterator[Annotated]:
-        if self.build_side == "left":
-            yield from self._iter_build_left()
-            return
-        build: dict[tuple, list[Annotated]] = {}
-        right_key_fns = self._right_key_fns
-        for values, lineage in self.right:
-            key = tuple(fn(values) for fn in right_key_fns)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            build.setdefault(key, []).append((values, lineage))
-        left_key_fns = self._left_key_fns
-        residual = self._residual_fn
-        right_width = len(self.right.schema)
-        null_pad = (None,) * right_width
-        for values, lineage in self.left:
-            key = tuple(fn(values) for fn in left_key_fns)
-            produced = False
-            if not any(part is None for part in key):
-                for right_values, right_lineage in build.get(key, ()):
-                    joined = values + right_values
-                    if residual is not None and not residual(joined):
+    @staticmethod
+    def _prune_side(side: Operator, keys: list) -> None:
+        """Prune an input scan down to the vector-read columns.
+
+        The join touches its inputs two ways: key expressions as
+        column vectors, and whole rows via ``rows()`` — which a scan
+        serves from its ``row_major`` cache without reading column
+        vectors. So the scan only needs to materialize the key (and
+        pushed-predicate) columns, provided every such expression is
+        pure-vector."""
+        expressions = list(keys)
+        if (isinstance(side, FusedScanFilterProject)
+                and side.projections is None):
+            expressions += side.predicates
+            side = side.child
+        if isinstance(side, SeqScan):
+            side.needed_columns = exprs.vector_safe_columns(
+                expressions, side.schema)
+
+    def _build_table(self, side: Operator,
+                     key_fns: list) -> tuple[dict, bool]:
+        build: dict[Any, list] = {}
+        tracked = False
+        single = len(key_fns) == 1
+        for batch in side.batches():
+            sel = batch.selection()
+            if not sel:
+                continue
+            rows = batch.rows()
+            lineages = batch.gathered_lineages()
+            if lineages is None:
+                lineages = [EMPTY_LINEAGE] * len(rows)
+            else:
+                tracked = True
+            key_vectors = [fn(batch.columns, sel) for fn in key_fns]
+            if single:
+                for position, key in enumerate(key_vectors[0]):
+                    if key is None:
+                        continue  # NULL never equi-joins
+                    build.setdefault(key, []).append(
+                        (rows[position], lineages[position]))
+            else:
+                for position, key in enumerate(zip(*key_vectors)):
+                    if any(part is None for part in key):
                         continue
-                    produced = True
-                    yield joined, lineage | right_lineage
-            if self.kind == "left" and not produced:
-                yield values + null_pad, lineage
+                    build.setdefault(key, []).append(
+                        (rows[position], lineages[position]))
+        return build, tracked
 
-    def _iter_build_left(self) -> Iterator[Annotated]:
-        # inner join only (validated in __init__): hash the left input,
-        # stream the right past it; output column order stays left+right
-        build: dict[tuple, list[Annotated]] = {}
-        left_key_fns = self._left_key_fns
-        for values, lineage in self.left:
-            key = tuple(fn(values) for fn in left_key_fns)
-            if any(part is None for part in key):
-                continue
-            build.setdefault(key, []).append((values, lineage))
-        right_key_fns = self._right_key_fns
+    def batches(self) -> Iterator[RowBatch]:
+        build_on_left = self.build_side == "left"
+        build, tracking = self._build_table(
+            self.left if build_on_left else self.right,
+            self._left_batch_keys if build_on_left
+            else self._right_batch_keys)
+        if not build and self.kind == "inner":
+            return
+        probe = self.right if build_on_left else self.left
+        probe_key_fns = (self._right_batch_keys if build_on_left
+                         else self._left_batch_keys)
+        single = len(probe_key_fns) == 1
         residual = self._residual_fn
-        for values, lineage in self.right:
-            key = tuple(fn(values) for fn in right_key_fns)
-            if any(part is None for part in key):
+        left_outer = self.kind == "left"
+        null_pad = (None,) * len(self.right.schema)
+        width = len(self.schema)
+        empty = EMPTY_LINEAGE
+        lookup = build.get
+        out_rows: list[tuple] = []
+        out_lineages: list = []
+        for batch in probe.batches():
+            sel = batch.selection()
+            if not sel:
                 continue
-            for left_values, left_lineage in build.get(key, ()):
-                joined = left_values + values
-                if residual is not None and not residual(joined):
-                    continue
-                yield joined, left_lineage | lineage
+            rows = batch.rows()
+            key_vectors = [fn(batch.columns, sel) for fn in probe_key_fns]
+            keys = key_vectors[0] if single else list(zip(*key_vectors))
+            lineages = batch.gathered_lineages()
+            if lineages is not None and not tracking:
+                tracking = True
+                out_lineages.extend([empty] * len(out_rows))
+            append = out_rows.append
+            if not tracking:
+                if left_outer:
+                    for position, key in enumerate(keys):
+                        values = rows[position]
+                        produced = False
+                        matches = lookup(key)
+                        if matches:
+                            for other_values, _lin in matches:
+                                joined = values + other_values
+                                if residual is None or residual(joined):
+                                    produced = True
+                                    append(joined)
+                        if not produced:
+                            append(values + null_pad)
+                else:
+                    for values, key in zip(rows, keys):
+                        matches = lookup(key)
+                        if matches:
+                            for other_values, _lin in matches:
+                                joined = (other_values + values
+                                          if build_on_left
+                                          else values + other_values)
+                                if residual is None or residual(joined):
+                                    append(joined)
+            else:
+                append_lineage = out_lineages.append
+                for position, key in enumerate(keys):
+                    produced = False
+                    matches = lookup(key)
+                    if matches:
+                        values = rows[position]
+                        lineage = (lineages[position]
+                                   if lineages is not None else empty)
+                        for other_values, other_lineage in matches:
+                            if build_on_left:
+                                joined = other_values + values
+                                merged = other_lineage | lineage
+                            else:
+                                joined = values + other_values
+                                merged = lineage | other_lineage
+                            if (residual is not None
+                                    and not residual(joined)):
+                                continue
+                            produced = True
+                            append(joined)
+                            append_lineage(merged)
+                    if left_outer and not produced:
+                        append(rows[position] + null_pad)
+                        append_lineage(lineages[position]
+                                       if lineages is not None else empty)
+            if len(out_rows) >= BATCH_SIZE:
+                yield _dense_batch(out_rows,
+                                   out_lineages if tracking else None,
+                                   width)
+                out_rows, out_lineages = [], []
+        if out_rows:
+            yield _dense_batch(out_rows,
+                               out_lineages if tracking else None, width)
 
 
 class NestedLoopJoin(Operator):
-    """General theta-join; materializes the right side once."""
+    """General theta-join; materializes the right side once and emits
+    output rows in left-major order."""
 
     def __init__(self, left: Operator, right: Operator,
                  condition: ast.Expression | None = None,
@@ -294,11 +668,14 @@ class NestedLoopJoin(Operator):
         self._condition_fn = (exprs.compile_predicate(condition, self.schema)
                               if condition is not None else None)
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def batches(self) -> Iterator[RowBatch]:
         right_rows = list(self.right)
         condition = self._condition_fn
-        right_width = len(self.right.schema)
-        null_pad = (None,) * right_width
+        left_outer = self.kind == "left"
+        null_pad = (None,) * len(self.right.schema)
+        width = len(self.schema)
+        out_rows: list[tuple] = []
+        out_lineages: list = []
         for values, lineage in self.left:
             produced = False
             for right_values, right_lineage in right_rows:
@@ -306,18 +683,30 @@ class NestedLoopJoin(Operator):
                 if condition is not None and not condition(joined):
                     continue
                 produced = True
-                yield joined, lineage | right_lineage
-            if self.kind == "left" and not produced:
-                yield values + null_pad, lineage
+                out_rows.append(joined)
+                out_lineages.append(lineage | right_lineage)
+            if left_outer and not produced:
+                out_rows.append(values + null_pad)
+                out_lineages.append(lineage)
+            if len(out_rows) >= BATCH_SIZE:
+                yield _dense_batch(out_rows, out_lineages, width)
+                out_rows, out_lineages = [], []
+        if out_rows:
+            yield _dense_batch(out_rows, out_lineages, width)
 
 
 class GroupAggregate(Operator):
-    """Hash aggregation fused with output projection.
+    """Hash aggregation fused with output projection, fed whole batches.
 
     ``group_expressions`` define the grouping key (empty for a global
     aggregate); ``output_expressions`` may mix group expressions,
     aggregate calls, and scalar expressions over them. ``having`` is
     applied per group after accumulation.
+
+    Each batch is partitioned by group key once; every accumulator
+    then consumes its group's value vector through ``add_many`` —
+    preserving left-to-right fold order within the group, so float
+    aggregates are bit-identical to a row-by-row fold.
 
     The lineage of an output row is the union of the lineages of every
     input row in its group — the Lineage semantics for aggregation.
@@ -344,14 +733,16 @@ class GroupAggregate(Operator):
             for call in exprs.find_aggregates(expression):
                 aggregate_calls[call] = None
         self.aggregate_calls = list(aggregate_calls)
-        self._group_fns = [exprs.compile_expression(expression, child.schema)
-                           for expression in group_expressions]
-        # COUNT(*) feeds the whole row; other aggregates compile their
-        # single argument expression once
-        self._input_fns = [
+        self._group_batch_fns = [
+            exprs.compile_batch_expression(expression, child.schema)
+            for expression in group_expressions]
+        # COUNT(*) reads nothing per row — its accumulator only needs
+        # the group's cardinality, so it is fed the position bucket
+        self._input_batch_fns = [
             None if (len(call.args) == 1
                      and isinstance(call.args[0], ast.Star))
-            else exprs.compile_expression(call.args[0], child.schema)
+            else exprs.compile_batch_expression(call.args[0],
+                                                child.schema)
             for call in self.aggregate_calls]
         # aggregate results and group-key values are rebound per group
         # through slots; the output/HAVING closures are compiled once
@@ -373,12 +764,6 @@ class GroupAggregate(Operator):
             "lineage": set(),
         }
 
-    def _ensure_global_group(self, groups: dict, order: list) -> None:
-        if not groups and not self.group_expressions:
-            # global aggregate over empty input still yields one row
-            groups[()] = self._new_state(None)
-            order.append(())
-
     def _finalize(self, groups: dict, order: list) -> Iterator[Annotated]:
         slots = self._slots
         for key in order:
@@ -397,31 +782,83 @@ class GroupAggregate(Operator):
             out = tuple(fn(representative) for fn in self._output_fns)
             yield out, frozenset(state["lineage"])
 
-    def __iter__(self) -> Iterator[Annotated]:
-        group_fns = self._group_fns
-        input_fns = self._input_fns
+    def batches(self) -> Iterator[RowBatch]:
+        groups, order = self._accumulate()
+        if not groups and not self.group_expressions:
+            # global aggregate over empty input still yields one row
+            groups[()] = self._new_state(None)
+            order.append(())
+        return _chunk_annotated(self._finalize(groups, order),
+                                len(self.schema))
+
+    def _accumulate(self) -> tuple[dict, list]:
+        """Drain the child into per-group accumulator states."""
+        group_fns = self._group_batch_fns
+        input_fns = self._input_batch_fns
+        single_key = len(group_fns) == 1
         groups: dict[tuple, dict[str, Any]] = {}
         order: list[tuple] = []
-        for values, lineage in self.child:
-            key = tuple(fn(values) for fn in group_fns)
-            state = groups.get(key)
-            if state is None:
-                state = self._new_state(values)
-                groups[key] = state
-                order.append(key)
-            for input_fn, accumulator in zip(input_fns,
-                                             state["accumulators"]):
-                if input_fn is None:
-                    accumulator.add(values)  # COUNT(*): every row counts
-                else:
-                    accumulator.add(input_fn(values))
-            state["lineage"].update(lineage)
-        self._ensure_global_group(groups, order)
-        yield from self._finalize(groups, order)
+        for batch in self.child.batches():
+            sel = batch.selection()
+            size = len(sel)
+            if size == 0:
+                continue
+            if group_fns:
+                key_vectors = [fn(batch.columns, sel)
+                               for fn in group_fns]
+                # scalar partition keys in the common single-key case;
+                # the groups dict still keys on tuples (finalize reads
+                # group values back out of the key)
+                keys = (key_vectors[0] if single_key
+                        else list(zip(*key_vectors)))
+                positions: dict[Any, list[int]] = {}
+                bucket_of = positions.get
+                for position, key in enumerate(keys):
+                    bucket = bucket_of(key)
+                    if bucket is None:
+                        positions[key] = [position]
+                    else:
+                        bucket.append(position)
+            else:
+                positions = {(): list(range(size))}
+            input_vectors = [None if fn is None
+                             else fn(batch.columns, sel)
+                             for fn in input_fns]
+            lineages = batch.gathered_lineages()
+            sel_list = sel if type(sel) is list else list(sel)
+            row_major = batch.row_major
+            for key, bucket in positions.items():
+                group_key = ((key,) if group_fns and single_key
+                             else key)
+                state = groups.get(group_key)
+                if state is None:
+                    first = sel_list[bucket[0]]
+                    representative = (
+                        row_major[first] if row_major is not None
+                        else tuple(column[first]
+                                   for column in batch.columns))
+                    state = self._new_state(representative)
+                    groups[group_key] = state
+                    order.append(group_key)
+                whole = len(bucket) == size
+                for vector, accumulator in zip(input_vectors,
+                                               state["accumulators"]):
+                    if vector is None:
+                        fed = bucket  # COUNT(*): only len() matters
+                    else:
+                        fed = vector if whole else [vector[position]
+                                                    for position in bucket]
+                    accumulator.add_many(fed)
+                if lineages is not None:
+                    group_lineage = state["lineage"]
+                    for position in bucket:
+                        group_lineage.update(lineages[position])
+        return groups, order
 
 
 class Distinct(Operator):
-    """Collapse duplicate rows, merging their lineages.
+    """Collapse duplicate rows, merging their lineages (first
+    occurrence wins, annotations union).
 
     ``key_width`` limits duplicate detection to a prefix of the row
     (used when hidden ORDER BY columns were appended after the visible
@@ -433,20 +870,27 @@ class Distinct(Operator):
         self.schema = child.schema
         self.key_width = key_width
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def batches(self) -> Iterator[RowBatch]:
         seen: dict[tuple, list] = {}
         order: list[tuple] = []
-        for values, lineage in self.child:
-            key = values if self.key_width is None else values[: self.key_width]
-            entry = seen.get(key)
-            if entry is None:
-                seen[key] = [values, set(lineage)]
-                order.append(key)
-            else:
-                entry[1].update(lineage)
-        for key in order:
-            values, lineage = seen[key]
-            yield values, frozenset(lineage)
+        key_width = self.key_width
+        for batch in self.child.batches():
+            rows = batch.rows()
+            lineages = batch.gathered_lineages()
+            for position, values in enumerate(rows):
+                key = (values if key_width is None
+                       else values[:key_width])
+                entry = seen.get(key)
+                if entry is None:
+                    seen[key] = [values,
+                                 set() if lineages is None
+                                 else set(lineages[position])]
+                    order.append(key)
+                elif lineages is not None:
+                    entry[1].update(lineages[position])
+        return _chunk_annotated(
+            ((seen[key][0], frozenset(seen[key][1])) for key in order),
+            len(self.schema))
 
 
 class _SortKey:
@@ -482,8 +926,8 @@ def _stable_key_sort(order: list[int], values: list,
     NULLs partition out first (last in ASC order, first in DESC —
     exactly the `_SortKey` contract) so the comparison sort only ever
     sees non-NULL values; a mixed-type column falls back to `_SortKey`
-    wrappers, whose raw ``<`` raises the same TypeError the row
-    engine raised.
+    wrappers, whose raw ``<`` raises the values' own TypeError (its
+    message names the two mismatched types).
     """
     present = [index for index in order if values[index] is not None]
     missing = [index for index in order if values[index] is None]
@@ -502,7 +946,7 @@ def ordered_indices(count: int,
     """Row permutation sorting by ``(values_vector, descending)`` keys.
 
     Stable multi-key semantics via one pass per key, last key first —
-    shared by :class:`Sort` and the batch sort in ``vector.py``.
+    used by :class:`Sort`.
     """
     order = list(range(count))
     for values, descending in reversed(key_columns):
@@ -510,8 +954,50 @@ def ordered_indices(count: int,
     return order
 
 
+def _concat_batches(batches: Iterator[RowBatch],
+                    width: int) -> tuple[list, list | None, int]:
+    """Materialize a batch stream into dense full-length columns."""
+    columns: list[list] = [[] for _ in range(width)]
+    lineages: list = []
+    tracking = False
+    count = 0
+    for batch in batches:
+        sel = batch.selection()
+        size = len(sel)
+        if size == 0:
+            continue
+        for out, column in zip(columns, batch.columns):
+            out.extend(exprs._gather(column, sel))
+        gathered = batch.gathered_lineages()
+        if gathered is not None:
+            if not tracking:
+                lineages.extend([EMPTY_LINEAGE] * count)
+                tracking = True
+            lineages.extend(gathered)
+        elif tracking:
+            lineages.extend([EMPTY_LINEAGE] * size)
+        count += size
+    return columns, (lineages if tracking else None), count
+
+
+def _rechunk(columns: list, lineages: list | None,
+             count: int) -> Iterator[RowBatch]:
+    """Emit dense full-length columns as BATCH_SIZE slices."""
+    for start in range(0, count, BATCH_SIZE):
+        stop = min(start + BATCH_SIZE, count)
+        yield RowBatch(
+            [column[start:stop] for column in columns], stop - start,
+            lineages[start:stop] if lineages is not None else None,
+            None)
+
+
 class Sort(Operator):
-    """Materializing sort on a list of (column index, descending) keys."""
+    """Materializing sort on a list of (column index, descending) keys.
+
+    Sorting permutes an index vector (:func:`ordered_indices` — the
+    sort keys are already columns, no per-row key extraction) over the
+    concatenated input and gathers each column once.
+    """
 
     def __init__(self, child: Operator,
                  keys: list[tuple[int, bool]]) -> None:
@@ -519,18 +1005,24 @@ class Sort(Operator):
         self.schema = child.schema
         self.keys = keys
 
-    def __iter__(self) -> Iterator[Annotated]:
-        rows = list(self.child)
-        if len(rows) > 1:
-            key_columns = [([item[0][index] for item in rows], descending)
+    def batches(self) -> Iterator[RowBatch]:
+        columns, lineages, count = _concat_batches(
+            self.child.batches(), len(self.schema))
+        if count == 0:
+            return
+        if count > 1 and self.keys:
+            key_columns = [(columns[index], descending)
                            for index, descending in self.keys]
-            order = ordered_indices(len(rows), key_columns)
-            rows = [rows[index] for index in order]
-        return iter(rows)
+            order = ordered_indices(count, key_columns)
+            columns = [[column[index] for index in order]
+                       for column in columns]
+            if lineages is not None:
+                lineages = [lineages[index] for index in order]
+        yield from _rechunk(columns, lineages, count)
 
 
 class Limit(Operator):
-    """LIMIT / OFFSET."""
+    """LIMIT / OFFSET by slicing selection vectors."""
 
     def __init__(self, child: Operator, limit: int | None,
                  offset: int | None) -> None:
@@ -539,21 +1031,36 @@ class Limit(Operator):
         self.limit = limit
         self.offset = offset or 0
 
-    def __iter__(self) -> Iterator[Annotated]:
-        skipped = 0
-        emitted = 0
-        for item in self.child:
-            if skipped < self.offset:
-                skipped += 1
+    def batches(self) -> Iterator[RowBatch]:
+        to_skip = self.offset
+        remaining = self.limit
+        for batch in self.child.batches():
+            size = len(batch)
+            if size == 0:
                 continue
-            if self.limit is not None and emitted >= self.limit:
+            start = 0
+            if to_skip:
+                if to_skip >= size:
+                    to_skip -= size
+                    continue
+                start = to_skip
+                to_skip = 0
+            stop = size
+            if remaining is not None:
+                if remaining <= 0:
+                    return
+                stop = min(stop, start + remaining)
+            piece = batch.slice(start, stop)
+            if remaining is not None:
+                remaining -= len(piece)
+            yield piece
+            if remaining is not None and remaining <= 0:
                 return
-            emitted += 1
-            yield item
 
 
 class StripColumns(Operator):
-    """Drop hidden trailing columns appended for ORDER BY evaluation."""
+    """Drop hidden trailing columns appended for ORDER BY evaluation —
+    a vector-list slice per batch."""
 
     def __init__(self, child: Operator, visible_width: int,
                  visible_schema: Schema) -> None:
@@ -561,15 +1068,16 @@ class StripColumns(Operator):
         self.visible_width = visible_width
         self.schema = visible_schema
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def batches(self) -> Iterator[RowBatch]:
         width = self.visible_width
-        for values, lineage in self.child:
-            yield values[:width], lineage
+        for batch in self.child.batches():
+            yield RowBatch(batch.columns[:width], batch.count,
+                           batch.lineages, batch.sel)
 
 
 class Union(Operator):
-    """Concatenate compatible inputs (UNION ALL); wrap in
-    :class:`Distinct` for set semantics.
+    """Concatenate compatible inputs' batch streams (UNION ALL); wrap
+    in :class:`Distinct` for set semantics.
 
     Lineage semantics: UNION ALL passes annotations through; the
     Distinct wrapper merges the lineages of collapsed duplicates, which
@@ -588,9 +1096,9 @@ class Union(Operator):
         self.children = children
         self.schema = children[0].schema
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def batches(self) -> Iterator[RowBatch]:
         for child in self.children:
-            yield from child
+            yield from child.batches()
 
 
 class MaterializedSource(Operator):
@@ -600,17 +1108,19 @@ class MaterializedSource(Operator):
         self.schema = schema
         self.rows = list(rows)
 
-    def __iter__(self) -> Iterator[Annotated]:
-        return iter(self.rows)
+    def batches(self) -> Iterator[RowBatch]:
+        return _chunk_annotated(iter(self.rows), len(self.schema))
 
 
 class Instrumented(Operator):
-    """Transparent wrapper recording rows produced and wall time.
+    """Transparent wrapper recording rows, batches and wall time.
 
     EXPLAIN ANALYZE wraps every operator in the plan with one of
-    these. Time is charged per ``next()`` call, so a blocking operator
-    (Sort, GroupAggregate) attributes its materialization cost to its
-    own first row rather than to its parent. The clock is injectable
+    these. The clock is charged once per *batch* (a timer pair per row
+    would re-impose the per-tuple overhead batching removes), so a
+    blocking operator (Sort, GroupAggregate) attributes its
+    materialization cost to its own first batch rather than to its
+    parent. Rows are counted by batch length. The clock is injectable
     for deterministic tests.
     """
 
@@ -620,27 +1130,30 @@ class Instrumented(Operator):
         self.schema = inner.schema
         self.timer = timer
         self.rows = 0
+        self.batches_produced = 0
         self.total_seconds = 0.0
         self.loops = 0
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def batches(self) -> Iterator[RowBatch]:
         self.loops += 1
         timer = self.timer
         started = timer()
-        # iter() is inside the timed region: operators that materialize
-        # eagerly in __iter__ (Sort) must charge that work to themselves
-        iterator = iter(self.inner)
+        # batches() is inside the timed region: operators that
+        # materialize eagerly when asked for their stream
+        # (GroupAggregate) must charge that work to themselves
+        iterator = self.inner.batches()
         self.total_seconds += timer() - started
         while True:
             started = timer()
             try:
-                item = next(iterator)
+                batch = next(iterator)
             except StopIteration:
                 self.total_seconds += timer() - started
                 return
             self.total_seconds += timer() - started
-            self.rows += 1
-            yield item
+            self.rows += len(batch)
+            self.batches_produced += 1
+            yield batch
 
 
 _CHILD_ATTRS = ("child", "left", "right", "inner")
@@ -654,7 +1167,6 @@ def instrument_plan(root: Operator,
     must only be applied to a freshly built plan — never to one served
     from the plan cache.
     """
-    from repro.db import vector  # deferred: vector imports this module
     for attribute in _CHILD_ATTRS:
         child = getattr(root, attribute, None)
         if isinstance(child, Operator):
@@ -663,6 +1175,4 @@ def instrument_plan(root: Operator,
     if isinstance(children, list):
         root.children = [instrument_plan(child, timer)
                         for child in children]
-    if isinstance(root, vector.BatchOperator):
-        return vector.BatchInstrumented(root, timer)
     return Instrumented(root, timer)

@@ -10,8 +10,9 @@ Two evaluation strategies share one set of semantics:
   closures — column references become tuple indexing, constants are
   bound, comparisons and arithmetic become direct operator calls — so
   the per-row cost is a chain of function calls with no dispatch on
-  node types. The executor's operators compile their expressions once
-  in ``__init__`` and call the closures per row.
+  node types. Batch forms (:func:`compile_batch_expression`,
+  :func:`compile_batch_predicate`) evaluate over column vectors. The
+  executor's operators compile their expressions once in ``__init__``.
 
 Both paths implement identical semantics: NULL (``None``) propagates
 through arithmetic and comparisons; ``AND``/``OR`` follow Kleene
@@ -632,26 +633,6 @@ class BindingSlots:
     def assign(self, expression: ast.Expression, value: Any) -> None:
         self.values[self.index[expression]] = value
 
-    def as_bindings(self) -> "_SlotView":
-        return _SlotView(self)
-
-
-class _SlotView:
-    """A live mapping view of :class:`BindingSlots` for the interpreter
-    fallback (duck-types the ``bindings`` dict an Evaluator expects)."""
-
-    def __init__(self, slots: BindingSlots) -> None:
-        self._slots = slots
-
-    def __contains__(self, expression: object) -> bool:
-        return expression in self._slots.index
-
-    def __getitem__(self, expression: ast.Expression) -> Any:
-        return self._slots.values[self._slots.index[expression]]
-
-    def __len__(self) -> int:
-        return len(self._slots.index)
-
 
 # Ambient parameter bindings for the statement currently executing.
 # Compiled closures read this at *call* time (not compile time), so a
@@ -681,23 +662,6 @@ def parameter_value(index: int) -> Any:
     return values[index - 1]
 
 
-# Benchmarks flip this to quantify the compiled path against the
-# interpreter on identical plans; production code never touches it.
-_INTERPRET_ONLY = False
-
-
-@contextmanager
-def interpreted_expressions():
-    """Force operators planned inside the block onto the interpreter."""
-    global _INTERPRET_ONLY
-    previous = _INTERPRET_ONLY
-    _INTERPRET_ONLY = True
-    try:
-        yield
-    finally:
-        _INTERPRET_ONLY = previous
-
-
 RowFunction = Callable[[tuple], Any]
 
 _COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
@@ -723,10 +687,6 @@ def compile_expression(expression: ast.Expression, schema: Schema,
     Name-resolution errors (unknown/ambiguous columns) surface at
     compile time — i.e. at plan time — instead of on the first row.
     """
-    if _INTERPRET_ONLY:
-        evaluator = Evaluator(
-            schema, slots.as_bindings() if slots is not None else None)
-        return lambda row: evaluator.evaluate(expression, row)
     return _compile(expression, schema, slots)
 
 
@@ -966,7 +926,7 @@ def _compile_case(node: ast.CaseWhen, schema: Schema,
 
 # -- batch compilation ---------------------------------------------------------
 #
-# The vectorized executor evaluates expressions one *batch* at a time:
+# The executor evaluates expressions one *batch* at a time:
 # a batch is a list of column vectors plus a selection vector ``sel``
 # of row positions still alive within those vectors. A batch-compiled
 # expression maps (columns, sel) -> one output value per sel entry.
@@ -1012,14 +972,6 @@ def compile_batch_expression(expression: ast.Expression, schema: Schema,
     value per entry of ``sel``, equal to what the row-compiled
     expression yields on the corresponding row.
     """
-    if _INTERPRET_ONLY:
-        evaluator = Evaluator(
-            schema, slots.as_bindings() if slots is not None else None)
-
-        def interpret_batch(columns: list, sel: Any) -> list:
-            return [evaluator.evaluate(expression, row)
-                    for row in _rows_at(columns, sel)]
-        return interpret_batch
     return _compile_batch(expression, schema, slots)
 
 
@@ -1029,10 +981,9 @@ def compile_batch_predicate(expression: ast.Expression, schema: Schema,
     """Filter form of :func:`compile_batch_expression`: the closure
     returns the *refined selection vector* — the subset of ``sel``
     whose rows evaluate to SQL TRUE (unknown counts as false)."""
-    if not _INTERPRET_ONLY:
-        selector = _compile_batch_selector(expression, schema, slots)
-        if selector is not None:
-            return selector
+    selector = _compile_batch_selector(expression, schema, slots)
+    if selector is not None:
+        return selector
     fn = compile_batch_expression(expression, schema, slots)
 
     def refine(columns: list, sel: Any) -> list:

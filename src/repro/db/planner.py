@@ -30,46 +30,29 @@ from typing import Optional
 
 from repro.db import expressions as exprs
 from repro.db import stats as statsmod
-from repro.db import vector
 from repro.db.catalog import Catalog
 from repro.db.executor import (
     Distinct,
     Filter,
+    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
     Instrumented,
     Limit,
+    MaterializedSource,
     NestedLoopJoin,
     Operator,
     Project,
     SeqScan,
     Sort,
     StripColumns,
+    Union,
 )
 from repro.db.sql import ast
 from repro.db.storage import HashIndex, HeapTable
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import CatalogError, ExecutionError, SQLSyntaxError
-
-
-@dataclass
-class _PlanOptions:
-    """How aggressively to vectorize the emitted plan.
-
-    ``batched`` selects the batch operator classes; ``fuse``
-    additionally collapses Scan→Filter→Project chains into
-    :class:`repro.db.vector.FusedScanFilterProject`. EXPLAIN ANALYZE
-    plans set ``fuse=False`` so per-operator attribution survives.
-    """
-
-    batched: bool
-    fuse: bool
-
-
-def _plan_options(fuse: bool) -> _PlanOptions:
-    batched = vector.vectorized_enabled()
-    return _PlanOptions(batched=batched, fuse=fuse and batched)
 
 
 @dataclass
@@ -111,13 +94,7 @@ def explain_plan(root: Operator) -> list[str]:
         return describe_bare(operator) + suffix
 
     def describe_bare(operator: Operator) -> str:
-        # batch operators subclass their row twins, so every branch
-        # below covers both engines; the default name drops the
-        # "Batch" prefix for the same reason
-        name = type(operator).__name__
-        if name.startswith("Batch"):
-            name = name[len("Batch"):]
-        if isinstance(operator, vector.FusedScanFilterProject):
+        if isinstance(operator, FusedScanFilterProject):
             parts = [f"{len(operator.predicates)} predicates"]
             if operator.projections is not None:
                 parts.append(f"{len(operator.projections)} outputs")
@@ -163,7 +140,7 @@ def explain_plan(root: Operator) -> list[str]:
             return f"Sort on {operator.keys}"
         if isinstance(operator, Limit):
             return f"Limit {operator.limit} offset {operator.offset}"
-        return name
+        return type(operator).__name__
 
     def walk(operator: Operator, depth: int) -> None:
         lines.append("  " * depth + describe(operator))
@@ -192,37 +169,32 @@ def analyze_stats(root: Operator) -> list[dict]:
     """Flatten an instrumented tree into per-operator measurements.
 
     Returns one entry per plan node in EXPLAIN order:
-    ``{"operator", "depth", "rows", "seconds", "loops"}``. Operators
-    planned under ANALYZE statistics also report ``est_rows`` — the
-    planner's cardinality estimate next to the measured rows, so
-    misestimates are visible over the wire too. Nodes that are not
-    wrapped report zero counters (never happens for trees built by
-    :func:`repro.db.executor.instrument_plan`).
+    ``{"operator", "depth", "rows", "seconds", "loops", "batches"}``.
+    Operators planned under ANALYZE statistics also report
+    ``est_rows`` — the planner's cardinality estimate next to the
+    measured rows, so misestimates are visible over the wire too.
+    Nodes that are not wrapped report zero counters (never happens for
+    trees built by :func:`repro.db.executor.instrument_plan`).
     """
     entries: list[dict] = []
 
     def walk(operator: Operator, depth: int) -> None:
         inner = operator
-        rows = seconds = loops = 0
-        batches = None
+        rows = seconds = loops = batches = 0
         if isinstance(operator, Instrumented):
             inner = operator.inner
             rows = operator.rows
             seconds = operator.total_seconds
             loops = operator.loops
-            batches = getattr(operator, "batches_produced", None)
-        name = type(inner).__name__
-        if name.startswith("Batch"):
-            name = name[len("Batch"):]
+            batches = operator.batches_produced
         entry = {
-            "operator": name,
+            "operator": type(inner).__name__,
             "depth": depth,
             "rows": rows,
             "seconds": seconds,
             "loops": loops,
+            "batches": batches,
         }
-        if batches is not None:
-            entry["batches"] = batches
         estimate = getattr(inner, "est_rows", None)
         if estimate is not None:
             entry["est_rows"] = round(estimate)
@@ -359,11 +331,10 @@ class _SourceSet:
             self.operator.est_rows = self.est_rows
 
 
-def _plan_table(ref: ast.TableRef, catalog: Catalog, track_lineage: bool,
-                options: _PlanOptions) -> _SourceSet:
+def _plan_table(ref: ast.TableRef, catalog: Catalog,
+                track_lineage: bool) -> _SourceSet:
     table = catalog.get_table(ref.name)
-    scan_class = vector.BatchSeqScan if options.batched else SeqScan
-    scan = scan_class(table, ref.effective_alias, track_lineage)
+    scan = SeqScan(table, ref.effective_alias, track_lineage)
     alias = ref.effective_alias.lower()
     table_stats = catalog.stats_for(table.name)
     # the estimate starts from the session-visible count (committed
@@ -462,21 +433,18 @@ def _cross_estimate(left: _SourceSet,
 
 
 def _filtered(operator: Operator, conjunct: ast.Expression,
-              options: _PlanOptions) -> Operator:
-    """Apply a predicate: fuse onto a batch scan when allowed, else
-    stack the engine-appropriate Filter operator."""
-    if options.fuse:
-        if (isinstance(operator, vector.FusedScanFilterProject)
+              fuse: bool) -> Operator:
+    """Apply a predicate: fuse onto a scan when allowed, else stack a
+    Filter operator."""
+    if fuse:
+        if (isinstance(operator, FusedScanFilterProject)
                 and operator.projections is None):
             operator.add_predicate(conjunct)
             return operator
-        if isinstance(operator, (vector.BatchSeqScan,
-                                 vector.BatchIndexScan)):
-            fused = vector.FusedScanFilterProject(operator)
+        if isinstance(operator, (SeqScan, IndexScan)):
+            fused = FusedScanFilterProject(operator)
             fused.add_predicate(conjunct)
             return fused
-    if options.batched:
-        return vector.BatchFilter(operator, conjunct)
     return Filter(operator, conjunct)
 
 
@@ -518,12 +486,10 @@ def _choose_build_side(kind: str, left: _SourceSet,
 def _make_hash_join(left: _SourceSet, right: _SourceSet,
                     left_keys: list[ast.Expression],
                     right_keys: list[ast.Expression], kind: str,
-                    residual: Optional[ast.Expression],
-                    options: _PlanOptions) -> _SourceSet:
+                    residual: Optional[ast.Expression]) -> _SourceSet:
     build_side = _choose_build_side(kind, left, right)
-    join_class = vector.BatchHashJoin if options.batched else HashJoin
-    operator = join_class(left.operator, right.operator, left_keys,
-                          right_keys, kind, residual, build_side)
+    operator = HashJoin(left.operator, right.operator, left_keys,
+                        right_keys, kind, residual, build_side)
     est = _join_estimate(left, right, list(zip(left_keys, right_keys)))
     if est is not None and kind == "left":
         # preserved-side rows survive unmatched: never below |L|
@@ -531,16 +497,14 @@ def _make_hash_join(left: _SourceSet, right: _SourceSet,
     return _merge_sets(left, right, operator, est)
 
 
-def _plan_join_source(source, catalog: Catalog, track_lineage: bool,
-                      options: _PlanOptions) -> _SourceSet:
+def _plan_join_source(source, catalog: Catalog,
+                      track_lineage: bool) -> _SourceSet:
     """Plan a FROM entry, which may be a TableRef or an explicit Join."""
     if isinstance(source, ast.TableRef):
-        return _plan_table(source, catalog, track_lineage, options)
+        return _plan_table(source, catalog, track_lineage)
     if isinstance(source, ast.Join):
-        left = _plan_join_source(source.left, catalog, track_lineage,
-                                 options)
-        right = _plan_table(source.right, catalog, track_lineage,
-                            options)
+        left = _plan_join_source(source.left, catalog, track_lineage)
+        right = _plan_table(source.right, catalog, track_lineage)
         if source.kind == "cross" or source.condition is None:
             operator: Operator = NestedLoopJoin(
                 left.operator, right.operator, None, "cross")
@@ -552,8 +516,7 @@ def _plan_join_source(source, catalog: Catalog, track_lineage: bool,
             left_keys = [pair[0] for pair in equi]
             right_keys = [pair[1] for pair in equi]
             return _make_hash_join(left, right, left_keys, right_keys,
-                                   source.kind, conjoin(residual),
-                                   options)
+                                   source.kind, conjoin(residual))
         operator = NestedLoopJoin(left.operator, right.operator,
                                   source.condition, source.kind)
         return _merge_sets(left, right, operator,
@@ -628,7 +591,7 @@ def _as_equi_pair(conjunct: ast.Expression, left: _SourceSet,
 
 
 def _plan_from_where(select: ast.Select, catalog: Catalog,
-                     track_lineage: bool, options: _PlanOptions
+                     track_lineage: bool, fuse: bool
                      ) -> tuple[Operator, list[str]]:
     """Plan the FROM/WHERE part, returning the source operator tree and
     the list of base tables it reads."""
@@ -636,15 +599,13 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     if not select.sources:
         # SELECT without FROM: one empty row so literals evaluate once
         schema = Schema([])
-        from repro.db.executor import MaterializedSource
         root: Operator = MaterializedSource(
             schema, [((), frozenset())])
         if select.where is not None:
             root = Filter(root, select.where)
         return root, source_tables
 
-    fragments = [_plan_join_source(source, catalog, track_lineage,
-                                   options)
+    fragments = [_plan_join_source(source, catalog, track_lineage)
                  for source in select.sources]
     conjuncts = split_conjuncts(select.where)
 
@@ -658,15 +619,15 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
         if aliases is not None:
             if not aliases:
                 fragments[0].operator = _filtered(
-                    fragments[0].operator, conjunct, options)
+                    fragments[0].operator, conjunct, fuse)
                 placed = True
             else:
                 for fragment in fragments:
                     if aliases <= fragment.aliases:
                         if not _try_index_scan(fragment, conjunct,
-                                               track_lineage, options):
+                                               track_lineage):
                             fragment.operator = _filtered(
-                                fragment.operator, conjunct, options)
+                                fragment.operator, conjunct, fuse)
                         _apply_filter_estimate(fragment, conjunct)
                         placed = True
                         break
@@ -707,7 +668,7 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
         left_keys = [pair[0] for pair in chosen_equi]
         right_keys = [pair[1] for pair in chosen_equi]
         current = _make_hash_join(current, candidate, left_keys,
-                                  right_keys, "inner", None, options)
+                                  right_keys, "inner", None)
         # remove consumed equi conjuncts from the remaining list
         consumed = set()
         for left_key, right_key in chosen_equi:
@@ -723,7 +684,7 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     root = current.operator
     residual = conjoin(remaining)
     if residual is not None:
-        root = _filtered(root, residual, options)
+        root = _filtered(root, residual, fuse)
     return root, source_tables
 
 
@@ -812,7 +773,7 @@ def index_probe(table: HeapTable, schema: Schema,
 
 
 def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
-                    track_lineage: bool, options: _PlanOptions) -> bool:
+                    track_lineage: bool) -> bool:
     """Turn a bare SeqScan plus a conjunct :func:`index_probe` accepts
     into an IndexScan.
 
@@ -845,9 +806,7 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                 f"{matched:.0f} of {table_rows:.0f} rows, "
                 f"scan is cheaper")
             return False
-    scan_class = (vector.BatchIndexScan if options.batched
-                  else IndexScan)
-    fragment.operator = scan_class(
+    fragment.operator = IndexScan(
         operator.table, operator.qualifier, index, probe.values,
         track_lineage, bounds=probe.bounds)
     if fragment.est_rows is not None:
@@ -905,14 +864,13 @@ def plan_select(select: ast.Select, catalog: Catalog,
                 fuse: bool = True) -> PlannedQuery:
     """Plan a SELECT statement into an executable operator tree.
 
-    Plans are vectorized (batch operators) whenever
-    :func:`repro.db.vector.vectorized_enabled` allows; ``fuse=False``
-    keeps Scan/Filter/Project as separate nodes (EXPLAIN ANALYZE needs
-    per-operator attribution).
+    ``fuse=True`` collapses Scan→Filter→Project chains into
+    :class:`repro.db.executor.FusedScanFilterProject`; ``fuse=False``
+    keeps them as separate nodes (EXPLAIN ANALYZE needs per-operator
+    attribution).
     """
-    options = _plan_options(fuse)
     source, source_tables = _plan_from_where(select, catalog,
-                                             track_lineage, options)
+                                             track_lineage, fuse)
     items = _expand_stars(select, source.schema)
 
     output_expressions = [item.expression for item in items]
@@ -949,39 +907,27 @@ def plan_select(select: ast.Select, catalog: Catalog,
     full_schema = Schema(full_columns)
 
     if has_aggregates:
-        aggregate_class = (vector.BatchGroupAggregate if options.batched
-                           else GroupAggregate)
-        root: Operator = aggregate_class(
+        root: Operator = GroupAggregate(
             source, list(select.group_by), all_expressions,
             full_schema, select.having)
-    elif (options.fuse
-          and isinstance(source, vector.FusedScanFilterProject)
+    elif (fuse and isinstance(source, FusedScanFilterProject)
           and source.projections is None):
         source.absorb_projections(all_expressions, full_schema)
         root = source
-    elif options.fuse and isinstance(source, (vector.BatchSeqScan,
-                                              vector.BatchIndexScan)):
-        root = vector.FusedScanFilterProject(
+    elif fuse and isinstance(source, (SeqScan, IndexScan)):
+        root = FusedScanFilterProject(
             source, None, all_expressions, full_schema)
-    elif options.batched:
-        root = vector.BatchProject(source, all_expressions, full_schema)
     else:
         root = Project(source, all_expressions, full_schema)
 
     if select.distinct:
-        distinct_class = (vector.BatchDistinct if options.batched
-                          else Distinct)
-        root = distinct_class(root, visible_width if hidden else None)
+        root = Distinct(root, visible_width if hidden else None)
     if sort_keys:
-        sort_class = vector.BatchSort if options.batched else Sort
-        root = sort_class(root, sort_keys)
+        root = Sort(root, sort_keys)
     if select.limit is not None or select.offset is not None:
-        limit_class = vector.BatchLimit if options.batched else Limit
-        root = limit_class(root, select.limit, select.offset)
+        root = Limit(root, select.limit, select.offset)
     if hidden:
-        strip_class = (vector.BatchStripColumns if options.batched
-                       else StripColumns)
-        root = strip_class(root, visible_width, visible_schema)
+        root = StripColumns(root, visible_width, visible_schema)
     return PlannedQuery(root, visible_schema, source_tables)
 
 
@@ -989,12 +935,6 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
                track_lineage: bool = False,
                fuse: bool = True) -> PlannedQuery:
     """Plan a UNION [ALL] chain into a Union (+ Distinct) operator."""
-    from repro.db.executor import Union as UnionOp
-
-    options = _plan_options(fuse)
-    DistinctOp = (vector.BatchDistinct if options.batched else Distinct)
-    union_class = vector.BatchUnion if options.batched else UnionOp
-
     branches: list[tuple[ast.Select, bool]] = []
 
     def flatten(node, all_rows: bool) -> None:
@@ -1011,12 +951,12 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
     planned = [plan_select(select, catalog, track_lineage, fuse)
                for select, _ in branches]
     first_schema = planned[0].schema
-    root: Operator = union_class([entry.root for entry in planned])
+    root: Operator = Union([entry.root for entry in planned])
     # SQL UNION (without ALL) applies set semantics to the whole chain;
     # a chain with any non-ALL link deduplicates (standard semantics
     # for a left-deep chain ending in UNION)
     if not setop.all:
-        root = DistinctOp(root)
+        root = Distinct(root)
         root.schema = first_schema  # type: ignore[assignment]
     source_tables: list[str] = []
     for entry in planned:

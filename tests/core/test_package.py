@@ -42,6 +42,49 @@ class TestManifest:
         with pytest.raises(ManifestError):
             Manifest.from_json({"kind": "server-included", "db": {}})
 
+    @pytest.mark.parametrize("path,value,message", [
+        ((), ["kind"], "the manifest must be an object, not a list"),
+        (("db",), None, '"db" must be an object, not null'),
+        (("db",), ["main"], '"db" must be an object, not a list'),
+        (("db",), "main", '"db" must be an object, not a string'),
+        (("entry",), None, '"entry" must be an object, not null'),
+        (("notes",), [["k", 1]], '"notes" must be an object, not a list'),
+        (("entry", "argv"), "-x",
+         '"entry.argv" must be a list of strings, not a string'),
+        (("db", "tables"), "orders",
+         '"db.tables" must be a list of strings, not a string'),
+        (("db", "tables"), ["orders", 7],
+         '"db.tables" must be a list of strings, but holds a number'),
+    ], ids=["top-level-list", "db-null", "db-list", "db-string",
+            "entry-null", "notes-list", "argv-string", "tables-string",
+            "tables-number-item"])
+    def test_hostile_manifest_raises_one_line(self, path, value, message):
+        data = make_manifest().to_json()
+        if not path:
+            data = value
+        else:
+            *parents, leaf = path
+            target = data
+            for key in parents:
+                target = target[key]
+            target[leaf] = value
+        with pytest.raises(ManifestError) as info:
+            Manifest.from_json(data)
+        assert str(info.value) == f"malformed manifest: {message}"
+
+    def test_ldv_trace_reports_a_hostile_manifest(self, tmp_path, capsys):
+        root = tmp_path / "pkg"
+        Package.create(root, make_manifest())
+        data = json.loads((root / "MANIFEST.json").read_text())
+        data["db"] = None
+        (root / "MANIFEST.json").write_text(json.dumps(data))
+        assert trace_main([str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            'ldv-trace: error: malformed manifest: '
+            '"db" must be an object, not null']
+
     def test_new_manifest_records_trace_format(self):
         assert make_manifest().to_json()["trace_format"] == TRACE_FORMAT == 2
 

@@ -13,6 +13,16 @@ NULLs first while this engine sorts them last, so a LIMIT over a
 nullable key would truncate different rows even though both orders are
 individually valid.
 
+Every case also checks lineage against an independent oracle: Perm's
+query-rewrite Lineage, run in sqlite3. A *witness* query carries the
+``rowid`` of each contributing base tuple next to the output columns;
+the engine's lineage (with ``provenance=True``) must equal, row for
+row, the set of ``(table, rowid)`` the witnesses name. Engine rowids
+and sqlite rowids both count 1..n in insertion order. Aggregate and
+DISTINCT rows take the union of the witnesses of their output key (a
+global aggregate takes them all); a LEFT JOIN's NULL right rowid
+names no tuple.
+
 CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens or narrows
 the sweep locally without touching the code.
 """
@@ -190,6 +200,63 @@ def canonical(rows, ordered):
     return rendered if ordered else sorted(rendered)
 
 
+# the FROM aliases whose rowids each family's witness query carries
+WITNESS_ALIASES = {0: ("t0",), 1: ("t0",), 2: ("t0", "t1"),
+                   3: ("x", "y"), 4: ("x", "y"), 5: ("t0",), 6: ("t0",),
+                   7: ("t0",), 8: ("t0",), 9: ("t0",), 10: ("x", "y")}
+ALIAS_TABLES = {"t0": "t0", "t1": "t1", "x": "t0", "y": "t1"}
+GROUPED_FAMILIES = (5, 6, 7, 10)
+
+
+def witness_sql(sql, family):
+    """The witness query of a generated ``sql``: its output columns
+    (for a grouped family, its output key) followed by one rowid per
+    FROM alias, over the same FROM and WHERE."""
+    rowids = ", ".join(f"{alias}.rowid"
+                       for alias in WITNESS_ALIASES[family])
+    select_list, rest = sql[len("SELECT "):].split(" FROM ", 1)
+    if family == 5:  # global aggregate: no key
+        return f"SELECT {rowids} FROM {rest}"
+    if family == 6:  # GROUP BY: the key is the first select item
+        key = select_list.split(", count(*)")[0]
+        return f"SELECT {key}, {rowids} FROM {rest.split(' GROUP BY ')[0]}"
+    if family in (7, 10):  # DISTINCT: the key is the whole row
+        select_list = select_list[len("DISTINCT "):]
+    if family == 9:
+        # ties of the total ORDER BY are equal rows that may come from
+        # different tuples; the engine's stable sort keeps them in scan
+        # (rowid) order, so LIMIT cuts where a rowid tie-break cuts
+        rest = rest.replace(" LIMIT ", ", t0.rowid LIMIT ")
+    return f"SELECT {select_list}, {rowids} FROM {rest}"
+
+
+def expected_lineages(connection, sql, family):
+    """Multiset of (row, sorted (table, rowid) lineage) per sqlite."""
+    aliases = WITNESS_ALIASES[family]
+    witnesses = connection.execute(witness_sql(sql, family)).fetchall()
+    split = [(tuple(row[:len(row) - len(aliases)]),
+              {(ALIAS_TABLES[alias], rowid)
+               for alias, rowid in zip(aliases, row[-len(aliases):])
+               if rowid is not None})
+             for row in witnesses]
+    if family not in GROUPED_FAMILIES:
+        return sorted((repr(row), sorted(refs)) for row, refs in split)
+    groups: dict[tuple, set] = {}
+    for key, refs in split:
+        groups.setdefault(key, set()).update(refs)
+    width = 0 if family == 5 else 1 if family == 6 else None
+    return sorted((repr(tuple(row)),
+                   sorted(groups.get(tuple(row[:width]), ())))
+                  for row in connection.execute(sql).fetchall())
+
+
+def engine_lineages(rows, lineages):
+    """Multiset of (row, sorted (table, rowid) lineage) per the engine."""
+    return sorted((repr(tuple(row)),
+                   sorted((ref.table, ref.rowid) for ref in lineage))
+                  for row, lineage in zip(rows, lineages))
+
+
 def test_differential_oracle(oracle_seed):
     rng, database, connection = build_engines(oracle_seed)
     for case in range(QUERIES_PER_SEED):
@@ -199,6 +266,11 @@ def test_differential_oracle(oracle_seed):
         assert canonical(mine, ordered) == canonical(reference, ordered), (
             f"seed {oracle_seed}, family {case}: engines diverge on\n"
             f"  {sql}")
+        traced = database.execute(sql, provenance=True)
+        assert (engine_lineages(traced.rows, traced.lineages)
+                == expected_lineages(connection, sql, case)), (
+            f"seed {oracle_seed}, family {case}: lineage diverges from "
+            f"the sqlite witnesses on\n  {sql}")
 
 
 def test_oracle_covers_the_advertised_case_count(request):
@@ -230,3 +302,18 @@ def test_oracle_catches_a_seeded_divergence():
     mine = database.query("SELECT a, b, c, d FROM t0")
     reference = connection.execute("SELECT a, b, c, d FROM t0").fetchall()
     assert canonical(mine, False) != canonical(reference, False)
+
+
+def test_lineage_oracle_catches_a_seeded_divergence():
+    """Sanity: the lineage comparison really can fail — forge one
+    row's lineage and the multisets must differ."""
+    rng, database, connection = build_engines(0)
+    sql, _ = generate_query(rng, 0)
+    traced = database.execute(sql, provenance=True)
+    expected = expected_lineages(connection, sql, 0)
+    assert traced.rows
+    assert engine_lineages(traced.rows, traced.lineages) == expected
+    (ref,) = traced.lineages[0]
+    forged = [frozenset({ref._replace(rowid=ref.rowid + 100)})]
+    forged += traced.lineages[1:]
+    assert engine_lineages(traced.rows, forged) != expected

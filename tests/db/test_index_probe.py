@@ -16,7 +16,6 @@ from repro.db.executor import IndexScan, SeqScan
 from repro.db.planner import index_probe, plan_select
 from repro.db.sql.parser import parse_expression, parse_one
 from repro.db.storage import HashIndex
-from repro.db.vector import row_at_a_time_plans
 from repro.errors import CatalogError
 
 
@@ -153,8 +152,7 @@ class TestIndexNeverChangesAnswers:
         return sorted(zip(map(repr, result.rows),
                           map(sorted, result.lineages)))
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_rows_and_lineage_match_the_unindexed_plan(self, db, batched):
+    def test_rows_and_lineage_match_the_unindexed_plan(self, db):
         # mutations give rows distinct versions, so lineage compares
         # (rowid, version), not just rowids
         db.execute("UPDATE t SET v = v + 1 WHERE k BETWEEN 4 AND 8")
@@ -163,10 +161,7 @@ class TestIndexNeverChangesAnswers:
         assert "BETWEEN 3 AND 9" in explain(db, self.QUERIES[0])
 
         def run_all():
-            if batched:
-                return [self.answers(db, sql) for sql in self.QUERIES]
-            with row_at_a_time_plans():
-                return [self.answers(db, sql) for sql in self.QUERIES]
+            return [self.answers(db, sql) for sql in self.QUERIES]
 
         with_index = run_all()
         db.execute("DROP INDEX t_k")

@@ -1,11 +1,9 @@
 """Planner tests: pushdown, join strategy selection, star expansion,
 ORDER BY handling, and output-type inference.
 
-The planner emits *batch* operator classes by default, each a subclass
-of its row twin (``BatchSort`` is a ``Sort``), and fuses
-Scan→Filter→Project chains into ``FusedScanFilterProject`` — shape
-assertions below use isinstance / :func:`has_filter` so they hold for
-both engines.
+The planner fuses Scan→Filter→Project chains into
+``FusedScanFilterProject`` — shape assertions below use isinstance /
+:func:`has_filter` so they hold for fused and unfused plans alike.
 """
 
 import pytest
@@ -14,6 +12,7 @@ from repro.db import Database
 from repro.db.catalog import Catalog
 from repro.db.executor import (
     Filter,
+    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
@@ -32,7 +31,6 @@ from repro.db.planner import (
 )
 from repro.db.sql.parser import parse_expression, parse_one
 from repro.db.types import SQLType
-from repro.db.vector import FusedScanFilterProject, row_at_a_time_plans
 from repro.errors import ExecutionError
 
 
@@ -221,15 +219,6 @@ class TestVectorizedPlanning:
         assert len(fused[0].predicates) == 2
         assert fused[0].projections is not None
         assert [row for row, _lin in planned.root] == [(3,)]
-
-    def test_row_mode_emits_classic_operators(self, db):
-        with row_at_a_time_plans():
-            planned = plan(db, "SELECT x + 1 FROM a WHERE x > 1 ORDER BY 1")
-        kinds = [type(op) for op in operators_in(planned.root)]
-        assert Sort in kinds
-        assert Project in kinds
-        assert Filter in kinds
-        assert SeqScan in kinds
 
     def test_build_side_prefers_smaller_table(self, db):
         # a has 2 rows, b has 2; add rows so b is strictly larger

@@ -1,32 +1,37 @@
-"""Vectorized engine: RowBatch mechanics, batch/row parity, and
+"""Batch executor: RowBatch mechanics, pinned parity digests, and
 provenance byte-identity.
 
-The batch pipeline must be invisible: every query answers with the
-same rows, the same lineage sets, and the same bytes on the wire as
-the tuple-at-a-time engine running interpreted expressions. The parity
-helpers here run each statement twice — once vectorized (the default)
-and once under ``row_at_a_time_plans()`` + ``interpreted_expressions()``
-— clearing the plan cache in between so neither mode sees the other's
-plans.
+The batch operators replaced a tuple-at-a-time executor whose
+expressions ran through the :class:`repro.db.expressions.Evaluator`
+interpreter. Before that engine was removed, every statement here was
+run through both engines and found to give the same rows, the same
+lineage sets and the same wire bytes; those answers are pinned in
+``tests/fixtures/parity_digests.json`` as three sha256 digests per
+statement — of ``repr(rows)``, of ``repr`` of the sorted lineages, and
+of ``encode_frame(result_to_wire(result))``. A statement must keep
+answering exactly what the tuple engine answered.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.db import Database, vector
-from repro.db.expressions import interpreted_expressions
+from repro.db import Database, executor
+from repro.db.executor import BATCH_SIZE, RowBatch
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
-from repro.db.vector import (
-    BATCH_SIZE,
-    RowBatch,
-    row_at_a_time_plans,
-    vectorized_enabled,
-)
+from repro.errors import ExecutionError
 from repro.workloads.halos import build_world
 from repro.workloads.tpch.dbgen import TPCHConfig, TPCHGenerator
 from repro.workloads.tpch.queries import q1_sql, q3_sql, q4_sql
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "fixtures"
+     / "parity_digests.json").read_text())
 
 
 # -- RowBatch mechanics -------------------------------------------------------
@@ -65,26 +70,31 @@ class TestRowBatch:
         assert part.columns is batch.columns
 
 
-# -- batch/row parity ---------------------------------------------------------
+# -- pinned parity ------------------------------------------------------------
 
-def run_both_modes(database, sql, provenance=False):
-    """Execute once vectorized, once row-at-a-time interpreted."""
-    database.plan_cache.clear()
-    assert vectorized_enabled()
-    vectorized = database.execute(sql, provenance)
-    database.plan_cache.clear()
-    with row_at_a_time_plans(), interpreted_expressions():
-        assert not vectorized_enabled()
-        interpreted = database.execute(sql, provenance)
-    database.plan_cache.clear()
-    return vectorized, interpreted
+def _sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
 
 
-def assert_wire_identical(vectorized, interpreted):
-    assert vectorized.rows == interpreted.rows
-    assert vectorized.lineages == interpreted.lineages
-    assert (encode_frame(result_to_wire(vectorized))
-            == encode_frame(result_to_wire(interpreted)))
+def digests(result) -> dict[str, str]:
+    return {
+        "rows": _sha256(repr(result.rows)),
+        "lineages": _sha256(repr([sorted(lineage)
+                                  for lineage in result.lineages])),
+        "wire": _sha256(encode_frame(result_to_wire(result))),
+    }
+
+
+def run_pinned(database, key, sql, provenance=False):
+    """Execute ``sql`` on a cold plan cache and check its answer
+    against the digests pinned under ``key``."""
+    database.plan_cache.clear()
+    result = database.execute(sql, provenance)
+    database.plan_cache.clear()
+    assert digests(result) == DIGESTS[key], sql
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +150,7 @@ PARITY_QUERIES = [
 
 @pytest.mark.parametrize("sql", PARITY_QUERIES)
 def test_batch_row_parity(parity_db, sql):
-    vectorized, interpreted = run_both_modes(parity_db, sql)
-    assert_wire_identical(vectorized, interpreted)
+    run_pinned(parity_db, sql, sql)
 
 
 @pytest.mark.parametrize("sql", [
@@ -152,55 +161,43 @@ def test_batch_row_parity(parity_db, sql):
     "SELECT k, a FROM t ORDER BY a, k LIMIT 40",
 ])
 def test_batch_row_parity_with_provenance(parity_db, sql):
-    vectorized, interpreted = run_both_modes(parity_db, sql,
-                                             provenance=True)
-    assert any(vectorized.lineages) or "1 = 0" in sql
-    assert_wire_identical(vectorized, interpreted)
+    result = run_pinned(parity_db, "provenance: " + sql, sql,
+                        provenance=True)
+    assert any(result.lineages)
 
 
 def test_error_parity_on_bad_comparison(parity_db):
-    def failure(mode_runner):
-        parity_db.plan_cache.clear()
-        with pytest.raises(Exception) as info:
-            with mode_runner():
-                parity_db.execute("SELECT k FROM t WHERE name > 5")
-        parity_db.plan_cache.clear()
-        return type(info.value), str(info.value)
-
-    from contextlib import nullcontext
-    assert failure(nullcontext) == failure(row_at_a_time_plans)
+    parity_db.plan_cache.clear()
+    with pytest.raises(ExecutionError) as info:
+        parity_db.execute("SELECT k FROM t WHERE name > 5")
+    parity_db.plan_cache.clear()
+    assert type(info.value) is ExecutionError
+    assert str(info.value) == "cannot compare 'name1' and 5"
 
 
 def test_mixed_type_sort_fails_identically(parity_db):
     sql = ("SELECT CASE WHEN k % 2 = 0 THEN name ELSE k END AS v "
            "FROM t WHERE k < 10 ORDER BY v")
-    outcomes = []
-    for mode in (None, "rows"):
-        parity_db.plan_cache.clear()
-        try:
-            if mode is None:
-                parity_db.execute(sql)
-            else:
-                with row_at_a_time_plans(), interpreted_expressions():
-                    parity_db.execute(sql)
-            outcomes.append("ok")
-        except Exception as exc:
-            outcomes.append(type(exc).__name__)
     parity_db.plan_cache.clear()
-    assert outcomes[0] == outcomes[1]
+    with pytest.raises(TypeError) as info:
+        parity_db.execute(sql)
+    parity_db.plan_cache.clear()
+    assert type(info.value) is TypeError
+    assert str(info.value) == ("'<' not supported between instances of "
+                               "'str' and 'int'")
 
 
-def test_multi_batch_inputs_chunk_and_reassemble(parity_db):
+def test_multi_batch_inputs_chunk_and_reassemble():
     """700 rows with BATCH_SIZE 1024 is one batch; force several."""
     database = Database()
     database.execute("CREATE TABLE wide (n integer)")
     count = BATCH_SIZE * 2 + 17
     database.execute("INSERT INTO wide VALUES " + ", ".join(
         f"({n})" for n in range(count)))
-    vectorized, interpreted = run_both_modes(
-        database, "SELECT n FROM wide WHERE n % 10 < 3 ORDER BY n DESC")
-    assert_wire_identical(vectorized, interpreted)
-    assert len(vectorized.rows) > BATCH_SIZE // 2
+    result = run_pinned(
+        database, "multi-batch",
+        "SELECT n FROM wide WHERE n % 10 < 3 ORDER BY n DESC")
+    assert len(result.rows) > BATCH_SIZE // 2
 
 
 class TestLineageAllocation:
@@ -213,17 +210,17 @@ class TestLineageAllocation:
 
     def test_no_provenance_scans_allocate_zero_lineage_vectors(self):
         database = self.make_db()
-        before = vector.LINEAGE_VECTOR_BUILDS
+        before = executor.LINEAGE_VECTOR_BUILDS
         for _ in range(3):
             database.query("SELECT k FROM t WHERE k % 2 = 0")
-        assert vector.LINEAGE_VECTOR_BUILDS == before
+        assert executor.LINEAGE_VECTOR_BUILDS == before
 
     def test_provenance_scans_build_one_lineage_vector_per_batch(self):
         database = self.make_db()
-        start = vector.LINEAGE_VECTOR_BUILDS
+        start = executor.LINEAGE_VECTOR_BUILDS
         for _ in range(2):
             database.execute("SELECT k FROM t", True)
-        assert vector.LINEAGE_VECTOR_BUILDS - start == 6
+        assert executor.LINEAGE_VECTOR_BUILDS - start == 6
 
 
 # -- provenance byte-identity on real workloads -------------------------------
@@ -243,11 +240,10 @@ def test_halos_matcher_provenance_identical():
             f"({halo_id}, {halo_id % 20}, {(halo_id * 3) % 20}, "
             f"{3 + halo_id})"
             for halo_id in range(1, 15)))
-    vectorized, interpreted = run_both_modes(
-        database, HALOS_MATCHER_SQL, provenance=True)
-    assert vectorized.rows  # the join actually matched something
-    assert all(lineage for lineage in vectorized.lineages)
-    assert_wire_identical(vectorized, interpreted)
+    result = run_pinned(database, "halos", HALOS_MATCHER_SQL,
+                        provenance=True)
+    assert result.rows  # the join actually matched something
+    assert all(lineage for lineage in result.lineages)
 
 
 @pytest.fixture(scope="module")
@@ -257,16 +253,14 @@ def tpch_db():
     return database
 
 
-@pytest.mark.parametrize("sql", [
-    q1_sql(25),
-    q3_sql(6),
-    q4_sql(10),
-])
+TPCH_KEYS = {q1_sql(25): "tpch q1", q3_sql(6): "tpch q3",
+             q4_sql(10): "tpch q4"}
+
+
+@pytest.mark.parametrize("sql", list(TPCH_KEYS))
 def test_tpch_provenance_identical(tpch_db, sql):
-    vectorized, interpreted = run_both_modes(tpch_db, sql,
-                                             provenance=True)
-    assert vectorized.rows
-    assert_wire_identical(vectorized, interpreted)
+    result = run_pinned(tpch_db, TPCH_KEYS[sql], sql, provenance=True)
+    assert result.rows
 
 
 # -- EXPLAIN integration ------------------------------------------------------
@@ -292,7 +286,7 @@ class TestExplain:
         text = explain_text(
             explain_db, "EXPLAIN SELECT x + 1 FROM big WHERE x > 5")
         assert "FusedScanFilterProject" in text
-        assert "Batch" not in text  # display names stay engine-neutral
+        assert "Batch" not in text
 
     def test_analyze_reports_batches_and_rows(self, explain_db):
         result = explain_db.execute(
@@ -306,6 +300,20 @@ class TestExplain:
                    for entry in operators}
         assert by_name["SeqScan"]["rows"] == 200
         assert by_name["Filter"]["rows"] == 50
+        assert all(entry["batches"] >= 1 for entry in operators)
+
+    def test_analyze_entries_share_one_shape(self, explain_db):
+        # a theta join plans a NestedLoopJoin, which reports batches
+        # like every other operator
+        result = explain_db.execute(
+            "EXPLAIN ANALYZE SELECT tiny.x FROM tiny, big "
+            "WHERE tiny.x < big.y")
+        operators = result.stats["analyze"]["operators"]
+        assert "NestedLoopJoin" in [entry["operator"]
+                                    for entry in operators]
+        keys = {frozenset(entry) - {"est_rows"} for entry in operators}
+        assert keys == {frozenset({"operator", "depth", "rows", "seconds",
+                                   "loops", "batches"})}
         assert all(entry["batches"] >= 1 for entry in operators)
 
     def test_build_side_shown_and_prefers_smaller_input(self, explain_db):
