@@ -119,7 +119,7 @@ def test_wire_tax(world, report):
 
 
 # ---------------------------------------------------------------------------
-# fast path: compiled expressions + plan cache
+# fast path: compiled expressions + prepared plans
 # ---------------------------------------------------------------------------
 
 JOIN_AGG = ("SELECT l_returnflag, count(*), sum(l_extendedprice), "
@@ -189,30 +189,25 @@ def test_compiled_vs_interpreted(world, report):
         f"interpreter ({interpreted:.6f}s)")
 
 
-def test_plan_cache_skips_parse_and_plan(world, report):
-    """Repeated statement latency: served from the plan cache vs
-    re-planned from scratch (cache cleared before every run). A tiny
-    query makes parse+plan the dominant cost, as in the reenactment
-    paper's replay workloads."""
+def test_prepared_plan_skips_parse_and_plan(world, report):
+    """Repeated statement latency: a prepared statement running the
+    plan it keeps vs the same text parsed and planned on every call. A
+    tiny query makes parse+plan the dominant cost, as in the
+    reenactment paper's replay workloads."""
     database = world.database
     sql = "SELECT r_name FROM region WHERE r_regionkey = 1"
 
-    database.plan_cache.clear()
-    database.query(sql)  # prime the entry
-    hot = best_of(lambda: database.query(sql), repeats=7)
-
-    def cold():
-        database.plan_cache.clear()
-        return database.query(sql)
-
-    cold_seconds = best_of(cold, repeats=7)
+    prepared = database.prepare(sql)
+    database.execute_prepared(prepared)  # plan once
+    hot = best_of(lambda: database.execute_prepared(prepared), repeats=7)
+    replanned = best_of(lambda: database.query(sql), repeats=7)
     report.add(
-        "Microbench — plan cache (seconds per statement)",
+        "Microbench — prepared plan (seconds per statement)",
         ("path", "seconds", "speedup"),
-        ("cached", hot, f"{cold_seconds / max(hot, 1e-9):.2f}x"))
-    assert hot < cold_seconds, (
-        f"cached execution ({hot:.6f}s) is not faster than "
-        f"re-planning ({cold_seconds:.6f}s)")
+        ("prepared", hot, f"{replanned / max(hot, 1e-9):.2f}x"))
+    assert hot < replanned, (
+        f"prepared execution ({hot:.6f}s) is not faster than "
+        f"re-planning ({replanned:.6f}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,8 @@ def pipeline_db():
 
 def test_batch_pipeline_throughput(pipeline_db, report):
     """Batch execution with fused kernels on scan-heavy pipelines, best
-    of 3 with a warm plan cache. Records the per-query throughput
+    of 3 through a prepared statement (planned once, outside the timed
+    runs). Records the per-query throughput
     trajectory in BENCH_engine.json (refresh with
     ``REPRO_BENCH_UPDATE=1``) and gates on it: a >30% throughput
     regression against the committed numbers fails CI."""
@@ -265,10 +261,10 @@ def test_batch_pipeline_throughput(pipeline_db, report):
     measured: dict[str, dict] = {}
     failures = []
     for name, sql in PIPELINE_QUERIES.items():
-        pipeline_db.plan_cache.clear()
-        assert pipeline_db.query(sql)  # warms the plan cache
-        batch_seconds = best_of(lambda: pipeline_db.query(sql),
-                                repeats=3)
+        prepared = pipeline_db.prepare(sql)
+        assert pipeline_db.execute_prepared(prepared).rows  # plans it
+        batch_seconds = best_of(
+            lambda: pipeline_db.execute_prepared(prepared), repeats=3)
         measured[name] = {
             "batch_seconds": round(batch_seconds, 6),
             "batch_rows_per_s": round(BENCH_ROWS / batch_seconds),
@@ -355,17 +351,17 @@ def test_analyze_informed_plan_beats_rote_planner(optimizer_db, report):
         return "\n".join(row[0] for row in database.execute(
             "EXPLAIN " + OPTIMIZER_QUERY).rows)
 
-    database.plan_cache.clear()
+    prepared = database.prepare(OPTIMIZER_QUERY)
     rote_plan = plan()
-    rote_rows = database.query(OPTIMIZER_QUERY)
+    rote_rows = database.execute_prepared(prepared).rows
     rote_seconds = best_of(
-        lambda: database.query(OPTIMIZER_QUERY), repeats=3)
+        lambda: database.execute_prepared(prepared), repeats=3)
 
-    database.execute("ANALYZE")  # invalidates every cached plan
+    database.execute("ANALYZE")  # the prepared statement re-plans
     informed_plan = plan()
-    informed_rows = database.query(OPTIMIZER_QUERY)
+    informed_rows = database.execute_prepared(prepared).rows
     informed_seconds = best_of(
-        lambda: database.query(OPTIMIZER_QUERY), repeats=3)
+        lambda: database.execute_prepared(prepared), repeats=3)
 
     assert informed_rows == rote_rows
     # deeper operators print later: the selective s-join must now

@@ -15,11 +15,11 @@ class Catalog:
     """Name → table mapping with optional data-directory backing.
 
     ``version`` is a monotonic counter bumped on every schema change
-    (table and index DDL). Plan-cache keys include it, so any cached
-    plan built against an older schema becomes unreachable the moment
+    (table and index DDL). A prepared statement's kept plan records it,
+    so a plan built against an older schema is re-planned the moment
     the schema changes. ``stats_version`` plays the same role for
     ANALYZE statistics: it bumps whenever planner statistics change,
-    so plans costed against stale statistics age out of the cache.
+    so plans costed against stale statistics are re-planned too.
 
     The catalog also owns the database-wide :class:`MVCCState` and
     wires it into every table it manages, so scans anywhere in the

@@ -40,7 +40,6 @@ every write, fsync, and rename.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -116,99 +115,15 @@ class StatementResult:
     # free-form measurements: EXPLAIN ANALYZE fills "analyze" with
     # per-operator counters, the server adds wire-side timing
     stats: dict[str, Any] = field(default_factory=dict)
-    # engine-internal: True when the statement was a plan-cacheable
-    # SELECT, whose source_tables list is complete — the only results
-    # the server result cache may store. Never serialized to the wire.
+    # engine-internal: True when the statement was a plain SELECT
+    # without subqueries, whose source_tables list is complete — the
+    # only results the server result cache may store. Never serialized
+    # to the wire.
     cacheable: bool = False
 
     @property
     def column_names(self) -> list[str]:
         return self.schema.column_names()
-
-
-class PlanCache:
-    """LRU cache of planned SELECT operator trees.
-
-    Keyed by ``(normalized SQL text, provenance flag, catalog
-    version, stats version)``. Including the catalog version makes
-    every cached plan built against an older schema unreachable the
-    moment any DDL runs — DDL handlers
-    additionally :meth:`clear` the cache so stale entries do not
-    linger until LRU eviction. The stats version does the same for the
-    cost model: ANALYZE bumps it, so plans costed against superseded
-    statistics are re-planned on the next execution instead of being
-    served forever.
-
-    Only plain SELECT statements without subqueries are cacheable:
-    subquery expansion inlines executed results into the AST, which
-    depend on table data, not just on the SQL text.
-
-    ``hits`` counts statements served from the cache; ``misses``
-    counts cacheable statements that had to be planned (recorded at
-    :meth:`put` time, so DML and other non-cacheable statements do not
-    inflate the miss counter).
-
-    The cache is shared by every session of a database, so lookups,
-    insertions (with their LRU ``move_to_end`` bookkeeping), eviction,
-    and the counters all run under one lock — two sessions planning
-    the same SQL concurrently must never corrupt the LRU order or lose
-    counter increments.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ExecutionError("plan cache capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, PlannedQuery] = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def normalize(sql: str) -> str:
-        """Collapse insignificant whitespace so trivially reformatted
-        statements share a cache entry. Statements containing string
-        literals are kept verbatim — whitespace inside quotes is
-        significant and a lexer-free normalizer cannot tell it apart.
-        """
-        if "'" in sql:
-            return sql.strip()
-        return " ".join(sql.split())
-
-    def get(self, key: tuple) -> Optional[PlannedQuery]:
-        with self._lock:
-            planned = self._entries.get(key)
-            if planned is None:
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return planned
-
-    def put(self, key: tuple, planned: PlannedQuery) -> None:
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = planned
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "size": len(self._entries)}
-
-    def keys(self) -> list[tuple]:
-        """The cached keys in LRU order, oldest first (for tests)."""
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class IdempotencyLedger:
@@ -280,11 +195,13 @@ class PreparedStatement:
     sql: str
     statement: ast.Statement
     cacheable: bool
-    # normalized once at prepare time; plan-cache and result-cache
-    # keys on the execution path reuse it instead of re-normalizing
-    normalized_sql: str = ""
     # the statement compiled for binding ``$n`` values, once
     binder: Binder = field(init=False, repr=False)
+    # provenance flag -> ((catalog, catalog version, stats version),
+    # plan): a cacheable statement's plan, reused while the catalog it
+    # was planned against is unchanged (see Database._planned_for)
+    plans: dict[bool, tuple[tuple, PlannedQuery]] = field(
+        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.binder = Binder(self.statement)
@@ -304,9 +221,9 @@ class Cursor:
     the remaining rows need until the cursor is closed or exhausted.
 
     ``fetch`` resumes the plan's iterator under the pinned read view
-    and the cursor's parameter bindings, so a cached (shared) plan
-    streams snapshot-correct rows regardless of what other sessions
-    commit between chunks.
+    and the cursor's parameter bindings, so a prepared statement's
+    (shared) plan streams snapshot-correct rows regardless of what
+    other sessions commit between chunks.
     """
 
     def __init__(self, database: "Database", schema: Schema,
@@ -437,12 +354,22 @@ class Database:
         def counters() -> dict[str, int]:
             return {"hits": 0, "misses": 0, "invalidations": 0}
 
+    class plan_cache:
+        """Read only by benchmarks/ldv, whose run record still reports
+        plan-cache figures. The engine has no shared plan cache (a
+        prepared statement keeps its own plan), so this one holds
+        nothing and all of its counters stay zero."""
+        capacity = 0
+
+        @staticmethod
+        def counters() -> dict[str, int]:
+            return {"hits": 0, "misses": 0, "size": 0}
+
     def __init__(self, data_directory: str | Path | None = None,
                  clock: LogicalClock | None = None,
                  autoflush: bool = False,
                  io: FileIO | None = None,
-                 timer: Callable[[], float] = time.perf_counter,
-                 plan_cache_size: int = 64) -> None:
+                 timer: Callable[[], float] = time.perf_counter) -> None:
         self.io = io if io is not None else FileIO()
         directory = (DataDirectory(data_directory, io=self.io)
                      if data_directory is not None else None)
@@ -450,7 +377,6 @@ class Database:
         self.clock = clock if clock is not None else LogicalClock()
         self.autoflush = autoflush
         self.timer = timer
-        self.plan_cache = PlanCache(plan_cache_size)
         # MVCC state lives on the catalog so tables can consult it;
         # sessions are handed out here (one per server connection, plus
         # the default one used by the embedded single-connection API)
@@ -492,10 +418,6 @@ class Database:
             # from when the engine had parallel scans) is ignored
             self._replay_recovered(self.last_recovery)
             self._restore_clock(directory, self.last_recovery)
-            # recovery may have replayed DDL; plans cached before it
-            # (none today — the cache is born empty — but guard the
-            # invariant against future pre-warm refactors)
-            self.plan_cache.clear()
         # file access hooks so a virtual OS can interpose COPY I/O
         self.read_file: Callable[[str], str] = (
             lambda path: Path(path).read_text())
@@ -653,7 +575,7 @@ class Database:
     def _read_view(self, session: Session) -> Iterator[None]:
         """Make the session's snapshot the ambient read view for the
         duration of one statement. Tables consult it during scans, so
-        cached plans — whose operators hold direct table references —
+        kept plans — whose operators hold direct table references —
         are automatically snapshot-correct for whichever session runs
         them. No view is installed outside a transaction: autocommit
         statements read (and write) the committed heap directly."""
@@ -705,10 +627,9 @@ class Database:
                            timer: Callable[[], float],
                            budget: float | None = None) -> Iterator[None]:
         """Cancel statement execution once ``timer()`` passes
-        ``deadline``. The check runs between row batches (and every
-        1024 rows on the tuple path), so a runaway scan raises
-        :class:`StatementTimeout` mid-statement instead of only being
-        noticed after it finishes."""
+        ``deadline``. The check runs between row batches, so a runaway
+        scan raises :class:`StatementTimeout` mid-statement instead of
+        only being noticed after it finishes."""
         previous = (self._deadline, self._deadline_timer,
                     self._deadline_budget)
         self._deadline = deadline
@@ -738,14 +659,14 @@ class Database:
                 token: str | None = None) -> StatementResult:
         """Execute exactly one SQL statement.
 
-        Repeated SELECT texts hit the plan cache and skip parse+plan
-        entirely; see :class:`PlanCache` for the keying rules. With no
-        explicit ``session`` the default (embedded) session is used.
+        Every call parses (repeated shapes hit the parser's cache) and
+        plans afresh; :meth:`prepare` keeps a SELECT's plan across
+        executions. With no explicit ``session`` the default (embedded)
+        session is used.
 
         A ``token`` marks the statement for exactly-once retry: if this
         token already executed, the recorded result is returned without
-        re-executing (see :class:`IdempotencyLedger`). Tokens are for
-        mutating statements; plan-cached SELECTs ignore them.
+        re-executing (see :class:`IdempotencyLedger`).
         """
         session = session if session is not None else self.session
         self._ensure_usable()
@@ -753,35 +674,11 @@ class Database:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
                 return replayed
-        key = (PlanCache.normalize(sql), bool(provenance),
-               self.catalog.version, self.catalog.stats_version)
-        planned = self.plan_cache.get(key)
-        if planned is not None:
-            with self._read_view(session):
-                result = self._run_planned_select(planned)
-            result.cacheable = True
-            return result
         statements = parse_sql(sql)
         if len(statements) != 1:
             raise SQLSyntaxError(
                 f"execute() expects one statement, got {len(statements)}")
-        statement = statements[0]
-        if self._plan_cacheable(statement):
-            track = provenance or statement.provenance
-            # plan inside the session's read view: cardinality
-            # estimates must see the transaction's own overlay (a bulk
-            # insert into one join side steers this plan's build side)
-            with self._read_view(session):
-                planned = plan_select(statement, self.catalog, track)
-                result = self._run_planned_select(planned)
-            if session.txn is None:
-                # overlay-costed plans stay private to the planning
-                # statement; only snapshot-free plans enter the shared
-                # cache
-                self.plan_cache.put(key, planned)
-            result.cacheable = True
-            return result
-        return self.execute_statement(statement, provenance, session,
+        return self.execute_statement(statements[0], provenance, session,
                                       token=token)
 
     # -- prepared statements and cursors ----------------------------------------
@@ -796,8 +693,7 @@ class Database:
         statement = statements[0]
         return PreparedStatement(
             sql=sql, statement=statement,
-            cacheable=self._plan_cacheable(statement),
-            normalized_sql=PlanCache.normalize(sql))
+            cacheable=self._plan_cacheable(statement))
 
     def _check_param_count(self, prepared: PreparedStatement,
                            params: tuple) -> None:
@@ -809,20 +705,22 @@ class Database:
     def _planned_for(self, prepared: PreparedStatement,
                      provenance: bool,
                      session: Session | None = None) -> PlannedQuery:
-        """The (cached) plan for a cacheable prepared statement. Keys
-        match the text path, so ``prepare`` + ``execute`` share one
-        cache entry per template. Plans costed under an open
-        transaction's overlay (``session`` given and in a transaction)
-        are used but not cached."""
-        key = (prepared.normalized_sql or PlanCache.normalize(prepared.sql),
-               bool(provenance), self.catalog.version,
-               self.catalog.stats_version)
-        planned = self.plan_cache.get(key)
-        if planned is None:
-            track = provenance or prepared.statement.provenance
-            planned = plan_select(prepared.statement, self.catalog, track)
-            if session is None or session.txn is None:
-                self.plan_cache.put(key, planned)
+        """The plan for a cacheable prepared statement, kept on the
+        statement per provenance flag. A kept plan is reused while this
+        database's catalog and statistics versions are unchanged, so DDL
+        and ANALYZE re-plan on the next execution. Plans costed under an
+        open transaction's overlay (``session`` given and in a
+        transaction) are used but not kept."""
+        provenance = bool(provenance)
+        catalog = self.catalog
+        versions = (catalog, catalog.version, catalog.stats_version)
+        kept = prepared.plans.get(provenance)
+        if kept is not None and kept[0] == versions:
+            return kept[1]
+        planned = plan_select(prepared.statement, catalog,
+                              provenance or prepared.statement.provenance)
+        if session is None or session.txn is None:
+            prepared.plans[provenance] = (versions, planned)
         return planned
 
     def execute_prepared(self, prepared: PreparedStatement,
@@ -832,7 +730,7 @@ class Database:
                          token: str | None = None) -> StatementResult:
         """Bind ``params`` to a prepared statement and execute it.
 
-        Cacheable SELECT templates skip parse *and* plan: the cached
+        Cacheable SELECT templates skip parse *and* plan: the kept
         plan's compiled closures read the parameter values from the
         ambient binding installed for the duration of the statement.
         Everything else (DML, subqueries) substitutes literals into the
@@ -864,7 +762,7 @@ class Database:
                     provenance: bool = False) -> Cursor:
         """Open a streamed result set for a SELECT.
 
-        Plan-cacheable SELECTs stream incrementally from the operator
+        Cacheable SELECTs stream incrementally from the operator
         tree under a pinned snapshot; other SELECT shapes (subqueries,
         UNION) materialize eagerly and the cursor merely chunks the
         rows. Non-SELECT statements are rejected.
@@ -890,8 +788,11 @@ class Database:
 
     @staticmethod
     def _plan_cacheable(statement: ast.Statement) -> bool:
-        """Plain SELECTs without subqueries may be cached; everything
-        else (DML, DDL, UNION, EXPLAIN, subqueries) plans per call."""
+        """Plain SELECTs without subqueries: a prepared statement may
+        keep their plan and the server's result cache their result.
+        Everything else (DML, DDL, UNION, EXPLAIN, subqueries) plans
+        per call, and its result is never cached: subquery expansion
+        inlines data-dependent values into the statement."""
         if not isinstance(statement, ast.Select):
             return False
         expressions: list[Optional[ast.Expression]] = [
@@ -930,10 +831,18 @@ class Database:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
                 return replayed
+        # classified as parsed: expansion below inlines subquery
+        # results, after which a subquery SELECT would look plain. A
+        # cacheable SELECT has no subqueries, so it skips expansion.
+        cacheable = self._plan_cacheable(statement)
+        # planned inside the session's read view: cardinality estimates
+        # must see the transaction's own overlay (a bulk insert into
+        # one join side steers the plan's build side)
         with self._read_view(session):
             extra_lineage: frozenset = EMPTY_LINEAGE
-            if isinstance(statement, (ast.Select, ast.SetOp, ast.Update,
-                                      ast.Delete, ast.Insert)):
+            if not cacheable and isinstance(
+                    statement, (ast.Select, ast.SetOp, ast.Update,
+                                ast.Delete, ast.Insert)):
                 # DML always records write provenance, so its subqueries
                 # must track lineage too; queries only when asked
                 track = (provenance
@@ -962,6 +871,7 @@ class Database:
                 result.written_lineage = {
                     ref: deps | extra_lineage
                     for ref, deps in result.written_lineage.items()}
+        result.cacheable = cacheable
         if token is not None:
             # record before the batch commits so the ledger entry is
             # atomic with the writes it deduplicates
@@ -1141,7 +1051,7 @@ class Database:
     def _run_planned_select(self, planned: PlannedQuery) -> StatementResult:
         """Pull a planned operator tree to completion. Plans are
         re-iterable (scans read current table state on each run), which
-        is what makes serving them from the cache sound."""
+        is what lets a prepared statement reuse its plan."""
         rows, lineages = self._materialize_root(planned.root)
         return StatementResult(
             kind="select", schema=planned.schema, rows=rows,
@@ -1163,7 +1073,7 @@ class Database:
         from repro.db.executor import instrument_plan
         from repro.db.planner import analyze_stats, explain_plan
 
-        # always planned fresh, never from the cache: ANALYZE rewires
+        # always planned fresh, never a kept plan: ANALYZE rewires
         # the tree in place with Instrumented wrappers. ANALYZE also
         # plans unfused so each Scan/Filter/Project keeps its own node
         # (and measurement) in the tree.
@@ -1433,7 +1343,6 @@ class Database:
         table = self.catalog.create_table(
             create.table, Schema(columns), create.if_not_exists)
         if not existed:
-            self.plan_cache.clear()
             self._touched_tables.add(table.name)
             self._log_ddl({"op": "create_table", "table": table.name,
                            "columns": schema_to_wire(table.schema)})
@@ -1443,7 +1352,6 @@ class Database:
         existed = self.catalog.has_table(drop.table)
         self.catalog.drop_table(drop.table, drop.if_exists)
         if existed:
-            self.plan_cache.clear()
             key = drop.table.lower()
             self._dropped_tables.add(key)
             self._touched_tables.discard(key)
@@ -1460,7 +1368,6 @@ class Database:
         index = table.create_index(create.name, create.column,
                                    create.if_not_exists)
         self.catalog.bump_version()
-        self.plan_cache.clear()
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "create_index", "table": table.name,
                        "name": index.name, "column": index.column})
@@ -1475,7 +1382,6 @@ class Database:
         table = self.catalog.table_of_index(drop.name)
         table.drop_index(drop.name)
         self.catalog.bump_version()
-        self.plan_cache.clear()
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "drop_index", "name": drop.name.lower()})
         return StatementResult(kind="drop", source_tables=[table.name])
@@ -1486,8 +1392,7 @@ class Database:
         Runs like DDL: autocommit only, scanning the committed heap.
         The new statistics are WAL-logged (an ``"analyze"`` record per
         table) so they survive a crash, and the stats-version bump
-        ages every cached plan out of the plan cache; the explicit
-        clear below just reclaims the memory immediately.
+        makes every prepared statement re-plan on its next execution.
         """
         names = ([analyze.table.lower()] if analyze.table is not None
                  else self.catalog.table_names())
@@ -1502,7 +1407,6 @@ class Database:
                 "row_count": table_stats.row_count,
                 "columns": len(table_stats.columns),
             }
-        self.plan_cache.clear()
         return StatementResult(kind="analyze", rowcount=len(names),
                                source_tables=list(names),
                                stats={"analyzed": summary})

@@ -1164,8 +1164,8 @@ def instrument_plan(root: Operator,
     """Wrap every operator in ``root``'s tree with :class:`Instrumented`.
 
     Mutates the tree in place (re-pointing child attributes), so it
-    must only be applied to a freshly built plan — never to one served
-    from the plan cache.
+    must only be applied to a freshly built plan — never to one a
+    prepared statement keeps.
     """
     for attribute in _CHILD_ATTRS:
         child = getattr(root, attribute, None)

@@ -636,7 +636,8 @@ class BindingSlots:
 
 # Ambient parameter bindings for the statement currently executing.
 # Compiled closures read this at *call* time (not compile time), so a
-# plan cached for a parameterized template re-binds on every execution.
+# plan kept for a prepared, parameterized template re-binds on every
+# execution.
 _BOUND_PARAMS: tuple | None = None
 
 

@@ -18,8 +18,8 @@ The serving fast path (protocol version 2) adds four per-connection
 facilities on top of plain query frames:
 
 * **prepared statements** — ``prepare`` parses and classifies once;
-  ``bind-execute`` binds ``$n`` values and runs the (plan-cached)
-  template, skipping parse and plan per call;
+  ``bind-execute`` binds ``$n`` values and runs the template with the
+  plan the prepared statement keeps, skipping parse and plan per call;
 * **pipelining** — a ``pipeline`` envelope executes N frames in one
   exchange under one group-commit window (per-frame error isolation,
   one shared WAL fsync);
@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
-from repro.db.engine import Cursor, Database, PlanCache, PreparedStatement
+from repro.db.engine import Cursor, Database, PreparedStatement
 from repro.db.mvcc import MVCCState, Session
 from repro.errors import (
     DatabaseError,
@@ -76,6 +76,36 @@ def _looks_like_select(sql: str) -> bool:
     return sql.lstrip().lower().startswith("select")
 
 
+def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
+    """``request[name]`` if it is exactly a ``kind`` (``int`` or
+    ``str``; a JSON true/false is not an integer), else a one-line
+    :class:`ProtocolError` naming the field."""
+    value = request.get(name)
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "a string"
+        raise ProtocolError(
+            f"{request.get('frame')} frame: {name} must be {expected}, "
+            f"not {type(value).__name__}")
+    return value
+
+
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _bind_params(request: dict[str, Any]) -> tuple:
+    """A bind-execute frame's ``params``: a JSON array of scalars
+    (missing means none), else a one-line :class:`ProtocolError`."""
+    params = request.get("params")
+    if params is None:
+        return ()
+    if not (isinstance(params, list)
+            and all(type(value) in _SCALARS for value in params)):
+        raise ProtocolError(
+            "bind-execute frame: params must be an array of null, "
+            "boolean, number or string values")
+    return tuple(params)
+
+
 class ResultCache:
     """Read-through cache of ``result`` frames for read-only statements.
 
@@ -107,8 +137,19 @@ class ResultCache:
         self._entries: OrderedDict[tuple, dict] = OrderedDict()
 
     @staticmethod
+    def normalize(sql: str) -> str:
+        """Collapse insignificant whitespace so trivially reformatted
+        statements share a cache entry. Statements containing string
+        literals are kept verbatim — whitespace inside quotes is
+        significant and a lexer-free normalizer cannot tell it apart.
+        """
+        if "'" in sql:
+            return sql.strip()
+        return " ".join(sql.split())
+
+    @staticmethod
     def key(sql: str, params: tuple, provenance: bool) -> tuple:
-        return (PlanCache.normalize(sql), tuple(params), bool(provenance))
+        return (ResultCache.normalize(sql), tuple(params), bool(provenance))
 
     def _stale(self, entry: dict, mvcc: MVCCState,
                catalog_version: int) -> bool:
@@ -474,7 +515,7 @@ class DBServer:
         self.bytes_in += len(request_text)
         self.bytes_out += len(response_text)
         if request is not None:
-            state = self._states.get(request.get("connection_id"))
+            state = self._state_of(request)
             if state is not None:
                 state.bytes_in += len(request_text)
                 state.bytes_out += len(response_text)
@@ -507,7 +548,7 @@ class DBServer:
                 "ConnectionClosedError", "server is shut down")
         kind = request.get("frame")
         self.frames_served += 1
-        state = self._states.get(request.get("connection_id"))
+        state = self._state_of(request)
         if state is not None:
             state.frames_served += 1
         if self.connection_timeout is not None:
@@ -604,7 +645,7 @@ class DBServer:
                            request: dict[str, Any]) -> None:
         """Stamp a response with the connection's transaction state so
         clients track BEGIN/COMMIT/conflict-abort without guessing."""
-        state = self._states.get(request.get("connection_id"))
+        state = self._state_of(request)
         if state is not None:
             frame["txn"] = ("open" if state.session.in_transaction
                             else "idle")
@@ -631,11 +672,20 @@ class DBServer:
         return protocol.connected_frame(connection_id, negotiated,
                                         limits=limits or None)
 
-    def _require_state(self, request: dict[str, Any]) -> _ConnectionState:
+    def _state_of(self,
+                  request: dict[str, Any]) -> Optional[_ConnectionState]:
+        """The state of the connection a frame names, or None. Only an
+        integer (not a JSON true/false) can name a connection."""
         connection_id = request.get("connection_id")
-        state = self._states.get(connection_id)
+        if type(connection_id) is not int:
+            return None
+        return self._states.get(connection_id)
+
+    def _require_state(self, request: dict[str, Any]) -> _ConnectionState:
+        state = self._state_of(request)
         if state is None:
-            raise ProtocolError(f"unknown connection {connection_id!r}")
+            raise ProtocolError(
+                f"unknown connection {request.get('connection_id')!r}")
         return state
 
     @staticmethod
@@ -693,7 +743,6 @@ class DBServer:
             result.stats["server"] = {
                 "seconds": elapsed,
                 "result_cache": self.result_cache.counters(),
-                "plan_cache": self.database.plan_cache.counters(),
             }
         frame = protocol.result_to_wire(result)
         if (cache_key is not None and result.cacheable
@@ -759,11 +808,11 @@ class DBServer:
                              request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         self._require_version(state, "bind-execute")
-        name = request.get("name")
+        name = _typed_field(request, "name", str)
         prepared = state.prepared.get(name)
         if prepared is None:
             raise ProtocolError(f"unknown prepared statement {name!r}")
-        params = tuple(request.get("params") or ())
+        params = _bind_params(request)
         provenance = bool(request.get("provenance"))
         fetch = request.get("fetch")
         if fetch is not None:
@@ -771,9 +820,7 @@ class DBServer:
                                      fetch, provenance)
         cache_key = None
         if prepared.cacheable:
-            # the template was normalized once at prepare time
-            cache_key = (prepared.normalized_sql, params,
-                         bool(provenance))
+            cache_key = ResultCache.key(prepared.sql, params, provenance)
             cached = self.result_cache.lookup(
                 cache_key, self.database.mvcc,
                 self.database.catalog.version, state.session)
@@ -794,7 +841,7 @@ class DBServer:
                            request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         self._require_version(state, "deallocate")
-        name = request.get("name")
+        name = _typed_field(request, "name", str)
         state.prepared.pop(name, None)  # idempotent, like close-cursor
         frame = protocol.deallocated_frame(name)
         self._attach_txn_status(frame, request)
@@ -848,7 +895,7 @@ class DBServer:
     def _handle_fetch(self, request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         self._require_version(state, "fetch")
-        cursor_id = request.get("cursor_id")
+        cursor_id = _typed_field(request, "cursor_id", int)
         position = request.get("position")
         holder = state.cursors.get(cursor_id)
         if holder is None:
@@ -900,7 +947,7 @@ class DBServer:
                              request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         self._require_version(state, "close-cursor")
-        cursor_id = request.get("cursor_id")
+        cursor_id = _typed_field(request, "cursor_id", int)
         holder = state.cursors.pop(cursor_id, None)
         if holder is not None:
             holder.cursor.close()
@@ -992,7 +1039,6 @@ class DBServer:
             "prepared_statements": sum(len(state.prepared)
                                        for state in self._states.values()),
             "result_cache": self.result_cache.counters(),
-            "plan_cache": self.database.plan_cache.counters(),
             "dedupe_ledger": self.database.dedupe_ledger.counters(),
             "draining": self.draining,
             "drain_rejections": self.drain_rejections,

@@ -1,7 +1,7 @@
-"""Query-engine fast path: compiled expressions, plan cache, EXPLAIN
-ANALYZE — plus regression tests for the executor correctness fixes
-that shipped with it (Decimal-safe rounding, LEFT-join WHERE vs ON
-semantics, empty-input global aggregates).
+"""Query-engine fast path: compiled expressions, the plan a prepared
+statement keeps, EXPLAIN ANALYZE — plus regression tests for the
+executor correctness fixes that shipped with it (Decimal-safe rounding,
+LEFT-join WHERE vs ON semantics, empty-input global aggregates).
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import pytest
 from repro.db import protocol
 from repro.db import expressions as exprs
 from repro.db.client import DBClient
-from repro.db.engine import Database, PlanCache
-from repro.db.server import DBServer
+from repro.db.engine import Database
+from repro.db.planner import explain_plan
+from repro.db.server import DBServer, ResultCache
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_one, parse_sql
 from repro.db.sql.render import render_statement
@@ -264,114 +265,132 @@ class TestEmptyInputGlobalAggregate:
 
 
 class TestPlanCache:
-    def test_repeats_hit(self):
-        db = make_db()
-        sql = "SELECT name FROM emp WHERE id = 3"
-        first = db.query(sql)
-        assert db.plan_cache.counters() == {
-            "hits": 0, "misses": 1, "size": 1}
-        for _ in range(3):
-            assert db.query(sql) == first
-        assert db.plan_cache.hits == 3
-        assert db.plan_cache.misses == 1
+    """The plan a prepared statement keeps across executions. Text
+    SELECTs plan on every call: there is no shared plan cache."""
 
-    def test_whitespace_normalization(self):
+    def test_repeats_hit(self, plans):
         db = make_db()
-        db.query("SELECT id   FROM emp\n WHERE id = 1")
-        db.query("SELECT id FROM emp WHERE id = 1")
-        assert db.plan_cache.hits == 1
+        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
+        first = db.execute_prepared(prepared, [3]).rows
+        assert first == [("cyd",)]
+        for _ in range(3):
+            assert db.execute_prepared(prepared, [3]).rows == first
+        assert db.execute_prepared(prepared, [1]).rows == [("ada",)]
+        assert len(plans) == 1
+        # the text path plans every call
+        db.query("SELECT name FROM emp WHERE id = 3")
+        db.query("SELECT name FROM emp WHERE id = 3")
+        assert len(plans) == 3
 
     def test_string_literals_are_not_collapsed(self):
         db = Database()
         assert db.query("SELECT 'a  b'") == [("a  b",)]
         assert db.query("SELECT 'a b'") == [("a b",)]
-        assert db.plan_cache.hits == 0
 
-    def test_cached_plan_sees_new_data(self):
+    def test_cached_plan_sees_new_data(self, plans):
         db = make_db()
-        sql = "SELECT count(*) FROM emp"
-        assert db.query(sql) == [(5,)]
+        prepared = db.prepare("SELECT count(*) FROM emp")
+        assert db.execute_prepared(prepared).rows == [(5,)]
         db.execute("INSERT INTO emp VALUES (6, 'fin', 'eng', 70.0)")
-        assert db.query(sql) == [(6,)]
-        assert db.plan_cache.hits == 1
+        assert db.execute_prepared(prepared).rows == [(6,)]
+        assert len(plans) == 1
 
-    def test_dml_does_not_pollute_counters(self):
+    def test_ddl_invalidates(self, plans):
         db = make_db()
-        hits, misses = db.plan_cache.hits, db.plan_cache.misses
-        db.execute("INSERT INTO emp VALUES (7, 'gil', 'hr', 40.0)")
-        db.execute("UPDATE emp SET salary = 41 WHERE id = 7")
-        db.execute("DELETE FROM emp WHERE id = 7")
-        assert (db.plan_cache.hits, db.plan_cache.misses) == (hits, misses)
-
-    def test_ddl_invalidates(self):
-        db = make_db()
-        sql = "SELECT name FROM emp WHERE id = 2"
-        db.query(sql)
+        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
+        assert db.execute_prepared(prepared, [2]).rows == [("bob",)]
+        assert not any("IndexScan" in line
+                       for line in explain_plan(plans[-1].root))
         db.execute("CREATE INDEX ix_emp_id ON emp (id)")
-        assert len(db.plan_cache) == 0
-        # the re-plan must pick up the new index, not the cached scan
-        assert db.query(sql) == [("bob",)]
-        lines = [row[0] for row in db.execute("EXPLAIN " + sql).rows]
-        assert any("IndexScan" in line for line in lines)
-        assert db.plan_cache.hits == 0
+        # the re-plan must pick up the new index, not the kept scan
+        assert db.execute_prepared(prepared, [2]).rows == [("bob",)]
+        assert len(plans) == 2
+        assert any("IndexScan" in line
+                   for line in explain_plan(plans[-1].root))
+        # and the new plan is kept in turn
+        assert db.execute_prepared(prepared, [4]).rows == [("dan",)]
+        assert len(plans) == 2
 
-    def test_drop_and_recreate_table_is_not_served_stale(self):
+    def test_drop_and_recreate_table_is_not_served_stale(self, plans):
         db = Database()
         db.execute("CREATE TABLE t (id integer)")
         db.execute("INSERT INTO t VALUES (1)")
-        sql = "SELECT id FROM t"
-        assert db.query(sql) == [(1,)]
+        prepared = db.prepare("SELECT id FROM t")
+        assert db.execute_prepared(prepared).rows == [(1,)]
         db.execute("DROP TABLE t")
         db.execute("CREATE TABLE t (id integer)")
         db.execute("INSERT INTO t VALUES (9)")
-        assert db.query(sql) == [(9,)]
+        # the kept plan scans the dropped table; it must be re-planned
+        assert db.execute_prepared(prepared).rows == [(9,)]
+        assert len(plans) == 2
+        assert db.query("SELECT id FROM t") == [(9,)]
 
-    def test_provenance_flag_is_part_of_the_key(self):
+    def test_provenance_flag_is_part_of_the_key(self, plans):
         db = make_db()
-        sql = "SELECT name FROM emp WHERE id = 1"
-        plain = db.execute(sql)
-        tracked = db.execute(sql, provenance=True)
+        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
+        plain = db.execute_prepared(prepared, [1])
+        tracked = db.execute_prepared(prepared, [1], provenance=True)
         assert plain.rows == tracked.rows
         assert plain.lineages == [frozenset()]
         assert tracked.lineages != plain.lineages
-        # and repeats of each flavor hit their own entry
-        db.execute(sql)
-        db.execute(sql, provenance=True)
-        assert db.plan_cache.hits == 2
+        # and repeats of each flavor reuse their own plan
+        assert db.execute_prepared(prepared, [1]).lineages == \
+            plain.lineages
+        assert db.execute_prepared(prepared, [1], provenance=True
+                                   ).lineages == tracked.lineages
+        assert len(plans) == 2
 
-    def test_lru_eviction(self):
-        db = Database(plan_cache_size=2)
-        db.execute("CREATE TABLE t (id integer)")
-        db.query("SELECT 1")
-        db.query("SELECT 2")
-        db.query("SELECT 3")  # evicts "SELECT 1"
-        assert len(db.plan_cache) == 2
-        db.query("SELECT 1")
-        assert db.plan_cache.hits == 0
-        db.query("SELECT 1")
-        assert db.plan_cache.hits == 1
+    def test_plan_costed_inside_a_transaction_is_not_kept(self, plans):
+        db = make_db()
+        prepared = db.prepare("SELECT count(*) FROM emp")
+        db.execute("BEGIN")
+        db.execute("INSERT INTO emp VALUES (9, 'ivy', 'ops', 10.0)")
+        assert db.execute_prepared(prepared).rows == [(6,)]
+        assert db.execute_prepared(prepared).rows == [(6,)]
+        assert len(plans) == 2
+        db.execute("COMMIT")
+        assert db.execute_prepared(prepared).rows == [(6,)]
+        assert db.execute_prepared(prepared).rows == [(6,)]
+        assert len(plans) == 3
+
+    def test_plan_is_kept_per_database(self):
+        first, second = make_db(), make_db()
+        second.execute("DELETE FROM emp WHERE id > 1")
+        prepared = first.prepare("SELECT count(*) FROM emp")
+        assert first.execute_prepared(prepared).rows == [(5,)]
+        # same catalog versions, different tables
+        assert (first.catalog.version, first.catalog.stats_version) == \
+            (second.catalog.version, second.catalog.stats_version)
+        assert second.execute_prepared(prepared).rows == [(1,)]
 
     def test_subqueries_are_never_cached(self):
         db = make_db()
         sql = ("SELECT name FROM emp WHERE salary > "
                "(SELECT avg(salary) FROM emp)")
-        before = db.query(sql)
-        assert len(db.plan_cache) == 0
-        # the subquery result is data-dependent: caching its inlined
+        prepared = db.prepare(sql)
+        assert not prepared.cacheable
+        before = db.execute(sql)
+        assert not before.cacheable
+        assert db.execute_prepared(prepared).rows == before.rows
+        # the subquery result is data-dependent: keeping its inlined
         # literal would freeze the threshold
         db.execute("INSERT INTO emp VALUES (8, 'hal', 'eng', 1000.0)")
         after = db.query(sql)
-        assert before != after
+        assert before.rows != after
+        assert db.execute_prepared(prepared).rows == after
 
     def test_transaction_rollback_not_confused_by_cache(self):
         db = make_db()
         sql = "SELECT count(*) FROM emp"
-        db.query(sql)
+        prepared = db.prepare(sql)
+        db.execute_prepared(prepared)
         db.execute("BEGIN")
         db.execute("INSERT INTO emp VALUES (9, 'ivy', 'ops', 10.0)")
         assert db.query(sql) == [(6,)]
+        assert db.execute_prepared(prepared).rows == [(6,)]
         db.execute("ROLLBACK")
         assert db.query(sql) == [(5,)]
+        assert db.execute_prepared(prepared).rows == [(5,)]
 
 
 class FakeTimer:
@@ -459,7 +478,6 @@ class TestExplainAnalyze:
 
         # counters are fresh per run, not accumulated across runs
         assert counters(first) == counters(second)
-        assert len(db.plan_cache) == 0
 
 
 class TestExplainAnalyzeOverTheWire:
@@ -498,8 +516,8 @@ class TestExplainAnalyzeOverTheWire:
 
 class TestNormalizeKeySafety:
     def test_normalize_plain(self):
-        assert PlanCache.normalize(" SELECT  1 \n") == "SELECT 1"
+        assert ResultCache.normalize(" SELECT  1 \n") == "SELECT 1"
 
     def test_normalize_keeps_quoted_text_verbatim(self):
         sql = "SELECT 'a  b' FROM t"
-        assert PlanCache.normalize(sql) == sql
+        assert ResultCache.normalize(sql) == sql

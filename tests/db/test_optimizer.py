@@ -2,7 +2,7 @@
 
 Covers the statement end to end (parse → stats → persistence), the
 cost model's observable plan choices (join order, build side,
-index-vs-scan, IN-list cutoffs), the plan-cache interplay
+index-vs-scan, IN-list cutoffs), the plans prepared statements keep
 (stats-version keying, re-ANALYZE invalidation), and the EXPLAIN
 surfacing of estimated vs actual rows. Every stats-driven choice is
 also checked to preserve query results exactly — statistics are
@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.db import Database
+from repro.db.planner import explain_plan
 from repro.db.sql.parser import parse_sql
 from repro.db.sql.render import render_statement
 from repro.db.sql import ast
@@ -295,41 +296,50 @@ class TestIndexVersusScan:
 
 
 class TestPlanCacheInvalidation:
-    def test_re_analyze_after_skew_shift_changes_the_cached_plan(self):
-        """Satellite regression: the plan cache key must include a
-        stats version — a plan chosen before ANALYZE (or before a
-        skew shift) must not be served forever after."""
+    """A prepared statement keeps its plan only while the statistics
+    it was costed with are current."""
+
+    def test_re_analyze_after_skew_shift_changes_the_cached_plan(
+            self, plans):
+        """Satellite regression: a kept plan must record the stats
+        version — a plan chosen before ANALYZE (or before a skew shift)
+        must not be served forever after."""
         db, sql = skewed_three_table_db()
         db.execute("ANALYZE")
-        expected = db.query(sql)
-        plan = explain(db, sql)
+        prepared = db.prepare(sql)
+        expected = db.execute_prepared(prepared).rows
+        plan = "\n".join(explain_plan(plans[-1].root))
         assert plan.index("s.d2") > plan.index("j.d1")  # s joins first
-        db.query(sql)
-        assert db.plan_cache.hits >= 1  # cached while stats are stable
+        db.execute_prepared(prepared)
+        assert len(plans) == 1  # kept while stats are stable
 
         # skew shift: s becomes totally unselective, j becomes tiny
         db.execute("UPDATE s SET flag = 0")
         db.execute("DELETE FROM j WHERE d1 >= 2")
-        shifted = db.query(sql)  # still served from the stale plan
+        shifted = db.execute_prepared(prepared).rows  # the stale plan
+        assert len(plans) == 1
         db.execute("ANALYZE")
-        plan = explain(db, sql)
-        # the cached pre-shift plan is unreachable: j (now 10 rows)
-        # joins before the no-longer-selective s
+        assert db.execute_prepared(prepared).rows == shifted
+        assert len(plans) == 2
+        plan = "\n".join(explain_plan(plans[-1].root))
+        # the pre-shift plan is not reused: j (now 10 rows) joins
+        # before the no-longer-selective s
         assert plan.index("j.d1") > plan.index("s.d2")
-        assert db.query(sql) == shifted
         assert expected != shifted  # the shift really changed the data
 
-    def test_stats_version_is_part_of_the_cache_key(self):
+    def test_stats_version_is_part_of_the_cache_key(self, plans):
         db = Database()
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
-        db.query("SELECT a FROM t")
-        keys_before = db.plan_cache.keys()
+        prepared = db.prepare("SELECT a FROM t")
+        db.execute_prepared(prepared)
+        db.execute_prepared(prepared)
+        assert len(plans) == 1
+        version = db.catalog.version
         db.execute("ANALYZE t")
-        db.query("SELECT a FROM t")
-        keys_after = db.plan_cache.keys()
-        assert keys_before != keys_after
-        assert keys_before[0][:3] == keys_after[0][:3]
+        assert db.catalog.version == version  # only the stats moved
+        assert db.execute_prepared(prepared).rows == [(1,)]
+        assert len(plans) == 2
 
 
 class TestExplainEstimates:

@@ -257,7 +257,7 @@ class TestVectorizedPlanning:
     def test_index_choice_does_not_depend_on_scan_history(self):
         """With ~25% selectivity on 100 rows an index probe costs 54
         and the scan 100. A full scan in between must not change that
-        verdict: the plan cache key cannot see what was scanned last."""
+        verdict: a kept plan cannot see what was scanned last."""
         database = Database()
         database.execute("CREATE TABLE t (k integer, grp integer)")
         database.execute("INSERT INTO t VALUES " + ", ".join(

@@ -88,11 +88,9 @@ def digests(result) -> dict[str, str]:
 
 
 def run_pinned(database, key, sql, provenance=False):
-    """Execute ``sql`` on a cold plan cache and check its answer
-    against the digests pinned under ``key``."""
-    database.plan_cache.clear()
+    """Execute ``sql`` and check its answer against the digests
+    pinned under ``key``."""
     result = database.execute(sql, provenance)
-    database.plan_cache.clear()
     assert digests(result) == DIGESTS[key], sql
     return result
 
@@ -167,10 +165,8 @@ def test_batch_row_parity_with_provenance(parity_db, sql):
 
 
 def test_error_parity_on_bad_comparison(parity_db):
-    parity_db.plan_cache.clear()
     with pytest.raises(ExecutionError) as info:
         parity_db.execute("SELECT k FROM t WHERE name > 5")
-    parity_db.plan_cache.clear()
     assert type(info.value) is ExecutionError
     assert str(info.value) == "cannot compare 'name1' and 5"
 
@@ -178,10 +174,8 @@ def test_error_parity_on_bad_comparison(parity_db):
 def test_mixed_type_sort_fails_identically(parity_db):
     sql = ("SELECT CASE WHEN k % 2 = 0 THEN name ELSE k END AS v "
            "FROM t WHERE k < 10 ORDER BY v")
-    parity_db.plan_cache.clear()
     with pytest.raises(TypeError) as info:
         parity_db.execute(sql)
-    parity_db.plan_cache.clear()
     assert type(info.value) is TypeError
     assert str(info.value) == ("'<' not supported between instances of "
                                "'str' and 'int'")

@@ -82,6 +82,76 @@ class TestServerErrorWall:
         assert protocol.is_transient_error(response)
 
 
+def _with(frame, **fields):
+    return {**frame, **fields}
+
+
+# each builds, from a live connection id, a frame whose field has the
+# wrong JSON type; the connection holds prepared statement "p"
+HOSTILE_FRAMES = [
+    pytest.param(lambda cid: protocol.query_frame([cid], "SELECT 1"),
+                 id="query-connection_id-array"),
+    pytest.param(lambda cid: protocol.query_frame({"id": cid}, "SELECT 1"),
+                 id="query-connection_id-object"),
+    pytest.param(lambda cid: protocol.query_frame(True, "SELECT 1"),
+                 id="query-connection_id-true"),
+    pytest.param(lambda cid: protocol.stats_frame([cid]),
+                 id="stats-connection_id-array"),
+    pytest.param(lambda cid: protocol.close_frame({"id": cid}),
+                 id="close-connection_id-object"),
+    pytest.param(lambda cid: protocol.pipeline_frame(
+        [cid], [protocol.query_frame(cid, "SELECT 1")]),
+                 id="pipeline-connection_id-array"),
+    pytest.param(lambda cid: protocol.fetch_frame(cid, [1], 1),
+                 id="fetch-cursor_id-array"),
+    pytest.param(lambda cid: protocol.fetch_frame(cid, {"id": 1}, 1),
+                 id="fetch-cursor_id-object"),
+    pytest.param(lambda cid: protocol.close_cursor_frame(cid, [1]),
+                 id="close-cursor-cursor_id-array"),
+    pytest.param(lambda cid: protocol.bind_execute_frame(cid, ["p"], [1]),
+                 id="bind-execute-name-array"),
+    pytest.param(lambda cid: protocol.bind_execute_frame(cid, {"p": 1}, [1]),
+                 id="bind-execute-name-object"),
+    pytest.param(lambda cid: protocol.deallocate_frame(cid, ["p"]),
+                 id="deallocate-name-array"),
+    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
+                                   params="1"),
+                 id="bind-execute-params-string"),
+    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
+                                   params={"1": 1}),
+                 id="bind-execute-params-object"),
+    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
+                                   params=1),
+                 id="bind-execute-params-number"),
+    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
+                                   params=True),
+                 id="bind-execute-params-true"),
+    pytest.param(lambda cid: protocol.bind_execute_frame(cid, "p", [[1]]),
+                 id="bind-execute-params-nested-array"),
+    pytest.param(lambda cid: protocol.bind_execute_frame(cid, "p",
+                                                         [{"x": 1}]),
+                 id="bind-execute-params-nested-object"),
+]
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("build", HOSTILE_FRAMES)
+    def test_hostile_frame_answers_a_protocol_error(self, server, build):
+        cid = server.handle(protocol.connect_frame("a", "p"))[
+            "connection_id"]
+        server.handle(protocol.prepare_frame(
+            cid, "p", "SELECT x FROM t WHERE x = $1"))
+        response = protocol.decode_frame(server.handle_wire(
+            protocol.encode_frame(build(cid))))
+        assert response["frame"] == "error"
+        assert response["error_type"] == "ProtocolError"
+        assert "\n" not in response["message"]
+        # the connection and its prepared statement are untouched
+        result = server.handle(protocol.bind_execute_frame(cid, "p", [1]))
+        assert result["frame"] == "result"
+        assert result["rows"] == [[1]]
+
+
 class TestStatementTimeout:
     def make_timed_server(self, elapsed):
         database = Database()
