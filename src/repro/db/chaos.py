@@ -6,8 +6,7 @@ against a :class:`repro.db.server.DBServer` while a seeded schedule of
 faults fires underneath it: transient wire drops on both the request
 and the response half of an exchange (:class:`repro.faults.FlakyTransport`),
 transient disk failures and full process crashes in the durability
-layer (:class:`repro.faults.FaultyIO` / :class:`repro.faults.SimulatedCrash`),
-plus admission-control sheds from a deliberately small token bucket.
+layer (:class:`repro.faults.FaultyIO` / :class:`repro.faults.SimulatedCrash`).
 Clients retry through their :class:`repro.db.client.RetryPolicy`; the
 driver retries whole steps after crashes, rebuilding the server from
 the surviving directory exactly as an operator would.
@@ -47,7 +46,7 @@ from typing import Any, Optional
 
 from repro.db.client import DBClient, RetryPolicy
 from repro.db.engine import Database
-from repro.db.server import AdmissionControl, DBServer
+from repro.db.server import DBServer
 from repro.errors import DatabaseError, TransactionError, TransientError
 from repro.faults import (
     FaultInjector,
@@ -75,21 +74,6 @@ class CampaignFailure(AssertionError):
     seed so the exact campaign replays with ``run_campaign(seed)``."""
 
 
-class FakeClock:
-    """Deterministic time shared by client backoff and server
-    admission: retry sleeps *advance* it, the token bucket *reads* it,
-    so overload recovery needs no wall-clock waiting."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def read(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += max(0.0, float(seconds))
-
-
 @dataclass
 class CampaignSpec:
     """One campaign's shape; everything downstream derives from ``seed``."""
@@ -100,7 +84,6 @@ class CampaignSpec:
     checkpoint_every: int = 3
     max_crashes: int = 2
     faults: bool = True      # False = the fault-free oracle run
-    admission: bool = True   # token-bucket sheds (faulted runs only)
 
 
 @dataclass
@@ -114,7 +97,6 @@ class CampaignReport:
     transactions_retried: int = 0
     ledger_hits: int = 0
     ledger_stores: int = 0
-    sheds: int = 0
     group_aborts: int = 0
     generations: int = 1
     final_rows: dict[int, int] = field(default_factory=dict)
@@ -232,7 +214,6 @@ class ChaosHarness:
         self.data_dir = Path(data_dir)
         self.workload = generate_workload(spec)
         self.report = CampaignReport(seed=spec.seed)
-        self.clock = FakeClock()
         # fault stream, separate from the workload stream: consumed
         # lazily but in a deterministic order (generations are created
         # in seed-determined sequence)
@@ -282,24 +263,17 @@ class ChaosHarness:
                     occurrence=self._fault_rng.randint(1, 10))
             io = FaultyIO(injector)
         self.injector = injector
-        admission = None
-        if self.spec.faults and self.spec.admission:
-            admission = AdmissionControl(capacity=6, refill_per_second=50.0,
-                                         timer=self.clock.read)
-        self.server = DBServer(
-            Database(data_directory=self.data_dir, io=io),
-            admission=admission,
-            max_pipeline_depth=4,
-            max_cursors_per_connection=4)
+        self.server = DBServer(Database(data_directory=self.data_dir, io=io))
         self.clients = []
         for client_index in range(self.spec.clients):
             transport = self.server.transport()
             if self.spec.faults:
                 transport = FlakyTransport(transport, self._wire_injector())
+            # faults fire by occurrence count, not by time, so backoff
+            # need not wait
             policy = RetryPolicy(
                 max_attempts=10, base_delay=0.01, max_delay=0.2,
-                sleep=self.clock.advance, jitter=0.25,
-                rng=random.Random(self.spec.seed * 31 + client_index))
+                sleep=lambda _seconds: None)
             client = DBClient(transport, client_name=f"chaos{client_index}",
                               process_id=str(client_index),
                               retry_policy=policy)
@@ -429,8 +403,6 @@ class ChaosHarness:
             self.report.ledger_hits += database.dedupe_ledger.hits
             self.report.ledger_stores += database.dedupe_ledger.stores
             self.report.group_aborts += self.server.group_aborts
-            if self.server.admission is not None:
-                self.report.sheds += self.server.admission.shed
 
     def _teardown(self) -> None:
         """Disconnect every client and leave a checkpointed directory."""
@@ -514,7 +486,7 @@ def run_campaign(seed: int, base_dir: str | Path,
     harness = ChaosHarness(base_dir / f"survivor-{seed}", spec)
     report = harness.run()
     if oracle:
-        oracle_spec = replace(spec, faults=False, admission=False)
+        oracle_spec = replace(spec, faults=False)
         oracle_harness = ChaosHarness(base_dir / f"oracle-{seed}",
                                       oracle_spec)
         oracle_report = oracle_harness.run()

@@ -11,7 +11,6 @@ replay works (Section VIII).
 
 from __future__ import annotations
 
-import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,14 +42,10 @@ class RetryPolicy:
     resend is safe. The ``sleep`` hook is injectable so tests can
     assert the backoff sequence without actually waiting.
 
-    ``jitter`` spreads concurrent retriers apart: each delay is scaled
-    by a factor drawn uniformly from ``[1 - jitter, 1 + jitter]`` using
-    the injectable ``rng`` (seed it for deterministic tests). The
-    default of 0 keeps the classic deterministic exponential sequence.
-    Servers shedding load attach a ``retry_after`` hint to their error
-    frames; it acts as a floor under the computed delay, so a client
-    never hammers a server faster than the server asked to be left
-    alone.
+    An error frame may carry the server's ``retry_after`` hint (a
+    server whose database failed after an aborted group commit sends
+    one); it acts as a floor under the computed delay, so a client
+    never retries faster than the server asked.
     """
 
     max_attempts: int = 4
@@ -58,8 +53,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 0.5
     sleep: Callable[[float], None] = field(default=time.sleep)
-    jitter: float = 0.0
-    rng: Optional[random.Random] = None
 
     def delay_for(self, attempt: int,
                   retry_after: float | None = None) -> float:
@@ -68,8 +61,6 @@ class RetryPolicy:
                     self.max_delay)
         if retry_after is not None:
             delay = max(delay, float(retry_after))
-        if self.jitter and self.rng is not None:
-            delay *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
         return delay
 
     def backoff(self, attempt: int,
@@ -130,8 +121,8 @@ def _error_from_frame(frame: dict[str, Any]) -> Exception:
             and issubclass(exception_class, Exception)):
         exception_class = DatabaseError
     exc = exception_class(message)
-    # overload / drain responses carry the server's advisory backoff
-    # hint; surface it so run_transaction's retry loop can honor it
+    # surface the server's advisory backoff hint so run_transaction's
+    # retry loop can honor it
     if frame.get("retry_after") is not None:
         exc.retry_after = float(frame["retry_after"])
     return exc
@@ -411,24 +402,11 @@ class Pipeline:
         return len(self._queued)
 
     def flush(self) -> None:
-        """Ship the queued frames and settle every handle; a no-op
-        when nothing is queued.
-
-        Normally everything goes in one ``pipeline`` envelope. When
-        the server advertised a ``max_pipeline_depth`` limit at
-        connect time, the queue is chunked into envelopes of at most
-        that many frames, so a deep batch degrades to several round
-        trips instead of being bounced with an overload error."""
+        """Ship the queued frames in one ``pipeline`` envelope and
+        settle every handle; a no-op when nothing is queued."""
         if not self._queued:
             return
         queued, self._queued = self._queued, []
-        depth = self.client.server_limits.get("max_pipeline_depth")
-        size = int(depth) if depth else len(queued)
-        for start in range(0, len(queued), size):
-            self._flush_batch(queued[start:start + size])
-
-    def _flush_batch(self, queued: list[
-            tuple[dict, PipelineHandle, str, bool, str]]) -> None:
         envelope = protocol.pipeline_frame(
             self.client.connection_id,
             [frame for frame, _, _, _, _ in queued])
@@ -492,9 +470,6 @@ class DBClient:
         # "prepared", or "stream") — the monitor records it so replay
         # can tell the paths apart
         self.last_execution_path = "text"
-        # caps the server advertised at connect time (empty dict for
-        # servers without limits or pre-resilience recordings)
-        self.server_limits: dict[str, Any] = {}
         self._prepared_seq = 0
         # monotonic across reconnects — a token must never be reused
         # for a *different* statement within this client's lifetime
@@ -525,7 +500,6 @@ class DBClient:
         self.connection_id = int(response["connection_id"])
         # a version-1 server's connected frame lacks the field
         self.protocol_version = int(response.get("version", 1))
-        self.server_limits = dict(response.get("limits") or {})
         for interceptor in self.interceptors:
             interceptor.on_connect(self)
 
@@ -859,9 +833,8 @@ class DBClient:
         The *same* encoded request text is resent on every attempt —
         so a mutating statement's idempotency token is stable across
         retries and the server's dedupe ledger can recognise the
-        resend. Transient error frames may carry a ``retry_after``
-        hint (overload sheds, drain rejections); it floors the backoff
-        delay.
+        resend. A transient error frame may carry a ``retry_after``
+        hint; it floors the backoff delay.
         """
         attempt = 0
         while True:

@@ -10,7 +10,7 @@ bytes-on-the-wire view a real libpq interceptor would.
 Frame types::
 
     connect      {frame, client_name, process_id, version}
-    connected    {frame, connection_id, version[, limits]}
+    connected    {frame, connection_id, version}
     query        {frame, connection_id, sql, provenance[, fetch]
                   [, token]}
     result       {frame, kind, columns, types, rows, lineages, rowcount,
@@ -73,11 +73,9 @@ and ignored by older peers):
   response frame was lost gets the recorded result back instead of
   re-executing (see :class:`repro.db.engine.IdempotencyLedger`).
 * ``retry_after`` on error frames is the server's advisory backoff
-  hint in seconds (admission-control sheds, drain rejections); clients
-  fold it into their jittered retry delay.
-* ``limits`` on connected advertises server caps (currently
-  ``max_pipeline_depth`` and ``max_cursors``) so clients can chunk
-  pipelines instead of being bounced.
+  hint in seconds. Today only a server whose database failed after an
+  aborted group commit sends it; clients use it as the floor of their
+  retry delay.
 * ``position`` on fetch is the count of rows the client has received
   so far; the server retains each cursor's last-served chunk and
   replays it when ``position`` shows the previous response was lost,
@@ -183,13 +181,9 @@ def connect_frame(client_name: str, process_id: str) -> dict[str, Any]:
 
 
 def connected_frame(connection_id: int,
-                    version: int = PROTOCOL_VERSION,
-                    limits: dict[str, Any] | None = None) -> dict[str, Any]:
-    frame = {"frame": "connected", "connection_id": connection_id,
-             "version": version}
-    if limits:
-        frame["limits"] = dict(limits)
-    return frame
+                    version: int = PROTOCOL_VERSION) -> dict[str, Any]:
+    return {"frame": "connected", "connection_id": connection_id,
+            "version": version}
 
 
 def query_frame(connection_id: int, sql: str,

@@ -31,6 +31,11 @@ facilities on top of plain query frames:
   version, per-table MVCC commit watermarks), so invalidation falls
   out of the commit bookkeeping and hits are snapshot-correct by
   construction.
+
+The server answers every frame it is sent: it neither sheds nor caps
+load. Its only refusals are malformed frames, traffic after
+:meth:`DBServer.shutdown`, and, after an aborted group commit, every
+frame until the database is reopened.
 """
 
 from __future__ import annotations
@@ -47,13 +52,19 @@ from repro.db.mvcc import MVCCState, Session
 from repro.errors import (
     DatabaseError,
     GroupCommitError,
-    OverloadedError,
     ProtocolError,
     ReproError,
     StatementTimeout,
     TransientError,
     WriteConflictError,
 )
+
+
+# entries the server's result cache holds
+RESULT_CACHE_CAPACITY = 128
+# seconds a client is asked to wait before retrying against a database
+# that failed after an aborted group commit
+RETRY_AFTER_HINT = 0.05
 
 
 def _frame_transient(exc: Exception) -> bool:
@@ -127,10 +138,8 @@ class ResultCache:
     are never stored.
     """
 
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ProtocolError("result cache capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = RESULT_CACHE_CAPACITY
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -222,54 +231,6 @@ class ResultCache:
         return len(self._entries)
 
 
-class AdmissionControl:
-    """Token-bucket admission control: the server's bounded work queue.
-
-    Each work-bearing frame (query, bind-execute, fetch; pipeline
-    envelopes charge per inner frame) spends one token; the bucket
-    refills at ``refill_per_second`` up to ``capacity``. When the
-    bucket is dry the frame is *shed before any execution* — no
-    statement runs, no clock tick is consumed — with an
-    ``OverloadedError`` frame carrying a ``retry_after`` hint sized to
-    when the bucket will hold a token again. The timer is injectable
-    so tests and the chaos harness drive load deterministically.
-    """
-
-    def __init__(self, capacity: int, refill_per_second: float,
-                 timer: Callable[[], float] = time.monotonic) -> None:
-        if capacity < 1:
-            raise ProtocolError("admission capacity must be positive")
-        self.capacity = float(capacity)
-        self.refill_per_second = float(refill_per_second)
-        self.timer = timer
-        self.tokens = float(capacity)
-        self._last = timer()
-        self.admitted = 0
-        self.shed = 0
-
-    def try_admit(self, cost: float = 1.0) -> Optional[float]:
-        """None when admitted; otherwise the retry-after hint in
-        seconds until ``cost`` tokens will have refilled."""
-        now = self.timer()
-        if now > self._last and self.refill_per_second > 0:
-            self.tokens = min(self.capacity,
-                              self.tokens + (now - self._last)
-                              * self.refill_per_second)
-        self._last = now
-        if self.tokens >= cost:
-            self.tokens -= cost
-            self.admitted += 1
-            return None
-        self.shed += 1
-        if self.refill_per_second <= 0:
-            return 1.0
-        return max((cost - self.tokens) / self.refill_per_second, 0.001)
-
-    def counters(self) -> dict[str, Any]:
-        return {"admitted": self.admitted, "shed": self.shed,
-                "tokens": self.tokens, "capacity": self.capacity}
-
-
 class _CursorState:
     """A server-side cursor plus exactly-once chunk-replay bookkeeping.
 
@@ -295,14 +256,14 @@ class _ConnectionState:
     __slots__ = ("process_id", "session", "protocol_version", "prepared",
                  "cursors", "finished_chunks", "open_frames",
                  "next_cursor_id", "frames_served", "bytes_in",
-                 "bytes_out", "last_active")
+                 "bytes_out")
 
     # final chunks / opening frames retained per connection for
     # lost-response replay
     FINISHED_RETAINED = 8
 
     def __init__(self, process_id: str, session: Session,
-                 protocol_version: int, last_active: float = 0.0) -> None:
+                 protocol_version: int) -> None:
         self.process_id = process_id
         self.session = session
         self.protocol_version = protocol_version
@@ -320,7 +281,6 @@ class _ConnectionState:
         self.frames_served = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        self.last_active = last_active
 
     def retain_finished(self, cursor_id: int, start: int,
                         frame: dict) -> None:
@@ -368,13 +328,7 @@ class DBServer:
                  clock: LogicalClock | None = None,
                  statement_timeout: float | None = None,
                  timer: Callable[[], float] = time.monotonic,
-                 result_cache_size: int = 128,
-                 result_cache_max_rows: int | None = None,
-                 admission: AdmissionControl | None = None,
-                 max_pipeline_depth: int | None = None,
-                 max_cursors_per_connection: int | None = None,
-                 connection_timeout: float | None = None,
-                 retry_after_hint: float = 0.05) -> None:
+                 result_cache_max_rows: int | None = None) -> None:
         if database is not None and data_directory is not None:
             raise ProtocolError(
                 "pass either a Database or a data_directory, not both")
@@ -383,33 +337,19 @@ class DBServer:
         self.database = database
         self.statement_timeout = statement_timeout
         self.timer = timer
-        self.result_cache = ResultCache(result_cache_size)
+        self.result_cache = ResultCache()
         # memory-pressure limit: results wider than this are served
         # but never cached (one giant SELECT must not evict the cache)
         self.result_cache_max_rows = result_cache_max_rows
-        self.admission = admission
-        self.max_pipeline_depth = max_pipeline_depth
-        self.max_cursors_per_connection = max_cursors_per_connection
-        # connections idle longer than this are reaped — their cursors
-        # closed and transactions rolled back — so a dead client can
-        # never pin MVCC history forever
-        self.connection_timeout = connection_timeout
-        self.retry_after_hint = retry_after_hint
         self._states: dict[int, _ConnectionState] = {}
         self._next_connection_id = 1
         self.started = True
-        self.draining = False
-        # True while dispatching a pipeline envelope's inner frames —
-        # they were admitted as one unit with the envelope
-        self._in_pipeline = False
         # server-wide observability counters (per-connection ones live
         # on the _ConnectionState); pipeline envelopes count both the
         # envelope and each inner frame
         self.frames_served = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        self.connections_reaped = 0
-        self.drain_rejections = 0
         self.group_aborts = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -435,55 +375,6 @@ class DBServer:
         self.database.close()
         self.started = False
         self._states.clear()
-
-    def drain(self) -> None:
-        """Enter drain mode: finish in-flight work, reject new work.
-
-        Open transactions may still run statements and COMMIT, open
-        cursors may still be fetched and closed, connections may
-        disconnect — but new connections, new statements on idle
-        sessions, and new prepares are rejected with a retryable
-        ``ServerDrainingError`` frame carrying a retry-after hint.
-        Once :attr:`drained` is true, :meth:`shutdown` is a clean stop
-        with nothing to abort.
-        """
-        self.draining = True
-
-    def undrain(self) -> None:
-        """Cancel drain mode and accept new work again."""
-        self.draining = False
-
-    @property
-    def drained(self) -> bool:
-        """True when draining and no in-flight work remains."""
-        return self.draining and not any(
-            state.session.in_transaction or state.cursors
-            for state in self._states.values())
-
-    def disconnect(self, connection_id: int) -> bool:
-        """Forcibly tear down one connection (a dead client): close
-        its cursors and roll back its open transaction so it cannot
-        pin MVCC history or snapshots. Returns True if it existed."""
-        state = self._states.pop(connection_id, None)
-        if state is None:
-            return False
-        state.close_cursors()
-        self.database.abort_session(state.session)
-        self.connections_reaped += 1
-        return True
-
-    def reap_idle(self, now: float | None = None) -> list[int]:
-        """Disconnect every connection idle past ``connection_timeout``
-        (no-op when no timeout is configured). Returns the reaped ids."""
-        if self.connection_timeout is None:
-            return []
-        now = self.timer() if now is None else now
-        dead = [connection_id
-                for connection_id, state in self._states.items()
-                if now - state.last_active > self.connection_timeout]
-        for connection_id in dead:
-            self.disconnect(connection_id)
-        return dead
 
     # -- frame handling ----------------------------------------------------------
 
@@ -551,49 +442,12 @@ class DBServer:
         state = self._state_of(request)
         if state is not None:
             state.frames_served += 1
-        if self.connection_timeout is not None:
-            # idle tracking only consults the timer when reaping is
-            # configured — scripted test timers stay untouched
-            if state is not None:
-                state.last_active = self.timer()
-            # the requesting connection just refreshed last_active, so
-            # this sweep only ever reaps *other*, genuinely idle peers
-            self.reap_idle()
         if self.database.failed:
-            frame = protocol.error_frame(
+            return protocol.error_frame(
                 "GroupCommitError",
                 "the server's database failed after an aborted group "
                 "commit; retry once it has been restarted",
-                transient=True, retry_after=self.retry_after_hint)
-            return frame
-        if self.draining and self._drain_rejects(kind, state):
-            self.drain_rejections += 1
-            frame = protocol.error_frame(
-                "ServerDrainingError",
-                "server is draining; retry against another server or "
-                "after the drain completes",
-                transient=True, retry_after=self.retry_after_hint)
-            self._attach_txn_status(frame, request)
-            return frame
-        if (self.admission is not None and not self._in_pipeline
-                and kind in ("query", "bind-execute", "fetch",
-                             "pipeline")):
-            # a pipeline envelope is one admission unit, charged by its
-            # depth (inner frames are exempt — the shed must happen
-            # before anything executes, or a partially-executed batch
-            # would not be safely retryable as a whole)
-            cost = 1.0
-            if kind == "pipeline":
-                depth = len(request.get("frames") or ())
-                cost = float(min(max(depth, 1), int(self.admission.capacity)))
-            hint = self.admission.try_admit(cost)
-            if hint is not None:
-                frame = protocol.error_frame(
-                    "OverloadedError",
-                    f"server overloaded; retry in {hint:.3f}s",
-                    transient=True, retry_after=hint)
-                self._attach_txn_status(frame, request)
-                return frame
+                transient=True, retry_after=RETRY_AFTER_HINT)
         try:
             if kind == "connect":
                 return self._handle_connect(request)
@@ -618,28 +472,13 @@ class DBServer:
         except DatabaseError as exc:
             frame = protocol.error_frame(
                 type(exc).__name__, str(exc),
-                transient=_frame_transient(exc),
-                retry_after=getattr(exc, "retry_after", None))
+                transient=_frame_transient(exc))
             self._attach_txn_status(frame, request)
             return frame
         except ReproError as exc:  # pragma: no cover - defensive
             return protocol.error_frame(type(exc).__name__, str(exc))
         return protocol.error_frame(
             "ProtocolError", f"unknown frame type {kind!r}")
-
-    @staticmethod
-    def _drain_rejects(kind: str,
-                       state: Optional[_ConnectionState]) -> bool:
-        """Which frames a draining server bounces: new connections and
-        prepares always; statements and pipelines unless the session
-        has an open transaction to finish. Fetch, close-cursor,
-        deallocate, stats, and close always pass — they only wind
-        down existing work."""
-        if kind in ("connect", "prepare"):
-            return True
-        if kind in ("query", "bind-execute", "pipeline"):
-            return state is None or not state.session.in_transaction
-        return False
 
     def _attach_txn_status(self, frame: dict[str, Any],
                            request: dict[str, Any]) -> None:
@@ -651,26 +490,19 @@ class DBServer:
                             else "idle")
 
     def _handle_connect(self, request: dict[str, Any]) -> dict[str, Any]:
-        connection_id = self._next_connection_id
-        self._next_connection_id += 1
         client_version = request.get("version", 1)
-        if not isinstance(client_version, int) or client_version < 1:
+        # a JSON true/false is not a version number
+        if type(client_version) is not int or client_version < 1:
             raise ProtocolError(
                 f"bad protocol version {client_version!r}")
+        connection_id = self._next_connection_id
+        self._next_connection_id += 1
         negotiated = min(protocol.PROTOCOL_VERSION, client_version)
         self._states[connection_id] = _ConnectionState(
             str(request.get("process_id", "unknown")),
             self.database.create_session(f"conn-{connection_id}"),
-            negotiated,
-            last_active=(self.timer()
-                         if self.connection_timeout is not None else 0.0))
-        limits: dict[str, Any] = {}
-        if self.max_pipeline_depth is not None:
-            limits["max_pipeline_depth"] = self.max_pipeline_depth
-        if self.max_cursors_per_connection is not None:
-            limits["max_cursors"] = self.max_cursors_per_connection
-        return protocol.connected_frame(connection_id, negotiated,
-                                        limits=limits or None)
+            negotiated)
+        return protocol.connected_frame(connection_id, negotiated)
 
     def _state_of(self,
                   request: dict[str, Any]) -> Optional[_ConnectionState]:
@@ -863,13 +695,6 @@ class DBServer:
             frame = dict(state.open_frames[str(token)])
             self._attach_txn_status(frame, request)
             return frame
-        if (self.max_cursors_per_connection is not None
-                and len(state.cursors) >= self.max_cursors_per_connection):
-            raise OverloadedError(
-                f"connection already holds "
-                f"{len(state.cursors)} open cursor(s), the server cap; "
-                f"close one and retry",
-                retry_after=self.retry_after_hint)
         database = self.database
         with database.use_session(state.session):
             cursor = database.open_cursor(source, params,
@@ -966,17 +791,8 @@ class DBServer:
         frames = request.get("frames")
         if not isinstance(frames, list):
             raise ProtocolError("pipeline frame carries no frames list")
-        if (self.max_pipeline_depth is not None
-                and len(frames) > self.max_pipeline_depth):
-            # in-flight cap: rejected before anything executes, so the
-            # client can split the batch and resend it all
-            raise OverloadedError(
-                f"pipeline depth {len(frames)} exceeds the server cap "
-                f"of {self.max_pipeline_depth}",
-                retry_after=self.retry_after_hint)
         connection_id = request.get("connection_id")
         responses: list[dict[str, Any]] = []
-        self._in_pipeline = True
         try:
             with self.database.group_commit():
                 for inner in frames:
@@ -1005,8 +821,6 @@ class DBServer:
             error = protocol.error_frame("GroupCommitError", str(exc),
                                          transient=True)
             responses = [dict(error) for _ in frames]
-        finally:
-            self._in_pipeline = False
         return protocol.pipeline_result_frame(responses)
 
     # -- observability -----------------------------------------------------------
@@ -1029,7 +843,7 @@ class DBServer:
         }
 
     def server_counters(self) -> dict[str, Any]:
-        counters = {
+        return {
             "frames_served": self.frames_served,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
@@ -1040,14 +854,8 @@ class DBServer:
                                        for state in self._states.values()),
             "result_cache": self.result_cache.counters(),
             "dedupe_ledger": self.database.dedupe_ledger.counters(),
-            "draining": self.draining,
-            "drain_rejections": self.drain_rejections,
-            "connections_reaped": self.connections_reaped,
             "group_aborts": self.group_aborts,
         }
-        if self.admission is not None:
-            counters["admission"] = self.admission.counters()
-        return counters
 
     # -- teardown ----------------------------------------------------------------
 

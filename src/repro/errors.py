@@ -83,35 +83,6 @@ class WriteConflictError(TransientError):
     """
 
 
-class OverloadedError(TransientError):
-    """The server shed this request under admission control.
-
-    Nothing was executed — no statement ran, no clock tick was
-    consumed — so resending the same frame after the advisory
-    ``retry_after`` delay is always safe. The server stamps the error
-    frame with the hint and :class:`repro.db.client.DBClient` folds it
-    into its jittered backoff.
-    """
-
-    def __init__(self, message: str, retry_after: float | None = None) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class ServerDrainingError(TransientError):
-    """The server is draining and rejected new work.
-
-    In-flight transactions and open cursors are allowed to finish;
-    everything else should be retried against a fresh server (or the
-    same one once drain is cancelled). Like :class:`OverloadedError`,
-    nothing was executed.
-    """
-
-    def __init__(self, message: str, retry_after: float | None = None) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class GroupCommitError(TransientError):
     """A group commit's shared fsync failed; every transaction in the
     group was aborted together.
@@ -122,7 +93,9 @@ class GroupCommitError(TransientError):
     applied writes the log no longer promises) — callers must reopen
     the data directory to recover. Transient because retrying against
     the recovered instance is safe: the idempotency ledger arbitrates
-    whether each retried statement already applied.
+    whether each retried statement already applied. Until it is
+    restarted, the poisoned server answers every frame with this error,
+    flagged transient and carrying a ``retry_after`` hint.
     """
 
 

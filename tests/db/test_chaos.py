@@ -1,6 +1,5 @@
-"""Chaos-hardened serving: exactly-once retries, admission control,
-graceful drain, connection reaping, group-commit aborts, and the
-seeded randomized fault-campaign harness.
+"""Chaos-hardened serving: exactly-once retries, group-commit aborts,
+and the seeded randomized fault-campaign harness.
 
 Campaign tests are marked ``chaos``; every campaign failure message
 (and the parametrized test id) carries the seed, so a red CI run is
@@ -13,26 +12,19 @@ from repro.db import Database, DBClient, DBServer, RetryPolicy
 from repro.db import protocol
 from repro.db.chaos import (
     CampaignSpec,
-    FakeClock,
     expected_state,
     generate_workload,
     run_campaign,
     tree_bytes,
 )
-from repro.db.server import AdmissionControl
-from repro.errors import (
-    GroupCommitError,
-    OverloadedError,
-    ServerDrainingError,
-    TransientError,
-)
+from repro.errors import GroupCommitError, TransientError
 from repro.faults import FaultInjector, FaultyIO
 
 
-def make_server(**kwargs):
+def make_server():
     database = Database()
     database.execute("CREATE TABLE t (x integer, y integer)")
-    return DBServer(database, **kwargs)
+    return DBServer(database)
 
 
 def make_client(server_or_transport, **kwargs):
@@ -179,180 +171,6 @@ class TestExactlyOnceRetries:
         assert server.database.dedupe_ledger.stores == 0
 
 
-class TestAdmissionControl:
-    def make_loaded_server(self, capacity, refill):
-        clock = FakeClock()
-        admission = AdmissionControl(capacity=capacity,
-                                     refill_per_second=refill,
-                                     timer=clock.read)
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        return DBServer(database, admission=admission), admission, clock
-
-    def test_dry_bucket_sheds_with_retry_after_hint(self):
-        server, admission, _ = self.make_loaded_server(2, 1.0)
-        client = make_client(server, retry_policy=None)
-        client.query("SELECT x FROM t")
-        client.query("SELECT x FROM t")
-        with pytest.raises(OverloadedError) as info:
-            client.query("SELECT x FROM t")
-        assert info.value.retry_after > 0
-        assert admission.shed == 1
-
-    def test_shed_happens_before_any_execution(self):
-        server, _, _ = self.make_loaded_server(1, 0.0)
-        client = make_client(server, retry_policy=None)
-        client.query("SELECT x FROM t")
-        with pytest.raises(OverloadedError):
-            client.execute("INSERT INTO t VALUES (1)")
-        # the shed insert never ran — nothing to double-apply later
-        assert server.database.query("SELECT x FROM t") == []
-
-    def test_client_backoff_waits_out_the_hint(self):
-        server, admission, clock = self.make_loaded_server(1, 10.0)
-        policy = RetryPolicy(max_attempts=6, base_delay=0.001,
-                             sleep=clock.advance)
-        client = make_client(server, retry_policy=policy)
-        client.query("SELECT x FROM t")
-        # bucket is dry; the retry sleeps through the hint on the
-        # shared clock, after which the refilled bucket admits it
-        assert client.query("SELECT x FROM t") == []
-        assert admission.shed >= 1
-        assert client.retries_performed >= 1
-
-    def test_retry_after_floors_the_backoff_delay(self):
-        delays = []
-        policy = RetryPolicy(max_attempts=3, base_delay=0.001,
-                             sleep=delays.append)
-        server, _, _ = self.make_loaded_server(1, 2.0)
-        client = make_client(server, retry_policy=policy)
-        client.query("SELECT x FROM t")
-        # the recorded sleeps never advance the admission clock, so
-        # the retries stay shed — what matters is each backoff was
-        # floored by the server's ~0.5s hint, not the 1ms base delay
-        with pytest.raises(OverloadedError):
-            client.query("SELECT x FROM t")
-        assert delays and min(delays) >= 0.4
-
-    def test_pipeline_envelope_is_one_admission_unit(self):
-        server, admission, _ = self.make_loaded_server(4, 0.0)
-        client = make_client(server)
-        with client.pipeline() as batch:
-            handles = [batch.execute(f"INSERT INTO t VALUES ({n})")
-                       for n in range(3)]
-        assert all(handle.result().rowcount == 1 for handle in handles)
-        # charged once (by depth), inner frames exempt: a mid-batch
-        # shed would leave a partially-executed, unretryable envelope
-        assert admission.admitted == 1
-        assert admission.shed == 0
-
-    def test_each_statement_costs_one_token(self):
-        server, admission, _ = self.make_loaded_server(8, 0.0)
-        client = make_client(server, retry_policy=None)
-        for _ in range(8):
-            client.query("SELECT x FROM t")
-        with pytest.raises(OverloadedError):
-            client.query("SELECT x FROM t")
-        assert admission.admitted == 8
-
-
-class TestGracefulDrain:
-    def test_drain_rejects_new_statements(self):
-        server = make_server()
-        client = make_client(server, retry_policy=None)
-        server.drain()
-        with pytest.raises(ServerDrainingError) as info:
-            client.execute("INSERT INTO t VALUES (1)")
-        assert info.value.retry_after > 0
-        assert server.server_counters()["drain_rejections"] == 1
-
-    def test_drain_rejects_new_connections(self):
-        server = make_server()
-        server.drain()
-        with pytest.raises(ServerDrainingError):
-            DBClient(server.transport()).connect()
-
-    def test_in_flight_transaction_finishes_during_drain(self):
-        server = make_server()
-        client = make_client(server, retry_policy=None)
-        client.execute("BEGIN")
-        client.execute("INSERT INTO t VALUES (1, 10)")
-        server.drain()
-        assert not server.drained  # the open transaction is in flight
-        client.execute("INSERT INTO t VALUES (2, 20)")
-        client.execute("COMMIT")
-        assert server.drained
-        assert server.database.query("SELECT x FROM t ORDER BY x") \
-            == [(1,), (2,)]
-
-    def test_open_cursor_drains_before_drained(self):
-        server = make_server()
-        for value in range(4):
-            server.database.execute(
-                f"INSERT INTO t VALUES ({value}, 0)")
-        client = make_client(server, retry_policy=None)
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=2)
-        server.drain()
-        assert not server.drained
-        assert len(cursor.fetch_all()) == 4
-        assert server.drained
-
-    def test_undrain_restores_service(self):
-        server = make_server()
-        client = make_client(server, retry_policy=None)
-        server.drain()
-        with pytest.raises(ServerDrainingError):
-            client.execute("INSERT INTO t VALUES (1, 10)")
-        server.undrain()
-        assert client.execute("INSERT INTO t VALUES (1, 10)").rowcount == 1
-
-
-class TestConnectionReaping:
-    def make_timed_server(self, timeout=10.0):
-        clock = FakeClock()
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        server = DBServer(database, connection_timeout=timeout,
-                          timer=clock.read)
-        return server, clock
-
-    def test_idle_connection_with_open_txn_is_reaped(self):
-        server, clock = self.make_timed_server()
-        zombie = make_client(server, retry_policy=None)
-        zombie.execute("BEGIN")
-        zombie.execute("INSERT INTO t VALUES (1)")
-        clock.advance(60.0)
-        # any live traffic sweeps the idle peer; its transaction is
-        # rolled back so it cannot pin MVCC history
-        live = make_client(server, retry_policy=None)
-        live.query("SELECT x FROM t")
-        counters = server.server_counters()
-        assert counters["connections_reaped"] == 1
-        assert server.database.mvcc.active_count() == 0
-        assert server.database.query("SELECT x FROM t") == []
-
-    def test_idle_connection_with_open_cursor_is_reaped(self):
-        server, clock = self.make_timed_server()
-        for value in range(6):
-            server.database.execute(f"INSERT INTO t VALUES ({value})")
-        zombie = make_client(server, retry_policy=None)
-        zombie.execute_stream("SELECT x FROM t", fetch_size=2)
-        assert server.server_counters()["open_cursors"] == 1
-        clock.advance(60.0)
-        live = make_client(server, retry_policy=None)
-        live.query("SELECT x FROM t")
-        assert server.server_counters()["open_cursors"] == 0
-        assert server.database.mvcc.active_count() == 0
-
-    def test_active_connection_is_not_reaped(self):
-        server, clock = self.make_timed_server()
-        client = make_client(server, retry_policy=None)
-        for _ in range(5):
-            clock.advance(5.0)  # busy: always inside the timeout
-            client.query("SELECT x FROM t")
-        assert server.server_counters()["connections_reaped"] == 0
-
-
 class TestGroupCommitAbort:
     def make_faulty_server(self, tmp_path, injector):
         database = Database(data_directory=tmp_path,
@@ -451,6 +269,8 @@ class TestFaultCampaigns:
                                            tmp_path):
         report = run_campaign(campaign_seed, tmp_path)
         assert report.steps > 0
+        # wire faults and crashes keep the client retry path exercised
+        assert report.retries >= 1
         assert report.final_rows == expected_state(
             CampaignSpec(seed=campaign_seed))
 

@@ -1,12 +1,12 @@
 """Wire-path robustness: error frames, timeouts, client retry/backoff."""
 
 import json
-import random
 
 import pytest
 
 from repro.db import Database, DBClient, DBServer, RetryPolicy
 from repro.db import protocol
+from repro.db.client import _error_from_frame
 from repro.errors import (
     DatabaseError,
     StatementTimeout,
@@ -89,6 +89,12 @@ def _with(frame, **fields):
 # each builds, from a live connection id, a frame whose field has the
 # wrong JSON type; the connection holds prepared statement "p"
 HOSTILE_FRAMES = [
+    pytest.param(lambda cid: _with(protocol.connect_frame("a", "p"),
+                                   version=True),
+                 id="connect-version-true"),
+    pytest.param(lambda cid: _with(protocol.connect_frame("a", "p"),
+                                   version=False),
+                 id="connect-version-false"),
     pytest.param(lambda cid: protocol.query_frame([cid], "SELECT 1"),
                  id="query-connection_id-array"),
     pytest.param(lambda cid: protocol.query_frame({"id": cid}, "SELECT 1"),
@@ -146,7 +152,9 @@ class TestHostileFrames:
         assert response["frame"] == "error"
         assert response["error_type"] == "ProtocolError"
         assert "\n" not in response["message"]
-        # the connection and its prepared statement are untouched
+        # no connection was opened or closed, and the live one and its
+        # prepared statement are untouched
+        assert server.open_connections == 1
         result = server.handle(protocol.bind_execute_frame(cid, "p", [1]))
         assert result["frame"] == "result"
         assert result["rows"] == [[1]]
@@ -266,28 +274,11 @@ class TestClientRetry:
         assert policy.delay_for(3) == pytest.approx(0.5)
 
     def test_default_policy_has_no_jitter(self):
-        # the exact exponential sequence other tests assert on stays
-        # exact unless jitter is explicitly enabled
+        # the delay is the exact exponential sequence, with no random
+        # spread
         policy = RetryPolicy(base_delay=0.01, sleep=lambda _: None)
         assert policy.delay_for(0) == pytest.approx(0.01)
         assert policy.delay_for(1) == pytest.approx(0.02)
-
-    def test_seeded_jitter_is_deterministic(self):
-        def delays(seed):
-            policy = RetryPolicy(base_delay=0.1, jitter=0.25,
-                                 rng=random.Random(seed),
-                                 sleep=lambda _: None)
-            return [policy.delay_for(attempt) for attempt in range(6)]
-
-        assert delays(7) == delays(7)
-        assert delays(7) != delays(8)
-
-    def test_jitter_stays_within_bounds(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=1.0,
-                             jitter=0.25, rng=random.Random(1),
-                             sleep=lambda _: None)
-        for attempt in range(50):
-            assert 0.075 <= policy.delay_for(attempt) <= 0.125
 
     def test_retry_after_hint_floors_the_delay(self):
         policy = RetryPolicy(base_delay=0.01, sleep=lambda _: None)
@@ -299,8 +290,7 @@ class TestClientRetry:
     def test_run_transaction_backs_off_with_jitter(self, server):
         delays = []
         policy = RetryPolicy(max_attempts=4, base_delay=0.1,
-                             multiplier=1.0, jitter=0.25,
-                             rng=random.Random(3), sleep=delays.append)
+                             multiplier=1.0, sleep=delays.append)
         client = make_client(server, retry_policy=policy)
         attempts = {"count": 0}
 
@@ -313,10 +303,58 @@ class TestClientRetry:
         client.run_transaction(body)
         assert attempts["count"] == 3
         assert client.transactions_retried == 2
-        assert len(delays) == 2
-        for delay in delays:
-            assert 0.075 <= delay <= 0.125
+        assert delays == [pytest.approx(0.1), pytest.approx(0.1)]
         assert client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
+
+    def test_unknown_error_type_falls_back_to_database_error(self):
+        # an error type this library does not define, e.g. from an
+        # older server or a recorded frame
+        exc = _error_from_frame(protocol.error_frame(
+            "OverloadedError", "server overloaded"))
+        assert type(exc) is DatabaseError
+        assert str(exc) == "server overloaded"
+
+    def test_unknown_transient_error_type_is_retried(self, server):
+        real = server.transport()
+        failures = {"left": 2}
+
+        def unknown_transient(request_text):
+            frame = protocol.decode_frame(request_text)
+            if frame.get("frame") == "query" and failures["left"] > 0:
+                failures["left"] -= 1
+                return protocol.encode_frame(protocol.error_frame(
+                    "OverloadedError", "busy", transient=True,
+                    retry_after=0.5))
+            return real(request_text)
+
+        policy, delays = self.policy(max_attempts=4)
+        client = DBClient(unknown_transient, retry_policy=policy)
+        client.connect()
+        assert client.query("SELECT x FROM t") == [(1,)]
+        assert client.retries_performed == 2
+        # the hint floors both delays above the 0.01 / 0.02 backoff
+        assert delays == [0.5, 0.5]
+
+    def test_exhausted_unknown_error_type_raises_database_error(
+            self, server):
+        real = server.transport()
+
+        def always_unknown(request_text):
+            frame = protocol.decode_frame(request_text)
+            if frame.get("frame") == "query":
+                return protocol.encode_frame(protocol.error_frame(
+                    "OverloadedError", "busy", transient=True,
+                    retry_after=0.5))
+            return real(request_text)
+
+        policy, delays = self.policy(max_attempts=2)
+        client = DBClient(always_unknown, retry_policy=policy)
+        client.connect()
+        with pytest.raises(DatabaseError) as info:
+            client.query("SELECT x FROM t")
+        assert type(info.value) is DatabaseError
+        assert info.value.retry_after == 0.5
+        assert delays == [0.5]
 
     def test_seeded_wire_faults_reproduce(self, server):
         def run(seed):
