@@ -104,12 +104,11 @@ class ReplayInterceptor(Interceptor):
 def _stub_transport(request_text: str) -> str:
     """The 'simulated DB' endpoint of a server-excluded replay: it
     accepts connections and acknowledges statement-free bookkeeping
-    frames (prepare/deallocate/close-cursor), but can answer no
-    queries — the interceptor must have substituted every result
-    before this point. Prepared and streamed executions go through
-    the same ``before_execute`` hook as text statements (the client
-    hands interceptors the canonical bound SQL), so substituting them
-    needs nothing extra here."""
+    frames (prepare/deallocate), but can answer no queries — the
+    interceptor must have substituted every result before this point.
+    Prepared executions go through the same ``before_execute`` hook as
+    text statements (the client hands interceptors the canonical bound
+    SQL), so substituting them needs nothing extra here."""
     frame = protocol.decode_frame(request_text)
     kind = frame.get("frame")
     if kind == "connect":
@@ -129,9 +128,6 @@ def _stub_transport(request_text: str) -> str:
         response = protocol.prepared_frame(frame.get("name", ""), count)
     elif kind == "deallocate":
         response = protocol.deallocated_frame(frame.get("name", ""))
-    elif kind == "close-cursor":
-        response = protocol.cursor_closed_frame(
-            frame.get("cursor_id", 0))
     else:
         response = protocol.error_frame(
             "ReplayError",

@@ -1,8 +1,10 @@
 """Randomized fault-campaign harness for the serving stack.
 
 A *campaign* drives a seeded multi-client workload — autocommit DML,
-multi-statement transactions, pipelined batches, streamed cursors —
-against a :class:`repro.db.server.DBServer` while a seeded schedule of
+runs of consecutive autocommit statements, multi-statement
+transactions, range reads — against a
+:class:`repro.db.server.DBServer`, one statement per frame, while a
+seeded schedule of
 faults fires underneath it: transient wire drops on both the request
 and the response half of an exchange (:class:`repro.faults.FlakyTransport`),
 transient disk failures and full process crashes in the durability
@@ -21,7 +23,7 @@ I2  **No retry double-applied** — final values match a pure-Python
     so a double-apply shows up as a wrong value, a lost write as a
     missing one).
 I3  **Nothing leaked** — once every client has disconnected, no
-    session, snapshot, cursor, or commit-map entry survives on the
+    connection, pinned snapshot, or commit-map entry survives on the
     server; MVCC pruning is not stalled.
 I4  **Replica of record** — a fault-free *oracle* run of the same
     seeded workload (same statements, same idempotency tokens)
@@ -97,7 +99,6 @@ class CampaignReport:
     transactions_retried: int = 0
     ledger_hits: int = 0
     ledger_stores: int = 0
-    group_aborts: int = 0
     generations: int = 1
     final_rows: dict[int, int] = field(default_factory=dict)
 
@@ -136,38 +137,31 @@ def _pick_dml(rng: random.Random, pool: list[int],
 def _make_step(rng: random.Random, client_index: int, step_index: int,
                pool: list[int], live: list[int]) -> dict[str, Any]:
     token = f"c{client_index}.s{step_index}"
+    # the seven-way draw is fixed: changing it would change every
+    # seed's workload and effects. A "pipeline" draw is a run of 2-4
+    # consecutive autocommit statements, a "stream" draw a plain select
     kind = rng.choice(["dml", "dml", "dml", "txn", "pipeline",
                        "select", "stream"])
+    if kind in ("select", "stream"):
+        bound = client_index * 1000 + rng.randint(1, 500)
+        return {"kind": "select",
+                "sql": f"SELECT k, v FROM kv WHERE k < {bound}",
+                "effects": []}
     if kind == "dml":
-        sql, effect = _pick_dml(rng, pool, live)
-        return {"kind": "dml", "sql": sql, "token": f"{token}.0",
-                "effects": [effect]}
+        count = 1
+    elif kind == "txn":
+        count = rng.randint(1, 3)
+    else:
+        count = rng.randint(2, 4)
+    picked = [_pick_dml(rng, pool, live) for _ in range(count)]
+    body = [(sql, f"{token}.{position}")
+            for position, (sql, _) in enumerate(picked)]
+    effects = [effect for _, effect in picked]
     if kind == "txn":
-        body = [_pick_dml(rng, pool, live)
-                for _ in range(rng.randint(1, 3))]
-        return {
-            "kind": "txn",
-            "begin_token": f"{token}.begin",
-            "body": [(sql, f"{token}.{position}")
-                     for position, (sql, _) in enumerate(body)],
-            "commit_token": f"{token}.commit",
-            "effects": [effect for _, effect in body],
-        }
-    if kind == "pipeline":
-        body = [_pick_dml(rng, pool, live)
-                for _ in range(rng.randint(2, 4))]
-        return {
-            "kind": "pipeline",
-            "body": [(sql, f"{token}.{position}")
-                     for position, (sql, _) in enumerate(body)],
-            "effects": [effect for _, effect in body],
-        }
-    bound = client_index * 1000 + rng.randint(1, 500)
-    sql = f"SELECT k, v FROM kv WHERE k < {bound}"
-    if kind == "select":
-        return {"kind": "select", "sql": sql, "effects": []}
-    return {"kind": "stream", "sql": sql, "token": f"{token}.open",
-            "effects": []}
+        return {"kind": "txn", "begin_token": f"{token}.begin",
+                "body": body, "commit_token": f"{token}.commit",
+                "effects": effects}
+    return {"kind": "dml", "body": body, "effects": effects}
 
 
 def generate_workload(spec: CampaignSpec) -> list[list[dict[str, Any]]]:
@@ -307,11 +301,9 @@ class ChaosHarness:
             except SimulatedCrash:
                 self._recover()
             except TransientError:
-                # the client's retry budget ran out (or the server was
-                # poisoned by an aborted group commit) — rebuild if
-                # needed and re-drive the whole step
-                if self.server.database.failed:
-                    self._recover()
+                # the client's retry budget ran out: re-drive the whole
+                # step
+                pass
         raise CampaignFailure(
             f"seed {self.spec.seed}: step {step!r} did not complete "
             f"after {MAX_STEP_ATTEMPTS} attempts")
@@ -321,36 +313,14 @@ class ChaosHarness:
         client = self.clients[client_index]
         kind = step["kind"]
         if kind == "dml":
-            client.execute(step["sql"], token=step["token"])
+            # each statement is its own autocommit; on a re-drive the
+            # ones that already applied are answered by the ledger
+            for sql, token in step["body"]:
+                client.execute(sql, token=token)
         elif kind == "select":
             client.execute(step["sql"])
-        elif kind == "txn":
+        else:
             self._run_txn(client, step, first=attempt == 0)
-        elif kind == "pipeline":
-            handles = []
-            with client.pipeline() as batch:
-                for sql, token in step["body"]:
-                    handles.append(batch.execute(sql, token=token))
-            for handle in handles:
-                handle.result()
-        elif kind == "stream":
-            # the open token makes a frame-level retry replay the same
-            # server cursor; a *wholesale* re-drive gets a per-attempt
-            # token — its predecessor's cursor (if any survived) may
-            # have advanced, so its retained frame must not be replayed
-            cursor = client.execute_stream(
-                step["sql"], fetch_size=2,
-                token=f"{step['token']}.a{attempt}")
-            try:
-                cursor.fetch_all()
-            except BaseException:
-                try:
-                    # release the server-side cursor before re-driving
-                    # the step, else retries accumulate open cursors
-                    cursor.close()
-                except BaseException:
-                    pass
-                raise
 
     def _run_txn(self, client: DBClient, step: dict[str, Any],
                  first: bool) -> None:
@@ -374,15 +344,11 @@ class ChaosHarness:
             self.server.database.checkpoint()
         except SimulatedCrash:
             self._recover()
-        except TransientError:
-            if self.server.database.failed:
-                self._recover()
-            # a transiently-failed checkpoint is harmless: the WAL
-            # still holds everything, the next checkpoint catches up
-        except TransactionError:
-            # a concurrent open transaction or pinned cursor blocks
-            # checkpointing; skip — the WAL retains everything and the
-            # post-teardown checkpoint (all connections closed) is clean
+        except (TransientError, TransactionError):
+            # a transiently-failed checkpoint is harmless, and an open
+            # transaction blocks checkpointing: either way the WAL still
+            # holds everything, and the post-teardown checkpoint (all
+            # connections closed) catches up
             pass
 
     def _recover(self) -> None:
@@ -402,7 +368,6 @@ class ChaosHarness:
             database = self.server.database
             self.report.ledger_hits += database.dedupe_ledger.hits
             self.report.ledger_stores += database.dedupe_ledger.stores
-            self.report.group_aborts += self.server.group_aborts
 
     def _teardown(self) -> None:
         """Disconnect every client and leave a checkpointed directory."""
@@ -422,8 +387,7 @@ class ChaosHarness:
             except SimulatedCrash:
                 self._recover()
             except TransientError:
-                if self.server.database.failed:
-                    self._recover()
+                pass
         raise CampaignFailure(
             f"seed {self.spec.seed}: teardown did not complete")
 
@@ -433,12 +397,10 @@ class ChaosHarness:
         seed = self.spec.seed
         server, database = self.server, self.server.database
         # I3: nothing leaked once every connection is gone
-        counters = server.server_counters()
-        if counters["open_connections"] or counters["open_cursors"]:
+        if server.open_connections:
             raise CampaignFailure(
-                f"seed {seed}: leaked {counters['open_connections']} "
-                f"connection(s) and {counters['open_cursors']} cursor(s) "
-                f"after teardown")
+                f"seed {seed}: leaked {server.open_connections} "
+                f"connection(s) after teardown")
         if database.mvcc.active_count():
             raise CampaignFailure(
                 f"seed {seed}: leaked transactions still pin snapshots: "

@@ -6,7 +6,8 @@ instruments this layer (paper Section VII-C): an :class:`Interceptor`
 registered on a client sees every connect, every statement before it is
 sent, and every result after it returns — and may *substitute* a result
 without contacting the server at all, which is how server-excluded
-replay works (Section VIII).
+replay works (Section VIII). Like libpq's synchronous calls, every
+statement is one request frame answered by one result frame.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Callable, Iterator, Optional
 from repro.db import protocol
 from repro.db.engine import StatementResult
 from repro.db.sql.params import bind_sql_text
-from repro.db.types import Column, Schema, SQLType
 from repro.errors import (
     ConnectionClosedError,
     DatabaseError,
@@ -41,11 +41,6 @@ class RetryPolicy:
     either had no durable effect or is idempotency-token-deduped, so a
     resend is safe. The ``sleep`` hook is injectable so tests can
     assert the backoff sequence without actually waiting.
-
-    An error frame may carry the server's ``retry_after`` hint (a
-    server whose database failed after an aborted group commit sends
-    one); it acts as a floor under the computed delay, so a client
-    never retries faster than the server asked.
     """
 
     max_attempts: int = 4
@@ -54,19 +49,14 @@ class RetryPolicy:
     max_delay: float = 0.5
     sleep: Callable[[float], None] = field(default=time.sleep)
 
-    def delay_for(self, attempt: int,
-                  retry_after: float | None = None) -> float:
+    def delay_for(self, attempt: int) -> float:
         """The pause before retry number ``attempt + 1`` (0-based)."""
-        delay = min(self.base_delay * self.multiplier ** attempt,
-                    self.max_delay)
-        if retry_after is not None:
-            delay = max(delay, float(retry_after))
-        return delay
+        return min(self.base_delay * self.multiplier ** attempt,
+                   self.max_delay)
 
-    def backoff(self, attempt: int,
-                retry_after: float | None = None) -> float:
+    def backoff(self, attempt: int) -> float:
         """Compute the delay for ``attempt``, sleep it, return it."""
-        delay = self.delay_for(attempt, retry_after)
+        delay = self.delay_for(attempt)
         self.sleep(delay)
         return delay
 
@@ -120,23 +110,7 @@ def _error_from_frame(frame: dict[str, Any]) -> Exception:
             isinstance(exception_class, type)
             and issubclass(exception_class, Exception)):
         exception_class = DatabaseError
-    exc = exception_class(message)
-    # surface the server's advisory backoff hint so run_transaction's
-    # retry loop can honor it
-    if frame.get("retry_after") is not None:
-        exc.retry_after = float(frame["retry_after"])
-    return exc
-
-
-def _raise_from_error_frame(frame: dict[str, Any]) -> None:
-    """Re-raise a server-side error as the matching local exception."""
-    raise _error_from_frame(frame)
-
-
-def _schema_from_frame(frame: dict[str, Any]) -> Schema:
-    return Schema([Column(name, SQLType(type_name))
-                   for name, type_name in zip(frame["columns"],
-                                              frame["types"])])
+    return exception_class(message)
 
 
 class Prepared:
@@ -159,13 +133,6 @@ class Prepared:
     def query(self, params: list | tuple = ()) -> list[tuple]:
         return self.execute(params).rows
 
-    def stream(self, params: list | tuple = (),
-               fetch_size: int = 256,
-               provenance: bool = False) -> "ResultCursor":
-        return self.client.execute_stream(self, params=params,
-                                          fetch_size=fetch_size,
-                                          provenance=provenance)
-
     def deallocate(self) -> None:
         if not self.closed:
             self.closed = True
@@ -177,260 +144,6 @@ class Prepared:
         prepared call records and replays exactly like the equivalent
         text-protocol statement."""
         return bind_sql_text(self.sql, params)
-
-
-class ResultCursor:
-    """A streamed result set drained in bounded chunks.
-
-    The first chunk arrives with the opening response (time-to-first-
-    row does not wait for the full scan); ``fetch``/iteration pull
-    further chunks over ``fetch`` frames. Once the stream is exhausted
-    (or closed), the assembled prefix is reported to ``after_execute``
-    interceptors as one ordinary result, so recorded traces stay
-    replayable: a server-excluded replay substitutes the full result
-    and the cursor chunks it locally.
-    """
-
-    def __init__(self, client: "DBClient", sql: str, provenance: bool,
-                 schema: Schema, rows: list[tuple], lineages: list,
-                 done: bool, fetch_size: int,
-                 cursor_id: int | None = None,
-                 source_tables: list[str] | None = None,
-                 remote: bool = True) -> None:
-        self.client = client
-        self.sql = sql
-        self.provenance = provenance
-        self.schema = schema
-        self.cursor_id = cursor_id
-        self.fetch_size = fetch_size
-        self.source_tables = source_tables or []
-        self.rows_fetched = 0
-        self.chunks_fetched = 0
-        self.closed = False
-        self._remote = remote
-        self._done = done
-        # rows received over the wire so far; sent as the ``position``
-        # of every fetch so the server can detect (and replay) a chunk
-        # whose response frame was lost in transit
-        self._received = len(rows) if remote else 0
-        self._pending: list[tuple] = list(rows)
-        self._pending_lineages: list = list(lineages)
-        self._rows: list[tuple] = []
-        self._lineages: list = []
-        self._reported = False
-        self._absorb()
-        if self._done and not self._pending:
-            self._finish()
-
-    @property
-    def done(self) -> bool:
-        return self._done and not self._pending
-
-    def _absorb(self) -> None:
-        self.rows_fetched += len(self._pending)
-        if self._pending:
-            self.chunks_fetched += 1
-        self._rows.extend(self._pending)
-        self._lineages.extend(self._pending_lineages)
-
-    def fetch(self, max_rows: int | None = None) -> list[tuple]:
-        """The next chunk of rows ([] when the stream is exhausted)."""
-        if self.closed:
-            raise ProtocolError("cursor is closed")
-        limit = max_rows or self.fetch_size
-        if not self._pending:
-            if self._done:
-                self._finish()
-                return []
-            response = self.client._round_trip(protocol.fetch_frame(
-                self.client.connection_id, self.cursor_id, limit,
-                position=self._received))
-            if response.get("frame") == "error":
-                _raise_from_error_frame(response)
-            if response.get("frame") != "chunk":
-                raise ProtocolError(
-                    f"unexpected fetch response {response.get('frame')!r}")
-            self._pending = [tuple(row) for row in response["rows"]]
-            self._pending_lineages = list(response["lineages"])
-            self._done = bool(response["done"])
-            self._received += len(self._pending)
-            self._absorb()
-        chunk = self._pending[:limit]
-        del self._pending[:limit]
-        del self._pending_lineages[:limit]
-        if self._done and not self._pending:
-            self._finish()
-        return chunk
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            chunk = self.fetch()
-            if not chunk:
-                return
-            yield from chunk
-
-    def fetch_all(self) -> list[tuple]:
-        """Drain the stream and return every remaining row."""
-        rows: list[tuple] = []
-        for row in self:
-            rows.append(row)
-        return rows
-
-    def result(self) -> StatementResult:
-        """The rows served so far, as one StatementResult."""
-        lineages = [lineage if isinstance(lineage, frozenset)
-                    else frozenset(protocol._ref_from_wire(ref)
-                                   for ref in lineage)
-                    for lineage in self._lineages]
-        return StatementResult(
-            kind="select", schema=self.schema, rows=list(self._rows),
-            lineages=lineages, rowcount=len(self._rows),
-            source_tables=list(self.source_tables))
-
-    def close(self) -> None:
-        """Release the server-side cursor; idempotent."""
-        if self.closed:
-            return
-        self.closed = True
-        if self._remote and not self._done:
-            self.client._round_trip(protocol.close_cursor_frame(
-                self.client.connection_id, self.cursor_id))
-        self._done = True
-        self._pending = []
-        self._pending_lineages = []
-        self._report()
-
-    def _finish(self) -> None:
-        self._report()
-
-    def _report(self) -> None:
-        if self._reported:
-            return
-        self._reported = True
-        self.client._after_execute(self.sql, self.provenance,
-                                   self.result())
-
-
-class PipelineHandle:
-    """The eventual outcome of one pipelined statement."""
-
-    def __init__(self, sql: str) -> None:
-        self.sql = sql
-        self._result: Optional[StatementResult] = None
-        self._error: Optional[Exception] = None
-        self._settled = False
-
-    def _settle(self, result: Optional[StatementResult],
-                error: Optional[Exception]) -> None:
-        self._result = result
-        self._error = error
-        self._settled = True
-
-    @property
-    def settled(self) -> bool:
-        return self._settled
-
-    def result(self) -> StatementResult:
-        if not self._settled:
-            raise ProtocolError(
-                "pipeline has not been flushed yet")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def rows(self) -> list[tuple]:
-        return self.result().rows
-
-
-class Pipeline:
-    """Batches statements into one wire exchange.
-
-    ``execute``/``execute_prepared`` queue work and return
-    :class:`PipelineHandle`\\ s; :meth:`flush` ships every queued frame
-    in a single ``pipeline`` envelope (one round trip, one group-commit
-    fsync on the server) and settles the handles in order. Frame
-    failures are isolated: a failed statement settles its handle with
-    the error while later statements still execute.
-
-    Statements substituted by an interceptor (server-excluded replay)
-    settle immediately and never reach the wire.
-    """
-
-    def __init__(self, client: "DBClient") -> None:
-        self.client = client
-        self._queued: list[
-            tuple[dict, PipelineHandle, str, bool, str]] = []
-
-    def execute(self, sql: str,
-                provenance: bool = False,
-                token: str | None = None) -> PipelineHandle:
-        handle = PipelineHandle(sql)
-        substituted = self.client._substitute(sql, provenance, "text")
-        if substituted is not None:
-            self.client._after_execute(sql, provenance, substituted)
-            handle._settle(substituted, None)
-            return handle
-        frame = protocol.query_frame(self.client.connection_id, sql,
-                                     provenance,
-                                     token=self.client._token_for(
-                                         sql, token))
-        self._queued.append((frame, handle, sql, provenance, "text"))
-        return handle
-
-    def execute_prepared(self, prepared: Prepared,
-                         params: list | tuple = (),
-                         provenance: bool = False,
-                         token: str | None = None) -> PipelineHandle:
-        bound_sql = (prepared.bound_sql(params)
-                     if self.client.interceptors else prepared.sql)
-        handle = PipelineHandle(bound_sql)
-        substituted = self.client._substitute(bound_sql, provenance,
-                                              "prepared")
-        if substituted is not None:
-            self.client._after_execute(bound_sql, provenance, substituted)
-            handle._settle(substituted, None)
-            return handle
-        frame = protocol.bind_execute_frame(
-            self.client.connection_id, prepared.name, list(params),
-            provenance,
-            token=self.client._token_for(prepared.sql, token))
-        self._queued.append((frame, handle, bound_sql, provenance,
-                             "prepared"))
-        return handle
-
-    def __len__(self) -> int:
-        return len(self._queued)
-
-    def flush(self) -> None:
-        """Ship the queued frames in one ``pipeline`` envelope and
-        settle every handle; a no-op when nothing is queued."""
-        if not self._queued:
-            return
-        queued, self._queued = self._queued, []
-        envelope = protocol.pipeline_frame(
-            self.client.connection_id,
-            [frame for frame, _, _, _, _ in queued])
-        response = self.client._round_trip(envelope)
-        if response.get("frame") != "pipeline-result":
-            raise ProtocolError(
-                f"unexpected pipeline response {response.get('frame')!r}")
-        frames = response.get("frames") or []
-        if len(frames) != len(queued):
-            raise ProtocolError(
-                f"pipeline answered {len(frames)} frames "
-                f"for {len(queued)} requests")
-        for inner, (_, handle, sql, provenance, path) in zip(frames,
-                                                             queued):
-            status = inner.get("txn")
-            if status is not None:
-                self.client.in_transaction = status == "open"
-            if inner.get("frame") == "error":
-                handle._settle(None, _error_from_frame(inner))
-                continue
-            result = protocol.result_from_wire(inner)
-            self.client.last_execution_path = path
-            self.client._after_execute(sql, provenance, result)
-            handle._settle(result, None)
 
 
 class DBClient:
@@ -466,9 +179,9 @@ class DBClient:
         self.in_transaction = False
         # negotiated on connect: min(client, server); None until then
         self.protocol_version: Optional[int] = None
-        # how the last statement reached the server ("text",
-        # "prepared", or "stream") — the monitor records it so replay
-        # can tell the paths apart
+        # how the last statement reached the server ("text" or
+        # "prepared") — the monitor records it so replay can tell the
+        # paths apart
         self.last_execution_path = "text"
         self._prepared_seq = 0
         # monotonic across reconnects — a token must never be reused
@@ -542,7 +255,7 @@ class DBClient:
                 protocol.query_frame(self.connection_id, sql, provenance,
                                      token=self._token_for(sql, token)))
             if response.get("frame") == "error":
-                _raise_from_error_frame(response)
+                raise _error_from_frame(response)
             result = protocol.result_from_wire(response)
         self._after_execute(sql, provenance, result)
         return result
@@ -619,89 +332,6 @@ class DBClient:
             return
         self._round_trip(protocol.deallocate_frame(self.connection_id,
                                                    name))
-
-    # -- streamed result sets (protocol v2) ---------------------------------------------
-
-    def execute_stream(self, source: "str | Prepared",
-                       params: list | tuple = (),
-                       fetch_size: int = 256,
-                       provenance: bool = False,
-                       token: str | None = None) -> ResultCursor:
-        """Run a SELECT and stream its rows in bounded chunks.
-
-        Returns a :class:`ResultCursor` whose first chunk rode along
-        with the opening response; further chunks are pulled on demand.
-        The server pins the cursor to the statement's snapshot, so the
-        stream is immune to concurrent commits.
-
-        The open is stamped with an idempotency token (auto-generated
-        unless passed explicitly): if the opening response frame is
-        lost, the retried open replays the original cursor instead of
-        leaking a second one on the server.
-        """
-        if not self.connected:
-            raise ConnectionClosedError("client is not connected")
-        if token is None and self.idempotency_tokens:
-            self._token_seq += 1
-            token = (f"{self.client_name}/{self.process_id}"
-                     f"#{self._token_seq}")
-        if isinstance(source, Prepared):
-            if source.closed:
-                raise ProtocolError(
-                    f"prepared statement {source.name!r} was deallocated")
-            sql = (source.bound_sql(params) if self.interceptors
-                   else source.sql)
-            frame = protocol.bind_execute_frame(
-                self.connection_id, source.name, list(params),
-                provenance, fetch=fetch_size, token=token)
-        else:
-            sql = bind_sql_text(source, params) if params else source
-            frame = protocol.query_frame(self.connection_id, sql,
-                                         provenance, fetch=fetch_size,
-                                         token=token)
-        substituted = self._substitute(sql, provenance, "stream")
-        if substituted is not None:
-            # server-excluded replay: chunk the substituted result
-            # locally, no wire traffic at all
-            return ResultCursor(
-                self, sql, provenance, substituted.schema,
-                list(substituted.rows), list(substituted.lineages),
-                True, fetch_size,
-                source_tables=list(substituted.source_tables),
-                remote=False)
-        response = self._round_trip(frame)
-        if response.get("frame") == "error":
-            _raise_from_error_frame(response)
-        if response.get("frame") != "cursor":
-            raise ProtocolError(
-                f"unexpected stream response {response.get('frame')!r}")
-        return ResultCursor(
-            self, sql, provenance, _schema_from_frame(response),
-            [tuple(row) for row in response["rows"]],
-            list(response["lineages"]), bool(response["done"]),
-            fetch_size, cursor_id=int(response["cursor_id"]),
-            source_tables=list(response["source_tables"]))
-
-    # -- pipelining (protocol v2) -------------------------------------------------------
-
-    @contextmanager
-    def pipeline(self) -> Iterator[Pipeline]:
-        """Batch statements into one wire exchange.
-
-        >>> with client.pipeline() as p:            # doctest: +SKIP
-        ...     a = p.execute("INSERT INTO t VALUES (1)")
-        ...     b = p.execute("SELECT x FROM t")
-        >>> b.rows()                                # doctest: +SKIP
-
-        The block's queued statements are flushed on exit (one round
-        trip, one group-commit fsync); results are read off the
-        handles afterwards.
-        """
-        if not self.connected:
-            raise ConnectionClosedError("client is not connected")
-        batch = Pipeline(self)
-        yield batch
-        batch.flush()
 
     # -- server observability -----------------------------------------------------------
 
@@ -786,7 +416,7 @@ class DBClient:
                 value = body(self)
                 self.commit()
                 return value
-            except TransientError as exc:  # includes WriteConflictError
+            except TransientError:  # includes WriteConflictError
                 if self.in_transaction:
                     # non-conflict transient failure mid-transaction:
                     # reset server-side state before starting over
@@ -798,8 +428,7 @@ class DBClient:
                 if attempt >= attempts:
                     raise
                 if self.retry_policy is not None:
-                    self.retry_policy.backoff(
-                        attempt - 1, getattr(exc, "retry_after", None))
+                    self.retry_policy.backoff(attempt - 1)
                 self.transactions_retried += 1
 
     def explain_analyze(self, sql: str) -> StatementResult:
@@ -823,7 +452,7 @@ class DBClient:
             # after a write conflict
             self.in_transaction = status == "open"
         if response.get("frame") == "error" and frame.get("frame") != "query":
-            _raise_from_error_frame(response)
+            raise _error_from_frame(response)
         return response
 
     def _send_with_retry(self, request_text: str) -> dict[str, Any]:
@@ -833,8 +462,7 @@ class DBClient:
         The *same* encoded request text is resent on every attempt —
         so a mutating statement's idempotency token is stable across
         retries and the server's dedupe ledger can recognise the
-        resend. A transient error frame may carry a ``retry_after``
-        hint; it floors the backoff delay.
+        resend.
         """
         attempt = 0
         while True:
@@ -847,19 +475,17 @@ class DBClient:
                 attempt += 1
                 continue
             if (protocol.is_transient_error(response)
-                    and self._backoff(attempt,
-                                      response.get("retry_after"))):
+                    and self._backoff(attempt)):
                 attempt += 1
                 continue
             return response
 
-    def _backoff(self, attempt: int,
-                 retry_after: float | None = None) -> bool:
+    def _backoff(self, attempt: int) -> bool:
         """Sleep before retry ``attempt + 1``; False when out of
         attempts (or no policy is configured)."""
         policy = self.retry_policy
         if policy is None or attempt + 1 >= policy.max_attempts:
             return False
-        policy.backoff(attempt, retry_after)
+        policy.backoff(attempt)
         self.retries_performed += 1
         return True

@@ -89,7 +89,6 @@ from repro.errors import (
     CatalogError,
     DatabaseError,
     ExecutionError,
-    GroupCommitError,
     IntegrityError,
     SQLSyntaxError,
     StatementTimeout,
@@ -211,124 +210,6 @@ class PreparedStatement:
         return self.binder.param_count
 
 
-class Cursor:
-    """An incrementally-drained SELECT, pinned to a snapshot.
-
-    Opened inside a transaction, the cursor reads the transaction's
-    snapshot (and write-set) and dies with it. Opened in autocommit, it
-    registers its own snapshot with the MVCC state — exactly like a
-    read-only transaction — so history pruning preserves every version
-    the remaining rows need until the cursor is closed or exhausted.
-
-    ``fetch`` resumes the plan's iterator under the pinned read view
-    and the cursor's parameter bindings, so a prepared statement's
-    (shared) plan streams snapshot-correct rows regardless of what
-    other sessions commit between chunks.
-    """
-
-    def __init__(self, database: "Database", schema: Schema,
-                 source_tables: list[str], session: Session,
-                 planned: PlannedQuery | None = None,
-                 params: tuple = (),
-                 materialized: "StatementResult | None" = None) -> None:
-        self.database = database
-        self.schema = schema
-        self.source_tables = source_tables
-        self.session = session
-        self.done = False
-        self.rows_served = 0
-        self._params = tuple(params)
-        self._closed = False
-        self._owns_txn_id: Optional[int] = None
-        self._context: Optional[TransactionContext] = None
-        self._view: Optional[ReadView] = None
-        if materialized is not None:
-            # non-streamable statements (subqueries, UNION) execute
-            # eagerly; the cursor only chunks the materialized rows
-            self._iterator: Iterator = iter(
-                zip(materialized.rows, materialized.lineages))
-        else:
-            context = session.txn
-            if context is None:
-                # pin an autocommit snapshot: a private read-only
-                # "transaction" that holds back history pruning
-                txn_id = database._next_txn_id
-                database._next_txn_id += 1
-                context = TransactionContext(txn_id, database.clock.now)
-                database.mvcc.begin(txn_id, context.snapshot)
-                self._owns_txn_id = txn_id
-            self._context = context
-            self._view = ReadView(context.snapshot, context,
-                                  database.mvcc)
-            self._iterator = iter(planned.root)
-
-    @property
-    def defunct(self) -> bool:
-        """True when the transaction that pinned this cursor's snapshot
-        has ended — the server reaps such cursors."""
-        return (self._owns_txn_id is None and self._context is not None
-                and self.session.txn is not self._context)
-
-    def fetch(self, max_rows: int) -> tuple[list[tuple], list[frozenset]]:
-        """Pull up to ``max_rows`` more rows (with their lineages);
-        sets :attr:`done` when the plan is exhausted."""
-        if self._closed:
-            raise ExecutionError("cursor is closed")
-        if max_rows < 1:
-            raise ExecutionError("fetch size must be positive")
-        if self.done:
-            return [], []
-        if (self._owns_txn_id is None and self._context is not None
-                and self.session.txn is not self._context):
-            # the owning transaction committed or rolled back: the
-            # snapshot (and any overlay rows) the cursor was reading
-            # are gone
-            self.close()
-            raise ExecutionError(
-                "cursor is no longer valid: its transaction ended")
-        rows: list[tuple] = []
-        lineages: list[frozenset] = []
-        if self._view is not None:
-            state = self.database.mvcc
-            previous = state.current
-            state.current = self._view
-            try:
-                with bound_parameters(self._params):
-                    self._pull(rows, lineages, max_rows)
-            finally:
-                state.current = previous
-        else:
-            self._pull(rows, lineages, max_rows)
-        self.rows_served += len(rows)
-        if self.done:
-            self._release()
-        return rows, lineages
-
-    def _pull(self, rows: list, lineages: list, max_rows: int) -> None:
-        while len(rows) < max_rows:
-            try:
-                values, lineage = next(self._iterator)
-            except StopIteration:
-                self.done = True
-                return
-            rows.append(values)
-            lineages.append(lineage)
-
-    def close(self) -> None:
-        """Release the pinned snapshot; idempotent."""
-        if not self._closed:
-            self._closed = True
-            self.done = True
-            self._release()
-
-    def _release(self) -> None:
-        self._iterator = iter(())
-        if self._owns_txn_id is not None:
-            self.database.mvcc.end(self._owns_txn_id)
-            self._owns_txn_id = None
-            self.database._prune_mvcc()
-
-
 class Database:
     """An embedded database instance.
 
@@ -399,11 +280,6 @@ class Database:
         # exactly-once retry support: results of token-stamped
         # statements, recoverable alongside the writes they describe
         self.dedupe_ledger = IdempotencyLedger()
-        # poisoned after an aborted group commit: the in-memory heap
-        # has applied writes the truncated WAL no longer promises, so
-        # this instance must not serve statements or checkpoint —
-        # reopen the data directory to recover
-        self.failed = False
         if directory is not None:
             self.wal = WriteAheadLog(directory.wal_path, io=self.io)
             self.last_recovery = self.wal.open()
@@ -589,27 +465,6 @@ class Database:
         finally:
             state.current = previous
 
-    @contextmanager
-    def group_commit(self) -> Iterator[None]:
-        """Share one WAL fsync across all transactions committed inside
-        the window (each still appends its own batch + commit marker;
-        see :class:`repro.db.wal.WriteAheadLog`)."""
-        if self.wal is None:
-            yield
-            return
-        self.wal.begin_group()
-        try:
-            yield
-        finally:
-            try:
-                self.wal.end_group()
-            except GroupCommitError:
-                # the group's heap writes were already applied but the
-                # truncated WAL no longer promises them: this instance
-                # is no longer trustworthy, reopen from disk to recover
-                self.failed = True
-                raise
-
     @property
     def commit_count(self) -> int:
         """Commit markers written to the WAL (0 without a WAL)."""
@@ -617,7 +472,7 @@ class Database:
 
     @property
     def fsync_count(self) -> int:
-        """WAL fsyncs issued (group commit shares one across a batch)."""
+        """WAL fsyncs issued (one per commit; 0 without a WAL)."""
         return self.wal.fsync_count if self.wal is not None else 0
 
     # -- cooperative statement deadline ------------------------------------------
@@ -669,7 +524,6 @@ class Database:
         re-executing (see :class:`IdempotencyLedger`).
         """
         session = session if session is not None else self.session
-        self._ensure_usable()
         if token is not None:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
@@ -681,7 +535,7 @@ class Database:
         return self.execute_statement(statements[0], provenance, session,
                                       token=token)
 
-    # -- prepared statements and cursors ----------------------------------------
+    # -- prepared statements ---------------------------------------------------
 
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse (and classify) one statement for repeated execution
@@ -738,7 +592,6 @@ class Database:
         skipping the per-call parse.
         """
         session = session if session is not None else self.session
-        self._ensure_usable()
         if token is not None:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
@@ -755,36 +608,6 @@ class Database:
         statement = prepared.binder(params)
         return self.execute_statement(statement, provenance, session,
                                       token=token)
-
-    def open_cursor(self, source: "str | PreparedStatement",
-                    params: Iterable[Any] = (),
-                    session: Session | None = None,
-                    provenance: bool = False) -> Cursor:
-        """Open a streamed result set for a SELECT.
-
-        Cacheable SELECTs stream incrementally from the operator
-        tree under a pinned snapshot; other SELECT shapes (subqueries,
-        UNION) materialize eagerly and the cursor merely chunks the
-        rows. Non-SELECT statements are rejected.
-        """
-        session = session if session is not None else self.session
-        self._ensure_usable()
-        prepared = (source if isinstance(source, PreparedStatement)
-                    else self.prepare(source))
-        params = tuple(params)
-        self._check_param_count(prepared, params)
-        if prepared.cacheable:
-            planned = self._planned_for(prepared, provenance)
-            return Cursor(self, planned.schema,
-                          list(planned.source_tables), session,
-                          planned=planned, params=params)
-        result = self.execute_prepared(prepared, params, provenance,
-                                       session)
-        if result.kind != "select":
-            raise ExecutionError(
-                "only SELECT statements can be streamed")
-        return Cursor(self, result.schema, list(result.source_tables),
-                      session, materialized=result)
 
     @staticmethod
     def _plan_cacheable(statement: ast.Statement) -> bool:
@@ -826,7 +649,6 @@ class Database:
                           session: Session | None = None,
                           token: str | None = None) -> StatementResult:
         session = session if session is not None else self.session
-        self._ensure_usable()
         if token is not None:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
@@ -883,12 +705,6 @@ class Database:
         return result
 
     # -- exactly-once retry ledger -------------------------------------------------
-
-    def _ensure_usable(self) -> None:
-        if self.failed:
-            raise GroupCommitError(
-                "database instance failed after an aborted group "
-                "commit; reopen the data directory to recover")
 
     def _ledger_replay(self, token: str,
                        session: Session) -> Optional[StatementResult]:
@@ -992,7 +808,6 @@ class Database:
         the not-yet-reset WAL simply replays (idempotently) on top of
         whichever table files made it.
         """
-        self._ensure_usable()
         if self.mvcc.has_active():
             raise TransactionError(
                 "cannot checkpoint during an open transaction")
@@ -1009,13 +824,7 @@ class Database:
             self.wal.reset()
 
     def close(self) -> None:
-        """Checkpoint and release (no open handles are held otherwise).
-
-        A failed (poisoned) instance skips the checkpoint: its heap has
-        diverged from the log and must not overwrite the durable state.
-        """
-        if self.failed:
-            return
+        """Checkpoint and release (no open handles are held otherwise)."""
         self.checkpoint()
 
     def vacuum(self) -> None:

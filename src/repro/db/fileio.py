@@ -28,18 +28,6 @@ class FileIO:
     def read_bytes(self, path: str | Path) -> bytes:
         return Path(path).read_bytes()
 
-    def size(self, path: str | Path) -> int:
-        """Current size of ``path`` in bytes (0 if it does not exist).
-
-        A read-side primitive (never faulted, like :meth:`read_bytes`):
-        the WAL captures the file size at the start of a commit group so
-        a failed group fsync can truncate the group's batches back out.
-        """
-        try:
-            return os.path.getsize(str(path))
-        except OSError:
-            return 0
-
     def write_bytes(self, path: str | Path, data: bytes,
                     point: str = "io.write") -> None:
         """Create or fully overwrite ``path`` (not atomic by itself)."""

@@ -11,42 +11,30 @@ Frame types::
 
     connect      {frame, client_name, process_id, version}
     connected    {frame, connection_id, version}
-    query        {frame, connection_id, sql, provenance[, fetch]
-                  [, token]}
+    query        {frame, connection_id, sql, provenance[, token]}
     result       {frame, kind, columns, types, rows, lineages, rowcount,
                   written, written_lineage, deleted, source_tables,
                   stats, txn}
-    error        {frame, error_type, message, transient, txn
-                  [, retry_after]}
+    error        {frame, error_type, message, transient, txn}
     close        {frame, connection_id}
     closed       {frame}
 
     prepare      {frame, connection_id, name, sql}
     prepared     {frame, name, param_count}
     bind-execute {frame, connection_id, name, params, provenance
-                  [, fetch][, token]}
+                  [, token]}
     deallocate   {frame, connection_id, name}
     deallocated  {frame, name}
 
-    cursor       {frame, cursor_id, columns, types, rows, lineages,
-                  done, source_tables, txn}
-    fetch        {frame, connection_id, cursor_id, max_rows
-                  [, position]}
-    chunk        {frame, cursor_id, rows, lineages, done, txn}
-    close-cursor {frame, connection_id, cursor_id}
-    cursor-closed {frame, cursor_id}
-
-    pipeline     {frame, connection_id, frames}
-    pipeline-result {frame, frames}
     stats        {frame, connection_id}
     stats-result {frame, server, connection}
 
-Version 2 of the protocol adds the prepared-statement, cursor,
-pipeline, and stats families. ``connect`` carries the client's
-version and ``connected`` echoes the negotiated one (the minimum of
-both sides); version-1 recordings — whose ``connected`` frames lack
-the field — still decode and replay, as do version-1 clients against
-a version-2 server.
+The server answers one statement per frame, as libpq sends them.
+Version 2 of the protocol adds the prepared-statement and stats
+families. ``connect`` carries the client's version and ``connected``
+echoes the negotiated one (the minimum of both sides); version-1
+recordings — whose ``connected`` frames lack the field — still decode
+and replay, as do version-1 clients against a version-2 server.
 
 Transactions run over plain query frames (``BEGIN`` / ``COMMIT`` /
 ``ROLLBACK`` SQL); the server stamps every per-connection response
@@ -64,28 +52,18 @@ the failed transaction is gone, so the retry unit is the whole
 transaction (:meth:`repro.db.client.DBClient.run_transaction`), never
 the frame.
 
-Resilience fields (still protocol version 2 — every field is optional
-and ignored by older peers):
-
-* ``token`` on query / bind-execute stamps a mutating statement with a
-  globally-unique idempotency token. The engine's dedupe ledger makes
-  resending the same token exactly-once: a retry whose original
-  response frame was lost gets the recorded result back instead of
-  re-executing (see :class:`repro.db.engine.IdempotencyLedger`).
-* ``retry_after`` on error frames is the server's advisory backoff
-  hint in seconds. Today only a server whose database failed after an
-  aborted group commit sends it; clients use it as the floor of their
-  retry delay.
-* ``position`` on fetch is the count of rows the client has received
-  so far; the server retains each cursor's last-served chunk and
-  replays it when ``position`` shows the previous response was lost,
-  making streamed fetches exactly-once too.
+``provenance``, when present, must be a JSON boolean. ``token`` on
+query / bind-execute (still protocol version 2, optional and ignored
+by older peers) must be a string: it stamps a mutating statement with
+a globally-unique idempotency token. The engine's dedupe ledger makes
+resending the same token exactly-once: a retry whose original
+response frame was lost gets the recorded result back instead of
+re-executing (see :class:`repro.db.engine.IdempotencyLedger`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.db.engine import StatementResult
@@ -188,12 +166,9 @@ def connected_frame(connection_id: int,
 
 def query_frame(connection_id: int, sql: str,
                 provenance: bool = False,
-                fetch: int | None = None,
                 token: str | None = None) -> dict[str, Any]:
     frame = {"frame": "query", "connection_id": connection_id,
              "sql": sql, "provenance": provenance}
-    if fetch is not None:
-        frame["fetch"] = fetch
     if token is not None:
         frame["token"] = token
     return frame
@@ -213,13 +188,10 @@ def prepared_frame(name: str, param_count: int) -> dict[str, Any]:
 def bind_execute_frame(connection_id: int, name: str,
                        params: list | tuple = (),
                        provenance: bool = False,
-                       fetch: int | None = None,
                        token: str | None = None) -> dict[str, Any]:
     frame = {"frame": "bind-execute", "connection_id": connection_id,
              "name": name, "params": list(params),
              "provenance": provenance}
-    if fetch is not None:
-        frame["fetch"] = fetch
     if token is not None:
         frame["token"] = token
     return frame
@@ -234,73 +206,16 @@ def deallocated_frame(name: str) -> dict[str, Any]:
     return {"frame": "deallocated", "name": name}
 
 
-def cursor_frame(cursor_id: int, schema, rows: list, lineages: list,
-                 done: bool, source_tables: list[str]) -> dict[str, Any]:
-    """First response of a streamed execute: cursor id + first chunk."""
-    return {
-        "frame": "cursor",
-        "cursor_id": cursor_id,
-        "columns": schema.column_names(),
-        "types": [sql_type.value for sql_type in schema.types()],
-        "rows": [list(row) for row in rows],
-        "lineages": _lineages_to_wire(lineages),
-        "done": done,
-        "source_tables": list(source_tables),
-    }
-
-
-def fetch_frame(connection_id: int, cursor_id: int,
-                max_rows: int,
-                position: int | None = None) -> dict[str, Any]:
-    frame = {"frame": "fetch", "connection_id": connection_id,
-             "cursor_id": cursor_id, "max_rows": max_rows}
-    if position is not None:
-        frame["position"] = position
-    return frame
-
-
-def chunk_frame(cursor_id: int, rows: list, lineages: list,
-                done: bool) -> dict[str, Any]:
-    return {"frame": "chunk", "cursor_id": cursor_id,
-            "rows": [list(row) for row in rows],
-            "lineages": _lineages_to_wire(lineages),
-            "done": done}
-
-
-def close_cursor_frame(connection_id: int,
-                       cursor_id: int) -> dict[str, Any]:
-    return {"frame": "close-cursor", "connection_id": connection_id,
-            "cursor_id": cursor_id}
-
-
-def cursor_closed_frame(cursor_id: int) -> dict[str, Any]:
-    return {"frame": "cursor-closed", "cursor_id": cursor_id}
-
-
-def pipeline_frame(connection_id: int,
-                   frames: list[dict]) -> dict[str, Any]:
-    """Envelope batching N request frames into one exchange."""
-    return {"frame": "pipeline", "connection_id": connection_id,
-            "frames": list(frames)}
-
-
-def pipeline_result_frame(frames: list[dict]) -> dict[str, Any]:
-    return {"frame": "pipeline-result", "frames": list(frames)}
-
-
 def stats_frame(connection_id: int) -> dict[str, Any]:
     return {"frame": "stats", "connection_id": connection_id}
 
 
 def error_frame(error_type: str, message: str,
-                transient: bool = False,
-                retry_after: float | None = None) -> dict[str, Any]:
+                transient: bool = False) -> dict[str, Any]:
     frame = {"frame": "error", "error_type": error_type,
              "message": message}
     if transient:
         frame["transient"] = True
-    if retry_after is not None:
-        frame["retry_after"] = retry_after
     return frame
 
 

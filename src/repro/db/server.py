@@ -14,28 +14,22 @@ retry). The only thing that crosses the wall is a simulated crash from
 the fault-injection harness, which — like a real ``kill -9`` — no
 handler may absorb.
 
-The serving fast path (protocol version 2) adds four per-connection
-facilities on top of plain query frames:
+The server answers one statement per frame, the way libpq sends them.
+Protocol version 2 adds two facilities on top of plain query frames:
 
 * **prepared statements** — ``prepare`` parses and classifies once;
   ``bind-execute`` binds ``$n`` values and runs the template with the
   plan the prepared statement keeps, skipping parse and plan per call;
-* **pipelining** — a ``pipeline`` envelope executes N frames in one
-  exchange under one group-commit window (per-frame error isolation,
-  one shared WAL fsync);
-* **streamed result sets** — a ``fetch`` budget on query/bind-execute
-  answers with a cursor id plus the first chunk; ``fetch`` /
-  ``close-cursor`` frames drain it under the pinned snapshot;
 * **result cache** — read-only statements are served from
   :class:`ResultCache`, keyed on (normalized SQL, params, catalog
   version, per-table MVCC commit watermarks), so invalidation falls
   out of the commit bookkeeping and hits are snapshot-correct by
   construction.
 
-The server answers every frame it is sent: it neither sheds nor caps
-load. Its only refusals are malformed frames, traffic after
-:meth:`DBServer.shutdown`, and, after an aborted group commit, every
-frame until the database is reopened.
+plus a ``stats`` frame reporting the serving counters. The server
+answers every frame it is sent: it neither sheds nor caps load. Its
+only refusals are malformed frames and traffic after
+:meth:`DBServer.shutdown`.
 """
 
 from __future__ import annotations
@@ -47,11 +41,10 @@ from typing import Any, Callable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
-from repro.db.engine import Cursor, Database, PreparedStatement
+from repro.db.engine import Database, PreparedStatement
 from repro.db.mvcc import MVCCState, Session
 from repro.errors import (
     DatabaseError,
-    GroupCommitError,
     ProtocolError,
     ReproError,
     StatementTimeout,
@@ -62,9 +55,6 @@ from repro.errors import (
 
 # entries the server's result cache holds
 RESULT_CACHE_CAPACITY = 128
-# seconds a client is asked to wait before retrying against a database
-# that failed after an aborted group commit
-RETRY_AFTER_HINT = 0.05
 
 
 def _frame_transient(exc: Exception) -> bool:
@@ -87,17 +77,39 @@ def _looks_like_select(sql: str) -> bool:
     return sql.lstrip().lower().startswith("select")
 
 
+_EXPECTED = {int: "an integer", str: "a string", bool: "a boolean"}
+
+
 def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
-    """``request[name]`` if it is exactly a ``kind`` (``int`` or
-    ``str``; a JSON true/false is not an integer), else a one-line
-    :class:`ProtocolError` naming the field."""
+    """``request[name]`` if it is exactly a ``kind`` (``int``, ``str``
+    or ``bool``; a JSON true/false is not an integer, nor is the string
+    "false" a boolean), else a one-line :class:`ProtocolError` naming
+    the field."""
     value = request.get(name)
     if type(value) is not kind:
-        expected = "an integer" if kind is int else "a string"
+        expected = _EXPECTED[kind]
         raise ProtocolError(
             f"{request.get('frame')} frame: {name} must be {expected}, "
             f"not {type(value).__name__}")
     return value
+
+
+def _statement_fields(request: dict[str, Any]) -> tuple[bool, dict]:
+    """A query or bind-execute frame's ``provenance`` flag (a JSON
+    boolean, missing means false) and its execute keyword arguments: a
+    ``token`` (a string) only when one is present, so tests that stub
+    the engine with a two-argument fake keep working. A frame still
+    asking for a streamed result (``fetch``) is refused."""
+    if "fetch" in request:
+        raise ProtocolError(
+            f"{request.get('frame')} frame: fetch is not supported; "
+            f"the server answers each statement with one result")
+    provenance = False
+    if request.get("provenance") is not None:
+        provenance = _typed_field(request, "provenance", bool)
+    if request.get("token") is None:
+        return provenance, {}
+    return provenance, {"token": _typed_field(request, "token", str)}
 
 
 _SCALARS = (type(None), bool, int, float, str)
@@ -231,36 +243,11 @@ class ResultCache:
         return len(self._entries)
 
 
-class _CursorState:
-    """A server-side cursor plus exactly-once chunk-replay bookkeeping.
-
-    ``served`` counts rows handed to this connection (including the
-    opening chunk); ``last_frame`` retains the most recent chunk so a
-    fetch whose ``position`` shows the previous response never arrived
-    is answered by replaying that chunk instead of silently skipping
-    the rows the dropped frame carried.
-    """
-
-    __slots__ = ("cursor", "served", "last_start", "last_frame")
-
-    def __init__(self, cursor: Cursor, first_chunk_rows: int) -> None:
-        self.cursor = cursor
-        self.served = first_chunk_rows
-        self.last_start = 0
-        self.last_frame: Optional[dict] = None
-
-
 class _ConnectionState:
     """Everything the server tracks per wire connection."""
 
     __slots__ = ("process_id", "session", "protocol_version", "prepared",
-                 "cursors", "finished_chunks", "open_frames",
-                 "next_cursor_id", "frames_served", "bytes_in",
-                 "bytes_out")
-
-    # final chunks / opening frames retained per connection for
-    # lost-response replay
-    FINISHED_RETAINED = 8
+                 "frames_served", "bytes_in", "bytes_out")
 
     def __init__(self, process_id: str, session: Session,
                  protocol_version: int) -> None:
@@ -268,46 +255,9 @@ class _ConnectionState:
         self.session = session
         self.protocol_version = protocol_version
         self.prepared: dict[str, PreparedStatement] = {}
-        self.cursors: dict[int, _CursorState] = {}
-        # cursor_id -> {"start", "frame"}: the done-chunk of recently
-        # exhausted cursors, so a retried final fetch can be answered
-        self.finished_chunks: "OrderedDict[int, dict]" = OrderedDict()
-        # stream token -> retained opening cursor frame: a retried
-        # stream open (its response was lost before the client learned
-        # the cursor id) replays the original frame instead of opening
-        # a second cursor whose snapshot pin nobody would ever release
-        self.open_frames: "OrderedDict[str, dict]" = OrderedDict()
-        self.next_cursor_id = 1
         self.frames_served = 0
         self.bytes_in = 0
         self.bytes_out = 0
-
-    def retain_finished(self, cursor_id: int, start: int,
-                        frame: dict) -> None:
-        self.finished_chunks[cursor_id] = {"start": start,
-                                           "frame": frame}
-        while len(self.finished_chunks) > self.FINISHED_RETAINED:
-            self.finished_chunks.popitem(last=False)
-
-    def retain_open(self, token: str, frame: dict) -> None:
-        self.open_frames[token] = frame
-        while len(self.open_frames) > self.FINISHED_RETAINED:
-            self.open_frames.popitem(last=False)
-
-    def reap_cursors(self) -> None:
-        """Close cursors whose pinning transaction ended (commit or
-        rollback tears down the snapshot they were reading)."""
-        dead = [cursor_id for cursor_id, holder in self.cursors.items()
-                if holder.cursor.defunct]
-        for cursor_id in dead:
-            self.cursors.pop(cursor_id).cursor.close()
-
-    def close_cursors(self) -> None:
-        for holder in self.cursors.values():
-            holder.cursor.close()
-        self.cursors.clear()
-        self.finished_chunks.clear()
-        self.open_frames.clear()
 
 
 class DBServer:
@@ -345,22 +295,19 @@ class DBServer:
         self._next_connection_id = 1
         self.started = True
         # server-wide observability counters (per-connection ones live
-        # on the _ConnectionState); pipeline envelopes count both the
-        # envelope and each inner frame
+        # on the _ConnectionState)
         self.frames_served = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        self.group_aborts = 0
 
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Checkpoint data files and refuse further traffic.
 
-        Open cursors are closed and open transactions of
-        still-connected clients are rolled back first — exactly what a
-        crashed server's recovery would decide, since nothing
-        uncommitted ever reached the WAL.
+        Open transactions of still-connected clients are rolled back
+        first — exactly what a crashed server's recovery would decide,
+        since nothing uncommitted ever reached the WAL.
 
         Idempotent: a second shutdown is a no-op, and later frames get
         a ``ConnectionClosedError`` error frame rather than an
@@ -369,9 +316,7 @@ class DBServer:
         if not self.started:
             return
         for connection_id in sorted(self._states):
-            state = self._states[connection_id]
-            state.close_cursors()
-            self.database.abort_session(state.session)
+            self.database.abort_session(self._states[connection_id].session)
         self.database.close()
         self.started = False
         self._states.clear()
@@ -412,26 +357,6 @@ class DBServer:
                 state.bytes_out += len(response_text)
         return response_text
 
-    def handle_wire_many(self, request_texts: list[str]) -> list[str]:
-        """Handle a batch of encoded frames under one group-commit
-        window: each transaction still appends its own WAL batch, but
-        they all share a single fsync at the end of the batch —
-        responses are only returned once that durable barrier holds.
-
-        If that shared fsync fails, the WAL aborts the *whole group*
-        (see :meth:`repro.db.wal.WriteAheadLog.end_group`): every
-        response in the batch — including ones already computed — is
-        replaced by a transient ``GroupCommitError`` frame, because no
-        acknowledgement in the batch is durably backed anymore."""
-        try:
-            with self.database.group_commit():
-                return [self.handle_wire(text) for text in request_texts]
-        except GroupCommitError as exc:
-            self.group_aborts += 1
-            error_text = protocol.encode_frame(protocol.error_frame(
-                "GroupCommitError", str(exc), transient=True))
-            return [error_text for _ in request_texts]
-
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         """Handle one decoded frame, returning a decoded response."""
         if not self.started:
@@ -442,12 +367,6 @@ class DBServer:
         state = self._state_of(request)
         if state is not None:
             state.frames_served += 1
-        if self.database.failed:
-            return protocol.error_frame(
-                "GroupCommitError",
-                "the server's database failed after an aborted group "
-                "commit; retry once it has been restarted",
-                transient=True, retry_after=RETRY_AFTER_HINT)
         try:
             if kind == "connect":
                 return self._handle_connect(request)
@@ -459,12 +378,6 @@ class DBServer:
                 return self._handle_bind_execute(request)
             if kind == "deallocate":
                 return self._handle_deallocate(request)
-            if kind == "fetch":
-                return self._handle_fetch(request)
-            if kind == "close-cursor":
-                return self._handle_close_cursor(request)
-            if kind == "pipeline":
-                return self._handle_pipeline(request)
             if kind == "stats":
                 return self._handle_stats(request)
             if kind == "close":
@@ -567,7 +480,6 @@ class DBServer:
         """Shared epilogue of query and bind-execute: cache bookkeeping,
         EXPLAIN ANALYZE server stats, wire encoding, txn stamping."""
         self._maybe_revalidate(result)
-        state.reap_cursors()
         if "analyze" in result.stats:
             # EXPLAIN ANALYZE results also report the server-side wall
             # time plus cache health, so clients can see wire overhead
@@ -593,12 +505,7 @@ class DBServer:
         sql = request.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("query frame is missing its sql text")
-        provenance = bool(request.get("provenance"))
-        fetch = request.get("fetch")
-        if fetch is not None:
-            self._require_version(state, "streamed query")
-            return self._open_cursor(state, request, sql, (), fetch,
-                                     provenance)
+        provenance, kwargs = _statement_fields(request)
         cache_key = None
         if _looks_like_select(sql):
             cache_key = ResultCache.key(sql, (), provenance)
@@ -609,10 +516,6 @@ class DBServer:
                 frame = dict(cached)
                 self._attach_txn_status(frame, request)
                 return frame
-        token = request.get("token")
-        # token passed only when present, so tests that stub
-        # database.execute with a two-argument fake keep working
-        kwargs = ({"token": str(token)} if token is not None else {})
         result, elapsed = self._timed_execute(
             state, lambda: self.database.execute(
                 sql, provenance=provenance, **kwargs))
@@ -645,11 +548,7 @@ class DBServer:
         if prepared is None:
             raise ProtocolError(f"unknown prepared statement {name!r}")
         params = _bind_params(request)
-        provenance = bool(request.get("provenance"))
-        fetch = request.get("fetch")
-        if fetch is not None:
-            return self._open_cursor(state, request, prepared, params,
-                                     fetch, provenance)
+        provenance, kwargs = _statement_fields(request)
         cache_key = None
         if prepared.cacheable:
             cache_key = ResultCache.key(prepared.sql, params, provenance)
@@ -660,8 +559,6 @@ class DBServer:
                 frame = dict(cached)
                 self._attach_txn_status(frame, request)
                 return frame
-        token = request.get("token")
-        kwargs = ({"token": str(token)} if token is not None else {})
         result, elapsed = self._timed_execute(
             state, lambda: self.database.execute_prepared(
                 prepared, params, provenance=provenance,
@@ -674,154 +571,10 @@ class DBServer:
         state = self._require_state(request)
         self._require_version(state, "deallocate")
         name = _typed_field(request, "name", str)
-        state.prepared.pop(name, None)  # idempotent, like close-cursor
+        state.prepared.pop(name, None)  # idempotent
         frame = protocol.deallocated_frame(name)
         self._attach_txn_status(frame, request)
         return frame
-
-    # -- streamed result sets ----------------------------------------------------
-
-    def _open_cursor(self, state: _ConnectionState,
-                     request: dict[str, Any],
-                     source, params: tuple, fetch: Any,
-                     provenance: bool) -> dict[str, Any]:
-        if not isinstance(fetch, int) or isinstance(fetch, bool) or fetch < 1:
-            raise ProtocolError("fetch size must be a positive integer")
-        token = request.get("token")
-        if token is not None and str(token) in state.open_frames:
-            # a retried stream open whose cursor frame was lost: replay
-            # the original instead of opening (and leaking) a second
-            # cursor pinned to its own snapshot
-            frame = dict(state.open_frames[str(token)])
-            self._attach_txn_status(frame, request)
-            return frame
-        database = self.database
-        with database.use_session(state.session):
-            cursor = database.open_cursor(source, params,
-                                          session=state.session,
-                                          provenance=provenance)
-            rows, lineages = cursor.fetch(fetch)
-        cursor_id = state.next_cursor_id
-        state.next_cursor_id += 1
-        if cursor.done:
-            cursor.close()
-        else:
-            state.cursors[cursor_id] = _CursorState(cursor, len(rows))
-        frame = protocol.cursor_frame(cursor_id, cursor.schema, rows,
-                                      lineages, cursor.done,
-                                      cursor.source_tables)
-        if token is not None:
-            # retain the pre-txn-status copy: txn state is re-derived
-            # per request when the frame is replayed
-            state.retain_open(str(token), dict(frame))
-        self._attach_txn_status(frame, request)
-        return frame
-
-    def _handle_fetch(self, request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "fetch")
-        cursor_id = _typed_field(request, "cursor_id", int)
-        position = request.get("position")
-        holder = state.cursors.get(cursor_id)
-        if holder is None:
-            # a retried final fetch whose done-chunk response was
-            # dropped: the cursor is gone but its last chunk is
-            # retained for exactly this replay
-            finished = state.finished_chunks.get(cursor_id)
-            if finished is not None and (position is None
-                                         or position == finished["start"]):
-                frame = dict(finished["frame"])
-                self._attach_txn_status(frame, request)
-                return frame
-            raise ProtocolError(f"unknown cursor {cursor_id!r}")
-        max_rows = request.get("max_rows")
-        if (not isinstance(max_rows, int) or isinstance(max_rows, bool)
-                or max_rows < 1):
-            raise ProtocolError("max_rows must be a positive integer")
-        if (position is not None and holder.last_frame is not None
-                and position == holder.last_start):
-            # the previous chunk's response never arrived: replay it
-            # instead of advancing (and silently skipping its rows)
-            frame = dict(holder.last_frame)
-            self._attach_txn_status(frame, request)
-            return frame
-        if position is not None and position != holder.served:
-            raise ProtocolError(
-                f"fetch position {position} does not match the "
-                f"{holder.served} row(s) served on cursor {cursor_id}")
-        cursor = holder.cursor
-        try:
-            with self.database.use_session(state.session):
-                rows, lineages = cursor.fetch(max_rows)
-        except DatabaseError:
-            state.cursors.pop(cursor_id, None)  # reap the dead cursor
-            raise
-        holder.last_start = holder.served
-        holder.served += len(rows)
-        frame = protocol.chunk_frame(cursor_id, rows, lineages,
-                                     cursor.done)
-        holder.last_frame = dict(frame)
-        if cursor.done:
-            state.cursors.pop(cursor_id, None)
-            state.retain_finished(cursor_id, holder.last_start,
-                                  dict(frame))
-        self._attach_txn_status(frame, request)
-        return frame
-
-    def _handle_close_cursor(self,
-                             request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "close-cursor")
-        cursor_id = _typed_field(request, "cursor_id", int)
-        holder = state.cursors.pop(cursor_id, None)
-        if holder is not None:
-            holder.cursor.close()
-        state.finished_chunks.pop(cursor_id, None)
-        # idempotent: the server reaps cursors on exhaustion and txn
-        # end, so a close for an already-gone cursor is not an error
-        frame = protocol.cursor_closed_frame(cursor_id)
-        self._attach_txn_status(frame, request)
-        return frame
-
-    # -- pipelining --------------------------------------------------------------
-
-    def _handle_pipeline(self, request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "pipeline")
-        frames = request.get("frames")
-        if not isinstance(frames, list):
-            raise ProtocolError("pipeline frame carries no frames list")
-        connection_id = request.get("connection_id")
-        responses: list[dict[str, Any]] = []
-        try:
-            with self.database.group_commit():
-                for inner in frames:
-                    if not isinstance(inner, dict):
-                        responses.append(protocol.error_frame(
-                            "ProtocolError",
-                            "pipeline items must be frames"))
-                        continue
-                    if inner.get("frame") == "pipeline":
-                        responses.append(protocol.error_frame(
-                            "ProtocolError",
-                            "pipeline frames cannot nest"))
-                        continue
-                    inner = dict(inner)
-                    inner.setdefault("connection_id", connection_id)
-                    # handle() isolates each inner frame's failure as
-                    # its own error frame (with txn status); later
-                    # frames in the batch still execute
-                    responses.append(self.handle(inner))
-        except GroupCommitError as exc:
-            # the shared fsync failed: every commit in this envelope
-            # was aborted together, so no already-computed response
-            # may be delivered — each would acknowledge work the WAL
-            # no longer promises
-            self.group_aborts += 1
-            error = protocol.error_frame("GroupCommitError", str(exc),
-                                         transient=True)
-            responses = [dict(error) for _ in frames]
-        return protocol.pipeline_result_frame(responses)
 
     # -- observability -----------------------------------------------------------
 
@@ -837,7 +590,6 @@ class DBServer:
                 "frames_served": state.frames_served,
                 "bytes_in": state.bytes_in,
                 "bytes_out": state.bytes_out,
-                "open_cursors": len(state.cursors),
                 "prepared_statements": len(state.prepared),
             },
         }
@@ -848,13 +600,10 @@ class DBServer:
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "open_connections": len(self._states),
-            "open_cursors": sum(len(state.cursors)
-                                for state in self._states.values()),
             "prepared_statements": sum(len(state.prepared)
                                        for state in self._states.values()),
             "result_cache": self.result_cache.counters(),
             "dedupe_ledger": self.database.dedupe_ledger.counters(),
-            "group_aborts": self.group_aborts,
         }
 
     # -- teardown ----------------------------------------------------------------
@@ -862,7 +611,6 @@ class DBServer:
     def _handle_close(self, request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         del self._states[request.get("connection_id")]
-        state.close_cursors()
         # a vanished client must not pin its snapshot (or leave a
         # half-done transaction ambiguous): roll it back
         self.database.abort_session(state.session)

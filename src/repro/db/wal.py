@@ -54,7 +54,7 @@ from typing import Any, Iterator
 
 from repro.db.fileio import FileIO
 from repro.db.types import Column, Schema, SQLType
-from repro.errors import GroupCommitError, TransientError, WALCorruptionError
+from repro.errors import WALCorruptionError
 
 WAL_MAGIC = b"LDVWAL1\n"
 _FRAME = struct.Struct("<II")
@@ -114,15 +114,6 @@ class WriteAheadLog:
     ``append`` only buffers; ``commit`` writes the whole batch plus its
     marker in a single append and fsyncs, so the log never holds a
     half-batch except when a crash tears the final write.
-
-    **Group commit.** Inside a :meth:`begin_group`/:meth:`end_group`
-    window (see :meth:`repro.db.engine.Database.group_commit`) each
-    ``commit`` still appends its batch + marker immediately — ordering
-    and atomicity are unchanged — but the fsync is deferred and shared:
-    one durable barrier at the end of the window covers every commit in
-    it. A crash inside the window can lose whole trailing transactions
-    (they were not yet acknowledged as durable) but never tears or
-    reorders them.
     """
 
     def __init__(self, path: str | Path, io: FileIO | None = None) -> None:
@@ -130,14 +121,8 @@ class WriteAheadLog:
         self.io = io if io is not None else FileIO()
         self._buffer: list[bytes] = []
         self._buffered_records: list[dict] = []
-        self._group_depth = 0
-        self._group_pending = False
-        self._group_start = 0  # file size at the outermost begin_group
-        self._group_commits = 0
         self.commit_count = 0
         self.fsync_count = 0
-        self.group_aborts = 0
-
     # -- recovery ----------------------------------------------------------------
 
     def open(self) -> WALRecovery:
@@ -229,67 +214,13 @@ class WriteAheadLog:
         self._buffered_records.append(record)
 
     def commit(self, tick: int) -> None:
-        """Durably flush the buffered batch under a commit marker.
-
-        Inside a group-commit window the fsync is deferred to
-        :meth:`end_group`; the batch itself is appended immediately.
-        """
+        """Durably flush the buffered batch under a commit marker."""
         self._buffer.append(encode_record({"op": "commit", "tick": tick}))
         batch = b"".join(self._buffer)
         self._discard()
         self.io.append_bytes(self.path, batch, point="wal.append")
         self.commit_count += 1
-        if self._group_depth > 0:
-            self._group_pending = True
-            self._group_commits += 1
-        else:
-            self._fsync()
-
-    def begin_group(self) -> None:
-        """Open (or nest into) a group-commit window."""
-        if self._group_depth == 0:
-            self._group_start = self.io.size(self.path)
-            self._group_commits = 0
-        self._group_depth += 1
-
-    def end_group(self) -> None:
-        """Close a group-commit window; the outermost close issues the
-        single shared fsync covering every commit in the window.
-
-        If that shared fsync fails, *every* transaction in the group is
-        aborted together: the log is truncated back to the group start
-        (so recovery cannot resurrect a batch whose durability was never
-        acknowledged to anyone) and :class:`GroupCommitError` is raised.
-        Earlier commits in the group were only ever acknowledged
-        provisionally — their durability barrier was this fsync — so
-        aborting the whole group keeps "acked" and "durable" aligned.
-        """
-        if self._group_depth <= 0:
-            return
-        self._group_depth -= 1
-        if self._group_depth == 0 and self._group_pending:
-            self._group_pending = False
-            try:
-                self._fsync()
-            except TransientError as exc:
-                aborted = self._group_commits
-                self.group_aborts += 1
-                try:
-                    self.io.truncate(self.path, self._group_start,
-                                     point="wal.group.truncate")
-                    self.io.fsync(self.path, point="wal.group.truncate.fsync")
-                except TransientError:
-                    # Best effort: if the truncate also fails, the
-                    # unsynced batches stay on disk and recovery may
-                    # resurrect them. That is still consistent — the
-                    # group was reported as failed (a promise of
-                    # nothing), and retried statements consult the
-                    # recovered idempotency ledger either way.
-                    pass
-                raise GroupCommitError(
-                    f"group-commit fsync failed; all {aborted} "
-                    f"transaction(s) in the group were aborted: "
-                    f"{exc}") from exc
+        self._fsync()
 
     def _fsync(self) -> None:
         self.io.fsync(self.path, point="wal.fsync")

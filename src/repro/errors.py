@@ -83,22 +83,6 @@ class WriteConflictError(TransientError):
     """
 
 
-class GroupCommitError(TransientError):
-    """A group commit's shared fsync failed; every transaction in the
-    group was aborted together.
-
-    The WAL tail holding the group's batches is truncated back to the
-    group start so recovery cannot resurrect a partially-acknowledged
-    group, and the in-memory engine instance is poisoned (its heap has
-    applied writes the log no longer promises) — callers must reopen
-    the data directory to recover. Transient because retrying against
-    the recovered instance is safe: the idempotency ledger arbitrates
-    whether each retried statement already applied. Until it is
-    restarted, the poisoned server answers every frame with this error,
-    flagged transient and carrying a ``retry_after`` hint.
-    """
-
-
 class StatementTimeout(DatabaseError):
     """A statement exceeded the server's per-statement time budget."""
 

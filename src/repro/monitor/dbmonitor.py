@@ -91,10 +91,11 @@ class RelevantTupleStore:
 class ReplayLogEntry:
     """One recorded statement with its full wire result.
 
-    ``kind`` records the wire path the statement took ("text",
-    "prepared", or "stream"). Prepared and streamed executions are
-    recorded under their canonical bound SQL text, so replay matching
-    is path-agnostic; the kind is observability metadata. It is
+    ``kind`` records the wire path the statement took ("text" or
+    "prepared"; logs recorded while the client could stream results
+    may also say "stream"). Prepared executions are recorded under
+    their canonical bound SQL text, so replay matching is
+    path-agnostic; the kind is observability metadata. It is
     serialized only when it differs from "text", keeping logs recorded
     by older monitors — and logs of plain text traffic — byte-identical.
     """

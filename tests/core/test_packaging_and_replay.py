@@ -335,29 +335,26 @@ class TestNormalizeSql:
 
 
 def serving_app(ctx):
-    """Exercises every serving path: prepared statements, pipelining,
-    and a streamed result set."""
+    """Exercises both serving paths: prepared statements and text
+    statements, one statement per frame."""
     client = ctx.connect_db("main")
     lookup = client.prepare("SELECT price FROM sales WHERE id = $1")
     west = lookup.query([2])
-    with client.pipeline() as batch:
-        batch.execute("INSERT INTO sales VALUES (101, 7.5, 'south')")
-        total = batch.execute_prepared(
-            client.prepare("SELECT sum(price) FROM sales WHERE "
-                           "price > $1"), [5])
-    streamed = client.execute_stream("SELECT id FROM sales",
-                                     fetch_size=2).fetch_all()
+    client.execute("INSERT INTO sales VALUES (101, 7.5, 'south')")
+    total = client.prepare("SELECT sum(price) FROM sales WHERE "
+                           "price > $1").query([5])
+    ids = client.query("SELECT id FROM sales")
     ctx.write_file(
         "/data/serving.txt",
-        f"{west[0][0]}|{total.rows()[0][0]}|{len(streamed)}\n")
+        f"{west[0][0]}|{total[0][0]}|{len(ids)}\n")
     lookup.deallocate()
     client.close()
     return 0
 
 
 class TestServingPathsReplay:
-    """Prepared, pipelined, and streamed traffic records under its
-    canonical bound SQL and replays byte-identically server-excluded."""
+    """Prepared and text traffic records under its canonical bound SQL
+    and replays byte-identically server-excluded."""
 
     @pytest.fixture
     def serving_world(self, memory_world):
@@ -373,7 +370,20 @@ class TestServingPathsReplay:
         original = world.vos.fs.read_file("/data/serving.txt")
         result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs["/data/serving.txt"] == original
-        # 4 statements: prepared select, 2 pipelined, 1 streamed
+        # 4 statements: prepared select, text insert, prepared select,
+        # text select
+        assert result.replayed_statements == 4
+        # logs recorded while the client could stream results mark
+        # those entries "kind": "stream"; the kind is metadata only, so
+        # such a log replays like any other
+        log_path = tmp_path / "pkg" / "replay" / "log.jsonl"
+        entries = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        entries[-1]["kind"] = "stream"
+        log_path.write_text("".join(json.dumps(entry) + "\n"
+                                    for entry in entries))
+        result = ldv_exec(tmp_path / "pkg", world.registry)
+        assert result.outputs["/data/serving.txt"] == original
         assert result.replayed_statements == 4
 
     def test_source_database_untouched_by_replay(self, serving_world,
@@ -394,7 +404,7 @@ class TestServingPathsReplay:
         entries = [json_module.loads(line)
                    for line in log_path.read_text().splitlines()]
         kinds = [entry.get("kind", "text") for entry in entries]
-        assert kinds == ["prepared", "text", "prepared", "stream"]
+        assert kinds == ["prepared", "text", "prepared", "text"]
         # prepared statements record the canonical bound text —
         # no $n placeholders survive into the log
         assert entries[0]["sql"] == \

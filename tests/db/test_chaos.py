@@ -1,5 +1,5 @@
-"""Chaos-hardened serving: exactly-once retries, group-commit aborts,
-and the seeded randomized fault-campaign harness.
+"""Chaos-hardened serving: exactly-once retries and the seeded
+randomized fault-campaign harness.
 
 Campaign tests are marked ``chaos``; every campaign failure message
 (and the parametrized test id) carries the seed, so a red CI run is
@@ -17,8 +17,7 @@ from repro.db.chaos import (
     run_campaign,
     tree_bytes,
 )
-from repro.errors import GroupCommitError, TransientError
-from repro.faults import FaultInjector, FaultyIO
+from repro.errors import TransientError
 
 
 def make_server():
@@ -101,35 +100,6 @@ class TestExactlyOnceRetries:
         assert client.query("SELECT x FROM t") == [(7,)]
         assert server.database.dedupe_ledger.hits == 1
 
-    def test_lost_pipeline_response_applies_each_once(self):
-        server = make_server()
-        drop = drop_once(lambda f: f.get("frame") == "pipeline")
-        client = make_client(lossy_transport(server, drop))
-        with client.pipeline() as batch:
-            first = batch.execute("INSERT INTO t VALUES (1, 10)")
-            second = batch.execute("INSERT INTO t VALUES (2, 20)")
-        assert first.result().rowcount == 1
-        assert second.result().rowcount == 1
-        assert client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
-        assert server.database.dedupe_ledger.hits == 2
-
-    def test_lost_stream_open_does_not_leak_a_cursor(self):
-        server = make_server()
-        for value in range(6):
-            server.database.execute(
-                f"INSERT INTO t VALUES ({value}, {value * 10})")
-        drop = drop_once(lambda f: f.get("frame") == "query"
-                         and f.get("fetch") is not None)
-        client = make_client(lossy_transport(server, drop))
-        cursor = client.execute_stream("SELECT x FROM t ORDER BY x",
-                                       fetch_size=2)
-        assert cursor.fetch_all() == [(x,) for x in range(6)]
-        # the retried open replayed the original cursor frame instead
-        # of opening a second cursor whose snapshot would pin MVCC
-        # history forever
-        assert server.server_counters()["open_cursors"] == 0
-        assert server.database.mvcc.active_count() == 0
-
     def test_explicit_tokens_dedupe_across_clients(self):
         # the token, not the connection, is the idempotency key: a
         # failed-over client resending its predecessor's token gets
@@ -169,69 +139,6 @@ class TestExactlyOnceRetries:
         client.query("SELECT x FROM t")
         client.query("SELECT x FROM t")
         assert server.database.dedupe_ledger.stores == 0
-
-
-class TestGroupCommitAbort:
-    def make_faulty_server(self, tmp_path, injector):
-        database = Database(data_directory=tmp_path,
-                            io=FaultyIO(injector))
-        return DBServer(database)
-
-    def test_failed_group_fsync_aborts_every_member(self, tmp_path):
-        plain = Database(data_directory=tmp_path)
-        plain.execute("CREATE TABLE t (x integer)")
-        plain.close()
-        # occurrence 1 of wal.fsync is the pipeline's group commit
-        injector = FaultInjector().fail_at("wal.fsync", occurrence=1)
-        server = self.make_faulty_server(tmp_path, injector)
-        client = make_client(server, retry_policy=None)
-        with client.pipeline() as batch:
-            handles = [batch.execute("INSERT INTO t VALUES (1)"),
-                       batch.execute("INSERT INTO t VALUES (2)")]
-        # every member aborted together — no half-acknowledged batch
-        for handle in handles:
-            with pytest.raises(GroupCommitError):
-                handle.result()
-        assert server.group_aborts == 1
-        assert server.database.failed
-        fresh = Database(data_directory=tmp_path)
-        assert fresh.query("SELECT x FROM t") == []
-
-    @pytest.mark.crash
-    def test_retry_after_group_abort_recovery_is_exactly_once(
-            self, tmp_path):
-        plain = Database(data_directory=tmp_path)
-        plain.execute("CREATE TABLE t (x integer)")
-        plain.close()
-        injector = FaultInjector().fail_at("wal.fsync", occurrence=1)
-        server = self.make_faulty_server(tmp_path, injector)
-        client = make_client(server, retry_policy=None)
-        tokens = ("grp.0", "grp.1")
-        with client.pipeline() as batch:
-            handles = [batch.execute("INSERT INTO t VALUES (1)",
-                                     token=tokens[0]),
-                       batch.execute("INSERT INTO t VALUES (2)",
-                                     token=tokens[1])]
-        for handle in handles:
-            with pytest.raises(GroupCommitError):
-                handle.result()
-        # the poisoned server refuses further work until restarted
-        with pytest.raises(GroupCommitError):
-            client.query("SELECT x FROM t")
-
-        revived = DBServer(Database(data_directory=tmp_path))
-        survivor = make_client(revived)
-        with survivor.pipeline() as batch:
-            first = batch.execute("INSERT INTO t VALUES (1)",
-                                  token=tokens[0])
-            second = batch.execute("INSERT INTO t VALUES (2)",
-                                   token=tokens[1])
-        assert first.result().rowcount == 1
-        assert second.result().rowcount == 1
-        # the abort truncated the WAL, so the retried tokens execute
-        # fresh — once — and the table holds exactly one batch
-        assert survivor.query("SELECT x FROM t ORDER BY x") \
-            == [(1,), (2,)]
 
 
 class TestWorkloadDeterminism:

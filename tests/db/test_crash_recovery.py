@@ -28,8 +28,8 @@ pytestmark = pytest.mark.crash
 
 # Each entry is one atomic unit of the workload: a single autocommit
 # statement, one BEGIN..COMMIT/ROLLBACK transaction, or a checkpoint.
-# With the group-commit WAL, durability I/O happens only at the end of
-# a unit, so after a crash the recovered state must match the shadow
+# Each unit appends its WAL batch and fsyncs it once, at the unit's
+# end, so after a crash the recovered state must match the shadow
 # snapshot taken either before or after the unit that died.
 STEPS = [
     ["CREATE TABLE accounts "

@@ -410,39 +410,8 @@ class TestSnapshotScans:
         assert database.query("SELECT count(*) FROM t") == [(51,)]
 
 
-class TestGroupCommit:
-    def test_group_window_shares_one_fsync(self, tmp_path):
-        db = Database(data_directory=tmp_path / "d")
-        db.execute("CREATE TABLE t (x integer)")
-        commits, fsyncs = db.wal.commit_count, db.wal.fsync_count
-        with db.group_commit():
-            db.execute("INSERT INTO t VALUES (1)")
-            db.execute("INSERT INTO t VALUES (2)")
-            db.execute("INSERT INTO t VALUES (3)")
-        assert db.wal.commit_count == commits + 3
-        assert db.wal.fsync_count == fsyncs + 1
-        # durable: a reopen replays all three
-        assert Database(data_directory=tmp_path / "d").query(
-            "SELECT x FROM t ORDER BY x") == [(1,), (2,), (3,)]
-
-    def test_nested_group_windows_fsync_once(self, tmp_path):
-        db = Database(data_directory=tmp_path / "d")
-        db.execute("CREATE TABLE t (x integer)")
-        fsyncs = db.wal.fsync_count
-        with db.group_commit():
-            with db.group_commit():
-                db.execute("INSERT INTO t VALUES (1)")
-            db.execute("INSERT INTO t VALUES (2)")
-        assert db.wal.fsync_count == fsyncs + 1
-
-    def test_empty_group_window_does_not_fsync(self, tmp_path):
-        db = Database(data_directory=tmp_path / "d")
-        fsyncs = db.wal.fsync_count
-        with db.group_commit():
-            pass
-        assert db.wal.fsync_count == fsyncs
-
-    def test_handle_wire_many_batches_sessions_commits(self, tmp_path):
+class TestCommitDurability:
+    def test_every_commit_fsyncs_once(self, tmp_path):
         server = DBServer(data_directory=tmp_path / "d")
         alice = DBClient(server.transport(), "alice", "1")
         bob = DBClient(server.transport(), "bob", "2")
@@ -451,22 +420,14 @@ class TestGroupCommit:
         alice.execute("CREATE TABLE t (x integer)")
         wal = server.database.wal
         commits, fsyncs = wal.commit_count, wal.fsync_count
-
-        def frame(client, sql):
-            return protocol.encode_frame(
-                protocol.query_frame(client.connection_id, sql))
-
-        responses = server.handle_wire_many([
-            frame(alice, "INSERT INTO t VALUES (1)"),
-            frame(bob, "INSERT INTO t VALUES (2)"),
-            frame(alice, "INSERT INTO t VALUES (3)"),
-        ])
-        assert all(protocol.decode_frame(r)["frame"] == "result"
-                   for r in responses)
+        alice.execute("INSERT INTO t VALUES (1)")
+        bob.execute("INSERT INTO t VALUES (2)")
+        alice.execute("INSERT INTO t VALUES (3)")
+        # each autocommit is acknowledged only after its own fsync
         assert wal.commit_count == commits + 3
-        assert wal.fsync_count == fsyncs + 1
-        assert server.database.query("SELECT x FROM t ORDER BY x"
-                                     ) == [(1,), (2,), (3,)]
+        assert wal.fsync_count == fsyncs + 3
+        assert Database(data_directory=tmp_path / "d").query(
+            "SELECT x FROM t ORDER BY x") == [(1,), (2,), (3,)]
 
 
 class TestWireTransactions:

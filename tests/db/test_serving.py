@@ -1,16 +1,13 @@
-"""The high-throughput serving layer: prepared statements, wire
-pipelining, streamed result sets, the snapshot-correct result cache,
-serving observability, protocol-version negotiation, and the
+"""The serving layer: prepared statements, the snapshot-correct result
+cache, serving observability, protocol-version negotiation, and the
 mid-statement cooperative timeout."""
 
 import pytest
 
 from repro.db import Database, DBClient, DBServer
 from repro.db import protocol
-from repro.db.client import Prepared
 from repro.db.sql.params import bind_sql_text
 from repro.errors import (
-    CatalogError,
     ExecutionError,
     ProtocolError,
     StatementTimeout,
@@ -118,141 +115,6 @@ class TestPreparedStatements:
         assert prepared.query([]) == [(5,)]
 
 
-class TestPipelining:
-    def test_pipeline_round_trip(self, client):
-        with client.pipeline() as batch:
-            first = batch.execute("SELECT x FROM t WHERE x = 1")
-            second = batch.execute("INSERT INTO t VALUES (8, 'h')")
-            third = batch.execute("SELECT count(*) FROM t")
-        assert first.rows() == [(1,)]
-        assert second.result().rowcount == 1
-        assert third.rows() == [(5,)]
-
-    def test_failing_frame_does_not_stop_later_frames(self, client):
-        with client.pipeline() as batch:
-            ok = batch.execute("INSERT INTO t VALUES (8, 'h')")
-            bad = batch.execute("SELECT nope FROM missing")
-            late = batch.execute("INSERT INTO t VALUES (9, 'i')")
-        assert ok.result().rowcount == 1
-        with pytest.raises(CatalogError):
-            bad.result()
-        assert late.result().rowcount == 1
-        assert client.query("SELECT count(*) FROM t") == [(6,)]
-
-    def test_pipeline_batch_fsyncs_once(self, tmp_path):
-        server = DBServer(data_directory=tmp_path / "pgdata")
-        client = DBClient(server.transport(), "app", "p1")
-        client.connect()
-        client.execute("CREATE TABLE t (x integer)")
-        commits_before = server.database.commit_count
-        fsyncs_before = server.database.fsync_count
-        with client.pipeline() as batch:
-            handles = [batch.execute(f"INSERT INTO t VALUES ({i})")
-                       for i in range(6)]
-        assert all(h.result().rowcount == 1 for h in handles)
-        assert server.database.commit_count == commits_before + 6
-        assert server.database.fsync_count == fsyncs_before + 1
-        client.close()
-
-    def test_pipeline_failure_mid_batch_still_one_fsync(self, tmp_path):
-        server = DBServer(data_directory=tmp_path / "pgdata")
-        client = DBClient(server.transport(), "app", "p1")
-        client.connect()
-        client.execute("CREATE TABLE t (x integer)")
-        fsyncs_before = server.database.fsync_count
-        with client.pipeline() as batch:
-            batch.execute("INSERT INTO t VALUES (1)")
-            bad = batch.execute("INSERT INTO missing VALUES (1)")
-            batch.execute("INSERT INTO t VALUES (2)")
-        with pytest.raises(CatalogError):
-            bad.result()
-        assert client.query("SELECT count(*) FROM t") == [(2,)]
-        assert server.database.fsync_count == fsyncs_before + 1
-        client.close()
-
-    def test_pipeline_error_carries_txn_state(self, client):
-        client.begin()
-        with client.pipeline() as batch:
-            batch.execute("INSERT INTO t VALUES (8, 'h')")
-            batch.execute("SELECT nope FROM missing")
-        # non-conflict errors leave the transaction open
-        assert client.in_transaction
-        client.rollback()
-
-    def test_nested_pipeline_frame_rejected(self, client):
-        inner = protocol.pipeline_frame(client.connection_id, [])
-        response = protocol.decode_frame(client.transport(
-            protocol.encode_frame(protocol.pipeline_frame(
-                client.connection_id, [inner]))))
-        assert response["frames"][0]["frame"] == "error"
-        assert "nest" in response["frames"][0]["message"]
-
-    def test_handle_wire_many_still_batches(self, server, client):
-        frames = [protocol.encode_frame(protocol.query_frame(
-            client.connection_id, f"INSERT INTO t VALUES ({i}, 'x')"))
-            for i in (31, 32, 33)]
-        responses = server.handle_wire_many(frames)
-        assert len(responses) == 3
-        assert client.query("SELECT count(*) FROM t") == [(7,)]
-
-
-class TestStreaming:
-    def test_chunked_fetch(self, client):
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=2)
-        assert cursor.fetch() == [(1,), (2,)]
-        assert cursor.fetch() == [(3,), (4,)]
-        assert cursor.fetch() == []
-        assert cursor.done
-
-    def test_iteration_and_fetch_all(self, client):
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=3)
-        assert cursor.fetch_all() == [(1,), (2,), (3,), (4,)]
-        assert cursor.rows_fetched == 4
-
-    def test_prepared_stream(self, client):
-        prepared = client.prepare("SELECT x FROM t WHERE x >= $1")
-        cursor = prepared.stream([2], fetch_size=1)
-        assert cursor.fetch_all() == [(2,), (3,), (4,)]
-
-    def test_cursor_pinned_to_snapshot(self, server, client):
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=1)
-        other = second_client(server)
-        other.execute("INSERT INTO t VALUES (99, 'late')")
-        other.close()
-        # the concurrent commit is invisible to the open cursor...
-        assert cursor.fetch_all() == [(1,), (2,), (3,), (4,)]
-        # ...but visible to a fresh statement on the same connection
-        assert client.query("SELECT count(*) FROM t") == [(5,)]
-
-    def test_close_releases_server_cursor(self, server, client):
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=1)
-        assert server.server_counters()["open_cursors"] == 1
-        cursor.close()
-        assert server.server_counters()["open_cursors"] == 0
-        with pytest.raises(ProtocolError):
-            cursor.fetch()
-
-    def test_transaction_end_reaps_cursor(self, client):
-        client.begin()
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=1)
-        cursor.fetch()
-        client.rollback()
-        # the rollback reaped the snapshot-pinned cursor server-side;
-        # whether the engine or the server notices first, the fetch
-        # must fail rather than serve rows from a dead snapshot
-        with pytest.raises((ExecutionError, ProtocolError)):
-            cursor.fetch()
-
-    def test_only_selects_stream(self, client):
-        with pytest.raises(ExecutionError):
-            client.execute_stream("INSERT INTO t VALUES (7, 'g')",
-                                  fetch_size=2)
-
-    def test_non_select_rejected_before_cursor_opens(self, server, client):
-        client.execute_stream("SELECT x FROM t", fetch_size=1).close()
-        assert server.server_counters()["open_cursors"] == 0
-
-
 class TestResultCache:
     def test_repeated_read_hits_cache(self, server, client):
         sql = "SELECT sum(x) FROM t"
@@ -350,22 +212,20 @@ class TestServingStats:
         client.query("SELECT x FROM t")
         prepared = client.prepare("SELECT x FROM t WHERE x = $1")
         prepared.execute([1])
-        cursor = client.execute_stream("SELECT x FROM t", fetch_size=2)
         stats = client.server_stats()
         assert stats["server"]["frames_served"] >= 4
         assert stats["server"]["bytes_in"] > 0
         assert stats["server"]["bytes_out"] > 0
-        assert stats["connection"]["open_cursors"] == 1
         assert stats["connection"]["prepared_statements"] == 1
         assert stats["connection"]["protocol_version"] == 2
-        cursor.close()
 
     def test_per_connection_counters_are_separate(self, server, client):
         other = second_client(server)
         other.query("SELECT x FROM t")
         mine = client.server_stats()["connection"]
         assert mine["connection_id"] == client.connection_id
-        assert mine["open_cursors"] == 0
+        assert mine["frames_served"] < \
+            server.server_counters()["frames_served"]
         other.close()
 
 
@@ -387,10 +247,8 @@ class TestVersionNegotiation:
         connection_id = connected["connection_id"]
         for frame in (
                 protocol.prepare_frame(connection_id, "p1", "SELECT 1"),
-                protocol.pipeline_frame(connection_id, []),
-                protocol.stats_frame(connection_id),
-                protocol.query_frame(connection_id, "SELECT x FROM t",
-                                     fetch=2)):
+                protocol.deallocate_frame(connection_id, "p1"),
+                protocol.stats_frame(connection_id)):
             response = protocol.decode_frame(transport(
                 protocol.encode_frame(frame)))
             assert response["frame"] == "error"
