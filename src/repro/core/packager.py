@@ -118,10 +118,10 @@ class Packager:
         if self.session.mode != SERVER_INCLUDED:
             raise PackageError(
                 "session was not audited in server-included mode")
-        # drain the WAL so the schema and tuple versions we package come
-        # from a crash-consistent image of committed state (a no-op for
-        # in-memory databases)
-        database.checkpoint()
+        # the schema and relevant tuple versions come from the in-memory
+        # catalog and the audit's tuple store, never the data files;
+        # an open transaction could still roll back what they hold
+        database.require_no_open_transaction("package")
         store = self.session.relevant_tuples
         tables = self._tables_to_ship(database)
         manifest = Manifest(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -242,6 +242,7 @@ class ReplaySession:
             self._restore_full_data(database)
         else:
             self._restore_relevant_tuples(database)
+        database.resume_clock()
         database.checkpoint()
         vos.register_db_server(server_name, DBServer(database).transport())
         self.database = database
@@ -258,6 +259,8 @@ class ReplaySession:
                     text, heap.schema):
                 heap.restore_row(rowid, values, version)
                 self.restored_tuples += 1
+            # loaded past the engine: the next checkpoint must write it
+            database.catalog.mark_dirty(table_name)
         expected = self.package.manifest.notes.get("relevant_tuples")
         if expected is not None and self.restored_tuples != expected:
             raise PackageError(
@@ -266,12 +269,12 @@ class ReplaySession:
 
     def _restore_full_data(self, database: Database) -> None:
         """PTU packages carry complete table files under db/data."""
-        from repro.db.storage import HeapTable
+        from repro.db.storage import read_table_file
 
         data_dir = self.package.root / pkg.DATA_DIR
         for path in sorted(data_dir.glob("*.tbl")):
-            table = HeapTable.deserialize(path.read_text())
-            database.catalog._tables[table.name] = table
+            table = read_table_file(path)
+            database.catalog.attach_table(table)
             self.restored_tuples += table.row_count
 
     def _prepare_server_excluded(self, vos: VirtualOS) -> None:

@@ -24,6 +24,13 @@ class Catalog:
     The catalog also owns the database-wide :class:`MVCCState` and
     wires it into every table it manages, so scans anywhere in the
     engine observe the ambient read view (see :mod:`repro.db.mvcc`).
+
+    ``dirty_tables`` names the tables whose ``.tbl`` file may lag their
+    heap: the engine marks what each WAL batch, DDL statement and
+    recovery record touched, and a load that bypasses the engine
+    (dbgen, a package restore) marks its table with :meth:`mark_dirty`.
+    A checkpoint rewrites only these tables (and any with no file
+    yet); every other file already equals its table's ``serialize()``.
     """
 
     def __init__(self, data_directory: DataDirectory | None = None) -> None:
@@ -35,6 +42,7 @@ class Catalog:
         # planner falls back to rote heuristics for absent entries)
         self.stats: dict[str, TableStats] = {}
         self.stats_version = 0
+        self.dirty_tables: set[str] = set()
         if data_directory is not None:
             for name in data_directory.table_names():
                 table = data_directory.load_table(name)
@@ -58,6 +66,21 @@ class Catalog:
         self._tables[key] = table
         self.version += 1
         return table
+
+    def attach_table(self, table: HeapTable) -> None:
+        """Adopt a table built outside the engine (a PTU package's full
+        table file): wire it into MVCC, age out plans built against the
+        old schema, and mark it for the next checkpoint."""
+        if table.name in self._tables:
+            raise CatalogError(f"table {table.name!r} already exists")
+        table.mvcc = self.mvcc
+        self._tables[table.name] = table
+        self.version += 1
+        self.dirty_tables.add(table.name)
+
+    def mark_dirty(self, *names: str) -> None:
+        """Note that these tables changed since their file was written."""
+        self.dirty_tables.update(name.lower() for name in names)
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -132,18 +155,29 @@ class Catalog:
     # -- persistence -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Write every table to the data directory (checkpoint) and
-        delete files for tables that were dropped since the last one."""
+        """Write every dirty table, and every table with no file yet, to
+        the data directory (checkpoint); then delete files for tables
+        that were dropped since the last one.
+
+        A table's mark clears only once its own file has been renamed
+        into place, so a flush that fails partway leaves every table it
+        did not write still dirty for the next attempt."""
         if self.data_directory is None:
             return
-        for table in self._tables.values():
-            self.data_directory.save_table(table)
+        on_disk = set(self.data_directory.table_names())
+        for name, table in self._tables.items():
+            if name in self.dirty_tables or name not in on_disk:
+                self.data_directory.save_table(table)
+                self.dirty_tables.discard(name)
+        # marks of dropped tables: sync_drops removes their files
+        self.dirty_tables.intersection_update(self._tables)
         self.sync_drops()
 
     def flush_table(self, name: str) -> None:
         if self.data_directory is None:
             return
         self.data_directory.save_table(self.get_table(name))
+        self.dirty_tables.discard(name.lower())
 
     def sync_drops(self) -> None:
         """Remove on-disk files of tables no longer in the catalog."""

@@ -28,14 +28,15 @@ uncommitted work.
 Durability (when a data directory is given): every committed statement
 or transaction is flushed to a write-ahead log (:mod:`repro.db.wal`)
 *before* any table file is touched, and :meth:`Database.checkpoint`
-rewrites table files atomically (temp → fsync → rename) before
-resetting the log. Opening a database therefore recovers automatically:
-table files are loaded, the WAL's committed records are replayed
-idempotently on top, torn or uncommitted log tails are truncated, and
-the logical clock resumes past every recovered tick. All file I/O runs
-through an injectable :class:`repro.db.fileio.FileIO`, which is how the
-fault-injection harness (:mod:`repro.faults`) simulates crashes at
-every write, fsync, and rename.
+rewrites the files of the tables changed since the last one atomically
+(temp → fsync → rename) before resetting the log. Opening a database
+therefore recovers automatically: table files are loaded, the WAL's
+committed records are replayed idempotently on top, torn or
+uncommitted log tails are truncated, and the logical clock resumes
+past every recovered tick. All file I/O runs through an injectable
+:class:`repro.db.fileio.FileIO`, which is how the fault-injection
+harness (:mod:`repro.faults`) simulates crashes at every write, fsync,
+and rename.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.clockwork import LogicalClock
 from repro.db import csvio
 from repro.db.catalog import Catalog
-from repro.db.executor import IndexScan, MaterializedSource
+from repro.db.executor import IndexScan
 from repro.db.expressions import (
     bound_parameters,
     compile_expression,
@@ -59,7 +60,6 @@ from repro.db.expressions import (
 from repro.db.mvcc import (
     ReadView,
     Session,
-    TableOverlay,
     TransactionContext,
 )
 from repro.db.planner import PlannedQuery, index_probe, plan_select
@@ -317,6 +317,9 @@ class Database:
 
     def _apply_wal_record(self, record: dict) -> None:
         operation = record["op"]
+        if "table" in record:
+            # replayed over the loaded file, so the file is now stale
+            self.catalog.mark_dirty(record["table"])
         if operation == "put":
             table = self.catalog.get_table(record["table"])
             values = tuple(
@@ -338,8 +341,9 @@ class Database:
                 record["name"], record["column"], if_not_exists=True)
         elif operation == "drop_index":
             if self.catalog.has_index(record["name"]):
-                self.catalog.table_of_index(record["name"]).drop_index(
-                    record["name"])
+                table = self.catalog.table_of_index(record["name"])
+                self.catalog.mark_dirty(table.name)
+                table.drop_index(record["name"])
         elif operation == "analyze":
             if self.catalog.has_table(record["table"]):
                 self.catalog.set_stats(
@@ -361,8 +365,14 @@ class Database:
     def _restore_clock(self, directory: DataDirectory,
                        recovery: WALRecovery) -> None:
         """Resume logical time strictly after every recovered tick."""
-        target = max(int(directory.load_meta().get("clock", 0)),
-                     recovery.last_tick)
+        self.resume_clock(max(int(directory.load_meta().get("clock", 0)),
+                              recovery.last_tick))
+
+    def resume_clock(self, floor: int = 0) -> None:
+        """Move the clock up to ``floor`` and to every stored version,
+        so snapshots see rows loaded past the engine (a package
+        restore) and later writes stamp newer versions."""
+        target = floor
         for table in self.catalog:
             if table.versions:
                 target = max(target, max(table.versions.values()))
@@ -399,6 +409,8 @@ class Database:
     def _commit_wal_batch(self) -> None:
         """Durably commit the pending batch, then (with autoflush)
         mirror it into the table files — always WAL before data."""
+        # marked first: a commit that fails still changed the heap
+        self.catalog.dirty_tables.update(self._touched_tables)
         if self.wal is not None and self._wal_dirty:
             self.wal.commit(self.clock.now)
             self._wal_dirty = False
@@ -412,6 +424,8 @@ class Database:
         self._dropped_tables.clear()
 
     def _abort_wal_batch(self) -> None:
+        # a failed statement may have changed the heap before it raised
+        self.catalog.dirty_tables.update(self._touched_tables)
         if self.wal is not None:
             self.wal.abort()
         self._wal_dirty = False
@@ -798,19 +812,27 @@ class Database:
         raise ExecutionError(
             f"unsupported statement type {type(statement).__name__}")
 
+    def require_no_open_transaction(self, action: str) -> None:
+        """Refuse ``action`` while any session has a transaction open:
+        it must see committed state only."""
+        if self.mvcc.has_active():
+            raise TransactionError(
+                f"cannot {action} during an open transaction")
+
     def checkpoint(self) -> None:
         """Write a crash-consistent on-disk image.
 
-        Every table file is rewritten atomically (temp → fsync →
-        rename), dropped tables' files are removed, the logical clock
-        is persisted, and only then is the WAL reset. A crash at any
-        intermediate point leaves a directory that recovery repairs:
-        the not-yet-reset WAL simply replays (idempotently) on top of
-        whichever table files made it.
+        The file of every table changed since the last checkpoint (the
+        catalog's ``dirty_tables``, plus any table with no file yet) is
+        rewritten atomically (temp → fsync → rename); every other file
+        already holds its table's current image. Dropped tables' files
+        are removed, the logical clock is persisted, and only then is
+        the WAL reset. A crash at any intermediate point leaves a
+        directory that recovery repairs: the not-yet-reset WAL simply
+        replays (idempotently) on top of whichever table files made it,
+        and a table whose file did not make it stays dirty.
         """
-        if self.mvcc.has_active():
-            raise TransactionError(
-                "cannot checkpoint during an open transaction")
+        self.require_no_open_transaction("checkpoint")
         self.catalog.flush()
         directory = self.catalog.data_directory
         if directory is not None:
@@ -1064,6 +1086,9 @@ class Database:
         self._check_overlay_pk(context, table, None, row)
         rowid = table.next_rowid
         table.next_rowid += 1
+        # the counter is in the table file's header, and no WAL record
+        # carries the move
+        self.catalog.mark_dirty(table.name)
         overlay = context.overlay_for(table.name, create=True)
         overlay.upserts[rowid] = (row, tick)
         overlay.base_versions.setdefault(rowid, None)

@@ -493,6 +493,18 @@ class HeapTable:
         return table
 
 
+def read_table_file(path: Path) -> HeapTable:
+    """Load one ``.tbl`` file. Bytes that are not UTF-8 raise
+    :class:`CatalogError` naming the file, like any other malformed
+    table file."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(
+            f"table file {path} is not UTF-8 text: {exc}") from exc
+    return HeapTable.deserialize(text)
+
+
 class DataDirectory:
     """The on-disk home of a database: one ``.tbl`` file per table,
     plus the write-ahead log and the checkpoint metadata file.
@@ -546,7 +558,7 @@ class DataDirectory:
         path = self.table_path(name)
         if not path.exists():
             raise CatalogError(f"no stored table {name!r} in {self.path}")
-        return HeapTable.deserialize(path.read_text())
+        return read_table_file(path)
 
     def drop_table(self, name: str) -> None:
         path = self.table_path(name)

@@ -26,7 +26,7 @@ the same shape as the paper's Figure 7a/8a.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.clockwork import LogicalClock

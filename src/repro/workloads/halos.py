@@ -117,6 +117,7 @@ def build_world(n_particles: int = 400, n_observations: int = 500,
         observations.insert(
             (obs_id, rng.randint(0, 19), rng.randint(0, 19),
              round(rng.random(), 3)), tick)
+    database.catalog.mark_dirty("observations")
     if data_dir is not None:
         database.checkpoint()
     vos.register_db_server(SERVER_NAME, DBServer(database).transport())

@@ -224,5 +224,6 @@ class TPCHGenerator:
             for row in generators[table_name]():
                 heap.insert(row, tick)
                 count += 1
+            database.catalog.mark_dirty(table_name)
             counts[table_name] = count
         return counts

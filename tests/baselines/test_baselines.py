@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import VMIModel, build_cde_package, build_ptu_package
 from repro.core import ldv_audit, ldv_exec
 from repro.core.package import Package
+from repro.core.replay import ReplaySession
 from repro.errors import CatalogError, PackageError
 
 from tests.core.conftest import SERVER_BINARIES, World
@@ -87,6 +88,36 @@ class TestPTU:
             ldv_exec(tmp_path / "ptu", world.registry,
                      scratch_dir=tmp_path / "scratch")
 
+    def test_ptu_replay_refuses_non_utf8_table_file(self, world, tmp_path):
+        build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
+                          world.database, "main", SERVER_BINARIES)
+        path = tmp_path / "ptu" / "db" / "data" / "sales.tbl"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(CatalogError,
+                           match=r"sales\.tbl is not UTF-8") as info:
+            ldv_exec(tmp_path / "ptu", world.registry,
+                     scratch_dir=tmp_path / "scratch")
+        assert "\n" not in str(info.value)
+
+    def test_ptu_restored_tables_keep_snapshot_isolation(self, world,
+                                                         tmp_path):
+        """A table restored from a PTU data file is read through MVCC
+        like any other: an open transaction keeps its snapshot."""
+        build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
+                          world.database, "main", SERVER_BINARIES)
+        replay = ReplaySession(tmp_path / "ptu", world.registry,
+                               scratch_dir=tmp_path / "scratch")
+        replay.prepare()
+        database = replay.database
+        reader = database.create_session("reader")
+        query = "SELECT price FROM sales WHERE id = 2"
+        database.execute("BEGIN", session=reader)
+        assert database.query(query, session=reader) == [(11.0,)]
+        database.execute("UPDATE sales SET price = 99 WHERE id = 2")
+        assert database.query(query, session=reader) == [(11.0,)]
+        database.execute("COMMIT", session=reader)
+        assert database.query(query) == [(99.0,)]
+
     def test_ptu_larger_than_ldv_when_selectivity_is_low(self, tmp_path):
         """The Fig 9 effect: LDV ships only the relevant subset."""
         def selective_app(ctx):
@@ -102,6 +133,8 @@ class TestPTU:
             tick = world.database.clock.tick()
             for key in range(1000, 4000):
                 heap.insert((key, 1.0, "padding-" + "y" * 30), tick)
+            # a load past the engine declares itself to the checkpoint
+            world.database.catalog.mark_dirty("sales")
             world.database.checkpoint()
             world.vos.register_program("/bin/selective", selective_app)
             world.registry["/bin/selective"] = selective_app

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.audit import ldv_audit
+from repro.core.packager import Packager
 from repro.db import Database, DBServer
+from repro.db.wal import WAL_MAGIC
+from repro.errors import TransactionError
 from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
 from repro.vos import VirtualOS
 
@@ -103,3 +106,34 @@ def test_recovery_preserves_tuple_versions_seen_by_provenance(tmp_path):
     actual = recovered.query(
         "SELECT PROVENANCE id, price FROM sales WHERE price > 10")
     assert actual == expected
+
+
+def test_package_needs_no_checkpoint(tmp_path, monkeypatch):
+    """A server-included package reads the catalog and the audit's
+    tuple store, never the data files: built while the WAL still holds
+    un-checkpointed commits, it is byte-identical to one built right
+    after an explicit checkpoint."""
+    vos_a, pending = prep_database(tmp_path / "pending")
+    report = audit_package(vos_a, pending, tmp_path / "pkg-pending")
+    wal = tmp_path / "pending" / "wal.log"
+    assert wal.stat().st_size > len(WAL_MAGIC)  # packaging left it alone
+
+    build = Packager.build_server_included
+
+    def checkpoint_then_build(self, out_dir, database, *args):
+        database.checkpoint()
+        return build(self, out_dir, database, *args)
+
+    monkeypatch.setattr(Packager, "build_server_included",
+                        checkpoint_then_build)
+    vos_b, checkpointed = prep_database(tmp_path / "checkpointed")
+    audit_package(vos_b, checkpointed, tmp_path / "pkg-checkpointed")
+    assert tree_bytes(tmp_path / "pkg-pending") == tree_bytes(
+        tmp_path / "pkg-checkpointed")
+
+    # packaging still refuses to run while a transaction is open
+    monkeypatch.undo()
+    pending.execute("BEGIN")
+    with pytest.raises(TransactionError, match="cannot package"):
+        Packager(vos_a, report.session, "/bin/app").build_server_included(
+            tmp_path / "pkg-busy", pending, "main", SERVER_BINARIES)
