@@ -283,122 +283,7 @@ def test_batch_pipeline_throughput(pipeline_db, report):
                     f"(floor {REGRESSION_FLOOR:.0%})")
 
     if os.environ.get("REPRO_BENCH_UPDATE") == "1":
-        _merge_into_bench_file({"schema_version": 1,
-                                "rows": BENCH_ROWS,
-                                "queries": measured})
-    assert not failures, "; ".join(failures)
-
-
-def _merge_into_bench_file(entries: dict) -> None:
-    """Fold new measurements into BENCH_engine.json without dropping
-    keys owned by other benchmarks (each test records its own slice)."""
-    current = (json.loads(BENCH_FILE.read_text())
-               if BENCH_FILE.exists() else {})
-    current.update(entries)
-    BENCH_FILE.write_text(json.dumps(current, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# cost-based optimizer: ANALYZE-informed plans vs the rote planner
-# ---------------------------------------------------------------------------
-
-# the informed plan must beat the rote FROM-order plan by at least
-# this much in-run (the committed file records the real, larger margin)
-OPTIMIZER_SPEEDUP_FLOOR = 2.0
-OPTIMIZER_ROWS = 30_000
-
-OPTIMIZER_QUERY = ("SELECT count(*) FROM f, j, s WHERE f.d1 = j.d1 "
-                   "AND f.d2 = s.d2 AND s.flag < 10")
-
-
-@pytest.fixture(scope="module")
-def optimizer_db():
-    """Skewed star: the fact table's FROM-order join partner (j) fans
-    out 5x per key, while the last-listed dimension (s) filters the
-    fact down to ~1% — exactly the shape the rote left-to-right
-    planner misplans."""
-    database = Database()
-    database.execute(
-        "CREATE TABLE f (k integer, d1 integer, d2 integer)")
-    database.execute("CREATE TABLE j (d1 integer, payload integer)")
-    database.execute("CREATE TABLE s (d2 integer, flag integer)")
-    rng = random.Random(13)
-    tick = database.clock.tick()
-    fact = database.catalog.get_table("f")
-    for k in range(OPTIMIZER_ROWS):
-        fact.insert((k, rng.randrange(100), rng.randrange(300)), tick)
-    junction = database.catalog.get_table("j")
-    for d1 in range(100):
-        for payload in range(5):
-            junction.insert((d1, payload), tick)
-    dimension = database.catalog.get_table("s")
-    for d2 in range(300):
-        dimension.insert((d2, rng.randrange(1000)), tick)
-    return database
-
-
-def test_analyze_informed_plan_beats_rote_planner(optimizer_db, report):
-    """The optimizer claim: ANALYZE statistics reorder the skewed
-    3-table join (selective dimension first, fan-out junction last)
-    for >= 2x over the rote plan, same answer. Records the trajectory
-    in BENCH_engine.json under ``optimizer`` (refresh with
-    ``REPRO_BENCH_UPDATE=1``) and gates on a >30% regression."""
-    committed = (json.loads(BENCH_FILE.read_text())
-                 if BENCH_FILE.exists() else None)
-    database = optimizer_db
-
-    def plan():
-        return "\n".join(row[0] for row in database.execute(
-            "EXPLAIN " + OPTIMIZER_QUERY).rows)
-
-    prepared = database.prepare(OPTIMIZER_QUERY)
-    rote_plan = plan()
-    rote_rows = database.execute_prepared(prepared).rows
-    rote_seconds = best_of(
-        lambda: database.execute_prepared(prepared), repeats=3)
-
-    database.execute("ANALYZE")  # the prepared statement re-plans
-    informed_plan = plan()
-    informed_rows = database.execute_prepared(prepared).rows
-    informed_seconds = best_of(
-        lambda: database.execute_prepared(prepared), repeats=3)
-
-    assert informed_rows == rote_rows
-    # deeper operators print later: the selective s-join must now
-    # execute before the fan-out j-join
-    assert rote_plan.index("f.d1 = j.d1") > rote_plan.index("f.d2 = s.d2")
-    assert informed_plan.index("f.d2 = s.d2") > \
-        informed_plan.index("f.d1 = j.d1")
-
-    speedup = rote_seconds / max(informed_seconds, 1e-9)
-    measured = {
-        "rote_seconds": round(rote_seconds, 6),
-        "informed_seconds": round(informed_seconds, 6),
-        "rote_rows_per_s": round(OPTIMIZER_ROWS / rote_seconds),
-        "informed_rows_per_s": round(OPTIMIZER_ROWS / informed_seconds),
-        "speedup": round(speedup, 2),
-    }
-    report.add(
-        "Microbench — ANALYZE-informed vs rote join order (seconds)",
-        ("query", "rote", "informed", "speedup"),
-        ("skewed_star", rote_seconds, informed_seconds,
-         f"{speedup:.2f}x"))
-
-    failures = []
-    if speedup < OPTIMIZER_SPEEDUP_FLOOR:
-        failures.append(
-            f"informed plan only {speedup:.2f}x over the rote plan "
-            f"(floor {OPTIMIZER_SPEEDUP_FLOOR}x)")
-    baseline_entry = (committed or {}).get("optimizer")
-    if baseline_entry is not None:
-        baseline = baseline_entry["informed_rows_per_s"]
-        ratio = measured["informed_rows_per_s"] / baseline
-        if ratio < REGRESSION_FLOOR:
-            failures.append(
-                f"optimizer throughput fell to {ratio:.0%} of the "
-                f"committed {baseline} rows/s "
-                f"(floor {REGRESSION_FLOOR:.0%})")
-
-    if os.environ.get("REPRO_BENCH_UPDATE") == "1":
-        _merge_into_bench_file({"optimizer": measured})
+        BENCH_FILE.write_text(json.dumps(
+            {"schema_version": 1, "rows": BENCH_ROWS, "queries": measured},
+            indent=2) + "\n")
     assert not failures, "; ".join(failures)

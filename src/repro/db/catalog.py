@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.db.mvcc import MVCCState
-from repro.db.stats import TableStats
 from repro.db.storage import DataDirectory, HeapTable
 from repro.db.types import Schema
 from repro.errors import CatalogError
@@ -17,9 +16,7 @@ class Catalog:
     ``version`` is a monotonic counter bumped on every schema change
     (table and index DDL). A prepared statement's kept plan records it,
     so a plan built against an older schema is re-planned the moment
-    the schema changes. ``stats_version`` plays the same role for
-    ANALYZE statistics: it bumps whenever planner statistics change,
-    so plans costed against stale statistics are re-planned too.
+    the schema changes.
 
     The catalog also owns the database-wide :class:`MVCCState` and
     wires it into every table it manages, so scans anywhere in the
@@ -38,10 +35,6 @@ class Catalog:
         self.data_directory = data_directory
         self.version = 0
         self.mvcc = MVCCState()
-        # ANALYZE statistics, table name → TableStats (advisory: the
-        # planner falls back to rote heuristics for absent entries)
-        self.stats: dict[str, TableStats] = {}
-        self.stats_version = 0
         self.dirty_tables: set[str] = set()
         if data_directory is not None:
             for name in data_directory.table_names():
@@ -90,9 +83,6 @@ class Catalog:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
         self.version += 1
-        if key in self.stats:
-            del self.stats[key]
-            self.stats_version += 1
         # disk removal is deferred to flush()/sync_drops(): destroying
         # durable state belongs to the checkpoint, after the DROP has
         # been committed to the WAL — an uncommitted DROP must be
@@ -109,31 +99,6 @@ class Catalog:
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
-
-    # -- planner statistics ------------------------------------------------------
-
-    def set_stats(self, name: str, stats: TableStats) -> None:
-        """Install ANALYZE statistics for a table and age out every
-        plan costed against the previous statistics."""
-        self.stats[name.lower()] = stats
-        self.stats_version += 1
-
-    def stats_for(self, name: str) -> TableStats | None:
-        return self.stats.get(name.lower())
-
-    def dump_stats(self) -> dict[str, dict]:
-        """JSON-ready snapshot of all statistics (checkpoint meta)."""
-        return {name: stats.to_dict()
-                for name, stats in sorted(self.stats.items())}
-
-    def load_stats(self, dumped: dict[str, dict]) -> None:
-        """Restore checkpointed statistics (tables only — entries for
-        tables the catalog no longer knows are dropped)."""
-        for name, entry in dumped.items():
-            if name.lower() in self._tables:
-                self.stats[name.lower()] = TableStats.from_dict(entry)
-        if dumped:
-            self.stats_version += 1
 
     def table_of_index(self, index_name: str) -> HeapTable:
         """Find the table holding a (globally unique) index name."""

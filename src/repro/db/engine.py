@@ -64,7 +64,6 @@ from repro.db.mvcc import (
 )
 from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
-from repro.db.stats import TableStats, compute_table_stats
 from repro.db.sql import ast
 from repro.db.sql.params import Binder
 from repro.db.sql.parser import parse_sql
@@ -196,9 +195,9 @@ class PreparedStatement:
     cacheable: bool
     # the statement compiled for binding ``$n`` values, once
     binder: Binder = field(init=False, repr=False)
-    # provenance flag -> ((catalog, catalog version, stats version),
-    # plan): a cacheable statement's plan, reused while the catalog it
-    # was planned against is unchanged (see Database._planned_for)
+    # provenance flag -> ((catalog, catalog version), plan): a
+    # cacheable statement's plan, reused while the catalog it was
+    # planned against is unchanged (see Database._planned_for)
     plans: dict[bool, tuple[tuple, PlannedQuery]] = field(
         init=False, repr=False, default_factory=dict)
 
@@ -276,6 +275,12 @@ class Database:
         self._wal_dirty = False
         self._touched_tables: set[str] = set()
         self._dropped_tables: set[str] = set()
+        # undo state of the running autocommit statement: each changed
+        # table's prior rowid counter (rows at or past it are new) and
+        # each changed older row's prior (values, version), None when
+        # it did not exist
+        self._undo_rows: dict[tuple[str, int], tuple] = {}
+        self._undo_counters: dict[str, tuple[HeapTable, int]] = {}
         self.last_recovery: Optional[WALRecovery] = None
         # exactly-once retry support: results of token-stamped
         # statements, recoverable alongside the writes they describe
@@ -284,14 +289,12 @@ class Database:
             self.wal = WriteAheadLog(directory.wal_path, io=self.io)
             self.last_recovery = self.wal.open()
             # checkpointed ledger entries predate the WAL's records;
-            # load them first so replayed entries win on collision —
-            # same for checkpointed ANALYZE statistics, which any
-            # replayed "analyze" record overrides
+            # load them first so replayed entries win on collision
             meta = directory.load_meta()
             self.dedupe_ledger.load(meta.get("ledger", []))
-            self.catalog.load_stats(meta.get("stats", {}))
-            # a legacy "partitions" meta key (hash-partition specs
-            # from when the engine had parallel scans) is ignored
+            # legacy meta keys are ignored: "partitions" (hash-partition
+            # specs from when the engine had parallel scans) and
+            # "stats" (planner statistics from when it had ANALYZE)
             self._replay_recovered(self.last_recovery)
             self._restore_clock(directory, self.last_recovery)
         # file access hooks so a virtual OS can interpose COPY I/O
@@ -344,15 +347,11 @@ class Database:
                 table = self.catalog.table_of_index(record["name"])
                 self.catalog.mark_dirty(table.name)
                 table.drop_index(record["name"])
-        elif operation == "analyze":
-            if self.catalog.has_table(record["table"]):
-                self.catalog.set_stats(
-                    record["table"],
-                    TableStats.from_dict(record["stats"]))
-        elif operation == "partition":
-            # legacy hash-partition spec from when the engine had
-            # parallel scans: physical-plan metadata only, no row
-            # state, so skipping it recovers the same tables
+        elif operation in ("analyze", "partition"):
+            # legacy planner metadata, no row state: statistics from
+            # when the engine had ANALYZE, hash-partition specs from
+            # when it had parallel scans; skipping them recovers the
+            # same tables
             pass
         elif operation == "ledger":
             self.dedupe_ledger.record(
@@ -380,6 +379,20 @@ class Database:
             self.clock.advance(target - self.clock.now)
 
     # -- WAL batch bookkeeping ---------------------------------------------------
+
+    def _save_prior(self, table: HeapTable,
+                    rowid: int | None = None) -> None:
+        """Remember a table's rowid counter and, given ``rowid``, that
+        heap row, before an autocommit statement first changes them, so
+        that a statement which fails partway can be undone. Inserts
+        need only the counter: every row past it is new."""
+        if table.name not in self._undo_counters:
+            self._undo_counters[table.name] = (table, table.next_rowid)
+        if rowid is not None:
+            key = (table.name, rowid)
+            if key not in self._undo_rows:
+                self._undo_rows[key] = (table, table.rows.get(rowid),
+                                        table.versions.get(rowid))
 
     def _log_put(self, table: HeapTable, rowid: int) -> None:
         self._touched_tables.add(table.name)
@@ -411,6 +424,8 @@ class Database:
         mirror it into the table files — always WAL before data."""
         # marked first: a commit that fails still changed the heap
         self.catalog.dirty_tables.update(self._touched_tables)
+        self._undo_rows.clear()
+        self._undo_counters.clear()
         if self.wal is not None and self._wal_dirty:
             self.wal.commit(self.clock.now)
             self._wal_dirty = False
@@ -424,10 +439,27 @@ class Database:
         self._dropped_tables.clear()
 
     def _abort_wal_batch(self) -> None:
-        # a failed statement may have changed the heap before it raised
+        """Discard a failed autocommit statement: drop its WAL records
+        and put back every heap row it changed before it raised, so
+        memory holds what recovery would. All changed rows come out
+        before the saved ones go back in, so primary keys the statement
+        moved between rows cannot collide on the way back."""
         self.catalog.dirty_tables.update(self._touched_tables)
         if self.wal is not None:
             self.wal.abort()
+        counters = self._undo_counters.values()
+        for table, next_rowid in counters:
+            for rowid in range(next_rowid, table.next_rowid):
+                table.remove_row(rowid)
+        for (_, rowid), (table, _, _) in self._undo_rows.items():
+            table.remove_row(rowid)
+        for (_, rowid), (table, values, version) in self._undo_rows.items():
+            if values is not None:
+                table.put_row(rowid, values, version)
+        for table, next_rowid in counters:
+            table.next_rowid = next_rowid
+        self._undo_rows.clear()
+        self._undo_counters.clear()
         self._wal_dirty = False
         self._touched_tables.clear()
         self._dropped_tables.clear()
@@ -575,13 +607,13 @@ class Database:
                      session: Session | None = None) -> PlannedQuery:
         """The plan for a cacheable prepared statement, kept on the
         statement per provenance flag. A kept plan is reused while this
-        database's catalog and statistics versions are unchanged, so DDL
-        and ANALYZE re-plan on the next execution. Plans costed under an
-        open transaction's overlay (``session`` given and in a
-        transaction) are used but not kept."""
+        database's catalog version is unchanged, so DDL re-plans on the
+        next execution. Plans built under an open transaction's overlay
+        (``session`` given and in a transaction) are used but not
+        kept."""
         provenance = bool(provenance)
         catalog = self.catalog
-        versions = (catalog, catalog.version, catalog.stats_version)
+        versions = (catalog, catalog.version)
         kept = prepared.plans.get(provenance)
         if kept is not None and kept[0] == versions:
             return kept[1]
@@ -777,14 +809,11 @@ class Database:
         if isinstance(statement, ast.Delete):
             return self._execute_delete(statement, session)
         if isinstance(statement, (ast.CreateTable, ast.DropTable,
-                                  ast.CreateIndex, ast.DropIndex,
-                                  ast.Analyze)):
+                                  ast.CreateIndex, ast.DropIndex)):
             if session.txn is not None:
                 # schema changes are not versioned by the snapshot
                 # machinery; forcing them to autocommit keeps every
-                # open snapshot's view of the catalog coherent (and
-                # ANALYZE, which scans the committed heap, follows the
-                # same rule)
+                # open snapshot's view of the catalog coherent
                 raise TransactionError(
                     "DDL is not allowed inside a transaction; "
                     "COMMIT or ROLLBACK first")
@@ -794,9 +823,7 @@ class Database:
                 return self._execute_drop_table(statement)
             if isinstance(statement, ast.CreateIndex):
                 return self._execute_create_index(statement)
-            if isinstance(statement, ast.DropIndex):
-                return self._execute_drop_index(statement)
-            return self._execute_analyze(statement)
+            return self._execute_drop_index(statement)
         if isinstance(statement, ast.CopyFrom):
             return self._execute_copy_from(statement, session)
         if isinstance(statement, ast.CopyTo):
@@ -836,12 +863,10 @@ class Database:
         self.catalog.flush()
         directory = self.catalog.data_directory
         if directory is not None:
-            # the WAL reset below discards the logged ledger entries
-            # and "analyze" records; persist both with the clock so
-            # recovery still dedupes and the planner keeps its stats
+            # the WAL reset below discards the logged ledger entries;
+            # persist them with the clock so recovery still dedupes
             directory.save_meta({"clock": self.clock.now,
-                                 "ledger": self.dedupe_ledger.dump(),
-                                 "stats": self.catalog.dump_stats()})
+                                 "ledger": self.dedupe_ledger.dump()})
         if self.wal is not None:
             self.wal.reset()
 
@@ -954,6 +979,8 @@ class Database:
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
         context = session.txn
+        if context is None:
+            self._save_prior(table)
         for values, lineage in source_rows:
             full_values = self._spread_values(table, positions, values)
             if context is None:
@@ -1038,6 +1065,7 @@ class Database:
             for position, value_fn in assignments:
                 new_values[position] = value_fn(old_values)
             if context is None:
+                self._save_prior(table, rowid)
                 table.update(rowid, tuple(new_values), tick)
                 self._log_put(table, rowid)
             else:
@@ -1062,6 +1090,7 @@ class Database:
         context = session.txn
         for rowid, old_values, old_version in matched:
             if context is None:
+                self._save_prior(table, rowid)
                 table.delete(rowid, tick)
                 self._log_delete(table, rowid)
             else:
@@ -1220,31 +1249,6 @@ class Database:
         self._log_ddl({"op": "drop_index", "name": drop.name.lower()})
         return StatementResult(kind="drop", source_tables=[table.name])
 
-    def _execute_analyze(self, analyze: ast.Analyze) -> StatementResult:
-        """Collect planner statistics for one table (or all of them).
-
-        Runs like DDL: autocommit only, scanning the committed heap.
-        The new statistics are WAL-logged (an ``"analyze"`` record per
-        table) so they survive a crash, and the stats-version bump
-        makes every prepared statement re-plan on its next execution.
-        """
-        names = ([analyze.table.lower()] if analyze.table is not None
-                 else self.catalog.table_names())
-        summary: dict[str, Any] = {}
-        for name in names:
-            table = self.catalog.get_table(name)
-            table_stats = compute_table_stats(table)
-            self.catalog.set_stats(table.name, table_stats)
-            self._log_ddl({"op": "analyze", "table": table.name,
-                           "stats": table_stats.to_dict()})
-            summary[table.name] = {
-                "row_count": table_stats.row_count,
-                "columns": len(table_stats.columns),
-            }
-        return StatementResult(kind="analyze", rowcount=len(names),
-                               source_tables=list(names),
-                               stats={"analyzed": summary})
-
     def _execute_copy_from(self, copy: ast.CopyFrom,
                            session: Session) -> StatementResult:
         table = self.catalog.get_table(copy.table)
@@ -1255,6 +1259,8 @@ class Database:
         tick = self.clock.tick()
         context = session.txn
         result = StatementResult(kind="copy", source_tables=[table.name])
+        if context is None:
+            self._save_prior(table)
         for values in rows:
             if context is None:
                 rowid = table.insert(values, tick)
@@ -1321,10 +1327,12 @@ class Database:
                 # and free their PK/index slots, so the install phase
                 # cannot trip over transient in-transaction PK moves
                 for rowid in sorted(overlay.upserts):
+                    self._save_prior(table, rowid)
                     if rowid in table.rows:
                         table.delete(rowid, overlay.upserts[rowid][1])
                 for rowid in sorted(overlay.deletes):
                     tick = overlay.deletes[rowid]
+                    self._save_prior(table, rowid)
                     table.delete(rowid, tick)
                     self._log_delete(table, rowid)
                     provisional.add(tick)

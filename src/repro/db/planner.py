@@ -11,16 +11,11 @@ TPC-H workload tractable in a pure-Python executor:
 * hidden sort columns so ORDER BY can reference non-projected
   expressions.
 
-When ANALYZE statistics exist (:mod:`repro.db.stats`), planning
-becomes cost-based: filter selectivities scale each fragment's
-cardinality estimate, the greedy join order picks the connected
-candidate with the smallest estimated join output (instead of the
-first one), hash-join build sides follow the estimates, and indexable
-conjuncts only become probes when the estimated probe cost beats the
-scan. Cardinality estimates start from the *session-visible* row count
-(committed heap adjusted by the transaction's overlay), so a bulk
-insert inside an open transaction steers its own plans. Every choice
-is advisory: all plan shapes produce identical rows and lineage.
+The rules are rote: no statistics are kept. The one data-dependent
+choice, a hash join's build side, compares *session-visible* row
+counts (committed heap adjusted by the transaction's overlay), so a
+bulk insert inside an open transaction steers its own plans. Every
+choice is advisory: all plan shapes produce identical rows and lineage.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.db import expressions as exprs
-from repro.db import stats as statsmod
 from repro.db.catalog import Catalog
 from repro.db.executor import (
     Distinct,
@@ -69,29 +63,16 @@ def explain_plan(root: Operator) -> list[str]:
 
     :class:`Instrumented` wrappers (EXPLAIN ANALYZE) are transparent:
     the wrapped operator is described, with its measured row count and
-    wall time appended as ``(rows=N time=T ms)``. Operators planned
-    under ANALYZE statistics additionally carry the planner's
-    cardinality estimate — ``(est=N)`` on plain EXPLAIN, and
-    ``(rows=N est=M time=T ms)`` under EXPLAIN ANALYZE so estimated
-    and actual rows sit side by side.
+    wall time appended as ``(rows=N time=T ms)``.
     """
     lines: list[str] = []
 
     def describe(operator: Operator) -> str:
-        wrapper = None
         if isinstance(operator, Instrumented):
-            wrapper = operator
-            operator = operator.inner
-        estimate = getattr(operator, "est_rows", None)
-        suffix = ""
-        if wrapper is not None:
-            estimated = (f" est={estimate:.0f}" if estimate is not None
-                         else "")
-            suffix = (f" (rows={wrapper.rows}{estimated} "
-                      f"time={wrapper.total_seconds * 1000.0:.3f} ms)")
-        elif estimate is not None:
-            suffix = f" (est={estimate:.0f})"
-        return describe_bare(operator) + suffix
+            return (describe_bare(operator.inner)
+                    + f" (rows={operator.rows} "
+                    f"time={operator.total_seconds * 1000.0:.3f} ms)")
+        return describe_bare(operator)
 
     def describe_bare(operator: Operator) -> str:
         if isinstance(operator, FusedScanFilterProject):
@@ -114,12 +95,10 @@ def explain_plan(root: Operator) -> list[str]:
                     render_expression(expression)
                     for expression in operator.value_expressions)
                 probe = f"{operator.index.column} IN ({rendered})"
-            text = (f"IndexScan on {operator.table.name} using "
+            return (f"IndexScan on {operator.table.name} using "
                     f"{operator.index.name} ({probe})")
-            return text + _cost_note_suffix(operator)
         if isinstance(operator, SeqScan):
-            return (f"SeqScan on {operator.table.name}"
-                    + _cost_note_suffix(operator))
+            return f"SeqScan on {operator.table.name}"
         if isinstance(operator, Filter):
             from repro.db.sql.render import render_expression
             return f"Filter: {render_expression(operator.predicate)}"
@@ -159,20 +138,11 @@ def explain_plan(root: Operator) -> list[str]:
     return lines
 
 
-def _cost_note_suffix(operator: Operator) -> str:
-    """The planner's index-vs-scan verdict, when one was taken."""
-    note = getattr(operator, "cost_note", None)
-    return f" [{note}]" if note else ""
-
-
 def analyze_stats(root: Operator) -> list[dict]:
     """Flatten an instrumented tree into per-operator measurements.
 
     Returns one entry per plan node in EXPLAIN order:
     ``{"operator", "depth", "rows", "seconds", "loops", "batches"}``.
-    Operators planned under ANALYZE statistics also report
-    ``est_rows`` — the planner's cardinality estimate next to the
-    measured rows, so misestimates are visible over the wire too.
     Nodes that are not wrapped report zero counters (never happens for
     trees built by :func:`repro.db.executor.instrument_plan`).
     """
@@ -187,18 +157,14 @@ def analyze_stats(root: Operator) -> list[dict]:
             seconds = operator.total_seconds
             loops = operator.loops
             batches = operator.batches_produced
-        entry = {
+        entries.append({
             "operator": type(inner).__name__,
             "depth": depth,
             "rows": rows,
             "seconds": seconds,
             "loops": loops,
             "batches": batches,
-        }
-        estimate = getattr(inner, "est_rows", None)
-        if estimate is not None:
-            entry["est_rows"] = round(estimate)
-        entries.append(entry)
+        })
         for attr in ("child", "left", "right"):
             node = getattr(inner, attr, None)
             if isinstance(node, Operator):
@@ -307,129 +273,23 @@ def derive_column_name(expression: ast.Expression, index: int) -> str:
 
 class _SourceSet:
     """Tracks which leaf sources a plan fragment covers, for conjunct
-    classification and cost estimation.
+    classification."""
 
-    ``tables`` maps each covered alias to its base table and that
-    table's ANALYZE statistics (None when never analyzed).
-    ``est_rows`` is the fragment's estimated output cardinality —
-    maintained only while every covered table has statistics; None
-    switches the planner back to its rote (pre-ANALYZE) heuristics.
-    """
-
-    def __init__(self, operator: Operator, aliases: frozenset[str],
-                 tables: dict | None = None,
-                 est_rows: float | None = None) -> None:
+    def __init__(self, operator: Operator, aliases: frozenset[str]) -> None:
         self.operator = operator
         self.aliases = aliases
-        self.tables = tables if tables is not None else {}
-        self.est_rows = est_rows
-
-    def annotate(self) -> None:
-        """Stamp the estimate onto the fragment's top operator so
-        EXPLAIN can show it (only stats-informed plans carry it)."""
-        if self.est_rows is not None:
-            self.operator.est_rows = self.est_rows
 
 
 def _plan_table(ref: ast.TableRef, catalog: Catalog,
                 track_lineage: bool) -> _SourceSet:
     table = catalog.get_table(ref.name)
     scan = SeqScan(table, ref.effective_alias, track_lineage)
-    alias = ref.effective_alias.lower()
-    table_stats = catalog.stats_for(table.name)
-    # the estimate starts from the session-visible count (committed
-    # heap adjusted by the transaction's private overlay), so plans
-    # follow what this statement will actually read
-    est = (float(table.visible_row_count())
-           if table_stats is not None else None)
-    fragment = _SourceSet(scan, frozenset({alias}),
-                          tables={alias: (table, table_stats)},
-                          est_rows=est)
-    fragment.annotate()
-    return fragment
+    return _SourceSet(scan, frozenset({ref.effective_alias.lower()}))
 
 
-def _resolve_column_stats(fragment: _SourceSet,
-                          ref: ast.ColumnRef) -> statsmod.ColumnStats | None:
-    """The ANALYZE statistics behind a column reference, if the
-    reference resolves to exactly one analyzed base table of the
-    fragment."""
-    found = None
-    for alias, (table, table_stats) in fragment.tables.items():
-        if ref.qualifier is not None and ref.qualifier.lower() != alias:
-            continue
-        if not table.schema.has_column(ref.name):
-            continue
-        if found is not None:
-            return None  # ambiguous unqualified reference
-        column = (table_stats.column(ref.name)
-                  if table_stats is not None else None)
-        found = (column,)
-    return found[0] if found is not None else None
-
-
-def _fragment_selectivity(fragment: _SourceSet,
-                          conjunct: ast.Expression) -> float:
-    return statsmod.conjunct_selectivity(
-        conjunct, lambda ref: _resolve_column_stats(fragment, ref))
-
-
-def _apply_filter_estimate(fragment: _SourceSet,
-                           conjunct: ast.Expression) -> None:
-    """Scale a fragment's cardinality estimate by a pushed predicate."""
-    if fragment.est_rows is None:
-        return
-    fragment.est_rows *= _fragment_selectivity(fragment, conjunct)
-    fragment.annotate()
-
-
-def _key_ndv(fragment: _SourceSet, key: ast.Expression) -> float | None:
-    """Distinct-value estimate of a join key within a fragment, capped
-    by the fragment's own cardinality (filters cannot add variety)."""
-    if not isinstance(key, ast.ColumnRef):
-        return None
-    column = _resolve_column_stats(fragment, key)
-    if column is None or column.ndv <= 0:
-        return None
-    ndv = float(column.ndv)
-    if fragment.est_rows is not None:
-        ndv = min(ndv, max(fragment.est_rows, 1.0))
-    return ndv
-
-
-def _join_estimate(left: _SourceSet, right: _SourceSet,
-                   pairs: list[tuple[ast.Expression, ast.Expression]]
-                   ) -> float | None:
-    """|L ⋈ R| ≈ |L|·|R| / max(ndv(L.key), ndv(R.key)) per key pair
-    (containment assumption); None unless both sides carry estimates."""
-    if left.est_rows is None or right.est_rows is None:
-        return None
-    estimate = max(left.est_rows, 0.0) * max(right.est_rows, 0.0)
-    for left_key, right_key in pairs:
-        candidates = [ndv for ndv in (_key_ndv(left, left_key),
-                                      _key_ndv(right, right_key))
-                      if ndv is not None]
-        denominator = (max(candidates) if candidates
-                       else max(left.est_rows, right.est_rows, 1.0))
-        estimate /= max(denominator, 1.0)
-    return estimate
-
-
-def _merge_sets(left: _SourceSet, right: _SourceSet, operator: Operator,
-                est_rows: float | None) -> _SourceSet:
-    tables = dict(left.tables)
-    tables.update(right.tables)
-    merged = _SourceSet(operator, left.aliases | right.aliases,
-                        tables=tables, est_rows=est_rows)
-    merged.annotate()
-    return merged
-
-
-def _cross_estimate(left: _SourceSet,
-                    right: _SourceSet) -> float | None:
-    if left.est_rows is None or right.est_rows is None:
-        return None
-    return left.est_rows * right.est_rows
+def _merge_sets(left: _SourceSet, right: _SourceSet,
+                operator: Operator) -> _SourceSet:
+    return _SourceSet(operator, left.aliases | right.aliases)
 
 
 def _filtered(operator: Operator, conjunct: ast.Expression,
@@ -469,15 +329,11 @@ def _choose_build_side(kind: str, left: _SourceSet,
                        right: _SourceSet) -> str:
     """Hash the smaller input. LEFT joins must build on the right
     (the probe pass pads unmatched preserved rows); ties and unknown
-    cardinalities keep the historical build-right choice. Fragments
-    with ANALYZE statistics compare selectivity-scaled estimates;
-    the rest fall back to raw visible row counts."""
+    cardinalities keep the historical build-right choice."""
     if kind != "inner":
         return "right"
-    left_rows = (left.est_rows if left.est_rows is not None
-                 else _estimate_rows(left.operator))
-    right_rows = (right.est_rows if right.est_rows is not None
-                  else _estimate_rows(right.operator))
+    left_rows = _estimate_rows(left.operator)
+    right_rows = _estimate_rows(right.operator)
     if left_rows is None or right_rows is None:
         return "right"
     return "left" if left_rows < right_rows else "right"
@@ -490,11 +346,7 @@ def _make_hash_join(left: _SourceSet, right: _SourceSet,
     build_side = _choose_build_side(kind, left, right)
     operator = HashJoin(left.operator, right.operator, left_keys,
                         right_keys, kind, residual, build_side)
-    est = _join_estimate(left, right, list(zip(left_keys, right_keys)))
-    if est is not None and kind == "left":
-        # preserved-side rows survive unmatched: never below |L|
-        est = max(est, left.est_rows or 0.0)
-    return _merge_sets(left, right, operator, est)
+    return _merge_sets(left, right, operator)
 
 
 def _plan_join_source(source, catalog: Catalog,
@@ -508,8 +360,7 @@ def _plan_join_source(source, catalog: Catalog,
         if source.kind == "cross" or source.condition is None:
             operator: Operator = NestedLoopJoin(
                 left.operator, right.operator, None, "cross")
-            return _merge_sets(left, right, operator,
-                               _cross_estimate(left, right))
+            return _merge_sets(left, right, operator)
         equi, residual = _extract_equi_keys(
             split_conjuncts(source.condition), left, right)
         if equi:
@@ -519,8 +370,7 @@ def _plan_join_source(source, catalog: Catalog,
                                    source.kind, conjoin(residual))
         operator = NestedLoopJoin(left.operator, right.operator,
                                   source.condition, source.kind)
-        return _merge_sets(left, right, operator,
-                           _cross_estimate(left, right))
+        return _merge_sets(left, right, operator)
     raise ExecutionError(f"unsupported FROM entry {source!r}")
 
 
@@ -628,42 +478,30 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
                                                track_lineage):
                             fragment.operator = _filtered(
                                 fragment.operator, conjunct, fuse)
-                        _apply_filter_estimate(fragment, conjunct)
                         placed = True
                         break
         if not placed:
             remaining.append(conjunct)
 
-    # greedy join ordering driven by equi-predicates; with ANALYZE
-    # statistics on every connected candidate, the next join is the
-    # one with the smallest estimated output (so a selective dimension
-    # shrinks the pipeline before a fan-out junction expands it) —
-    # otherwise the rote first-connected order is kept
+    # greedy join ordering in FROM order: join the first pending
+    # fragment connected to the current result by an equi-predicate,
+    # and fall back to a cross product only when none is
     current = fragments[0]
     pending = fragments[1:]
     while pending:
-        connected: list[tuple[int, _SourceSet, list]] = []
+        chosen = None
         for index, candidate in enumerate(pending):
             equi, _ = _extract_equi_keys(remaining, current, candidate)
             if equi:
-                connected.append((index, candidate, equi))
-        if not connected:
+                chosen = (index, equi)
+                break
+        if chosen is None:
             candidate = pending.pop(0)
             operator: Operator = NestedLoopJoin(
                 current.operator, candidate.operator, None, "cross")
-            current = _merge_sets(current, candidate, operator,
-                                  _cross_estimate(current, candidate))
+            current = _merge_sets(current, candidate, operator)
             continue
-        chosen_index, _, chosen_equi = connected[0]
-        if (len(connected) > 1 and current.est_rows is not None
-                and all(candidate.est_rows is not None
-                        for _, candidate, _ in connected)):
-            best_estimate = None
-            for index, candidate, equi in connected:
-                estimate = _join_estimate(current, candidate, equi)
-                if best_estimate is None or estimate < best_estimate:
-                    best_estimate = estimate
-                    chosen_index, chosen_equi = index, equi
+        chosen_index, chosen_equi = chosen
         candidate = pending.pop(chosen_index)
         left_keys = [pair[0] for pair in chosen_equi]
         right_keys = [pair[1] for pair in chosen_equi]
@@ -702,13 +540,6 @@ class IndexProbe:
     index: HashIndex
     values: tuple[ast.Expression, ...] = ()
     bounds: Optional[tuple[int, int]] = None
-
-    @property
-    def probes(self) -> int:
-        if self.bounds is not None:
-            low, high = self.bounds
-            return high - low + 1
-        return len(self.values)
 
 
 def _probe_candidates(conjunct: ast.Expression):
@@ -775,43 +606,16 @@ def index_probe(table: HeapTable, schema: Schema,
 def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                     track_lineage: bool) -> bool:
     """Turn a bare SeqScan plus a conjunct :func:`index_probe` accepts
-    into an IndexScan.
-
-    With ANALYZE statistics the conversion is cost-gated: probes (one
-    per literal, or one per value of a BETWEEN range) only win while
-    ``probes + estimated matches`` undercuts a full scan, so an IN
-    list or range that rivals the table stays on the (fused)
-    sequential scan. The losing path is recorded on the scan node
-    (``cost_note``) so EXPLAIN shows which choice won and why.
-    Without statistics every probe :func:`index_probe` returns
-    converts.
-    """
+    into an IndexScan."""
     operator = fragment.operator
     if not isinstance(operator, SeqScan):
         return False
     probe = index_probe(operator.table, operator.schema, conjunct)
     if probe is None:
         return False
-    index = probe.index
-    if fragment.est_rows is not None:
-        probes = probe.probes
-        table_rows = max(fragment.est_rows, 1.0)
-        matched = (table_rows
-                   * _fragment_selectivity(fragment, conjunct))
-        probe_cost = (statsmod.INDEX_PROBE_COST * probes
-                      + statsmod.INDEX_ROW_COST * matched)
-        if probe_cost >= table_rows:
-            operator.cost_note = (
-                f"{index.name} skipped: {probes} probe(s) ~ est "
-                f"{matched:.0f} of {table_rows:.0f} rows, "
-                f"scan is cheaper")
-            return False
     fragment.operator = IndexScan(
-        operator.table, operator.qualifier, index, probe.values,
+        operator.table, operator.qualifier, probe.index, probe.values,
         track_lineage, bounds=probe.bounds)
-    if fragment.est_rows is not None:
-        fragment.operator.cost_note = (
-            f"cost {probe_cost:.0f} < scan {table_rows:.0f}")
     return True
 
 

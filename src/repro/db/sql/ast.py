@@ -8,8 +8,8 @@ and statement nodes live in separate class hierarchies rooted at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +316,6 @@ class Explain(Statement):
 
     query: "Select"
     analyze: bool = False
-
-
-@dataclass(frozen=True)
-class Analyze(Statement):
-    """``ANALYZE [table]`` — collect planner statistics.
-
-    Without a table name every table in the catalog is analyzed. The
-    collected statistics (row count, per-column NDV, null fraction,
-    min/max, equi-depth histogram) feed the planner's cost model; see
-    :mod:`repro.db.stats`.
-    """
-
-    table: Optional[str] = None
 
 
 @dataclass(frozen=True)

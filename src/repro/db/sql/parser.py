@@ -137,12 +137,6 @@ class _Parser:
             self.advance()
             analyze = self.accept_keyword("analyze")
             return ast.Explain(self.parse_select(), analyze=analyze)
-        if token.text == "analyze":
-            self.advance()
-            table = None
-            if self.peek().kind is TokenKind.IDENTIFIER:
-                table = self.expect_identifier()
-            return ast.Analyze(table=table)
         if token.text == "begin":
             self.advance()
             return ast.Begin()

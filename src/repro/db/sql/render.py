@@ -246,10 +246,6 @@ def render_statement(statement: ast.Statement) -> str:
     if isinstance(statement, ast.Explain):
         analyze = "ANALYZE " if statement.analyze else ""
         return f"EXPLAIN {analyze}{render_select(statement.query)}"
-    if isinstance(statement, ast.Analyze):
-        if statement.table is not None:
-            return f"ANALYZE {statement.table}"
-        return "ANALYZE"
     if isinstance(statement, ast.Begin):
         return "BEGIN"
     if isinstance(statement, ast.Commit):

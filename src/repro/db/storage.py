@@ -494,15 +494,17 @@ class HeapTable:
 
 
 def read_table_file(path: Path) -> HeapTable:
-    """Load one ``.tbl`` file. Bytes that are not UTF-8 raise
-    :class:`CatalogError` naming the file, like any other malformed
-    table file."""
+    """Load one ``.tbl`` file. A malformed file, bytes that are not
+    UTF-8 included, raises :class:`CatalogError` naming the file."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CatalogError(
             f"table file {path} is not UTF-8 text: {exc}") from exc
-    return HeapTable.deserialize(text)
+    try:
+        return HeapTable.deserialize(text)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
 
 
 class DataDirectory:

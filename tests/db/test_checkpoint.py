@@ -59,7 +59,7 @@ class Workload:
     and ``b`` (without one)."""
 
     KINDS = ("insert", "update", "delete", "pk_violation", "rollback",
-             "commit", "index", "drop_recreate", "analyze", "restore")
+             "commit", "index", "drop_recreate", "restore")
 
     def __init__(self, database, rng):
         self.database = database
@@ -134,10 +134,6 @@ class Workload:
     def drop_recreate(self):
         self.database.execute("DROP TABLE b")
         self.create_b()
-
-    def analyze(self):
-        self.database.execute(
-            self.rng.choice(["ANALYZE", "ANALYZE a", "ANALYZE b"]))
 
     def restore(self):
         # a package restore: rows installed under explicit rowids and
@@ -284,6 +280,17 @@ def test_non_utf8_table_file_is_a_catalog_error(tmp_path):
     path = directory / "t.tbl"
     path.write_bytes(b"\xff" + path.read_bytes())
     with pytest.raises(CatalogError, match=r"t\.tbl is not UTF-8") as info:
+        Database(data_directory=directory)
+    assert "\n" not in str(info.value)
+
+
+def test_malformed_table_file_error_names_the_file(tmp_path):
+    directory = tmp_path / "d"
+    database = Database(data_directory=directory)
+    database.execute("CREATE TABLE t (id integer)")
+    database.checkpoint()
+    (directory / "t.tbl").write_text("{not json\n")
+    with pytest.raises(CatalogError, match=r"t\.tbl") as info:
         Database(data_directory=directory)
     assert "\n" not in str(info.value)
 

@@ -1,165 +1,28 @@
-"""Differential oracle for the cost-based optimizer.
+"""Sanity checks for the skewed-star oracle.
 
-Statistics must be advisory: whatever plan shape ANALYZE steers the
-planner into — a different join order, a flipped build side, an
-index probe demoted to a scan, an IN-list cutoff — the rows AND the
-per-row lineage must be byte-for-byte what the rote plan produced,
-and the rows must match stdlib sqlite3 on the same data.
-
-For each pinned seed we generate a skewed three-table star (fact ×
-fan-out junction × selective dimension) plus an indexed probe table,
-run a fixed family of optimizer-sensitive queries before and after
-ANALYZE on the same engine, and compare both against each other and
-against sqlite. A canary asserts the plans really do change for the
-queries built to flip, so the comparison is between different plan
-shapes, not a tautology.
-
-CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens the sweep.
+The star and indexed-probe queries themselves run in
+``test_differential_sqlite.test_star_and_probe_queries``: rows against
+stdlib sqlite3 and lineage against sqlite's rowid witnesses, on the
+plans the rote planner picks. This module checks that oracle is
+reproducible per seed and that its lineage comparison can fail.
 """
 
 from __future__ import annotations
 
-import random
-import sqlite3
-
 import pytest
 
-from repro.db import Database
+from tests.db.test_differential_sqlite import (
+    build_star_engines, canonical, engine_lineages, star_lineages,
+    star_queries)
 
 pytestmark = pytest.mark.differential
-
-SEED_COUNT = 10
-
-
-def pytest_generate_tests(metafunc):
-    if "optimizer_seed" in metafunc.fixturenames:
-        count = metafunc.config.getoption("--seeds") or SEED_COUNT
-        metafunc.parametrize("optimizer_seed", range(count))
-
-
-# -- skewed schema + data -----------------------------------------------------
-
-def build_engines(seed):
-    """Same skewed star + indexed probe table in both engines."""
-    rng = random.Random(seed)
-    database = Database()
-    connection = sqlite3.connect(":memory:")
-    ddl = [
-        "CREATE TABLE f (k integer, d1 integer, d2 integer)",
-        "CREATE TABLE j (d1 integer, payload integer)",
-        "CREATE TABLE s (d2 integer, flag integer)",
-        "CREATE TABLE probe (k integer, v integer)",
-        "CREATE INDEX idx_probe_k ON probe (k)",
-    ]
-    for statement in ddl:
-        database.execute(statement)
-        connection.execute(statement)
-
-    fanout = rng.randint(4, 7)
-    tables = {
-        "f": [(k, rng.randrange(40), rng.randrange(120))
-              for k in range(rng.randint(350, 450))],
-        "j": [(d1, p) for d1 in range(40) for p in range(fanout)],
-        "s": [(d2, rng.randrange(200)) for d2 in range(120)],
-        "probe": [(k % 80, rng.randrange(10)) for k in range(240)],
-    }
-    for name, rows in tables.items():
-        values = ", ".join(f"({', '.join(str(v) for v in row)})"
-                           for row in rows)
-        database.execute(f"INSERT INTO {name} VALUES {values}")
-        width = len(rows[0])
-        connection.executemany(
-            f"INSERT INTO {name} VALUES ({', '.join('?' * width)})",
-            rows)
-    return rng, database, connection
-
-
-def optimizer_queries(rng):
-    """(label, sql) pairs — each one leans on a stats-driven choice."""
-    cutoff = rng.randint(3, 12)
-    long_list = ", ".join(str(k) for k in range(0, 80, 2))
-    short_list = ", ".join(str(rng.randrange(80)) for _ in range(3))
-    return [
-        # 3-table join order: selective s-filter should join first
-        ("join-order",
-         f"SELECT f.k, j.payload FROM f, j, s WHERE f.d1 = j.d1 "
-         f"AND f.d2 = s.d2 AND s.flag < {cutoff}"),
-        # build side: the filtered big side hashes fewer rows
-        ("build-side",
-         f"SELECT f.k, s.flag FROM f, s WHERE f.d2 = s.d2 "
-         f"AND s.flag < {cutoff}"),
-        # short IN-list: stays an index probe under the cost model
-        ("in-probe",
-         f"SELECT v FROM probe WHERE k IN ({short_list})"),
-        # IN-list rivaling the table: cost model demotes to a scan
-        ("in-cutoff",
-         f"SELECT v FROM probe WHERE k IN ({long_list})"),
-        # left join keeps its preserved side regardless of estimates
-        ("left-join",
-         f"SELECT s.d2, f.k FROM s LEFT JOIN f ON s.d2 = f.d2 "
-         f"WHERE s.flag < {cutoff}"),
-    ]
-
-
-# -- canonical forms ----------------------------------------------------------
-
-def canonical_rows(rows):
-    return sorted(repr(tuple(row)) for row in rows)
-
-
-def canonical_traced(result):
-    """(row bytes, lineage bytes) pairs, order-independent."""
-    return sorted(
-        (repr(tuple(row)), repr(sorted(repr(ref) for ref in lineage)))
-        for row, lineage in zip(result.rows, result.lineages))
-
-
-def plan_text(database, sql):
-    return "\n".join(
-        row[0] for row in database.execute("EXPLAIN " + sql).rows)
-
-
-# -- the oracle ---------------------------------------------------------------
-
-def test_stats_driven_plans_preserve_rows_and_lineage(optimizer_seed):
-    rng, database, connection = build_engines(optimizer_seed)
-    cases = optimizer_queries(rng)
-
-    rote = {}
-    for label, sql in cases:
-        rote[label] = (plan_text(database, sql),
-                       database.execute(sql, provenance=True))
-
-    database.execute("ANALYZE")
-
-    flipped = 0
-    for label, sql in cases:
-        rote_plan, rote_result = rote[label]
-        informed_plan = plan_text(database, sql)
-        informed_result = database.execute(sql, provenance=True)
-        flipped += informed_plan != rote_plan
-
-        reference = connection.execute(sql).fetchall()
-        context = f"seed {optimizer_seed}, case {label}:\n  {sql}"
-        assert canonical_rows(informed_result.rows) == \
-            canonical_rows(reference), f"diverged from sqlite on {context}"
-        assert canonical_traced(informed_result) == \
-            canonical_traced(rote_result), \
-            f"plan change altered rows/lineage on {context}"
-
-    # canary: the oracle must compare *different* plan shapes — the
-    # in-cutoff case is constructed to flip on every seed
-    assert flipped >= 1
-    in_cutoff_sql = dict(cases)["in-cutoff"]
-    assert "IndexScan" in rote["in-cutoff"][0]
-    assert "IndexScan" not in plan_text(database, in_cutoff_sql)
 
 
 def test_oracle_is_deterministic_per_seed():
     def transcript(seed):
-        rng, database, connection = build_engines(seed)
+        rng, database, connection = build_star_engines(seed)
         lines = [database.query("SELECT count(*) FROM f")[0][0]]
-        lines.extend(sql for _, sql in optimizer_queries(rng))
+        lines.extend(star_queries(rng))
         connection.close()
         return lines
 
@@ -169,10 +32,13 @@ def test_oracle_is_deterministic_per_seed():
 def test_oracle_catches_a_seeded_lineage_divergence():
     """Sanity: the traced comparison really can fail — the same rows
     with different lineage must not pass."""
-    _, database, _ = build_engines(0)
+    _, database, connection = build_star_engines(0)
     sql = "SELECT v FROM probe WHERE k IN (1, 2, 3)"
-    first = database.execute(sql, provenance=True)
-    forged = database.execute(sql, provenance=True)
-    forged.lineages = [frozenset() for _ in forged.lineages]
-    assert canonical_rows(first.rows) == canonical_rows(forged.rows)
-    assert canonical_traced(first) != canonical_traced(forged)
+    traced = database.execute(sql, provenance=True)
+    expected = star_lineages(connection, sql, ("probe",))
+    assert traced.rows
+    assert engine_lineages(traced.rows, traced.lineages) == expected
+    forged = [frozenset() for _ in traced.lineages]
+    assert canonical(traced.rows, False) == \
+        canonical(connection.execute(sql).fetchall(), False)
+    assert engine_lineages(traced.rows, forged) != expected

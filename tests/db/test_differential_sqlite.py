@@ -23,6 +23,12 @@ DISTINCT rows take the union of the witnesses of their output key (a
 global aggregate takes them all); a LEFT JOIN's NULL right rowid
 names no tuple.
 
+A second input set is a skewed star (fact × fan-out junction ×
+selective dimension) plus an indexed probe table, a few hundred rows
+each, queried with multi-way joins, LEFT JOIN and short and long
+indexed IN lists: shapes that lean on the planner's rote choices of
+join order, hash-join build side and index probe.
+
 CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens or narrows
 the sweep locally without touching the code.
 """
@@ -271,6 +277,87 @@ def test_differential_oracle(oracle_seed):
                 == expected_lineages(connection, sql, case)), (
             f"seed {oracle_seed}, family {case}: lineage diverges from "
             f"the sqlite witnesses on\n  {sql}")
+
+
+# -- skewed star + indexed probe table ----------------------------------------
+
+def build_star_engines(seed):
+    """Same skewed star and indexed probe table in both engines."""
+    rng = random.Random(seed)
+    database = Database()
+    connection = sqlite3.connect(":memory:")
+    for statement in [
+            "CREATE TABLE f (k integer, d1 integer, d2 integer)",
+            "CREATE TABLE j (d1 integer, payload integer)",
+            "CREATE TABLE s (d2 integer, flag integer)",
+            "CREATE TABLE probe (k integer, v integer)",
+            "CREATE INDEX idx_probe_k ON probe (k)"]:
+        database.execute(statement)
+        connection.execute(statement)
+    fanout = rng.randint(4, 7)
+    tables = {
+        "f": [(k, rng.randrange(40), rng.randrange(120))
+              for k in range(rng.randint(350, 450))],
+        "j": [(d1, p) for d1 in range(40) for p in range(fanout)],
+        "s": [(d2, rng.randrange(200)) for d2 in range(120)],
+        "probe": [(k % 80, rng.randrange(10)) for k in range(240)],
+    }
+    for name, rows in tables.items():
+        database.execute(f"INSERT INTO {name} VALUES " + ", ".join(
+            "(" + ", ".join(str(v) for v in row) + ")" for row in rows))
+        connection.executemany(
+            f"INSERT INTO {name} VALUES "
+            f"({', '.join('?' * len(rows[0]))})", rows)
+    return rng, database, connection
+
+
+def star_queries(rng):
+    """``(sql, aliases)`` pairs; ``aliases`` are the FROM entries, each
+    named after its table, whose rowids the witness query carries."""
+    cutoff = rng.randint(3, 12)
+    short_list = ", ".join(str(rng.randrange(80)) for _ in range(3))
+    long_list = ", ".join(str(k) for k in range(0, 80, 2))
+    return [
+        # the selective s-filter sits on the last FROM entry
+        (f"SELECT f.k, j.payload FROM f, j, s WHERE f.d1 = j.d1 "
+         f"AND f.d2 = s.d2 AND s.flag < {cutoff}", ("f", "j", "s")),
+        # the filtered side hashes fewer rows than its table holds
+        (f"SELECT f.k, s.flag FROM f, s WHERE f.d2 = s.d2 "
+         f"AND s.flag < {cutoff}", ("f", "s")),
+        (f"SELECT v FROM probe WHERE k IN ({short_list})", ("probe",)),
+        # an IN list that rivals the table is still probed
+        (f"SELECT v FROM probe WHERE k IN ({long_list})", ("probe",)),
+        (f"SELECT s.d2, f.k FROM s LEFT JOIN f ON s.d2 = f.d2 "
+         f"WHERE s.flag < {cutoff}", ("s", "f")),
+    ]
+
+
+def star_lineages(connection, sql, aliases):
+    """Multiset of (row, sorted (table, rowid) lineage) per sqlite's
+    witness query: the output columns, then one rowid per alias."""
+    select_list, rest = sql[len("SELECT "):].split(" FROM ", 1)
+    rowids = ", ".join(f"{alias}.rowid" for alias in aliases)
+    witnesses = connection.execute(
+        f"SELECT {select_list}, {rowids} FROM {rest}").fetchall()
+    width = len(aliases)
+    return sorted((repr(tuple(row[:-width])),
+                   sorted((alias, rowid)
+                          for alias, rowid in zip(aliases, row[-width:])
+                          if rowid is not None))
+                  for row in witnesses)
+
+
+def test_star_and_probe_queries(oracle_seed):
+    rng, database, connection = build_star_engines(oracle_seed)
+    for sql, aliases in star_queries(rng):
+        traced = database.execute(sql, provenance=True)
+        reference = connection.execute(sql).fetchall()
+        context = f"seed {oracle_seed}:\n  {sql}"
+        assert canonical(traced.rows, False) == \
+            canonical(reference, False), f"engines diverge on {context}"
+        assert (engine_lineages(traced.rows, traced.lineages)
+                == star_lineages(connection, sql, aliases)), (
+            f"lineage diverges from the sqlite witnesses on {context}")
 
 
 def test_oracle_covers_the_advertised_case_count(request):

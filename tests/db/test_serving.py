@@ -10,6 +10,7 @@ from repro.db.sql.params import bind_sql_text
 from repro.errors import (
     ExecutionError,
     ProtocolError,
+    SQLSyntaxError,
     StatementTimeout,
 )
 
@@ -342,3 +343,26 @@ class TestReplayLogCompat:
         entry_json = log.entries[0].to_json()
         assert entry_json["kind"] == "prepared"
         assert ReplayLogEntry.from_json(entry_json).kind == "prepared"
+
+
+class TestAnalyzeIsNotAStatement:
+    """The engine keeps no planner statistics, so ``ANALYZE`` is not a
+    statement: it fails to parse, embedded and over the wire, with a
+    one-line message."""
+
+    @pytest.mark.parametrize("sql", ["ANALYZE", "ANALYZE t"])
+    def test_embedded(self, server, sql):
+        with pytest.raises(SQLSyntaxError) as info:
+            server.database.execute(sql)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("sql", ["ANALYZE", "ANALYZE t"])
+    def test_over_the_wire(self, client, sql):
+        response = protocol.decode_frame(client.transport(
+            protocol.encode_frame(protocol.query_frame(
+                client.connection_id, sql))))
+        assert response["frame"] == "error"
+        assert response["error_type"] == "SQLSyntaxError"
+        assert "\n" not in response["message"]
+        # the connection stays usable
+        assert client.query("SELECT count(*) FROM t") == [(4,)]

@@ -311,3 +311,44 @@ class TestLegacyPartitionRecords:
         assert "partitions" not in meta
         again = Database(data_directory=directory)
         assert again.query("SELECT count(*) FROM t") == [(4,)]
+
+
+class TestLegacyStatisticsRecords:
+    """Data directories written while the engine still kept ANALYZE
+    planner statistics carry ``{"op": "analyze"}`` WAL records and a
+    ``"stats"`` checkpoint meta key. Neither holds row state, so
+    recovery skips both and restores the same rows and versions."""
+
+    STATS = {"row_count": 2, "columns": {
+        "k": {"ndv": 2, "null_fraction": 0.0, "min": 1, "max": 2,
+              "histogram": [1, 2, 2]},
+        "v": {"ndv": 1, "null_fraction": 0.5, "min": "a", "max": "a",
+              "histogram": ["a", "a"]}}}
+
+    @staticmethod
+    def rows(db):
+        table = db.catalog.get_table("t")
+        return sorted((rowid, table.versions[rowid], row)
+                      for rowid, row in table.rows.items())
+
+    def test_legacy_records_recover_rows_and_versions(self, tmp_path):
+        directory = tmp_path / "d"
+        db = Database(data_directory=directory)
+        db.execute("CREATE TABLE t (k integer PRIMARY KEY, v text)")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, NULL)")
+        db.checkpoint()
+        meta_path = directory / "checkpoint.json"
+        meta = json.loads(meta_path.read_text())
+        meta["stats"] = {"t": self.STATS}
+        meta_path.write_text(json.dumps(meta))
+        db.wal.append({"op": "analyze", "table": "t", "stats": self.STATS})
+        db.wal.commit(tick=db.clock.now)
+        db.execute("UPDATE t SET v = 'z' WHERE k = 2")
+        expected = self.rows(db)
+        # no close(): that would checkpoint and reset the WAL
+
+        reopened = Database(data_directory=directory)
+        assert reopened.last_recovery.committed_batches == 2
+        assert self.rows(reopened) == expected
+        reopened.checkpoint()
+        assert self.rows(Database(data_directory=directory)) == expected
