@@ -250,9 +250,10 @@ def pipeline_db():
 
 
 def test_batch_pipeline_throughput(pipeline_db, report):
-    """Batch execution with fused kernels on scan-heavy pipelines, best
-    of 3 through a prepared statement (planned once, outside the timed
-    runs). Records the per-query throughput
+    """Batch execution (row closures mapped over each batch, plus the
+    column-gather, selector-sweep and column⊕column vector forms) on
+    scan-heavy pipelines, best of 3 through a prepared statement
+    (planned once, outside the timed runs). Records the per-query throughput
     trajectory in BENCH_engine.json (refresh with
     ``REPRO_BENCH_UPDATE=1``) and gates on it: a >30% throughput
     regression against the committed numbers fails CI."""

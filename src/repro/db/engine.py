@@ -930,11 +930,8 @@ class Database:
         from repro.db.planner import analyze_stats, explain_plan
 
         # always planned fresh, never a kept plan: ANALYZE rewires
-        # the tree in place with Instrumented wrappers. ANALYZE also
-        # plans unfused so each Scan/Filter/Project keeps its own node
-        # (and measurement) in the tree.
-        planned = plan_select(explain.query, self.catalog, False,
-                              fuse=not explain.analyze)
+        # the tree in place with Instrumented wrappers
+        planned = plan_select(explain.query, self.catalog, False)
         root = planned.root
         stats: dict[str, Any] = {}
         if explain.analyze:

@@ -3,9 +3,9 @@
 Every operator produces a stream of :class:`RowBatch` through
 :meth:`Operator.batches` — column vectors plus a parallel *annotation
 vector* of lineages — so per-tuple interpreter overhead is paid once
-per ~:data:`BATCH_SIZE` rows, and expressions evaluate as compiled
-list comprehensions over whole columns (see the batch compilation
-section of :mod:`repro.db.expressions`). Iterating an operator is the
+per ~:data:`BATCH_SIZE` rows, and expressions evaluate as compiled row
+closures mapped over the batch (see the batch entry points of
+:mod:`repro.db.expressions`). Iterating an operator is the
 row view of the same stream: ``(values, lineage)`` pairs where
 ``values`` is a plain tuple and ``lineage`` a ``frozenset[TupleRef]``
 (empty when lineage tracking is disabled). MVCC read views, the
@@ -19,10 +19,11 @@ Design rules:
 * A selection vector (``sel``) defers gathering after filters: a
   filter only refines ``sel``, the next gathering operator pays the
   copy once.
-* Operators compile their expressions **once in __init__**; row
-  closures from :func:`repro.db.expressions.compile_expression` remain
-  where evaluation is per output row (join residuals, aggregate
-  outputs, index probe constants).
+* Operators compile their expressions **once in __init__**. Join
+  residuals, aggregate outputs and index probe constants call row
+  closures from :func:`repro.db.expressions.compile_expression`
+  directly; filters, projections, join keys and aggregate inputs use
+  the batch entry points built on the same closures.
 
 :class:`Instrumented` wraps any operator to record rows, batches and
 wall time for ``EXPLAIN ANALYZE``.
@@ -79,11 +80,11 @@ class RowBatch:
     ``columns`` holds one list per schema column, each ``count`` long.
     ``lineages`` is a parallel list of frozensets, or None when no row
     in the batch carries lineage. ``sel`` is a selection vector of row
-    positions still alive (None = all). ``row_major`` optionally
-    caches the same rows as tuples (producers that already hold row
-    tuples — scans, join output — pass them so :meth:`rows` skips
-    re-transposing). Consumers must treat the vectors as immutable —
-    operators share them across batches.
+    positions still alive (None = all). ``row_major`` holds the same
+    rows as tuples: producers that already hold row tuples (scans,
+    join output) pass them, and :meth:`all_rows` transposes the
+    columns into it once for any other batch. Consumers must treat the
+    vectors as immutable — operators share them across batches.
     """
 
     __slots__ = ("columns", "count", "lineages", "sel", "row_major")
@@ -104,29 +105,23 @@ class RowBatch:
     def __len__(self) -> int:
         return self.count if self.sel is None else len(self.sel)
 
-    def rows(self) -> list[tuple]:
-        """Selected rows as plain tuples (the row view's currency).
+    def all_rows(self) -> list[tuple]:
+        """Every row of the batch, selected or not, as a tuple.
 
-        Transposition runs through ``zip(*columns)`` — per-row
-        ``tuple(generator)`` calls were the single hottest line of the
-        batch engine before this.
+        Returns ``row_major``; a batch without one transposes its
+        columns through ``zip(*columns)`` once and keeps the result.
         """
-        row_major = self.row_major
-        sel = self.sel
-        if row_major is not None:
-            if sel is None:
-                return row_major
-            return [row_major[index] for index in sel]
-        columns = self.columns
-        if not columns:
-            return [()] * (self.count if sel is None else len(sel))
-        if sel is None:
-            return list(zip(*columns))
-        if len(columns) == 1:
-            column = columns[0]
-            return [(column[index],) for index in sel]
-        return list(zip(*[[column[index] for index in sel]
-                          for column in columns]))
+        if self.row_major is None:
+            self.row_major = (list(zip(*self.columns)) if self.columns
+                              else [()] * self.count)
+        return self.row_major
+
+    def rows(self) -> list[tuple]:
+        """Selected rows as plain tuples (the row view's currency)."""
+        rows = self.all_rows()
+        if self.sel is None:
+            return rows
+        return [rows[index] for index in self.sel]
 
     def gathered_lineages(self) -> list | None:
         """Annotation vector aligned with :meth:`rows`, or None."""
@@ -224,10 +219,10 @@ class SeqScan(Operator):
     references the snapshot's tuple versions. The committed-latest
     no-lineage case slices the heap directly.
 
-    ``needed_columns`` (set by a fused parent whose expressions are
-    all pure-vector) prunes materialization: only those column
-    vectors are built, the rest stay None placeholders that the
-    kernel provably never reads.
+    ``needed_columns`` (set by :func:`_prune_scan` for a Project or
+    HashJoin consumer) prunes materialization on this path: only those
+    column vectors are built, the rest stay None placeholders. Every
+    other read goes through the row tuples each batch carries.
     """
 
     needed_columns: set[int] | None = None
@@ -344,71 +339,6 @@ class IndexScan(Operator):
                                 self.track_lineage, len(self.schema))
 
 
-class FusedScanFilterProject(Operator):
-    """Scan→Filter→Project fused into one compiled per-batch kernel.
-
-    The planner grows this node bottom-up: predicates pushed onto a
-    scan join the fusion via :meth:`add_predicate`, and the final
-    SELECT-list projection lands via :meth:`absorb_projections`. Each
-    mutation recompiles the kernel (plan-time cost only). One batch
-    then takes a single call: refine the selection through every
-    predicate, gather the projected columns, pick the surviving
-    lineage annotations.
-    """
-
-    def __init__(self, child: Operator,
-                 predicates: list | None = None,
-                 projections: list | None = None,
-                 output_schema=None) -> None:
-        self.child = child
-        self.predicates = list(predicates or [])
-        self.projections: list | None = None
-        self.schema = child.schema
-        if projections is not None:
-            self.absorb_projections(projections, output_schema)
-        else:
-            self._recompile()
-
-    def _recompile(self) -> None:
-        self._kernel = exprs.compile_fused_kernel(
-            self.predicates, self.projections, self.child.schema)
-
-    def add_predicate(self, predicate: ast.Expression) -> None:
-        if self.projections is not None:
-            raise ExecutionError(
-                "cannot add a predicate below an absorbed projection")
-        self.predicates.append(predicate)
-        self._recompile()
-
-    def absorb_projections(self, projections: list,
-                           output_schema) -> None:
-        self.projections = list(projections)
-        self.schema = output_schema
-        self._recompile()
-        # with a dense output this node is the scan's sole consumer;
-        # if every expression is pure-vector the scan can skip
-        # materializing the columns nothing reads
-        if isinstance(self.child, SeqScan):
-            self.child.needed_columns = exprs.vector_safe_columns(
-                self.predicates + self.projections, self.child.schema)
-
-    def batches(self) -> Iterator[RowBatch]:
-        kernel = self._kernel
-        dense = self.projections is not None
-        for batch in self.child.batches():
-            out_columns, out_sel, picked = kernel(batch.columns,
-                                                  batch.selection())
-            if not picked:
-                continue
-            if dense:
-                lineages = (None if batch.lineages is None else
-                            [batch.lineages[index] for index in picked])
-                yield RowBatch(out_columns, len(picked), lineages)
-            else:
-                yield RowBatch(out_columns, batch.count, batch.lineages,
-                               out_sel, batch.row_major)
-
-
 class Filter(Operator):
     """Keep rows for which the predicate evaluates to TRUE.
 
@@ -424,14 +354,33 @@ class Filter(Operator):
     def batches(self) -> Iterator[RowBatch]:
         refine = self._refine
         for batch in self.child.batches():
-            sel = refine(batch.columns, batch.selection())
+            sel = refine(batch)
             if sel:
                 yield RowBatch(batch.columns, batch.count,
                                batch.lineages, sel, batch.row_major)
 
 
+def _prune_scan(child: Operator, expressions: list) -> None:
+    """Let the SeqScan under ``child``'s chain of Filters build only the
+    column vectors that ``expressions`` and those filters reference.
+
+    The consumer is the scan's sole reader. Column gathers and the
+    other vector forms read only referenced columns; row closures and
+    ``rows()`` read the row tuples the scan always passes along.
+    """
+    expressions = list(expressions)
+    while isinstance(child, Filter):
+        expressions.append(child.predicate)
+        child = child.child
+    if isinstance(child, SeqScan):
+        child.needed_columns = {
+            child.schema.index_of(ref.name, ref.qualifier)
+            for expression in expressions
+            for ref in exprs.columns_referenced(expression)}
+
+
 class Project(Operator):
-    """Evaluate a list of output expressions: one compiled vector
+    """Evaluate a list of output expressions: one compiled batch
     closure per output column."""
 
     def __init__(self, child: Operator,
@@ -443,15 +392,15 @@ class Project(Operator):
         self._batch_fns = [
             exprs.compile_batch_expression(expression, child.schema)
             for expression in output_expressions]
+        _prune_scan(child, output_expressions)
 
     def batches(self) -> Iterator[RowBatch]:
         batch_fns = self._batch_fns
         for batch in self.child.batches():
-            sel = batch.selection()
-            if not sel:
+            if not len(batch):
                 continue
-            columns = [fn(batch.columns, sel) for fn in batch_fns]
-            yield RowBatch(columns, len(sel), batch.gathered_lineages())
+            columns = [fn(batch) for fn in batch_fns]
+            yield RowBatch(columns, len(batch), batch.gathered_lineages())
 
 
 class HashJoin(Operator):
@@ -507,27 +456,8 @@ class HashJoin(Operator):
         self._right_batch_keys = [
             exprs.compile_batch_expression(expression, right.schema)
             for expression in right_keys]
-        self._prune_side(left, left_keys)
-        self._prune_side(right, right_keys)
-
-    @staticmethod
-    def _prune_side(side: Operator, keys: list) -> None:
-        """Prune an input scan down to the vector-read columns.
-
-        The join touches its inputs two ways: key expressions as
-        column vectors, and whole rows via ``rows()`` — which a scan
-        serves from its ``row_major`` cache without reading column
-        vectors. So the scan only needs to materialize the key (and
-        pushed-predicate) columns, provided every such expression is
-        pure-vector."""
-        expressions = list(keys)
-        if (isinstance(side, FusedScanFilterProject)
-                and side.projections is None):
-            expressions += side.predicates
-            side = side.child
-        if isinstance(side, SeqScan):
-            side.needed_columns = exprs.vector_safe_columns(
-                expressions, side.schema)
+        _prune_scan(left, left_keys)
+        _prune_scan(right, right_keys)
 
     def _build_table(self, side: Operator,
                      key_fns: list) -> tuple[dict, bool]:
@@ -535,8 +465,7 @@ class HashJoin(Operator):
         tracked = False
         single = len(key_fns) == 1
         for batch in side.batches():
-            sel = batch.selection()
-            if not sel:
+            if not len(batch):
                 continue
             rows = batch.rows()
             lineages = batch.gathered_lineages()
@@ -544,7 +473,7 @@ class HashJoin(Operator):
                 lineages = [EMPTY_LINEAGE] * len(rows)
             else:
                 tracked = True
-            key_vectors = [fn(batch.columns, sel) for fn in key_fns]
+            key_vectors = [fn(batch) for fn in key_fns]
             if single:
                 for position, key in enumerate(key_vectors[0]):
                     if key is None:
@@ -580,11 +509,10 @@ class HashJoin(Operator):
         out_rows: list[tuple] = []
         out_lineages: list = []
         for batch in probe.batches():
-            sel = batch.selection()
-            if not sel:
+            if not len(batch):
                 continue
             rows = batch.rows()
-            key_vectors = [fn(batch.columns, sel) for fn in probe_key_fns]
+            key_vectors = [fn(batch) for fn in probe_key_fns]
             keys = key_vectors[0] if single else list(zip(*key_vectors))
             lineages = batch.gathered_lineages()
             if lineages is not None and not tracking:
@@ -804,8 +732,7 @@ class GroupAggregate(Operator):
             if size == 0:
                 continue
             if group_fns:
-                key_vectors = [fn(batch.columns, sel)
-                               for fn in group_fns]
+                key_vectors = [fn(batch) for fn in group_fns]
                 # scalar partition keys in the common single-key case;
                 # the groups dict still keys on tuples (finalize reads
                 # group values back out of the key)
@@ -821,23 +748,17 @@ class GroupAggregate(Operator):
                         bucket.append(position)
             else:
                 positions = {(): list(range(size))}
-            input_vectors = [None if fn is None
-                             else fn(batch.columns, sel)
+            input_vectors = [None if fn is None else fn(batch)
                              for fn in input_fns]
             lineages = batch.gathered_lineages()
             sel_list = sel if type(sel) is list else list(sel)
-            row_major = batch.row_major
             for key, bucket in positions.items():
                 group_key = ((key,) if group_fns and single_key
                              else key)
                 state = groups.get(group_key)
                 if state is None:
-                    first = sel_list[bucket[0]]
-                    representative = (
-                        row_major[first] if row_major is not None
-                        else tuple(column[first]
-                                   for column in batch.columns))
-                    state = self._new_state(representative)
+                    state = self._new_state(
+                        batch.all_rows()[sel_list[bucket[0]]])
                     groups[group_key] = state
                     order.append(group_key)
                 whole = len(bucket) == size

@@ -1,22 +1,27 @@
 """Expression evaluation with SQL three-valued logic.
 
-Two evaluation strategies share one set of semantics:
+:func:`compile_expression` lowers an AST once into nested Python
+closures over row tuples — column references become tuple indexing,
+constants are bound, comparisons and arithmetic become direct operator
+calls — so the per-row cost is a chain of function calls with no
+dispatch on node types. These row closures are the engine's one
+implementation of expression semantics. The executor's operators
+compile their expressions once in ``__init__``; the engine compiles
+DML WHERE clauses, UPDATE assignments and INSERT literals the same
+way. The batch entry points (:func:`compile_batch_expression`,
+:func:`compile_batch_predicate`) map the row closure over a batch's
+selected rows, plus three vector forms that measured faster.
 
-* :class:`Evaluator` interprets an AST expression against rows,
-  re-walking the tree per row. It remains the reference implementation
-  and the path used for one-shot evaluation (INSERT literals, UPDATE
-  assignments, WAL replay).
-* :func:`compile_expression` lowers an AST once into nested Python
-  closures — column references become tuple indexing, constants are
-  bound, comparisons and arithmetic become direct operator calls — so
-  the per-row cost is a chain of function calls with no dispatch on
-  node types. Batch forms (:func:`compile_batch_expression`,
-  :func:`compile_batch_predicate`) evaluate over column vectors. The
-  executor's operators compile their expressions once in ``__init__``.
+:class:`Evaluator` interprets an AST against a row by re-walking the
+tree. No execution path uses it: it is the reference the tests check
+the compiled closures against, value for value and error for error.
 
-Both paths implement identical semantics: NULL (``None``) propagates
-through arithmetic and comparisons; ``AND``/``OR`` follow Kleene
-logic; filters treat an unknown result as false.
+Semantics: NULL (``None``) propagates through arithmetic and
+comparisons; ``AND``/``OR`` follow Kleene logic; filters treat an
+unknown result as false. Integer ``/`` and ``%`` truncate toward zero
+(the remainder takes the dividend's sign), as in sqlite3 and
+PostgreSQL. Evaluation errors surface as one-line
+:class:`ExecutionError` messages, never as raw Python exceptions.
 
 Aggregate functions are *not* evaluated here — the aggregate operator in
 :mod:`repro.db.executor` drives :class:`Accumulator` objects created by
@@ -187,6 +192,21 @@ def _fn_ceil(value: Any) -> int:
     return int(_as_decimal(value).to_integral_value(rounding=ROUND_CEILING))
 
 
+def _modulo(left: Any, right: Any) -> Any:
+    """SQL remainder of two non-NULL values. An integer remainder takes
+    the dividend's sign, so ``a = (a / b) * b + a % b`` holds with the
+    engine's truncating ``/``; floats keep Python's ``%``."""
+    if right == 0:
+        raise ExecutionError("division by zero")
+    if isinstance(left, str) or isinstance(right, str):
+        # Python's str % is string formatting, not a remainder
+        raise TypeError("remainder of a string")
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return remainder if left >= 0 else -remainder
+    return left % right
+
+
 SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "upper": _null_guard(lambda v: str(v).upper()),
     "lower": _null_guard(lambda v: str(v).lower()),
@@ -195,12 +215,50 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "round": _null_guard(_fn_round),
     "floor": _null_guard(_fn_floor),
     "ceil": _null_guard(_fn_ceil),
-    "mod": _null_guard(lambda a, b: a % b),
+    "mod": _null_guard(_modulo),
     "coalesce": _fn_coalesce,
     "substr": _null_guard(_fn_substr),
     "substring": _null_guard(_fn_substr),
     "concat": lambda *args: "".join(str(a) for a in args if a is not None),
 }
+
+# (fewest, most) arguments each scalar function takes; None: no limit
+_ARITY: dict[str, tuple[int, int | None]] = {
+    "upper": (1, 1), "lower": (1, 1), "length": (1, 1), "abs": (1, 1),
+    "round": (1, 2), "floor": (1, 1), "ceil": (1, 1), "mod": (2, 2),
+    "coalesce": (0, None), "substr": (2, 3), "substring": (2, 3),
+    "concat": (0, None),
+}
+
+
+def _scalar_function(node: ast.FunctionCall) -> Callable[..., Any]:
+    """The scalar function ``node`` calls, after checking its name and
+    its argument count."""
+    if node.name in AGGREGATE_NAMES:
+        raise ExecutionError(
+            f"aggregate {node.name}() used outside GROUP BY context")
+    fn = SCALAR_FUNCTIONS.get(node.name)
+    if fn is None:
+        raise ExecutionError(f"unknown function {node.name!r}")
+    fewest, most = _ARITY[node.name]
+    count = len(node.args)
+    if count < fewest or (most is not None and count > most):
+        expected = (f"{fewest} argument{'s' if fewest > 1 else ''}"
+                    if fewest == most else f"{fewest} to {most} arguments")
+        raise ExecutionError(
+            f"{node.name}() takes {expected}, got {count}")
+    return fn
+
+
+def _call_scalar(name: str, fn: Callable[..., Any], args: list) -> Any:
+    """Call a scalar function, turning a Python error about its
+    argument values into a one-line :class:`ExecutionError`."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        rendered = ", ".join(repr(arg) for arg in args)
+        raise ExecutionError(
+            f"bad arguments for {name}(): {rendered}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +481,17 @@ def _compare(op: str, left: Any, right: Any) -> Any:
     raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
+def _negate(value: Any) -> Any:
+    """SQL unary minus with NULL propagation."""
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError as exc:
+        raise ExecutionError(
+            f"bad operand type for unary '-': {value!r}") from exc
+
+
 def _arith(op: str, left: Any, right: Any) -> Any:
     """SQL arithmetic with NULL propagation."""
     if left is None or right is None:
@@ -443,9 +512,7 @@ def _arith(op: str, left: Any, right: Any) -> Any:
                 return quotient if (left >= 0) == (right >= 0) else -quotient
             return left / right
         if op == "%":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left % right
+            return _modulo(left, right)
         if op == "||":
             return str(left) + str(right)
     except ExecutionError:
@@ -469,6 +536,7 @@ class Evaluator:
         self.schema = schema
         self.bindings = bindings or {}
         self._column_cache: dict[tuple[str, str | None], int] = {}
+        self._resolved: set[ast.Expression] = set()
 
     def _column_index(self, ref: ast.ColumnRef) -> int:
         key = (ref.name.lower(),
@@ -480,7 +548,21 @@ class Evaluator:
         return index
 
     def evaluate(self, expression: ast.Expression, row: tuple) -> Any:
-        """Evaluate ``expression`` against ``row``; NULL is ``None``."""
+        """Evaluate ``expression`` against ``row``; NULL is ``None``.
+
+        The first call resolves every scalar function call up front, as
+        compilation does, so a bad name or argument count fails before
+        any operand is evaluated.
+        """
+        if expression not in self._resolved:
+            for node in walk(expression):
+                if (isinstance(node, ast.FunctionCall)
+                        and node.name not in AGGREGATE_NAMES):
+                    _scalar_function(node)
+            self._resolved.add(expression)
+        return self._evaluate(expression, row)
+
+    def _evaluate(self, expression: ast.Expression, row: tuple) -> Any:
         if expression in self.bindings:
             return self.bindings[expression]
         if isinstance(expression, ast.Literal):
@@ -496,24 +578,24 @@ class Evaluator:
         if isinstance(expression, ast.Between):
             return self._evaluate_between(expression, row)
         if isinstance(expression, ast.Like):
-            result = sql_like(self.evaluate(expression.operand, row),
-                              self.evaluate(expression.pattern, row))
+            result = sql_like(self._evaluate(expression.operand, row),
+                              self._evaluate(expression.pattern, row))
             if result is None:
                 return None
             return (not result) if expression.negated else result
         if isinstance(expression, ast.InList):
             return self._evaluate_in(expression, row)
         if isinstance(expression, ast.IsNull):
-            is_null = self.evaluate(expression.operand, row) is None
+            is_null = self._evaluate(expression.operand, row) is None
             return (not is_null) if expression.negated else is_null
         if isinstance(expression, ast.FunctionCall):
             return self._evaluate_function(expression, row)
         if isinstance(expression, ast.CaseWhen):
             for condition, value in expression.branches:
-                if self.evaluate(condition, row) is True:
-                    return self.evaluate(value, row)
+                if self._evaluate(condition, row) is True:
+                    return self._evaluate(value, row)
             if expression.otherwise is not None:
-                return self.evaluate(expression.otherwise, row)
+                return self._evaluate(expression.otherwise, row)
             return None
         if isinstance(expression, ast.Star):
             raise ExecutionError("'*' is only valid in select lists/COUNT")
@@ -529,47 +611,45 @@ class Evaluator:
     def _evaluate_binary(self, node: ast.BinaryOp, row: tuple) -> Any:
         op = node.op
         if op == "and":
-            left = self.evaluate(node.left, row)
+            left = self._evaluate(node.left, row)
             if left is False:
                 return False
-            right = self.evaluate(node.right, row)
+            right = self._evaluate(node.right, row)
             if right is False:
                 return False
             if left is None or right is None:
                 return None
             return True
         if op == "or":
-            left = self.evaluate(node.left, row)
+            left = self._evaluate(node.left, row)
             if left is True:
                 return True
-            right = self.evaluate(node.right, row)
+            right = self._evaluate(node.right, row)
             if right is True:
                 return True
             if left is None or right is None:
                 return None
             return False
-        left = self.evaluate(node.left, row)
-        right = self.evaluate(node.right, row)
+        left = self._evaluate(node.left, row)
+        right = self._evaluate(node.right, row)
         if op in ("=", "<>", "<", "<=", ">", ">="):
             return _compare(op, left, right)
         return _arith(op, left, right)
 
     def _evaluate_unary(self, node: ast.UnaryOp, row: tuple) -> Any:
-        value = self.evaluate(node.operand, row)
+        value = self._evaluate(node.operand, row)
         if node.op == "not":
             if value is None:
                 return None
             return not value
         if node.op == "-":
-            if value is None:
-                return None
-            return -value
+            return _negate(value)
         raise ExecutionError(f"unknown unary operator {node.op!r}")
 
     def _evaluate_between(self, node: ast.Between, row: tuple) -> Any:
-        value = self.evaluate(node.operand, row)
-        low = self.evaluate(node.low, row)
-        high = self.evaluate(node.high, row)
+        value = self._evaluate(node.operand, row)
+        low = self._evaluate(node.low, row)
+        high = self._evaluate(node.high, row)
         lower_ok = _compare(">=", value, low)
         upper_ok = _compare("<=", value, high)
         if lower_ok is False or upper_ok is False:
@@ -583,12 +663,12 @@ class Evaluator:
         return (not result) if node.negated else result
 
     def _evaluate_in(self, node: ast.InList, row: tuple) -> Any:
-        value = self.evaluate(node.operand, row)
+        value = self._evaluate(node.operand, row)
         if value is None:
             return None
         saw_null = False
         for item in node.items:
-            candidate = self.evaluate(item, row)
+            candidate = self._evaluate(item, row)
             if candidate is None:
                 saw_null = True
             elif candidate == value:
@@ -598,14 +678,9 @@ class Evaluator:
         return True if node.negated else False
 
     def _evaluate_function(self, node: ast.FunctionCall, row: tuple) -> Any:
-        if node.name in AGGREGATE_NAMES:
-            raise ExecutionError(
-                f"aggregate {node.name}() used outside GROUP BY context")
-        fn = SCALAR_FUNCTIONS.get(node.name)
-        if fn is None:
-            raise ExecutionError(f"unknown function {node.name!r}")
-        args = [self.evaluate(arg, row) for arg in node.args]
-        return fn(*args)
+        fn = _scalar_function(node)
+        args = [self._evaluate(arg, row) for arg in node.args]
+        return _call_scalar(node.name, fn, args)
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +890,7 @@ def _compile_unary(node: ast.UnaryOp, schema: Schema,
             return not value
         return negate
     if node.op == "-":
-        def minus(row: tuple) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            return -value
-        return minus
+        return lambda row: _negate(operand(row))
     raise ExecutionError(f"unknown unary operator {node.op!r}")
 
 
@@ -832,9 +902,13 @@ def _compile_between(node: ast.Between, schema: Schema,
     negated = node.negated
 
     def between(row: tuple) -> Any:
+        # all three operands evaluate before either comparison, as in
+        # the Evaluator, so the same error wins when several would
         value = operand(row)
-        lower_ok = _compare(">=", value, low(row))
-        upper_ok = _compare("<=", value, high(row))
+        lower = low(row)
+        upper = high(row)
+        lower_ok = _compare(">=", value, lower)
+        upper_ok = _compare("<=", value, upper)
         if lower_ok is False or upper_ok is False:
             result: Any = False
         elif lower_ok is None or upper_ok is None:
@@ -894,17 +968,11 @@ def _compile_in(node: ast.InList, schema: Schema,
 
 def _compile_function(node: ast.FunctionCall, schema: Schema,
                       slots: BindingSlots | None) -> RowFunction:
-    if node.name in AGGREGATE_NAMES:
-        raise ExecutionError(
-            f"aggregate {node.name}() used outside GROUP BY context")
-    fn = SCALAR_FUNCTIONS.get(node.name)
-    if fn is None:
-        raise ExecutionError(f"unknown function {node.name!r}")
+    fn = _scalar_function(node)
+    name = node.name
     arg_fns = [_compile(arg, schema, slots) for arg in node.args]
-    if len(arg_fns) == 1:
-        only = arg_fns[0]
-        return lambda row: fn(only(row))
-    return lambda row: fn(*(arg_fn(row) for arg_fn in arg_fns))
+    return lambda row: _call_scalar(name, fn,
+                                   [arg_fn(row) for arg_fn in arg_fns])
 
 
 def _compile_case(node: ast.CaseWhen, schema: Schema,
@@ -925,26 +993,25 @@ def _compile_case(node: ast.CaseWhen, schema: Schema,
     return case
 
 
-# -- batch compilation ---------------------------------------------------------
-#
-# The executor evaluates expressions one *batch* at a time:
-# a batch is a list of column vectors plus a selection vector ``sel``
-# of row positions still alive within those vectors. A batch-compiled
-# expression maps (columns, sel) -> one output value per sel entry.
-#
-# Semantics are identical to the row compiler — same NULL propagation,
-# same error messages — with two deliberate deviations, both handled
-# by falling back to the row closure:
-#
-# * AND/OR evaluate both sides eagerly over the batch. If that raises
-#   (a division error the row path would have short-circuited past),
-#   the batch re-runs through the row-compiled closure, which restores
-#   true short-circuit order. The fallback sticks for that closure.
-# * Comparisons and + - * vectorize without per-element type checks;
-#   a TypeError reruns the batch element-wise through `_compare` /
-#   `_arith` so the reported error matches the row path exactly.
 
-BatchFunction = Callable[[list, Any], list]
+# -- batch entry points -------------------------------------------------------
+#
+# The executor evaluates expressions one RowBatch at a time. A batch
+# closure takes the batch and returns one value per selected row; a
+# batch predicate returns the refined selection vector, the selected
+# positions whose rows evaluate to SQL TRUE. Both map the row closure
+# over the batch's row tuples (``RowBatch.all_rows``), so they share
+# its semantics and its errors by construction.
+#
+# Three vector forms read column vectors instead, each kept because it
+# measured faster on the batch pipeline benchmark (see
+# docs/engine-internals.md): gathering a plain column, the
+# ``<column> <cmp> <literal>`` selector sweep, and column⊕column
+# ``+ - *``. The last two skip per-element type checks; a batch that
+# raises a TypeError reruns through the row closure, which raises the
+# first failing row's error.
+
+BatchFunction = Callable[[Any], list]
 
 
 def _gather(column: list, sel: Any) -> list:
@@ -959,38 +1026,71 @@ def _gather(column: list, sel: Any) -> list:
     return [column[i] for i in sel]
 
 
-def _rows_at(columns: list, sel: Any) -> list:
-    """Row-tuple view of a batch — the bridge back to row closures."""
-    return [tuple(column[i] for column in columns) for i in sel]
+def _mapped(fn: RowFunction) -> BatchFunction:
+    """The row closure ``fn`` mapped over a batch's selected rows."""
+    def mapped(batch: Any) -> list:
+        rows = batch.all_rows()
+        sel = batch.sel
+        if sel is None:
+            return list(map(fn, rows))
+        return [fn(rows[index]) for index in sel]
+    return mapped
 
 
-def compile_batch_expression(expression: ast.Expression, schema: Schema,
-                             slots: BindingSlots | None = None
-                             ) -> BatchFunction:
-    """Lower ``expression`` into a closure over column batches.
-
-    The returned callable takes ``(columns, sel)`` and returns one
-    value per entry of ``sel``, equal to what the row-compiled
-    expression yields on the corresponding row.
-    """
-    return _compile_batch(expression, schema, slots)
-
-
-def compile_batch_predicate(expression: ast.Expression, schema: Schema,
-                            slots: BindingSlots | None = None
-                            ) -> BatchFunction:
-    """Filter form of :func:`compile_batch_expression`: the closure
-    returns the *refined selection vector* — the subset of ``sel``
-    whose rows evaluate to SQL TRUE (unknown counts as false)."""
-    selector = _compile_batch_selector(expression, schema, slots)
-    if selector is not None:
-        return selector
-    fn = compile_batch_expression(expression, schema, slots)
-
-    def refine(columns: list, sel: Any) -> list:
-        mask = fn(columns, sel)
-        return [index for index, keep in zip(sel, mask) if keep is True]
+def _refined(fn: RowFunction) -> BatchFunction:
+    """The selected positions whose rows ``fn`` maps to SQL TRUE."""
+    def refine(batch: Any) -> list:
+        rows = batch.all_rows()
+        return [index for index in batch.selection()
+                if fn(rows[index]) is True]
     return refine
+
+
+# column⊕column sweeps; ``lhs + rhs`` is written out per operator so
+# the comprehension runs the native operator, not a per-element call
+_COLUMN_ARITHMETIC: dict[str, Callable] = {
+    "+": lambda lefts, rights, sel: [
+        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
+        else lhs + rhs for i in sel],
+    "-": lambda lefts, rights, sel: [
+        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
+        else lhs - rhs for i in sel],
+    "*": lambda lefts, rights, sel: [
+        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
+        else lhs * rhs for i in sel],
+}
+
+
+def compile_batch_expression(expression: ast.Expression,
+                             schema: Schema) -> BatchFunction:
+    """Lower ``expression`` into a closure over batches.
+
+    The returned callable takes a ``RowBatch`` and returns one value
+    per selected row, equal to what the row closure from
+    :func:`compile_expression` yields on that row.
+    """
+    if isinstance(expression, ast.ColumnRef):
+        index = schema.index_of(expression.name, expression.qualifier)
+        return lambda batch: _gather(batch.columns[index],
+                                     batch.selection())
+    mapped = _mapped(_compile(expression, schema, None))
+    if not (isinstance(expression, ast.BinaryOp)
+            and expression.op in _COLUMN_ARITHMETIC
+            and isinstance(expression.left, ast.ColumnRef)
+            and isinstance(expression.right, ast.ColumnRef)):
+        return mapped
+    left = schema.index_of(expression.left.name, expression.left.qualifier)
+    right = schema.index_of(expression.right.name,
+                            expression.right.qualifier)
+    sweep = _COLUMN_ARITHMETIC[expression.op]
+
+    def column_arithmetic(batch: Any) -> list:
+        columns = batch.columns
+        try:
+            return sweep(columns[left], columns[right], batch.selection())
+        except TypeError:
+            return mapped(batch)
+    return column_arithmetic
 
 
 # the single-pass selector bodies; `v <op> value` must be written out
@@ -1022,450 +1122,40 @@ _FLIPPED_COMPARISON = {"=": "=", "<>": "<>", "<": ">", "<=": ">=",
                        ">": "<", ">=": "<="}
 
 
-def _compile_batch_selector(expression: ast.Expression, schema: Schema,
-                            slots: BindingSlots | None
-                            ) -> BatchFunction | None:
-    """Fused compare-and-refine for ``<expr> <cmp> <literal>``.
+def _column_comparison(node: ast.Expression):
+    """``(column, op, value)`` for ``<column> <cmp> <literal>`` with a
+    non-NULL literal on either side, oriented column first; else
+    None."""
+    if not (isinstance(node, ast.BinaryOp) and node.op in _SELECTOR_SWEEPS):
+        return None
+    if (isinstance(node.left, ast.ColumnRef)
+            and isinstance(node.right, ast.Literal)
+            and node.right.value is not None):
+        return node.left, node.op, node.right.value
+    if (isinstance(node.right, ast.ColumnRef)
+            and isinstance(node.left, ast.Literal)
+            and node.left.value is not None):
+        return node.right, _FLIPPED_COMPARISON[node.op], node.left.value
+    return None
 
-    The hottest predicate shape skips the intermediate truth-value
-    mask entirely: one comprehension pass selects the surviving
-    positions with a native comparison. A TypeError re-runs the batch
-    through :func:`_compare` in the original operand order, raising
-    the row path's exact error."""
-    if not isinstance(expression, ast.BinaryOp):
-        return None
-    if expression.op not in _SELECTOR_SWEEPS:
-        return None
-    constant = _batch_constant_operand(expression, slots)
-    if constant is None:
-        return None
-    side, value = constant
-    op = expression.op
-    varying = _compile_batch(
-        expression.left if side == "right" else expression.right,
-        schema, slots)
-    if value is None:
-        # <anything> <cmp> NULL is UNKNOWN: no row survives, but the
-        # varying side still evaluates so its errors surface
-        def none_selected(columns: list, sel: Any) -> list:
-            varying(columns, sel)
-            return []
-        return none_selected
-    sweep = _SELECTOR_SWEEPS[op if side == "right"
-                             else _FLIPPED_COMPARISON[op]](value)
 
-    def select(columns: list, sel: Any) -> list:
-        operands = varying(columns, sel)
+def compile_batch_predicate(expression: ast.Expression,
+                            schema: Schema) -> BatchFunction:
+    """Filter form of :func:`compile_batch_expression`: the closure
+    returns the *refined selection vector* — the selected positions
+    whose rows evaluate to SQL TRUE (unknown counts as false)."""
+    refine = _refined(_compile(expression, schema, None))
+    comparison = _column_comparison(expression)
+    if comparison is None:
+        return refine
+    column, op, value = comparison
+    index = schema.index_of(column.name, column.qualifier)
+    sweep = _SELECTOR_SWEEPS[op](value)
+
+    def select(batch: Any) -> list:
+        sel = batch.selection()
         try:
-            return sweep(sel, operands)
+            return sweep(sel, _gather(batch.columns[index], sel))
         except TypeError:
-            if side == "right":
-                mask = [_compare(op, v, value) for v in operands]
-            else:
-                mask = [_compare(op, value, v) for v in operands]
-            return [index for index, keep in zip(sel, mask)
-                    if keep is True]
+            return refine(batch)
     return select
-
-
-def compile_fused_kernel(predicates: list, projections: list | None,
-                         schema: Schema) -> Callable[[list, Any], tuple]:
-    """Fuse Scan→Filter→Project into one per-batch closure.
-
-    ``kernel(columns, sel)`` returns ``(out_columns, out_sel, picked)``
-    where ``picked`` is the absolute positions that survived every
-    predicate (callers gather lineage annotations with it). With
-    projections the output columns are dense and ``out_sel`` is None
-    (identity selection); without, the input columns pass through with
-    ``out_sel is picked``.
-    """
-    predicate_fns = [compile_batch_predicate(predicate, schema)
-                     for predicate in predicates]
-    projection_fns = (None if projections is None else
-                      [compile_batch_expression(projection, schema)
-                       for projection in projections])
-
-    def kernel(columns: list, sel: Any) -> tuple:
-        for refine in predicate_fns:
-            if not sel:
-                break
-            sel = refine(columns, sel)
-        if projection_fns is None:
-            return columns, sel, sel
-        if not sel:
-            return [[] for _ in projection_fns], None, sel
-        return [fn(columns, sel) for fn in projection_fns], None, sel
-    return kernel
-
-
-def vector_safe_columns(expressions: list,
-                        schema: Schema) -> set[int] | None:
-    """Column positions the batch closures for ``expressions`` read,
-    or None when any node may evaluate through the row bridge
-    (:func:`_rows_at` touches *every* column). The planner uses this
-    to prune scan materialization under a fused projection."""
-    needed: set[int] = set()
-    if all(_collect_safe(expression, schema, needed)
-           for expression in expressions):
-        return needed
-    return None
-
-
-def _collect_safe(node: ast.Expression, schema: Schema,
-                  needed: set[int]) -> bool:
-    if isinstance(node, ast.Literal):
-        return True
-    if isinstance(node, ast.Parameter):
-        return True  # reads the ambient binding, no columns
-    if isinstance(node, ast.ColumnRef):
-        needed.add(schema.index_of(node.name, node.qualifier))
-        return True
-    if isinstance(node, ast.BinaryOp):
-        if node.op in ("and", "or"):
-            return False  # eager eval falls back to rows on error
-        return (_collect_safe(node.left, schema, needed)
-                and _collect_safe(node.right, schema, needed))
-    if isinstance(node, ast.UnaryOp):
-        return _collect_safe(node.operand, schema, needed)
-    if isinstance(node, ast.Between):
-        return (_collect_safe(node.operand, schema, needed)
-                and _collect_safe(node.low, schema, needed)
-                and _collect_safe(node.high, schema, needed))
-    if isinstance(node, ast.Like):
-        return (_collect_safe(node.operand, schema, needed)
-                and _collect_safe(node.pattern, schema, needed))
-    if isinstance(node, ast.InList):
-        if not all(isinstance(item, ast.Literal)
-                   for item in node.items):
-            return False  # compiles through the row closure
-        return _collect_safe(node.operand, schema, needed)
-    if isinstance(node, ast.IsNull):
-        return _collect_safe(node.operand, schema, needed)
-    if isinstance(node, ast.FunctionCall):
-        return all(_collect_safe(arg, schema, needed)
-                   for arg in node.args)
-    return False  # CaseWhen / exotic: row fallback
-
-
-def _batch_via_rows(node: ast.Expression, schema: Schema,
-                    slots: BindingSlots | None) -> BatchFunction:
-    """Evaluate a batch through the row-compiled closure — the escape
-    hatch for nodes with no profitable vector form (CASE, nested IN
-    with expressions) and for the eager-evaluation error fallbacks."""
-    row_fn = _compile(node, schema, slots)
-
-    def via_rows(columns: list, sel: Any) -> list:
-        return [row_fn(row) for row in _rows_at(columns, sel)]
-    return via_rows
-
-
-def _compile_batch(node: ast.Expression, schema: Schema,
-                   slots: BindingSlots | None) -> BatchFunction:
-    if slots is not None and node in slots.index:
-        values = slots.values
-        position = slots.index[node]
-        return lambda columns, sel: [values[position]] * len(sel)
-    if isinstance(node, ast.Literal):
-        value = node.value
-        return lambda columns, sel: [value] * len(sel)
-    if isinstance(node, ast.Parameter):
-        index = node.index
-        return lambda columns, sel: [parameter_value(index)] * len(sel)
-    if isinstance(node, ast.ColumnRef):
-        index = schema.index_of(node.name, node.qualifier)
-        return lambda columns, sel: _gather(columns[index], sel)
-    if isinstance(node, ast.BinaryOp):
-        return _compile_batch_binary(node, schema, slots)
-    if isinstance(node, ast.UnaryOp):
-        return _compile_batch_unary(node, schema, slots)
-    if isinstance(node, ast.Between):
-        return _compile_batch_between(node, schema, slots)
-    if isinstance(node, ast.Like):
-        return _compile_batch_like(node, schema, slots)
-    if isinstance(node, ast.InList):
-        return _compile_batch_in(node, schema, slots)
-    if isinstance(node, ast.IsNull):
-        operand = _compile_batch(node.operand, schema, slots)
-        if node.negated:
-            return lambda columns, sel: [value is not None
-                                         for value in operand(columns, sel)]
-        return lambda columns, sel: [value is None
-                                     for value in operand(columns, sel)]
-    if isinstance(node, ast.FunctionCall):
-        return _compile_batch_function(node, schema, slots)
-    if isinstance(node, ast.Star):
-        raise ExecutionError("'*' is only valid in select lists/COUNT")
-    # CaseWhen and anything exotic: correctness over vector width
-    return _batch_via_rows(node, schema, slots)
-
-
-def _batch_constant_operand(node: ast.BinaryOp,
-                            slots: BindingSlots | None):
-    """(side, value) when one operand is a plain Literal, else None."""
-    for side, operand in (("right", node.right), ("left", node.left)):
-        if (isinstance(operand, ast.Literal)
-                and (slots is None or operand not in slots.index)):
-            return side, operand.value
-    return None
-
-
-def _batch_op_with_constant(op: str, fast, slow, left, right,
-                            constant) -> BatchFunction:
-    """Comparison/arithmetic against a literal: one-operand sweep with
-    the same NULL propagation and TypeError re-run as the vector
-    form."""
-    side, value = constant
-    varying = left if side == "right" else right
-    if value is None:
-        # still sweep the varying side: an error it raises (division
-        # by zero) must surface exactly as in the row path
-        def all_null(columns: list, sel: Any) -> list:
-            return [None for _ in varying(columns, sel)]
-        return all_null
-
-    if side == "right":
-        def batch_constant(columns: list, sel: Any) -> list:
-            operands = varying(columns, sel)
-            try:
-                return [None if lhs is None else fast(lhs, value)
-                        for lhs in operands]
-            except TypeError:
-                return [slow(op, lhs, value) for lhs in operands]
-    else:
-        def batch_constant(columns: list, sel: Any) -> list:
-            operands = varying(columns, sel)
-            try:
-                return [None if rhs is None else fast(value, rhs)
-                        for rhs in operands]
-            except TypeError:
-                return [slow(op, value, rhs) for rhs in operands]
-    return batch_constant
-
-
-def _batch_arith_col_col(op: str, left_index: int,
-                         right_index: int) -> BatchFunction:
-    """Arithmetic between two plain columns: gather and combine in a
-    single sweep instead of materializing both operand vectors."""
-    if op == "+":
-        def sweep(columns: list, sel: Any) -> list:
-            ca, cb = columns[left_index], columns[right_index]
-            try:
-                return [None if (lhs := ca[i]) is None
-                        or (rhs := cb[i]) is None else lhs + rhs
-                        for i in sel]
-            except TypeError:
-                return [_arith(op, ca[i], cb[i]) for i in sel]
-    elif op == "-":
-        def sweep(columns: list, sel: Any) -> list:
-            ca, cb = columns[left_index], columns[right_index]
-            try:
-                return [None if (lhs := ca[i]) is None
-                        or (rhs := cb[i]) is None else lhs - rhs
-                        for i in sel]
-            except TypeError:
-                return [_arith(op, ca[i], cb[i]) for i in sel]
-    else:
-        def sweep(columns: list, sel: Any) -> list:
-            ca, cb = columns[left_index], columns[right_index]
-            try:
-                return [None if (lhs := ca[i]) is None
-                        or (rhs := cb[i]) is None else lhs * rhs
-                        for i in sel]
-            except TypeError:
-                return [_arith(op, ca[i], cb[i]) for i in sel]
-    return sweep
-
-
-def _compile_batch_binary(node: ast.BinaryOp, schema: Schema,
-                          slots: BindingSlots | None) -> BatchFunction:
-    op = node.op
-    left = _compile_batch(node.left, schema, slots)
-    right = _compile_batch(node.right, schema, slots)
-    if op in ("and", "or"):
-        # Eager evaluation of both sides; on an ExecutionError the row
-        # closure takes over permanently to restore short-circuiting.
-        row_fallback: list = []
-
-        if op == "and":
-            def combine(lhs: Any, rhs: Any) -> Any:
-                if lhs is False or rhs is False:
-                    return False
-                if lhs is None or rhs is None:
-                    return None
-                return True
-        else:
-            def combine(lhs: Any, rhs: Any) -> Any:
-                if lhs is True or rhs is True:
-                    return True
-                if lhs is None or rhs is None:
-                    return None
-                return False
-
-        def batch_logic(columns: list, sel: Any) -> list:
-            if row_fallback:
-                return row_fallback[0](columns, sel)
-            try:
-                lefts = left(columns, sel)
-                rights = right(columns, sel)
-            except ExecutionError:
-                row_fallback.append(_batch_via_rows(node, schema, slots))
-                return row_fallback[0](columns, sel)
-            return [combine(lhs, rhs) for lhs, rhs in zip(lefts, rights)]
-        return batch_logic
-    # a Literal operand folds into the closure: single-operand
-    # comprehension, no broadcast vector, no per-element zip
-    constant = _batch_constant_operand(node, slots)
-    comparison = _COMPARISONS.get(op)
-    if comparison is not None:
-        if constant is not None:
-            return _batch_op_with_constant(
-                op, comparison, _compare, left, right, constant)
-
-        def batch_compare(columns: list, sel: Any) -> list:
-            lefts = left(columns, sel)
-            rights = right(columns, sel)
-            try:
-                return [None if lhs is None or rhs is None
-                        else comparison(lhs, rhs)
-                        for lhs, rhs in zip(lefts, rights)]
-            except TypeError:
-                # rerun element-wise for the row path's exact error
-                return [_compare(op, lhs, rhs)
-                        for lhs, rhs in zip(lefts, rights)]
-        return batch_compare
-    if op in ("+", "-", "*"):
-        arith = {"+": _operator.add, "-": _operator.sub,
-                 "*": _operator.mul}[op]
-        if constant is not None:
-            return _batch_op_with_constant(
-                op, arith, _arith, left, right, constant)
-        if (isinstance(node.left, ast.ColumnRef)
-                and isinstance(node.right, ast.ColumnRef)
-                and (slots is None or (node.left not in slots.index
-                                       and node.right not in slots.index))):
-            return _batch_arith_col_col(
-                op, schema.index_of(node.left.name, node.left.qualifier),
-                schema.index_of(node.right.name, node.right.qualifier))
-
-        def batch_arithmetic(columns: list, sel: Any) -> list:
-            lefts = left(columns, sel)
-            rights = right(columns, sel)
-            try:
-                return [None if lhs is None or rhs is None
-                        else arith(lhs, rhs)
-                        for lhs, rhs in zip(lefts, rights)]
-            except TypeError:
-                return [_arith(op, lhs, rhs)
-                        for lhs, rhs in zip(lefts, rights)]
-        return batch_arithmetic
-    if op in ("/", "%", "||"):
-        def batch_general(columns: list, sel: Any) -> list:
-            lefts = left(columns, sel)
-            rights = right(columns, sel)
-            return [_arith(op, lhs, rhs)
-                    for lhs, rhs in zip(lefts, rights)]
-        return batch_general
-    raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-
-def _compile_batch_unary(node: ast.UnaryOp, schema: Schema,
-                         slots: BindingSlots | None) -> BatchFunction:
-    operand = _compile_batch(node.operand, schema, slots)
-    if node.op == "not":
-        return lambda columns, sel: [None if value is None else (not value)
-                                     for value in operand(columns, sel)]
-    if node.op == "-":
-        return lambda columns, sel: [None if value is None else -value
-                                     for value in operand(columns, sel)]
-    raise ExecutionError(f"unknown unary operator {node.op!r}")
-
-
-def _compile_batch_between(node: ast.Between, schema: Schema,
-                           slots: BindingSlots | None) -> BatchFunction:
-    operand = _compile_batch(node.operand, schema, slots)
-    low = _compile_batch(node.low, schema, slots)
-    high = _compile_batch(node.high, schema, slots)
-    negated = node.negated
-
-    def batch_between(columns: list, sel: Any) -> list:
-        out = []
-        append = out.append
-        for value, lower, upper in zip(operand(columns, sel),
-                                       low(columns, sel),
-                                       high(columns, sel)):
-            lower_ok = _compare(">=", value, lower)
-            upper_ok = _compare("<=", value, upper)
-            if lower_ok is False or upper_ok is False:
-                append(True if negated else False)
-            elif lower_ok is None or upper_ok is None:
-                append(None)
-            else:
-                append(False if negated else True)
-        return out
-    return batch_between
-
-
-def _compile_batch_like(node: ast.Like, schema: Schema,
-                        slots: BindingSlots | None) -> BatchFunction:
-    operand = _compile_batch(node.operand, schema, slots)
-    negated = node.negated
-    if isinstance(node.pattern, ast.Literal) and node.pattern.value is not None:
-        match = _like_regex(str(node.pattern.value)).match
-
-        def batch_like_constant(columns: list, sel: Any) -> list:
-            return [None if value is None
-                    else ((match(str(value)) is None) if negated
-                          else (match(str(value)) is not None))
-                    for value in operand(columns, sel)]
-        return batch_like_constant
-    pattern = _compile_batch(node.pattern, schema, slots)
-
-    def batch_like(columns: list, sel: Any) -> list:
-        out = []
-        for value, pat in zip(operand(columns, sel), pattern(columns, sel)):
-            result = sql_like(value, pat)
-            out.append(None if result is None
-                       else ((not result) if negated else result))
-        return out
-    return batch_like
-
-
-def _compile_batch_in(node: ast.InList, schema: Schema,
-                      slots: BindingSlots | None) -> BatchFunction:
-    if not all(isinstance(item, ast.Literal) for item in node.items):
-        return _batch_via_rows(node, schema, slots)
-    operand = _compile_batch(node.operand, schema, slots)
-    negated = node.negated
-    literals = [item.value for item in node.items]
-    members = {value for value in literals if value is not None}
-    saw_null = any(value is None for value in literals)
-    on_hit = not negated
-    on_miss = None if saw_null else negated
-
-    def batch_in(columns: list, sel: Any) -> list:
-        return [None if value is None
-                else (on_hit if value in members else on_miss)
-                for value in operand(columns, sel)]
-    return batch_in
-
-
-def _compile_batch_function(node: ast.FunctionCall, schema: Schema,
-                            slots: BindingSlots | None) -> BatchFunction:
-    if node.name in AGGREGATE_NAMES:
-        raise ExecutionError(
-            f"aggregate {node.name}() used outside GROUP BY context")
-    fn = SCALAR_FUNCTIONS.get(node.name)
-    if fn is None:
-        raise ExecutionError(f"unknown function {node.name!r}")
-    arg_fns = [_compile_batch(arg, schema, slots) for arg in node.args]
-    if len(arg_fns) == 1:
-        only = arg_fns[0]
-        return lambda columns, sel: [fn(value)
-                                     for value in only(columns, sel)]
-    if not arg_fns:
-        return lambda columns, sel: [fn() for _ in sel]
-
-    def batch_call(columns: list, sel: Any) -> list:
-        vectors = [arg_fn(columns, sel) for arg_fn in arg_fns]
-        return [fn(*args) for args in zip(*vectors)]
-    return batch_call

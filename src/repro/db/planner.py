@@ -28,7 +28,6 @@ from repro.db.catalog import Catalog
 from repro.db.executor import (
     Distinct,
     Filter,
-    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
@@ -75,11 +74,6 @@ def explain_plan(root: Operator) -> list[str]:
         return describe_bare(operator)
 
     def describe_bare(operator: Operator) -> str:
-        if isinstance(operator, FusedScanFilterProject):
-            parts = [f"{len(operator.predicates)} predicates"]
-            if operator.projections is not None:
-                parts.append(f"{len(operator.projections)} outputs")
-            return f"FusedScanFilterProject ({', '.join(parts)})"
         if isinstance(operator, IndexScan):
             from repro.db.sql.render import render_expression
             if operator.bounds is not None:
@@ -292,26 +286,10 @@ def _merge_sets(left: _SourceSet, right: _SourceSet,
     return _SourceSet(operator, left.aliases | right.aliases)
 
 
-def _filtered(operator: Operator, conjunct: ast.Expression,
-              fuse: bool) -> Operator:
-    """Apply a predicate: fuse onto a scan when allowed, else stack a
-    Filter operator."""
-    if fuse:
-        if (isinstance(operator, FusedScanFilterProject)
-                and operator.projections is None):
-            operator.add_predicate(conjunct)
-            return operator
-        if isinstance(operator, (SeqScan, IndexScan)):
-            fused = FusedScanFilterProject(operator)
-            fused.add_predicate(conjunct)
-            return fused
-    return Filter(operator, conjunct)
-
-
 def _estimate_rows(operator: Operator) -> int | None:
     """Session-visible base-table row count feeding a plan fragment.
 
-    Walks single-child chains (filters, fused scans) down to the scan;
+    Walks single-child chains (filters) down to the scan;
     gives up (None) at joins and other multi-input nodes. The count is
     overlay-aware: a transaction that bulk-inserted into one join side
     sees its own writes reflected here (the committed heap alone would
@@ -441,8 +419,7 @@ def _as_equi_pair(conjunct: ast.Expression, left: _SourceSet,
 
 
 def _plan_from_where(select: ast.Select, catalog: Catalog,
-                     track_lineage: bool, fuse: bool
-                     ) -> tuple[Operator, list[str]]:
+                     track_lineage: bool) -> tuple[Operator, list[str]]:
     """Plan the FROM/WHERE part, returning the source operator tree and
     the list of base tables it reads."""
     source_tables = _collect_source_tables(select.sources)
@@ -468,16 +445,16 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
         placed = False
         if aliases is not None:
             if not aliases:
-                fragments[0].operator = _filtered(
-                    fragments[0].operator, conjunct, fuse)
+                fragments[0].operator = Filter(
+                    fragments[0].operator, conjunct)
                 placed = True
             else:
                 for fragment in fragments:
                     if aliases <= fragment.aliases:
                         if not _try_index_scan(fragment, conjunct,
                                                track_lineage):
-                            fragment.operator = _filtered(
-                                fragment.operator, conjunct, fuse)
+                            fragment.operator = Filter(
+                                fragment.operator, conjunct)
                         placed = True
                         break
         if not placed:
@@ -522,7 +499,7 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     root = current.operator
     residual = conjoin(remaining)
     if residual is not None:
-        root = _filtered(root, residual, fuse)
+        root = Filter(root, residual)
     return root, source_tables
 
 
@@ -664,17 +641,14 @@ def _expand_stars(select: ast.Select, schema: Schema) -> list[ast.SelectItem]:
 
 
 def plan_select(select: ast.Select, catalog: Catalog,
-                track_lineage: bool = False,
-                fuse: bool = True) -> PlannedQuery:
+                track_lineage: bool = False) -> PlannedQuery:
     """Plan a SELECT statement into an executable operator tree.
 
-    ``fuse=True`` collapses Scan→Filter→Project chains into
-    :class:`repro.db.executor.FusedScanFilterProject`; ``fuse=False``
-    keeps them as separate nodes (EXPLAIN ANALYZE needs per-operator
-    attribution).
+    Plain execution and EXPLAIN ANALYZE run the same tree: one node
+    per scan, filter and projection.
     """
     source, source_tables = _plan_from_where(select, catalog,
-                                             track_lineage, fuse)
+                                             track_lineage)
     items = _expand_stars(select, source.schema)
 
     output_expressions = [item.expression for item in items]
@@ -714,13 +688,6 @@ def plan_select(select: ast.Select, catalog: Catalog,
         root: Operator = GroupAggregate(
             source, list(select.group_by), all_expressions,
             full_schema, select.having)
-    elif (fuse and isinstance(source, FusedScanFilterProject)
-          and source.projections is None):
-        source.absorb_projections(all_expressions, full_schema)
-        root = source
-    elif fuse and isinstance(source, (SeqScan, IndexScan)):
-        root = FusedScanFilterProject(
-            source, None, all_expressions, full_schema)
     else:
         root = Project(source, all_expressions, full_schema)
 
@@ -736,8 +703,7 @@ def plan_select(select: ast.Select, catalog: Catalog,
 
 
 def plan_setop(setop: ast.SetOp, catalog: Catalog,
-               track_lineage: bool = False,
-               fuse: bool = True) -> PlannedQuery:
+               track_lineage: bool = False) -> PlannedQuery:
     """Plan a UNION [ALL] chain into a Union (+ Distinct) operator."""
     branches: list[tuple[ast.Select, bool]] = []
 
@@ -752,7 +718,7 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
             branches.append((node, True))
 
     flatten(setop, True)
-    planned = [plan_select(select, catalog, track_lineage, fuse)
+    planned = [plan_select(select, catalog, track_lineage)
                for select, _ in branches]
     first_schema = planned[0].schema
     root: Operator = Union([entry.root for entry in planned])

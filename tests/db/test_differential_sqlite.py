@@ -4,8 +4,9 @@ For each pinned seed, generate a small random schema and data set,
 load both engines identically, and run a bounded family of generated
 SELECTs — filters (with NULL three-valued logic), implicit and ON-style
 equi-joins, LEFT JOIN, aggregates, GROUP BY/HAVING, DISTINCT (including
-DISTINCT over joins), IN/NOT IN lists (with NULL items), ORDER BY and
-ORDER BY + LIMIT/OFFSET — asserting identical result multisets
+DISTINCT over joins), IN/NOT IN lists (with NULL items), ORDER BY,
+ORDER BY + LIMIT/OFFSET and integer ``/`` and ``%`` over negative
+operands — asserting identical result multisets
 (identical *lists* where the query orders totally).
 
 ORDER BY + LIMIT cases key only on non-nullable columns: sqlite sorts
@@ -45,7 +46,7 @@ from repro.db import Database
 pytestmark = pytest.mark.differential
 
 SEED_COUNT = 30          # pinned for CI
-QUERIES_PER_SEED = 11    # grammar families below
+QUERIES_PER_SEED = 12    # grammar families below
 
 
 def pytest_generate_tests(metafunc):
@@ -193,10 +194,17 @@ def generate_query(rng, family):
         return (f"SELECT d, a, a + d FROM t0 {where}"
                 f"ORDER BY d{direction}, a, a + d LIMIT {limit}{offset}",
                 True)
-    # family == 10: DISTINCT over a join
-    columns = rng.choice(["x.a", "y.e", "x.d, y.e"])
-    return (f"SELECT DISTINCT {columns} FROM t0 x JOIN t1 y "
-            f"ON x.a = y.a", False)
+    if family == 10:  # DISTINCT over a join
+        columns = rng.choice(["x.a", "y.e", "x.d, y.e"])
+        return (f"SELECT DISTINCT {columns} FROM t0 x JOIN t1 y "
+                f"ON x.a = y.a", False)
+    # family == 11: integer / and % truncate toward zero, so a
+    # remainder takes the dividend's sign; divisors are never zero
+    # (sqlite answers NULL where this engine raises)
+    divisor = rng.choice([-4, -3, -2, 2, 3, 4])
+    return (f"SELECT a, (a - d) % {divisor}, (a - d) / {divisor}, "
+            f"(b - 5) % (d + 1), (d - 9) / (a + 1), "
+            f"(a - 5) % (d - 10) FROM t0", False)
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -209,7 +217,8 @@ def canonical(rows, ordered):
 # the FROM aliases whose rowids each family's witness query carries
 WITNESS_ALIASES = {0: ("t0",), 1: ("t0",), 2: ("t0", "t1"),
                    3: ("x", "y"), 4: ("x", "y"), 5: ("t0",), 6: ("t0",),
-                   7: ("t0",), 8: ("t0",), 9: ("t0",), 10: ("x", "y")}
+                   7: ("t0",), 8: ("t0",), 9: ("t0",), 10: ("x", "y"),
+                   11: ("t0",)}
 ALIAS_TABLES = {"t0": "t0", "t1": "t1", "x": "t0", "y": "t1"}
 GROUPED_FAMILIES = (5, 6, 7, 10)
 

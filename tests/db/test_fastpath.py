@@ -6,6 +6,7 @@ LEFT-join WHERE vs ON semantics, empty-input global aggregates).
 
 from __future__ import annotations
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -14,11 +15,14 @@ from repro.db import protocol
 from repro.db import expressions as exprs
 from repro.db.client import DBClient
 from repro.db.engine import Database
+from repro.db.executor import RowBatch
 from repro.db.planner import explain_plan
 from repro.db.server import DBServer, ResultCache
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_one, parse_sql
-from repro.db.sql.render import render_statement
+from repro.db.sql.render import render_expression, render_statement
+from repro.db.types import Column, Schema, SQLType
+from repro.errors import ExecutionError
 
 
 def make_db() -> Database:
@@ -112,7 +116,6 @@ class TestCompiledParity:
         select = parse_one(sql)
         schema, rows = _source_rows(make_db(), select)
         columns = [list(column) for column in zip(*rows)]
-        everything = range(len(rows))
         expressions = _checked_expressions(select)
         assert expressions
         for expression in expressions:
@@ -124,13 +127,17 @@ class TestCompiledParity:
             refine = exprs.compile_batch_predicate(expression, schema)
             assert _outcome(lambda: [row_fn(row) for row in rows]) \
                 == reference, expression
-            assert _outcome(lambda: list(batch_fn(columns, everything))) \
-                == reference, expression
+            # a batch with row tuples (as scans produce) and one that
+            # must transpose its columns
+            for row_major in (rows, None):
+                batch = RowBatch(columns, len(rows), None, None, row_major)
+                assert _outcome(lambda: list(batch_fn(batch))) \
+                    == reference, expression
             if reference[0] == "ok":
                 selected = [index for index, value
                             in enumerate(reference[1]) if value is True]
-                assert list(refine(columns, everything)) == selected, \
-                    expression
+                batch = RowBatch(columns, len(rows))
+                assert list(refine(batch)) == selected, expression
 
     def test_null_three_valued_logic(self):
         db = make_db()
@@ -141,11 +148,187 @@ class TestCompiledParity:
         assert "eve" not in names
 
     def test_type_mismatch_still_raises(self):
-        from repro.errors import ExecutionError
-
         db = make_db()
         with pytest.raises(ExecutionError):
             db.query("SELECT name FROM emp WHERE name > 5")
+
+
+# -- seeded expression-parity fuzz --------------------------------------------
+
+FUZZ_SEED_COUNT = 3           # CI widens the sweep with --seeds 30
+FUZZ_EXPRESSIONS = 400        # random expressions per seed
+
+FUZZ_SCHEMA = Schema([Column("i", SQLType.INTEGER),
+                      Column("j", SQLType.INTEGER),
+                      Column("f", SQLType.FLOAT),
+                      Column("s", SQLType.TEXT),
+                      Column("m", SQLType.TEXT)])
+FUZZ_VALUES = {                 # per column; m mixes types on purpose
+    "i": [None, -7, -2, 0, 3, 9],
+    "j": [None, -3, -1, 0, 0, 2],
+    "f": [None, -2.5, 0.0, 0.5, 4.0],
+    "s": [None, "", "amber", "a%b", "Teal", "_x"],
+    "m": [None, 0, 5, -1.5, "7", "teal"],
+}
+FUZZ_LITERALS = [None, True, False, -4, -1, 0, 2, 7, 1.5, "", "a%",
+                 "amber", "%e%"]
+FUZZ_BINARY = ["and", "or", "=", "<>", "<", "<=", ">", ">=",
+               "+", "-", "*", "/", "%", "||"]
+# a valid argument count per scalar function
+FUZZ_FUNCTIONS = {"upper": 1, "lower": 1, "length": 1, "abs": 1,
+                  "round": 2, "floor": 1, "ceil": 1, "mod": 2,
+                  "coalesce": 2, "substr": 3, "concat": 2}
+
+
+def pytest_generate_tests(metafunc):
+    if "parity_seed" in metafunc.fixturenames:
+        count = metafunc.config.getoption("--seeds") or FUZZ_SEED_COUNT
+        metafunc.parametrize("parity_seed", range(count),
+                             ids=lambda seed: f"seed{seed}")
+
+
+def _fuzz_leaf(rng):
+    if rng.random() < 0.5:
+        return ast.ColumnRef(rng.choice(FUZZ_SCHEMA.column_names()))
+    return ast.Literal(rng.choice(FUZZ_LITERALS))
+
+
+def _fuzz_expression(rng, depth):
+    """A random expression tree over FUZZ_SCHEMA, ``depth`` deep."""
+    if depth == 0 or rng.random() < 0.2:
+        return _fuzz_leaf(rng)
+
+    def sub():
+        return _fuzz_expression(rng, depth - 1)
+
+    negated = rng.random() < 0.3
+    kind = rng.randrange(10)
+    if kind == 0:
+        return ast.UnaryOp(rng.choice(["not", "-"]), sub())
+    if kind in (1, 2, 3):
+        return ast.BinaryOp(rng.choice(FUZZ_BINARY), sub(), sub())
+    if kind == 4:
+        return ast.Between(sub(), sub(), sub(), negated)
+    if kind == 5:
+        pattern = (ast.Literal(rng.choice(["a%", "%e%", "_x", "T%"]))
+                   if rng.random() < 0.7 else sub())
+        return ast.Like(sub(), pattern, negated)
+    if kind == 6:
+        return ast.InList(sub(), tuple(sub() for _ in
+                                       range(rng.randint(1, 3))), negated)
+    if kind == 7:
+        return ast.IsNull(sub(), negated)
+    if kind == 8:
+        name = rng.choice(sorted(FUZZ_FUNCTIONS))
+        arity = (FUZZ_FUNCTIONS[name] if rng.random() < 0.85
+                 else rng.randint(0, 3))
+        return ast.FunctionCall(name, tuple(sub() for _ in range(arity)))
+    otherwise = sub() if rng.random() < 0.5 else None
+    return ast.CaseWhen(((sub(), sub()),), otherwise)
+
+
+def _fuzz_case(rng):
+    """Mostly a random tree; one case in five is the shape a batch
+    vector form takes (``<column> <op> <leaf>``)."""
+    if rng.random() < 0.2:
+        return ast.BinaryOp(
+            rng.choice(["=", "<>", "<", "<=", ">", ">=", "+", "-", "*"]),
+            ast.ColumnRef(rng.choice(FUZZ_SCHEMA.column_names())),
+            _fuzz_leaf(rng))
+    return _fuzz_expression(rng, 3)
+
+
+def _row_values(expression, rows):
+    fn = exprs.compile_expression(expression, FUZZ_SCHEMA)
+    return [fn(row) for row in rows]
+
+
+@pytest.mark.differential
+def test_expression_parity_fuzz(parity_seed):
+    """Row closures, batch closures and batch predicates agree with the
+    Evaluator on random expressions over NULL-laden, mixed-type rows:
+    the same values, or the same error (type and message) as the first
+    failing row."""
+    rng = random.Random(parity_seed)
+    rows = [tuple(rng.choice(FUZZ_VALUES[name])
+                  for name in FUZZ_SCHEMA.column_names())
+            for _ in range(rng.randint(8, 16))]
+    columns = [list(column) for column in zip(*rows)]
+    evaluator = exprs.Evaluator(FUZZ_SCHEMA)
+    for case in range(FUZZ_EXPRESSIONS):
+        expression = _fuzz_case(rng)
+        subset = sorted(rng.sample(range(len(rows)),
+                                   rng.randint(1, len(rows))))
+        for sel in (None, subset):
+            picked = rows if sel is None else [rows[i] for i in sel]
+            positions = range(len(rows)) if sel is None else sel
+            where = (f"seed {parity_seed}, case {case}, "
+                     f"{'all rows' if sel is None else sel}: "
+                     f"{render_expression(expression)}")
+            reference = _outcome(lambda: [
+                evaluator.evaluate(expression, row) for row in picked])
+            assert _outcome(lambda: _row_values(expression, picked)) \
+                == reference, where
+            if reference[0] == "ok":
+                expected = [position for position, value
+                            in zip(positions, reference[1])
+                            if value is True]
+                selected = ("ok", expected)
+            else:
+                selected = reference
+            for row_major in (rows, None):
+                batch = RowBatch(columns, len(rows), None, sel, row_major)
+                assert _outcome(lambda: list(exprs.compile_batch_expression(
+                    expression, FUZZ_SCHEMA)(batch))) == reference, where
+                batch = RowBatch(columns, len(rows), None, sel, row_major)
+                assert _outcome(lambda: list(exprs.compile_batch_predicate(
+                    expression, FUZZ_SCHEMA)(batch))) == selected, where
+
+
+BAD_SCALAR_CALLS = [
+    ("-s", "bad operand type for unary '-': 'abc'"),
+    ("abs(s)", "bad arguments for abs(): 'abc'"),
+    ("floor(a, a)", "floor() takes 1 argument, got 2"),
+    ("upper(s, s)", "upper() takes 1 argument, got 2"),
+    ("length()", "length() takes 1 argument, got 0"),
+    ("substr(s, s)", "bad arguments for substr(): 'abc', 'abc'"),
+    ("mod(a, 0)", "division by zero"),
+    ("mod(s, a)", "bad arguments for mod(): 'abc', -7"),
+]
+
+
+def make_scalar_db() -> Database:
+    db = Database()
+    db.execute("CREATE TABLE v (a integer, s text)")
+    db.execute("INSERT INTO v VALUES (-7, 'abc')")
+    return db
+
+
+class TestScalarErrors:
+    """A bad operand or argument list fails as one typed, one-line
+    ExecutionError, in the engine and over the wire alike, never as a
+    raw Python TypeError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("expression, message", BAD_SCALAR_CALLS)
+    def test_engine_raises_execution_error(self, expression, message):
+        with pytest.raises(ExecutionError) as raised:
+            make_scalar_db().execute(f"SELECT {expression} FROM v")
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("expression, message", BAD_SCALAR_CALLS)
+    def test_wire_carries_execution_error(self, expression, message):
+        client = DBClient(DBServer(database=make_scalar_db()).transport())
+        client.connect()
+        with pytest.raises(ExecutionError) as raised:
+            client.query(f"SELECT {expression} FROM v")
+        assert str(raised.value) == message
+
+    def test_integer_remainder_takes_the_dividend_sign(self):
+        db = make_scalar_db()
+        assert db.query("SELECT a % 3, mod(a, 3), a % -3, a / 3 "
+                        "FROM v") == [(-1, -1, -1, -2)]
+        # a = (a / b) * b + a % b, as in sqlite3 and PostgreSQL
+        assert db.query("SELECT (a / 3) * 3 + a % 3 FROM v") == [(-7,)]
 
 
 class TestDecimalRounding:

@@ -1,10 +1,5 @@
 """Planner tests: pushdown, join strategy selection, star expansion,
-ORDER BY handling, and output-type inference.
-
-The planner fuses Scan→Filter→Project chains into
-``FusedScanFilterProject`` — shape assertions below use isinstance /
-:func:`has_filter` so they hold for fused and unfused plans alike.
-"""
+ORDER BY handling, and output-type inference."""
 
 import random
 
@@ -13,7 +8,6 @@ import pytest
 from repro.db import Database
 from repro.db.executor import (
     Filter,
-    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
@@ -60,20 +54,11 @@ def operators_in(root):
 
 
 def has_filter(operators):
-    """A predicate is being applied: a Filter node or a fused scan
-    carrying pushed-down predicates."""
-    return any(
-        isinstance(op, Filter)
-        or (isinstance(op, FusedScanFilterProject) and op.predicates)
-        for op in operators)
+    return any(isinstance(op, Filter) for op in operators)
 
 
 def has_projection(operators):
-    return any(
-        isinstance(op, Project)
-        or (isinstance(op, FusedScanFilterProject)
-            and op.projections is not None)
-        for op in operators)
+    return any(isinstance(op, Project) for op in operators)
 
 
 class TestConjuncts:
@@ -212,14 +197,24 @@ class TestOrderByPlanning:
 
 
 class TestVectorizedPlanning:
-    def test_scan_filter_project_fuses_into_one_operator(self, db):
+    def test_scan_filter_project_plans_one_node_each(self, db):
         planned = plan(db, "SELECT x + 1 FROM a WHERE x > 1 AND y < 9")
-        fused = [op for op in operators_in(planned.root)
-                 if isinstance(op, FusedScanFilterProject)]
-        assert len(fused) == 1
-        assert len(fused[0].predicates) == 2
-        assert fused[0].projections is not None
+        operators = operators_in(planned.root)
+        assert [type(op) for op in operators] == [
+            Project, Filter, Filter, SeqScan]
+        # the projection prunes the scan to the columns it and the
+        # filters reference: x and y, never s
+        assert operators[-1].needed_columns == {0, 1}
         assert [row for row, _lin in planned.root] == [(3,)]
+
+    def test_hash_join_prunes_each_scan_to_keys_and_filters(self, db):
+        planned = plan(db, "SELECT a.s, b.z FROM a, b "
+                           "WHERE a.x = b.x AND a.y > 1")
+        scans = {op.table.name: op for op in operators_in(planned.root)
+                 if isinstance(op, SeqScan)}
+        assert scans["a"].needed_columns == {0, 1}
+        assert scans["b"].needed_columns == {0}
+        assert [row for row, _lin in planned.root] == [("p", "one")]
 
     def test_build_side_prefers_smaller_table(self, db):
         # a has 2 rows, b has 2; add rows so b is strictly larger

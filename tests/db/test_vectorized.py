@@ -276,11 +276,19 @@ def explain_db():
 
 
 class TestExplain:
-    def test_fused_pipeline_is_one_node(self, explain_db):
-        text = explain_text(
-            explain_db, "EXPLAIN SELECT x + 1 FROM big WHERE x > 5")
-        assert "FusedScanFilterProject" in text
-        assert "Batch" not in text
+    @pytest.mark.parametrize("sql", [
+        "SELECT x + 1 FROM big WHERE x > 5 AND y < 7",
+        "SELECT tiny.tag, count(*) FROM big, tiny "
+        "WHERE big.x = tiny.x AND big.y > 0 GROUP BY tiny.tag",
+    ], ids=["scan", "join"])
+    def test_explain_and_analyze_list_the_same_operators(self, explain_db,
+                                                         sql):
+        plain = explain_text(explain_db, f"EXPLAIN {sql}").splitlines()
+        analyzed = explain_db.execute(f"EXPLAIN ANALYZE {sql}")
+        # each ANALYZE line is the plain line plus its measurement
+        assert [line.split(" (rows=")[0]
+                for (line,) in analyzed.rows] == plain
+        assert len(analyzed.stats["analyze"]["operators"]) == len(plain)
 
     def test_analyze_reports_batches_and_rows(self, explain_db):
         result = explain_db.execute(
