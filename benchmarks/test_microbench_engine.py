@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.db import Database, DBClient, DBServer
+from repro.db.planner import plan_select
+from repro.db.sql.parser import parse_one
 
 from benchmarks.conftest import BENCH_CONFIG, RESULTS_DIR, best_of, fresh_world
 
@@ -55,8 +57,8 @@ def test_operator_throughput(benchmark, world, label, sql):
     ("aggregate", AGGREGATE),
 ])
 def test_lineage_tax(world, report, label, sql):
-    """Provenance-tracked execution vs plain execution, both warm (plan
-    cache primed by an untimed run), best of 5 each."""
+    """Provenance-tracked execution vs plain execution, both warm (an
+    untimed run first), best of 5 each."""
     database = world.database
     database.execute(sql)
     plain = best_of(lambda: database.execute(sql), repeats=5)
@@ -99,17 +101,21 @@ def test_index_vs_scan(benchmark, world, report):
 
 def test_wire_tax(world, report):
     """Client/server round trip vs direct engine call, both warm, best
-    of 5 each. The server's result cache is off, so every wired query
-    executes, as every direct one does."""
+    of 5 each. The server's result cache is cleared inside each timed
+    call, so every wired query executes, as every direct one does."""
     database = world.database
-    server = DBServer(database, result_cache_max_rows=0)
+    server = DBServer(database)
     client = DBClient(server.transport())
     client.connect()
 
+    def wired_query():
+        server.result_cache.clear()
+        return client.query(FILTER)
+
     direct_rows = database.query(FILTER)
     direct = best_of(lambda: database.query(FILTER), repeats=5)
-    wired_rows = client.query(FILTER)
-    wired = best_of(lambda: client.query(FILTER), repeats=5)
+    wired_rows = wired_query()
+    wired = best_of(wired_query, repeats=5)
     client.close()
     assert wired_rows == direct_rows
     report.add(
@@ -119,7 +125,7 @@ def test_wire_tax(world, report):
 
 
 # ---------------------------------------------------------------------------
-# fast path: compiled expressions + prepared plans
+# fast path: compiled expressions
 # ---------------------------------------------------------------------------
 
 JOIN_AGG = ("SELECT l_returnflag, count(*), sum(l_extendedprice), "
@@ -138,7 +144,6 @@ def test_compiled_vs_interpreted(world, report):
     expression-evaluation cost."""
     from repro.db import expressions as exprs
     from repro.db.sql import ast
-    from repro.db.sql.parser import parse_one
 
     database = world.database
     select = parse_one(JOIN_AGG)
@@ -189,27 +194,6 @@ def test_compiled_vs_interpreted(world, report):
         f"interpreter ({interpreted:.6f}s)")
 
 
-def test_prepared_plan_skips_parse_and_plan(world, report):
-    """Repeated statement latency: a prepared statement running the
-    plan it keeps vs the same text parsed and planned on every call. A
-    tiny query makes parse+plan the dominant cost, as in the
-    reenactment paper's replay workloads."""
-    database = world.database
-    sql = "SELECT r_name FROM region WHERE r_regionkey = 1"
-
-    prepared = database.prepare(sql)
-    database.execute_prepared(prepared)  # plan once
-    hot = best_of(lambda: database.execute_prepared(prepared), repeats=7)
-    replanned = best_of(lambda: database.query(sql), repeats=7)
-    report.add(
-        "Microbench — prepared plan (seconds per statement)",
-        ("path", "seconds", "speedup"),
-        ("prepared", hot, f"{replanned / max(hot, 1e-9):.2f}x"))
-    assert hot < replanned, (
-        f"prepared execution ({hot:.6f}s) is not faster than "
-        f"re-planning ({replanned:.6f}s)")
-
-
 # ---------------------------------------------------------------------------
 # batch pipeline throughput, with a regression gate
 # ---------------------------------------------------------------------------
@@ -252,9 +236,9 @@ def pipeline_db():
 def test_batch_pipeline_throughput(pipeline_db, report):
     """Batch execution (row closures mapped over each batch, plus the
     column-gather, selector-sweep and column⊕column vector forms) on
-    scan-heavy pipelines, best of 3 through a prepared statement
-    (planned once, outside the timed runs). Records the per-query throughput
-    trajectory in BENCH_engine.json (refresh with
+    scan-heavy pipelines, best of 3 over one plan (built once, outside
+    the timed runs, and drained the way the engine drains a SELECT's
+    plan). Records the per-query throughput trajectory in BENCH_engine.json (refresh with
     ``REPRO_BENCH_UPDATE=1``) and gates on it: a >30% throughput
     regression against the committed numbers fails CI."""
     committed = (json.loads(BENCH_FILE.read_text())
@@ -262,10 +246,10 @@ def test_batch_pipeline_throughput(pipeline_db, report):
     measured: dict[str, dict] = {}
     failures = []
     for name, sql in PIPELINE_QUERIES.items():
-        prepared = pipeline_db.prepare(sql)
-        assert pipeline_db.execute_prepared(prepared).rows  # plans it
+        planned = plan_select(parse_one(sql), pipeline_db.catalog, False)
+        assert pipeline_db._run_planned_select(planned).rows
         batch_seconds = best_of(
-            lambda: pipeline_db.execute_prepared(prepared), repeats=3)
+            lambda: pipeline_db._run_planned_select(planned), repeats=3)
         measured[name] = {
             "batch_seconds": round(batch_seconds, 6),
             "batch_rows_per_s": round(BENCH_ROWS / batch_seconds),

@@ -103,12 +103,9 @@ class ReplayInterceptor(Interceptor):
 
 def _stub_transport(request_text: str) -> str:
     """The 'simulated DB' endpoint of a server-excluded replay: it
-    accepts connections and acknowledges statement-free bookkeeping
-    frames (prepare/deallocate), but can answer no queries — the
-    interceptor must have substituted every result before this point.
-    Prepared executions go through the same ``before_execute`` hook as
-    text statements (the client hands interceptors the canonical bound
-    SQL), so substituting them needs nothing extra here."""
+    accepts connections and their close, but can answer no queries —
+    the interceptor must have substituted every result before this
+    point."""
     frame = protocol.decode_frame(request_text)
     kind = frame.get("frame")
     if kind == "connect":
@@ -117,17 +114,6 @@ def _stub_transport(request_text: str) -> str:
             1, min(protocol.PROTOCOL_VERSION, client_version))
     elif kind == "close":
         response = protocol.closed_frame()
-    elif kind == "prepare":
-        # parse locally for the parameter count; planning happens
-        # nowhere — execution will be substituted
-        from repro.db.sql.params import Binder
-        from repro.db.sql.parser import parse_sql
-
-        statements = parse_sql(frame.get("sql", ""))
-        count = Binder(statements[0]).param_count if statements else 0
-        response = protocol.prepared_frame(frame.get("name", ""), count)
-    elif kind == "deallocate":
-        response = protocol.deallocated_frame(frame.get("name", ""))
     else:
         response = protocol.error_frame(
             "ReplayError",

@@ -9,8 +9,9 @@ LDV paper. It provides:
   (:mod:`repro.db.storage`),
 * a pull-based executor with optional *lineage propagation*
   (:mod:`repro.db.executor`),
-* Perm's ``SELECT PROVENANCE`` and GProM-style update *reenactment*
-  (:mod:`repro.db.provenance`),
+* Perm's ``SELECT PROVENANCE`` (lineage propagation switched on per
+  statement; the DB monitor builds GProM-style update *reenactment*
+  queries on top of it),
 * the ``prov_rowid``/``prov_v``/``prov_usedby``/``prov_p`` versioning
   columns of Section VII-B (:mod:`repro.db.versioning`),
 * a libpq-like client/server protocol with interposition hooks

@@ -14,9 +14,9 @@ class Catalog:
     """Name → table mapping with optional data-directory backing.
 
     ``version`` is a monotonic counter bumped on every schema change
-    (table and index DDL). A prepared statement's kept plan records it,
-    so a plan built against an older schema is re-planned the moment
-    the schema changes.
+    (table and index DDL). The server's result cache records it, so a
+    result computed against an older schema is never served after the
+    schema changes.
 
     The catalog also owns the database-wide :class:`MVCCState` and
     wires it into every table it manages, so scans anywhere in the

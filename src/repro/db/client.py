@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.db import protocol
 from repro.db.engine import StatementResult
-from repro.db.sql.params import bind_sql_text
 from repro.errors import (
     ConnectionClosedError,
     DatabaseError,
@@ -113,39 +112,6 @@ def _error_from_frame(frame: dict[str, Any]) -> Exception:
     return exception_class(message)
 
 
-class Prepared:
-    """A client-side handle to a server-side prepared statement."""
-
-    def __init__(self, client: "DBClient", name: str, sql: str,
-                 param_count: int) -> None:
-        self.client = client
-        self.name = name
-        self.sql = sql
-        self.param_count = param_count
-        self.closed = False
-
-    def execute(self, params: list | tuple = (),
-                provenance: bool = False,
-                token: str | None = None) -> StatementResult:
-        return self.client._execute_prepared(self, params, provenance,
-                                             token=token)
-
-    def query(self, params: list | tuple = ()) -> list[tuple]:
-        return self.execute(params).rows
-
-    def deallocate(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self.client._deallocate(self.name)
-
-    def bound_sql(self, params: list | tuple) -> str:
-        """The canonical SQL text with ``params`` substituted — what
-        interceptors (the monitor) observe for this execution, so a
-        prepared call records and replays exactly like the equivalent
-        text-protocol statement."""
-        return bind_sql_text(self.sql, params)
-
-
 class DBClient:
     """A connection-oriented database client.
 
@@ -179,11 +145,6 @@ class DBClient:
         self.in_transaction = False
         # negotiated on connect: min(client, server); None until then
         self.protocol_version: Optional[int] = None
-        # how the last statement reached the server ("text" or
-        # "prepared") — the monitor records it so replay can tell the
-        # paths apart
-        self.last_execution_path = "text"
-        self._prepared_seq = 0
         # monotonic across reconnects — a token must never be reused
         # for a *different* statement within this client's lifetime
         self._token_seq = 0
@@ -249,7 +210,7 @@ class DBClient:
         """
         if not self.connected:
             raise ConnectionClosedError("client is not connected")
-        result = self._substitute(sql, provenance, "text")
+        result = self._substitute(sql, provenance)
         if result is None:
             response = self._round_trip(
                 protocol.query_frame(self.connection_id, sql, provenance,
@@ -284,55 +245,6 @@ class DBClient:
         self._token_seq += 1
         return f"{self.client_name}/{self.process_id}#{self._token_seq}"
 
-    # -- prepared statements (protocol v2) ----------------------------------------------
-
-    def prepare(self, sql: str, name: str | None = None) -> Prepared:
-        """Parse and plan ``sql`` once on the server; execute it many
-        times with different ``$n`` parameter bindings."""
-        if not self.connected:
-            raise ConnectionClosedError("client is not connected")
-        if name is None:
-            self._prepared_seq += 1
-            name = f"ps{self._prepared_seq}"
-        response = self._round_trip(
-            protocol.prepare_frame(self.connection_id, name, sql))
-        if response.get("frame") != "prepared":
-            raise ProtocolError(
-                f"unexpected prepare response {response.get('frame')!r}")
-        return Prepared(self, str(response["name"]), sql,
-                        int(response["param_count"]))
-
-    def _execute_prepared(self, prepared: Prepared,
-                          params: list | tuple,
-                          provenance: bool,
-                          token: str | None = None) -> StatementResult:
-        if not self.connected:
-            raise ConnectionClosedError("client is not connected")
-        if prepared.closed:
-            raise ProtocolError(
-                f"prepared statement {prepared.name!r} was deallocated")
-        # interceptors observe the canonical bound text, never the
-        # frame internals, so prepared traffic records and replays
-        # exactly like the equivalent text statement; rendering it is
-        # pure monitoring overhead, skipped on un-audited connections
-        bound_sql = (prepared.bound_sql(params) if self.interceptors
-                     else prepared.sql)
-        result = self._substitute(bound_sql, provenance, "prepared")
-        if result is None:
-            response = self._round_trip(protocol.bind_execute_frame(
-                self.connection_id, prepared.name, list(params),
-                provenance,
-                token=self._token_for(prepared.sql, token)))
-            result = protocol.result_from_wire(response)
-        self._after_execute(bound_sql, provenance, result)
-        return result
-
-    def _deallocate(self, name: str) -> None:
-        if not self.connected:
-            return
-        self._round_trip(protocol.deallocate_frame(self.connection_id,
-                                                   name))
-
     # -- server observability -----------------------------------------------------------
 
     def server_stats(self) -> dict[str, Any]:
@@ -349,11 +261,10 @@ class DBClient:
 
     # -- interceptor plumbing -----------------------------------------------------------
 
-    def _substitute(self, sql: str, provenance: bool,
-                    path: str) -> Optional[StatementResult]:
+    def _substitute(self, sql: str,
+                    provenance: bool) -> Optional[StatementResult]:
         """Offer ``sql`` to the interceptors; the first substituted
         result (server-excluded replay) wins."""
-        self.last_execution_path = path
         for interceptor in self.interceptors:
             result = interceptor.before_execute(self, sql, provenance)
             if result is not None:

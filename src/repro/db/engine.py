@@ -52,11 +52,7 @@ from repro.clockwork import LogicalClock
 from repro.db import csvio
 from repro.db.catalog import Catalog
 from repro.db.executor import IndexScan
-from repro.db.expressions import (
-    bound_parameters,
-    compile_expression,
-    compile_predicate,
-)
+from repro.db.expressions import compile_expression, compile_predicate
 from repro.db.mvcc import (
     ReadView,
     Session,
@@ -65,7 +61,6 @@ from repro.db.mvcc import (
 from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.sql import ast
-from repro.db.sql.params import Binder
 from repro.db.sql.parser import parse_sql
 from repro.db.subquery import expand_statement, has_subqueries
 from repro.db.fileio import FileIO
@@ -184,31 +179,6 @@ class IdempotencyLedger:
         return len(self._entries)
 
 
-@dataclass
-class PreparedStatement:
-    """A statement parsed once, executed many times with ``$n``
-    parameter values (the engine half of the wire's prepare /
-    bind-execute / deallocate cycle)."""
-
-    sql: str
-    statement: ast.Statement
-    cacheable: bool
-    # the statement compiled for binding ``$n`` values, once
-    binder: Binder = field(init=False, repr=False)
-    # provenance flag -> ((catalog, catalog version), plan): a
-    # cacheable statement's plan, reused while the catalog it was
-    # planned against is unchanged (see Database._planned_for)
-    plans: dict[bool, tuple[tuple, PlannedQuery]] = field(
-        init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.binder = Binder(self.statement)
-
-    @property
-    def param_count(self) -> int:
-        return self.binder.param_count
-
-
 class Database:
     """An embedded database instance.
 
@@ -236,9 +206,9 @@ class Database:
 
     class plan_cache:
         """Read only by benchmarks/ldv, whose run record still reports
-        plan-cache figures. The engine has no shared plan cache (a
-        prepared statement keeps its own plan), so this one holds
-        nothing and all of its counters stay zero."""
+        plan-cache figures. The engine keeps no plans (every statement
+        is planned when it runs), so this one holds nothing and all of
+        its counters stay zero."""
         capacity = 0
 
         @staticmethod
@@ -497,10 +467,10 @@ class Database:
     def _read_view(self, session: Session) -> Iterator[None]:
         """Make the session's snapshot the ambient read view for the
         duration of one statement. Tables consult it during scans, so
-        kept plans — whose operators hold direct table references —
-        are automatically snapshot-correct for whichever session runs
-        them. No view is installed outside a transaction: autocommit
-        statements read (and write) the committed heap directly."""
+        a plan's operators, which hold direct table references, read
+        the snapshot of whichever session runs them. No view is
+        installed outside a transaction: autocommit statements read
+        (and write) the committed heap directly."""
         state = self.mvcc
         previous = state.current
         context = session.txn
@@ -561,9 +531,8 @@ class Database:
         """Execute exactly one SQL statement.
 
         Every call parses (repeated shapes hit the parser's cache) and
-        plans afresh; :meth:`prepare` keeps a SELECT's plan across
-        executions. With no explicit ``session`` the default (embedded)
-        session is used.
+        plans afresh. With no explicit ``session`` the default
+        (embedded) session is used.
 
         A ``token`` marks the statement for exactly-once retry: if this
         token already executed, the recorded result is returned without
@@ -581,86 +550,11 @@ class Database:
         return self.execute_statement(statements[0], provenance, session,
                                       token=token)
 
-    # -- prepared statements ---------------------------------------------------
-
-    def prepare(self, sql: str) -> PreparedStatement:
-        """Parse (and classify) one statement for repeated execution
-        with ``$n`` parameters."""
-        statements = parse_sql(sql)
-        if len(statements) != 1:
-            raise SQLSyntaxError(
-                f"prepare() expects one statement, got {len(statements)}")
-        statement = statements[0]
-        return PreparedStatement(
-            sql=sql, statement=statement,
-            cacheable=self._plan_cacheable(statement))
-
-    def _check_param_count(self, prepared: PreparedStatement,
-                           params: tuple) -> None:
-        if len(params) != prepared.param_count:
-            raise ExecutionError(
-                f"prepared statement expects {prepared.param_count} "
-                f"parameter(s), got {len(params)}")
-
-    def _planned_for(self, prepared: PreparedStatement,
-                     provenance: bool,
-                     session: Session | None = None) -> PlannedQuery:
-        """The plan for a cacheable prepared statement, kept on the
-        statement per provenance flag. A kept plan is reused while this
-        database's catalog version is unchanged, so DDL re-plans on the
-        next execution. Plans built under an open transaction's overlay
-        (``session`` given and in a transaction) are used but not
-        kept."""
-        provenance = bool(provenance)
-        catalog = self.catalog
-        versions = (catalog, catalog.version)
-        kept = prepared.plans.get(provenance)
-        if kept is not None and kept[0] == versions:
-            return kept[1]
-        planned = plan_select(prepared.statement, catalog,
-                              provenance or prepared.statement.provenance)
-        if session is None or session.txn is None:
-            prepared.plans[provenance] = (versions, planned)
-        return planned
-
-    def execute_prepared(self, prepared: PreparedStatement,
-                         params: Iterable[Any] = (),
-                         provenance: bool = False,
-                         session: Session | None = None,
-                         token: str | None = None) -> StatementResult:
-        """Bind ``params`` to a prepared statement and execute it.
-
-        Cacheable SELECT templates skip parse *and* plan: the kept
-        plan's compiled closures read the parameter values from the
-        ambient binding installed for the duration of the statement.
-        Everything else (DML, subqueries) substitutes literals into the
-        stored AST and runs the ordinary execution path — still
-        skipping the per-call parse.
-        """
-        session = session if session is not None else self.session
-        if token is not None:
-            replayed = self._ledger_replay(token, session)
-            if replayed is not None:
-                return replayed
-        params = tuple(params)
-        self._check_param_count(prepared, params)
-        if prepared.cacheable:
-            with self._read_view(session), bound_parameters(params):
-                planned = self._planned_for(prepared, provenance,
-                                            session)
-                result = self._run_planned_select(planned)
-            result.cacheable = True
-            return result
-        statement = prepared.binder(params)
-        return self.execute_statement(statement, provenance, session,
-                                      token=token)
-
     @staticmethod
-    def _plan_cacheable(statement: ast.Statement) -> bool:
-        """Plain SELECTs without subqueries: a prepared statement may
-        keep their plan and the server's result cache their result.
-        Everything else (DML, DDL, UNION, EXPLAIN, subqueries) plans
-        per call, and its result is never cached: subquery expansion
+    def _result_cacheable(statement: ast.Statement) -> bool:
+        """Plain SELECTs without subqueries: the server's result cache
+        may keep their result. The result of anything else (DML, DDL,
+        UNION, EXPLAIN, subqueries) is never cached: subquery expansion
         inlines data-dependent values into the statement."""
         if not isinstance(statement, ast.Select):
             return False
@@ -702,7 +596,7 @@ class Database:
         # classified as parsed: expansion below inlines subquery
         # results, after which a subquery SELECT would look plain. A
         # cacheable SELECT has no subqueries, so it skips expansion.
-        cacheable = self._plan_cacheable(statement)
+        cacheable = self._result_cacheable(statement)
         # planned inside the session's read view: cardinality estimates
         # must see the transaction's own overlay (a bulk insert into
         # one join side steers the plan's build side)
@@ -905,9 +799,8 @@ class Database:
         return rows, lineages
 
     def _run_planned_select(self, planned: PlannedQuery) -> StatementResult:
-        """Pull a planned operator tree to completion. Plans are
-        re-iterable (scans read current table state on each run), which
-        is what lets a prepared statement reuse its plan."""
+        """Pull a planned SELECT's operator tree to completion into a
+        result."""
         rows, lineages = self._materialize_root(planned.root)
         return StatementResult(
             kind="select", schema=planned.schema, rows=rows,

@@ -275,7 +275,7 @@ class IndexScan(Operator):
     The probe is either constant expressions — one for
     ``col = constant``, several for ``col IN (constants)`` — each
     evaluated once per execution against the empty row (the planner
-    guarantees constness; ``$n`` parameters re-bind per execution), or
+    admits only literals), or
     ``bounds`` with no expressions: the inclusive integer range of
     ``col BETWEEN lo AND hi`` on an INTEGER column, probed value by
     value. NULL probe values are dropped, matching equality/IN
@@ -1085,8 +1085,7 @@ def instrument_plan(root: Operator,
     """Wrap every operator in ``root``'s tree with :class:`Instrumented`.
 
     Mutates the tree in place (re-pointing child attributes), so it
-    must only be applied to a freshly built plan — never to one a
-    prepared statement keeps.
+    must only be applied to a freshly built plan.
     """
     for attribute in _CHILD_ATTRS:
         child = getattr(root, attribute, None)

@@ -18,9 +18,10 @@ the compiled closures against, value for value and error for error.
 
 Semantics: NULL (``None``) propagates through arithmetic and
 comparisons; ``AND``/``OR`` follow Kleene logic; filters treat an
-unknown result as false. Integer ``/`` and ``%`` truncate toward zero
-(the remainder takes the dividend's sign), as in sqlite3 and
-PostgreSQL. Evaluation errors surface as one-line
+unknown result as false. Integer ``/`` truncates toward zero and ``%``
+(integer or float) takes the dividend's sign, as in PostgreSQL.
+``+`` and ``*`` are not defined on text, nor ``NOT`` on anything but a
+boolean. Evaluation errors surface as one-line
 :class:`ExecutionError` messages, never as raw Python exceptions.
 
 Aggregate functions are *not* evaluated here — the aggregate operator in
@@ -32,9 +33,9 @@ select-list/HAVING expressions through :class:`BindingSlots`.
 
 from __future__ import annotations
 
+import math
 import operator as _operator
 import re
-from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator
@@ -193,9 +194,10 @@ def _fn_ceil(value: Any) -> int:
 
 
 def _modulo(left: Any, right: Any) -> Any:
-    """SQL remainder of two non-NULL values. An integer remainder takes
-    the dividend's sign, so ``a = (a / b) * b + a % b`` holds with the
-    engine's truncating ``/``; floats keep Python's ``%``."""
+    """SQL remainder of two non-NULL values. The remainder takes the
+    dividend's sign, integer or float, as in PostgreSQL, so
+    ``a = (a / b) * b + a % b`` holds with the engine's truncating
+    integer ``/``."""
     if right == 0:
         raise ExecutionError("division by zero")
     if isinstance(left, str) or isinstance(right, str):
@@ -204,7 +206,7 @@ def _modulo(left: Any, right: Any) -> Any:
     if isinstance(left, int) and isinstance(right, int):
         remainder = abs(left) % abs(right)
         return remainder if left >= 0 else -remainder
-    return left % right
+    return math.fmod(left, right)
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
@@ -492,10 +494,28 @@ def _negate(value: Any) -> Any:
             f"bad operand type for unary '-': {value!r}") from exc
 
 
+def _bad_operands(op: str, left: Any, right: Any) -> ExecutionError:
+    return ExecutionError(
+        f"bad operand types for {op!r}: {left!r}, {right!r}")
+
+
+def _logical_not(value: Any) -> Any:
+    """SQL NOT: NULL stays NULL, and only a boolean has a negation."""
+    if value is None:
+        return None
+    if value is True or value is False:
+        return not value
+    raise ExecutionError(f"bad operand type for NOT: {value!r}")
+
+
 def _arith(op: str, left: Any, right: Any) -> Any:
-    """SQL arithmetic with NULL propagation."""
+    """SQL arithmetic with NULL propagation. ``+`` and ``*`` are not
+    defined on text (Python's would concatenate or repeat it)."""
     if left is None or right is None:
         return None
+    if op in ("+", "*") and (isinstance(left, str)
+                             or isinstance(right, str)):
+        raise _bad_operands(op, left, right)
     try:
         if op == "+":
             return left + right
@@ -518,8 +538,7 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     except ExecutionError:
         raise
     except TypeError as exc:
-        raise ExecutionError(
-            f"bad operand types for {op!r}: {left!r}, {right!r}") from exc
+        raise _bad_operands(op, left, right) from exc
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
 
 
@@ -567,8 +586,6 @@ class Evaluator:
             return self.bindings[expression]
         if isinstance(expression, ast.Literal):
             return expression.value
-        if isinstance(expression, ast.Parameter):
-            return parameter_value(expression.index)
         if isinstance(expression, ast.ColumnRef):
             return row[self._column_index(expression)]
         if isinstance(expression, ast.BinaryOp):
@@ -597,10 +614,7 @@ class Evaluator:
             if expression.otherwise is not None:
                 return self._evaluate(expression.otherwise, row)
             return None
-        if isinstance(expression, ast.Star):
-            raise ExecutionError("'*' is only valid in select lists/COUNT")
-        raise ExecutionError(
-            f"cannot evaluate expression node {type(expression).__name__}")
+        raise _unevaluable(expression)
 
     def matches(self, expression: ast.Expression, row: tuple) -> bool:
         """Filter semantics: unknown (NULL) counts as false."""
@@ -639,9 +653,7 @@ class Evaluator:
     def _evaluate_unary(self, node: ast.UnaryOp, row: tuple) -> Any:
         value = self._evaluate(node.operand, row)
         if node.op == "not":
-            if value is None:
-                return None
-            return not value
+            return _logical_not(value)
         if node.op == "-":
             return _negate(value)
         raise ExecutionError(f"unknown unary operator {node.op!r}")
@@ -709,33 +721,15 @@ class BindingSlots:
         self.values[self.index[expression]] = value
 
 
-# Ambient parameter bindings for the statement currently executing.
-# Compiled closures read this at *call* time (not compile time), so a
-# plan kept for a prepared, parameterized template re-binds on every
-# execution.
-_BOUND_PARAMS: tuple | None = None
-
-
-@contextmanager
-def bound_parameters(values):
-    """Install the positional parameter values for ``$n`` references
-    evaluated inside the block. Single-threaded per statement, like
-    the MVCC ambient read view."""
-    global _BOUND_PARAMS
-    previous = _BOUND_PARAMS
-    _BOUND_PARAMS = tuple(values)
-    try:
-        yield
-    finally:
-        _BOUND_PARAMS = previous
-
-
-def parameter_value(index: int) -> Any:
-    """Value bound to ``$index`` (1-based); raises when unbound."""
-    values = _BOUND_PARAMS
-    if values is None or not (1 <= index <= len(values)):
-        raise ExecutionError(f"parameter ${index} is not bound")
-    return values[index - 1]
+def _unevaluable(node: ast.Expression) -> ExecutionError:
+    """The error for a node no expression path evaluates. Statements
+    run as text, so nothing binds a ``$n`` placeholder left in one."""
+    if isinstance(node, ast.Star):
+        return ExecutionError("'*' is only valid in select lists/COUNT")
+    if isinstance(node, ast.Parameter):
+        return ExecutionError(f"parameter ${node.index} is not bound")
+    return ExecutionError(
+        f"cannot evaluate expression node {type(node).__name__}")
 
 
 RowFunction = Callable[[tuple], Any]
@@ -784,9 +778,6 @@ def _compile(node: ast.Expression, schema: Schema,
     if isinstance(node, ast.Literal):
         value = node.value
         return lambda row: value
-    if isinstance(node, ast.Parameter):
-        index = node.index
-        return lambda row: parameter_value(index)
     if isinstance(node, ast.ColumnRef):
         return _operator.itemgetter(schema.index_of(node.name,
                                                     node.qualifier))
@@ -809,10 +800,7 @@ def _compile(node: ast.Expression, schema: Schema,
         return _compile_function(node, schema, slots)
     if isinstance(node, ast.CaseWhen):
         return _compile_case(node, schema, slots)
-    if isinstance(node, ast.Star):
-        raise ExecutionError("'*' is only valid in select lists/COUNT")
-    raise ExecutionError(
-        f"cannot evaluate expression node {type(node).__name__}")
+    raise _unevaluable(node)
 
 
 def _compile_binary(node: ast.BinaryOp, schema: Schema,
@@ -866,11 +854,12 @@ def _compile_binary(node: ast.BinaryOp, schema: Schema,
             if lhs is None or rhs is None:
                 return None
             try:
-                return arith(lhs, rhs)
+                value = arith(lhs, rhs)
             except TypeError as exc:
-                raise ExecutionError(
-                    f"bad operand types for {op!r}: {lhs!r}, {rhs!r}"
-                ) from exc
+                raise _bad_operands(op, lhs, rhs) from exc
+            if type(value) is str:  # text concatenated or repeated
+                raise _bad_operands(op, lhs, rhs)
+            return value
         return arithmetic
     if op in ("/", "%", "||"):
         def general(row: tuple) -> Any:
@@ -883,12 +872,7 @@ def _compile_unary(node: ast.UnaryOp, schema: Schema,
                    slots: BindingSlots | None) -> RowFunction:
     operand = _compile(node.operand, schema, slots)
     if node.op == "not":
-        def negate(row: tuple) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            return not value
-        return negate
+        return lambda row: _logical_not(operand(row))
     if node.op == "-":
         return lambda row: _negate(operand(row))
     raise ExecutionError(f"unknown unary operator {node.op!r}")
@@ -1087,9 +1071,12 @@ def compile_batch_expression(expression: ast.Expression,
     def column_arithmetic(batch: Any) -> list:
         columns = batch.columns
         try:
-            return sweep(columns[left], columns[right], batch.selection())
+            values = sweep(columns[left], columns[right], batch.selection())
         except TypeError:
             return mapped(batch)
+        if str in map(type, values):  # text concatenated or repeated
+            return mapped(batch)  # raises the row closure's error
+        return values
     return column_arithmetic
 
 

@@ -135,9 +135,8 @@ class MVCCState:
     ``current`` is the ambient :class:`ReadView` of the statement being
     executed (``None`` between statements and for autocommit reads of
     sessions with no open transaction). Tables consult it during scans,
-    which is what makes *kept plans* (a prepared statement's, shared by
-    every session that executes it) — whose operators hold direct
-    table references — automatically snapshot-correct per session.
+    so a plan's operators, which hold direct table references, read
+    the snapshot of whichever session is executing.
     """
 
     def __init__(self) -> None:

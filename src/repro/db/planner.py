@@ -527,17 +527,16 @@ def _probe_candidates(conjunct: ast.Expression):
     the predicate UNKNOWN — never TRUE — and filters drop UNKNOWN.
     A BETWEEN qualifies only with two ``int`` literal bounds.
     """
-    constant = (ast.Literal, ast.Parameter)
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
         for column, value in ((conjunct.left, conjunct.right),
                               (conjunct.right, conjunct.left)):
             if (isinstance(column, ast.ColumnRef)
-                    and isinstance(value, constant)):
+                    and isinstance(value, ast.Literal)):
                 yield column, (value,), None
     elif (isinstance(conjunct, ast.InList) and not conjunct.negated
             and isinstance(conjunct.operand, ast.ColumnRef)
             and conjunct.items
-            and all(isinstance(item, constant)
+            and all(isinstance(item, ast.Literal)
                     for item in conjunct.items)):
         yield conjunct.operand, tuple(conjunct.items), None
     elif (isinstance(conjunct, ast.Between) and not conjunct.negated

@@ -19,22 +19,16 @@ Frame types::
     close        {frame, connection_id}
     closed       {frame}
 
-    prepare      {frame, connection_id, name, sql}
-    prepared     {frame, name, param_count}
-    bind-execute {frame, connection_id, name, params, provenance
-                  [, token]}
-    deallocate   {frame, connection_id, name}
-    deallocated  {frame, name}
-
     stats        {frame, connection_id}
     stats-result {frame, server, connection}
 
-The server answers one statement per frame, as libpq sends them.
-Version 2 of the protocol adds the prepared-statement and stats
-families. ``connect`` carries the client's version and ``connected``
-echoes the negotiated one (the minimum of both sides); version-1
-recordings — whose ``connected`` frames lack the field — still decode
-and replay, as do version-1 clients against a version-2 server.
+The server answers one statement per frame, as libpq sends them, and
+any other frame type with a ``ProtocolError`` frame. Version 2 of the
+protocol adds the ``stats`` frame. ``connect`` carries the client's
+version and ``connected`` echoes the negotiated one (the minimum of
+both sides); version-1 recordings — whose ``connected`` frames lack
+the field — still decode and replay, as do version-1 clients against
+a version-2 server.
 
 Transactions run over plain query frames (``BEGIN`` / ``COMMIT`` /
 ``ROLLBACK`` SQL); the server stamps every per-connection response
@@ -52,13 +46,13 @@ the failed transaction is gone, so the retry unit is the whole
 transaction (:meth:`repro.db.client.DBClient.run_transaction`), never
 the frame.
 
-``provenance``, when present, must be a JSON boolean. ``token`` on
-query / bind-execute (still protocol version 2, optional and ignored
-by older peers) must be a string: it stamps a mutating statement with
-a globally-unique idempotency token. The engine's dedupe ledger makes
-resending the same token exactly-once: a retry whose original
-response frame was lost gets the recorded result back instead of
-re-executing (see :class:`repro.db.engine.IdempotencyLedger`).
+``provenance``, when present, must be a JSON boolean. ``token`` on a
+query frame (optional, and ignored by older peers) must be a string:
+it stamps a mutating statement with a globally-unique idempotency
+token. The engine's dedupe ledger makes resending the same token
+exactly-once: a retry whose original response frame was lost gets the
+recorded result back instead of re-executing (see
+:class:`repro.db.engine.IdempotencyLedger`).
 """
 
 from __future__ import annotations
@@ -172,38 +166,6 @@ def query_frame(connection_id: int, sql: str,
     if token is not None:
         frame["token"] = token
     return frame
-
-
-def prepare_frame(connection_id: int, name: str,
-                  sql: str) -> dict[str, Any]:
-    return {"frame": "prepare", "connection_id": connection_id,
-            "name": name, "sql": sql}
-
-
-def prepared_frame(name: str, param_count: int) -> dict[str, Any]:
-    return {"frame": "prepared", "name": name,
-            "param_count": param_count}
-
-
-def bind_execute_frame(connection_id: int, name: str,
-                       params: list | tuple = (),
-                       provenance: bool = False,
-                       token: str | None = None) -> dict[str, Any]:
-    frame = {"frame": "bind-execute", "connection_id": connection_id,
-             "name": name, "params": list(params),
-             "provenance": provenance}
-    if token is not None:
-        frame["token"] = token
-    return frame
-
-
-def deallocate_frame(connection_id: int, name: str) -> dict[str, Any]:
-    return {"frame": "deallocate", "connection_id": connection_id,
-            "name": name}
-
-
-def deallocated_frame(name: str) -> dict[str, Any]:
-    return {"frame": "deallocated", "name": name}
 
 
 def stats_frame(connection_id: int) -> dict[str, Any]:

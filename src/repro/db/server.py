@@ -14,34 +14,29 @@ retry). The only thing that crosses the wall is a simulated crash from
 the fault-injection harness, which — like a real ``kill -9`` — no
 handler may absorb.
 
-The server answers one statement per frame, the way libpq sends them.
-Protocol version 2 adds two facilities on top of plain query frames:
-
-* **prepared statements** — ``prepare`` parses and classifies once;
-  ``bind-execute`` binds ``$n`` values and runs the template with the
-  plan the prepared statement keeps, skipping parse and plan per call;
-* **result cache** — read-only statements are served from
-  :class:`ResultCache`, keyed on (normalized SQL, params, catalog
-  version, per-table MVCC commit watermarks), so invalidation falls
-  out of the commit bookkeeping and hits are snapshot-correct by
-  construction.
-
-plus a ``stats`` frame reporting the serving counters. The server
-answers every frame it is sent: it neither sheds nor caps load. Its
-only refusals are malformed frames and traffic after
-:meth:`DBServer.shutdown`.
+The server answers one statement per frame, the way libpq sends them:
+every statement arrives as SQL text in a ``query`` frame and runs
+through :meth:`repro.db.engine.Database.execute`. Read-only statements
+are served from :class:`ResultCache`, whose entries hold while the
+catalog version and the per-table MVCC commit watermarks they were
+stored under hold, so invalidation falls out of the commit bookkeeping
+and hits are snapshot-correct by construction. Protocol version 2 adds a ``stats`` frame reporting the
+serving counters. The server answers every frame it is sent: it
+neither sheds nor caps load. Its only refusals are malformed or
+unknown frames and traffic after :meth:`DBServer.shutdown`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
-from repro.db.engine import Database, PreparedStatement
+from repro.db.engine import Database
 from repro.db.mvcc import MVCCState, Session
 from repro.errors import (
     DatabaseError,
@@ -95,10 +90,10 @@ def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
 
 
 def _statement_fields(request: dict[str, Any]) -> tuple[bool, dict]:
-    """A query or bind-execute frame's ``provenance`` flag (a JSON
-    boolean, missing means false) and its execute keyword arguments: a
-    ``token`` (a string) only when one is present, so tests that stub
-    the engine with a two-argument fake keep working. A frame still
+    """A query frame's ``provenance`` flag (a JSON boolean, missing
+    means false) and its execute keyword arguments: a ``token`` (a
+    string) only when one is present, so tests that stub the engine
+    with a two-argument fake keep working. A frame still
     asking for a streamed result (``fetch``) is refused."""
     if "fetch" in request:
         raise ProtocolError(
@@ -110,23 +105,6 @@ def _statement_fields(request: dict[str, Any]) -> tuple[bool, dict]:
     if request.get("token") is None:
         return provenance, {}
     return provenance, {"token": _typed_field(request, "token", str)}
-
-
-_SCALARS = (type(None), bool, int, float, str)
-
-
-def _bind_params(request: dict[str, Any]) -> tuple:
-    """A bind-execute frame's ``params``: a JSON array of scalars
-    (missing means none), else a one-line :class:`ProtocolError`."""
-    params = request.get("params")
-    if params is None:
-        return ()
-    if not (isinstance(params, list)
-            and all(type(value) in _SCALARS for value in params)):
-        raise ProtocolError(
-            "bind-execute frame: params must be an array of null, "
-            "boolean, number or string values")
-    return tuple(params)
 
 
 class ResultCache:
@@ -169,8 +147,8 @@ class ResultCache:
         return " ".join(sql.split())
 
     @staticmethod
-    def key(sql: str, params: tuple, provenance: bool) -> tuple:
-        return (ResultCache.normalize(sql), tuple(params), bool(provenance))
+    def key(sql: str, provenance: bool) -> tuple:
+        return (ResultCache.normalize(sql), bool(provenance))
 
     def _stale(self, entry: dict, mvcc: MVCCState,
                catalog_version: int) -> bool:
@@ -246,7 +224,7 @@ class ResultCache:
 class _ConnectionState:
     """Everything the server tracks per wire connection."""
 
-    __slots__ = ("process_id", "session", "protocol_version", "prepared",
+    __slots__ = ("process_id", "session", "protocol_version",
                  "frames_served", "bytes_in", "bytes_out")
 
     def __init__(self, process_id: str, session: Session,
@@ -254,7 +232,6 @@ class _ConnectionState:
         self.process_id = process_id
         self.session = session
         self.protocol_version = protocol_version
-        self.prepared: dict[str, PreparedStatement] = {}
         self.frames_served = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -277,8 +254,7 @@ class DBServer:
                  data_directory: str | Path | None = None,
                  clock: LogicalClock | None = None,
                  statement_timeout: float | None = None,
-                 timer: Callable[[], float] = time.monotonic,
-                 result_cache_max_rows: int | None = None) -> None:
+                 timer: Callable[[], float] = time.monotonic) -> None:
         if database is not None and data_directory is not None:
             raise ProtocolError(
                 "pass either a Database or a data_directory, not both")
@@ -288,9 +264,6 @@ class DBServer:
         self.statement_timeout = statement_timeout
         self.timer = timer
         self.result_cache = ResultCache()
-        # memory-pressure limit: results wider than this are served
-        # but never cached (one giant SELECT must not evict the cache)
-        self.result_cache_max_rows = result_cache_max_rows
         self._states: dict[int, _ConnectionState] = {}
         self._next_connection_id = 1
         self.started = True
@@ -372,12 +345,6 @@ class DBServer:
                 return self._handle_connect(request)
             if kind == "query":
                 return self._handle_query(request)
-            if kind == "prepare":
-                return self._handle_prepare(request)
-            if kind == "bind-execute":
-                return self._handle_bind_execute(request)
-            if kind == "deallocate":
-                return self._handle_deallocate(request)
             if kind == "stats":
                 return self._handle_stats(request)
             if kind == "close":
@@ -433,30 +400,21 @@ class DBServer:
                 f"unknown connection {request.get('connection_id')!r}")
         return state
 
-    @staticmethod
-    def _require_version(state: _ConnectionState, kind: str) -> None:
-        if state.protocol_version < 2:
-            raise ProtocolError(
-                f"{kind} frames require protocol version 2, but this "
-                f"connection negotiated version "
-                f"{state.protocol_version}")
-
-    def _timed_execute(self, state: _ConnectionState,
-                       run: Callable[[], Any]) -> tuple[Any, float]:
+    def _timed_execute(self, state: _ConnectionState, sql: str,
+                       provenance: bool, kwargs: dict) -> tuple[Any, float]:
         """Run one statement under the session and (when configured)
         the cooperative statement deadline. Returns (result, elapsed);
         the post-execution check is kept as a backstop for statements
         that finish between deadline checks."""
         database = self.database
         started = self.timer()
-        with database.use_session(state.session):
-            if self.statement_timeout is not None:
-                with database.statement_deadline(
-                        started + self.statement_timeout, self.timer,
-                        self.statement_timeout):
-                    result = run()
-            else:
-                result = run()
+        deadline = nullcontext()
+        if self.statement_timeout is not None:
+            deadline = database.statement_deadline(
+                started + self.statement_timeout, self.timer,
+                self.statement_timeout)
+        with database.use_session(state.session), deadline:
+            result = database.execute(sql, provenance=provenance, **kwargs)
         elapsed = self.timer() - started
         if (self.statement_timeout is not None
                 and elapsed > self.statement_timeout):
@@ -473,12 +431,24 @@ class DBServer:
             self.result_cache.revalidate(self.database.mvcc,
                                          self.database.catalog.version)
 
-    def _finish_result(self, state: _ConnectionState,
-                       request: dict[str, Any], result,
-                       elapsed: float,
-                       cache_key: tuple | None) -> dict[str, Any]:
-        """Shared epilogue of query and bind-execute: cache bookkeeping,
-        EXPLAIN ANALYZE server stats, wire encoding, txn stamping."""
+    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
+        state = self._require_state(request)
+        sql = request.get("sql")
+        if not isinstance(sql, str):
+            raise ProtocolError("query frame is missing its sql text")
+        provenance, kwargs = _statement_fields(request)
+        cache_key = None
+        if _looks_like_select(sql):
+            cache_key = ResultCache.key(sql, provenance)
+            cached = self.result_cache.lookup(
+                cache_key, self.database.mvcc,
+                self.database.catalog.version, state.session)
+            if cached is not None:
+                frame = dict(cached)
+                self._attach_txn_status(frame, request)
+                return frame
+        result, elapsed = self._timed_execute(state, sql, provenance,
+                                              kwargs)
         self._maybe_revalidate(result)
         if "analyze" in result.stats:
             # EXPLAIN ANALYZE results also report the server-side wall
@@ -490,9 +460,7 @@ class DBServer:
             }
         frame = protocol.result_to_wire(result)
         if (cache_key is not None and result.cacheable
-                and state.session.txn is None
-                and (self.result_cache_max_rows is None
-                     or len(result.rows) <= self.result_cache_max_rows)):
+                and state.session.txn is None):
             # store a private copy: the outgoing frame gets a txn stamp
             self.result_cache.store(
                 cache_key, dict(frame), result.source_tables,
@@ -500,87 +468,15 @@ class DBServer:
         self._attach_txn_status(frame, request)
         return frame
 
-    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        sql = request.get("sql")
-        if not isinstance(sql, str):
-            raise ProtocolError("query frame is missing its sql text")
-        provenance, kwargs = _statement_fields(request)
-        cache_key = None
-        if _looks_like_select(sql):
-            cache_key = ResultCache.key(sql, (), provenance)
-            cached = self.result_cache.lookup(
-                cache_key, self.database.mvcc,
-                self.database.catalog.version, state.session)
-            if cached is not None:
-                frame = dict(cached)
-                self._attach_txn_status(frame, request)
-                return frame
-        result, elapsed = self._timed_execute(
-            state, lambda: self.database.execute(
-                sql, provenance=provenance, **kwargs))
-        return self._finish_result(state, request, result, elapsed,
-                                   cache_key)
-
-    # -- prepared statements -----------------------------------------------------
-
-    def _handle_prepare(self, request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "prepare")
-        name = request.get("name")
-        sql = request.get("sql")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("prepare frame needs a statement name")
-        if not isinstance(sql, str):
-            raise ProtocolError("prepare frame is missing its sql text")
-        prepared = self.database.prepare(sql)
-        state.prepared[name] = prepared
-        frame = protocol.prepared_frame(name, prepared.param_count)
-        self._attach_txn_status(frame, request)
-        return frame
-
-    def _handle_bind_execute(self,
-                             request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "bind-execute")
-        name = _typed_field(request, "name", str)
-        prepared = state.prepared.get(name)
-        if prepared is None:
-            raise ProtocolError(f"unknown prepared statement {name!r}")
-        params = _bind_params(request)
-        provenance, kwargs = _statement_fields(request)
-        cache_key = None
-        if prepared.cacheable:
-            cache_key = ResultCache.key(prepared.sql, params, provenance)
-            cached = self.result_cache.lookup(
-                cache_key, self.database.mvcc,
-                self.database.catalog.version, state.session)
-            if cached is not None:
-                frame = dict(cached)
-                self._attach_txn_status(frame, request)
-                return frame
-        result, elapsed = self._timed_execute(
-            state, lambda: self.database.execute_prepared(
-                prepared, params, provenance=provenance,
-                session=state.session, **kwargs))
-        return self._finish_result(state, request, result, elapsed,
-                                   cache_key)
-
-    def _handle_deallocate(self,
-                           request: dict[str, Any]) -> dict[str, Any]:
-        state = self._require_state(request)
-        self._require_version(state, "deallocate")
-        name = _typed_field(request, "name", str)
-        state.prepared.pop(name, None)  # idempotent
-        frame = protocol.deallocated_frame(name)
-        self._attach_txn_status(frame, request)
-        return frame
-
     # -- observability -----------------------------------------------------------
 
     def _handle_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
-        self._require_version(state, "stats")
+        if state.protocol_version < 2:
+            raise ProtocolError(
+                f"stats frames require protocol version 2, but this "
+                f"connection negotiated version "
+                f"{state.protocol_version}")
         return {
             "frame": "stats-result",
             "server": self.server_counters(),
@@ -590,7 +486,6 @@ class DBServer:
                 "frames_served": state.frames_served,
                 "bytes_in": state.bytes_in,
                 "bytes_out": state.bytes_out,
-                "prepared_statements": len(state.prepared),
             },
         }
 
@@ -600,8 +495,6 @@ class DBServer:
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "open_connections": len(self._states),
-            "prepared_statements": sum(len(state.prepared)
-                                       for state in self._states.values()),
             "result_cache": self.result_cache.counters(),
             "dedupe_ledger": self.database.dedupe_ledger.counters(),
         }

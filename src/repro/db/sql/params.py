@@ -1,19 +1,13 @@
 """Positional statement parameters (``$1``, ``$2``, ...).
 
-Prepared statements carry parameter placeholders through the parser as
-:class:`repro.db.sql.ast.Parameter` nodes. This module provides the
-operations the engine, the parser's shape cache and the wire layer
-need:
-
-* :class:`Binder` — a template compiled once into a builder that
-  substitutes literal values for its parameters (used by prepared
-  statements that run through the ordinary execution path, and by
-  every statement-shape cache hit), and that knows how many values
-  the template expects;
-* :func:`bind_sql_text` — substitute rendered literals into the raw
-  SQL *text*, producing the canonical statement the monitor records,
-  so a prepared execution replays byte-identically to the equivalent
-  text-protocol execution.
+The parser's statement-shape cache (:class:`repro.db.sql.parser.ShapeCache`)
+parses a statement's shape once as a template whose literals are
+:class:`repro.db.sql.ast.Parameter` nodes. :class:`Binder` compiles such
+a template once into a builder that substitutes literal values for its
+parameters, and knows how many values the template expects; every
+shape-cache hit binds the statement's literals through it. A ``$n``
+written in statement text stays a parameter that nothing binds, so it
+fails when evaluated.
 """
 
 from __future__ import annotations
@@ -22,8 +16,6 @@ import dataclasses
 from typing import Any, Callable, Optional, Sequence
 
 from repro.db.sql import ast
-from repro.db.sql.lexer import TokenKind, tokenize
-from repro.db.sql.render import render_literal
 from repro.errors import ExecutionError
 
 _Build = Callable[[Sequence[Any]], Any]
@@ -100,23 +92,3 @@ class Binder:
         if self._build is None:
             return self.template
         return self._build(values)
-
-
-def bind_sql_text(sql: str, values: Sequence[Any]) -> str:
-    """Substitute rendered literal values for ``$n`` placeholders in raw
-    SQL text. The lexer drives the scan, so placeholders inside string
-    literals, comments, and quoted identifiers are left untouched."""
-    replacements = []
-    for token in tokenize(sql):
-        if token.kind is TokenKind.PARAM:
-            index = int(token.text)
-            if index < 1 or index > len(values):
-                raise ExecutionError(
-                    f"statement references ${index} but only "
-                    f"{len(values)} parameter value(s) were bound")
-            end = token.position + 1 + len(token.text)
-            replacements.append(
-                (token.position, end, render_literal(values[index - 1])))
-    for start, end, text in reversed(replacements):
-        sql = sql[:start] + text + sql[end:]
-    return sql

@@ -91,33 +91,26 @@ class RelevantTupleStore:
 class ReplayLogEntry:
     """One recorded statement with its full wire result.
 
-    ``kind`` records the wire path the statement took ("text" or
-    "prepared"; logs recorded while the client could stream results
-    may also say "stream"). Prepared executions are recorded under
-    their canonical bound SQL text, so replay matching is
-    path-agnostic; the kind is observability metadata. It is
-    serialized only when it differs from "text", keeping logs recorded
-    by older monitors — and logs of plain text traffic — byte-identical.
+    Logs recorded by older clients may tag an entry with a ``kind``
+    ("prepared" or "stream": the wire path it took). Those entries
+    still hold the statement's text, so replay matches them like any
+    other and the tag is ignored.
     """
 
     index: int
     sql: str
     provenance: bool
     result_frame: dict[str, Any]
-    kind: str = "text"
 
     def to_json(self) -> dict[str, Any]:
-        data = {"index": self.index, "sql": self.sql,
+        return {"index": self.index, "sql": self.sql,
                 "provenance": self.provenance,
                 "result": self.result_frame}
-        if self.kind != "text":
-            data["kind"] = self.kind
-        return data
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ReplayLogEntry":
         return cls(data["index"], data["sql"], data["provenance"],
-                   data["result"], data.get("kind", "text"))
+                   data["result"])
 
 
 class ReplayLog:
@@ -127,10 +120,9 @@ class ReplayLog:
         self.entries: list[ReplayLogEntry] = []
 
     def append(self, sql: str, provenance: bool,
-               result: StatementResult,
-               kind: str = "text") -> ReplayLogEntry:
+               result: StatementResult) -> ReplayLogEntry:
         entry = ReplayLogEntry(len(self.entries), sql, provenance,
-                               protocol.result_to_wire(result), kind)
+                               protocol.result_to_wire(result))
         self.entries.append(entry)
         return entry
 
@@ -301,9 +293,7 @@ class _MonitorInterceptor(Interceptor):
         if statement is not None:
             self._note_copy_input(statement)
         if self.monitor.mode == MODE_RECORD:
-            self.monitor.replay_log.append(
-                sql, provenance, result,
-                kind=getattr(client, "last_execution_path", "text"))
+            self.monitor.replay_log.append(sql, provenance, result)
             if statement is not None:
                 self._record_statement_node(statement, sql, result)
             return

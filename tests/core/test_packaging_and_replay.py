@@ -335,26 +335,23 @@ class TestNormalizeSql:
 
 
 def serving_app(ctx):
-    """Exercises both serving paths: prepared statements and text
-    statements, one statement per frame."""
+    """Reads, writes and reads again, one text statement per frame."""
     client = ctx.connect_db("main")
-    lookup = client.prepare("SELECT price FROM sales WHERE id = $1")
-    west = lookup.query([2])
+    west = client.query("SELECT price FROM sales WHERE id = 2")
     client.execute("INSERT INTO sales VALUES (101, 7.5, 'south')")
-    total = client.prepare("SELECT sum(price) FROM sales WHERE "
-                           "price > $1").query([5])
+    total = client.query("SELECT sum(price) FROM sales WHERE price > 5")
     ids = client.query("SELECT id FROM sales")
     ctx.write_file(
         "/data/serving.txt",
         f"{west[0][0]}|{total[0][0]}|{len(ids)}\n")
-    lookup.deallocate()
     client.close()
     return 0
 
 
 class TestServingPathsReplay:
-    """Prepared and text traffic records under its canonical bound SQL
-    and replays byte-identically server-excluded."""
+    """Text traffic records under its SQL and replays byte-identically
+    server-excluded, also from logs that older clients tagged with the
+    wire path each statement took."""
 
     @pytest.fixture
     def serving_world(self, memory_world):
@@ -370,15 +367,17 @@ class TestServingPathsReplay:
         original = world.vos.fs.read_file("/data/serving.txt")
         result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs["/data/serving.txt"] == original
-        # 4 statements: prepared select, text insert, prepared select,
-        # text select
+        # 4 statements: select, insert, select, select
         assert result.replayed_statements == 4
-        # logs recorded while the client could stream results mark
-        # those entries "kind": "stream"; the kind is metadata only, so
-        # such a log replays like any other
+        # logs recorded while the client could prepare statements, or
+        # stream results, mark those entries "kind": "prepared" or
+        # "stream" (and hold their bound text); the kind is metadata
+        # only, so such a log replays like any other
         log_path = tmp_path / "pkg" / "replay" / "log.jsonl"
         entries = [json.loads(line)
                    for line in log_path.read_text().splitlines()]
+        entries[0]["kind"] = "prepared"
+        entries[2]["kind"] = "prepared"
         entries[-1]["kind"] = "stream"
         log_path.write_text("".join(json.dumps(entry) + "\n"
                                     for entry in entries))
@@ -395,21 +394,19 @@ class TestServingPathsReplay:
         assert world.database.query(
             "SELECT count(*) FROM sales") == before
 
-    def test_log_records_bound_sql_and_kind(self, serving_world,
-                                            tmp_path):
-        import json as json_module
+    def test_log_records_text_without_kind(self, serving_world,
+                                           tmp_path):
         world = serving_world
         audit_excluded(world, tmp_path / "pkg")
         log_path = tmp_path / "pkg" / "replay" / "log.jsonl"
-        entries = [json_module.loads(line)
+        entries = [json.loads(line)
                    for line in log_path.read_text().splitlines()]
-        kinds = [entry.get("kind", "text") for entry in entries]
-        assert kinds == ["prepared", "text", "prepared", "text"]
-        # prepared statements record the canonical bound text —
-        # no $n placeholders survive into the log
-        assert entries[0]["sql"] == \
-            "SELECT price FROM sales WHERE id = 2"
-        assert "$" not in entries[2]["sql"]
+        assert [entry["sql"] for entry in entries] == [
+            "SELECT price FROM sales WHERE id = 2",
+            "INSERT INTO sales VALUES (101, 7.5, 'south')",
+            "SELECT sum(price) FROM sales WHERE price > 5",
+            "SELECT id FROM sales"]
+        assert not any("kind" in entry for entry in entries)
 
     def test_server_included_replay_of_serving_app(self, tmp_path):
         from tests.core.conftest import World

@@ -1,5 +1,5 @@
-"""Query-engine fast path: compiled expressions, the plan a prepared
-statement keeps, EXPLAIN ANALYZE — plus regression tests for the
+"""Query-engine fast path: compiled expressions, planning on every
+call beside the server's result cache, EXPLAIN ANALYZE — plus regression tests for the
 executor correctness fixes that shipped with it (Decimal-safe rounding,
 LEFT-join WHERE vs ON semantics, empty-input global aggregates).
 """
@@ -294,6 +294,17 @@ BAD_SCALAR_CALLS = [
     ("substr(s, s)", "bad arguments for substr(): 'abc', 'abc'"),
     ("mod(a, 0)", "division by zero"),
     ("mod(s, a)", "bad arguments for mod(): 'abc', -7"),
+    # text has no + or * (Python's would concatenate or repeat it): the
+    # row closure, then the column-column vector form
+    ("3 * s", "bad operand types for '*': 3, 'abc'"),
+    ("s + 'x'", "bad operand types for '+': 'abc', 'x'"),
+    ("s + s", "bad operand types for '+': 'abc', 'abc'"),
+    ("s * a", "bad operand types for '*': 'abc', -7"),
+    ("s - s", "bad operand types for '-': 'abc', 'abc'"),
+    # only a boolean has a negation
+    ("NOT s", "bad operand type for NOT: 'abc'"),
+    ("NOT a", "bad operand type for NOT: -7"),
+    ("NOT 0", "bad operand type for NOT: 0"),
 ]
 
 
@@ -316,6 +327,15 @@ class TestScalarErrors:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("expression, message", BAD_SCALAR_CALLS)
+    def test_interpreter_raises_execution_error(self, expression, message):
+        db = make_scalar_db()
+        evaluator = exprs.Evaluator(db.catalog.get_table("v").schema)
+        with pytest.raises(ExecutionError) as raised:
+            evaluator.evaluate(parse_one(f"SELECT {expression}").items[0]
+                               .expression, (-7, "abc"))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("expression, message", BAD_SCALAR_CALLS)
     def test_wire_carries_execution_error(self, expression, message):
         client = DBClient(DBServer(database=make_scalar_db()).transport())
         client.connect()
@@ -329,6 +349,20 @@ class TestScalarErrors:
                         "FROM v") == [(-1, -1, -1, -2)]
         # a = (a / b) * b + a % b, as in sqlite3 and PostgreSQL
         assert db.query("SELECT (a / 3) * 3 + a % 3 FROM v") == [(-7,)]
+
+    def test_float_remainder_takes_the_dividend_sign(self):
+        db = make_scalar_db()
+        assert db.query("SELECT -7.5 % 2, mod(-7.5, 2), 7.5 % -2, "
+                        "a % 2.5, mod(a, -2.5) FROM v") == \
+            [(-1.5, -1.5, 1.5, -2.0, -2.0)]
+        evaluator = exprs.Evaluator(db.catalog.get_table("v").schema)
+        assert evaluator.evaluate(parse_one("SELECT -7.5 % 2").items[0]
+                                  .expression, (-7, "abc")) == -1.5
+
+    def test_not_keeps_null_and_negates_booleans(self):
+        db = make_scalar_db()
+        assert db.query("SELECT NOT NULL, NOT (a < 0), NOT (s = 'x') "
+                        "FROM v") == [(None, False, True)]
 
 
 class TestDecimalRounding:
@@ -447,22 +481,25 @@ class TestEmptyInputGlobalAggregate:
             "SELECT name, count(*) FROM t GROUP BY name") == []
 
 
-class TestPlanCache:
-    """The plan a prepared statement keeps across executions. Text
-    SELECTs plan on every call: there is no shared plan cache."""
+def serve(db: Database) -> tuple[DBServer, DBClient]:
+    """``db`` behind a server, with one connected client."""
+    server = DBServer(db)
+    client = DBClient(server.transport(), "app", "p1")
+    client.connect()
+    return server, client
 
-    def test_repeats_hit(self, plans):
+
+class TestPlanCache:
+    """There is no plan cache: every statement is parsed (repeated
+    shapes through the parser's shape cache) and planned when it runs.
+    The server's result cache is the one place a result is kept, and
+    nothing stale may come from it."""
+
+    def test_text_plans_every_call(self, plans):
         db = make_db()
-        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
-        first = db.execute_prepared(prepared, [3]).rows
-        assert first == [("cyd",)]
         for _ in range(3):
-            assert db.execute_prepared(prepared, [3]).rows == first
-        assert db.execute_prepared(prepared, [1]).rows == [("ada",)]
-        assert len(plans) == 1
-        # the text path plans every call
-        db.query("SELECT name FROM emp WHERE id = 3")
-        db.query("SELECT name FROM emp WHERE id = 3")
+            assert db.query("SELECT name FROM emp WHERE id = 3") == \
+                [("cyd",)]
         assert len(plans) == 3
 
     def test_string_literals_are_not_collapsed(self):
@@ -470,109 +507,70 @@ class TestPlanCache:
         assert db.query("SELECT 'a  b'") == [("a  b",)]
         assert db.query("SELECT 'a b'") == [("a b",)]
 
-    def test_cached_plan_sees_new_data(self, plans):
-        db = make_db()
-        prepared = db.prepare("SELECT count(*) FROM emp")
-        assert db.execute_prepared(prepared).rows == [(5,)]
-        db.execute("INSERT INTO emp VALUES (6, 'fin', 'eng', 70.0)")
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        assert len(plans) == 1
-
     def test_ddl_invalidates(self, plans):
-        db = make_db()
-        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
-        assert db.execute_prepared(prepared, [2]).rows == [("bob",)]
+        server, client = serve(make_db())
+        sql = "SELECT name FROM emp WHERE id = 2"
+        assert client.query(sql) == [("bob",)]
         assert not any("IndexScan" in line
                        for line in explain_plan(plans[-1].root))
-        db.execute("CREATE INDEX ix_emp_id ON emp (id)")
-        # the re-plan must pick up the new index, not the kept scan
-        assert db.execute_prepared(prepared, [2]).rows == [("bob",)]
+        assert client.query(sql) == [("bob",)]  # from the result cache
+        assert len(plans) == 1
+        client.execute("CREATE INDEX ix_emp_id ON emp (id)")
+        # the cached result is dropped and the new plan probes the index
+        assert client.query(sql) == [("bob",)]
         assert len(plans) == 2
         assert any("IndexScan" in line
                    for line in explain_plan(plans[-1].root))
-        # and the new plan is kept in turn
-        assert db.execute_prepared(prepared, [4]).rows == [("dan",)]
-        assert len(plans) == 2
+        assert server.result_cache.counters()["invalidations"] == 1
 
-    def test_drop_and_recreate_table_is_not_served_stale(self, plans):
-        db = Database()
-        db.execute("CREATE TABLE t (id integer)")
-        db.execute("INSERT INTO t VALUES (1)")
-        prepared = db.prepare("SELECT id FROM t")
-        assert db.execute_prepared(prepared).rows == [(1,)]
-        db.execute("DROP TABLE t")
-        db.execute("CREATE TABLE t (id integer)")
-        db.execute("INSERT INTO t VALUES (9)")
-        # the kept plan scans the dropped table; it must be re-planned
-        assert db.execute_prepared(prepared).rows == [(9,)]
-        assert len(plans) == 2
-        assert db.query("SELECT id FROM t") == [(9,)]
+    def test_drop_and_recreate_table_is_not_served_stale(self):
+        server, client = serve(Database())
+        client.execute("CREATE TABLE t (id integer)")
+        client.execute("INSERT INTO t VALUES (1)")
+        assert client.query("SELECT id FROM t") == [(1,)]
+        client.execute("DROP TABLE t")
+        client.execute("CREATE TABLE t (id integer)")
+        client.execute("INSERT INTO t VALUES (9)")
+        assert client.query("SELECT id FROM t") == [(9,)]
+        assert server.result_cache.counters()["hits"] == 0
 
-    def test_provenance_flag_is_part_of_the_key(self, plans):
-        db = make_db()
-        prepared = db.prepare("SELECT name FROM emp WHERE id = $1")
-        plain = db.execute_prepared(prepared, [1])
-        tracked = db.execute_prepared(prepared, [1], provenance=True)
+    def test_provenance_flag_is_part_of_the_key(self):
+        server, client = serve(make_db())
+        sql = "SELECT name FROM emp WHERE id = 1"
+        plain = client.execute(sql)
+        tracked = client.execute(sql, provenance=True)
         assert plain.rows == tracked.rows
         assert plain.lineages == [frozenset()]
         assert tracked.lineages != plain.lineages
-        # and repeats of each flavor reuse their own plan
-        assert db.execute_prepared(prepared, [1]).lineages == \
-            plain.lineages
-        assert db.execute_prepared(prepared, [1], provenance=True
-                                   ).lineages == tracked.lineages
-        assert len(plans) == 2
-
-    def test_plan_costed_inside_a_transaction_is_not_kept(self, plans):
-        db = make_db()
-        prepared = db.prepare("SELECT count(*) FROM emp")
-        db.execute("BEGIN")
-        db.execute("INSERT INTO emp VALUES (9, 'ivy', 'ops', 10.0)")
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        assert len(plans) == 2
-        db.execute("COMMIT")
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        assert len(plans) == 3
-
-    def test_plan_is_kept_per_database(self):
-        first, second = make_db(), make_db()
-        second.execute("DELETE FROM emp WHERE id > 1")
-        prepared = first.prepare("SELECT count(*) FROM emp")
-        assert first.execute_prepared(prepared).rows == [(5,)]
-        # same catalog version, different tables
-        assert first.catalog.version == second.catalog.version
-        assert second.execute_prepared(prepared).rows == [(1,)]
+        # a repeat of each flavour hits its own cache entry
+        assert client.execute(sql).lineages == plain.lineages
+        assert client.execute(sql, provenance=True).lineages == \
+            tracked.lineages
+        assert server.result_cache.counters()["hits"] == 2
 
     def test_subqueries_are_never_cached(self):
         db = make_db()
         sql = ("SELECT name FROM emp WHERE salary > "
                "(SELECT avg(salary) FROM emp)")
-        prepared = db.prepare(sql)
-        assert not prepared.cacheable
         before = db.execute(sql)
         assert not before.cacheable
-        assert db.execute_prepared(prepared).rows == before.rows
         # the subquery result is data-dependent: keeping its inlined
         # literal would freeze the threshold
         db.execute("INSERT INTO emp VALUES (8, 'hal', 'eng', 1000.0)")
-        after = db.query(sql)
-        assert before.rows != after
-        assert db.execute_prepared(prepared).rows == after
+        after = db.execute(sql)
+        assert before.rows != after.rows
+        assert not after.cacheable
 
     def test_transaction_rollback_not_confused_by_cache(self):
-        db = make_db()
+        server, client = serve(make_db())
         sql = "SELECT count(*) FROM emp"
-        prepared = db.prepare(sql)
-        db.execute_prepared(prepared)
-        db.execute("BEGIN")
-        db.execute("INSERT INTO emp VALUES (9, 'ivy', 'ops', 10.0)")
-        assert db.query(sql) == [(6,)]
-        assert db.execute_prepared(prepared).rows == [(6,)]
-        db.execute("ROLLBACK")
-        assert db.query(sql) == [(5,)]
-        assert db.execute_prepared(prepared).rows == [(5,)]
+        assert client.query(sql) == [(5,)]
+        client.begin()
+        client.execute("INSERT INTO emp VALUES (9, 'ivy', 'ops', 10.0)")
+        assert client.query(sql) == [(6,)]
+        client.rollback()
+        assert client.query(sql) == [(5,)]
+        assert server.result_cache.counters()["hits"] == 1
 
 
 class FakeTimer:

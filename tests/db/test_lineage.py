@@ -3,9 +3,10 @@
 import pytest
 
 from repro.db import Database
-from repro.db.provenance import PermInterface
 from repro.db.provtypes import TupleRef
 from repro.db.sql.parser import parse_one
+from repro.db.sql.render import render_select
+from repro.monitor.dbmonitor import _MonitorInterceptor
 
 
 @pytest.fixture
@@ -117,46 +118,42 @@ class TestLineageReferencesVersions:
         assert new_ref.version > old_ref.version
 
 
-class TestPermInterface:
-    def test_provenance_query_from_text(self, db):
-        perm = PermInterface(db)
-        result = perm.provenance_query(
-            "SELECT id FROM sales WHERE price > 10")
-        assert all(len(lin) == 1 for lin in result.lineages)
+def reenact(db, sql):
+    """The pre-state provenance of modification ``sql`` as the DB
+    monitor retrieves it before the statement runs: its reenactment
+    query, executed in Perm's provenance mode. Returns the
+    (tuple version, pre-state row) pairs, or None when the statement
+    needs no reenactment."""
+    query = _MonitorInterceptor._reenactment_query(parse_one(sql))
+    if query is None:
+        return None
+    pre = db.execute(render_select(query), provenance=True)
+    return [(ref, row) for row, lineage in zip(pre.rows, pre.lineages)
+            for ref in lineage]
 
-    def test_provenance_query_rejects_dml_text(self, db):
-        perm = PermInterface(db)
-        with pytest.raises(Exception):
-            perm.provenance_query("DELETE FROM sales")
+
+class TestPermInterface:
+    """GProM-style reenactment over Perm's provenance mode."""
 
     def test_reenact_update_captures_pre_state(self, db):
-        perm = PermInterface(db)
-        statement = parse_one("UPDATE sales SET price = 0 WHERE price > 10")
-        reenactment = perm.reenact(statement)
-        assert reenactment.statement_kind == "update"
-        assert {ref.rowid for ref in reenactment.input_refs} == {2, 3}
+        pairs = reenact(db, "UPDATE sales SET price = 0 WHERE price > 10")
+        assert {ref.rowid for ref, _ in pairs} == {2, 3}
         # pre-state values are captured before execution
-        assert sorted(row[1] for row in reenactment.input_rows) == [11.0, 14.0]
+        assert sorted(row[1] for _, row in pairs) == [11.0, 14.0]
         # and the database itself is untouched
         assert db.query("SELECT count(*) FROM sales WHERE price = 0") == [(0,)]
 
     def test_reenact_delete(self, db):
-        perm = PermInterface(db)
-        statement = parse_one("DELETE FROM sales WHERE id = 1")
-        reenactment = perm.reenact(statement)
-        assert reenactment.statement_kind == "delete"
-        assert [ref.rowid for ref in reenactment.input_refs] == [1]
+        pairs = reenact(db, "DELETE FROM sales WHERE id = 1")
+        assert [ref.rowid for ref, _ in pairs] == [1]
+        assert db.query("SELECT count(*) FROM sales") == [(3,)]
 
     def test_reenact_plain_insert_is_empty(self, db):
-        perm = PermInterface(db)
-        statement = parse_one("INSERT INTO sales VALUES (9, 1)")
-        assert perm.reenact(statement).input_refs == []
+        assert reenact(db, "INSERT INTO sales VALUES (9, 1)") is None
 
     def test_reenact_insert_select(self, db):
         db.execute("CREATE TABLE archive (id integer, price float)")
-        perm = PermInterface(db)
-        statement = parse_one(
-            "INSERT INTO archive SELECT id, price FROM sales "
-            "WHERE price > 10")
-        reenactment = perm.reenact(statement)
-        assert {ref.rowid for ref in reenactment.input_refs} == {2, 3}
+        pairs = reenact(db, "INSERT INTO archive SELECT id, price FROM "
+                            "sales WHERE price > 10")
+        assert {ref.rowid for ref, _ in pairs} == {2, 3}
+        assert db.query("SELECT count(*) FROM archive") == [(0,)]

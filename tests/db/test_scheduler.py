@@ -159,7 +159,6 @@ def test_no_wall_clock_sleeps_in_the_concurrency_suite():
     Tests that exercise retry backoff inject their own sleep hook."""
     suite = Path(__file__).parent
     for name in ("test_scheduler.py", "test_anomalies.py", "test_mvcc.py",
-                 "test_plan_cache_concurrency.py",
                  "test_concurrent_commit_recovery.py"):
         text = (suite / name).read_text()
         forbidden = "time." + "sleep("  # split so this file passes too

@@ -1,15 +1,13 @@
-"""The serving layer: prepared statements, the snapshot-correct result
-cache, serving observability, protocol-version negotiation, and the
-mid-statement cooperative timeout."""
+"""The serving layer: one text statement per frame, the snapshot-correct
+result cache, serving observability, protocol-version negotiation, and
+the mid-statement cooperative timeout."""
 
 import pytest
 
 from repro.db import Database, DBClient, DBServer
 from repro.db import protocol
-from repro.db.sql.params import bind_sql_text
 from repro.errors import (
     ExecutionError,
-    ProtocolError,
     SQLSyntaxError,
     StatementTimeout,
 )
@@ -42,78 +40,70 @@ def second_client(server, name="other"):
 
 
 class TestParameters:
-    def test_engine_prepare_and_execute(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        database.execute("INSERT INTO t VALUES (1), (2), (3)")
-        prepared = database.prepare("SELECT x FROM t WHERE x >= $1")
-        assert prepared.param_count == 1
-        assert database.execute_prepared(prepared, [2]).rows == [(2,), (3,)]
-        assert database.execute_prepared(prepared, [3]).rows == [(3,)]
+    """Statements travel as text, so a ``$n`` written in one is bound by
+    nothing: it fails as one line, embedded and over the wire, before
+    the statement has any effect."""
 
-    def test_wrong_parameter_count_rejected(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        prepared = database.prepare("SELECT x FROM t WHERE x = $1")
-        with pytest.raises(ExecutionError):
-            database.execute_prepared(prepared, [])
+    def test_wrong_parameter_count_rejected(self, server):
+        database = server.database
+        for sql in ("SELECT x FROM t WHERE x = $1",
+                    "SELECT $1 FROM t",
+                    "UPDATE t SET s = $1 WHERE x = 1",
+                    "INSERT INTO t VALUES ($1, 'z')"):
+            with pytest.raises(ExecutionError) as info:
+                database.execute(sql)
+            assert str(info.value) == "parameter $1 is not bound", sql
+        assert database.query("SELECT x, s FROM t WHERE x = 1") == \
+            [(1, "a")]
+        assert database.query("SELECT count(*) FROM t") == [(4,)]
 
-    def test_bind_sql_text_quotes_strings(self):
-        assert (bind_sql_text("SELECT * FROM t WHERE s = $1", ["o'brien"])
-                == "SELECT * FROM t WHERE s = 'o''brien'")
-
-    def test_bind_sql_text_skips_literals_and_comments(self):
-        sql = "SELECT '$1', x -- $1 here too\nFROM t WHERE x = $1"
-        bound = bind_sql_text(sql, [7])
-        assert bound.endswith("x = 7")
-        assert "'$1'" in bound and "-- $1 here too" in bound
-
-    def test_parameters_use_index_scans(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        database.execute("CREATE INDEX ix ON t (x)")
-        database.execute("INSERT INTO t VALUES (1), (2), (3)")
-        prepared = database.prepare("SELECT x FROM t WHERE x = $1")
-        explain = database.execute("EXPLAIN SELECT x FROM t WHERE x = $1")
-        assert any("IndexScan" in row[0] for row in explain.rows)
-        assert database.execute_prepared(prepared, [2]).rows == [(2,)]
-
-
-class TestPreparedStatements:
-    def test_prepare_execute_deallocate(self, client):
-        prepared = client.prepare("SELECT s FROM t WHERE x = $1")
-        assert prepared.param_count == 1
-        assert prepared.query([2]) == [('b',)]
-        assert prepared.query([4]) == [('d',)]
-        prepared.deallocate()
-        with pytest.raises(ProtocolError):
-            prepared.execute([1])
-
-    def test_prepared_dml(self, client):
-        insert = client.prepare("INSERT INTO t VALUES ($1, $2)")
-        insert.execute([9, 'nine'])
-        assert client.query("SELECT s FROM t WHERE x = 9") == [('nine',)]
-
-    def test_plan_is_reused_across_executions(self, client, plans):
-        prepared = client.prepare("SELECT x FROM t WHERE x = $1")
-        assert prepared.query([1]) == [(1,)]
-        assert prepared.query([2]) == [(2,)]
-        assert prepared.query([3]) == [(3,)]
-        assert len(plans) == 1
-
-    def test_unknown_statement_name_errors(self, client):
+    def test_unbound_parameter_over_the_wire(self, server, client):
+        server.database.execute("CREATE INDEX ix_t_x ON t (x)")
         response = protocol.decode_frame(client.transport(
-            protocol.encode_frame(protocol.bind_execute_frame(
-                client.connection_id, "nope", [1]))))
+            protocol.encode_frame(protocol.query_frame(
+                client.connection_id, "SELECT s FROM t WHERE x = $1"))))
         assert response["frame"] == "error"
-        assert "nope" in response["message"]
+        assert response["error_type"] == "ExecutionError"
+        assert response["message"] == "parameter $1 is not bound"
+        # the connection keeps serving
+        assert client.query("SELECT s FROM t WHERE x = 2") == [("b",)]
 
-    def test_prepared_survive_other_connections(self, server, client):
-        prepared = client.prepare("SELECT count(*) FROM t")
-        other = second_client(server)
-        other.execute("INSERT INTO t VALUES (50, 'z')")
-        other.close()
-        assert prepared.query([]) == [(5,)]
+
+class TestRemovedFrames:
+    """The statement frames that once served prepared statements
+    (``prepare``, ``bind-execute``, ``deallocate``) are unknown frame
+    types on every protocol version."""
+
+    FRAMES = [
+        {"frame": "prepare", "name": "p1",
+         "sql": "SELECT s FROM t WHERE x = $1"},
+        {"frame": "bind-execute", "name": "p1", "params": [2],
+         "provenance": False},
+        {"frame": "deallocate", "name": "p1"},
+    ]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("frame", FRAMES,
+                             ids=[frame["frame"] for frame in FRAMES])
+    def test_answers_a_one_line_protocol_error(self, server, version,
+                                               frame):
+        transport = server.transport()
+        connected = protocol.decode_frame(transport(protocol.encode_frame(
+            {"frame": "connect", "client_name": "app", "process_id": "p",
+             "version": version})))
+        assert connected["version"] == version
+        cid = connected["connection_id"]
+        response = protocol.decode_frame(transport(protocol.encode_frame(
+            dict(frame, connection_id=cid))))
+        assert response == {
+            "frame": "error", "error_type": "ProtocolError",
+            "message": f"unknown frame type {frame['frame']!r}"}
+        # the connection keeps serving
+        result = protocol.decode_frame(transport(protocol.encode_frame(
+            protocol.query_frame(cid, "SELECT s FROM t WHERE x = 2"))))
+        assert result["frame"] == "result"
+        assert result["rows"] == [["b"]]
+        assert server.open_connections == 1
 
 
 class TestResultCache:
@@ -184,21 +174,7 @@ class TestResultCache:
         assert server.result_cache.counters()["size"] == 0
         client.execute("INSERT INTO u VALUES (30)")
         assert client.query(sql) == [(3,)]
-        prepared = client.prepare(
-            "SELECT count(*) FROM t WHERE x <= (SELECT count(*) FROM u) "
-            "+ $1")
-        assert prepared.query([0]) == [(3,)]
-        client.execute("INSERT INTO u VALUES (40)")
-        assert prepared.query([0]) == [(4,)]
         assert server.result_cache.counters()["size"] == 0
-
-    def test_prepared_executions_share_cache_entries(self, server, client):
-        prepared = client.prepare("SELECT s FROM t WHERE x = $1")
-        prepared.execute([2])
-        prepared.execute([2])
-        prepared.execute([3])
-        counters = server.result_cache.counters()
-        assert counters["hits"] == 1  # same params hit, new params miss
 
     def test_explain_analyze_reports_cache_counters(self, client):
         client.query("SELECT sum(x) FROM t")
@@ -211,13 +187,11 @@ class TestResultCache:
 class TestServingStats:
     def test_counters_accumulate(self, server, client):
         client.query("SELECT x FROM t")
-        prepared = client.prepare("SELECT x FROM t WHERE x = $1")
-        prepared.execute([1])
+        client.query("SELECT x FROM t WHERE x = 1")
         stats = client.server_stats()
         assert stats["server"]["frames_served"] >= 4
         assert stats["server"]["bytes_in"] > 0
         assert stats["server"]["bytes_out"] > 0
-        assert stats["connection"]["prepared_statements"] == 1
         assert stats["connection"]["protocol_version"] == 2
 
     def test_per_connection_counters_are_separate(self, server, client):
@@ -246,14 +220,10 @@ class TestVersionNegotiation:
         connected = protocol.decode_frame(transport(protocol.encode_frame(
             {"frame": "connect", "client_name": "old", "process_id": "p"})))
         connection_id = connected["connection_id"]
-        for frame in (
-                protocol.prepare_frame(connection_id, "p1", "SELECT 1"),
-                protocol.deallocate_frame(connection_id, "p1"),
-                protocol.stats_frame(connection_id)):
-            response = protocol.decode_frame(transport(
-                protocol.encode_frame(frame)))
-            assert response["frame"] == "error"
-            assert "protocol version" in response["message"]
+        response = protocol.decode_frame(transport(protocol.encode_frame(
+            protocol.stats_frame(connection_id))))
+        assert response["frame"] == "error"
+        assert "protocol version" in response["message"]
 
     def test_v1_connected_frame_still_decodes(self):
         # a v1 server's connected frame has no version field
@@ -331,18 +301,22 @@ class TestReplayLogCompat:
         entry_json = log.entries[0].to_json()
         assert "kind" not in entry_json
         restored = ReplayLogEntry.from_json(entry_json)
-        assert restored.kind == "text"
+        assert restored.to_json() == entry_json
 
-    def test_prepared_entries_round_trip_kind(self):
+    @pytest.mark.parametrize("kind", ["prepared", "stream"])
+    def test_legacy_kind_entries_read_back(self, kind):
+        """Older clients tagged the wire path an entry took; the entry
+        still holds its statement text, so it reads back as text."""
         from repro.monitor.dbmonitor import ReplayLog, ReplayLogEntry
         database = Database()
         database.execute("CREATE TABLE t (x integer)")
         result = database.execute("SELECT x FROM t")
         log = ReplayLog()
-        log.append("SELECT x FROM t", False, result, kind="prepared")
+        log.append("SELECT x FROM t", False, result)
         entry_json = log.entries[0].to_json()
-        assert entry_json["kind"] == "prepared"
-        assert ReplayLogEntry.from_json(entry_json).kind == "prepared"
+        restored = ReplayLogEntry.from_json(dict(entry_json, kind=kind))
+        assert restored.sql == "SELECT x FROM t"
+        assert restored.to_json() == entry_json
 
 
 class TestAnalyzeIsNotAStatement:

@@ -86,9 +86,15 @@ def _with(frame, **fields):
     return {**frame, **fields}
 
 
+def _bind_execute(cid, name, params, **fields):
+    """A frame of the prepared-statement family the server no longer
+    serves; its fields may have the wrong JSON type too."""
+    return {"frame": "bind-execute", "connection_id": cid, "name": name,
+            "params": params, **fields}
+
+
 # each builds, from a live connection id, a frame whose field has the
-# wrong JSON type, or a frame (or field) the server no longer serves;
-# the connection holds prepared statement "p"
+# wrong JSON type, or a frame (or field) the server no longer serves
 HOSTILE_FRAMES = [
     pytest.param(lambda cid: _with(protocol.connect_frame("a", "p"),
                                    version=True),
@@ -125,34 +131,30 @@ HOSTILE_FRAMES = [
     pytest.param(lambda cid: _with(protocol.query_frame(
         cid, "SELECT x FROM t"), provenance="false"),
                  id="query-provenance-string"),
-    pytest.param(lambda cid: _with(protocol.bind_execute_frame(
-        cid, "p", [1]), provenance="false"),
+    pytest.param(lambda cid: _bind_execute(cid, "p", [1],
+                                           provenance="false"),
                  id="bind-execute-provenance-string"),
     pytest.param(lambda cid: _with(protocol.query_frame(
         cid, "INSERT INTO t VALUES (2)"), token=5),
                  id="query-token-int"),
-    pytest.param(lambda cid: protocol.bind_execute_frame(cid, ["p"], [1]),
+    pytest.param(lambda cid: _bind_execute(cid, ["p"], [1]),
                  id="bind-execute-name-array"),
-    pytest.param(lambda cid: protocol.bind_execute_frame(cid, {"p": 1}, [1]),
+    pytest.param(lambda cid: _bind_execute(cid, {"p": 1}, [1]),
                  id="bind-execute-name-object"),
-    pytest.param(lambda cid: protocol.deallocate_frame(cid, ["p"]),
+    pytest.param(lambda cid: {"frame": "deallocate", "connection_id": cid,
+                              "name": ["p"]},
                  id="deallocate-name-array"),
-    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
-                                   params="1"),
+    pytest.param(lambda cid: _bind_execute(cid, "p", "1"),
                  id="bind-execute-params-string"),
-    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
-                                   params={"1": 1}),
+    pytest.param(lambda cid: _bind_execute(cid, "p", {"1": 1}),
                  id="bind-execute-params-object"),
-    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
-                                   params=1),
+    pytest.param(lambda cid: _bind_execute(cid, "p", 1),
                  id="bind-execute-params-number"),
-    pytest.param(lambda cid: _with(protocol.bind_execute_frame(cid, "p"),
-                                   params=True),
+    pytest.param(lambda cid: _bind_execute(cid, "p", True),
                  id="bind-execute-params-true"),
-    pytest.param(lambda cid: protocol.bind_execute_frame(cid, "p", [[1]]),
+    pytest.param(lambda cid: _bind_execute(cid, "p", [[1]]),
                  id="bind-execute-params-nested-array"),
-    pytest.param(lambda cid: protocol.bind_execute_frame(cid, "p",
-                                                         [{"x": 1}]),
+    pytest.param(lambda cid: _bind_execute(cid, "p", [{"x": 1}]),
                  id="bind-execute-params-nested-object"),
 ]
 
@@ -162,17 +164,16 @@ class TestHostileFrames:
     def test_hostile_frame_answers_a_protocol_error(self, server, build):
         cid = server.handle(protocol.connect_frame("a", "p"))[
             "connection_id"]
-        server.handle(protocol.prepare_frame(
-            cid, "p", "SELECT x FROM t WHERE x = $1"))
         response = protocol.decode_frame(server.handle_wire(
             protocol.encode_frame(build(cid))))
         assert response["frame"] == "error"
         assert response["error_type"] == "ProtocolError"
         assert "\n" not in response["message"]
-        # no connection was opened or closed, and the live one and its
-        # prepared statement are untouched
+        # no connection was opened or closed, and the live one still
+        # serves
         assert server.open_connections == 1
-        result = server.handle(protocol.bind_execute_frame(cid, "p", [1]))
+        result = server.handle(protocol.query_frame(
+            cid, "SELECT x FROM t WHERE x = 1"))
         assert result["frame"] == "result"
         assert result["rows"] == [[1]]
 
