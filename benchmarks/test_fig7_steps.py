@@ -89,8 +89,7 @@ def test_fig7b_replay(benchmark, package_cache, report, kind):
 
     def run():
         steps: dict[str, float] = {}
-        session = ReplaySession(package_dir, world.registry,
-                                scratch_dir=package_dir / ".scratch")
+        session = ReplaySession(package_dir, world.registry)
         steps["initialization"], _ = timed(session.prepare)
         steps["inserts"], _ = timed(session.run, INSERT_BINARY, [])
         steps["first_select"], _ = timed(session.run, SELECT_BINARY, ["1"])

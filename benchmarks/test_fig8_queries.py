@@ -98,8 +98,7 @@ def test_fig8b_replay(benchmark, package_cache, report, variant):
     for kind in ("ptu", "included", "excluded"):
         package_dir = package_cache.get(variant, kind)
         world = package_cache.world_for(variant.query_id, kind)
-        session = ReplaySession(package_dir, world.registry,
-                                scratch_dir=package_dir / ".scratch8b")
+        session = ReplaySession(package_dir, world.registry)
         session.prepare()
         if kind == "ptu":
             # PTU replays re-execute the query on the full restored DB;
@@ -125,7 +124,6 @@ def test_fig8b_replay(benchmark, package_cache, report, variant):
 
     def replay_excluded_select():
         session = ReplaySession(package_dir, world.registry,
-                                scratch_dir=package_dir / ".scratchb",
                                 allow_skip=True)
         session.prepare()
         return session.run(SELECT_BINARY, ["1"])

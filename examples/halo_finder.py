@@ -53,15 +53,13 @@ def main() -> None:
     assert f"file:{halos.SIMULATION_FILE}" in deps
 
     print("\n== (i) Bob re-executes the whole pipeline ==")
-    result = ldv_exec(workdir / "package", world.registry,
-                      scratch_dir=workdir / "scratch-full")
+    result = ldv_exec(workdir / "package", world.registry)
     assert result.outputs[halos.RESULT_FILE].decode() == original
     print("full replay reproduced the result file exactly "
           f"({result.restored_tuples} tuples restored first)")
 
     print("\n== (ii) Bob re-executes only P2 (the matcher) ==")
-    session = ReplaySession(workdir / "package", world.registry,
-                            scratch_dir=workdir / "scratch-partial")
+    session = ReplaySession(workdir / "package", world.registry)
     session.prepare()
     # P1 has not run in this world, so the candidates table is empty —
     # Bob first re-runs P1 to regenerate them, then iterates on P2

@@ -68,8 +68,7 @@ def main() -> None:
           "in the DB — app-created rows are excluded)")
 
     print("\n== re-execute on a fresh machine ==")
-    result = ldv_exec(workdir / "package", {"/bin/app": app},
-                      scratch_dir=workdir / "scratch")
+    result = ldv_exec(workdir / "package", {"/bin/app": app})
     replayed = result.outputs["/data/report.txt"].decode()
     print(f"replayed output       : {replayed.strip()}")
     print(f"restored tuples       : {result.restored_tuples}")

@@ -78,8 +78,7 @@ def main() -> None:
     print("\n== re-execution (Fig 7b flavour) ==")
     for kind, (out, world) in packages.items():
         start = time.perf_counter()
-        result = ldv_exec(out, world.registry,
-                          scratch_dir=workdir / f"scratch-{kind}")
+        result = ldv_exec(out, world.registry)
         elapsed = time.perf_counter() - start
         original = world.vos.fs.read_file("/data/results.txt")
         match = result.outputs["/data/results.txt"] == original

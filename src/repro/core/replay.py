@@ -7,10 +7,10 @@ as its own bar):
 1. :meth:`prepare` — build a fresh virtual OS, import the package's
    file snapshot (the chroot-like environment), and either
 
-   * **server-included**: boot a new DB server inside the package
-     scope — run ``schema.sql``, bulk-load the relevant tuple versions
-     with their original rowids/versions, register the server under
-     its original name — or
+   * **server-included**: boot a new, in-memory DB server inside the
+     package scope — run ``schema.sql``, bulk-load the relevant tuple
+     versions with their original rowids/versions, register the server
+     under its original name — or
    * **server-excluded**: load the replay log and arrange for every
      new client to be intercepted by a :class:`ReplayInterceptor`
      that substitutes recorded results (writes are matched and
@@ -154,15 +154,20 @@ class ReplayResult:
 
 
 class ReplaySession:
-    """Prepares and runs one package re-execution."""
+    """Prepares and runs one package re-execution.
+
+    The replay server's database lives in memory: :meth:`prepare`
+    rebuilds it from the package every time and nothing reads it back,
+    so it has no WAL, no fsyncs and no checkpoint, and replay writes
+    nothing into the package directory. ``scratch_dir`` is accepted for
+    older callers and ignored.
+    """
 
     def __init__(self, package_dir: str | Path, registry: Registry,
                  scratch_dir: str | Path | None = None,
                  allow_skip: bool = False) -> None:
         self.package = Package.load(package_dir)
         self.registry = dict(registry)
-        self.scratch_dir = (Path(scratch_dir) if scratch_dir is not None
-                            else Path(package_dir) / ".runtime")
         self.allow_skip = allow_skip
         self.vos: Optional[VirtualOS] = None
         self.database: Optional[Database] = None
@@ -214,8 +219,7 @@ class ReplaySession:
         if server_name is None:
             raise PackageError("server-included package without a "
                                "DB server name")
-        database = Database(data_directory=self.scratch_dir / "pgdata",
-                            clock=vos.clock)
+        database = Database(clock=vos.clock)
         # the packaged server lives inside the package's chroot-like
         # environment: COPY statements must read/write the virtual FS
         database.read_file = vos.fs.read_text
@@ -229,7 +233,6 @@ class ReplaySession:
         else:
             self._restore_relevant_tuples(database)
         database.resume_clock()
-        database.checkpoint()
         vos.register_db_server(server_name, DBServer(database).transport())
         self.database = database
 
@@ -245,8 +248,6 @@ class ReplaySession:
                     text, heap.schema):
                 heap.restore_row(rowid, values, version)
                 self.restored_tuples += 1
-            # loaded past the engine: the next checkpoint must write it
-            database.catalog.mark_dirty(table_name)
         expected = self.package.manifest.notes.get("relevant_tuples")
         if expected is not None and self.restored_tuples != expected:
             raise PackageError(
@@ -254,7 +255,8 @@ class ReplaySession:
                 f"versions, the manifest records {expected} relevant ones")
 
     def _restore_full_data(self, database: Database) -> None:
-        """PTU packages carry complete table files under db/data."""
+        """PTU packages carry complete table files under db/data;
+        they are read and attached in memory."""
         from repro.db.storage import read_table_file
 
         data_dir = self.package.root / pkg.DATA_DIR
@@ -314,10 +316,8 @@ class ReplaySession:
 
 def ldv_exec(package_dir: str | Path, registry: Registry,
              binary: str | None = None, argv: list[str] | None = None,
-             scratch_dir: str | Path | None = None,
              allow_skip: bool = False) -> ReplayResult:
     """One-shot re-execution: prepare + run (the ``ldv-exec`` command)."""
-    session = ReplaySession(package_dir, registry,
-                            scratch_dir=scratch_dir, allow_skip=allow_skip)
+    session = ReplaySession(package_dir, registry, allow_skip=allow_skip)
     session.prepare()
     return session.run(binary, argv)

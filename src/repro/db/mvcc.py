@@ -40,8 +40,8 @@ being exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 class TableOverlay:

@@ -72,13 +72,13 @@ def _looks_like_select(sql: str) -> bool:
     return sql.lstrip().lower().startswith("select")
 
 
-_EXPECTED = {int: "an integer", str: "a string", bool: "a boolean"}
+_EXPECTED = {str: "a string", bool: "a boolean"}
 
 
 def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
-    """``request[name]`` if it is exactly a ``kind`` (``int``, ``str``
-    or ``bool``; a JSON true/false is not an integer, nor is the string
-    "false" a boolean), else a one-line :class:`ProtocolError` naming
+    """``request[name]`` if it is exactly a ``kind`` (``str`` or
+    ``bool``; the string "false" is not a boolean, nor is a JSON
+    true/false a string), else a one-line :class:`ProtocolError` naming
     the field."""
     value = request.get(name)
     if type(value) is not kind:

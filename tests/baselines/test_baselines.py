@@ -74,8 +74,7 @@ class TestPTU:
         build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
                           world.database, "main", SERVER_BINARIES)
         original = world.vos.fs.read_file("/data/report.txt")
-        result = ldv_exec(tmp_path / "ptu", world.registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "ptu", world.registry)
         assert result.outputs["/data/report.txt"] == original
 
     def test_ptu_replay_refuses_malformed_table_file(self, world, tmp_path):
@@ -85,8 +84,7 @@ class TestPTU:
         # a row one value short of the three-column schema
         path.write_text(path.read_text() + "9,1,9,1.0\n")
         with pytest.raises(CatalogError, match="sales line 6: expected 5"):
-            ldv_exec(tmp_path / "ptu", world.registry,
-                     scratch_dir=tmp_path / "scratch")
+            ldv_exec(tmp_path / "ptu", world.registry)
 
     def test_ptu_replay_refuses_non_utf8_table_file(self, world, tmp_path):
         build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
@@ -95,8 +93,7 @@ class TestPTU:
         path.write_bytes(b"\xff" + path.read_bytes())
         with pytest.raises(CatalogError,
                            match=r"sales\.tbl is not UTF-8") as info:
-            ldv_exec(tmp_path / "ptu", world.registry,
-                     scratch_dir=tmp_path / "scratch")
+            ldv_exec(tmp_path / "ptu", world.registry)
         assert "\n" not in str(info.value)
 
     def test_ptu_restored_tables_keep_snapshot_isolation(self, world,
@@ -105,8 +102,7 @@ class TestPTU:
         like any other: an open transaction keeps its snapshot."""
         build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
                           world.database, "main", SERVER_BINARIES)
-        replay = ReplaySession(tmp_path / "ptu", world.registry,
-                               scratch_dir=tmp_path / "scratch")
+        replay = ReplaySession(tmp_path / "ptu", world.registry)
         replay.prepare()
         database = replay.database
         reader = database.create_session("reader")

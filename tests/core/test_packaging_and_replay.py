@@ -37,8 +37,7 @@ class TestServerIncludedRoundTrip:
     def test_replay_reproduces_outputs(self, world, tmp_path):
         report = audit_included(world, tmp_path / "pkg")
         original = world.vos.fs.read_file("/data/report.txt")
-        result = ldv_exec(tmp_path / "pkg", world.registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs["/data/report.txt"] == original
         assert result.process.exit_code == 0
 
@@ -72,8 +71,7 @@ class TestServerIncludedRoundTrip:
     def test_replay_restores_original_rowids_and_versions(
             self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")
-        session = ReplaySession(tmp_path / "pkg", world.registry,
-                                scratch_dir=tmp_path / "scratch")
+        session = ReplaySession(tmp_path / "pkg", world.registry)
         session.prepare()
         heap = session.database.catalog.get_table("sales")
         assert set(heap.rows) == {1, 2, 3, 4}
@@ -82,17 +80,14 @@ class TestServerIncludedRoundTrip:
     def test_replay_does_not_touch_source_database(self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")
         before = world.database.query("SELECT count(*) FROM sales")
-        ldv_exec(tmp_path / "pkg", world.registry,
-                 scratch_dir=tmp_path / "scratch")
+        ldv_exec(tmp_path / "pkg", world.registry)
         assert world.database.query(
             "SELECT count(*) FROM sales") == before
 
     def test_replay_twice_from_same_package(self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")
-        first = ldv_exec(tmp_path / "pkg", world.registry,
-                         scratch_dir=tmp_path / "s1")
-        second = ldv_exec(tmp_path / "pkg", world.registry,
-                          scratch_dir=tmp_path / "s2")
+        first = ldv_exec(tmp_path / "pkg", world.registry)
+        second = ldv_exec(tmp_path / "pkg", world.registry)
         assert first.outputs == second.outputs
 
     def test_schema_sql_recreates_constraints(self, world, tmp_path):
@@ -242,8 +237,7 @@ class TestPartialReExecution:
                   server_name="main",
                   server_binary_paths=SERVER_BINARIES)
         result = ldv_exec(tmp_path / "pkg", world.registry,
-                          binary="/bin/step2",
-                          scratch_dir=tmp_path / "scratch")
+                          binary="/bin/step2")
         # without P1's insert the count drops by one relative to the
         # full pipeline — partial execution runs, on restored state
         assert result.process.exit_code == 0
@@ -278,8 +272,7 @@ class TestFailureInjection:
         # only the output digest check would notice afterwards
         audit_included(world, tmp_path / "pkg")
         (tmp_path / "pkg" / "db" / "restore" / "sales.csv").unlink()
-        session = ReplaySession(tmp_path / "pkg", world.registry,
-                                scratch_dir=tmp_path / "scratch")
+        session = ReplaySession(tmp_path / "pkg", world.registry)
         with pytest.raises(PackageError,
                            match="hold 0 tuple versions.* records 4"):
             session.prepare()
@@ -290,8 +283,7 @@ class TestFailureInjection:
         csv_path = tmp_path / "pkg" / "db" / "restore" / "sales.csv"
         lines = csv_path.read_text().splitlines(keepends=True)
         csv_path.write_text("".join(lines[:len(lines) // 2]))
-        session = ReplaySession(tmp_path / "pkg", world.registry,
-                                scratch_dir=tmp_path / "scratch")
+        session = ReplaySession(tmp_path / "pkg", world.registry)
         with pytest.raises(PackageError,
                            match="hold 2 tuple versions.* records 4"):
             session.prepare()
@@ -299,8 +291,7 @@ class TestFailureInjection:
     def test_full_restore_csvs_restore_the_relevant_count(self, world,
                                                           tmp_path):
         report = audit_included(world, tmp_path / "pkg")
-        session = ReplaySession(tmp_path / "pkg", world.registry,
-                                scratch_dir=tmp_path / "scratch")
+        session = ReplaySession(tmp_path / "pkg", world.registry)
         session.prepare()
         assert session.restored_tuples == \
             report.session.relevant_tuples.tuple_count == 4
@@ -313,8 +304,7 @@ class TestFailureInjection:
 
     def test_double_prepare_raises(self, world, tmp_path):
         audit_included(world, tmp_path / "pkg")
-        session = ReplaySession(tmp_path / "pkg", world.registry,
-                                scratch_dir=tmp_path / "scratch")
+        session = ReplaySession(tmp_path / "pkg", world.registry)
         session.prepare()
         with pytest.raises(ReplayError):
             session.prepare()
@@ -415,6 +405,5 @@ class TestServingPathsReplay:
         world.registry = {"/bin/app": serving_app}
         audit_included(world, tmp_path / "pkg")
         original = world.vos.fs.read_file("/data/serving.txt")
-        result = ldv_exec(tmp_path / "pkg", world.registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs["/data/serving.txt"] == original

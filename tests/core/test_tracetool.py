@@ -153,7 +153,6 @@ class TestFrozenV1Package:
         assert "entity:tuple" in frozen
 
     def test_replays(self, tmp_path):
-        result = ldv_exec(V1_PACKAGE, World().registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(V1_PACKAGE, World().registry)
         assert result.outputs["/data/report.txt"] == b"75.0|5\n"
         assert result.validated

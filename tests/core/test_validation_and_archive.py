@@ -57,8 +57,7 @@ class TestOutputValidation:
                   server_binary_paths=SERVER_BINARIES)
         csv_path = tmp_path / "pkg" / "db" / "restore" / "sales.csv"
         csv_path.write_text(csv_path.read_text().replace("11.0", "999.0"))
-        result = ldv_exec(tmp_path / "pkg", world.registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", world.registry)
         assert not result.validated
 
     def test_validated_true_without_digests(self, memory_world,
@@ -209,13 +208,17 @@ class TestArchives:
                   mode="server-included", database=world.database,
                   server_name="main",
                   server_binary_paths=SERVER_BINARIES)
-        # create runtime scratch inside the package, as ldv_exec does
-        ldv_exec(tmp_path / "pkg", world.registry)
+        # packages replayed by earlier versions still carry their
+        # runtime scratch state; replay itself no longer writes any
+        (tmp_path / "pkg" / ".runtime" / "pgdata").mkdir(parents=True)
+        (tmp_path / "pkg" / ".runtime" / "pgdata" / "x").write_text("x")
+        (tmp_path / "pkg" / ".scratch-old").mkdir()
         package = Package.load(tmp_path / "pkg")
-        assert (tmp_path / "pkg" / ".runtime").exists()
         archive = package.archive(tmp_path / "pkg.tar.gz")
         restored = Package.from_archive(archive, tmp_path / "clean")
+        assert restored.manifest == package.manifest
         assert not (tmp_path / "clean" / ".runtime").exists()
+        assert not (tmp_path / "clean" / ".scratch-old").exists()
 
     def test_from_archive_refuses_nonempty_target(self, package_dir,
                                                   tmp_path):

@@ -170,6 +170,5 @@ class TestSubqueryLineage:
         # the avg() inputs are relevant: all three rows ship
         assert report.packaging.tuple_count == 3
         original = vos.fs.read_file("/out.txt")
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "s")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert result.outputs["/out.txt"] == original

@@ -119,6 +119,5 @@ class TestUnionLineage:
                   for ref in report.session.relevant_tuples.refs()}
         assert tables == {"a", "b"}
         original = vos.fs.read_file("/out.txt")
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert result.outputs["/out.txt"] == original

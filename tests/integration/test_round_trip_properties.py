@@ -129,8 +129,7 @@ class TestRoundTripProperties:
                   server_name="main",
                   server_binary_paths=SERVER_BINARIES)
         original = collect_outputs(vos)
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         for path, content in original.items():
             assert result.outputs.get(path) == content
 
@@ -165,9 +164,7 @@ class TestRoundTripProperties:
                   mode="server-included", database=database,
                   server_name="main",
                   server_binary_paths=SERVER_BINARIES)
-        first = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                         scratch_dir=tmp_path / "s1")
-        second = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "s2")
+        first = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
+        second = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert first.outputs == second.outputs
         assert first.restored_tuples == second.restored_tuples

@@ -47,8 +47,7 @@ class TestTransactionsUnderAudit:
                   server_name="main",
                   server_binary_paths=["/usr/lib/dbms/pg"])
         original = vos.fs.read_file("/out.txt")
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "s")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert result.outputs["/out.txt"] == original
         assert result.validated
 
@@ -70,8 +69,7 @@ class TestTransactionsUnderAudit:
                   server_name="main",
                   server_binary_paths=["/usr/lib/dbms/pg"])
         assert vos.fs.read_text("/out.txt") == "3"
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "s")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert result.outputs["/out.txt"] == b"3"
         assert result.validated
 
@@ -119,8 +117,7 @@ class TestCopyUnderAudit:
         # the bulk-loaded rows are app-created: only the 3 pre-existing
         # rows (read by count(*)) are relevant
         assert report.packaging.tuple_count == 3
-        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app},
-                          scratch_dir=tmp_path / "s")
+        result = ldv_exec(tmp_path / "pkg", {"/bin/app": app})
         assert result.outputs["/out.txt"] == b"5"
 
 

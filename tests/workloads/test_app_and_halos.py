@@ -165,8 +165,7 @@ class TestHaloWorkload:
                   server_name=world.server_name,
                   server_binary_paths=world.server_binary_paths)
         original = world.vos.fs.read_file(halos.RESULT_FILE)
-        result = ldv_exec(tmp_path / "pkg", world.registry,
-                          scratch_dir=tmp_path / "scratch")
+        result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs[halos.RESULT_FILE] == original
 
     def test_deterministic_world(self):
