@@ -145,6 +145,38 @@ class TestReadYourOwnWrites:
         assert db.query("SELECT id, balance FROM accounts ORDER BY id",
                         session=a) == [(1, 10), (2, 20)]
 
+    def test_own_writes_through_an_index_scan(self, db):
+        db.execute("CREATE INDEX ix_bal ON accounts (balance)")
+        a = db.create_session("a")
+        db.execute("BEGIN", session=a)
+        db.execute("INSERT INTO accounts VALUES (3, 77)", session=a)
+        db.execute("UPDATE accounts SET balance = 77 WHERE id = 1",
+                   session=a)
+        db.execute("DELETE FROM accounts WHERE balance = 20", session=a)
+        # equality probes on the indexed column see the write-set
+        assert db.query("SELECT id FROM accounts WHERE balance = 77",
+                        session=a) == [(1,), (3,)]
+        assert db.query("SELECT id FROM accounts WHERE balance = 10",
+                        session=a) == []
+        assert db.query("SELECT id FROM accounts WHERE balance = 20",
+                        session=a) == []
+        db.execute("COMMIT", session=a)
+        assert db.query("SELECT id FROM accounts WHERE balance = 77"
+                        ) == [(1,), (3,)]
+
+    def test_own_writes_in_an_aggregate(self, db):
+        a = db.create_session("a")
+        db.execute("BEGIN", session=a)
+        db.execute("INSERT INTO accounts VALUES (3, 70)", session=a)
+        db.execute("UPDATE accounts SET balance = 15 WHERE id = 1",
+                   session=a)
+        db.execute("DELETE FROM accounts WHERE id = 2", session=a)
+        assert db.query("SELECT count(*), sum(balance) FROM accounts",
+                        session=a) == [(2, 85)]
+        db.execute("ROLLBACK", session=a)
+        assert db.query("SELECT count(*), sum(balance) FROM accounts",
+                        session=a) == [(2, 30)]
+
 
 class TestFirstCommitterWins:
     def test_eager_conflict_on_concurrently_updated_row(self, two_sessions):
@@ -449,6 +481,22 @@ class TestWireTransactions:
         assert alice.in_transaction
         alice.commit()
         assert not alice.in_transaction
+
+    def test_rollback_over_the_wire_drops_all_writes(self, wired):
+        server, alice, _ = wired
+        alice.begin()
+        alice.execute("INSERT INTO accounts VALUES (3, 30)")
+        alice.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+        alice.execute("DELETE FROM accounts WHERE id = 2")
+        assert alice.query("SELECT id, balance FROM accounts ORDER BY id"
+                           ) == [(1, 0), (3, 30)]
+        alice.rollback()
+        assert not alice.in_transaction
+        assert alice.query("SELECT id, balance FROM accounts ORDER BY id"
+                           ) == [(1, 10), (2, 20)]
+        assert server.database.query(
+            "SELECT id, balance FROM accounts ORDER BY id"
+        ) == [(1, 10), (2, 20)]
 
     def test_transaction_context_manager(self, wired):
         _, alice, bob = wired
