@@ -17,9 +17,10 @@ LDV paper. It provides:
 * a libpq-like client/server protocol with interposition hooks
   (:mod:`repro.db.protocol`, :mod:`repro.db.client`,
   :mod:`repro.db.server`),
-* MVCC snapshot-isolated concurrent sessions (:mod:`repro.db.mvcc`)
-  with a deterministic interleaving scheduler for concurrency tests
-  (:mod:`repro.db.scheduler`).
+* sessions with one open transaction at a time, whose private
+  write-set gives ROLLBACK and read-your-own-writes; other sessions'
+  writes are refused with a retryable error until it ends
+  (:mod:`repro.db.mvcc`).
 
 The top-level façade is :class:`repro.db.engine.Database`.
 """
@@ -29,7 +30,6 @@ from repro.db.fileio import FileIO
 from repro.db.mvcc import Session
 from repro.db.types import Column, Schema, SQLType
 from repro.db.client import DBClient, Interceptor, RetryPolicy
-from repro.db.scheduler import InterleavingScheduler, StepResult
 from repro.db.server import DBServer
 from repro.db.wal import WriteAheadLog
 
@@ -43,8 +43,6 @@ __all__ = [
     "DBClient",
     "DBServer",
     "Interceptor",
-    "InterleavingScheduler",
     "RetryPolicy",
-    "StepResult",
     "WriteAheadLog",
 ]

@@ -19,8 +19,9 @@ class Catalog:
     schema changes.
 
     The catalog also owns the database-wide :class:`MVCCState` and
-    wires it into every table it manages, so scans anywhere in the
-    engine observe the ambient read view (see :mod:`repro.db.mvcc`).
+    hands it to every table it manages, so scans anywhere in the engine
+    see the executing transaction's own writes (see
+    :mod:`repro.db.mvcc`).
 
     ``dirty_tables`` names the tables whose ``.tbl`` file may lag their
     heap: the engine marks what each WAL batch, DDL statement and
@@ -62,8 +63,8 @@ class Catalog:
 
     def attach_table(self, table: HeapTable) -> None:
         """Adopt a table built outside the engine (a PTU package's full
-        table file): wire it into MVCC, age out plans built against the
-        old schema, and mark it for the next checkpoint."""
+        table file): hand it the shared :class:`MVCCState`, bump the
+        schema version, and mark it for the next checkpoint."""
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         table.mvcc = self.mvcc

@@ -36,10 +36,12 @@ class RetryPolicy:
 
     A round trip is retried when the transport raises
     :class:`repro.errors.TransientError` or the server answers with an
-    error frame flagged ``transient`` — both guarantee the statement
-    either had no durable effect or is idempotency-token-deduped, so a
-    resend is safe. The ``sleep`` hook is injectable so tests can
-    assert the backoff sequence without actually waiting.
+    error frame flagged ``transient`` (a wire fault, a failed fsync, or
+    a write refused while another connection holds the one open
+    transaction) — all guarantee the statement either had no durable
+    effect or is idempotency-token-deduped, so a resend is safe. The
+    ``sleep`` hook is injectable so tests can assert the backoff
+    sequence without actually waiting.
     """
 
     max_attempts: int = 4
@@ -139,7 +141,6 @@ class DBClient:
         self.interceptors: list[Interceptor] = []
         self.statements_sent = 0
         self.retries_performed = 0
-        self.transactions_retried = 0
         # mirrors the server's view, updated from the txn field the
         # server stamps on per-connection responses
         self.in_transaction = False
@@ -290,11 +291,7 @@ class DBClient:
 
     @contextmanager
     def transaction(self) -> Iterator["DBClient"]:
-        """BEGIN on entry; COMMIT on success, ROLLBACK on error.
-
-        No conflict retry — wrap the block in :meth:`run_transaction`
-        when write conflicts are possible.
-        """
+        """BEGIN on entry; COMMIT on success, ROLLBACK on error."""
         self.begin()
         try:
             yield self
@@ -303,44 +300,6 @@ class DBClient:
                 self.rollback()
             raise
         self.commit()
-
-    def run_transaction(self, body: Callable[["DBClient"], Any],
-                        max_attempts: int | None = None) -> Any:
-        """Run ``body(client)`` inside a transaction, retrying the
-        *whole* transaction on transient failures.
-
-        This is the client-side half of first-committer-wins: a
-        :class:`repro.errors.WriteConflictError` (from any statement or
-        from COMMIT itself) means the server already rolled the
-        transaction back, so the body is re-run under a fresh BEGIN —
-        a fresh snapshot — after the retry policy's backoff. The body
-        must therefore be free of client-side effects it cannot repeat.
-        """
-        attempts = max_attempts
-        if attempts is None:
-            attempts = (self.retry_policy.max_attempts
-                        if self.retry_policy is not None else 1)
-        attempt = 0
-        while True:
-            try:
-                self.begin()
-                value = body(self)
-                self.commit()
-                return value
-            except TransientError:  # includes WriteConflictError
-                if self.in_transaction:
-                    # non-conflict transient failure mid-transaction:
-                    # reset server-side state before starting over
-                    try:
-                        self.rollback()
-                    except DatabaseError:
-                        self.in_transaction = False
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                if self.retry_policy is not None:
-                    self.retry_policy.backoff(attempt - 1)
-                self.transactions_retried += 1
 
     def explain_analyze(self, sql: str) -> StatementResult:
         """Run ``EXPLAIN ANALYZE`` over a SELECT.
@@ -359,8 +318,7 @@ class DBClient:
         status = response.get("txn")
         if status is not None:
             # the server stamps its transaction state on every
-            # per-connection response — including the auto-rollback
-            # after a write conflict
+            # per-connection response
             self.in_transaction = status == "open"
         if response.get("frame") == "error" and frame.get("frame") != "query":
             raise _error_from_frame(response)

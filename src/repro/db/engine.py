@@ -14,16 +14,15 @@ that carries, besides rows, the full write provenance of DML:
 Query lineage (Perm's Lineage) is produced when the statement is
 ``SELECT PROVENANCE ...`` or when ``provenance=True`` is passed.
 
-Transactions are MVCC snapshots (:mod:`repro.db.mvcc`): BEGIN captures
-the logical clock; statements read that snapshot merged with the
-session's private write-set; COMMIT validates first-committer-wins
-(raising :class:`repro.errors.WriteConflictError`, a transient error
-the client retries as a whole transaction) and publishes the write-set
-as one WAL batch; ROLLBACK just drops it. Each
-:class:`~repro.db.mvcc.Session` carries its own transaction state, so
-any number of connections — the server opens one session per wire
-connection — interleave statements without observing each other's
-uncommitted work.
+Transactions follow the one-writer rule (:mod:`repro.db.mvcc`): one
+session at a time may hold an open transaction. Its statements read
+the committed heap merged with its private write-set; COMMIT publishes
+the write-set as one WAL batch; ROLLBACK just drops it. While it is
+open, any other session's BEGIN, DML, DDL or COPY FROM is refused with
+a one-line :class:`repro.errors.TransientError` and has no effect, so
+the committed heap is the transaction's snapshot. Other sessions may
+still read: an autocommit SELECT sees committed state only. The server
+opens one :class:`~repro.db.mvcc.Session` per wire connection.
 
 Durability (when a data directory is given): every committed statement
 or transaction is flushed to a write-ahead log (:mod:`repro.db.wal`)
@@ -35,7 +34,7 @@ committed records are replayed idempotently on top, torn or
 uncommitted log tails are truncated, and the logical clock resumes
 past every recovered tick. All file I/O runs through an injectable
 :class:`repro.db.fileio.FileIO`, which is how the fault-injection
-harness (:mod:`repro.faults`) simulates crashes at every write, fsync,
+harness (``tests/faults.py``) simulates crashes at every write, fsync,
 and rename.
 """
 
@@ -53,11 +52,7 @@ from repro.db import csvio
 from repro.db.catalog import Catalog
 from repro.db.executor import IndexScan
 from repro.db.expressions import compile_expression, compile_predicate
-from repro.db.mvcc import (
-    ReadView,
-    Session,
-    TransactionContext,
-)
+from repro.db.mvcc import Session, TableOverlay
 from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.sql import ast
@@ -87,9 +82,14 @@ from repro.errors import (
     SQLSyntaxError,
     StatementTimeout,
     TransactionError,
+    TransientError,
     WALCorruptionError,
-    WriteConflictError,
 )
+
+# statements that write: refused while another session's transaction
+# is open (the one-writer rule)
+_WRITES = (ast.Begin, ast.Insert, ast.Update, ast.Delete, ast.CopyFrom,
+           ast.CreateTable, ast.DropTable, ast.CreateIndex, ast.DropIndex)
 
 
 @dataclass
@@ -232,8 +232,9 @@ class Database:
         # the default one used by the embedded single-connection API)
         self.mvcc = self.catalog.mvcc
         self._next_session_id = 1
-        self._next_txn_id = 1
         self.session = self.create_session("default")
+        # the session holding the one open transaction, if any
+        self.writer: Optional[Session] = None
         # cooperative statement deadline (see statement_deadline):
         # checked between row batches so runaway scans can be cancelled
         self._deadline: Optional[float] = None
@@ -446,7 +447,7 @@ class Database:
         """Roll back the session's open transaction, if any (used when
         a connection closes or the server shuts down)."""
         if session.txn is not None:
-            self._abort_transaction(session)
+            self._end_transaction(session)
 
     @contextmanager
     def use_session(self, session: Session) -> Iterator[Session]:
@@ -464,18 +465,15 @@ class Database:
             self.session = previous
 
     @contextmanager
-    def _read_view(self, session: Session) -> Iterator[None]:
-        """Make the session's snapshot the ambient read view for the
-        duration of one statement. Tables consult it during scans, so
-        a plan's operators, which hold direct table references, read
-        the snapshot of whichever session runs them. No view is
-        installed outside a transaction: autocommit statements read
-        (and write) the committed heap directly."""
+    def _write_set(self, session: Session) -> Iterator[None]:
+        """Make the session's open transaction the one tables consult
+        during scans for the duration of one statement, so a plan's
+        operators, which hold direct table references, see the writes
+        of whichever session runs them. Autocommit statements read (and
+        write) the committed heap directly."""
         state = self.mvcc
         previous = state.current
-        context = session.txn
-        state.current = (ReadView(context.snapshot, context, state)
-                         if context is not None else None)
+        state.current = session.txn
         try:
             yield
         finally:
@@ -593,14 +591,20 @@ class Database:
             replayed = self._ledger_replay(token, session)
             if replayed is not None:
                 return replayed
+        writer = self.writer
+        if (writer is not None and writer is not session
+                and isinstance(statement, _WRITES)):
+            raise TransientError(
+                f"session {writer.name!r} has a transaction open and "
+                f"one session writes at a time; retry after it ends")
         # classified as parsed: expansion below inlines subquery
         # results, after which a subquery SELECT would look plain. A
         # cacheable SELECT has no subqueries, so it skips expansion.
         cacheable = self._result_cacheable(statement)
-        # planned inside the session's read view: cardinality estimates
+        # planned inside the session's write-set: cardinality estimates
         # must see the transaction's own overlay (a bulk insert into
         # one join side steers the plan's build side)
-        with self._read_view(session):
+        with self._write_set(session):
             extra_lineage: frozenset = EMPTY_LINEAGE
             if not cacheable and isinstance(
                     statement, (ast.Select, ast.SetOp, ast.Update,
@@ -616,12 +620,7 @@ class Database:
             try:
                 result = self._dispatch_statement(statement, provenance,
                                                   session)
-            except Exception as exc:
-                if (isinstance(exc, WriteConflictError)
-                        and session.txn is not None):
-                    # first committer won: the losing transaction is
-                    # dead; roll it back so the client can BEGIN afresh
-                    self._abort_transaction(session)
+            except Exception:
                 if session.txn is None:
                     # a failed autocommit statement never commits:
                     # whatever it logged must not survive recovery
@@ -659,7 +658,7 @@ class Database:
         if entry is None:
             return None
         if entry["commit"] and session.txn is not None:
-            self._abort_transaction(session)
+            self._end_transaction(session)
         from repro.db import protocol  # local import: protocol imports engine
 
         result = protocol.result_from_wire(entry["result"])
@@ -734,9 +733,9 @@ class Database:
             f"unsupported statement type {type(statement).__name__}")
 
     def require_no_open_transaction(self, action: str) -> None:
-        """Refuse ``action`` while any session has a transaction open:
+        """Refuse ``action`` while a session has a transaction open:
         it must see committed state only."""
-        if self.mvcc.has_active():
+        if self.writer is not None:
             raise TransactionError(
                 f"cannot {action} during an open transaction")
 
@@ -767,11 +766,6 @@ class Database:
     def close(self) -> None:
         """Checkpoint and release (no open handles are held otherwise)."""
         self.checkpoint()
-
-    def vacuum(self) -> None:
-        """Force an MVCC history/commit-map prune (normally automatic
-        after each commit; exposed for leak checks and tests)."""
-        self._prune_mvcc()
 
     # -- SELECT --------------------------------------------------------------------
 
@@ -868,16 +862,16 @@ class Database:
                 source_rows.append((values, EMPTY_LINEAGE))
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
-        context = session.txn
-        if context is None:
+        overlay = self._overlay_of(session, table)
+        if overlay is None:
             self._save_prior(table)
         for values, lineage in source_rows:
             full_values = self._spread_values(table, positions, values)
-            if context is None:
+            if overlay is None:
                 rowid = table.insert(full_values, tick)
                 self._log_put(table, rowid)
             else:
-                rowid = self._overlay_insert(context, table,
+                rowid = self._overlay_insert(overlay, table,
                                              full_values, tick)
             ref = TupleRef(table.name, rowid, tick)
             result.written.append(ref)
@@ -913,8 +907,8 @@ class Database:
             self, table: HeapTable, where: Optional[ast.Expression]
     ) -> list[tuple[int, tuple, int]]:
         """``(rowid, values, version)`` of the rows a DML statement
-        targets — read through the ambient view, so inside a
-        transaction this is the snapshot merged with the write-set.
+        targets: inside a transaction, the committed heap merged with
+        its write-set.
 
         When a hash index answers one WHERE conjunct
         (:func:`repro.db.planner.index_probe`), only the rows it
@@ -949,18 +943,19 @@ class Database:
         if not matched:
             return result
         tick = self.clock.tick()
-        context = session.txn
+        overlay = self._overlay_of(session, table)
         for rowid, old_values, old_version in matched:
             new_values = list(old_values)
             for position, value_fn in assignments:
                 new_values[position] = value_fn(old_values)
-            if context is None:
+            if overlay is None:
                 self._save_prior(table, rowid)
                 table.update(rowid, tuple(new_values), tick)
                 self._log_put(table, rowid)
             else:
-                self._overlay_update(context, table, rowid, old_version,
-                                     tuple(new_values), tick)
+                row = coerce_row(new_values, table.schema)
+                self._check_overlay_pk(overlay, table, rowid, row)
+                overlay.upserts[rowid] = (row, tick)
             old_ref = TupleRef(table.name, rowid, old_version)
             new_ref = TupleRef(table.name, rowid, tick)
             result.written.append(new_ref)
@@ -977,108 +972,72 @@ class Database:
         if not matched:
             return result
         tick = self.clock.tick()
-        context = session.txn
+        overlay = self._overlay_of(session, table)
         for rowid, old_values, old_version in matched:
-            if context is None:
+            if overlay is None:
                 self._save_prior(table, rowid)
-                table.delete(rowid, tick)
+                table.delete(rowid)
                 self._log_delete(table, rowid)
             else:
-                self._overlay_delete(context, table, rowid,
-                                     old_version, tick)
+                overlay.upserts.pop(rowid, None)
+                # a row born and deleted inside the transaction leaves
+                # no trace
+                if rowid in table.rows:
+                    overlay.deletes[rowid] = tick
             result.deleted.append(TupleRef(table.name, rowid, old_version))
         result.rowcount = len(matched)
         return result
 
     # -- transactional write-set helpers ------------------------------------------
 
-    def _overlay_insert(self, context: TransactionContext,
-                        table: HeapTable, values: tuple,
-                        tick: int) -> int:
+    @staticmethod
+    def _overlay_of(session: Session,
+                    table: HeapTable) -> Optional[TableOverlay]:
+        """The session's write-set for ``table`` when it has a
+        transaction open (created on first use); None in autocommit."""
+        if session.txn is None:
+            return None
+        return session.txn.setdefault(table.name, TableOverlay())
+
+    def _overlay_insert(self, overlay: TableOverlay, table: HeapTable,
+                        values: tuple, tick: int) -> int:
         """Buffer an INSERT in the transaction's private write-set.
 
-        The rowid is reserved from the shared counter immediately so
-        concurrent transactions never collide (aborts leave gaps,
-        which rowids explicitly permit).
+        The rowid is reserved from the table's counter at once (a
+        rollback leaves a gap, which rowids explicitly permit).
         """
         row = coerce_row(values, table.schema)
-        self._check_overlay_pk(context, table, None, row)
+        self._check_overlay_pk(overlay, table, None, row)
         rowid = table.next_rowid
         table.next_rowid += 1
         # the counter is in the table file's header, and no WAL record
         # carries the move
         self.catalog.mark_dirty(table.name)
-        overlay = context.overlay_for(table.name, create=True)
         overlay.upserts[rowid] = (row, tick)
-        overlay.base_versions.setdefault(rowid, None)
         return rowid
 
-    def _overlay_update(self, context: TransactionContext,
-                        table: HeapTable, rowid: int, seen_version: int,
-                        values: tuple, tick: int) -> None:
-        row = coerce_row(values, table.schema)
-        overlay = context.overlay_for(table.name, create=True)
-        if rowid not in overlay.upserts:
-            # first touch of a committed row: it must still be exactly
-            # the version our snapshot read, else somebody committed
-            # in between and the first committer has already won
-            if table.versions.get(rowid) != seen_version:
-                raise WriteConflictError(
-                    f"row {rowid} of table {table.name!r} was modified "
-                    f"by a concurrent transaction")
-            overlay.base_versions.setdefault(rowid, seen_version)
-        self._check_overlay_pk(context, table, rowid, row)
-        overlay.upserts[rowid] = (row, tick)
-
-    def _overlay_delete(self, context: TransactionContext,
-                        table: HeapTable, rowid: int, seen_version: int,
-                        tick: int) -> None:
-        overlay = context.overlay_for(table.name, create=True)
-        if rowid in overlay.upserts:
-            del overlay.upserts[rowid]
-            if overlay.base_versions.get(rowid) is None:
-                # born and deleted inside this transaction: no trace
-                overlay.base_versions.pop(rowid, None)
-            else:
-                overlay.deletes[rowid] = tick
-            return
-        if table.versions.get(rowid) != seen_version:
-            raise WriteConflictError(
-                f"row {rowid} of table {table.name!r} was modified "
-                f"by a concurrent transaction")
-        overlay.base_versions.setdefault(rowid, seen_version)
-        overlay.deletes[rowid] = tick
-
-    def _check_overlay_pk(self, context: TransactionContext,
-                          table: HeapTable, rowid: Optional[int],
-                          row: tuple) -> None:
-        """Primary-key admission for a buffered write: duplicates
-        visible at the snapshot (or inside the write-set) are integrity
-        errors; keys taken by not-yet-visible concurrent commits are
-        write conflicts (retrying with a fresh snapshot reports them
-        properly)."""
+    @staticmethod
+    def _check_overlay_pk(overlay: TableOverlay, table: HeapTable,
+                          rowid: Optional[int], row: tuple) -> None:
+        """Primary-key admission for a buffered write: the key must be
+        free in the committed heap merged with the write-set. No other
+        session writes while the transaction is open, so COMMIT needs
+        no second check."""
         key = table.pk_key(row)
         if key is None:
             return
-        overlay = context.overlay_for(table.name, create=True)
         for other, (other_row, _tick) in overlay.upserts.items():
             if other != rowid and table.pk_key(other_row) == key:
                 raise IntegrityError(
                     f"duplicate primary key {key!r} in table {table.name}")
         holder = table.pk_holder(key)
-        if holder is None or holder == rowid:
-            return
-        if holder in overlay.deletes or holder in overlay.upserts:
-            # we delete that row, or move its key away, in this txn
-            return
-        view = table.active_view()
-        found = table.visible_version(holder, view) if view else None
-        if found is not None and table.pk_key(found[0]) == key:
+        # a committed holder we delete, or whose key we move away in
+        # this transaction, frees the key
+        if (holder is not None and holder != rowid
+                and holder not in overlay.deletes
+                and holder not in overlay.upserts):
             raise IntegrityError(
                 f"duplicate primary key {key!r} in table {table.name}")
-        raise WriteConflictError(
-            f"primary key {key!r} in table {table.name!r} was taken "
-            f"by a concurrent transaction")
 
     # -- DDL / COPY --------------------------------------------------------------------
 
@@ -1147,16 +1106,16 @@ class Database:
                                 header=copy.header,
                                 delimiter=copy.delimiter)
         tick = self.clock.tick()
-        context = session.txn
+        overlay = self._overlay_of(session, table)
         result = StatementResult(kind="copy", source_tables=[table.name])
-        if context is None:
+        if overlay is None:
             self._save_prior(table)
         for values in rows:
-            if context is None:
+            if overlay is None:
                 rowid = table.insert(values, tick)
                 self._log_put(table, rowid)
             else:
-                rowid = self._overlay_insert(context, table,
+                rowid = self._overlay_insert(overlay, table,
                                              tuple(values), tick)
             result.written.append(TupleRef(table.name, rowid, tick))
         result.rowcount = len(result.written)
@@ -1177,63 +1136,48 @@ class Database:
     def _execute_begin(self, session: Session) -> StatementResult:
         if session.txn is not None:
             raise TransactionError("transaction already in progress")
-        context = TransactionContext(self._next_txn_id, self.clock.now)
-        self._next_txn_id += 1
-        session.txn = context
-        self.mvcc.begin(context.txn_id, context.snapshot)
+        session.txn = {}
+        self.writer = session
         return StatementResult(kind="txn")
 
     def _execute_commit(self, session: Session) -> StatementResult:
-        """Validate and publish the transaction's write-set.
+        """Publish the transaction's write-set.
 
-        First-committer-wins validation runs before a single shared
-        structure is touched; on conflict the raised
-        :class:`WriteConflictError` makes ``execute_statement`` abort
-        the transaction, so a failed COMMIT leaves no partial state.
-        The apply phase detaches every overwritten committed row (the
-        pre-images join the history chains for still-open snapshots),
-        then installs the write-set and logs it as one WAL batch —
-        committed atomically by the autocommit epilogue's single
-        commit-marker + fsync. Finally the provisional statement ticks
-        are mapped to one fresh commit tick, which is the instant the
-        writes become visible to later snapshots.
+        No other session wrote while it was open, so there is nothing
+        to validate. The apply phase detaches every overwritten
+        committed row (freeing its PK and index slots), then installs
+        the write-set in sorted rowid order and logs it as one WAL
+        batch, committed atomically by the autocommit epilogue's single
+        commit marker + fsync. A non-empty write-set consumes one clock
+        tick, the commit's.
         """
-        context = session.txn
-        if context is None:
+        txn = session.txn
+        if txn is None:
             raise TransactionError("no transaction in progress")
-        self._check_conflicts(context)
         writes = {name: overlay
-                  for name, overlay in context.overlays.items()
+                  for name, overlay in txn.items()
                   if not overlay.empty}
-        session.txn = None  # the epilogue now commits the WAL batch
+        self._end_transaction(session)  # the epilogue commits the batch
         if writes:
-            commit_tick = self.clock.tick()
-            provisional: set[int] = set()
+            self.clock.tick()
             for name in sorted(writes):
                 overlay = writes[name]
                 table = self.catalog.get_table(name)
-                # detach phase: pre-images of updated rows move into
-                # the history chains (ending at the statement's tick)
-                # and free their PK/index slots, so the install phase
-                # cannot trip over transient in-transaction PK moves
+                # detach phase: freeing the PK/index slots of updated
+                # rows first keeps the install phase from tripping over
+                # transient in-transaction PK moves
                 for rowid in sorted(overlay.upserts):
                     self._save_prior(table, rowid)
                     if rowid in table.rows:
-                        table.delete(rowid, overlay.upserts[rowid][1])
+                        table.delete(rowid)
                 for rowid in sorted(overlay.deletes):
-                    tick = overlay.deletes[rowid]
                     self._save_prior(table, rowid)
-                    table.delete(rowid, tick)
+                    table.delete(rowid)
                     self._log_delete(table, rowid)
-                    provisional.add(tick)
                 for rowid in sorted(overlay.upserts):
                     row, tick = overlay.upserts[rowid]
                     table.put_row(rowid, row, tick)
                     self._log_put(table, rowid)
-                    provisional.add(tick)
-            self.mvcc.register_commit(provisional, commit_tick)
-        self.mvcc.end(context.txn_id)
-        self._prune_mvcc()
         return StatementResult(kind="txn")
 
     def _execute_rollback(self, session: Session) -> StatementResult:
@@ -1241,61 +1185,9 @@ class Database:
             raise TransactionError("no transaction in progress")
         # the write-set was private: dropping it *is* the rollback —
         # no shared structure (heap, indexes, WAL) ever saw it
-        self._abort_transaction(session)
+        self._end_transaction(session)
         return StatementResult(kind="txn")
 
-    def _abort_transaction(self, session: Session) -> None:
-        context = session.txn
+    def _end_transaction(self, session: Session) -> None:
         session.txn = None
-        if context is not None:
-            self.mvcc.end(context.txn_id)
-            self._prune_mvcc()
-
-    def _check_conflicts(self, context: TransactionContext) -> None:
-        """First-committer-wins validation at COMMIT.
-
-        Re-checks every base version recorded at write time (eager
-        checks cannot see commits that happen *after* the write), and
-        re-validates primary keys against the committed state so the
-        apply phase cannot fail halfway."""
-        for name in sorted(context.overlays):
-            overlay = context.overlays[name]
-            if overlay.empty:
-                continue
-            if not self.catalog.has_table(name):
-                raise WriteConflictError(
-                    f"table {name!r} was dropped while the "
-                    f"transaction was open")
-            table = self.catalog.get_table(name)
-            for rowid, base in sorted(overlay.base_versions.items()):
-                if base is None:
-                    continue
-                if table.versions.get(rowid) != base:
-                    raise WriteConflictError(
-                        f"row {rowid} of table {name!r} was modified "
-                        f"by a concurrent transaction")
-            seen_keys: dict[tuple, int] = {}
-            for rowid in sorted(overlay.upserts):
-                key = table.pk_key(overlay.upserts[rowid][0])
-                if key is None:
-                    continue
-                if key in seen_keys:
-                    raise IntegrityError(
-                        f"duplicate primary key {key!r} in table {name}")
-                seen_keys[key] = rowid
-                holder = table.pk_holder(key)
-                if (holder is None or holder == rowid
-                        or holder in overlay.deletes
-                        or holder in overlay.upserts):
-                    continue
-                raise WriteConflictError(
-                    f"primary key {key!r} in table {name!r} was taken "
-                    f"by a concurrent transaction")
-
-    def _prune_mvcc(self) -> None:
-        """Garbage-collect history chains and commit-map entries no
-        remaining snapshot can observe (everything, when idle)."""
-        minimum = self.mvcc.min_active_snapshot()
-        for table in self.catalog:
-            table.prune_history(minimum, self.mvcc.commit_stamp)
-        self.mvcc.prune()
+        self.writer = None

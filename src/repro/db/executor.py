@@ -212,12 +212,12 @@ def _dense_batch(rows: list[tuple], lineages: list | None,
 class SeqScan(Operator):
     """Columnar full scan of a heap table, optionally producing lineage.
 
-    Under an MVCC read view (or with lineage tracking) rows flow
-    through ``scan_versions()``, which reports the begin stamp of the
-    version the ambient read view actually saw — under a snapshot that
-    may be a history entry or the session's own write, so lineage
-    references the snapshot's tuple versions. The committed-latest
-    no-lineage case slices the heap directly.
+    When the executing transaction has written the table (or with
+    lineage tracking) rows flow through ``scan_versions()``, which
+    merges the transaction's own writes over the committed heap and
+    reports the version of each row it yields, so lineage references
+    the tuple versions the statement saw. The committed no-lineage case
+    slices the heap directly.
 
     ``needed_columns`` (set by :func:`_prune_scan` for a Project or
     HashJoin consumer) prunes materialization on this path: only those
@@ -237,7 +237,7 @@ class SeqScan(Operator):
     def batches(self) -> Iterator[RowBatch]:
         table = self.table
         width = len(self.schema)
-        if self.track_lineage or table.active_view() is not None:
+        if self.track_lineage or table.overlay() is not None:
             yield from _version_batches(table.scan_versions(), table.name,
                                         self.track_lineage, width)
             return
@@ -301,7 +301,7 @@ class IndexScan(Operator):
     def _probe_values(self):
         """The non-NULL values to probe with: the bounds as a range,
         else the constants deduplicated in order (a dict, so the
-        snapshot path's membership test is O(1))."""
+        write-set path's membership test is O(1))."""
         if self.bounds is not None:
             low, high = self.bounds
             return range(low, high + 1)
@@ -317,10 +317,10 @@ class IndexScan(Operator):
         if not probe_values:
             return
         table = self.table
-        if table.active_view() is not None:
-            # hash buckets reflect only committed-latest state; under a
-            # snapshot the index degrades to a visible scan + membership
-            # filter so the result matches what SeqScan would produce
+        if table.overlay() is not None:
+            # hash buckets reflect only the committed heap; over the
+            # transaction's own writes the index degrades to a merged
+            # scan + membership filter, matching what SeqScan produces
             position = self.index.position
             for entry in table.scan_versions():
                 if entry[1][position] in probe_values:

@@ -3,7 +3,7 @@
 Every byte the engine persists — table checkpoints, the write-ahead log,
 checkpoint metadata — flows through one :class:`FileIO` instance. That
 gives the durability code a single narrow surface where faults can be
-interposed (:class:`repro.faults.FaultyIO`) without monkey-patching, and
+interposed (``FaultyIO`` in ``tests/faults.py``) without monkey-patching, and
 it is where the atomic-write protocol (temp file → fsync → rename) lives
 so every caller gets it right.
 

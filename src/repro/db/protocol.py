@@ -33,18 +33,14 @@ a version-2 server.
 Transactions run over plain query frames (``BEGIN`` / ``COMMIT`` /
 ``ROLLBACK`` SQL); the server stamps every per-connection response
 with ``txn`` (``"open"`` or ``"idle"``) so clients can track their
-transaction state — including the server-side auto-rollback after a
-``WriteConflictError``. ``result_from_wire`` ignores the field, so
-frames recorded by older monitors still replay.
+transaction state. ``result_from_wire`` ignores the field, so frames
+recorded by older monitors still replay.
 
 An error frame with ``transient`` set marks a failure the client may
-safely retry (an injected wire fault, a failed fsync): the server
-guarantees the statement had no durable effect. Clients with a
-``RetryPolicy`` resend such requests with bounded backoff. A
-``WriteConflictError`` frame is deliberately *not* flagged transient —
-the failed transaction is gone, so the retry unit is the whole
-transaction (:meth:`repro.db.client.DBClient.run_transaction`), never
-the frame.
+safely retry: an injected wire fault, a failed fsync, or a write
+refused because another connection holds the one open transaction.
+The server guarantees the statement had no effect. Clients with a
+``RetryPolicy`` resend such requests with bounded backoff.
 
 ``provenance``, when present, must be a JSON boolean. ``token`` on a
 query frame (optional, and ignored by older peers) must be a string:

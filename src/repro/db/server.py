@@ -11,17 +11,22 @@ an exception escape. Malformed frames, traffic after :meth:`shutdown`,
 statement failures, even unexpected internal errors all come back as
 protocol ``error`` frames (transient ones flagged so clients may
 retry). The only thing that crosses the wall is a simulated crash from
-the fault-injection harness, which — like a real ``kill -9`` — no
-handler may absorb.
+the fault-injection harness (``tests/faults.py``), which, like a real
+``kill -9``, no handler may absorb.
+
+Connections share one :class:`~repro.db.engine.Database` and its
+one-writer rule: while one connection has a transaction open, another
+connection's BEGIN, DML, DDL or COPY FROM answers a one-line error
+frame flagged ``transient``, and the connection keeps serving.
 
 The server answers one statement per frame, the way libpq sends them:
 every statement arrives as SQL text in a ``query`` frame and runs
 through :meth:`repro.db.engine.Database.execute`. Read-only statements
 are served from :class:`ResultCache`, whose entries hold while the
-catalog version and the per-table MVCC commit watermarks they were
-stored under hold, so invalidation falls out of the commit bookkeeping
-and hits are snapshot-correct by construction. Protocol version 2 adds a ``stats`` frame reporting the
-serving counters. The server answers every frame it is sent: it
+catalog version and the per-table commit watermarks they were stored
+under hold, so invalidation falls out of the commit bookkeeping.
+Protocol version 2 adds a ``stats`` frame reporting the serving
+counters. The server answers every frame it is sent: it
 neither sheds nor caps load. Its only refusals are malformed or
 unknown frames and traffic after :meth:`DBServer.shutdown`.
 """
@@ -44,25 +49,11 @@ from repro.errors import (
     ReproError,
     StatementTimeout,
     TransientError,
-    WriteConflictError,
 )
 
 
 # entries the server's result cache holds
 RESULT_CACHE_CAPACITY = 128
-
-
-def _frame_transient(exc: Exception) -> bool:
-    """Should an error frame carry the ``transient`` retry flag?
-
-    A :class:`WriteConflictError` is transient for the *transaction*,
-    not for the frame: resending the failed statement verbatim would
-    land outside any transaction (the server already rolled it back).
-    Clients retry it through
-    :meth:`repro.db.client.DBClient.run_transaction` instead.
-    """
-    return (isinstance(exc, TransientError)
-            and not isinstance(exc, WriteConflictError))
 
 
 def _looks_like_select(sql: str) -> bool:
@@ -111,21 +102,18 @@ class ResultCache:
     """Read-through cache of ``result`` frames for read-only statements.
 
     An entry records, besides the frame, the ``catalog.version`` and
-    the per-source-table MVCC commit watermarks at store time. A
-    lookup is a hit only when every watermark (and the catalog
-    version) still matches — i.e. the cached frame reflects the
-    *latest committed state* of every table it was derived from.
-    Invalidation therefore falls out of the commit map: any commit to
-    a source table moves that table's watermark and strands the entry.
+    the per-source-table commit watermarks at store time. A lookup is
+    a hit only when every watermark (and the catalog version) still
+    matches — i.e. the cached frame reflects the *latest committed
+    state* of every table it was derived from. Any commit to a source
+    table moves that table's watermark and strands the entry.
 
-    Snapshot correctness inside an open transaction needs one more
-    check: the transaction's snapshot must actually *see* the latest
-    commit to every source table (``watermark <= snapshot``) and must
-    not have private writes overlaying them. When either fails, the
-    lookup misses — without evicting, since the entry is still right
-    for current-state readers — and the statement executes under the
-    transaction's own snapshot. Results computed inside a transaction
-    are never stored.
+    Inside an open transaction the committed state is the
+    transaction's snapshot, so an entry serves it too, unless the
+    transaction has private writes to a source table. Then the lookup
+    misses — without evicting, since the entry is still right for
+    everyone else — and the statement executes over its own writes.
+    Results computed inside a transaction are never stored.
     """
 
     def __init__(self) -> None:
@@ -169,18 +157,14 @@ class ResultCache:
             self.misses += 1
             return None
         context = session.txn
-        if context is not None:
-            visible = all(watermark <= context.snapshot
-                          for watermark in entry["watermarks"].values())
-            overlaid = any(
+        if context is not None and any(
                 not overlay.empty
-                for table, overlay in context.overlays.items()
-                if table in entry["watermarks"])
-            if not visible or overlaid:
-                # correct for current-state readers, not for this
-                # snapshot: bypass without evicting
-                self.misses += 1
-                return None
+                for table, overlay in context.items()
+                if table in entry["watermarks"]):
+            # right for the committed state, not for this
+            # transaction's own writes: bypass without evicting
+            self.misses += 1
+            return None
         self._entries.move_to_end(key)
         self.hits += 1
         return entry["frame"]
@@ -304,8 +288,8 @@ class DBServer:
         """Handle one encoded frame, returning an encoded response.
 
         Never raises: whatever goes wrong becomes an ``error`` frame.
-        (A :class:`repro.faults.SimulatedCrash` still propagates — it
-        derives from BaseException precisely so that no server-side
+        (A ``SimulatedCrash`` from ``tests/faults.py`` still propagates:
+        it derives from BaseException precisely so that no server-side
         handler can survive it.)
         """
         request: dict[str, Any] | None = None
@@ -319,7 +303,7 @@ class DBServer:
             except Exception as exc:  # the wall: no raw exception on the wire
                 response = protocol.error_frame(
                     type(exc).__name__, str(exc),
-                    transient=_frame_transient(exc))
+                    transient=isinstance(exc, TransientError))
         response_text = protocol.encode_frame(response)
         self.bytes_in += len(request_text)
         self.bytes_out += len(response_text)
@@ -352,7 +336,7 @@ class DBServer:
         except DatabaseError as exc:
             frame = protocol.error_frame(
                 type(exc).__name__, str(exc),
-                transient=_frame_transient(exc))
+                transient=isinstance(exc, TransientError))
             self._attach_txn_status(frame, request)
             return frame
         except ReproError as exc:  # pragma: no cover - defensive
@@ -363,7 +347,7 @@ class DBServer:
     def _attach_txn_status(self, frame: dict[str, Any],
                            request: dict[str, Any]) -> None:
         """Stamp a response with the connection's transaction state so
-        clients track BEGIN/COMMIT/conflict-abort without guessing."""
+        clients track BEGIN/COMMIT/ROLLBACK without guessing."""
         state = self._state_of(request)
         if state is not None:
             frame["txn"] = ("open" if state.session.in_transaction
@@ -504,8 +488,8 @@ class DBServer:
     def _handle_close(self, request: dict[str, Any]) -> dict[str, Any]:
         state = self._require_state(request)
         del self._states[request.get("connection_id")]
-        # a vanished client must not pin its snapshot (or leave a
-        # half-done transaction ambiguous): roll it back
+        # a vanished client must not keep the one open transaction
+        # (and with it every other connection's writes): roll it back
         self.database.abort_session(state.session)
         return protocol.closed_frame()
 

@@ -67,16 +67,12 @@ class HashIndex:
 class HeapTable:
     """An in-memory heap of versioned rows with optional PK enforcement.
 
-    ``rows``/``versions`` hold the *committed-latest* state — what
-    checkpoints serialize and what the WAL describes. While any
-    transaction is open (``mvcc.has_active()``), superseded committed
-    versions are additionally retained in ``history`` as
-    ``(begin, end, values)`` chains so concurrent snapshots can still
-    read them; history is in-memory only and is pruned as soon as no
-    snapshot can reach it. ``mvcc`` is the database-wide
-    :class:`repro.db.mvcc.MVCCState`, attached by the catalog
-    (standalone tables never record history and scan the heap
-    directly).
+    ``rows``/``versions`` hold the committed state: what checkpoints
+    serialize and what the WAL describes. ``mvcc`` is the
+    database-wide :class:`repro.db.mvcc.MVCCState`, attached by the
+    catalog; through it a scan finds the executing transaction's
+    private write-set for this table (standalone tables have none and
+    scan the heap directly).
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -86,7 +82,6 @@ class HeapTable:
         self.schema = schema
         self.rows: dict[int, tuple[Any, ...]] = {}
         self.versions: dict[int, int] = {}
-        self.history: dict[int, list[tuple[int, int, tuple]]] = {}
         self.mvcc = None  # set by Catalog; None for standalone tables
         self.next_rowid = 1
         self._pk_positions: tuple[int, ...] = tuple(
@@ -95,39 +90,11 @@ class HeapTable:
         self._pk_index: dict[tuple[Any, ...], int] = {}
         self.indexes: dict[str, HashIndex] = {}
 
-    # -- MVCC hooks ------------------------------------------------------------
-
-    def active_view(self):
-        """The ambient :class:`~repro.db.mvcc.ReadView`, if any."""
-        return self.mvcc.current if self.mvcc is not None else None
-
-    def _record_history(self, rowid: int, begin: int, end: int,
-                        values: tuple) -> None:
-        """Retain a superseded committed version for open snapshots."""
-        if (self.mvcc is not None and self.mvcc.has_active()
-                and end is not None):
-            self.history.setdefault(rowid, []).append((begin, end, values))
-
-    def prune_history(self, minimum: int | None, commit_stamp) -> None:
-        """Drop history no active snapshot can see.
-
-        A chain entry ``(begin, end, values)`` is only readable by
-        snapshots that do *not* see ``end``; once every active snapshot
-        is at or past ``commit_stamp(end)`` — or nothing is active —
-        the entry is dead.
-        """
-        if not self.history:
-            return
-        if minimum is None:
-            self.history.clear()
-            return
-        for rowid in list(self.history):
-            kept = [entry for entry in self.history[rowid]
-                    if commit_stamp(entry[1]) > minimum]
-            if kept:
-                self.history[rowid] = kept
-            else:
-                del self.history[rowid]
+    def overlay(self):
+        """The executing transaction's write-set for this table
+        (a :class:`~repro.db.mvcc.TableOverlay`), or None."""
+        write_sets = self.mvcc.current if self.mvcc is not None else None
+        return write_sets.get(self.name) if write_sets else None
 
     def pk_key(self, row: tuple) -> tuple[Any, ...] | None:
         """The row's primary-key value, or None for PK-less tables."""
@@ -174,24 +141,19 @@ class HeapTable:
                 del self._pk_index[old_key]
                 self._pk_index[new_key] = rowid
         old_row = self.rows[rowid]
-        self._record_history(rowid, self.versions[rowid], tick, old_row)
         for index in self.indexes.values():
             index.remove(rowid, old_row[index.position])
             index.add(rowid, row[index.position])
         self.rows[rowid] = row
         self.versions[rowid] = tick
 
-    def delete(self, rowid: int, tick: int | None = None) -> None:
-        """Remove a row. ``tick`` is the logical time of the removal;
-        it stamps the ``end`` of the retained history entry when
-        concurrent snapshots might still read the row."""
+    def delete(self, rowid: int) -> None:
+        """Remove a row."""
         row = self.rows.pop(rowid, None)
         if row is None:
             raise ExecutionError(
                 f"rowid {rowid} not found in table {self.name}")
-        version = self.versions.pop(rowid, None)
-        if version is not None and tick is not None:
-            self._record_history(rowid, version, tick, row)
+        self.versions.pop(rowid, None)
         if self._pk_positions:
             key = tuple(row[i] for i in self._pk_positions)
             self._pk_index.pop(key, None)
@@ -274,97 +236,49 @@ class HeapTable:
         return version
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield ``(rowid, values)`` in rowid order (deterministic).
-
-        Under an ambient :class:`~repro.db.mvcc.ReadView` the scan is
-        snapshot-correct: it merges the view's private overlay over the
-        committed versions visible at the snapshot (skipping overlay
-        deletes and versions committed after it).
-        """
-        view = self.active_view()
-        if view is None:
-            for rowid in sorted(self.rows):
-                yield rowid, self.rows[rowid]
-            return
-        for rowid, values, _version in self._scan_view(view):
+        """Yield ``(rowid, values)`` in rowid order (deterministic),
+        with the executing transaction's own writes merged in."""
+        for rowid, values, _version in self.scan_versions():
             yield rowid, values
 
     def scan_versions(self) -> Iterator[tuple[int, tuple[Any, ...], int]]:
-        """Like :meth:`scan`, additionally yielding each row's begin
-        stamp — for the visible version, which under a snapshot may be
-        a history entry or an uncommitted overlay write."""
-        view = self.active_view()
-        if view is None:
+        """Like :meth:`scan`, additionally yielding each row's version:
+        the committed one, or the provisional one of a row the
+        executing transaction wrote."""
+        overlay = self.overlay()
+        if overlay is None:
             for rowid in sorted(self.rows):
                 yield rowid, self.rows[rowid], self.versions[rowid]
             return
-        yield from self._scan_view(view)
-
-    def _scan_view(self, view) -> Iterator[tuple[int, tuple[Any, ...], int]]:
-        overlay = view.overlay_for(self.name)
-        rowids = set(self.rows)
-        if self.history:
-            rowids.update(self.history)
-        if overlay is not None:
-            rowids.update(overlay.upserts)
-        for rowid in sorted(rowids):
-            if overlay is not None:
-                entry = overlay.upserts.get(rowid)
-                if entry is not None:
-                    yield rowid, entry[0], entry[1]
-                    continue
-                if rowid in overlay.deletes:
-                    continue
-            found = self.visible_version(rowid, view)
-            if found is not None:
-                yield rowid, found[0], found[1]
-
-    def visible_version(self, rowid: int,
-                        view) -> tuple[tuple[Any, ...], int] | None:
-        """The committed ``(values, begin)`` a view sees for a rowid,
-        or None when the row did not exist (or no longer existed) at
-        the snapshot."""
-        version = self.versions.get(rowid)
-        if version is not None and view.sees(version):
-            return self.rows[rowid], version
-        for begin, end, values in reversed(self.history.get(rowid, ())):
-            if view.sees(begin) and not view.sees(end):
-                return values, begin
-        return None
+        for rowid in sorted(self.rows.keys() | overlay.upserts.keys()):
+            entry = overlay.upserts.get(rowid)
+            if entry is not None:
+                yield rowid, entry[0], entry[1]
+            elif rowid not in overlay.deletes:
+                yield rowid, self.rows[rowid], self.versions[rowid]
 
     @property
     def row_count(self) -> int:
         return len(self.rows)
 
     def visible_row_count(self) -> int:
-        """Estimated row count as seen by the ambient read view.
-
-        Without a view this is the committed heap size. Under a view
-        the committed count is adjusted by the transaction's private
-        overlay (its inserts and deletes), without paying a full scan —
-        the planner calls this per table per plan. Versions committed
-        after the snapshot are approximated as visible; the figure is
-        a cardinality estimate, not a COUNT(*).
-        """
+        """The row count the executing session sees: the committed heap
+        adjusted by its transaction's inserts and deletes, without
+        paying a full scan (the planner calls this per table per
+        plan)."""
         count = len(self.rows)
-        view = self.active_view()
-        if view is None:
-            return count
-        overlay = view.overlay_for(self.name)
+        overlay = self.overlay()
         if overlay is not None:
             for rowid in overlay.upserts:
                 if rowid not in self.rows:
                     count += 1
-            for rowid in overlay.deletes:
-                if rowid in self.rows:
-                    count -= 1
+            count -= len(overlay.deletes)
         return count
 
     def truncate(self) -> None:
         """Drop all rows but keep the schema and rowid counter."""
         self.rows.clear()
         self.versions.clear()
-        self.history.clear()
         self._pk_index.clear()
         for index in self.indexes.values():
             index.buckets.clear()

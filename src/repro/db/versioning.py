@@ -52,9 +52,9 @@ class VersionManager:
             return 0
         heap = self.database.catalog.get_table(key)
         stamped = 0
-        # scan_versions pairs each row with the version the ambient
-        # read view sees — reading heap.versions directly would mix a
-        # snapshot's rows with committed-latest stamps
+        # scan_versions pairs each row with the version the executing
+        # session sees: inside a transaction, its own provisional
+        # stamps for the rows it wrote
         for rowid, _values, version in heap.scan_versions():
             ref = TupleRef(key, rowid, version)
             self._used_by.setdefault(ref, set())

@@ -3,8 +3,10 @@
 Every error raised by this library derives from :class:`ReproError`, so
 callers can catch one base class. Sub-hierarchies mirror the subsystems:
 the relational engine (:class:`DatabaseError` and descendants, including
-the durability/wire failures :class:`TransientError`,
-:class:`StatementTimeout`, and :class:`WALCorruptionError`), the
+:class:`TransientError` for retryable failures: wire faults, failed
+fsyncs, and writes refused while another session holds the one open
+transaction; :class:`StatementTimeout`; and
+:class:`WALCorruptionError`), the
 virtual OS (:class:`VosError`), the provenance models
 (:class:`ProvenanceError`), and the LDV packaging/replay core
 (:class:`PackageError`, :class:`ReplayError`).
@@ -58,28 +60,14 @@ class TransactionError(DatabaseError):
 
 
 class TransientError(DatabaseError):
-    """A temporary failure (wire fault, failed fsync) that may succeed
-    if retried.
+    """A temporary failure that may succeed if retried: a wire fault,
+    a failed fsync, or a write refused because another session holds
+    the one open transaction (the one-writer rule; see
+    :mod:`repro.db.mvcc`).
 
     :class:`repro.db.client.DBClient` retries these with bounded
     exponential backoff when given a ``RetryPolicy``; everything else
     treats them as ordinary database errors.
-    """
-
-
-class WriteConflictError(TransientError):
-    """A snapshot-isolation write-write conflict (first committer wins).
-
-    Raised when a transaction writes a row that another transaction
-    modified and committed after this transaction's snapshot was taken.
-    The losing transaction is rolled back automatically; retrying the
-    *whole transaction* (fresh BEGIN, fresh snapshot) is safe and will
-    usually succeed, which is why this derives from
-    :class:`TransientError` — :meth:`repro.db.client.DBClient.run_transaction`
-    retries it with the client's backoff policy. Unlike a wire fault,
-    the failed frame itself must *not* be resent verbatim (the
-    transaction it belonged to is gone), so the server does not mark
-    these error frames ``transient`` at the protocol level.
     """
 
 

@@ -6,7 +6,7 @@ from repro.baselines import VMIModel, build_cde_package, build_ptu_package
 from repro.core import ldv_audit, ldv_exec
 from repro.core.package import Package
 from repro.core.replay import ReplaySession
-from repro.errors import CatalogError, PackageError
+from repro.errors import CatalogError, PackageError, TransientError
 
 from tests.core.conftest import SERVER_BINARIES, World
 
@@ -98,8 +98,10 @@ class TestPTU:
 
     def test_ptu_restored_tables_keep_snapshot_isolation(self, world,
                                                          tmp_path):
-        """A table restored from a PTU data file is read through MVCC
-        like any other: an open transaction keeps its snapshot."""
+        """A table restored from a PTU data file follows the one-writer
+        rule like any other: while a transaction is open, another
+        session's write is refused, so the transaction's snapshot
+        holds."""
         build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
                           world.database, "main", SERVER_BINARIES)
         replay = ReplaySession(tmp_path / "ptu", world.registry)
@@ -109,9 +111,11 @@ class TestPTU:
         query = "SELECT price FROM sales WHERE id = 2"
         database.execute("BEGIN", session=reader)
         assert database.query(query, session=reader) == [(11.0,)]
-        database.execute("UPDATE sales SET price = 99 WHERE id = 2")
+        with pytest.raises(TransientError):
+            database.execute("UPDATE sales SET price = 99 WHERE id = 2")
         assert database.query(query, session=reader) == [(11.0,)]
         database.execute("COMMIT", session=reader)
+        database.execute("UPDATE sales SET price = 99 WHERE id = 2")
         assert database.query(query) == [(99.0,)]
 
     def test_ptu_larger_than_ldv_when_selectivity_is_low(self, tmp_path):

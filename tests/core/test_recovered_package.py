@@ -15,7 +15,7 @@ from repro.core.packager import Packager
 from repro.db import Database, DBServer
 from repro.db.wal import WAL_MAGIC
 from repro.errors import TransactionError
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 from repro.vos import VirtualOS
 
 from tests.core.conftest import SERVER_BINARIES, sales_app

@@ -6,12 +6,16 @@ transactions, range reads — against a
 :class:`repro.db.server.DBServer`, one statement per frame, while a
 seeded schedule of
 faults fires underneath it: transient wire drops on both the request
-and the response half of an exchange (:class:`repro.faults.FlakyTransport`),
+and the response half of an exchange (:class:`tests.faults.FlakyTransport`),
 transient disk failures and full process crashes in the durability
-layer (:class:`repro.faults.FaultyIO` / :class:`repro.faults.SimulatedCrash`).
+layer (:class:`tests.faults.FaultyIO` / :class:`tests.faults.SimulatedCrash`).
 Clients retry through their :class:`repro.db.client.RetryPolicy`; the
 driver retries whole steps after crashes, rebuilding the server from
-the surviving directory exactly as an operator would.
+the surviving directory exactly as an operator would. Each explicit
+transaction runs within one step, and a step is re-driven until it
+completes before the next client's step starts, so two clients'
+transactions never overlap and the engine's one-writer rule refuses
+no campaign statement.
 
 After the campaign the harness checks four invariants, failing with
 the campaign seed in the message so any run is replayable:
@@ -23,8 +27,7 @@ I2  **No retry double-applied** — final values match a pure-Python
     so a double-apply shows up as a wrong value, a lost write as a
     missing one).
 I3  **Nothing leaked** — once every client has disconnected, no
-    connection, pinned snapshot, or commit-map entry survives on the
-    server; MVCC pruning is not stalled.
+    connection and no open transaction survives on the server.
 I4  **Replica of record** — a fault-free *oracle* run of the same
     seeded workload (same statements, same idempotency tokens)
     produces a byte-identical checkpointed data directory. This is the
@@ -50,7 +53,7 @@ from repro.db.client import DBClient, RetryPolicy
 from repro.db.engine import Database
 from repro.db.server import DBServer
 from repro.errors import DatabaseError, TransactionError, TransientError
-from repro.faults import (
+from tests.faults import (
     FaultInjector,
     FaultyIO,
     FlakyTransport,
@@ -96,7 +99,6 @@ class CampaignReport:
     steps: int = 0
     crashes: int = 0
     retries: int = 0
-    transactions_retried: int = 0
     ledger_hits: int = 0
     ledger_stores: int = 0
     generations: int = 1
@@ -363,7 +365,6 @@ class ChaosHarness:
     def _collect_counters(self) -> None:
         for client in self.clients:
             self.report.retries += client.retries_performed
-            self.report.transactions_retried += client.transactions_retried
         if self.server is not None:
             database = self.server.database
             self.report.ledger_hits += database.dedupe_ledger.hits
@@ -401,15 +402,10 @@ class ChaosHarness:
             raise CampaignFailure(
                 f"seed {seed}: leaked {server.open_connections} "
                 f"connection(s) after teardown")
-        if database.mvcc.active_count():
+        if database.writer is not None:
             raise CampaignFailure(
-                f"seed {seed}: leaked transactions still pin snapshots: "
-                f"{database.mvcc.active_ids()}")
-        database.vacuum()
-        if database.mvcc.commit_map_size():
-            raise CampaignFailure(
-                f"seed {seed}: MVCC pruning stalled — commit map still "
-                f"holds {database.mvcc.commit_map_size()} entries")
+                f"seed {seed}: session {database.writer.name!r} still "
+                f"holds an open transaction after teardown")
         # I1 + I2: reopen fresh and compare against the exactly-once
         # expectation (missing key = lost write; wrong value = a retry
         # was double-applied or dropped)

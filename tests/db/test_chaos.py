@@ -10,7 +10,7 @@ import pytest
 
 from repro.db import Database, DBClient, DBServer, RetryPolicy
 from repro.db import protocol
-from repro.db.chaos import (
+from tests.db.chaos import (
     CampaignSpec,
     expected_state,
     generate_workload,

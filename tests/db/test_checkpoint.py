@@ -15,7 +15,7 @@ import pytest
 
 from repro.db import Database
 from repro.errors import CatalogError, IntegrityError, TransientError
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 from repro.db.wal import WAL_MAGIC
 
 TABLE_WRITE = "checkpoint.table.write"
@@ -311,11 +311,12 @@ class TestAttachTable:
         assert database.catalog.version == version + 1
         assert "t" in database.catalog.dirty_tables
         database.clock.advance(table.versions[1])
-        reader = database.create_session("reader")
-        database.execute("BEGIN", session=reader)
-        assert database.query("SELECT v FROM t", session=reader) == [(10,)]
-        database.execute("UPDATE t SET v = 99 WHERE id = 1")
-        assert database.query("SELECT v FROM t", session=reader) == [(10,)]
+        # scans of the attached table see a transaction's own writes
+        writer = database.create_session("writer")
+        database.execute("BEGIN", session=writer)
+        database.execute("UPDATE t SET v = 99 WHERE id = 1", session=writer)
+        assert database.query("SELECT v FROM t", session=writer) == [(99,)]
+        assert database.query("SELECT v FROM t") == [(10,)]
 
     def test_attach_refuses_a_taken_name(self):
         database = Database()

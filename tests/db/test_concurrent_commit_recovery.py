@@ -1,16 +1,16 @@
-"""Crash-recovery matrix for *concurrent* committers.
+"""Crash-recovery matrix for two sessions' transactions.
 
-Two sessions run interleaved BEGIN..COMMIT transactions; a tracing run
-discovers every IO injection point the workload passes through, and the
-matrix re-runs it with a crash scheduled at each. Recovery must land on
-a state containing exactly the transactions whose COMMIT completed —
-the one mid-commit either applied entirely or not at all, never as a
-torn mixture of two sessions' writes.
+Two sessions run BEGIN..COMMIT transactions one after the other (a
+commits, then b); a tracing run discovers every IO injection point the
+workload passes through, and the matrix re-runs it with a crash
+scheduled at each. Recovery must land on a state containing exactly
+the transactions whose COMMIT completed — the one mid-commit either
+applied entirely or not at all, never as a torn mixture.
 
 Durability IO happens only at commit boundaries (overlays keep
 uncommitted writes off the WAL entirely), so the valid post-recovery
 states are precisely the shadow snapshots taken after each durable
-statement of the interleaving.
+statement of the workload.
 """
 
 from __future__ import annotations
@@ -22,55 +22,60 @@ from pathlib import Path
 import pytest
 
 from repro.db import Database
-from repro.errors import WriteConflictError
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from repro.errors import TransientError
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 
 pytestmark = pytest.mark.crash
 
-# Each entry: (session, sql, durable). ``durable`` marks statements
-# that end a durability unit (autocommit DDL/DML, successful COMMIT);
-# BEGIN and in-transaction statements never touch the disk.
+# Each entry: (session, sql, effect). A DURABLE statement ends a
+# durability unit (autocommit DDL/DML, successful COMMIT); BEGIN and
+# in-transaction statements are PRIVATE and never touch the disk; a
+# REFUSED statement is sent while the other session's transaction is
+# open, so the one-writer rule rejects it and it touches nothing.
+DURABLE, PRIVATE, REFUSED = "durable", "private", "refused"
+
 DISJOINT = [
     (None, "CREATE TABLE accounts "
-           "(id integer PRIMARY KEY, owner text, balance float)", True),
+           "(id integer PRIMARY KEY, owner text, balance float)", DURABLE),
     (None, "INSERT INTO accounts VALUES "
-           "(1, 'ada', 10.0), (2, 'bob', 20.0)", True),
-    ("a", "BEGIN", False),
-    ("b", "BEGIN", False),
-    ("a", "UPDATE accounts SET balance = 11.0 WHERE id = 1", False),
-    ("b", "INSERT INTO accounts VALUES (3, 'cyd', 30.0)", False),
-    ("a", "INSERT INTO accounts VALUES (4, 'dee', 40.0)", False),
-    ("b", "UPDATE accounts SET balance = 22.0 WHERE id = 2", False),
-    ("a", "COMMIT", True),
-    ("b", "COMMIT", True),
-    (None, "INSERT INTO accounts VALUES (5, 'eve', 50.0)", True),
+           "(1, 'ada', 10.0), (2, 'bob', 20.0)", DURABLE),
+    ("a", "BEGIN", PRIVATE),
+    ("a", "UPDATE accounts SET balance = 11.0 WHERE id = 1", PRIVATE),
+    ("a", "INSERT INTO accounts VALUES (4, 'dee', 40.0)", PRIVATE),
+    ("a", "COMMIT", DURABLE),
+    ("b", "BEGIN", PRIVATE),
+    ("b", "INSERT INTO accounts VALUES (3, 'cyd', 30.0)", PRIVATE),
+    ("b", "UPDATE accounts SET balance = 22.0 WHERE id = 2", PRIVATE),
+    ("b", "COMMIT", DURABLE),
+    (None, "INSERT INTO accounts VALUES (5, 'eve', 50.0)", DURABLE),
 ]
 
-# Overlapping write-sets: b loses first-committer-wins at COMMIT, so
-# only a's transaction ever reaches the WAL.
+# Overlapping write-sets: b's BEGIN and its write to a's row are both
+# refused while a's transaction is open, so only a's transaction ever
+# reaches the WAL.
 CONFLICTING = [
     (None, "CREATE TABLE accounts "
-           "(id integer PRIMARY KEY, owner text, balance float)", True),
+           "(id integer PRIMARY KEY, owner text, balance float)", DURABLE),
     (None, "INSERT INTO accounts VALUES "
-           "(1, 'ada', 10.0), (2, 'bob', 20.0)", True),
-    ("a", "BEGIN", False),
-    ("b", "BEGIN", False),
-    ("a", "UPDATE accounts SET balance = 11.0 WHERE id = 1", False),
-    ("b", "UPDATE accounts SET balance = 99.0 WHERE id = 1", False),
-    ("a", "COMMIT", True),
-    ("b", "COMMIT", False),  # WriteConflictError: nothing durable
-    (None, "INSERT INTO accounts VALUES (5, 'eve', 50.0)", True),
+           "(1, 'ada', 10.0), (2, 'bob', 20.0)", DURABLE),
+    ("a", "BEGIN", PRIVATE),
+    ("a", "UPDATE accounts SET balance = 11.0 WHERE id = 1", PRIVATE),
+    ("b", "BEGIN", REFUSED),
+    ("b", "UPDATE accounts SET balance = 99.0 WHERE id = 1", REFUSED),
+    ("a", "COMMIT", DURABLE),
+    (None, "INSERT INTO accounts VALUES (5, 'eve', 50.0)", DURABLE),
 ]
 
 WORKLOADS = {"disjoint": DISJOINT, "conflicting": CONFLICTING}
 
 
 def apply_entry(database, sessions, entry):
-    target, sql, _durable = entry
-    try:
+    target, sql, effect = entry
+    if effect == REFUSED:
+        with pytest.raises(TransientError):
+            database.execute(sql, session=sessions.get(target))
+    else:
         database.execute(sql, session=sessions.get(target))
-    except WriteConflictError:
-        pass  # the conflicting workload expects exactly this
 
 
 def run_workload(database, script):
@@ -131,7 +136,7 @@ def _shadow_snapshots(script):
                 "b": shadow.create_session("b")}
     for entry in script:
         apply_entry(shadow, sessions, entry)
-        if entry[2]:
+        if entry[2] == DURABLE:
             snapshots.append(dump(shadow))
     return snapshots
 
@@ -141,7 +146,7 @@ SNAPSHOTS = {name: _shadow_snapshots(script)
 
 
 def durable_units(script, completed):
-    return sum(1 for entry in script[:completed] if entry[2])
+    return sum(1 for entry in script[:completed] if entry[2] == DURABLE)
 
 
 def assert_concurrent_recovery(data_dir, workload, completed):
@@ -154,7 +159,7 @@ def assert_concurrent_recovery(data_dir, workload, completed):
     assert state in legal, (
         f"recovered state is a torn mixture: not snapshot {units} "
         f"nor {units + 1}")
-    # structural invariants survive concurrent commits too
+    # structural invariants survive too
     for name in recovered.catalog.table_names():
         table = recovered.catalog.get_table(name)
         assert table.next_rowid > max(table.rows, default=0)
@@ -173,11 +178,14 @@ class TestDiscovery:
         assert "wal.fsync" in points
 
     def test_conflicting_workload_commits_less(self):
-        # b's aborted COMMIT must not add WAL traffic
+        # only a's transaction commits
         appends = {name: sum(1 for point, _ in TRACES[name]
                              if point == "wal.append")
                    for name in WORKLOADS}
         assert appends["conflicting"] < appends["disjoint"]
+        # and b's refused statements add no IO at all
+        sent = [entry for entry in CONFLICTING if entry[2] != REFUSED]
+        assert _discover_trace(sent) == TRACES["conflicting"]
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_trace_is_deterministic(self, workload):
@@ -214,8 +222,7 @@ TORN = [(workload, point, occurrence)
 def test_torn_concurrent_commits_never_half_apply(tmp_path, workload,
                                                   point, occurrence):
     """Tear each commit batch mid-write: one session's transaction must
-    never surface a subset of its statements, and never drag the other
-    session's uncommitted work in with it."""
+    never surface a subset of its statements."""
     data_dir = tmp_path / "d"
     injector = FaultInjector(seed=occurrence).torn_write_at(
         point, occurrence=occurrence)
@@ -226,7 +233,8 @@ def test_torn_concurrent_commits_never_half_apply(tmp_path, workload,
 
 def test_post_crash_recovery_supports_new_transactions(tmp_path):
     """After recovering a crash that killed one of two committers, the
-    reopened database accepts fresh concurrent transactions."""
+    reopened database accepts fresh transactions from both sessions,
+    one after the other."""
     data_dir = tmp_path / "d"
     point, occurrence = [entry for entry in TRACES["disjoint"]
                          if entry[0] == "wal.fsync"][-1]
@@ -236,12 +244,12 @@ def test_post_crash_recovery_supports_new_transactions(tmp_path):
     a = recovered.create_session("a")
     b = recovered.create_session("b")
     recovered.execute("BEGIN", session=a)
-    recovered.execute("BEGIN", session=b)
     recovered.execute(
         "UPDATE accounts SET balance = 1.0 WHERE id = 1", session=a)
+    recovered.execute("COMMIT", session=a)
+    recovered.execute("BEGIN", session=b)
     recovered.execute(
         "UPDATE accounts SET balance = 2.0 WHERE id = 2", session=b)
-    recovered.execute("COMMIT", session=a)
     recovered.execute("COMMIT", session=b)
     assert recovered.query(
         "SELECT balance FROM accounts WHERE id = 1") == [(1.0,)]

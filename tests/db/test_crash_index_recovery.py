@@ -23,7 +23,7 @@ import pytest
 
 from repro.db import Database
 from repro.errors import IntegrityError
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 
 pytestmark = pytest.mark.crash
 

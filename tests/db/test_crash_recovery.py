@@ -22,7 +22,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.wal import WAL_MAGIC
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 
 pytestmark = pytest.mark.crash
 

@@ -1,19 +1,22 @@
-"""MVCC snapshot isolation: visibility, conflicts, and bookkeeping.
+"""Transactions: the one-writer rule, visibility, own writes.
 
-These are the engine-level unit tests for concurrent sessions; the
-end-to-end anomaly matrix (driven through the wire by the interleaving
-scheduler) lives in ``test_anomalies.py``.
+One session at a time may hold an open transaction. Its statements
+see the committed heap merged with its own private write-set; any other
+session's BEGIN, DML, DDL or COPY FROM is refused with a one-line
+``TransientError`` until it ends, so the committed heap is the
+transaction's snapshot. These are the engine-level unit tests; the
+anomaly cases, sent over the wire, live in ``test_anomalies.py``.
 """
 
 import pytest
 
-from repro.db import Database, DBClient, DBServer
+from repro.db import Database, DBClient, DBServer, RetryPolicy
 from repro.db import protocol
 from repro.db.provtypes import TupleRef
 from repro.errors import (
     IntegrityError,
     TransactionError,
-    WriteConflictError,
+    TransientError,
 )
 
 pytestmark = pytest.mark.concurrency
@@ -29,6 +32,11 @@ def db():
 
 
 @pytest.fixture
+def one_session(db):
+    return db, db.create_session("a")
+
+
+@pytest.fixture
 def two_sessions(db):
     return db, db.create_session("a"), db.create_session("b")
 
@@ -40,22 +48,28 @@ def balance(db, session, account_id):
 
 
 class TestSnapshotVisibility:
+    """The committed heap is an open transaction's snapshot: no other
+    session can change it until the transaction ends."""
+
     def test_reader_sees_state_as_of_begin(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
         assert balance(db, a, 1) == 10
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
-                   session=b)
+        with pytest.raises(TransientError):
+            db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
+                       session=b)
         assert balance(db, a, 1) == 10
-        assert balance(db, b, 1) == 99
+        assert balance(db, b, 1) == 10
 
     def test_snapshot_refreshes_after_commit(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
+        db.execute("COMMIT", session=a)
         db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
                    session=b)
-        db.execute("COMMIT", session=a)
+        db.execute("BEGIN", session=a)
         assert balance(db, a, 1) == 99
+        db.execute("COMMIT", session=a)
 
     def test_other_sessions_uncommitted_writes_invisible(self, two_sessions):
         db, a, b = two_sessions
@@ -70,20 +84,27 @@ class TestSnapshotVisibility:
     def test_snapshot_covers_inserts_and_deletes(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
-        db.execute("INSERT INTO accounts VALUES (3, 30)", session=b)
-        db.execute("DELETE FROM accounts WHERE id = 2", session=b)
+        for sql in ("INSERT INTO accounts VALUES (3, 30)",
+                    "DELETE FROM accounts WHERE id = 2"):
+            with pytest.raises(TransientError):
+                db.execute(sql, session=b)
         assert db.query("SELECT id FROM accounts ORDER BY id",
                         session=a) == [(1,), (2,)]
         db.execute("COMMIT", session=a)
+        db.execute("INSERT INTO accounts VALUES (3, 30)", session=b)
+        db.execute("DELETE FROM accounts WHERE id = 2", session=b)
         assert db.query("SELECT id FROM accounts ORDER BY id",
                         session=a) == [(1,), (3,)]
 
     def test_aggregates_respect_snapshot(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
-        db.execute("INSERT INTO accounts VALUES (3, 70)", session=b)
+        db.execute("INSERT INTO accounts VALUES (3, 70)", session=a)
         assert db.query("SELECT sum(balance) FROM accounts",
-                        session=a) == [(30,)]
+                        session=a) == [(100,)]
+        # an autocommit reader aggregates committed rows only
+        assert db.query("SELECT sum(balance) FROM accounts",
+                        session=b) == [(30,)]
         db.execute("ROLLBACK", session=a)
 
     def test_index_scan_respects_snapshot(self, two_sessions):
@@ -91,20 +112,23 @@ class TestSnapshotVisibility:
         db.execute("CREATE INDEX ix_bal ON accounts (balance)")
         db.execute("BEGIN", session=a)
         db.execute("UPDATE accounts SET balance = 77 WHERE id = 1",
-                   session=b)
-        # equality probe on the indexed column, inside the snapshot
-        assert db.query("SELECT id FROM accounts WHERE balance = 10",
-                        session=a) == [(1,)]
+                   session=a)
+        # equality probes on the indexed column: the writer sees its
+        # write, an autocommit reader the committed row
         assert db.query("SELECT id FROM accounts WHERE balance = 77",
-                        session=a) == []
+                        session=a) == [(1,)]
+        assert db.query("SELECT id FROM accounts WHERE balance = 10",
+                        session=b) == [(1,)]
+        assert db.query("SELECT id FROM accounts WHERE balance = 77",
+                        session=b) == []
         db.execute("COMMIT", session=a)
         assert db.query("SELECT id FROM accounts WHERE balance = 77",
-                        session=a) == [(1,)]
+                        session=b) == [(1,)]
 
 
 class TestReadYourOwnWrites:
-    def test_overlay_merges_over_snapshot(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_overlay_merges_over_snapshot(self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
         db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
@@ -116,8 +140,8 @@ class TestReadYourOwnWrites:
         assert db.query("SELECT id, balance FROM accounts ORDER BY id"
                         ) == [(1, 11), (3, 30)]
 
-    def test_update_of_own_insert(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_update_of_own_insert(self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
         db.execute("UPDATE accounts SET balance = 31 WHERE id = 3",
@@ -125,8 +149,8 @@ class TestReadYourOwnWrites:
         db.execute("COMMIT", session=a)
         assert balance(db, a, 3) == 31
 
-    def test_delete_of_own_insert_leaves_no_trace(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_delete_of_own_insert_leaves_no_trace(self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
         db.execute("DELETE FROM accounts WHERE id = 3", session=a)
@@ -134,8 +158,8 @@ class TestReadYourOwnWrites:
         assert db.query("SELECT id FROM accounts ORDER BY id"
                         ) == [(1,), (2,)]
 
-    def test_rollback_drops_everything(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_rollback_drops_everything(self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
         db.execute("UPDATE accounts SET balance = 0 WHERE id = 1",
@@ -179,90 +203,193 @@ class TestReadYourOwnWrites:
 
 
 class TestFirstCommitterWins:
-    def test_eager_conflict_on_concurrently_updated_row(self, two_sessions):
-        db, a, b = two_sessions
-        db.execute("BEGIN", session=a)
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
-                   session=b)
-        with pytest.raises(WriteConflictError):
-            db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
-                       session=a)
-        # the losing transaction was rolled back automatically
-        assert not a.in_transaction
-        assert balance(db, a, 1) == 99
-
-    def test_commit_time_conflict_between_open_transactions(
-            self, two_sessions):
-        db, a, b = two_sessions
-        db.execute("BEGIN", session=a)
-        db.execute("BEGIN", session=b)
-        db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
-                   session=a)
-        db.execute("UPDATE accounts SET balance = 12 WHERE id = 1",
-                   session=b)
-        db.execute("COMMIT", session=a)  # first committer wins
-        with pytest.raises(WriteConflictError):
-            db.execute("COMMIT", session=b)
-        assert not b.in_transaction
-        assert balance(db, b, 1) == 11
-
-    def test_delete_conflicts_with_concurrent_update(self, two_sessions):
-        db, a, b = two_sessions
-        db.execute("BEGIN", session=a)
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
-                   session=b)
-        with pytest.raises(WriteConflictError):
-            db.execute("DELETE FROM accounts WHERE id = 1", session=a)
+    """The degenerate form that survives the one-writer rule: the first
+    session to BEGIN is the only one that can commit until it ends;
+    every other writer is refused before it writes (TestSingleWriter)."""
 
     def test_disjoint_write_sets_both_commit(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
-        db.execute("BEGIN", session=b)
         db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
                    session=a)
+        db.execute("COMMIT", session=a)
+        db.execute("BEGIN", session=b)
         db.execute("UPDATE accounts SET balance = 22 WHERE id = 2",
                    session=b)
-        db.execute("COMMIT", session=a)
         db.execute("COMMIT", session=b)
         assert db.query("SELECT id, balance FROM accounts ORDER BY id"
                         ) == [(1, 11), (2, 22)]
 
     def test_duplicate_pk_inside_transaction_is_integrity_error(
-            self, two_sessions):
-        db, a, _ = two_sessions
+            self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         with pytest.raises(IntegrityError):
             db.execute("INSERT INTO accounts VALUES (1, 0)", session=a)
+        db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
+        with pytest.raises(IntegrityError):
+            db.execute("INSERT INTO accounts VALUES (3, 33)", session=a)
+        # a key the transaction deletes, or moves away, is free again
+        db.execute("DELETE FROM accounts WHERE id = 2", session=a)
+        db.execute("UPDATE accounts SET id = 4 WHERE id = 1", session=a)
+        db.execute("INSERT INTO accounts VALUES (1, 1), (2, 2)", session=a)
+        db.execute("COMMIT", session=a)
+        assert db.query("SELECT id, balance FROM accounts ORDER BY id"
+                        ) == [(1, 1), (2, 2), (3, 30), (4, 10)]
 
-    def test_concurrent_pk_insert_is_write_conflict(self, two_sessions):
+    def test_write_conflict_is_transient(self, two_sessions):
+        """A write-write conflict between two sessions now surfaces as
+        the one-writer refusal: a TransientError, raised before the
+        second session writes anything."""
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
-        db.execute("INSERT INTO accounts VALUES (3, 30)", session=b)
-        # id=3 is invisible to a's snapshot, so this is a race (not a
-        # statement the application could have avoided): conflict, not
-        # integrity violation
-        with pytest.raises(WriteConflictError):
-            db.execute("INSERT INTO accounts VALUES (3, 33)", session=a)
+        db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
+                   session=a)
+        with pytest.raises(TransientError):
+            db.execute("UPDATE accounts SET balance = 12 WHERE id = 1",
+                       session=b)
+        db.execute("COMMIT", session=a)
+        assert balance(db, b, 1) == 11
 
-    def test_write_conflict_is_transient(self):
-        from repro.errors import TransientError
-        assert issubclass(WriteConflictError, TransientError)
+
+# one statement of each writing kind; a second session sends it while
+# the first has a transaction open
+REFUSED_WRITES = {
+    "begin": "BEGIN",
+    "insert": "INSERT INTO accounts VALUES (3, 30)",
+    "update": "UPDATE accounts SET balance = 0 WHERE id = 1",
+    "delete": "DELETE FROM accounts WHERE id = 2",
+    "create-table": "CREATE TABLE z (x integer)",
+    "drop-table": "DROP TABLE accounts",
+    "create-index": "CREATE INDEX ix_id ON accounts (id)",
+    "drop-index": "DROP INDEX ix_bal",
+    "copy-from": "COPY accounts FROM '/in.csv'",
+}
+
+
+class TestSingleWriter:
+    """One open transaction per database. While session a holds it,
+    session b's BEGIN, DML, DDL and COPY FROM each fail with a one-line
+    TransientError and change nothing; b's reads still work."""
+
+    @pytest.fixture
+    def durable(self, tmp_path):
+        database = Database(data_directory=tmp_path / "d")
+        database.execute(
+            "CREATE TABLE accounts (id integer PRIMARY KEY, "
+            "balance integer)")
+        database.execute("CREATE INDEX ix_bal ON accounts (balance)")
+        database.execute("INSERT INTO accounts VALUES (1, 10), (2, 20)")
+        database.read_file = lambda path: "5,50\n"
+        return database
+
+    @staticmethod
+    def state(database):
+        return (database.catalog.version,
+                sorted(database.catalog.table_names()),
+                database.catalog.get_table("accounts").next_rowid,
+                database.query("SELECT id, balance FROM accounts "
+                               "ORDER BY id"),
+                database.wal.path.read_bytes(),
+                database.commit_count)
+
+    @pytest.mark.parametrize("sql", list(REFUSED_WRITES.values()),
+                             ids=list(REFUSED_WRITES))
+    def test_second_session_writes_are_refused(self, durable, sql):
+        a = durable.create_session("a")
+        b = durable.create_session("b")
+        durable.execute("BEGIN", session=a)
+        durable.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
+                        session=a)
+        before = self.state(durable)
+        with pytest.raises(TransientError) as refused:
+            durable.execute(sql, session=b)
+        assert "\n" not in str(refused.value)
+        assert "'a'" in str(refused.value)  # names the writer
+        assert self.state(durable) == before
+        assert not b.in_transaction
+        assert durable.writer is a
+        # the writer carries on undisturbed
+        durable.execute("COMMIT", session=a)
+        assert durable.query("SELECT balance FROM accounts WHERE id = 1"
+                             ) == [(11,)]
+
+    def test_autocommit_select_sees_committed_state(self, two_sessions):
+        db, a, b = two_sessions
+        db.execute("BEGIN", session=a)
+        db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
+                   session=a)
+        db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
+        # no dirty read: b sees the committed rows only
+        assert db.query("SELECT id, balance FROM accounts ORDER BY id",
+                        session=b) == [(1, 10), (2, 20)]
+        assert db.query("SELECT count(*) FROM accounts",
+                        session=b) == [(2,)]
+        db.execute("COMMIT", session=a)
+        assert db.query("SELECT id, balance FROM accounts ORDER BY id",
+                        session=b) == [(1, 11), (2, 20), (3, 30)]
+
+    @pytest.mark.parametrize("ending", ["COMMIT", "ROLLBACK"])
+    def test_writes_resume_when_the_transaction_ends(self, two_sessions,
+                                                     ending):
+        db, a, b = two_sessions
+        db.execute("BEGIN", session=a)
+        with pytest.raises(TransientError):
+            db.execute("BEGIN", session=b)
+        db.execute(ending, session=a)
+        assert db.writer is None
+        db.execute("BEGIN", session=b)
+        db.execute("UPDATE accounts SET balance = 0 WHERE id = 2",
+                   session=b)
+        db.execute("COMMIT", session=b)
+        assert balance(db, b, 2) == 0
+
+    def test_writes_resume_after_crash_recovery(self, durable):
+        a = durable.create_session("a")
+        durable.execute("BEGIN", session=a)
+        durable.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
+                        session=a)
+        # the process dies with a's transaction open: nothing of it
+        # reached the WAL, and the reopened database has no writer
+        reopened = Database(data_directory=durable.wal.path.parent)
+        assert reopened.writer is None
+        reopened.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+        assert reopened.query("SELECT balance FROM accounts WHERE id = 1"
+                              ) == [(0,)]
+
+    def test_write_skew_is_refused(self, two_sessions):
+        """Snapshot isolation let two transactions check a shared
+        invariant and write disjoint rows; the second is refused now."""
+        db, a, b = two_sessions
+        db.execute("BEGIN", session=a)
+        assert db.query("SELECT sum(balance) FROM accounts",
+                        session=a) == [(30,)]
+        with pytest.raises(TransientError):
+            db.execute("BEGIN", session=b)
+        db.execute("UPDATE accounts SET balance = 0 WHERE id = 1",
+                   session=a)
+        with pytest.raises(TransientError):
+            db.execute("UPDATE accounts SET balance = 0 WHERE id = 2",
+                       session=b)
+        db.execute("COMMIT", session=a)
+        assert db.query("SELECT sum(balance) FROM accounts") == [(20,)]
 
 
 class TestTransactionRules:
-    def test_ddl_inside_transaction_is_rejected(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_ddl_inside_transaction_is_rejected(self, one_session):
+        db, a = one_session
+        db.execute("CREATE INDEX ix_bal ON accounts (balance)")
         db.execute("BEGIN", session=a)
         for ddl in ("CREATE TABLE z (x integer)",
                     "DROP TABLE accounts",
-                    "CREATE INDEX ix ON accounts (balance)"):
+                    "CREATE INDEX ix ON accounts (id)",
+                    "DROP INDEX ix_bal"):
             with pytest.raises(TransactionError):
                 db.execute(ddl, session=a)
         db.execute("ROLLBACK", session=a)
         db.execute("CREATE TABLE z (x integer)", session=a)  # fine now
 
-    def test_checkpoint_refused_while_any_transaction_open(
-            self, two_sessions, tmp_path):
+    def test_checkpoint_refused_while_any_transaction_open(self, tmp_path):
         db = Database(data_directory=tmp_path / "d")
         db.execute("CREATE TABLE t (x integer)")
         a = db.create_session("a")
@@ -272,8 +399,8 @@ class TestTransactionRules:
         db.execute("ROLLBACK", session=a)
         db.checkpoint()
 
-    def test_nested_begin_and_stray_commit_are_errors(self, two_sessions):
-        db, a, _ = two_sessions
+    def test_nested_begin_and_stray_commit_are_errors(self, one_session):
+        db, a = one_session
         with pytest.raises(TransactionError):
             db.execute("COMMIT", session=a)
         with pytest.raises(TransactionError):
@@ -292,62 +419,33 @@ class TestTransactionRules:
         db.execute("ROLLBACK", session=a)
 
 
-class TestBookkeepingBounds:
-    def test_commit_map_pruned_when_no_snapshot_needs_it(self, two_sessions):
-        db, a, b = two_sessions
-        db.execute("BEGIN", session=a)
-        db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
-                   session=a)
-        db.execute("COMMIT", session=a)
-        assert db.mvcc.commit_map_size() == 0
-        assert db.mvcc.active_count() == 0
-
-    def test_history_pruned_after_last_reader_leaves(self, two_sessions):
-        db, a, b = two_sessions
-        table = db.catalog.get_table("accounts")
-        db.execute("BEGIN", session=a)
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
-                   session=b)
-        assert table.history  # superseded version kept for a's snapshot
-        assert balance(db, a, 1) == 10
-        db.execute("COMMIT", session=a)
-        assert not table.history
-
-    def test_autocommit_writes_record_no_history(self, db):
-        table = db.catalog.get_table("accounts")
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1")
-        assert not table.history
-        assert db.mvcc.commit_map_size() == 0
-
-
 class TestSnapshotLineage:
     def test_lineage_references_the_snapshots_tuple_versions(
-            self, two_sessions):
-        """Regression: provenance of a snapshot read must cite the
-        tuple versions that snapshot sees — not whatever version is
-        currently committed."""
-        db, a, b = two_sessions
-        before = db.execute("SELECT balance FROM accounts WHERE id = 1",
-                            provenance=True)
-        (old_ref,) = before.lineages[0]
+            self, one_session):
+        """Provenance of a read inside a transaction cites the tuple
+        versions that read saw: the committed one until the transaction
+        writes the row, then its own provisional one, and the committed
+        one again after a rollback."""
+        db, a = one_session
+        sql = "SELECT balance FROM accounts WHERE id = 1"
+        (old_ref,) = db.execute(sql, provenance=True).lineages[0]
         db.execute("BEGIN", session=a)
-        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
-                   session=b)
-        inside = db.execute("SELECT balance FROM accounts WHERE id = 1",
-                            provenance=True, session=a)
+        inside = db.execute(sql, provenance=True, session=a)
         assert inside.rows == [(10,)]
-        (snap_ref,) = inside.lineages[0]
-        assert snap_ref == old_ref
-        after = db.execute("SELECT balance FROM accounts WHERE id = 1",
-                           provenance=True, session=b)
-        (new_ref,) = after.lineages[0]
+        assert inside.lineages[0] == frozenset([old_ref])
+        db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
+                   session=a)
+        (new_ref,) = db.execute(sql, provenance=True,
+                                session=a).lineages[0]
         assert new_ref.rowid == old_ref.rowid
         assert new_ref.version > old_ref.version
-        db.execute("COMMIT", session=a)
+        db.execute("ROLLBACK", session=a)
+        assert db.execute(sql, provenance=True).lineages[0] == frozenset(
+            [old_ref])
 
     def test_own_writes_lineage_uses_provisional_versions(
-            self, two_sessions):
-        db, a, _ = two_sessions
+            self, one_session):
+        db, a = one_session
         db.execute("BEGIN", session=a)
         result = db.execute(
             "UPDATE accounts SET balance = 11 WHERE id = 1", session=a)
@@ -365,8 +463,9 @@ class TestSnapshotLineage:
 
 
 class TestSnapshotScans:
-    """Full-table scans under a read view return exactly the rows and
-    lineage the snapshot and the transaction's own writes define."""
+    """Full-table scans inside a transaction return exactly the rows
+    and lineage the committed heap and the transaction's own writes
+    define."""
 
     def make_db(self):
         database = Database()
@@ -413,14 +512,16 @@ class TestSnapshotScans:
         old = database.execute("SELECT k, v FROM t", True, session=reader)
         assert list(zip(old.rows, old.lineages)) == [
             self.committed(k) for k in range(50)]
-        # another session's autocommit write lands under the open
-        # snapshot, which must keep reading the superseded versions
-        database.execute("UPDATE t SET v = 0 WHERE k < 10")
-        stale = database.execute("SELECT k, v FROM t", True,
+        # another session's autocommit write is refused while the
+        # transaction is open, so its reads cannot go stale
+        with pytest.raises(TransientError):
+            database.execute("UPDATE t SET v = 0 WHERE k < 10")
+        again = database.execute("SELECT k, v FROM t", True,
                                  session=reader)
-        assert stale.rows == old.rows
-        assert stale.lineages == old.lineages
+        assert again.rows == old.rows
+        assert again.lineages == old.lineages
         database.execute("COMMIT", session=reader)
+        database.execute("UPDATE t SET v = 0 WHERE k < 10")
         fresh = database.query("SELECT k, v FROM t", session=reader)
         assert fresh == [(k, 0 if k < 10 else k * 10) for k in range(50)]
 
@@ -507,62 +608,65 @@ class TestWireTransactions:
         assert bob.query("SELECT balance FROM accounts WHERE id = 1"
                          ) == [(11,)]
 
-    def test_conflict_frame_is_not_frame_transient(self, wired):
-        """A WriteConflictError frame must not carry the frame-level
-        retry flag: resending the statement verbatim would run outside
-        any transaction."""
+    def test_refused_write_frame_is_transient(self, wired):
+        """The refusal crosses the wire as one error frame flagged
+        ``transient``, and the refused connection keeps serving."""
         server, alice, bob = wired
         alice.begin()
-        bob.execute("UPDATE accounts SET balance = 99 WHERE id = 1")
         request = protocol.encode_frame(protocol.query_frame(
-            alice.connection_id,
+            bob.connection_id,
             "UPDATE accounts SET balance = 11 WHERE id = 1"))
         response = protocol.decode_frame(server.handle_wire(request))
-        assert response["error_type"] == "WriteConflictError"
-        assert not response.get("transient", False)
-        assert response["txn"] == "idle"  # server already rolled back
+        assert response["frame"] == "error"
+        assert response["error_type"] == "TransientError"
+        assert response["transient"] is True
+        assert "\n" not in response["message"]
+        assert response["txn"] == "idle"
+        with pytest.raises(TransientError):
+            bob.begin()
+        assert not bob.in_transaction
+        assert bob.query("SELECT balance FROM accounts WHERE id = 1"
+                         ) == [(10,)]
+        alice.commit()
+        bob.execute("UPDATE accounts SET balance = 11 WHERE id = 1")
+        assert bob.query("SELECT balance FROM accounts WHERE id = 1"
+                         ) == [(11,)]
 
-    def test_client_tracks_conflict_auto_abort(self, wired):
-        _, alice, bob = wired
-        alice.begin()
-        bob.execute("UPDATE accounts SET balance = 99 WHERE id = 1")
-        with pytest.raises(WriteConflictError):
-            alice.execute("UPDATE accounts SET balance = 11 WHERE id = 1")
-        assert not alice.in_transaction
-
-    def test_run_transaction_retries_conflict_to_success(self, db):
-        from repro.db import RetryPolicy
+    def test_retry_policy_waits_out_the_open_transaction(self, db):
+        """A client with a retry policy resends a refused statement
+        after backing off; the injected sleep stands in for the time
+        the other connection needs to finish."""
         server = DBServer(db)
-        naps: list[float] = []
-        policy = RetryPolicy(max_attempts=4, sleep=naps.append)
-        alice = DBClient(server.transport(), "alice", "1",
-                         retry_policy=policy)
-        bob = DBClient(server.transport(), "bob", "2")
+        alice = DBClient(server.transport(), "alice", "1")
         alice.connect()
+        naps: list[float] = []
+
+        def nap(delay):
+            naps.append(delay)
+            if len(naps) == 2:
+                alice.rollback()
+
+        policy = RetryPolicy(max_attempts=4, sleep=nap)
+        bob = DBClient(server.transport(), "bob", "2", retry_policy=policy)
         bob.connect()
-        poisoned = [False]
-
-        def body(client):
-            rows = client.query("SELECT balance FROM accounts WHERE id = 1")
-            if not poisoned[0]:
-                # sneak a competing committed write under alice's snapshot
-                poisoned[0] = True
-                bob.execute(
-                    "UPDATE accounts SET balance = 50 WHERE id = 1")
-            client.execute(f"UPDATE accounts SET balance = "
-                           f"{rows[0][0] + 1} WHERE id = 1")
-
-        alice.run_transaction(body)
-        assert alice.transactions_retried == 1
-        assert naps  # backoff went through the policy's sleep hook
+        alice.begin()
+        alice.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+        bob.execute("UPDATE accounts SET balance = balance + 1 "
+                    "WHERE id = 1")
+        assert naps == [policy.delay_for(0), policy.delay_for(1)]
+        assert bob.retries_performed == 2
         assert db.query("SELECT balance FROM accounts WHERE id = 1"
-                        ) == [(51,)]
+                        ) == [(11,)]
 
     def test_close_aborts_open_transaction(self, wired):
         server, alice, bob = wired
         alice.begin()
         alice.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
         alice.close()
-        assert server.database.mvcc.active_count() == 0
+        assert server.database.writer is None
         assert bob.query("SELECT balance FROM accounts WHERE id = 1"
                          ) == [(10,)]
+        # the closed connection no longer holds back other writers
+        bob.execute("UPDATE accounts SET balance = 5 WHERE id = 1")
+        assert bob.query("SELECT balance FROM accounts WHERE id = 1"
+                         ) == [(5,)]

