@@ -340,8 +340,8 @@ class Database:
 
     def resume_clock(self, floor: int = 0) -> None:
         """Move the clock up to ``floor`` and to every stored version,
-        so snapshots see rows loaded past the engine (a package
-        restore) and later writes stamp newer versions."""
+        so later writes stamp newer versions than rows loaded past the
+        engine (a package restore)."""
         target = floor
         for table in self.catalog:
             if table.versions:
@@ -704,9 +704,9 @@ class Database:
         if isinstance(statement, (ast.CreateTable, ast.DropTable,
                                   ast.CreateIndex, ast.DropIndex)):
             if session.txn is not None:
-                # schema changes are not versioned by the snapshot
-                # machinery; forcing them to autocommit keeps every
-                # open snapshot's view of the catalog coherent
+                # schema changes are not buffered in the write-set;
+                # forcing them to autocommit keeps the transaction's
+                # view of the catalog the committed one
                 raise TransactionError(
                     "DDL is not allowed inside a transaction; "
                     "COMMIT or ROLLBACK first")

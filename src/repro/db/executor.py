@@ -8,8 +8,8 @@ closures mapped over the batch (see the batch entry points of
 :mod:`repro.db.expressions`). Iterating an operator is the
 row view of the same stream: ``(values, lineage)`` pairs where
 ``values`` is a plain tuple and ``lineage`` a ``frozenset[TupleRef]``
-(empty when lineage tracking is disabled). MVCC read views, the
-monitor's lineage capture and ``INSERT ... SELECT`` consume that view.
+(empty when lineage tracking is disabled). Transaction write-sets,
+the monitor's lineage capture and ``INSERT ... SELECT`` consume that view.
 
 Design rules:
 

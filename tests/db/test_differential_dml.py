@@ -12,8 +12,8 @@ The WHERE grammar is built around the index: ``=``, ``IN`` with NULL
 items, and ``BETWEEN`` with reversed bounds, a NULL bound, a float
 bound, ``NOT BETWEEN``, and ranges wider than the table, mixed with
 the oracle's other atoms through AND/OR. Statements run in autocommit
-and inside ``BEGIN … COMMIT/ROLLBACK`` (where the index path falls
-back to a snapshot scan).
+and inside ``BEGIN … COMMIT/ROLLBACK`` (where, once the transaction
+has written the table, the index path falls back to a merged scan).
 
 CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens or narrows
 the sweep.

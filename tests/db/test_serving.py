@@ -1,5 +1,4 @@
-"""The serving layer: one text statement per frame, the snapshot-correct
-result cache, serving observability, protocol-version negotiation, and
+"""The serving layer: one text statement per frame, the result cache, serving observability, protocol-version negotiation, and
 the mid-statement cooperative timeout."""
 
 import pytest
