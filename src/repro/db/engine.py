@@ -246,12 +246,14 @@ class Database:
         self._wal_dirty = False
         self._touched_tables: set[str] = set()
         self._dropped_tables: set[str] = set()
-        # undo state of the running autocommit statement: each changed
-        # table's prior rowid counter (rows at or past it are new) and
-        # each changed older row's prior (values, version), None when
-        # it did not exist
+        # undo state of the running statement: each changed table's
+        # prior rowid counter (rows at or past it are new); in
+        # autocommit each changed older row's prior (values, version),
+        # inside a transaction each changed write-set entry's prior
+        # (overlay, upsert, delete tick), None where there was none
         self._undo_rows: dict[tuple[str, int], tuple] = {}
         self._undo_counters: dict[str, tuple[HeapTable, int]] = {}
+        self._undo_overlay: dict[tuple[str, int], tuple] = {}
         self.last_recovery: Optional[WALRecovery] = None
         # exactly-once retry support: results of token-stamped
         # statements, recoverable alongside the writes they describe
@@ -354,9 +356,9 @@ class Database:
     def _save_prior(self, table: HeapTable,
                     rowid: int | None = None) -> None:
         """Remember a table's rowid counter and, given ``rowid``, that
-        heap row, before an autocommit statement first changes them, so
-        that a statement which fails partway can be undone. Inserts
-        need only the counter: every row past it is new."""
+        heap row, before a statement first changes them, so that a
+        statement which fails partway can be undone. Inserts need only
+        the counter: every row past it is new."""
         if table.name not in self._undo_counters:
             self._undo_counters[table.name] = (table, table.next_rowid)
         if rowid is not None:
@@ -364,6 +366,46 @@ class Database:
             if key not in self._undo_rows:
                 self._undo_rows[key] = (table, table.rows.get(rowid),
                                         table.versions.get(rowid))
+
+    def _save_overlay_prior(self, overlay: TableOverlay, table: HeapTable,
+                            rowid: int) -> None:
+        """:meth:`_save_prior` for a statement inside a transaction:
+        remember the write-set's entries for ``rowid`` before the
+        statement first changes them."""
+        key = (table.name, rowid)
+        if key not in self._undo_overlay:
+            self._undo_overlay[key] = (overlay, overlay.upserts.get(rowid),
+                                       overlay.deletes.get(rowid))
+
+    def _abort_in_transaction(self,
+                              txn: dict[str, TableOverlay]) -> None:
+        """Undo a failed statement inside a transaction: drop the rows
+        it buffered, put back the write-set entries it changed and
+        rewind the rowid counters it moved, so the transaction goes on
+        as if the statement had not been sent. Nothing reached the heap
+        or the WAL."""
+        for table, next_rowid in self._undo_counters.values():
+            overlay = txn.get(table.name)
+            if overlay is not None:
+                for rowid in range(next_rowid, table.next_rowid):
+                    overlay.upserts.pop(rowid, None)
+            table.next_rowid = next_rowid
+        for (_, rowid), (overlay, upsert, delete) in (
+                self._undo_overlay.items()):
+            if upsert is None:
+                overlay.upserts.pop(rowid, None)
+            else:
+                overlay.upserts[rowid] = upsert
+            if delete is None:
+                overlay.deletes.pop(rowid, None)
+            else:
+                overlay.deletes[rowid] = delete
+        self._forget_undo()
+
+    def _forget_undo(self) -> None:
+        self._undo_rows.clear()
+        self._undo_counters.clear()
+        self._undo_overlay.clear()
 
     def _log_put(self, table: HeapTable, rowid: int) -> None:
         self._touched_tables.add(table.name)
@@ -395,8 +437,7 @@ class Database:
         mirror it into the table files — always WAL before data."""
         # marked first: a commit that fails still changed the heap
         self.catalog.dirty_tables.update(self._touched_tables)
-        self._undo_rows.clear()
-        self._undo_counters.clear()
+        self._forget_undo()
         if self.wal is not None and self._wal_dirty:
             self.wal.commit(self.clock.now)
             self._wal_dirty = False
@@ -429,8 +470,7 @@ class Database:
                 table.put_row(rowid, values, version)
         for table, next_rowid in counters:
             table.next_rowid = next_rowid
-        self._undo_rows.clear()
-        self._undo_counters.clear()
+        self._forget_undo()
         self._wal_dirty = False
         self._touched_tables.clear()
         self._dropped_tables.clear()
@@ -625,6 +665,9 @@ class Database:
                     # a failed autocommit statement never commits:
                     # whatever it logged must not survive recovery
                     self._abort_wal_batch()
+                else:
+                    # inside a transaction only the statement is undone
+                    self._abort_in_transaction(session.txn)
                 raise
             if extra_lineage:
                 result.lineages = [lineage | extra_lineage
@@ -641,6 +684,8 @@ class Database:
             # autocommit (or the COMMIT statement itself): make the
             # batch durable before any table file is rewritten
             self._commit_wal_batch()
+        else:
+            self._forget_undo()  # the statement stands
         return result
 
     # -- exactly-once retry ledger -------------------------------------------------
@@ -863,8 +908,7 @@ class Database:
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
         overlay = self._overlay_of(session, table)
-        if overlay is None:
-            self._save_prior(table)
+        self._save_prior(table)
         for values, lineage in source_rows:
             full_values = self._spread_values(table, positions, values)
             if overlay is None:
@@ -953,6 +997,7 @@ class Database:
                 table.update(rowid, tuple(new_values), tick)
                 self._log_put(table, rowid)
             else:
+                self._save_overlay_prior(overlay, table, rowid)
                 row = coerce_row(new_values, table.schema)
                 self._check_overlay_pk(overlay, table, rowid, row)
                 overlay.upserts[rowid] = (row, tick)
@@ -979,6 +1024,7 @@ class Database:
                 table.delete(rowid)
                 self._log_delete(table, rowid)
             else:
+                self._save_overlay_prior(overlay, table, rowid)
                 overlay.upserts.pop(rowid, None)
                 # a row born and deleted inside the transaction leaves
                 # no trace
@@ -1108,8 +1154,7 @@ class Database:
         tick = self.clock.tick()
         overlay = self._overlay_of(session, table)
         result = StatementResult(kind="copy", source_tables=[table.name])
-        if overlay is None:
-            self._save_prior(table)
+        self._save_prior(table)
         for values in rows:
             if overlay is None:
                 rowid = table.insert(values, tick)

@@ -16,13 +16,15 @@ grow a combined execution trace while an application runs.
 
 from __future__ import annotations
 
+from itertools import chain, cycle, repeat
 from typing import Iterable
 
 from repro.db.provtypes import TupleRef
+from repro.errors import ProvenanceError
 from repro.provenance import bb, lineage
 from repro.provenance.interval import TimeInterval
-from repro.provenance.model import EdgeType, ProvenanceModel
-from repro.provenance.trace import ExecutionTrace, Node
+from repro.provenance.model import EdgeType
+from repro.provenance.trace import ExecutionTrace
 
 RUN = "run"
 READ_FROM_DB = "readFromDB"
@@ -60,11 +62,14 @@ class TraceBuilder:
 
     def __init__(self) -> None:
         self.trace = ExecutionTrace(COMBINED_MODEL)
-        # node ids of the tuple versions this builder has added; traces
-        # never drop nodes, so a hit needs no formatting and no lookup.
-        # Keyed by plain tuples, which equal their TupleRefs: the
-        # collector stops tracking those, but not namedtuples
-        self._tuple_ids: dict[tuple[str, int, int], str] = {}
+        # the interned index of each tuple version this builder added a
+        # node for; traces never drop nodes, so a hit needs no
+        # formatting and no lookup. Keyed by plain tuples, which equal
+        # their TupleRefs: the collector stops tracking those, but not
+        # namedtuples
+        self._tuple_nodes_at: dict[tuple[str, int, int], int] = {}
+        # the same for versions a Lineage named before their node
+        self._named_at: dict[tuple[str, int, int], int] = {}
 
     # -- OS side -----------------------------------------------------------------
 
@@ -108,35 +113,49 @@ class TraceBuilder:
         return node_id
 
     def tuple_version(self, ref: TupleRef) -> str:
-        (node_id,) = self._tuple_nodes((ref,))
-        return node_id
+        (index,) = self._tuple_nodes((ref,))
+        return self.trace.id_at(index)
 
-    def _tuple_nodes(self, refs: Iterable[TupleRef]) -> list[str]:
-        """Add the tuple-version nodes of ``refs``; their node ids, in
-        ``refs`` order."""
-        known = self._tuple_ids
-        node_ids = []
-        new: dict[TupleRef, str] = {}
+    def _tuple_nodes(self, refs: Iterable[TupleRef]) -> list[int]:
+        """Add the tuple-version nodes of ``refs``; their interned
+        indices, in ``refs`` order."""
+        known = self._tuple_nodes_at
+        indices = []
+        new: dict[int, TupleRef] = {}
         for ref in refs:
-            node_id = known.get(ref)
-            if node_id is None:
-                node_id = new[ref] = lineage.tuple_node_id(ref)
-            node_ids.append(node_id)
+            index = known.get(ref)
+            if index is None:
+                index = self._named_at.pop(ref, None)
+                if index is None:
+                    index = self.trace.intern(lineage.tuple_node_id(ref))
+                new[index] = ref
+            indices.append(index)
         if new:
-            self.trace.add_entities(lineage.TUPLE, "lin", [
-                (node_id, (("rowid", ref.rowid), ("table", ref.table),
-                           ("version", ref.version)))
-                for ref, node_id in new.items()])
-            for ref, node_id in new.items():
-                known[tuple(ref)] = node_id
-        return node_ids
+            self.trace.add_entities_at(lineage.TUPLE, "lin", new, [
+                (("rowid", ref.rowid), ("table", ref.table),
+                 ("version", ref.version)) for ref in new.values()])
+            for index, ref in new.items():
+                known[tuple(ref)] = index
+        return indices
 
-    def _lineage_ids(self, refs: Iterable[TupleRef]) -> list[str]:
-        """A hasReturned edge's ``lineage`` attribute: the sorted node
-        ids of the contributing tuple versions."""
-        known = self._tuple_ids
-        return sorted([known.get(ref) or lineage.tuple_node_id(ref)
-                       for ref in refs])
+    def _lineage_row(self, refs: Iterable[TupleRef]) -> list[int]:
+        """A hasReturned edge's Lineage attribution (Definition 7): the
+        interned indices of the contributing tuple versions, sorted by
+        node id."""
+        known = self._tuple_nodes_at
+        named = self._named_at
+        row = []
+        for ref in refs:
+            index = known.get(ref)
+            if index is None:
+                index = named.get(ref)
+                if index is None:
+                    index = named[tuple(ref)] = self.trace.intern(
+                        lineage.tuple_node_id(ref))
+            row.append(index)
+        if len(row) > 1:
+            row.sort(key=self.trace.id_at)
+        return row
 
     # The per-statement methods below take all of one statement's tuple
     # versions at once: the statement type, the interval and the model
@@ -145,11 +164,15 @@ class TraceBuilder:
     def has_read(self, statement_node: str, refs: Iterable[TupleRef],
                  tick: int) -> None:
         """The statement read the tuple versions ``refs``."""
-        statement_type = self.trace.node(statement_node).type_label
-        self.trace.add_edges(
-            lineage.read_label(statement_type), TimeInterval.point(tick),
-            [(node_id, statement_node)
-             for node_id in self._tuple_nodes(refs)])
+        trace = self.trace
+        statement = trace.index_of(statement_node)
+        statement_type = trace.type_at(statement)
+        sources = self._tuple_nodes(refs)
+        if sources:
+            trace.add_edges_at(
+                sources, repeat(statement),
+                repeat(trace.label_code(lineage.read_label(statement_type))),
+                tick, tick, repeat(None))
 
     def has_returned(self, statement_node: str, refs: Iterable[TupleRef],
                      tick: int,
@@ -163,33 +186,51 @@ class TraceBuilder:
         consumed each returned tuple (a query's client): its readFromDB
         edge is added right after the tuple's hasReturned edge.
         """
-        statement_type = self.trace.node(statement_node).type_label
-        label = lineage.returned_label(statement_type)
-        node_ids = self._tuple_nodes(refs)
+        trace = self.trace
+        statement = trace.index_of(statement_node)
+        statement_type = trace.type_at(statement)
+        targets = self._tuple_nodes(refs)
         if lineages is None:
-            lineages = [()] * len(node_ids)
-        attrs = [{"lineage": self._lineage_ids(deps)} for deps in lineages]
-        pairs = [(statement_node, node_id) for node_id in node_ids]
-        if reader is not None:
-            process = bb.process_node_id(reader)
-            pairs = [pair for node_id, returned in zip(node_ids, pairs)
-                     for pair in (returned, (node_id, process))]
-            label = [label, READ_FROM_DB] * len(node_ids)
-            attrs = [attr for returned in attrs for attr in (returned, None)]
-        self.trace.add_edges(label, TimeInterval.point(tick), pairs, attrs)
+            rows: Iterable[list[int]] = repeat([])
+        else:
+            lineages = list(lineages)
+            if len(lineages) != len(targets):
+                raise ProvenanceError(
+                    f"{len(lineages)} lineages for {len(targets)} "
+                    "returned tuple versions")
+            rows = map(self._lineage_row, lineages)
+        if not targets:
+            return
+        label = trace.label_code(lineage.returned_label(statement_type))
+        if reader is None:
+            trace.add_edges_at(repeat(statement), targets, repeat(label),
+                               tick, tick, rows)
+            return
+        # per returned version: its hasReturned edge, then its
+        # readFromDB edge
+        process = trace.intern(bb.process_node_id(reader))
+        trace.add_edges_at(
+            chain.from_iterable(zip(repeat(statement), targets)),
+            chain.from_iterable(zip(targets, repeat(process))),
+            cycle((label, trace.label_code(READ_FROM_DB))), tick, tick,
+            chain.from_iterable(zip(rows, repeat(None))))
 
     # -- cross-model edges -------------------------------------------------------------
 
     def run(self, pid: int, statement_node: str,
             interval: TimeInterval) -> None:
-        statement_type = self.trace.node(statement_node).type_label
-        self.trace.add_edge(bb.process_node_id(pid), statement_node,
-                            run_label(statement_type), interval)
+        trace = self.trace
+        statement_type = trace.type_at(trace.index_of(statement_node))
+        trace.add_edge(bb.process_node_id(pid), statement_node,
+                       run_label(statement_type), interval)
 
     def read_from_db(self, pid: int, refs: Iterable[TupleRef],
                      tick: int) -> None:
         """The process consumed the result tuples ``refs`` of a query."""
-        process = bb.process_node_id(pid)
-        self.trace.add_edges(
-            READ_FROM_DB, TimeInterval.point(tick),
-            [(node_id, process) for node_id in self._tuple_nodes(refs)])
+        trace = self.trace
+        sources = self._tuple_nodes(refs)
+        if sources:
+            trace.add_edges_at(
+                sources, repeat(trace.intern(bb.process_node_id(pid))),
+                repeat(trace.label_code(READ_FROM_DB)), tick, tick,
+                repeat(None))

@@ -9,13 +9,21 @@ The trace supports everything downstream needs: typed construction with
 model validation, adjacency queries, the node-state function ``S(v, T)``
 of Definition 10, JSON round-tripping, and the compact columnar
 encoding a package ships (:meth:`ExecutionTrace.to_v2`).
+
+In memory the graph is integer columns, not objects: a server-included
+audit adds a node per result and read tuple and several edges per row,
+and every object that lives as long as the trace is one more for each
+full garbage collection to walk. :class:`Node` and :class:`Edge` are
+snapshots the queries build on demand (docs/provenance-model.md, "In
+memory").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from repro.errors import ModelViolationError, ProvenanceError, UnknownNodeError
 from repro.provenance.interval import TimeInterval
@@ -49,7 +57,8 @@ class Node:
 
 @dataclass(slots=True)
 class Edge:
-    """A typed, time-annotated edge."""
+    """A typed, time-annotated edge, as a snapshot of the trace's
+    columns: changing it does not change the trace."""
 
     source: str
     target: str
@@ -58,33 +67,68 @@ class Edge:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
+# the type code of an interned id that is not a node: a Lineage
+# attribution may name a tuple version the trace has no node for (yet)
+_NOT_A_NODE = -1
+
+
 class ExecutionTrace:
-    """A temporal provenance graph for one application run."""
+    """A temporal provenance graph for one application run.
+
+    Every id the trace knows is interned: ``_index`` maps it to its
+    position in the node columns ``_ids``, ``_node_type`` and
+    ``_node_attrs``. A type code points into ``_types``, the distinct
+    ``(kind, type, model)`` triples; an id that only a Lineage names
+    has the code ``_NOT_A_NODE``. Edges are parallel int columns in
+    insertion order, and ``_edge_at`` finds one by its ``(source,
+    target, label)`` packed into one int. Edge attributes are sparse: a
+    Lineage list of ids is a row of interned indices in ``_cells`` (its
+    length, then the indices), any other attributes a dict.
+    """
 
     def __init__(self, model: ProvenanceModel) -> None:
         self.model = model
-        self._nodes: dict[str, Node] = {}
-        self._edges: dict[tuple[str, str, str], Edge] = {}
-        self._out: dict[str, list[Edge]] = {}
-        self._in: dict[str, list[Edge]] = {}
+        self._index: dict[str, int] = {}
+        self._ids: list[str] = []
+        self._node_type: list[int] = []
+        self._node_attrs: list[tuple[tuple[str, Any], ...]] = []
+        self._types: list[tuple[str, str, str]] = []
+        self._type_codes: dict[tuple[str, str, str], int] = {}
+        self._node_count = 0
+        self._labels = list(model.edge_types)
+        self._label_codes = {label: code
+                             for code, label in enumerate(self._labels)}
+        self._src: list[int] = []
+        self._dst: list[int] = []
+        self._label: list[int] = []
+        self._begin: list[int] = []
+        self._end: list[int] = []
+        self._edge_at: dict[int, int] = {}
+        self._lineage: dict[int, int] = {}  # edge -> offset of its row
+        self._cells: list[int] = []
+        self._edge_attrs: dict[int, dict[str, Any]] = {}
+        # packed (label, source type, target type) codes the model admits
+        self._admitted: set[int] = set()
+        # (out order, its sources, in order, its targets): built by the
+        # first adjacency query, dropped when an edge is added
+        self._adjacency: tuple[list[int], ...] | None = None
 
     # -- construction -------------------------------------------------------------
 
     def add_activity(self, node_id: str, type_label: str,
-                     model_name: str | None = None,
-                     **attrs: Any) -> Node:
+                     model_name: str | None = None, **attrs: Any) -> None:
         if not self.model.is_activity_type(type_label):
             raise ModelViolationError(
                 f"{type_label!r} is not an activity type of "
                 f"{self.model.name!r}")
-        return self._add_node(node_id, "activity", type_label,
-                              model_name, tuple(sorted(attrs.items())))
+        self._add_node(node_id, "activity", type_label, model_name,
+                       tuple(sorted(attrs.items())))
 
     def add_entity(self, node_id: str, type_label: str,
-                   model_name: str | None = None, **attrs: Any) -> Node:
-        self.add_entities(type_label, model_name,
-                          [(node_id, tuple(sorted(attrs.items())))])
-        return self._nodes[node_id]
+                   model_name: str | None = None, **attrs: Any) -> None:
+        self._check_entity_type(type_label)
+        self._add_node(node_id, "entity", type_label, model_name,
+                       tuple(sorted(attrs.items())))
 
     def add_entities(self, type_label: str, model_name: str | None,
                      nodes: Iterable[tuple[str, tuple[tuple[str, Any], ...]]]
@@ -96,35 +140,61 @@ class ExecutionTrace:
         An existing node of the same type is kept as it is; one of
         another type raises :class:`ProvenanceError`.
         """
-        if not self.model.is_entity_type(type_label):
-            raise ModelViolationError(
-                f"{type_label!r} is not an entity type of "
-                f"{self.model.name!r}")
+        self._check_entity_type(type_label)
         for node_id, attrs in nodes:
             self._add_node(node_id, "entity", type_label, model_name, attrs)
 
     def _add_node(self, node_id: str, kind: str, type_label: str,
                   model_name: str | None,
-                  attrs: tuple[tuple[str, Any], ...]) -> Node:
-        existing = self._nodes.get(node_id)
-        if existing is not None:
-            if existing.type_label != type_label:
-                raise ProvenanceError(
-                    f"node {node_id!r} already exists with type "
-                    f"{existing.type_label!r}")
-            return existing
-        node = Node(node_id, kind, type_label,
-                    model_name or self.model.name, attrs)
-        self._nodes[node_id] = node
-        self._out[node_id] = []
-        self._in[node_id] = []
-        return node
+                  attrs: tuple[tuple[str, Any], ...]) -> None:
+        index = self._index.get(node_id)
+        if index is None:
+            index = self.intern(node_id)
+        elif self._node_type[index] != _NOT_A_NODE:
+            self._check_same_type(index, type_label)
+            return
+        self._set_node(index, self._type_code(kind, type_label, model_name),
+                       attrs)
+
+    def _check_entity_type(self, type_label: str) -> None:
+        if not self.model.is_entity_type(type_label):
+            raise ModelViolationError(
+                f"{type_label!r} is not an entity type of "
+                f"{self.model.name!r}")
+
+    def _type_code(self, kind: str, type_label: str,
+                   model_name: str | None) -> int:
+        key = (kind, type_label, model_name or self.model.name)
+        code = self._type_codes.get(key)
+        if code is None:
+            code = self._type_codes[key] = len(self._types)
+            self._types.append(key)
+        return code
+
+    def _set_node(self, index: int, code: int,
+                  attrs: tuple[tuple[str, Any], ...]) -> None:
+        self._node_type[index] = code
+        self._node_attrs[index] = attrs
+        self._node_count += 1
+
+    def _check_same_type(self, index: int, type_label: str) -> None:
+        existing = self._types[self._node_type[index]][1]
+        if existing != type_label:
+            raise ProvenanceError(
+                f"node {self._ids[index]!r} already exists with type "
+                f"{existing!r}")
 
     def add_edge(self, source: str, target: str, label: str,
-                 interval: TimeInterval, **attrs: Any) -> Edge:
+                 interval: TimeInterval, **attrs: Any) -> None:
         """Add (or widen) one typed edge; see :meth:`add_edges`."""
-        self.add_edges(label, interval, [(source, target)], [attrs])
-        return self._edges[(source, target, label)]
+        index = self._index
+        source_index = index.get(source)
+        target_index = index.get(target)
+        code = self._label_codes.get(label)
+        if source_index is None or target_index is None or code is None:
+            self._reject(source, target, label)
+        self.add_edges_at((source_index,), (target_index,), (code,),
+                          interval.begin, interval.end, (attrs,))
 
     def add_edges(self, label: str | Sequence[str], interval: TimeInterval,
                   pairs: Sequence[tuple[str, str]],
@@ -141,8 +211,9 @@ class ExecutionTrace:
         over the old — this is how a process that re-opens a file keeps
         a single readFrom edge spanning all of its reads.
 
-        Each endpoint is looked up once, and the model check runs once
-        per distinct ``(label, source type, target type)``. A pair with
+        Each endpoint is looked up once, and the model check runs only
+        for a ``(label, source type, target type)`` the trace has not
+        admitted before. A pair with
         an unknown endpoint or an inadmissible type raises before it is
         added, leaving the pairs before it added, exactly as one
         :meth:`add_edge` per pair would.
@@ -161,57 +232,200 @@ class ExecutionTrace:
                 f"{len(attrs)} attribute dicts for {len(pairs)} edges")
         else:
             attr_dicts = attrs
-        nodes = self._nodes
-        edges = self._edges
-        out_edges = self._out
-        in_edges = self._in
-        checked: set[tuple[str, str, str]] = set()
-        for (source, target), edge_label, edge_attrs in zip(
-                pairs, labels, attr_dicts):
-            source_node = nodes.get(source)
-            if source_node is None:
-                raise UnknownNodeError(f"unknown trace node {source!r}")
-            target_node = nodes.get(target)
-            if target_node is None:
-                raise UnknownNodeError(f"unknown trace node {target!r}")
-            types = (edge_label, source_node.type_label,
-                     target_node.type_label)
-            if types not in checked:
-                self.model.check_edge(*types)
-                checked.add(types)
-            key = (source, target, edge_label)
-            existing = edges.get(key)
-            if existing is not None:
-                existing.interval = existing.interval.hull(interval)
-                if edge_attrs:
-                    existing.attrs.update(edge_attrs)
-                continue
-            edge = edges[key] = Edge(source, target, edge_label, interval,
-                                     dict(edge_attrs) if edge_attrs else {})
-            out_edges[source].append(edge)
-            in_edges[target].append(edge)
+        # the pairs up to the first with an endpoint that is not a node
+        # or a label the model lacks; add_edges_at checks the rest
+        index = self._index
+        label_codes = self._label_codes
+        sources: list[int] = []
+        targets: list[int] = []
+        codes: list[int] = []
+        rejected = None
+        for (source, target), edge_label in zip(pairs, labels):
+            source_index = index.get(source)
+            target_index = index.get(target)
+            code = label_codes.get(edge_label)
+            if source_index is None or target_index is None or code is None:
+                rejected = (source, target, edge_label)
+                break
+            sources.append(source_index)
+            targets.append(target_index)
+            codes.append(code)
+        self.add_edges_at(sources, targets, codes, interval.begin,
+                          interval.end, attr_dicts)
+        if rejected is not None:
+            self._reject(*rejected)
+
+    def _reject(self, source: str, target: str, label: str) -> NoReturn:
+        """Raise for an edge whose endpoint is not a node, or whose
+        label the model lacks, in the order :meth:`add_edges` checks."""
+        for node_id in (source, target):
+            if not self.has_node(node_id):
+                raise UnknownNodeError(f"unknown trace node {node_id!r}")
+        raise ModelViolationError(
+            f"model {self.model.name!r} has no edge type {label!r}")
+
+    # -- construction by interned index --------------------------------------------
+    #
+    # The trace builder's feed: it names nodes by their interned index,
+    # so a statement's rows cost no id lookups, and gives a Lineage as a
+    # row of indices rather than a dict of ids.
+
+    def intern(self, node_id: str) -> int:
+        """The index of ``node_id``, interning it (as no node) if the
+        trace does not know it yet."""
+        index = self._index.get(node_id)
+        if index is None:
+            index = self._index[node_id] = len(self._ids)
+            self._ids.append(node_id)
+            self._node_type.append(_NOT_A_NODE)
+            self._node_attrs.append(())
+        return index
+
+    def id_at(self, index: int) -> str:
+        """The id interned at ``index``."""
+        return self._ids[index]
+
+    def type_at(self, index: int) -> str:
+        """The type label of the node at ``index``."""
+        return self._types[self._node_type[index]][1]
+
+    def label_code(self, label: str) -> int:
+        """The code of edge label ``label``; :class:`ModelViolationError`
+        if the model has no such edge type."""
+        return self._label_codes[self.model.edge_type(label).label]
+
+    def add_entities_at(self, type_label: str, model_name: str | None,
+                        indices: Iterable[int],
+                        attrs: Iterable[tuple[tuple[str, Any], ...]]
+                        ) -> None:
+        """:meth:`add_entities` for interned ids, with their attributes
+        in a parallel iterable."""
+        self._check_entity_type(type_label)
+        code = self._type_code("entity", type_label, model_name)
+        node_type = self._node_type
+        for index, node_attrs in zip(indices, attrs):
+            if node_type[index] == _NOT_A_NODE:
+                self._set_node(index, code, node_attrs)
+            else:
+                self._check_same_type(index, type_label)
+
+    def add_edges_at(self, sources: Iterable[int], targets: Iterable[int],
+                     labels: Iterable[int], begin: int, end: int,
+                     attrs: Iterable[Any]) -> None:
+        """:meth:`add_edges` for interned endpoints and label codes
+        (:meth:`label_code`), all edges over ``[begin, end]``.
+
+        ``attrs`` holds per edge None, an attribute dict, or a Lineage
+        row: a list of interned indices, sorted by id, that stands for
+        ``{"lineage": [their ids]}``. An endpoint that is not a node
+        raises :class:`UnknownNodeError`, with the edges before it
+        added.
+        """
+        node_type = self._node_type
+        admitted = self._admitted
+        edge_at = self._edge_at
+        src_column = self._src
+        dst_column = self._dst
+        label_column = self._label
+        begin_column = self._begin
+        end_column = self._end
+        lineage = self._lineage
+        cells = self._cells
+        label_count = len(self._labels)
+        edge_count = len(src_column)
+        try:
+            for source, target, label, edge_attrs in zip(
+                    sources, targets, labels, attrs):
+                source_type = node_type[source]
+                target_type = node_type[target]
+                check = (label << 64) | (source_type << 32) | target_type
+                if check not in admitted:
+                    self._check_edge(source, target, label)
+                    admitted.add(check)
+                # _edge_key, inlined
+                key = ((source << 32) | target) * label_count + label
+                edge = edge_at.get(key)
+                if edge is None:
+                    edge = edge_at[key] = len(src_column)
+                    src_column.append(source)
+                    dst_column.append(target)
+                    label_column.append(label)
+                    begin_column.append(begin)
+                    end_column.append(end)
+                    if type(edge_attrs) is list:
+                        lineage[edge] = len(cells)
+                        cells.append(len(edge_attrs))
+                        cells += edge_attrs
+                        continue
+                else:
+                    if begin < begin_column[edge]:
+                        begin_column[edge] = begin
+                    if end > end_column[edge]:
+                        end_column[edge] = end
+                if edge_attrs is not None and (
+                        edge_attrs or type(edge_attrs) is list):
+                    self._merge_attrs(edge, edge_attrs)
+        finally:
+            if len(src_column) != edge_count:
+                self._adjacency = None
+
+    def _check_edge(self, source: int, target: int, label: int) -> None:
+        """The model check of one edge; an endpoint that is not a node
+        raises first."""
+        types = []
+        for index in (source, target):
+            code = self._node_type[index]
+            if code == _NOT_A_NODE:
+                raise UnknownNodeError(
+                    f"unknown trace node {self._ids[index]!r}")
+            types.append(self._types[code][1])
+        self.model.check_edge(self._labels[label], *types)
+
+    def _merge_attrs(self, edge: int, new: Any) -> None:
+        """Merge ``new``, an attribute dict or a Lineage row, over the
+        attributes of ``edge``."""
+        if type(new) is list:
+            new = {"lineage": [self._ids[index] for index in new]}
+        attrs = self._attrs_of(edge)
+        attrs.update(new)
+        self._lineage.pop(edge, None)
+        self._edge_attrs.pop(edge, None)
+        ids = attrs.get("lineage")
+        if (len(attrs) == 1 and type(ids) is list
+                and all(type(node_id) is str for node_id in ids)):
+            cells = self._cells
+            self._lineage[edge] = len(cells)
+            cells.append(len(ids))
+            cells += map(self.intern, ids)
+        else:
+            self._edge_attrs[edge] = attrs
 
     # -- queries -----------------------------------------------------------------
 
-    def node(self, node_id: str) -> Node:
-        node = self._nodes.get(node_id)
-        if node is None:
+    def index_of(self, node_id: str) -> int:
+        """The interned index of node ``node_id``."""
+        index = self._index.get(node_id)
+        if index is None or self._node_type[index] == _NOT_A_NODE:
             raise UnknownNodeError(f"unknown trace node {node_id!r}")
-        return node
+        return index
+
+    def node(self, node_id: str) -> Node:
+        return self._node_view(self.index_of(node_id))
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        index = self._index.get(node_id)
+        return index is not None and self._node_type[index] != _NOT_A_NODE
 
     def nodes(self, kind: str | None = None,
               type_label: str | None = None) -> list[Node]:
-        result = []
-        for node in self._nodes.values():
-            if kind is not None and node.kind != kind:
-                continue
-            if type_label is not None and node.type_label != type_label:
-                continue
-            result.append(node)
-        return sorted(result, key=lambda n: n.node_id)
+        codes = {code for code, (node_kind, node_type, _) in
+                 enumerate(self._types)
+                 if (kind is None or node_kind == kind)
+                 and (type_label is None or node_type == type_label)}
+        indices = sorted((index for index, code in
+                          enumerate(self._node_type) if code in codes),
+                         key=self._ids.__getitem__)
+        return [self._node_view(index) for index in indices]
 
     def entities(self, type_label: str | None = None) -> list[Node]:
         return self.nodes("entity", type_label)
@@ -221,16 +435,17 @@ class ExecutionTrace:
 
     def edges(self, label: str | None = None) -> list[Edge]:
         if label is None:
-            return list(self._edges.values())
-        return [edge for edge in self._edges.values() if edge.label == label]
+            return self._edge_views(range(self.edge_count))
+        code = self._label_codes.get(label)
+        return self._edge_views(edge for edge, edge_label in
+                                enumerate(self._label) if edge_label == code)
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        self.node(node_id)
-        return list(self._out[node_id])
+        return self._edge_views(self._adjacent(self.index_of(node_id), True))
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        self.node(node_id)
-        return list(self._in[node_id])
+        return self._edge_views(self._adjacent(self.index_of(node_id),
+                                               False))
 
     def interval(self, source: str, target: str,
                  label: str | None = None) -> TimeInterval:
@@ -239,36 +454,142 @@ class ExecutionTrace:
         If ``label`` is omitted and several typed edges connect the
         pair, the hull of their intervals is returned.
         """
-        found = [edge for edge in self._out.get(source, ())
-                 if edge.target == target
-                 and (label is None or edge.label == label)]
+        source_index = self._index.get(source)
+        target_index = self._index.get(target)
+        found = []
+        if source_index is not None and target_index is not None:
+            if label is None:
+                codes: Iterable[int] = range(len(self._labels))
+            else:
+                codes = [self._label_codes[label]] if (
+                    label in self._label_codes) else []
+            for code in codes:
+                edge = self._edge_at.get(
+                    self._edge_key(source_index, target_index, code))
+                if edge is not None:
+                    found.append(edge)
         if not found:
             raise ProvenanceError(
                 f"no edge between {source!r} and {target!r}")
-        interval = found[0].interval
-        for edge in found[1:]:
-            interval = interval.hull(edge.interval)
-        return interval
+        return TimeInterval(min(self._begin[edge] for edge in found),
+                            max(self._end[edge] for edge in found))
 
     def state(self, node_id: str, at_time: int) -> set[str]:
         """``S(v, T)`` of Definition 10: the sources of all incoming
         interactions that began no later than ``T``."""
-        return {edge.source for edge in self.in_edges(node_id)
-                if edge.interval.begin <= at_time}
+        begin = self._begin
+        src = self._src
+        ids = self._ids
+        return {ids[src[edge]]
+                for edge in self._adjacent(self.index_of(node_id), False)
+                if begin[edge] <= at_time}
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return self._node_count
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._src)
+
+    # -- views on the columns -----------------------------------------------------
+
+    def _edge_key(self, source: int, target: int, label: int) -> int:
+        return ((source << 32) | target) * len(self._labels) + label
+
+    def _adjacent(self, index: int, outgoing: bool) -> list[int]:
+        """The edges leaving (or entering) node ``index``, in insertion
+        order."""
+        if self._adjacency is None:
+            src, dst = self._src, self._dst
+            out_order = sorted(range(len(src)), key=src.__getitem__)
+            in_order = sorted(range(len(dst)), key=dst.__getitem__)
+            self._adjacency = (out_order, [src[edge] for edge in out_order],
+                               in_order, [dst[edge] for edge in in_order])
+        if outgoing:
+            order, keys = self._adjacency[0], self._adjacency[1]
+        else:
+            order, keys = self._adjacency[2], self._adjacency[3]
+        low = bisect_left(keys, index)
+        return order[low:bisect_right(keys, index, low)]
+
+    def _node_view(self, index: int) -> Node:
+        kind, type_label, model = self._types[self._node_type[index]]
+        return Node(self._ids[index], kind, type_label, model,
+                    self._node_attrs[index])
+
+    def _edge_views(self, edges: Iterable[int]) -> list[Edge]:
+        """Snapshots of ``edges``. Edges with the same interval share
+        one (immutable) :class:`TimeInterval`: most are points at the
+        tick of their statement."""
+        ids = self._ids
+        src = self._src
+        dst = self._dst
+        labels = self._labels
+        label_column = self._label
+        begin = self._begin
+        end = self._end
+        intervals: dict[tuple[int, int], TimeInterval] = {}
+        views = []
+        for edge in edges:
+            bounds = (begin[edge], end[edge])
+            interval = intervals.get(bounds)
+            if interval is None:
+                interval = intervals[bounds] = TimeInterval(*bounds)
+            views.append(Edge(ids[src[edge]], ids[dst[edge]],
+                              labels[label_column[edge]], interval,
+                              self._attrs_of(edge)))
+        return views
+
+    def _attrs_of(self, edge: int) -> dict[str, Any]:
+        """A fresh dict of the attributes of ``edge``."""
+        offset = self._lineage.get(edge)
+        if offset is not None:
+            cells = self._cells
+            ids = self._ids
+            start = offset + 1
+            return {"lineage": [ids[index] for index in
+                                cells[start:start + cells[offset]]]}
+        attrs = self._edge_attrs.get(edge)
+        return dict(attrs) if attrs else {}
+
+    def _ranked(self) -> tuple[list[int], list[int]]:
+        """The nodes' indices sorted by id, and each interned index's
+        position there (-1 for an id that is not a node)."""
+        nodes = sorted((index for index, code in enumerate(self._node_type)
+                        if code != _NOT_A_NODE), key=self._ids.__getitem__)
+        rank = [-1] * len(self._ids)
+        for position, index in enumerate(nodes):
+            rank[index] = position
+        return nodes, rank
+
+    def _edge_order(self, rank: list[int], node_count: int
+                    ) -> tuple[list[int], list[str], list[int]]:
+        """The edges sorted by ``(begin, source id, target id, label)``,
+        the sorted labels in use, and each label code's position there."""
+        labels = sorted({self._labels[code] for code in set(self._label)})
+        label_rank = [0] * len(self._labels)
+        for position, label in enumerate(labels):
+            label_rank[self._label_codes[label]] = position
+        label_count = len(labels)
+        # the four fields as one integer: the lower three lie in
+        # [0, node_count² · label_count)
+        keys = [((begin * node_count + rank[source]) * node_count
+                 + rank[target]) * label_count + label_rank[label]
+                for begin, source, target, label in zip(
+                    self._begin, self._src, self._dst, self._label)]
+        return (sorted(range(len(keys)), key=keys.__getitem__), labels,
+                label_rank)
 
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
         """Serialize to a JSON-compatible dict (model types are assumed
         known to the deserializer — the model itself is code)."""
+        nodes, rank = self._ranked()
+        order, _, _ = self._edge_order(rank, len(nodes))
+        ids = self._ids
+        labels = self._labels
         return {
             "model": self.model.name,
             "nodes": [
@@ -279,20 +600,17 @@ class ExecutionTrace:
                     "node_model": node.model,
                     "attrs": {key: value for key, value in node.attrs},
                 }
-                for node in self.nodes()
+                for node in map(self._node_view, nodes)
             ],
             "edges": [
                 {
-                    "source": edge.source,
-                    "target": edge.target,
-                    "label": edge.label,
-                    "interval": edge.interval.to_json(),
-                    "attrs": edge.attrs,
+                    "source": ids[self._src[edge]],
+                    "target": ids[self._dst[edge]],
+                    "label": labels[self._label[edge]],
+                    "interval": [self._begin[edge], self._end[edge]],
+                    "attrs": self._attrs_of(edge),
                 }
-                for edge in sorted(
-                    self._edges.values(),
-                    key=lambda e: (e.interval.begin, e.source, e.target,
-                                   e.label))
+                for edge in order
             ],
         }
 
@@ -334,20 +652,22 @@ class ExecutionTrace:
         attrs]`` pairs. ``tuples``, ``lineage`` and ``attrs`` are left
         out when empty. :meth:`from_v2` decodes.
         """
-        nodes = self._nodes
-        node_ids = sorted(nodes)
-        index = {node_id: position for position, node_id in
-                 enumerate(node_ids)}
-        types: dict[tuple[str, str, str, int], int] = {}
+        nodes, rank = self._ranked()
+        ids = self._ids
+        node_type = self._node_type
+        node_attrs = self._node_attrs
+        # a node's type code and packed flag as one int -> its v2 code
+        codes: dict[int, int] = {}
+        types: list[list[Any]] = []
         tables: dict[str, int] = {}
         type_column: list[int] = []
         table_column: list[int] = []
         rowid_column: list[int] = []
         version_column: list[int] = []
         rows: list[list[Any]] = []
-        for node_id in node_ids:
-            node = nodes[node_id]
-            attrs = node.attrs
+        for index in nodes:
+            node_id = ids[index]
+            attrs = node_attrs[index]
             packed = 0
             if len(attrs) == 3:
                 ((rowid_key, rowid), (table_key, table),
@@ -357,10 +677,11 @@ class ExecutionTrace:
                     and version_key == "version" and type(rowid) is int
                     and type(version) is int and type(table) is str
                     and node_id == f"tuple:{table}:{rowid}:v{version}")
-            key = (node.kind, node.type_label, node.model, packed)
-            code = types.get(key)
+            key = node_type[index] * 2 + packed
+            code = codes.get(key)
             if code is None:
-                code = types[key] = len(types)
+                code = codes[key] = len(types)
+                types.append([*self._types[node_type[index]], packed])
             type_column.append(code)
             if packed:
                 table_code = tables.get(table)
@@ -372,52 +693,23 @@ class ExecutionTrace:
             else:
                 rows.append([node_id, dict(attrs)])
 
-        labels = sorted({edge.label for edge in self._edges.values()})
-        label_codes = {label: code for code, label in enumerate(labels)}
-        node_count = len(node_ids)
-        label_count = len(labels)
-        # (begin, source, target, label) as one integer: the lower
-        # three fields lie in [0, node_count² · label_count)
-        edges = sorted(self._edges.values(), key=lambda edge: (
-            (edge.interval.begin * node_count + index[edge.source])
-            * node_count + index[edge.target]) * label_count
-            + label_codes[edge.label])
-        lineage_edges: list[int] = []
-        lineage_nodes: list[list[int]] = []
-        outside: dict[str, int] = {}
-        edge_attrs: list[list[Any]] = []
-        for position, edge in enumerate(edges):
-            attrs = edge.attrs
-            if not attrs:
-                continue
-            ids = attrs.get("lineage")
-            if len(attrs) != 1 or type(ids) is not list:
-                edge_attrs.append([position, attrs])
-                continue
-            try:
-                row = [index[node_id] for node_id in ids]
-            except (KeyError, TypeError):
-                # an id that is not a trace node, or not an id at all
-                if not all(type(node_id) is str for node_id in ids):
-                    edge_attrs.append([position, attrs])
-                    continue
-                row = [index[node_id] if node_id in index
-                       else ~outside.setdefault(node_id, len(outside))
-                       for node_id in ids]
-            lineage_edges.append(position)
-            lineage_nodes.append(row)
-
+        order, labels, label_rank = self._edge_order(rank, len(nodes))
+        src = self._src
+        dst = self._dst
+        label = self._label
+        begin = self._begin
+        end = self._end
         encoded: dict[str, Any] = {
             "model": self.model.name,
-            "types": [list(key) for key in types],
+            "types": types,
             "nodes": {"type": type_column, "rows": rows},
             "labels": labels,
             "edges": {
-                "src": [index[edge.source] for edge in edges],
-                "dst": [index[edge.target] for edge in edges],
-                "label": [label_codes[edge.label] for edge in edges],
-                "begin": [edge.interval.begin for edge in edges],
-                "end": [edge.interval.end for edge in edges],
+                "src": [rank[src[edge]] for edge in order],
+                "dst": [rank[dst[edge]] for edge in order],
+                "label": [label_rank[label[edge]] for edge in order],
+                "begin": [begin[edge] for edge in order],
+                "end": [end[edge] for edge in order],
             },
         }
         if tables:
@@ -425,12 +717,35 @@ class ExecutionTrace:
                                  "table": table_column,
                                  "rowid": rowid_column,
                                  "version": version_column}
-        if lineage_edges:
-            encoded["lineage"] = {"edges": lineage_edges,
-                                  "nodes": lineage_nodes,
-                                  "ids": list(outside)}
-        if edge_attrs:
-            encoded["attrs"] = edge_attrs
+
+        lineage = self._lineage
+        edge_attrs = self._edge_attrs
+        if lineage or edge_attrs:
+            # each edge's position in the encoded order
+            position = sorted(range(len(order)), key=order.__getitem__)
+            cells = self._cells
+            lineage_edges: list[int] = []
+            lineage_nodes: list[list[int]] = []
+            outside: dict[str, int] = {}
+            attr_rows: list[list[Any]] = []
+            for edge in sorted([*lineage, *edge_attrs],
+                               key=position.__getitem__):
+                offset = lineage.get(edge)
+                if offset is None:
+                    attr_rows.append([position[edge], edge_attrs[edge]])
+                    continue
+                start = offset + 1
+                lineage_edges.append(position[edge])
+                lineage_nodes.append([
+                    rank[index] if rank[index] >= 0
+                    else ~outside.setdefault(ids[index], len(outside))
+                    for index in cells[start:start + cells[offset]]])
+            if lineage_edges:
+                encoded["lineage"] = {"edges": lineage_edges,
+                                      "nodes": lineage_nodes,
+                                      "ids": list(outside)}
+            if attr_rows:
+                encoded["attrs"] = attr_rows
         return encoded
 
     @classmethod
@@ -440,8 +755,8 @@ class ExecutionTrace:
 
         Nodes and edges go through the checks :meth:`from_json` gets
         from the ``add_*`` methods: node types against the model, the
-        model check once per distinct ``(label, source type, target
-        type)``, and interval validity. Array lengths, codes and
+        model check of each ``(label, source type, target type)``, and
+        interval validity. Array lengths, codes and
         indices are checked too; a fault raises
         :class:`ProvenanceError`. The ``model`` field is the caller's
         to check.

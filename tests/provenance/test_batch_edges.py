@@ -8,6 +8,8 @@ added. The ``TraceBuilder`` methods built on it must keep the per-row
 edge order the DB monitor has always produced.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,3 +295,24 @@ class TestStatementAtATimeBuilder:
         builder.trace.add_entity(tuple_node_id(t(1)), bb.FILE)
         with pytest.raises(ProvenanceError):
             builder.has_read(query, [t(1)], 1)
+
+
+class TestFootprint:
+    def test_a_statement_adds_no_object_per_row(self):
+        """The trace keeps its graph in columns: a 10k-row query with a
+        one-tuple Lineage per row and its 10k reads leave no object per
+        node, edge or row for the garbage collector to walk (the
+        dict-of-Edge trace left 110,003)."""
+        builder = TraceBuilder()
+        builder.process(7)
+        query = builder.statement("q1", "query")
+        results = [t(rowid, 5, "_result_q1") for rowid in range(1, 10001)]
+        lineages = [frozenset((t(rowid),)) for rowid in range(1, 10001)]
+        reads = [t(rowid) for rowid in range(1, 10001)]
+        gc.collect()
+        before = len(gc.get_objects())
+        builder.has_returned(query, results, 5, lineages, reader=7)
+        builder.has_read(query, reads, 5)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 100
+        assert builder.trace.edge_count == 30000
