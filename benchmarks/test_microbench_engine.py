@@ -38,6 +38,7 @@ JOIN = ("SELECT count(*) FROM lineitem l, orders o "
         "WHERE l.l_orderkey = o.o_orderkey")
 AGGREGATE = ("SELECT l_returnflag, sum(l_extendedprice), avg(l_quantity) "
              "FROM lineitem GROUP BY l_returnflag")
+WIDE = "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 25"
 
 
 @pytest.mark.parametrize("label,sql", [
@@ -102,7 +103,9 @@ def test_index_vs_scan(benchmark, world, report):
 def test_wire_tax(world, report):
     """Client/server round trip vs direct engine call, both warm, best
     of 5 each. The server's result cache is cleared inside each timed
-    call, so every wired query executes, as every direct one does."""
+    call, so every wired query executes, as every direct one does.
+    A second table times a PROVENANCE query through the wire in each
+    result form, with its response size."""
     database = world.database
     server = DBServer(database)
     client = DBClient(server.transport())
@@ -122,6 +125,44 @@ def test_wire_tax(world, report):
         "Microbench — wire protocol tax (seconds per query)",
         ("path", "direct", "through_wire", "tax"),
         ("filter", direct, wired, f"{wired / max(direct, 1e-9):.2f}x"))
+
+    # a PROVENANCE query through the wire per result form: version 2's
+    # ref triples, version 3's ref dictionary, and version 3's
+    # lineage-only answer (what the audit's Perm rerun asks for)
+    forms = (("v2", 2, True), ("v3", 3, True), ("v3 lineage-only", 3, False))
+    lineages = []
+    for label, version, rows in forms:
+        client = DBClient(_connecting_as(server.transport(), version))
+        client.connect()
+        assert client.protocol_version == version
+
+        def provenance_query():
+            server.result_cache.clear()
+            return client.execute(WIDE, provenance=True, rows=rows)
+
+        sent = server.bytes_out
+        lineages.append(provenance_query().lineages)
+        size = server.bytes_out - sent
+        seconds = best_of(provenance_query, repeats=5)
+        client.close()
+        report.add(
+            "Microbench — provenance result through the wire "
+            "(best of 5, result cache cleared per query)",
+            ("form", "seconds", "response_bytes"),
+            (label, seconds, size))
+    assert lineages[0] == lineages[1] == lineages[2]
+
+
+def _connecting_as(transport, version):
+    """``transport`` with the connect frame's protocol version set to
+    ``version``, as an older client sends it."""
+    def send(request_text):
+        if request_text.startswith('{"frame":"connect"'):
+            frame = json.loads(request_text)
+            request_text = json.dumps({**frame, "version": version},
+                                      separators=(",", ":"))
+        return transport(request_text)
+    return send
 
 
 # ---------------------------------------------------------------------------

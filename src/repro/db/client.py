@@ -200,22 +200,27 @@ class DBClient:
     # -- statement execution ----------------------------------------------------------
 
     def execute(self, sql: str, provenance: bool = False,
-                token: str | None = None) -> StatementResult:
+                token: str | None = None,
+                rows: bool = True) -> StatementResult:
         """Send one statement and return its result.
 
         Interceptors run in registration order; the first one that
         substitutes a result wins and the server is never contacted.
         Mutating statements are stamped with an idempotency ``token``
         (auto-generated unless given) so wire-level retries are
-        exactly-once.
+        exactly-once. ``rows=False`` with ``provenance`` asks a
+        version-3 server for a lineage-only answer (no rows, one
+        lineage per result row); an older server answers with rows.
         """
         if not self.connected:
             raise ConnectionClosedError("client is not connected")
         result = self._substitute(sql, provenance)
         if result is None:
+            lineage_only = not rows and self.protocol_version >= 3
             response = self._round_trip(
                 protocol.query_frame(self.connection_id, sql, provenance,
-                                     token=self._token_for(sql, token)))
+                                     token=self._token_for(sql, token),
+                                     rows=False if lineage_only else None))
             if response.get("frame") == "error":
                 raise _error_from_frame(response)
             result = protocol.result_from_wire(response)

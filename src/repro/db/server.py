@@ -26,7 +26,9 @@ are served from :class:`ResultCache`, whose entries hold while the
 catalog version and the per-table commit watermarks they were stored
 under hold, so invalidation falls out of the commit bookkeeping.
 Protocol version 2 adds a ``stats`` frame reporting the serving
-counters. The server answers every frame it is sent: it
+counters; version 3 sends lineage as a per-frame ref dictionary and
+answers lineage-only provenance queries (see :mod:`repro.db.protocol`).
+The server answers every frame it is sent: it
 neither sheds nor caps load. Its only refusals are malformed or
 unknown frames and traffic after :meth:`DBServer.shutdown`.
 """
@@ -80,12 +82,17 @@ def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
     return value
 
 
-def _statement_fields(request: dict[str, Any]) -> tuple[bool, dict]:
+def _statement_fields(request: dict[str, Any],
+                      version: int) -> tuple[bool, bool, dict]:
     """A query frame's ``provenance`` flag (a JSON boolean, missing
-    means false) and its execute keyword arguments: a ``token`` (a
-    string) only when one is present, so tests that stub the engine
-    with a two-argument fake keep working. A frame still
-    asking for a streamed result (``fetch``) is refused."""
+    means false), its ``rows`` flag and its execute keyword arguments:
+    a ``token`` (a string) only when one is present, so tests that
+    stub the engine with a two-argument fake keep working. A frame
+    still asking for a streamed result (``fetch``) is refused.
+
+    ``rows`` (missing means true) is a version-3 field: a JSON boolean
+    sent with ``provenance: true``; ``rows: false`` asks for a
+    lineage-only answer."""
     if "fetch" in request:
         raise ProtocolError(
             f"{request.get('frame')} frame: fetch is not supported; "
@@ -93,15 +100,28 @@ def _statement_fields(request: dict[str, Any]) -> tuple[bool, dict]:
     provenance = False
     if request.get("provenance") is not None:
         provenance = _typed_field(request, "provenance", bool)
+    rows = True
+    if "rows" in request:
+        if version < 3:
+            raise ProtocolError(
+                f"query frame: rows requires protocol version 3, but "
+                f"this connection negotiated version {version}")
+        rows = _typed_field(request, "rows", bool)
+        if not provenance:
+            raise ProtocolError(
+                "query frame: rows is only allowed with provenance: true")
     if request.get("token") is None:
-        return provenance, {}
-    return provenance, {"token": _typed_field(request, "token", str)}
+        return provenance, rows, {}
+    return provenance, rows, {"token": _typed_field(request, "token", str)}
 
 
 class ResultCache:
-    """Read-through cache of ``result`` frames for read-only statements.
+    """Read-through cache of encoded ``result`` frames for read-only
+    statements.
 
-    An entry records, besides the frame, the ``catalog.version`` and
+    An entry holds the frame's JSON text without its ``txn`` stamp, so
+    a hit answers without serializing again. It records, besides the
+    text, the ``catalog.version`` and
     the per-source-table commit watermarks at store time. A lookup is
     a hit only when every watermark (and the catalog version) still
     matches — i.e. the cached frame reflects the *latest committed
@@ -135,8 +155,12 @@ class ResultCache:
         return " ".join(sql.split())
 
     @staticmethod
-    def key(sql: str, provenance: bool) -> tuple:
-        return (ResultCache.normalize(sql), bool(provenance))
+    def key(sql: str, provenance: bool, version: int,
+            rows: bool) -> tuple:
+        """Entries are per wire form: the negotiated protocol version
+        and the ``rows`` flag shape the encoded frame."""
+        return (ResultCache.normalize(sql), bool(provenance), version,
+                rows)
 
     def _stale(self, entry: dict, mvcc: MVCCState,
                catalog_version: int) -> bool:
@@ -146,7 +170,7 @@ class ResultCache:
                    for table, watermark in entry["watermarks"].items())
 
     def lookup(self, key: tuple, mvcc: MVCCState, catalog_version: int,
-               session: Session) -> Optional[dict]:
+               session: Session) -> Optional[str]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -167,12 +191,12 @@ class ResultCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry["frame"]
+        return entry["text"]
 
-    def store(self, key: tuple, frame: dict, source_tables: list[str],
+    def store(self, key: tuple, text: str, source_tables: list[str],
               mvcc: MVCCState, catalog_version: int) -> None:
         self._entries[key] = {
-            "frame": frame,
+            "text": text,
             "catalog_version": catalog_version,
             "watermarks": {table: mvcc.watermark(table)
                            for table in source_tables},
@@ -299,12 +323,13 @@ class DBServer:
             response = protocol.error_frame("ProtocolError", str(exc))
         else:
             try:
-                response = self.handle(request)
+                response = self._respond(request)
             except Exception as exc:  # the wall: no raw exception on the wire
                 response = protocol.error_frame(
                     type(exc).__name__, str(exc),
                     transient=isinstance(exc, TransientError))
-        response_text = protocol.encode_frame(response)
+        response_text = (response if type(response) is str
+                         else protocol.encode_frame(response))
         self.bytes_in += len(request_text)
         self.bytes_out += len(response_text)
         if request is not None:
@@ -316,6 +341,14 @@ class DBServer:
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         """Handle one decoded frame, returning a decoded response."""
+        response = self._respond(request)
+        if type(response) is str:
+            return protocol.decode_frame(response)
+        return response
+
+    def _respond(self, request: dict[str, Any]) -> dict[str, Any] | str:
+        """The response to one decoded frame: a frame dict, or, for a
+        ``result`` frame, its encoded text (the result cache's form)."""
         if not self.started:
             return protocol.error_frame(
                 "ConnectionClosedError", "server is shut down")
@@ -415,22 +448,21 @@ class DBServer:
             self.result_cache.revalidate(self.database.mvcc,
                                          self.database.catalog.version)
 
-    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
+    def _handle_query(self, request: dict[str, Any]) -> str:
         state = self._require_state(request)
         sql = request.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("query frame is missing its sql text")
-        provenance, kwargs = _statement_fields(request)
+        version = state.protocol_version
+        provenance, rows, kwargs = _statement_fields(request, version)
         cache_key = None
         if _looks_like_select(sql):
-            cache_key = ResultCache.key(sql, provenance)
+            cache_key = ResultCache.key(sql, provenance, version, rows)
             cached = self.result_cache.lookup(
                 cache_key, self.database.mvcc,
                 self.database.catalog.version, state.session)
             if cached is not None:
-                frame = dict(cached)
-                self._attach_txn_status(frame, request)
-                return frame
+                return self._stamped(cached, state)
         result, elapsed = self._timed_execute(state, sql, provenance,
                                               kwargs)
         self._maybe_revalidate(result)
@@ -442,15 +474,22 @@ class DBServer:
                 "seconds": elapsed,
                 "result_cache": self.result_cache.counters(),
             }
-        frame = protocol.result_to_wire(result)
+        text = protocol.encode_frame(
+            protocol.result_to_wire(result, version, rows))
         if (cache_key is not None and result.cacheable
                 and state.session.txn is None):
-            # store a private copy: the outgoing frame gets a txn stamp
             self.result_cache.store(
-                cache_key, dict(frame), result.source_tables,
+                cache_key, text, result.source_tables,
                 self.database.mvcc, self.database.catalog.version)
-        self._attach_txn_status(frame, request)
-        return frame
+        return self._stamped(text, state)
+
+    @staticmethod
+    def _stamped(text: str, state: _ConnectionState) -> str:
+        """An encoded frame with the connection's ``txn`` stamp as its
+        last field: the same bytes as encoding the stamped dict."""
+        if state.session.in_transaction:
+            return text[:-1] + ',"txn":"open"}'
+        return text[:-1] + ',"txn":"idle"}'
 
     # -- observability -----------------------------------------------------------
 

@@ -9,7 +9,9 @@ executed statement:
 * **provenance mode** (server-included packaging): retrieves the
   statement's provenance — a second, PROVENANCE-rewritten execution of
   queries (Perm), and a pre-state reenactment query for UPDATE / DELETE
-  / INSERT...SELECT (GProM) issued *before* the modification runs —
+  / INSERT...SELECT (GProM) issued *before* the modification runs;
+  both come back lineage-only, except UPDATE / DELETE reenactment,
+  whose rows are the pre-state values it ships —
   records hasRead / hasReturned / readFromDB edges with per-result
   Lineage attribution, maintains the versioning marks of Section VII-B,
   and streams relevant tuple versions into a
@@ -247,8 +249,9 @@ class _MonitorInterceptor(Interceptor):
         self.process = process
         self._guard = False  # suppress recursion for our own queries
         self._parsed: Optional[tuple[str, ast.Statement]] = None
-        self._pending_reenactment: Optional[tuple[list[TupleRef],
-                                                  list[tuple]]] = None
+        # (pre-state refs, their values or None: read them by ref)
+        self._pending_reenactment: Optional[
+            tuple[list[TupleRef], Optional[list[tuple]]]] = None
 
     # -- hooks ---------------------------------------------------------------------
 
@@ -261,20 +264,24 @@ class _MonitorInterceptor(Interceptor):
         reenact_query = self._reenactment_query(statement)
         if reenact_query is not None:
             # GProM reenactment: retrieve the modification's provenance
-            # BEFORE executing it (Section VII-B, first problem)
+            # BEFORE executing it (Section VII-B, first problem). An
+            # UPDATE / DELETE reenactment is a SELECT * of the table,
+            # so each row holds the values of its one lineage ref; an
+            # INSERT ... SELECT's output rows are not its source
+            # tuples, so those are read by ref, as a query's are
+            values_by_row = not isinstance(statement, ast.Insert)
             self._guard = True
             try:
                 pre = client.execute(render_select(reenact_query),
-                                     provenance=True)
+                                     provenance=True, rows=values_by_row)
             finally:
                 self._guard = False
             self.monitor.provenance_queries_run += 1
-            refs: list[TupleRef] = []
-            rows: list[tuple] = []
-            for row, lineage in zip(pre.rows, pre.lineages):
-                for ref in lineage:
-                    refs.append(ref)
-                    rows.append(row)
+            refs = [ref for lineage in pre.lineages for ref in lineage]
+            rows = None
+            if values_by_row:
+                rows = [row for row, lineage in zip(pre.rows, pre.lineages)
+                        for _ in lineage]
             self._pending_reenactment = (refs, rows)
         return None
 
@@ -339,21 +346,22 @@ class _MonitorInterceptor(Interceptor):
                       statement_id: str) -> None:
         monitor = self.monitor
         builder = monitor.builder
-        # Perm: re-execute the query in PROVENANCE mode over the wire
+        # Perm: re-execute the query in PROVENANCE mode over the wire;
+        # only its lineages are read, so the rows stay on the server
         self._guard = True
         try:
-            prov = client.execute(sql, provenance=True)
+            prov = client.execute(sql, provenance=True, rows=False)
         finally:
             self._guard = False
         monitor.provenance_queries_run += 1
-        if len(prov.rows) != len(result.rows):
+        if len(prov.lineages) != len(result.rows):
             raise AuditError(
                 "provenance query returned a different result "
-                f"({len(prov.rows)} vs {len(result.rows)} rows)")
+                f"({len(prov.lineages)} vs {len(result.rows)} rows)")
         tick = monitor.clock.now
         result_table = f"_result_{statement_id}"
         result_refs = [TupleRef(result_table, index, tick)
-                       for index in range(1, len(prov.rows) + 1)]
+                       for index in range(1, len(prov.lineages) + 1)]
         builder.has_returned(node, result_refs, tick, prov.lineages,
                              reader=self.process.pid)
         all_read = dict.fromkeys(ref for lineage in prov.lineages
@@ -371,7 +379,7 @@ class _MonitorInterceptor(Interceptor):
         builder = monitor.builder
         tick = monitor.clock.now
         pre_refs: list[TupleRef] = []
-        pre_rows: list[tuple] = []
+        pre_rows: Optional[list[tuple]] = None
         if self._pending_reenactment is not None:
             pre_refs, pre_rows = self._pending_reenactment
             self._pending_reenactment = None

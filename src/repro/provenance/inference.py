@@ -32,6 +32,7 @@ Definition 11.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 from repro.provenance.bb import bb_dependencies
@@ -73,11 +74,14 @@ class DependencyInference:
         # best[(node, last_entity)] = largest budget reached with
         best: dict[tuple[str, str | None], float] = {
             (node_id, start_context): budget}
-        heap: list[tuple[float, str, str | None]] = [
-            (-budget, node_id, start_context)]
+        # the push count breaks ties on (budget, node), so the heap
+        # never compares a None context with a node id
+        pushes = itertools.count()
+        heap: list[tuple[float, str, int, str | None]] = [
+            (-budget, node_id, next(pushes), start_context)]
         found: set[str] = set()
         while heap:
-            negative_budget, current, context = heapq.heappop(heap)
+            negative_budget, current, _, context = heapq.heappop(heap)
             current_budget = -negative_budget
             if best.get((current, context), -math.inf) > current_budget:
                 continue  # stale heap entry
@@ -99,7 +103,8 @@ class DependencyInference:
                 if best.get(key, -math.inf) >= new_budget:
                     continue
                 best[key] = new_budget
-                heapq.heappush(heap, (-new_budget, edge.source, new_context))
+                heapq.heappush(heap, (-new_budget, edge.source,
+                                      next(pushes), new_context))
         return found
 
     def depends_on(self, target: str, source: str,

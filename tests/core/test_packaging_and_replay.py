@@ -407,3 +407,37 @@ class TestServingPathsReplay:
         original = world.vos.fs.read_file("/data/serving.txt")
         result = ldv_exec(tmp_path / "pkg", world.registry)
         assert result.outputs["/data/serving.txt"] == original
+
+
+def archiving_app(ctx):
+    """Archives a join's sums with INSERT ... SELECT, then reports the
+    archive."""
+    client = ctx.connect_db("main")
+    client.execute("INSERT INTO archive SELECT s.price + b.bonus "
+                   "FROM sales s, bonus b WHERE s.id = b.id")
+    rows = client.query("SELECT v FROM archive ORDER BY v")
+    ctx.write_file("/data/archive.txt",
+                   "".join(f"{value}\n" for (value,) in rows))
+    client.close()
+    return 0
+
+
+class TestInsertSelectReplay:
+    """INSERT ... SELECT reads source tuples whose values differ from
+    the rows it inserts; the server-included package ships the source
+    values, so the replayed archive matches the audited one."""
+
+    def test_replay_reproduces_the_archive(self, world, tmp_path):
+        world.database.execute("CREATE TABLE bonus (id integer, "
+                               "bonus float)")
+        world.database.execute("INSERT INTO bonus VALUES (2, 0.5), "
+                               "(3, 1.5)")
+        world.database.execute("CREATE TABLE archive (v float)")
+        world.vos.register_program("/bin/app", archiving_app)
+        world.registry = {"/bin/app": archiving_app}
+        audit_included(world, tmp_path / "pkg")
+        original = world.vos.fs.read_file("/data/archive.txt")
+        assert original == b"11.5\n15.5\n"
+        result = ldv_exec(tmp_path / "pkg", world.registry)
+        assert result.outputs["/data/archive.txt"] == original
+        assert result.validated

@@ -138,12 +138,26 @@ class TestHostileReplayLog:
             session.prepare()
 
     @staticmethod
-    def frame():
+    def frame(version=2):
         database = Database()
         database.execute("CREATE TABLE t (k integer)")
         database.execute("INSERT INTO t VALUES (1)")
         return protocol.result_to_wire(
-            database.execute("SELECT k FROM t", True))
+            database.execute("SELECT k FROM t", True), version)
+
+    @staticmethod
+    def v3(**fields):
+        """Damage that turns the frame into its version-3 form, then
+        replaces ``fields`` (``refs_<column>`` names a refs column)."""
+        def damage(frame):
+            frame.clear()
+            frame.update(TestHostileReplayLog.frame(3))
+            for name, value in fields.items():
+                if name.startswith("refs_"):
+                    frame["refs"][name[len("refs_"):]] = value
+                else:
+                    frame[name] = value
+        return damage
 
     @pytest.mark.parametrize("damage,message", [
         (lambda frame: frame.pop("rowcount"), "missing field 'rowcount'"),
@@ -153,13 +167,85 @@ class TestHostileReplayLog:
         (lambda frame: frame.update(written=[["t", "one", 1]]),
          "invalid literal"),
         (lambda frame: frame.update(rows=5), "not iterable"),
+        # nothing is coerced: a float or boolean rowid or version, a
+        # numeric table, a string rowid
+        pytest.param(lambda frame: frame.update(
+            lineages=[[["t", 1.7, True]]]), "invalid literal",
+                     id="v2-float-rowid-bool-version"),
+        pytest.param(lambda frame: frame.update(lineages=[[[5, 1, 2]]]),
+                     "invalid literal", id="v2-numeric-table"),
+        pytest.param(lambda frame: frame.update(lineages=[[["t", "7", 2]]]),
+                     "invalid literal", id="v2-string-rowid"),
+        pytest.param(lambda frame: frame.update(deleted=[["t", 1, False]]),
+                     "invalid literal", id="v2-bool-version"),
+        pytest.param(lambda frame: frame.update(lineages=[None]),
+                     "a lineage must be a list, not NoneType",
+                     id="v2-null-lineage"),
+        pytest.param(lambda frame: frame.update(
+            lineages=[[["t", 1, 2, 3]]]),
+                     "not a \\[table, rowid, version\\] triple",
+                     id="v2-four-field-ref"),
+        # one lineage per row
+        pytest.param(lambda frame: frame.update(lineages=[[], []]),
+                     "2 lineages for 1 rows", id="v2-extra-lineage"),
+        pytest.param(lambda frame: frame.update(lineages=[]),
+                     "0 lineages for 1 rows", id="v2-no-lineages"),
+        pytest.param(lambda frame: frame.update(rows=[], rowcount=1),
+                     "1 lineages for 0 rows", id="v2-rows-dropped"),
+        # version 3: the refs columns and the lineage indices
+        pytest.param(v3(lineages=[[-1]]), "lineage index out of range",
+                     id="v3-negative-index"),
+        pytest.param(v3(lineages=[[1]]), "lineage index out of range",
+                     id="v3-index-past-refs"),
+        pytest.param(v3(lineages=[[True]]),
+                     "lineage indices must hold only int",
+                     id="v3-bool-index"),
+        pytest.param(v3(lineages=[["0"]]),
+                     "lineage indices must hold only int",
+                     id="v3-string-index"),
+        pytest.param(v3(lineages=[0]), "lineages must hold only list",
+                     id="v3-lineage-not-a-list"),
+        pytest.param(v3(lineages=5), "lineages must be a list",
+                     id="v3-lineages-not-a-list"),
+        pytest.param(v3(lineages=[[0], [0]]), "2 lineages for 1 rows",
+                     id="v3-extra-lineage"),
+        pytest.param(v3(rows=[], rowcount=2), "1 lineages for 0 rows",
+                     id="v3-lineage-only-count"),
+        pytest.param(v3(refs=[]), "refs must be an object",
+                     id="v3-refs-array"),
+        pytest.param(v3(refs={"tables": ["t"]}), "missing field 'table'",
+                     id="v3-refs-missing-column"),
+        pytest.param(v3(refs_table=[1]), "refs.table index out of range",
+                     id="v3-table-index-past-names"),
+        pytest.param(v3(refs_table=[-1]), "refs.table index out of range",
+                     id="v3-negative-table-index"),
+        pytest.param(v3(refs_rowid=[1, 2]), "refs columns differ in length",
+                     id="v3-unequal-columns"),
+        pytest.param(v3(refs_version=5), "refs.version must be a list",
+                     id="v3-column-not-a-list"),
+        pytest.param(v3(refs_rowid=[1.0]), "refs.rowid must hold only int",
+                     id="v3-float-rowid"),
+        pytest.param(v3(refs_version=[False]),
+                     "refs.version must hold only int",
+                     id="v3-bool-version"),
+        pytest.param(v3(refs_tables=[5]), "refs.tables must hold only str",
+                     id="v3-numeric-table-name"),
     ])
     def test_result_from_wire_raises_protocol_error(self, damage, message):
         frame = self.frame()
         assert protocol.result_from_wire(frame).rows == [(1,)]
         damage(frame)
-        with pytest.raises(ProtocolError, match=message):
+        with pytest.raises(ProtocolError, match=message) as info:
             protocol.result_from_wire(frame)
+        assert "\n" not in str(info.value)
+
+    def test_lineage_only_frame_decodes(self):
+        frame = self.frame(3)
+        frame["rows"] = []
+        result = protocol.result_from_wire(frame)
+        assert result.rows == [] and result.rowcount == 1
+        assert result.lineages == protocol.result_from_wire(
+            self.frame(2)).lineages
 
     def test_replay_names_the_damaged_entry(self, memory_world, tmp_path):
         log_path = self.excluded_package(memory_world, tmp_path)

@@ -195,7 +195,7 @@ class TestServingStats:
         assert stats["server"]["frames_served"] >= 4
         assert stats["server"]["bytes_in"] > 0
         assert stats["server"]["bytes_out"] > 0
-        assert stats["connection"]["protocol_version"] == 2
+        assert stats["connection"]["protocol_version"] == 3
 
     def test_per_connection_counters_are_separate(self, server, client):
         other = second_client(server)
@@ -209,7 +209,7 @@ class TestServingStats:
 
 class TestVersionNegotiation:
     def test_negotiated_version_is_minimum(self, client):
-        assert client.protocol_version == 2
+        assert client.protocol_version == 3
 
     def test_v1_connect_frame_negotiates_v1(self, server):
         transport = server.transport()
@@ -217,6 +217,10 @@ class TestVersionNegotiation:
             {"frame": "connect", "client_name": "old", "process_id": "p"})))
         assert response["frame"] == "connected"
         assert response["version"] == 1
+
+    def test_v2_connect_frame_negotiates_v2(self, server):
+        connected = server.handle(_connect(2))
+        assert connected["version"] == 2
 
     def test_v1_connection_cannot_use_v2_frames(self, server):
         transport = server.transport()
@@ -251,6 +255,122 @@ class TestVersionNegotiation:
              "provenance": False})))
         assert response["frame"] == "result"
         assert response["rows"] == [[4]]
+
+
+def _connect(version):
+    return {"frame": "connect", "client_name": "old", "process_id": "p",
+            "version": version}
+
+
+def _wire(server, frame):
+    return server.handle_wire(protocol.encode_frame(frame))
+
+
+JOIN = "SELECT t.x, u.y FROM t, u WHERE t.x >= 3 AND u.y = 20"
+
+# a version-2 connection's answer to a provenance SELECT, as version-2
+# servers sent it
+JOIN_V2_TEXT = (
+    '{"frame":"result","kind":"select","columns":["x","y"],'
+    '"types":["integer","integer"],"rows":[[3,20],[4,20]],'
+    '"lineages":[[["t",3,1],["u",2,2]],[["t",4,1],["u",2,2]]],'
+    '"rowcount":2,"written":[],"written_lineage":[],"deleted":[],'
+    '"source_tables":["t","u"],"stats":{},"txn":"idle"}')
+
+
+class TestProtocolV3:
+    """Version 3: lineage as a per-frame ref dictionary, lineage-only
+    answers, and a result cache of encoded frames per wire form."""
+
+    def query(self, server, version, sql=JOIN, **fields):
+        cid = server.handle(_connect(version))["connection_id"]
+        frame = {**protocol.query_frame(cid, sql, True), **fields}
+        return cid, _wire(server, frame)
+
+    def test_v2_provenance_result_keeps_its_bytes(self, server):
+        _, text = self.query(server, 2)
+        assert text == JOIN_V2_TEXT
+        _, hit = self.query(server, 2)
+        assert hit == JOIN_V2_TEXT
+
+    def test_v3_result_lists_each_ref_once(self, server):
+        _, text = self.query(server, 3)
+        frame = protocol.decode_frame(text)
+        assert frame["refs"] == {"tables": ["t", "u"], "table": [0, 1, 0],
+                                 "rowid": [3, 2, 4], "version": [1, 2, 1]}
+        assert frame["lineages"] == [[0, 1], [2, 1]]
+        v3 = protocol.result_from_wire(frame)
+        v2 = protocol.result_from_wire(protocol.decode_frame(JOIN_V2_TEXT))
+        assert v3.rows == v2.rows and v3.lineages == v2.lineages
+        assert [list(lineage) for lineage in v3.lineages] == \
+            [list(lineage) for lineage in v2.lineages]
+        # one TupleRef per distinct ref: both rows hold the same u ref
+        (first,), (second,) = ([ref for ref in lineage if ref.table == "u"]
+                               for lineage in v3.lineages)
+        assert first is second
+
+    def test_plain_v3_result_omits_refs(self, server):
+        cid = server.handle(_connect(3))["connection_id"]
+        frame = protocol.decode_frame(_wire(
+            server, protocol.query_frame(cid, JOIN)))
+        assert "refs" not in frame
+        assert frame["lineages"] == [[], []]
+
+    def test_lineage_only_answer(self, server, client):
+        _, text = self.query(server, 3, rows=False)
+        frame = protocol.decode_frame(text)
+        assert frame["rows"] == [] and frame["rowcount"] == 2
+        assert frame["lineages"] == [[0, 1], [2, 1]]
+        result = client.execute(JOIN, provenance=True, rows=False)
+        full = client.execute(JOIN, provenance=True)
+        assert result.rows == [] and result.rowcount == 2
+        assert result.lineages == full.lineages
+        assert full.rows == [(3, 20), (4, 20)]
+
+    def test_lineage_only_on_an_older_server_answers_rows(self, server):
+        old = DBClient(server.transport(), "app", "p")
+        old.connect()
+        old.protocol_version = 2  # as a version-2 server would answer
+        result = old.execute(JOIN, provenance=True, rows=False)
+        assert result.rows == [(3, 20), (4, 20)]
+        assert len(result.lineages) == 2
+
+    def test_each_wire_form_has_its_own_cache_entry(self, server):
+        texts = {}
+        for version, rows in ((2, None), (3, None), (3, False)):
+            fields = {} if rows is None else {"rows": rows}
+            _, miss = self.query(server, version, **fields)
+            hits = server.result_cache.hits
+            _, hit = self.query(server, version, **fields)
+            assert server.result_cache.hits == hits + 1
+            assert hit == miss
+            texts[version, rows] = miss
+        assert len(set(texts.values())) == 3
+        assert server.result_cache.counters()["size"] == 3
+        assert texts[2, None] == JOIN_V2_TEXT
+
+    def test_hit_bytes_equal_miss_bytes_inside_a_transaction(self, server):
+        cid, stored = self.query(server, 3)
+        assert stored.endswith(',"txn":"idle"}')
+        _wire(server, protocol.query_frame(cid, "BEGIN"))
+        hits = server.result_cache.hits
+        hit = _wire(server, protocol.query_frame(cid, JOIN, True))
+        assert server.result_cache.hits == hits + 1
+        assert hit == stored[:-len('"idle"}')] + '"open"}'
+        server.result_cache.clear()
+        miss = _wire(server, protocol.query_frame(cid, JOIN, True))
+        assert miss == hit
+        # a result computed inside a transaction is not stored
+        assert server.result_cache.counters()["size"] == 0
+        # and the text is what encoding the stamped frame gives
+        assert miss == protocol.encode_frame(protocol.decode_frame(miss))
+
+    def test_handle_returns_a_frame_dict(self, server):
+        cid = server.handle(_connect(3))["connection_id"]
+        for _ in range(2):  # a miss, then a hit
+            frame = server.handle(protocol.query_frame(cid, JOIN, True))
+            assert frame["frame"] == "result" and frame["txn"] == "idle"
+            assert frame["rows"] == [[3, 20], [4, 20]]
 
 
 class TestMidStatementTimeout:

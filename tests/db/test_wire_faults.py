@@ -137,6 +137,21 @@ HOSTILE_FRAMES = [
     pytest.param(lambda cid: _with(protocol.query_frame(
         cid, "INSERT INTO t VALUES (2)"), token=5),
                  id="query-token-int"),
+    pytest.param(lambda cid: protocol.query_frame(
+        cid, "SELECT x FROM t", True, rows="false"),
+                 id="query-rows-string"),
+    pytest.param(lambda cid: protocol.query_frame(
+        cid, "SELECT x FROM t", True, rows=0),
+                 id="query-rows-zero"),
+    pytest.param(lambda cid: _with(protocol.query_frame(
+        cid, "SELECT x FROM t", True), rows=None),
+                 id="query-rows-null"),
+    pytest.param(lambda cid: protocol.query_frame(
+        cid, "SELECT x FROM t", rows=False),
+                 id="query-rows-without-provenance"),
+    pytest.param(lambda cid: protocol.query_frame(
+        cid, "SELECT x FROM t", rows=True),
+                 id="query-rows-true-without-provenance"),
     pytest.param(lambda cid: _bind_execute(cid, ["p"], [1]),
                  id="bind-execute-name-array"),
     pytest.param(lambda cid: _bind_execute(cid, {"p": 1}, [1]),
@@ -176,6 +191,18 @@ class TestHostileFrames:
             cid, "SELECT x FROM t WHERE x = 1"))
         assert result["frame"] == "result"
         assert result["rows"] == [[1]]
+
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rows_field_needs_version_3(self, server, version):
+        cid = server.handle({"frame": "connect", "client_name": "a",
+                             "process_id": "p", "version": version})[
+            "connection_id"]
+        response = server.handle(protocol.query_frame(
+            cid, "SELECT x FROM t", True, rows=False))
+        assert response["error_type"] == "ProtocolError"
+        assert "requires protocol version 3" in response["message"]
+        assert "\n" not in response["message"]
 
 
 class TestStatementTimeout:

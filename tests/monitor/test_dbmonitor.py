@@ -157,6 +157,24 @@ class TestProvenanceMode:
         refs = s.relevant_tuples.refs()
         assert refs == {TupleRef("t", 3, 1)}
 
+    def test_insert_select_ships_the_values_it_read(self, world):
+        # the reenactment query's output row (37,) is not the value of
+        # either source tuple: each one's own values are shipped
+        vos, database = world
+        database.execute("CREATE TABLE u (id integer, w integer)")
+        database.execute("INSERT INTO u VALUES (3, 7)")
+        database.execute("CREATE TABLE archive (v integer)")
+        with AuditSession(vos, "server-included", database=database) as s:
+            run_client_app(vos, [
+                "INSERT INTO archive SELECT t.v + u.w FROM t, u "
+                "WHERE t.id = u.id"])
+        store = s.relevant_tuples
+        assert [(rowid, values) for rowid, _version, values
+                in store.rows_for("t")] == [(3, (3, 30))]
+        assert [(rowid, values) for rowid, _version, values
+                in store.rows_for("u")] == [(1, (3, 7))]
+        assert store.tables() == ["t", "u"]
+
     def test_dedup_across_queries(self, world):
         vos, database = world
         with AuditSession(vos, "server-included", database=database) as s:

@@ -105,6 +105,19 @@ class TestBasics:
         assert inference.all_dependencies() == {
             ("file:/B", "file:/A"), ("file:/C", "file:/A")}
 
+    def test_walk_ties_on_budget_and_node(self):
+        # two heap entries for process 1 share budget 5: one reached
+        # through the executed edge (no entity seen yet), one through
+        # /e; the walk must not compare their contexts
+        builder = TraceBuilder()
+        builder.process(1)
+        builder.process(2)
+        builder.executed(1, 2, 5)
+        builder.has_written(1, "/e", TimeInterval(1, 5))
+        builder.read_from(2, "/e", TimeInterval(5, 5))
+        inference = DependencyInference(builder.trace)
+        assert inference.dependencies_of("proc:2") == {"file:/e"}
+
     def test_cycle_does_not_hang(self):
         """P reads and writes the same file repeatedly."""
         builder = TraceBuilder()
