@@ -17,17 +17,16 @@ LDV paper. It provides:
 * a libpq-like client/server protocol with interposition hooks
   (:mod:`repro.db.protocol`, :mod:`repro.db.client`,
   :mod:`repro.db.server`),
-* sessions with one open transaction at a time, whose private
-  write-set gives ROLLBACK and read-your-own-writes; other sessions'
-  writes are refused with a retryable error until it ends
-  (:mod:`repro.db.mvcc`).
+* sessions with one open transaction at a time: it writes the heap in
+  place under an undo log, which gives ROLLBACK and read-your-own-writes,
+  and other sessions' statements are refused with a retryable error
+  until it ends (:mod:`repro.db.engine`).
 
 The top-level façade is :class:`repro.db.engine.Database`.
 """
 
-from repro.db.engine import Database
+from repro.db.engine import Database, Session
 from repro.db.fileio import FileIO
-from repro.db.mvcc import Session
 from repro.db.types import Column, Schema, SQLType
 from repro.db.client import DBClient, Interceptor, RetryPolicy
 from repro.db.server import DBServer

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.db.mvcc import MVCCState
 from repro.db.storage import DataDirectory, HeapTable
 from repro.db.types import Schema
 from repro.errors import CatalogError
@@ -14,14 +13,11 @@ class Catalog:
     """Name → table mapping with optional data-directory backing.
 
     ``version`` is a monotonic counter bumped on every schema change
-    (table and index DDL). The server's result cache records it, so a
-    result computed against an older schema is never served after the
-    schema changes.
-
-    The catalog also owns the database-wide :class:`MVCCState` and
-    hands it to every table it manages, so scans anywhere in the engine
-    see the executing transaction's own writes (see
-    :mod:`repro.db.mvcc`).
+    (table and index DDL). Beside it, ``watermarks`` holds each table's
+    commit watermark: the tick of the latest committed batch that wrote
+    it. The server's result cache records both, so a result computed
+    against an older schema or older rows is never served after they
+    change.
 
     ``dirty_tables`` names the tables whose ``.tbl`` file may lag their
     heap: the engine marks what each WAL batch, DDL statement and
@@ -35,18 +31,26 @@ class Catalog:
         self._tables: dict[str, HeapTable] = {}
         self.data_directory = data_directory
         self.version = 0
-        self.mvcc = MVCCState()
+        self.watermarks: dict[str, int] = {}
         self.dirty_tables: set[str] = set()
         if data_directory is not None:
             for name in data_directory.table_names():
-                table = data_directory.load_table(name)
-                table.mvcc = self.mvcc
-                self._tables[name] = table
+                self._tables[name] = data_directory.load_table(name)
 
     def bump_version(self) -> None:
         """Record a schema change (called for index DDL, which goes
         through the table object rather than the catalog)."""
         self.version += 1
+
+    def note_write(self, table: str, tick: int) -> None:
+        """Record a committed write to ``table`` at ``tick``."""
+        if tick > self.watermarks.get(table, 0):
+            self.watermarks[table] = tick
+
+    def watermark(self, table: str) -> int:
+        """Commit tick of the latest write to ``table`` (0 if never
+        written)."""
+        return self.watermarks.get(table, 0)
 
     def create_table(self, name: str, schema: Schema,
                      if_not_exists: bool = False) -> HeapTable:
@@ -56,18 +60,16 @@ class Catalog:
                 return self._tables[key]
             raise CatalogError(f"table {name!r} already exists")
         table = HeapTable(key, schema)
-        table.mvcc = self.mvcc
         self._tables[key] = table
         self.version += 1
         return table
 
     def attach_table(self, table: HeapTable) -> None:
         """Adopt a table built outside the engine (a PTU package's full
-        table file): hand it the shared :class:`MVCCState`, bump the
-        schema version, and mark it for the next checkpoint."""
+        table file): bump the schema version and mark it for the next
+        checkpoint."""
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
-        table.mvcc = self.mvcc
         self._tables[table.name] = table
         self.version += 1
         self.dirty_tables.add(table.name)

@@ -37,7 +37,7 @@ class RetryPolicy:
     A round trip is retried when the transport raises
     :class:`repro.errors.TransientError` or the server answers with an
     error frame flagged ``transient`` (a wire fault, a failed fsync, or
-    a write refused while another connection holds the one open
+    a statement refused while another connection holds the one open
     transaction) — all guarantee the statement either had no durable
     effect or is idempotency-token-deduped, so a resend is safe. The
     ``sleep`` hook is injectable so tests can assert the backoff

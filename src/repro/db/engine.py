@@ -14,15 +14,17 @@ that carries, besides rows, the full write provenance of DML:
 Query lineage (Perm's Lineage) is produced when the statement is
 ``SELECT PROVENANCE ...`` or when ``provenance=True`` is passed.
 
-Transactions follow the one-writer rule (:mod:`repro.db.mvcc`): one
-session at a time may hold an open transaction. Its statements read
-the committed heap merged with its private write-set; COMMIT publishes
-the write-set as one WAL batch; ROLLBACK just drops it. While it is
-open, any other session's BEGIN, DML, DDL or COPY FROM is refused with
-a one-line :class:`repro.errors.TransientError` and has no effect, so
-the committed heap is the transaction's snapshot. Other sessions may
-still read: an autocommit SELECT sees committed state only. The server
-opens one :class:`~repro.db.mvcc.Session` per wire connection.
+Every write, in autocommit or inside a transaction, changes the heap
+in place and buffers its redo records in the open WAL batch, under an
+:class:`UndoLog` that keeps each changed row's prior state. A statement
+that fails is rolled back to its own mark, so it has no effect; COMMIT
+(or the end of an autocommit statement) commits the batch, and
+ROLLBACK rolls the heap and the batch back to the transaction's start.
+One session at a time may hold an open transaction, and while it is
+open any statement of another session, reads included, is refused with
+a one-line :class:`repro.errors.TransientError` and has no effect: the
+heap then holds the transaction's own writes, which no other session
+may see. The server opens one :class:`Session` per wire connection.
 
 Durability (when a data directory is given): every committed statement
 or transaction is flushed to a write-ahead log (:mod:`repro.db.wal`)
@@ -42,17 +44,15 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import csvio
 from repro.db.catalog import Catalog
 from repro.db.executor import IndexScan
 from repro.db.expressions import compile_expression, compile_predicate
-from repro.db.mvcc import Session, TableOverlay
 from repro.db.planner import PlannedQuery, index_probe, plan_select
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.sql import ast
@@ -64,7 +64,6 @@ from repro.db.types import (
     Column,
     Schema,
     SQLType,
-    coerce_row,
     value_from_csv,
     value_to_csv,
 )
@@ -80,16 +79,77 @@ from repro.errors import (
     ExecutionError,
     IntegrityError,
     SQLSyntaxError,
-    StatementTimeout,
     TransactionError,
     TransientError,
     WALCorruptionError,
 )
 
-# statements that write: refused while another session's transaction
-# is open (the one-writer rule)
-_WRITES = (ast.Begin, ast.Insert, ast.Update, ast.Delete, ast.CopyFrom,
-           ast.CreateTable, ast.DropTable, ast.CreateIndex, ast.DropIndex)
+@dataclass
+class Session:
+    """One logical connection's transaction state.
+
+    The server opens one per wire connection; :class:`Database` keeps a
+    default session so embedded (single-connection) use is unchanged.
+    """
+
+    session_id: int
+    name: str
+    in_transaction: bool = False
+
+
+class UndoLog:
+    """The prior state of every heap row the open WAL batch changed.
+
+    Before a statement changes a row it calls :meth:`save_row`, and
+    before its first insert into a table :meth:`save_counter` (every
+    row at or past that rowid counter is new). A mark is the log's
+    length; :meth:`rollback` puts the heap back as it was at a mark: a
+    failed statement's own, or its transaction's start.
+    """
+
+    def __init__(self) -> None:
+        # (table, rowid, prior values, prior version) for a row, and
+        # (table, None, prior next_rowid, None) for a counter
+        self._entries: list[tuple[HeapTable, Optional[int], Any, Any]] = []
+
+    def mark(self) -> int:
+        return len(self._entries)
+
+    def save_row(self, table: HeapTable, rowid: int) -> None:
+        self._entries.append((table, rowid, table.rows[rowid],
+                              table.versions[rowid]))
+
+    def save_counter(self, table: HeapTable) -> None:
+        self._entries.append((table, None, table.next_rowid, None))
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def rollback(self, mark: int = 0) -> None:
+        """Restore every row changed since ``mark``. All changed rows
+        come out before the saved ones go back in, so primary keys
+        moved between rows cannot collide on the way back."""
+        counters: dict[str, tuple[HeapTable, int]] = {}
+        priors: dict[tuple[str, int], tuple[HeapTable, tuple, int]] = {}
+        # the first entry after the mark holds the state at the mark
+        for table, rowid, values, version in self._entries[mark:]:
+            if rowid is None:
+                counters.setdefault(table.name, (table, values))
+            else:
+                priors.setdefault((table.name, rowid),
+                                  (table, values, version))
+        del self._entries[mark:]
+        for table, counter in counters.values():
+            for rowid in range(counter, table.next_rowid):
+                table.remove_row(rowid)
+        for (_, rowid), (table, _, _) in priors.items():
+            table.remove_row(rowid)
+        for (name, rowid), (table, values, version) in priors.items():
+            # a row born after the mark stays out
+            if name not in counters or rowid < counters[name][1]:
+                table.put_row(rowid, values, version)
+        for table, counter in counters.values():
+            table.next_rowid = counter
 
 
 @dataclass
@@ -227,33 +287,19 @@ class Database:
         self.clock = clock if clock is not None else LogicalClock()
         self.autoflush = autoflush
         self.timer = timer
-        # MVCC state lives on the catalog so tables can consult it;
         # sessions are handed out here (one per server connection, plus
         # the default one used by the embedded single-connection API)
-        self.mvcc = self.catalog.mvcc
         self._next_session_id = 1
         self.session = self.create_session("default")
         # the session holding the one open transaction, if any
         self.writer: Optional[Session] = None
-        # cooperative statement deadline (see statement_deadline):
-        # checked between row batches so runaway scans can be cancelled
-        self._deadline: Optional[float] = None
-        self._deadline_timer: Optional[Callable[[], float]] = None
-        self._deadline_budget: Optional[float] = None
         # WAL batch state: redo records buffered since the last commit
-        # marker, and which tables the batch touched/dropped
+        # marker, which tables the batch touched/dropped, and the prior
+        # state of the heap rows it changed
         self.wal: Optional[WriteAheadLog] = None
-        self._wal_dirty = False
         self._touched_tables: set[str] = set()
         self._dropped_tables: set[str] = set()
-        # undo state of the running statement: each changed table's
-        # prior rowid counter (rows at or past it are new); in
-        # autocommit each changed older row's prior (values, version),
-        # inside a transaction each changed write-set entry's prior
-        # (overlay, upsert, delete tick), None where there was none
-        self._undo_rows: dict[tuple[str, int], tuple] = {}
-        self._undo_counters: dict[str, tuple[HeapTable, int]] = {}
-        self._undo_overlay: dict[tuple[str, int], tuple] = {}
+        self._undo = UndoLog()
         self.last_recovery: Optional[WALRecovery] = None
         # exactly-once retry support: results of token-stamped
         # statements, recoverable alongside the writes they describe
@@ -353,63 +399,8 @@ class Database:
 
     # -- WAL batch bookkeeping ---------------------------------------------------
 
-    def _save_prior(self, table: HeapTable,
-                    rowid: int | None = None) -> None:
-        """Remember a table's rowid counter and, given ``rowid``, that
-        heap row, before a statement first changes them, so that a
-        statement which fails partway can be undone. Inserts need only
-        the counter: every row past it is new."""
-        if table.name not in self._undo_counters:
-            self._undo_counters[table.name] = (table, table.next_rowid)
-        if rowid is not None:
-            key = (table.name, rowid)
-            if key not in self._undo_rows:
-                self._undo_rows[key] = (table, table.rows.get(rowid),
-                                        table.versions.get(rowid))
-
-    def _save_overlay_prior(self, overlay: TableOverlay, table: HeapTable,
-                            rowid: int) -> None:
-        """:meth:`_save_prior` for a statement inside a transaction:
-        remember the write-set's entries for ``rowid`` before the
-        statement first changes them."""
-        key = (table.name, rowid)
-        if key not in self._undo_overlay:
-            self._undo_overlay[key] = (overlay, overlay.upserts.get(rowid),
-                                       overlay.deletes.get(rowid))
-
-    def _abort_in_transaction(self,
-                              txn: dict[str, TableOverlay]) -> None:
-        """Undo a failed statement inside a transaction: drop the rows
-        it buffered, put back the write-set entries it changed and
-        rewind the rowid counters it moved, so the transaction goes on
-        as if the statement had not been sent. Nothing reached the heap
-        or the WAL."""
-        for table, next_rowid in self._undo_counters.values():
-            overlay = txn.get(table.name)
-            if overlay is not None:
-                for rowid in range(next_rowid, table.next_rowid):
-                    overlay.upserts.pop(rowid, None)
-            table.next_rowid = next_rowid
-        for (_, rowid), (overlay, upsert, delete) in (
-                self._undo_overlay.items()):
-            if upsert is None:
-                overlay.upserts.pop(rowid, None)
-            else:
-                overlay.upserts[rowid] = upsert
-            if delete is None:
-                overlay.deletes.pop(rowid, None)
-            else:
-                overlay.deletes[rowid] = delete
-        self._forget_undo()
-
-    def _forget_undo(self) -> None:
-        self._undo_rows.clear()
-        self._undo_counters.clear()
-        self._undo_overlay.clear()
-
     def _log_put(self, table: HeapTable, rowid: int) -> None:
         self._touched_tables.add(table.name)
-        self.mvcc.note_write(table.name, self.clock.now)
         if self.wal is not None:
             self.wal.append({
                 "op": "put", "table": table.name, "rowid": rowid,
@@ -417,30 +408,38 @@ class Database:
                 "values": [value_to_csv(value)
                            for value in table.rows[rowid]],
             })
-            self._wal_dirty = True
 
     def _log_delete(self, table: HeapTable, rowid: int) -> None:
         self._touched_tables.add(table.name)
-        self.mvcc.note_write(table.name, self.clock.now)
         if self.wal is not None:
             self.wal.append({"op": "delete", "table": table.name,
                              "rowid": rowid})
-            self._wal_dirty = True
 
     def _log_ddl(self, record: dict) -> None:
         if self.wal is not None:
             self.wal.append(record)
-            self._wal_dirty = True
+
+    def _wal_dirty(self) -> bool:
+        return self.wal is not None and self.wal.buffered > 0
+
+    def _batch_marks(self) -> tuple[int, int]:
+        """Where the open batch stands: the undo log's length and the
+        WAL buffer's, which a failed statement is rolled back to."""
+        return (self._undo.mark(),
+                self.wal.buffered if self.wal is not None else 0)
 
     def _commit_wal_batch(self) -> None:
         """Durably commit the pending batch, then (with autoflush)
-        mirror it into the table files — always WAL before data."""
+        mirror it into the table files — always WAL before data. The
+        tables it touched move their commit watermarks to the commit's
+        tick."""
         # marked first: a commit that fails still changed the heap
         self.catalog.dirty_tables.update(self._touched_tables)
-        self._forget_undo()
-        if self.wal is not None and self._wal_dirty:
+        self._undo.clear()
+        for name in self._touched_tables:
+            self.catalog.note_write(name, self.clock.now)
+        if self._wal_dirty():
             self.wal.commit(self.clock.now)
-            self._wal_dirty = False
         if self.autoflush:
             for name in sorted(self._touched_tables):
                 if self.catalog.has_table(name):
@@ -450,30 +449,20 @@ class Database:
         self._touched_tables.clear()
         self._dropped_tables.clear()
 
-    def _abort_wal_batch(self) -> None:
-        """Discard a failed autocommit statement: drop its WAL records
-        and put back every heap row it changed before it raised, so
-        memory holds what recovery would. All changed rows come out
-        before the saved ones go back in, so primary keys the statement
-        moved between rows cannot collide on the way back."""
+    def _abort_wal_batch(self, marks: tuple[int, int] = (0, 0)) -> None:
+        """Take back what the open batch did since ``marks`` (see
+        :meth:`_batch_marks`; by default its start): cut its WAL
+        records and put back every heap row it changed, so memory
+        holds what recovery would. Once no transaction is open, no
+        batch carries on."""
         self.catalog.dirty_tables.update(self._touched_tables)
+        undo_mark, wal_mark = marks
+        self._undo.rollback(undo_mark)
         if self.wal is not None:
-            self.wal.abort()
-        counters = self._undo_counters.values()
-        for table, next_rowid in counters:
-            for rowid in range(next_rowid, table.next_rowid):
-                table.remove_row(rowid)
-        for (_, rowid), (table, _, _) in self._undo_rows.items():
-            table.remove_row(rowid)
-        for (_, rowid), (table, values, version) in self._undo_rows.items():
-            if values is not None:
-                table.put_row(rowid, values, version)
-        for table, next_rowid in counters:
-            table.next_rowid = next_rowid
-        self._forget_undo()
-        self._wal_dirty = False
-        self._touched_tables.clear()
-        self._dropped_tables.clear()
+            self.wal.abort(wal_mark)
+        if self.writer is None:
+            self._touched_tables.clear()
+            self._dropped_tables.clear()
 
     # -- sessions ----------------------------------------------------------------
 
@@ -484,40 +473,11 @@ class Database:
         return session
 
     def abort_session(self, session: Session) -> None:
-        """Roll back the session's open transaction, if any (used when
-        a connection closes or the server shuts down)."""
-        if session.txn is not None:
+        """Roll back the session's open transaction, if any (ROLLBACK,
+        and a connection that closes or a server that shuts down)."""
+        if session.in_transaction:
             self._end_transaction(session)
-
-    @contextmanager
-    def use_session(self, session: Session) -> Iterator[Session]:
-        """Make ``session`` the default for the duration of the block.
-
-        The server wraps each connection's statement in this, so the
-        whole execute path — including code that never learned about
-        sessions — runs against the connection's transaction state.
-        """
-        previous = self.session
-        self.session = session
-        try:
-            yield session
-        finally:
-            self.session = previous
-
-    @contextmanager
-    def _write_set(self, session: Session) -> Iterator[None]:
-        """Make the session's open transaction the one tables consult
-        during scans for the duration of one statement, so a plan's
-        operators, which hold direct table references, see the writes
-        of whichever session runs them. Autocommit statements read (and
-        write) the committed heap directly."""
-        state = self.mvcc
-        previous = state.current
-        state.current = session.txn
-        try:
-            yield
-        finally:
-            state.current = previous
+            self._abort_wal_batch()
 
     @property
     def commit_count(self) -> int:
@@ -528,38 +488,6 @@ class Database:
     def fsync_count(self) -> int:
         """WAL fsyncs issued (one per commit; 0 without a WAL)."""
         return self.wal.fsync_count if self.wal is not None else 0
-
-    # -- cooperative statement deadline ------------------------------------------
-
-    @contextmanager
-    def statement_deadline(self, deadline: float,
-                           timer: Callable[[], float],
-                           budget: float | None = None) -> Iterator[None]:
-        """Cancel statement execution once ``timer()`` passes
-        ``deadline``. The check runs between row batches, so a runaway
-        scan raises :class:`StatementTimeout` mid-statement instead of
-        only being noticed after it finishes."""
-        previous = (self._deadline, self._deadline_timer,
-                    self._deadline_budget)
-        self._deadline = deadline
-        self._deadline_timer = timer
-        self._deadline_budget = budget
-        try:
-            yield
-        finally:
-            (self._deadline, self._deadline_timer,
-             self._deadline_budget) = previous
-
-    def _check_deadline(self) -> None:
-        if self._deadline is None:
-            return
-        now = self._deadline_timer()
-        if now > self._deadline:
-            budget = self._deadline_budget
-            detail = (f"the {budget}s budget" if budget is not None
-                      else "its deadline")
-            raise StatementTimeout(
-                f"statement exceeded {detail} (cancelled mid-statement)")
 
     # -- public API --------------------------------------------------------------
 
@@ -632,60 +560,51 @@ class Database:
             if replayed is not None:
                 return replayed
         writer = self.writer
-        if (writer is not None and writer is not session
-                and isinstance(statement, _WRITES)):
+        if writer is not None and writer is not session:
             raise TransientError(
-                f"session {writer.name!r} has a transaction open and "
-                f"one session writes at a time; retry after it ends")
+                f"session {writer.name!r} has a transaction open, and "
+                f"no other session runs statements until it ends; "
+                f"retry after it ends")
         # classified as parsed: expansion below inlines subquery
         # results, after which a subquery SELECT would look plain. A
         # cacheable SELECT has no subqueries, so it skips expansion.
         cacheable = self._result_cacheable(statement)
-        # planned inside the session's write-set: cardinality estimates
-        # must see the transaction's own overlay (a bulk insert into
-        # one join side steers the plan's build side)
-        with self._write_set(session):
-            extra_lineage: frozenset = EMPTY_LINEAGE
-            if not cacheable and isinstance(
-                    statement, (ast.Select, ast.SetOp, ast.Update,
-                                ast.Delete, ast.Insert)):
-                # DML always records write provenance, so its subqueries
-                # must track lineage too; queries only when asked
-                track = (provenance
-                         or bool(getattr(statement, "provenance", False))
-                         or isinstance(statement, (ast.Update, ast.Delete,
-                                                   ast.Insert)))
-                statement, extra_lineage = expand_statement(
-                    statement, self._run_subquery, track)
-            try:
-                result = self._dispatch_statement(statement, provenance,
-                                                  session)
-            except Exception:
-                if session.txn is None:
-                    # a failed autocommit statement never commits:
-                    # whatever it logged must not survive recovery
-                    self._abort_wal_batch()
-                else:
-                    # inside a transaction only the statement is undone
-                    self._abort_in_transaction(session.txn)
-                raise
-            if extra_lineage:
-                result.lineages = [lineage | extra_lineage
-                                   for lineage in result.lineages]
-                result.written_lineage = {
-                    ref: deps | extra_lineage
-                    for ref, deps in result.written_lineage.items()}
+        extra_lineage: frozenset = EMPTY_LINEAGE
+        if not cacheable and isinstance(
+                statement, (ast.Select, ast.SetOp, ast.Update,
+                            ast.Delete, ast.Insert)):
+            # DML always records write provenance, so its subqueries
+            # must track lineage too; queries only when asked
+            track = (provenance
+                     or bool(getattr(statement, "provenance", False))
+                     or isinstance(statement, (ast.Update, ast.Delete,
+                                               ast.Insert)))
+            statement, extra_lineage = expand_statement(
+                statement, self._run_subquery, track)
+        marks = self._batch_marks()
+        try:
+            result = self._dispatch_statement(statement, provenance,
+                                              session)
+        except Exception:
+            # a failed statement has no effect, inside a transaction
+            # or out: whatever it logged must not survive recovery
+            self._abort_wal_batch(marks)
+            raise
+        if extra_lineage:
+            result.lineages = [lineage | extra_lineage
+                               for lineage in result.lineages]
+            result.written_lineage = {
+                ref: deps | extra_lineage
+                for ref, deps in result.written_lineage.items()}
         result.cacheable = cacheable
         if token is not None:
             # record before the batch commits so the ledger entry is
             # atomic with the writes it deduplicates
             self._ledger_record(token, statement, result, session)
-        if session.txn is None:
+        if not session.in_transaction:
             # autocommit (or the COMMIT statement itself): make the
             # batch durable before any table file is rewritten
             self._commit_wal_batch()
-        else:
-            self._forget_undo()  # the statement stands
         return result
 
     # -- exactly-once retry ledger -------------------------------------------------
@@ -702,8 +621,8 @@ class Database:
         entry = self.dedupe_ledger.get(token)
         if entry is None:
             return None
-        if entry["commit"] and session.txn is not None:
-            self._end_transaction(session)
+        if entry["commit"]:
+            self.abort_session(session)
         from repro.db import protocol  # local import: protocol imports engine
 
         result = protocol.result_from_wire(entry["result"])
@@ -720,8 +639,7 @@ class Database:
         # snapshot it so the recorded payload stays what was executed
         payload["stats"] = dict(payload.get("stats") or {})
         committing = isinstance(statement, ast.Commit)
-        durable = (session.txn is None and self.wal is not None
-                   and self._wal_dirty)
+        durable = not session.in_transaction and self._wal_dirty()
         if durable:
             self.wal.append({"op": "ledger", "token": token,
                              "result": payload, "commit": committing})
@@ -741,17 +659,16 @@ class Database:
         if isinstance(statement, ast.SetOp):
             return self._execute_setop(statement, provenance)
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, provenance, session)
+            return self._execute_insert(statement, provenance)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, session)
+            return self._execute_update(statement)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, session)
+            return self._execute_delete(statement)
         if isinstance(statement, (ast.CreateTable, ast.DropTable,
                                   ast.CreateIndex, ast.DropIndex)):
-            if session.txn is not None:
-                # schema changes are not buffered in the write-set;
-                # forcing them to autocommit keeps the transaction's
-                # view of the catalog the committed one
+            if session.in_transaction:
+                # the undo log takes back rows, not schema changes:
+                # DDL runs in autocommit only
                 raise TransactionError(
                     "DDL is not allowed inside a transaction; "
                     "COMMIT or ROLLBACK first")
@@ -763,7 +680,7 @@ class Database:
                 return self._execute_create_index(statement)
             return self._execute_drop_index(statement)
         if isinstance(statement, ast.CopyFrom):
-            return self._execute_copy_from(statement, session)
+            return self._execute_copy_from(statement)
         if isinstance(statement, ast.CopyTo):
             return self._execute_copy_to(statement)
         if isinstance(statement, ast.Explain):
@@ -824,15 +741,10 @@ class Database:
 
         Drains whole :class:`RowBatch`es — the result rows/lineages are
         identical to the row view, without paying a generator
-        round-trip per tuple. An installed statement deadline
-        (:meth:`statement_deadline`) is checked between batches, which
-        is what lets the server cancel runaway scans mid-statement."""
+        round-trip per tuple."""
         rows: list[tuple] = []
         lineages: list[frozenset] = []
-        check = self._deadline is not None
         for batch in root.batches():
-            if check:
-                self._check_deadline()
             rows.extend(batch.rows())
             lineages.extend(batch.picked_lineages())
         return rows, lineages
@@ -889,8 +801,8 @@ class Database:
 
     # -- INSERT --------------------------------------------------------------------
 
-    def _execute_insert(self, insert: ast.Insert, provenance: bool,
-                        session: Session) -> StatementResult:
+    def _execute_insert(self, insert: ast.Insert,
+                        provenance: bool) -> StatementResult:
         table = self.catalog.get_table(insert.table)
         result = StatementResult(kind="insert")
         if insert.query is not None:
@@ -907,16 +819,11 @@ class Database:
                 source_rows.append((values, EMPTY_LINEAGE))
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
-        overlay = self._overlay_of(session, table)
-        self._save_prior(table)
+        self._undo.save_counter(table)
         for values, lineage in source_rows:
             full_values = self._spread_values(table, positions, values)
-            if overlay is None:
-                rowid = table.insert(full_values, tick)
-                self._log_put(table, rowid)
-            else:
-                rowid = self._overlay_insert(overlay, table,
-                                             full_values, tick)
+            rowid = table.insert(full_values, tick)
+            self._log_put(table, rowid)
             ref = TupleRef(table.name, rowid, tick)
             result.written.append(ref)
             result.written_lineage[ref] = lineage
@@ -951,8 +858,7 @@ class Database:
             self, table: HeapTable, where: Optional[ast.Expression]
     ) -> list[tuple[int, tuple, int]]:
         """``(rowid, values, version)`` of the rows a DML statement
-        targets: inside a transaction, the committed heap merged with
-        its write-set.
+        targets.
 
         When a hash index answers one WHERE conjunct
         (:func:`repro.db.planner.index_probe`), only the rows it
@@ -973,8 +879,7 @@ class Database:
                 bounds=probe.bounds).scan_versions()
         return [entry for entry in candidates if matches(entry[1])]
 
-    def _execute_update(self, update: ast.Update,
-                        session: Session) -> StatementResult:
+    def _execute_update(self, update: ast.Update) -> StatementResult:
         table = self.catalog.get_table(update.table)
         schema = table.schema.qualified(table.name)
         assignments = [
@@ -987,20 +892,13 @@ class Database:
         if not matched:
             return result
         tick = self.clock.tick()
-        overlay = self._overlay_of(session, table)
         for rowid, old_values, old_version in matched:
             new_values = list(old_values)
             for position, value_fn in assignments:
                 new_values[position] = value_fn(old_values)
-            if overlay is None:
-                self._save_prior(table, rowid)
-                table.update(rowid, tuple(new_values), tick)
-                self._log_put(table, rowid)
-            else:
-                self._save_overlay_prior(overlay, table, rowid)
-                row = coerce_row(new_values, table.schema)
-                self._check_overlay_pk(overlay, table, rowid, row)
-                overlay.upserts[rowid] = (row, tick)
+            self._undo.save_row(table, rowid)
+            table.update(rowid, tuple(new_values), tick)
+            self._log_put(table, rowid)
             old_ref = TupleRef(table.name, rowid, old_version)
             new_ref = TupleRef(table.name, rowid, tick)
             result.written.append(new_ref)
@@ -1008,82 +906,21 @@ class Database:
         result.rowcount = len(matched)
         return result
 
-    def _execute_delete(self, delete: ast.Delete,
-                        session: Session) -> StatementResult:
+    def _execute_delete(self, delete: ast.Delete) -> StatementResult:
         table = self.catalog.get_table(delete.table)
         matched = self._matching_rows(table, delete.where)
         result = StatementResult(kind="delete",
                                  source_tables=[table.name])
         if not matched:
             return result
-        tick = self.clock.tick()
-        overlay = self._overlay_of(session, table)
-        for rowid, old_values, old_version in matched:
-            if overlay is None:
-                self._save_prior(table, rowid)
-                table.delete(rowid)
-                self._log_delete(table, rowid)
-            else:
-                self._save_overlay_prior(overlay, table, rowid)
-                overlay.upserts.pop(rowid, None)
-                # a row born and deleted inside the transaction leaves
-                # no trace
-                if rowid in table.rows:
-                    overlay.deletes[rowid] = tick
+        self.clock.tick()
+        for rowid, _values, old_version in matched:
+            self._undo.save_row(table, rowid)
+            table.delete(rowid)
+            self._log_delete(table, rowid)
             result.deleted.append(TupleRef(table.name, rowid, old_version))
         result.rowcount = len(matched)
         return result
-
-    # -- transactional write-set helpers ------------------------------------------
-
-    @staticmethod
-    def _overlay_of(session: Session,
-                    table: HeapTable) -> Optional[TableOverlay]:
-        """The session's write-set for ``table`` when it has a
-        transaction open (created on first use); None in autocommit."""
-        if session.txn is None:
-            return None
-        return session.txn.setdefault(table.name, TableOverlay())
-
-    def _overlay_insert(self, overlay: TableOverlay, table: HeapTable,
-                        values: tuple, tick: int) -> int:
-        """Buffer an INSERT in the transaction's private write-set.
-
-        The rowid is reserved from the table's counter at once (a
-        rollback leaves a gap, which rowids explicitly permit).
-        """
-        row = coerce_row(values, table.schema)
-        self._check_overlay_pk(overlay, table, None, row)
-        rowid = table.next_rowid
-        table.next_rowid += 1
-        # the counter is in the table file's header, and no WAL record
-        # carries the move
-        self.catalog.mark_dirty(table.name)
-        overlay.upserts[rowid] = (row, tick)
-        return rowid
-
-    @staticmethod
-    def _check_overlay_pk(overlay: TableOverlay, table: HeapTable,
-                          rowid: Optional[int], row: tuple) -> None:
-        """Primary-key admission for a buffered write: the key must be
-        free in the committed heap merged with the write-set. No other
-        session writes while the transaction is open, so COMMIT needs
-        no second check."""
-        key = table.pk_key(row)
-        if key is None:
-            return
-        for other, (other_row, _tick) in overlay.upserts.items():
-            if other != rowid and table.pk_key(other_row) == key:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {table.name}")
-        holder = table.pk_holder(key)
-        # a committed holder we delete, or whose key we move away in
-        # this transaction, frees the key
-        if (holder is not None and holder != rowid
-                and holder not in overlay.deletes
-                and holder not in overlay.upserts):
-            raise IntegrityError(
-                f"duplicate primary key {key!r} in table {table.name}")
 
     # -- DDL / COPY --------------------------------------------------------------------
 
@@ -1144,24 +981,18 @@ class Database:
         self._log_ddl({"op": "drop_index", "name": drop.name.lower()})
         return StatementResult(kind="drop", source_tables=[table.name])
 
-    def _execute_copy_from(self, copy: ast.CopyFrom,
-                           session: Session) -> StatementResult:
+    def _execute_copy_from(self, copy: ast.CopyFrom) -> StatementResult:
         table = self.catalog.get_table(copy.table)
         text = self.read_file(copy.path)
         rows = csvio.parse_rows(text, table.schema,
                                 header=copy.header,
                                 delimiter=copy.delimiter)
         tick = self.clock.tick()
-        overlay = self._overlay_of(session, table)
         result = StatementResult(kind="copy", source_tables=[table.name])
-        self._save_prior(table)
+        self._undo.save_counter(table)
         for values in rows:
-            if overlay is None:
-                rowid = table.insert(values, tick)
-                self._log_put(table, rowid)
-            else:
-                rowid = self._overlay_insert(overlay, table,
-                                             tuple(values), tick)
+            rowid = table.insert(values, tick)
+            self._log_put(table, rowid)
             result.written.append(TupleRef(table.name, rowid, tick))
         result.rowcount = len(result.written)
         return result
@@ -1179,60 +1010,30 @@ class Database:
     # -- transactions --------------------------------------------------------------------
 
     def _execute_begin(self, session: Session) -> StatementResult:
-        if session.txn is not None:
+        if session.in_transaction:
             raise TransactionError("transaction already in progress")
-        session.txn = {}
+        session.in_transaction = True
         self.writer = session
         return StatementResult(kind="txn")
 
     def _execute_commit(self, session: Session) -> StatementResult:
-        """Publish the transaction's write-set.
-
-        No other session wrote while it was open, so there is nothing
-        to validate. The apply phase detaches every overwritten
-        committed row (freeing its PK and index slots), then installs
-        the write-set in sorted rowid order and logs it as one WAL
-        batch, committed atomically by the autocommit epilogue's single
-        commit marker + fsync. A non-empty write-set consumes one clock
-        tick, the commit's.
-        """
-        txn = session.txn
-        if txn is None:
+        """End the transaction. Its writes are already in the heap and
+        its redo records in the open WAL batch, which the autocommit
+        epilogue commits under one marker + fsync. A transaction that
+        wrote consumes one clock tick, the commit's."""
+        if not session.in_transaction:
             raise TransactionError("no transaction in progress")
-        writes = {name: overlay
-                  for name, overlay in txn.items()
-                  if not overlay.empty}
-        self._end_transaction(session)  # the epilogue commits the batch
-        if writes:
+        self._end_transaction(session)
+        if self._undo.mark():
             self.clock.tick()
-            for name in sorted(writes):
-                overlay = writes[name]
-                table = self.catalog.get_table(name)
-                # detach phase: freeing the PK/index slots of updated
-                # rows first keeps the install phase from tripping over
-                # transient in-transaction PK moves
-                for rowid in sorted(overlay.upserts):
-                    self._save_prior(table, rowid)
-                    if rowid in table.rows:
-                        table.delete(rowid)
-                for rowid in sorted(overlay.deletes):
-                    self._save_prior(table, rowid)
-                    table.delete(rowid)
-                    self._log_delete(table, rowid)
-                for rowid in sorted(overlay.upserts):
-                    row, tick = overlay.upserts[rowid]
-                    table.put_row(rowid, row, tick)
-                    self._log_put(table, rowid)
         return StatementResult(kind="txn")
 
     def _execute_rollback(self, session: Session) -> StatementResult:
-        if session.txn is None:
+        if not session.in_transaction:
             raise TransactionError("no transaction in progress")
-        # the write-set was private: dropping it *is* the rollback —
-        # no shared structure (heap, indexes, WAL) ever saw it
-        self._end_transaction(session)
+        self.abort_session(session)
         return StatementResult(kind="txn")
 
     def _end_transaction(self, session: Session) -> None:
-        session.txn = None
+        session.in_transaction = False
         self.writer = None

@@ -8,8 +8,8 @@ closures mapped over the batch (see the batch entry points of
 :mod:`repro.db.expressions`). Iterating an operator is the
 row view of the same stream: ``(values, lineage)`` pairs where
 ``values`` is a plain tuple and ``lineage`` a ``frozenset[TupleRef]``
-(empty when lineage tracking is disabled). Transaction write-sets,
-the monitor's lineage capture and ``INSERT ... SELECT`` consume that view.
+(empty when lineage tracking is disabled). The monitor's lineage
+capture and ``INSERT ... SELECT`` consume that view.
 
 Design rules:
 
@@ -212,12 +212,10 @@ def _dense_batch(rows: list[tuple], lineages: list | None,
 class SeqScan(Operator):
     """Columnar full scan of a heap table, optionally producing lineage.
 
-    When the executing transaction has written the table (or with
-    lineage tracking) rows flow through ``scan_versions()``, which
-    merges the transaction's own writes over the committed heap and
+    With lineage tracking, rows flow through ``scan_versions()``, which
     reports the version of each row it yields, so lineage references
-    the tuple versions the statement saw. The committed no-lineage case
-    slices the heap directly.
+    the tuple versions the statement saw. Without, the scan slices the
+    heap directly.
 
     ``needed_columns`` (set by :func:`_prune_scan` for a Project or
     HashJoin consumer) prunes materialization on this path: only those
@@ -237,7 +235,7 @@ class SeqScan(Operator):
     def batches(self) -> Iterator[RowBatch]:
         table = self.table
         width = len(self.schema)
-        if self.track_lineage or table.overlay() is not None:
+        if self.track_lineage:
             yield from _version_batches(table.scan_versions(), table.name,
                                         self.track_lineage, width)
             return
@@ -300,8 +298,7 @@ class IndexScan(Operator):
 
     def _probe_values(self):
         """The non-NULL values to probe with: the bounds as a range,
-        else the constants deduplicated in order (a dict, so the
-        write-set path's membership test is O(1))."""
+        else the constants deduplicated in order."""
         if self.bounds is not None:
             low, high = self.bounds
             return range(low, high + 1)
@@ -316,21 +313,11 @@ class IndexScan(Operator):
         probe_values = self._probe_values()
         if not probe_values:
             return
-        table = self.table
-        if table.overlay() is not None:
-            # hash buckets reflect only the committed heap; over the
-            # transaction's own writes the index degrades to a merged
-            # scan + membership filter, matching what SeqScan produces
-            position = self.index.position
-            for entry in table.scan_versions():
-                if entry[1][position] in probe_values:
-                    yield entry
-            return
         rowids: set[int] = set()
         for value in probe_values:
             rowids.update(self.index.lookup(value))
-        rows = table.rows
-        versions = table.versions
+        rows = self.table.rows
+        versions = self.table.versions
         for rowid in sorted(rowids):
             yield rowid, rows[rowid], versions[rowid]
 

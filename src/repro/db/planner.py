@@ -12,10 +12,10 @@ TPC-H workload tractable in a pure-Python executor:
   expressions.
 
 The rules are rote: no statistics are kept. The one data-dependent
-choice, a hash join's build side, compares *session-visible* row
-counts (committed heap adjusted by the transaction's overlay), so a
-bulk insert inside an open transaction steers its own plans. Every
-choice is advisory: all plan shapes produce identical rows and lineage.
+choice, a hash join's build side, compares heap row counts, which
+include an open transaction's own writes, so a bulk insert inside it
+steers its own plans. Every choice is advisory: all plan shapes
+produce identical rows and lineage.
 """
 
 from __future__ import annotations
@@ -287,18 +287,15 @@ def _merge_sets(left: _SourceSet, right: _SourceSet,
 
 
 def _estimate_rows(operator: Operator) -> int | None:
-    """Session-visible base-table row count feeding a plan fragment.
+    """Base-table row count feeding a plan fragment.
 
     Walks single-child chains (filters) down to the scan;
-    gives up (None) at joins and other multi-input nodes. The count is
-    overlay-aware: a transaction that bulk-inserted into one join side
-    sees its own writes reflected here (the committed heap alone would
-    pick a backwards build side).
+    gives up (None) at joins and other multi-input nodes.
     """
     node = operator
     while node is not None:
         if isinstance(node, (SeqScan, IndexScan)):
-            return node.table.visible_row_count()
+            return node.table.row_count
         node = getattr(node, "child", None)
     return None
 
@@ -573,7 +570,7 @@ def index_probe(table: HeapTable, schema: Schema,
                 column_type = table.schema.columns[index.position].sql_type
                 if (column_type is not SQLType.INTEGER
                         or not 0 <= high - low
-                        < table.visible_row_count()):
+                        < table.row_count):
                     continue
             return IndexProbe(index, values, bounds)
     return None

@@ -241,13 +241,30 @@ def _lineages_from_v3(lineages: Any, refs: list[TupleRef]) -> list:
             for row in lineages]
 
 
+def _rows_from_wire(rows: Any, width: int) -> list[tuple]:
+    """A frame's rows as tuples; each must be a JSON list of ``width``
+    values (a string would decode into its characters)."""
+    decoded = list(map(tuple, rows))
+    for row in rows:
+        if type(row) is not list:
+            raise ProtocolError(
+                f"malformed result frame: a row must be a list, "
+                f"not {type(row).__name__}")
+        if len(row) != width:
+            raise ProtocolError(
+                f"malformed result frame: a row has {len(row)} values "
+                f"for {width} columns")
+    return decoded
+
+
 def result_from_wire(frame: dict[str, Any]) -> StatementResult:
     """Deserialize a ``result`` frame (version 2 or 3) back into a
     StatementResult.
 
-    A missing field, an unknown SQL type, a malformed tuple reference
-    or ref column, or a lineage count that is not one per row (or, in
-    a version-3 lineage-only answer, one per ``rowcount``) raises
+    A missing field, an unknown SQL type, a row that is not a list as
+    long as ``columns``, a malformed tuple reference or ref column, or
+    a lineage count that is not one per row (or, in a version-3
+    lineage-only answer, one per ``rowcount``) raises
     :class:`ProtocolError`. Every empty lineage decodes to the shared
     ``EMPTY_LINEAGE``.
     """
@@ -257,7 +274,7 @@ def result_from_wire(frame: dict[str, Any]) -> StatementResult:
         columns = [Column(name, SQLType(type_name))
                    for name, type_name in zip(frame["columns"],
                                               frame["types"])]
-        rows = [tuple(row) for row in frame["rows"]]
+        rows = _rows_from_wire(frame["rows"], len(frame["columns"]))
         rowcount = frame["rowcount"]
         if "refs" in frame:
             lineages = _lineages_from_v3(frame["lineages"],

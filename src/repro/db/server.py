@@ -15,16 +15,18 @@ the fault-injection harness (``tests/faults.py``), which, like a real
 ``kill -9``, no handler may absorb.
 
 Connections share one :class:`~repro.db.engine.Database` and its
-one-writer rule: while one connection has a transaction open, another
-connection's BEGIN, DML, DDL or COPY FROM answers a one-line error
-frame flagged ``transient``, and the connection keeps serving.
+rule: while one connection has a transaction open, any statement of
+another connection, reads included, answers a one-line error frame
+flagged ``transient``, and the connection keeps serving.
 
 The server answers one statement per frame, the way libpq sends them:
 every statement arrives as SQL text in a ``query`` frame and runs
-through :meth:`repro.db.engine.Database.execute`. Read-only statements
-are served from :class:`ResultCache`, whose entries hold while the
-catalog version and the per-table commit watermarks they were stored
-under hold, so invalidation falls out of the commit bookkeeping.
+through :meth:`repro.db.engine.Database.execute` under the
+connection's session. While no transaction is open, read-only
+statements are served from :class:`ResultCache`, whose entries hold
+while the catalog version and the per-table commit watermarks they
+were stored under hold, so invalidation falls out of the commit
+bookkeeping.
 Protocol version 2 adds a ``stats`` frame reporting the serving
 counters; version 3 sends lineage as a per-frame ref dictionary and
 answers lineage-only provenance queries (see :mod:`repro.db.protocol`).
@@ -37,19 +39,17 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
-from repro.db.engine import Database
-from repro.db.mvcc import MVCCState, Session
+from repro.db.catalog import Catalog
+from repro.db.engine import Database, Session
 from repro.errors import (
     DatabaseError,
     ProtocolError,
     ReproError,
-    StatementTimeout,
     TransientError,
 )
 
@@ -83,12 +83,11 @@ def _typed_field(request: dict[str, Any], name: str, kind: type) -> Any:
 
 
 def _statement_fields(request: dict[str, Any],
-                      version: int) -> tuple[bool, bool, dict]:
+                      version: int) -> tuple[bool, bool, Optional[str]]:
     """A query frame's ``provenance`` flag (a JSON boolean, missing
-    means false), its ``rows`` flag and its execute keyword arguments:
-    a ``token`` (a string) only when one is present, so tests that
-    stub the engine with a two-argument fake keep working. A frame
-    still asking for a streamed result (``fetch``) is refused.
+    means false), its ``rows`` flag and its ``token`` (a string, or
+    None when missing). A frame still asking for a streamed result
+    (``fetch``) is refused.
 
     ``rows`` (missing means true) is a version-3 field: a JSON boolean
     sent with ``provenance: true``; ``rows: false`` asks for a
@@ -111,8 +110,8 @@ def _statement_fields(request: dict[str, Any],
             raise ProtocolError(
                 "query frame: rows is only allowed with provenance: true")
     if request.get("token") is None:
-        return provenance, rows, {}
-    return provenance, rows, {"token": _typed_field(request, "token", str)}
+        return provenance, rows, None
+    return provenance, rows, _typed_field(request, "token", str)
 
 
 class ResultCache:
@@ -128,12 +127,9 @@ class ResultCache:
     state* of every table it was derived from. Any commit to a source
     table moves that table's watermark and strands the entry.
 
-    Inside an open transaction the committed state is the
-    transaction's snapshot, so an entry serves it too, unless the
-    transaction has private writes to a source table. Then the lookup
-    misses — without evicting, since the entry is still right for
-    everyone else — and the statement executes over its own writes.
-    Results computed inside a transaction are never stored.
+    The server consults and fills the cache only while no transaction
+    is open: inside one, the heap holds uncommitted writes. A
+    rolled-back transaction moves no watermark, so it strands nothing.
     """
 
     def __init__(self) -> None:
@@ -162,31 +158,21 @@ class ResultCache:
         return (ResultCache.normalize(sql), bool(provenance), version,
                 rows)
 
-    def _stale(self, entry: dict, mvcc: MVCCState,
-               catalog_version: int) -> bool:
-        if entry["catalog_version"] != catalog_version:
+    @staticmethod
+    def _stale(entry: dict, catalog: Catalog) -> bool:
+        if entry["catalog_version"] != catalog.version:
             return True
-        return any(mvcc.watermark(table) != watermark
+        return any(catalog.watermark(table) != watermark
                    for table, watermark in entry["watermarks"].items())
 
-    def lookup(self, key: tuple, mvcc: MVCCState, catalog_version: int,
-               session: Session) -> Optional[str]:
+    def lookup(self, key: tuple, catalog: Catalog) -> Optional[str]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if self._stale(entry, mvcc, catalog_version):
+        if self._stale(entry, catalog):
             del self._entries[key]
             self.invalidations += 1
-            self.misses += 1
-            return None
-        context = session.txn
-        if context is not None and any(
-                not overlay.empty
-                for table, overlay in context.items()
-                if table in entry["watermarks"]):
-            # right for the committed state, not for this
-            # transaction's own writes: bypass without evicting
             self.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -194,24 +180,24 @@ class ResultCache:
         return entry["text"]
 
     def store(self, key: tuple, text: str, source_tables: list[str],
-              mvcc: MVCCState, catalog_version: int) -> None:
+              catalog: Catalog) -> None:
         self._entries[key] = {
             "text": text,
-            "catalog_version": catalog_version,
-            "watermarks": {table: mvcc.watermark(table)
+            "catalog_version": catalog.version,
+            "watermarks": {table: catalog.watermark(table)
                            for table in source_tables},
         }
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def revalidate(self, mvcc: MVCCState, catalog_version: int) -> int:
+    def revalidate(self, catalog: Catalog) -> int:
         """Eagerly evict every entry stranded by a commit or DDL; the
         return value is the number of invalidations, which is exact:
         only entries whose source-table watermarks (or the catalog
         version) actually moved are dropped."""
         stale = [key for key, entry in self._entries.items()
-                 if self._stale(entry, mvcc, catalog_version)]
+                 if self._stale(entry, catalog)]
         for key in stale:
             del self._entries[key]
         self.invalidations += len(stale)
@@ -248,20 +234,14 @@ class _ConnectionState:
 class DBServer:
     """A single-process database server.
 
-    ``statement_timeout`` is a per-statement wall-time budget in
-    seconds; a statement that overruns it answers with a
-    ``StatementTimeout`` error frame instead of its result. The budget
-    is enforced *cooperatively during execution* — the engine checks
-    the deadline between row batches — so a runaway scan is cancelled
-    mid-statement rather than merely reported late. The clock used to
-    measure it is injectable (``timer``) so tests — and the fault
-    harness — can drive timeouts deterministically.
+    ``timer`` is the clock the server measures statements with (the
+    server-side seconds EXPLAIN ANALYZE reports); it is injectable so
+    tests see fixed figures.
     """
 
     def __init__(self, database: Database | None = None,
                  data_directory: str | Path | None = None,
                  clock: LogicalClock | None = None,
-                 statement_timeout: float | None = None,
                  timer: Callable[[], float] = time.monotonic) -> None:
         if database is not None and data_directory is not None:
             raise ProtocolError(
@@ -269,7 +249,6 @@ class DBServer:
         if database is None:
             database = Database(data_directory=data_directory, clock=clock)
         self.database = database
-        self.statement_timeout = statement_timeout
         self.timer = timer
         self.result_cache = ResultCache()
         self._states: dict[int, _ConnectionState] = {}
@@ -417,36 +396,12 @@ class DBServer:
                 f"unknown connection {request.get('connection_id')!r}")
         return state
 
-    def _timed_execute(self, state: _ConnectionState, sql: str,
-                       provenance: bool, kwargs: dict) -> tuple[Any, float]:
-        """Run one statement under the session and (when configured)
-        the cooperative statement deadline. Returns (result, elapsed);
-        the post-execution check is kept as a backstop for statements
-        that finish between deadline checks."""
-        database = self.database
-        started = self.timer()
-        deadline = nullcontext()
-        if self.statement_timeout is not None:
-            deadline = database.statement_deadline(
-                started + self.statement_timeout, self.timer,
-                self.statement_timeout)
-        with database.use_session(state.session), deadline:
-            result = database.execute(sql, provenance=provenance, **kwargs)
-        elapsed = self.timer() - started
-        if (self.statement_timeout is not None
-                and elapsed > self.statement_timeout):
-            raise StatementTimeout(
-                f"statement exceeded the {self.statement_timeout}s "
-                f"budget (took {elapsed:.6f}s)")
-        return result, elapsed
-
     def _maybe_revalidate(self, result) -> None:
         """Sweep the result cache after statements that may have moved
         a commit watermark (or the catalog version)."""
         if (result.written or result.deleted
                 or result.kind in ("txn", "create", "drop", "copy")):
-            self.result_cache.revalidate(self.database.mvcc,
-                                         self.database.catalog.version)
+            self.result_cache.revalidate(self.database.catalog)
 
     def _handle_query(self, request: dict[str, Any]) -> str:
         state = self._require_state(request)
@@ -454,17 +409,18 @@ class DBServer:
         if not isinstance(sql, str):
             raise ProtocolError("query frame is missing its sql text")
         version = state.protocol_version
-        provenance, rows, kwargs = _statement_fields(request, version)
+        provenance, rows, token = _statement_fields(request, version)
+        database = self.database
         cache_key = None
-        if _looks_like_select(sql):
+        if database.writer is None and _looks_like_select(sql):
             cache_key = ResultCache.key(sql, provenance, version, rows)
-            cached = self.result_cache.lookup(
-                cache_key, self.database.mvcc,
-                self.database.catalog.version, state.session)
+            cached = self.result_cache.lookup(cache_key, database.catalog)
             if cached is not None:
                 return self._stamped(cached, state)
-        result, elapsed = self._timed_execute(state, sql, provenance,
-                                              kwargs)
+        started = self.timer()
+        result = database.execute(sql, provenance=provenance,
+                                  session=state.session, token=token)
+        elapsed = self.timer() - started
         self._maybe_revalidate(result)
         if "analyze" in result.stats:
             # EXPLAIN ANALYZE results also report the server-side wall
@@ -476,11 +432,9 @@ class DBServer:
             }
         text = protocol.encode_frame(
             protocol.result_to_wire(result, version, rows))
-        if (cache_key is not None and result.cacheable
-                and state.session.txn is None):
-            self.result_cache.store(
-                cache_key, text, result.source_tables,
-                self.database.mvcc, self.database.catalog.version)
+        if cache_key is not None and result.cacheable:
+            self.result_cache.store(cache_key, text, result.source_tables,
+                                    database.catalog)
         return self._stamped(text, state)
 
     @staticmethod

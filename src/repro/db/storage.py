@@ -8,6 +8,11 @@ user-visible values:
 * ``version`` — the logical tick of the last statement that wrote the
   row (the paper's ``prov_v``).
 
+There is one copy of each row. Writes land in the heap in place,
+inside a transaction too, so every scan and index probe reads the
+executing session's own writes; only one session runs statements while
+a transaction is open (see :mod:`repro.db.engine`).
+
 Tables persist to one file each inside a *data directory*
 (``<table>.tbl``: a JSON schema header line followed by CSV rows). The
 on-disk bytes are what PTU-style packaging copies wholesale and what the
@@ -67,12 +72,10 @@ class HashIndex:
 class HeapTable:
     """An in-memory heap of versioned rows with optional PK enforcement.
 
-    ``rows``/``versions`` hold the committed state: what checkpoints
-    serialize and what the WAL describes. ``mvcc`` is the
-    database-wide :class:`repro.db.mvcc.MVCCState`, attached by the
-    catalog; through it a scan finds the executing transaction's
-    private write-set for this table (standalone tables have none and
-    scan the heap directly).
+    ``rows``/``versions`` hold every write, an open transaction's
+    included: the engine changes rows in place and its undo log
+    (:class:`repro.db.engine.UndoLog`) puts them back on a rollback.
+    Checkpoints serialize them only while no transaction is open.
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -82,29 +85,12 @@ class HeapTable:
         self.schema = schema
         self.rows: dict[int, tuple[Any, ...]] = {}
         self.versions: dict[int, int] = {}
-        self.mvcc = None  # set by Catalog; None for standalone tables
         self.next_rowid = 1
         self._pk_positions: tuple[int, ...] = tuple(
             index for index, column in enumerate(schema.columns)
             if column.primary_key)
         self._pk_index: dict[tuple[Any, ...], int] = {}
         self.indexes: dict[str, HashIndex] = {}
-
-    def overlay(self):
-        """The executing transaction's write-set for this table
-        (a :class:`~repro.db.mvcc.TableOverlay`), or None."""
-        write_sets = self.mvcc.current if self.mvcc is not None else None
-        return write_sets.get(self.name) if write_sets else None
-
-    def pk_key(self, row: tuple) -> tuple[Any, ...] | None:
-        """The row's primary-key value, or None for PK-less tables."""
-        if not self._pk_positions:
-            return None
-        return tuple(row[i] for i in self._pk_positions)
-
-    def pk_holder(self, key: tuple[Any, ...]) -> int | None:
-        """The committed rowid currently holding a PK value, if any."""
-        return self._pk_index.get(key)
 
     # -- row operations --------------------------------------------------------
 
@@ -236,44 +222,19 @@ class HeapTable:
         return version
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield ``(rowid, values)`` in rowid order (deterministic),
-        with the executing transaction's own writes merged in."""
+        """Yield ``(rowid, values)`` in rowid order (deterministic)."""
         for rowid, values, _version in self.scan_versions():
             yield rowid, values
 
     def scan_versions(self) -> Iterator[tuple[int, tuple[Any, ...], int]]:
-        """Like :meth:`scan`, additionally yielding each row's version:
-        the committed one, or the provisional one of a row the
-        executing transaction wrote."""
-        overlay = self.overlay()
-        if overlay is None:
-            for rowid in sorted(self.rows):
-                yield rowid, self.rows[rowid], self.versions[rowid]
-            return
-        for rowid in sorted(self.rows.keys() | overlay.upserts.keys()):
-            entry = overlay.upserts.get(rowid)
-            if entry is not None:
-                yield rowid, entry[0], entry[1]
-            elif rowid not in overlay.deletes:
-                yield rowid, self.rows[rowid], self.versions[rowid]
+        """Like :meth:`scan`, additionally yielding each row's
+        version."""
+        for rowid in sorted(self.rows):
+            yield rowid, self.rows[rowid], self.versions[rowid]
 
     @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    def visible_row_count(self) -> int:
-        """The row count the executing session sees: the committed heap
-        adjusted by its transaction's inserts and deletes, without
-        paying a full scan (the planner calls this per table per
-        plan)."""
-        count = len(self.rows)
-        overlay = self.overlay()
-        if overlay is not None:
-            for rowid in overlay.upserts:
-                if rowid not in self.rows:
-                    count += 1
-            count -= len(overlay.deletes)
-        return count
 
     def truncate(self) -> None:
         """Drop all rows but keep the schema and rowid counter."""

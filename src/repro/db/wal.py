@@ -226,9 +226,12 @@ class WriteAheadLog:
         self.io.fsync(self.path, point="wal.fsync")
         self.fsync_count += 1
 
-    def abort(self) -> None:
-        """Discard the buffered batch (nothing ever reached disk)."""
-        self._discard()
+    def abort(self, mark: int = 0) -> None:
+        """Discard the records buffered since ``mark`` (a past
+        :attr:`buffered`; by default the whole batch). Nothing of them
+        ever reached disk."""
+        del self._buffer[mark:]
+        del self._buffered_records[mark:]
 
     def _discard(self) -> None:
         self._buffer = []
@@ -240,6 +243,11 @@ class WriteAheadLog:
         self.io.atomic_write_bytes(self.path, WAL_MAGIC, point="wal.reset")
 
     # -- introspection -----------------------------------------------------------
+
+    @property
+    def buffered(self) -> int:
+        """How many records the open batch has buffered."""
+        return len(self._buffer)
 
     @property
     def pending_records(self) -> list[dict]:

@@ -4,9 +4,8 @@ Every error raised by this library derives from :class:`ReproError`, so
 callers can catch one base class. Sub-hierarchies mirror the subsystems:
 the relational engine (:class:`DatabaseError` and descendants, including
 :class:`TransientError` for retryable failures: wire faults, failed
-fsyncs, and writes refused while another session holds the one open
-transaction; :class:`StatementTimeout`; and
-:class:`WALCorruptionError`), the
+fsyncs, and statements refused while another session holds the one
+open transaction; and :class:`WALCorruptionError`), the
 virtual OS (:class:`VosError`), the provenance models
 (:class:`ProvenanceError`), and the LDV packaging/replay core
 (:class:`PackageError`, :class:`ReplayError`).
@@ -61,18 +60,13 @@ class TransactionError(DatabaseError):
 
 class TransientError(DatabaseError):
     """A temporary failure that may succeed if retried: a wire fault,
-    a failed fsync, or a write refused because another session holds
-    the one open transaction (the one-writer rule; see
-    :mod:`repro.db.mvcc`).
+    a failed fsync, or a statement refused because another session
+    holds the one open transaction (see :mod:`repro.db.engine`).
 
     :class:`repro.db.client.DBClient` retries these with bounded
     exponential backoff when given a ``RetryPolicy``; everything else
     treats them as ordinary database errors.
     """
-
-
-class StatementTimeout(DatabaseError):
-    """A statement exceeded the server's per-statement time budget."""
 
 
 class WALCorruptionError(DatabaseError):

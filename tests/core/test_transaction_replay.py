@@ -8,8 +8,9 @@ that file exactly. Only the replay is asserted here: what the trace
 records for the rolled-back statement is a separate question.
 
 A spawned child runs to completion before its parent continues, so a
-child that writes while its parent holds an open transaction is
-refused by the one-writer rule, and the parent gets the error.
+child that sends any statement, a read included, while its parent
+holds an open transaction is refused (one session at a time while a
+transaction is open), and the parent gets the error.
 """
 
 import pytest
@@ -79,10 +80,13 @@ def test_rolled_back_transaction_replays_byte_identically(tmp_path, mode):
     assert result.validated
 
 
-def test_child_writing_inside_the_parents_transaction_is_refused():
+def _run_child_inside_transaction(child_binary, child):
+    """Run a parent that opens a transaction, writes, spawns
+    ``child`` and rolls back; returns the world and the brightness of
+    observations 1-4 before the run."""
     world = halos.build_world(n_particles=30, n_observations=40)
-    query = "SELECT brightness FROM observations WHERE obs_id <= 4"
-    before = world.database.query(query)
+    before = world.database.query(
+        "SELECT brightness FROM observations WHERE obs_id <= 4")
 
     def parent(ctx) -> int:
         client = ctx.connect_db(halos.SERVER_NAME)
@@ -90,15 +94,32 @@ def test_child_writing_inside_the_parents_transaction_is_refused():
         client.execute(
             "UPDATE observations SET brightness = 0.5 WHERE obs_id = 1")
         try:
-            ctx.spawn(WRITER_BINARY)  # blocks until the child exits
+            ctx.spawn(child_binary)  # blocks until the child exits
         finally:
             client.execute("ROLLBACK")
             client.close()
         return 0
 
-    world.vos.register_program(WRITER_BINARY, writer)
+    world.vos.register_program(child_binary, child)
     world.vos.register_program("/opt/txn/bin/parent", parent)
-    with pytest.raises(TransientError, match="one session writes"):
+    with pytest.raises(TransientError, match="no other session runs"):
         world.vos.run("/opt/txn/bin/parent")
-    assert world.database.query(query) == before
+    return world, before
+
+
+def test_child_writing_inside_the_parents_transaction_is_refused():
+    world, before = _run_child_inside_transaction(WRITER_BINARY, writer)
+    assert world.database.query(
+        "SELECT brightness FROM observations WHERE obs_id <= 4") == before
+    assert world.database.writer is None
+
+
+def test_child_reading_inside_the_parents_transaction_is_refused():
+    """The child would read the parent's uncommitted write: it is
+    refused, writes no output, and the rollback leaves the committed
+    value."""
+    world, before = _run_child_inside_transaction(READER_BINARY, reader)
+    assert not world.vos.fs.exists(OUTPUT_FILE)
+    assert world.database.query(
+        "SELECT brightness FROM observations WHERE obs_id <= 4") == before
     assert world.database.writer is None

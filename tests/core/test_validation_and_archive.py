@@ -167,6 +167,13 @@ class TestHostileReplayLog:
         (lambda frame: frame.update(written=[["t", "one", 1]]),
          "invalid literal"),
         (lambda frame: frame.update(rows=5), "not iterable"),
+        # a row is a list as long as columns
+        pytest.param(lambda frame: frame.update(rows=["ab"]),
+                     "a row must be a list, not str", id="v2-string-row"),
+        pytest.param(lambda frame: frame.update(rows=[[1, 2, 3]]),
+                     "a row has 3 values for 1 columns", id="v2-wide-row"),
+        pytest.param(lambda frame: frame.update(rows=[[]]),
+                     "a row has 0 values for 1 columns", id="v2-empty-row"),
         # nothing is coerced: a float or boolean rowid or version, a
         # numeric table, a string rowid
         pytest.param(lambda frame: frame.update(

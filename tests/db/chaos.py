@@ -14,8 +14,9 @@ driver retries whole steps after crashes, rebuilding the server from
 the surviving directory exactly as an operator would. Each explicit
 transaction runs within one step, and a step is re-driven until it
 completes before the next client's step starts, so two clients'
-transactions never overlap and the engine's one-writer rule refuses
-no campaign statement.
+transactions never overlap, no client sends a statement while another
+holds a transaction open, and the engine's one-session-at-a-time rule
+refuses no campaign statement.
 
 After the campaign the harness checks four invariants, failing with
 the campaign seed in the message so any run is replayable:

@@ -307,7 +307,6 @@ class TestAttachTable:
         version = database.catalog.version
         table = self.make_table()
         database.catalog.attach_table(table)
-        assert table.mvcc is database.catalog.mvcc
         assert database.catalog.version == version + 1
         assert "t" in database.catalog.dirty_tables
         database.clock.advance(table.versions[1])
@@ -316,6 +315,9 @@ class TestAttachTable:
         database.execute("BEGIN", session=writer)
         database.execute("UPDATE t SET v = 99 WHERE id = 1", session=writer)
         assert database.query("SELECT v FROM t", session=writer) == [(99,)]
+        with pytest.raises(TransientError):
+            database.query("SELECT v FROM t")
+        database.execute("ROLLBACK", session=writer)
         assert database.query("SELECT v FROM t") == [(10,)]
 
     def test_attach_refuses_a_taken_name(self):

@@ -16,7 +16,7 @@ from repro.db.executor import IndexScan, SeqScan
 from repro.db.planner import index_probe, plan_select
 from repro.db.sql.parser import parse_expression, parse_one
 from repro.db.storage import HashIndex
-from repro.errors import CatalogError
+from repro.errors import CatalogError, TransientError
 
 
 def explain(db, sql):
@@ -169,24 +169,26 @@ class TestIndexNeverChangesAnswers:
         assert run_all() == with_index
 
     def test_snapshot_reads_fall_back_to_a_visible_scan(self, db):
-        """The hash buckets hold the committed heap only. Inside a
-        transaction that wrote the table, a probe falls back to a scan
-        of the committed heap merged with the transaction's writes."""
+        """A transaction writes the heap and its hash buckets in place,
+        so a probe inside it sees its own writes, and another session
+        reads nothing until it ends."""
         sql = "SELECT k, v FROM t WHERE k BETWEEN 2 AND 4"
         writer = db.create_session()
         db.execute("BEGIN", session=writer)
-        with db.use_session(writer):
-            db.execute("UPDATE t SET k = 3, v = 100 WHERE k = 30")
-            assert sorted(db.query(sql)) == [(2, 2), (3, 3), (3, 100),
-                                             (4, 4)]
-            db.execute("UPDATE t SET k = 50 WHERE k = 2")
-            db.execute("INSERT INTO t VALUES (4, -1, 'new')")
-            assert sorted(db.query(sql)) == [(3, 3), (3, 100), (4, -1),
-                                             (4, 4)]
-            db.execute("DELETE FROM t WHERE k BETWEEN 4 AND 5")
-            assert sorted(db.query(sql)) == [(3, 3), (3, 100)]
-        # an autocommit reader still probes the committed heap
-        assert sorted(db.query(sql)) == [(2, 2), (3, 3), (4, 4)]
+        db.execute("UPDATE t SET k = 3, v = 100 WHERE k = 30",
+                   session=writer)
+        assert sorted(db.query(sql, session=writer)) == [
+            (2, 2), (3, 3), (3, 100), (4, 4)]
+        db.execute("UPDATE t SET k = 50 WHERE k = 2", session=writer)
+        db.execute("INSERT INTO t VALUES (4, -1, 'new')", session=writer)
+        assert sorted(db.query(sql, session=writer)) == [
+            (3, 3), (3, 100), (4, -1), (4, 4)]
+        db.execute("DELETE FROM t WHERE k BETWEEN 4 AND 5",
+                   session=writer)
+        assert sorted(db.query(sql, session=writer)) == [(3, 3), (3, 100)]
+        # another session's read is refused while the transaction is open
+        with pytest.raises(TransientError):
+            db.query(sql)
         db.execute("COMMIT", session=writer)
         assert sorted(db.query(sql)) == [(3, 3), (3, 100)]
 

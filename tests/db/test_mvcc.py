@@ -1,12 +1,15 @@
-"""Transactions: the one-writer rule, visibility, own writes.
+"""Transactions: one session at a time, visibility, own writes, undo.
 
 One session at a time may hold an open transaction. Its statements
-see the committed heap merged with its own private write-set; any other
-session's BEGIN, DML, DDL or COPY FROM is refused with a one-line
-``TransientError`` until it ends, so the committed heap is the
-transaction's snapshot. These are the engine-level unit tests; the
-anomaly cases, sent over the wire, live in ``test_anomalies.py``.
+write the heap in place and read it, own writes included; any statement
+of another session, reads included, is refused with a one-line
+``TransientError`` until it ends. A failed statement is undone alone;
+ROLLBACK undoes the whole transaction. These are the engine-level unit
+tests; the anomaly cases, sent over the wire, live in
+``test_anomalies.py``.
 """
+
+import copy
 
 import pytest
 
@@ -48,8 +51,8 @@ def balance(db, session, account_id):
 
 
 class TestSnapshotVisibility:
-    """The committed heap is an open transaction's snapshot: no other
-    session can change it until the transaction ends."""
+    """No other session can change what an open transaction reads, nor
+    read what it wrote, until the transaction ends."""
 
     def test_reader_sees_state_as_of_begin(self, two_sessions):
         db, a, b = two_sessions
@@ -59,6 +62,9 @@ class TestSnapshotVisibility:
             db.execute("UPDATE accounts SET balance = 99 WHERE id = 1",
                        session=b)
         assert balance(db, a, 1) == 10
+        with pytest.raises(TransientError):
+            balance(db, b, 1)
+        db.execute("COMMIT", session=a)
         assert balance(db, b, 1) == 10
 
     def test_snapshot_refreshes_after_commit(self, two_sessions):
@@ -77,9 +83,13 @@ class TestSnapshotVisibility:
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=b)
         db.execute("UPDATE accounts SET balance = 0 WHERE id = 1", session=b)
         db.execute("DELETE FROM accounts WHERE id = 2", session=b)
-        # autocommit reads of another session see none of it
-        assert db.query("SELECT id, balance FROM accounts ORDER BY id",
-                        session=a) == [(1, 10), (2, 20)]
+        # another session reads none of it: its read is refused
+        sql = "SELECT id, balance FROM accounts ORDER BY id"
+        with pytest.raises(TransientError):
+            db.query(sql, session=a)
+        assert db.query(sql, session=b) == [(1, 0), (3, 30)]
+        db.execute("ROLLBACK", session=b)
+        assert db.query(sql, session=a) == [(1, 10), (2, 20)]
 
     def test_snapshot_covers_inserts_and_deletes(self, two_sessions):
         db, a, b = two_sessions
@@ -102,10 +112,12 @@ class TestSnapshotVisibility:
         db.execute("INSERT INTO accounts VALUES (3, 70)", session=a)
         assert db.query("SELECT sum(balance) FROM accounts",
                         session=a) == [(100,)]
-        # an autocommit reader aggregates committed rows only
+        # an autocommit reader cannot aggregate the uncommitted row
+        with pytest.raises(TransientError):
+            db.query("SELECT sum(balance) FROM accounts", session=b)
+        db.execute("ROLLBACK", session=a)
         assert db.query("SELECT sum(balance) FROM accounts",
                         session=b) == [(30,)]
-        db.execute("ROLLBACK", session=a)
 
     def test_index_scan_respects_snapshot(self, two_sessions):
         db, a, b = two_sessions
@@ -114,16 +126,18 @@ class TestSnapshotVisibility:
         db.execute("UPDATE accounts SET balance = 77 WHERE id = 1",
                    session=a)
         # equality probes on the indexed column: the writer sees its
-        # write, an autocommit reader the committed row
+        # write, an autocommit reader is refused
         assert db.query("SELECT id FROM accounts WHERE balance = 77",
                         session=a) == [(1,)]
-        assert db.query("SELECT id FROM accounts WHERE balance = 10",
-                        session=b) == [(1,)]
-        assert db.query("SELECT id FROM accounts WHERE balance = 77",
-                        session=b) == []
+        for value in (10, 77):
+            with pytest.raises(TransientError):
+                db.query(f"SELECT id FROM accounts WHERE balance = {value}",
+                         session=b)
         db.execute("COMMIT", session=a)
         assert db.query("SELECT id FROM accounts WHERE balance = 77",
                         session=b) == [(1,)]
+        assert db.query("SELECT id FROM accounts WHERE balance = 10",
+                        session=b) == []
 
 
 class TestReadYourOwnWrites:
@@ -269,8 +283,8 @@ REFUSED_WRITES = {
 
 class TestSingleWriter:
     """One open transaction per database. While session a holds it,
-    session b's BEGIN, DML, DDL and COPY FROM each fail with a one-line
-    TransientError and change nothing; b's reads still work."""
+    every statement of session b (BEGIN, DML, DDL, COPY, reads) fails
+    with a one-line TransientError and changes nothing."""
 
     @pytest.fixture
     def durable(self, tmp_path):
@@ -284,14 +298,16 @@ class TestSingleWriter:
         return database
 
     @staticmethod
-    def state(database):
+    def state(database, session):
         return (database.catalog.version,
                 sorted(database.catalog.table_names()),
                 database.catalog.get_table("accounts").next_rowid,
                 database.query("SELECT id, balance FROM accounts "
-                               "ORDER BY id"),
+                               "ORDER BY id", session=session),
+                database.wal.pending_records,
                 database.wal.path.read_bytes(),
-                database.commit_count)
+                database.commit_count,
+                database.clock.now)
 
     @pytest.mark.parametrize("sql", list(REFUSED_WRITES.values()),
                              ids=list(REFUSED_WRITES))
@@ -301,12 +317,12 @@ class TestSingleWriter:
         durable.execute("BEGIN", session=a)
         durable.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
                         session=a)
-        before = self.state(durable)
+        before = self.state(durable, a)
         with pytest.raises(TransientError) as refused:
             durable.execute(sql, session=b)
         assert "\n" not in str(refused.value)
         assert "'a'" in str(refused.value)  # names the writer
-        assert self.state(durable) == before
+        assert self.state(durable, a) == before
         assert not b.in_transaction
         assert durable.writer is a
         # the writer carries on undisturbed
@@ -314,17 +330,44 @@ class TestSingleWriter:
         assert durable.query("SELECT balance FROM accounts WHERE id = 1"
                              ) == [(11,)]
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, balance FROM accounts",
+        "SELECT PROVENANCE balance FROM accounts WHERE id = 1",
+        "SELECT count(*) FROM accounts WHERE balance = 11",
+        "EXPLAIN SELECT id FROM accounts",
+        "COPY accounts TO '/out.csv'",
+    ], ids=["select", "provenance", "index-probe", "explain", "copy-to"])
+    def test_second_session_reads_are_refused(self, durable, sql):
+        """No other session reads the heap while it holds uncommitted
+        writes: reads are refused like writes, and have no effect."""
+        written = []
+        durable.write_file = lambda path, text: written.append(path)
+        a = durable.create_session("a")
+        b = durable.create_session("b")
+        durable.execute("BEGIN", session=a)
+        durable.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
+                        session=a)
+        before = self.state(durable, a)
+        with pytest.raises(TransientError) as refused:
+            durable.execute(sql, session=b)
+        assert "\n" not in str(refused.value)
+        assert self.state(durable, a) == before
+        assert written == []
+        durable.execute("ROLLBACK", session=a)
+        durable.execute(sql, session=b)  # served once a has ended
+
     def test_autocommit_select_sees_committed_state(self, two_sessions):
         db, a, b = two_sessions
         db.execute("BEGIN", session=a)
         db.execute("UPDATE accounts SET balance = 11 WHERE id = 1",
                    session=a)
         db.execute("INSERT INTO accounts VALUES (3, 30)", session=a)
-        # no dirty read: b sees the committed rows only
-        assert db.query("SELECT id, balance FROM accounts ORDER BY id",
-                        session=b) == [(1, 10), (2, 20)]
-        assert db.query("SELECT count(*) FROM accounts",
-                        session=b) == [(2,)]
+        # no dirty read: b's reads are refused until a ends
+        for sql in ("SELECT id, balance FROM accounts ORDER BY id",
+                    "SELECT count(*) FROM accounts"):
+            with pytest.raises(TransientError):
+                db.query(sql, session=b)
+        assert db.writer is a and not b.in_transaction
         db.execute("COMMIT", session=a)
         assert db.query("SELECT id, balance FROM accounts ORDER BY id",
                         session=b) == [(1, 11), (2, 20), (3, 30)]
@@ -373,6 +416,90 @@ class TestSingleWriter:
                        session=b)
         db.execute("COMMIT", session=a)
         assert db.query("SELECT sum(balance) FROM accounts") == [(20,)]
+
+
+# one transaction's statements, each a kind of in-place write that the
+# undo log must be able to take back
+IN_PLACE_SCRIPT = [
+    "UPDATE accounts SET balance = 15 WHERE id = 1",   # indexed column
+    "UPDATE accounts SET id = 9 WHERE id = 1",          # moves a PK
+    # takes the freed key: restoring row 1 before taking row 2 out
+    # would collide on it
+    "UPDATE accounts SET id = 1 WHERE id = 2",
+    "INSERT INTO accounts VALUES (4, 40)",
+    "UPDATE accounts SET balance = 44 WHERE id = 4",   # its own insert
+    "DELETE FROM accounts WHERE id = 3",
+]
+# a multi-row INSERT whose third row clashes with the moved PK
+FAILING_INSERT = "INSERT INTO accounts VALUES (5, 50), (6, 60), (9, 90)"
+
+
+class TestInPlaceUndo:
+    """Transactions write the heap, its PK index and its hash buckets in
+    place. A failed statement and a ROLLBACK must take all of it back;
+    a COMMIT must leave a WAL whose recovery rebuilds it exactly."""
+
+    @staticmethod
+    def make(path):
+        database = Database(data_directory=path)
+        database.execute(
+            "CREATE TABLE accounts (id integer PRIMARY KEY, "
+            "balance integer)")
+        database.execute("CREATE INDEX ix_bal ON accounts (balance)")
+        database.execute(
+            "INSERT INTO accounts VALUES (1, 10), (2, 20), (3, 30)")
+        return database
+
+    @staticmethod
+    def heap(database):
+        table = database.catalog.get_table("accounts")
+        return copy.deepcopy((
+            table.rows, table.versions, table._pk_index,
+            table.indexes["ix_bal"].buckets, table.next_rowid,
+            database.wal.pending_records))
+
+    def run_script(self, database, session):
+        database.execute("BEGIN", session=session)
+        for sql in IN_PLACE_SCRIPT:
+            database.execute(sql, session=session)
+        before = self.heap(database)
+        with pytest.raises(IntegrityError):
+            database.execute(FAILING_INSERT, session=session)
+        # the failed INSERT undoes only itself
+        assert self.heap(database) == before
+        assert database.query("SELECT id, balance FROM accounts "
+                              "ORDER BY id", session=session) == [
+            (1, 20), (4, 44), (9, 15)]
+
+    def test_rollback_equals_a_twin_that_never_ran_it(self, tmp_path):
+        database = self.make(tmp_path / "d")
+        twin = self.make(tmp_path / "twin")
+        session = database.create_session("a")
+        self.run_script(database, session)
+        database.execute("ROLLBACK", session=session)
+        assert self.heap(database) == self.heap(twin)
+        assert (database.wal.path.read_bytes()
+                == twin.wal.path.read_bytes())
+        # probe the old and the new value of every changed key
+        for value in (10, 15, 20, 30, 40, 44, 50, 60, 90):
+            sql = f"SELECT id FROM accounts WHERE balance = {value}"
+            assert database.query(sql) == twin.query(sql), value
+        for key in (1, 2, 3, 4, 5, 6, 9):
+            sql = f"SELECT balance FROM accounts WHERE id = {key}"
+            assert database.query(sql) == twin.query(sql), key
+
+    def test_commit_recovers_exactly_the_heap(self, tmp_path):
+        database = self.make(tmp_path / "d")
+        session = database.create_session("a")
+        self.run_script(database, session)
+        database.execute("COMMIT", session=session)
+        table = database.catalog.get_table("accounts")
+        recovered = Database(data_directory=tmp_path / "d")
+        again = recovered.catalog.get_table("accounts")
+        assert again.rows == table.rows
+        assert again.versions == table.versions
+        assert (recovered.query("SELECT id FROM accounts WHERE "
+                                "balance = 44") == [(4,)])
 
 
 class TestTransactionRules:
@@ -500,10 +627,12 @@ class TestSnapshotScans:
         assert list(zip(result.rows, result.lineages)) == expected
         plain = database.execute("SELECT k, v FROM t", session=session)
         assert plain.rows == result.rows
-        # the open overlay is private: other sessions see the snapshot
+        # the writes are uncommitted: other sessions may not read them
+        with pytest.raises(TransientError):
+            database.query("SELECT k, v FROM t")
+        database.execute("ROLLBACK", session=session)
         assert database.query("SELECT k, v FROM t") == [
             (k, k * 10) for k in range(50)]
-        database.execute("ROLLBACK", session=session)
 
     def test_stale_snapshot_after_concurrent_autocommit(self):
         database = self.make_db()
@@ -603,8 +732,8 @@ class TestWireTransactions:
         _, alice, bob = wired
         with alice.transaction():
             alice.execute("UPDATE accounts SET balance = 11 WHERE id = 1")
-            assert bob.query("SELECT balance FROM accounts WHERE id = 1"
-                             ) == [(10,)]
+            with pytest.raises(TransientError):
+                bob.query("SELECT balance FROM accounts WHERE id = 1")
         assert bob.query("SELECT balance FROM accounts WHERE id = 1"
                          ) == [(11,)]
 
@@ -625,9 +754,11 @@ class TestWireTransactions:
         with pytest.raises(TransientError):
             bob.begin()
         assert not bob.in_transaction
+        with pytest.raises(TransientError):
+            bob.query("SELECT balance FROM accounts WHERE id = 1")
+        alice.commit()
         assert bob.query("SELECT balance FROM accounts WHERE id = 1"
                          ) == [(10,)]
-        alice.commit()
         bob.execute("UPDATE accounts SET balance = 11 WHERE id = 1")
         assert bob.query("SELECT balance FROM accounts WHERE id = 1"
                          ) == [(11,)]

@@ -26,7 +26,7 @@ from repro.db.planner import (
 )
 from repro.db.sql.parser import parse_expression, parse_one
 from repro.db.types import SQLType
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TransientError
 
 
 @pytest.fixture
@@ -305,10 +305,10 @@ class TestRoteRules:
         assert plan.index("f.d1 = j.d1") > plan.index("f.d2 = s.d2")
 
     def test_overlay_insert_flips_the_build_side(self):
-        """`_estimate_rows` must see the session's MVCC overlay, not
-        just the shared heap — a transaction that bulk-inserts into the
-        small join side must get the flipped build side for its own
-        plans."""
+        """`_estimate_rows` counts the heap, which holds an open
+        transaction's own writes — a transaction that bulk-inserts into
+        the small join side must get the flipped build side for its own
+        plans, and a rollback must flip it back."""
         db = Database()
         db.execute("CREATE TABLE small (k integer)")
         db.execute("CREATE TABLE big (k integer, v integer)")
@@ -323,8 +323,9 @@ class TestRoteRules:
         db.execute(f"INSERT INTO small VALUES {values}", session=session)
         # inside the transaction `small` is now the big side
         assert "build=right" in explain(db, sql, session=session)
-        # …while other sessions still see five rows and build left
-        assert "build=left" in explain(db, sql)
+        # …and no other session plans against the uncommitted rows
+        with pytest.raises(TransientError):
+            explain(db, sql)
         db.execute("ROLLBACK", session=session)
         assert "build=left" in explain(db, sql)
 

@@ -1,5 +1,5 @@
-"""The serving layer: one text statement per frame, the result cache, serving observability, protocol-version negotiation, and
-the mid-statement cooperative timeout."""
+"""The serving layer: one text statement per frame, the result cache,
+serving observability and protocol-version negotiation."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.db import protocol
 from repro.errors import (
     ExecutionError,
     SQLSyntaxError,
-    StatementTimeout,
     TransientError,
 )
 
@@ -141,16 +140,23 @@ class TestResultCache:
         sql = "SELECT count(*) FROM t"
         assert client.query(sql) == [(4,)]  # warm the cache
         client.begin()
-        # the committed state is the open transaction's snapshot, so
-        # the cached entry serves it
-        hits = server.result_cache.hits
+        # inside a transaction the cache is neither consulted nor
+        # filled: the statement runs over the heap
+        counters = server.result_cache.counters()
         assert client.query(sql) == [(4,)]
-        assert server.result_cache.hits == hits + 1
+        assert server.result_cache.counters() == counters
         other = second_client(server)
         with pytest.raises(TransientError):
             other.execute("INSERT INTO t VALUES (99, 'late')")
+        # another connection's read is refused too, cached or not
+        with pytest.raises(TransientError):
+            other.query(sql)
         assert client.query(sql) == [(4,)]
         client.commit()
+        # a transaction that wrote nothing strands no entry
+        hits = server.result_cache.hits
+        assert other.query(sql) == [(4,)]
+        assert server.result_cache.hits == hits + 1
         other.execute("INSERT INTO t VALUES (99, 'late')")
         other.close()
         assert client.query(sql) == [(5,)]
@@ -160,8 +166,8 @@ class TestResultCache:
         assert client.query(sql) == [(4,)]
         client.begin()
         client.execute("INSERT INTO t VALUES (77, 'mine')")
-        # read-your-own-writes: the overlay makes the cached (committed)
-        # answer wrong for this session only
+        # read-your-own-writes: the statement runs over the heap, not
+        # the cached (committed) answer
         assert client.query(sql) == [(5,)]
         client.rollback()
         assert client.query(sql) == [(4,)]
@@ -350,16 +356,18 @@ class TestProtocolV3:
         assert texts[2, None] == JOIN_V2_TEXT
 
     def test_hit_bytes_equal_miss_bytes_inside_a_transaction(self, server):
+        """Inside a transaction the cache is bypassed; the frame it
+        computes is the stored frame's bytes, stamped ``open``."""
         cid, stored = self.query(server, 3)
         assert stored.endswith(',"txn":"idle"}')
         _wire(server, protocol.query_frame(cid, "BEGIN"))
-        hits = server.result_cache.hits
-        hit = _wire(server, protocol.query_frame(cid, JOIN, True))
-        assert server.result_cache.hits == hits + 1
-        assert hit == stored[:-len('"idle"}')] + '"open"}'
-        server.result_cache.clear()
+        counters = server.result_cache.counters()
         miss = _wire(server, protocol.query_frame(cid, JOIN, True))
-        assert miss == hit
+        assert server.result_cache.counters() == counters
+        assert miss == stored[:-len('"idle"}')] + '"open"}'
+        server.result_cache.clear()
+        again = _wire(server, protocol.query_frame(cid, JOIN, True))
+        assert again == miss
         # a result computed inside a transaction is not stored
         assert server.result_cache.counters()["size"] == 0
         # and the text is what encoding the stamped frame gives
@@ -371,46 +379,6 @@ class TestProtocolV3:
             frame = server.handle(protocol.query_frame(cid, JOIN, True))
             assert frame["frame"] == "result" and frame["txn"] == "idle"
             assert frame["rows"] == [[3, 20], [4, 20]]
-
-
-class TestMidStatementTimeout:
-    def test_long_scan_is_cancelled_cooperatively(self):
-        database = Database()
-        database.execute("CREATE TABLE big (x integer)")
-        for start in range(0, 6000, 1000):
-            values = ", ".join(f"({i})" for i in range(start, start + 1000))
-            database.execute(f"INSERT INTO big VALUES {values}")
-
-        calls = {"n": 0}
-
-        def timer():
-            # the statement "runs" 0.4s per observation: the deadline
-            # passes while the scan is still producing batches
-            calls["n"] += 1
-            return calls["n"] * 0.4
-
-        server = DBServer(database, statement_timeout=1.0, timer=timer)
-        client = DBClient(server.transport(), "app", "p1")
-        client.connect()
-        with pytest.raises(StatementTimeout) as excinfo:
-            client.query("SELECT x FROM big WHERE x >= 0")
-        assert "cancelled mid-statement" in str(excinfo.value)
-        # the engine stayed usable afterwards
-        server.timer = lambda: 0.0
-        assert client.query("SELECT count(*) FROM big") == [(6000,)]
-        client.close()
-
-    def test_fast_statement_not_cancelled(self):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        database.execute("INSERT INTO t VALUES (1)")
-        ticks = iter([0.0, 0.5])
-        server = DBServer(database, statement_timeout=1.0,
-                          timer=lambda: next(ticks, 0.5))
-        client = DBClient(server.transport(), "app", "p1")
-        client.connect()
-        assert client.query("SELECT x FROM t") == [(1,)]
-        client.close()
 
 
 class TestReplayLogCompat:

@@ -1,4 +1,4 @@
-"""Wire-path robustness: error frames, timeouts, client retry/backoff."""
+"""Wire-path robustness: error frames, client retry/backoff."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.db import protocol
 from repro.db.client import _error_from_frame
 from repro.errors import (
     DatabaseError,
-    StatementTimeout,
     TransientError,
 )
 from tests.faults import FaultInjector, FlakyTransport
@@ -48,7 +47,7 @@ class TestServerErrorWall:
         assert response["error_type"] == "ProtocolError"
 
     def test_unexpected_internal_error_becomes_error_frame(self, server):
-        def explode(sql, provenance=False):
+        def explode(sql, provenance=False, session=None, token=None):
             raise RuntimeError("internal invariant violated")
 
         server.database.execute = explode
@@ -72,7 +71,7 @@ class TestServerErrorWall:
         assert not server.started
 
     def test_transient_error_frame_is_flagged(self, server):
-        def flaky(sql, provenance=False):
+        def flaky(sql, provenance=False, session=None, token=None):
             raise TransientError("disk hiccup")
 
         server.database.execute = flaky
@@ -203,35 +202,6 @@ class TestHostileFrames:
         assert response["error_type"] == "ProtocolError"
         assert "requires protocol version 3" in response["message"]
         assert "\n" not in response["message"]
-
-
-class TestStatementTimeout:
-    def make_timed_server(self, elapsed):
-        database = Database()
-        database.execute("CREATE TABLE t (x integer)")
-        ticks = iter([0.0, elapsed])
-        return DBServer(database, statement_timeout=1.0,
-                        timer=lambda: next(ticks))
-
-    def test_overrunning_statement_times_out(self):
-        server = self.make_timed_server(elapsed=5.0)
-        client = make_client(server)
-        with pytest.raises(StatementTimeout):
-            client.execute("SELECT x FROM t")
-
-    def test_fast_statement_passes(self):
-        server = self.make_timed_server(elapsed=0.5)
-        client = make_client(server)
-        assert client.execute("SELECT x FROM t").rows == []
-
-    def test_timeout_is_not_marked_transient(self):
-        # retrying a timed-out DML could double-apply it
-        server = self.make_timed_server(elapsed=5.0)
-        connected = server.handle(protocol.connect_frame("a", "p"))
-        response = server.handle(protocol.query_frame(
-            connected["connection_id"], "SELECT x FROM t"))
-        assert response["error_type"] == "StatementTimeout"
-        assert not protocol.is_transient_error(response)
 
 
 # a transient error frame as an older server sent it: an error type this
