@@ -282,7 +282,13 @@ class Package:
         path = self.root / relative
         if not path.exists():
             raise PackageError(f"package has no {relative}")
-        return path.read_text()
+        try:
+            # no newline translation: a restore CSV's TEXT cells may
+            # hold "\r\n" and "\r", which must come back as written
+            return path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PackageError(
+                f"{relative} is not UTF-8 text: {exc}") from exc
 
     def has(self, relative: str) -> bool:
         return (self.root / relative).exists()

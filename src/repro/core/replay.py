@@ -38,6 +38,7 @@ from repro.db import csvio, protocol
 from repro.db.client import DBClient, Interceptor
 from repro.db.engine import Database, StatementResult
 from repro.errors import (
+    DatabaseError,
     PackageError,
     ProtocolError,
     ReplayError,
@@ -241,13 +242,19 @@ class ReplaySession:
         says were relevant: missing or cut restore CSVs would replay
         over too few tuples and only show in the output digests."""
         for table_name in self.package.restore_tables():
+            relative = f"{pkg.RESTORE_DIR}/{table_name}.csv"
+            if not database.catalog.has_table(table_name):
+                raise PackageError(
+                    f"{relative}: {pkg.SCHEMA_FILE} creates no table "
+                    f"{table_name!r}")
             heap = database.catalog.get_table(table_name)
-            text = self.package.read_text(
-                f"{pkg.RESTORE_DIR}/{table_name}.csv")
-            for rowid, version, values in csvio.parse_versioned_rows(
-                    text, heap.schema):
-                heap.restore_row(rowid, values, version)
-                self.restored_tuples += 1
+            text = self.package.read_text(relative)
+            try:
+                body = csvio.parse_versioned_rows(text, heap.schema)
+                body.install_into(heap)
+            except DatabaseError as exc:
+                raise PackageError(f"{relative} {exc}") from exc
+            self.restored_tuples += len(body)
         expected = self.package.manifest.notes.get("relevant_tuples")
         if expected is not None and self.restored_tuples != expected:
             raise PackageError(

@@ -21,8 +21,10 @@ class Catalog:
 
     ``dirty_tables`` names the tables whose ``.tbl`` file may lag their
     heap: the engine marks what each WAL batch, DDL statement and
-    recovery record touched, and a load that bypasses the engine
-    (dbgen, a package restore) marks its table with :meth:`mark_dirty`.
+    recovery record touched, a load that bypasses the engine (dbgen,
+    the HALOS loader) marks its table with :meth:`mark_dirty`, and
+    :meth:`attach_table` marks the table it adopts. A package restore
+    marks nothing: replay's database has no data directory.
     A checkpoint rewrites only these tables (and any with no file
     yet); every other file already equals its table's ``serialize()``.
     """

@@ -21,21 +21,15 @@ package-size experiments (Fig 9) measure.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
+from repro.db import csvio
 from repro.db.fileio import FileIO
-from repro.db.types import (
-    Column,
-    Schema,
-    SQLType,
-    coerce_row,
-    value_from_csv,
-    value_to_csv,
-)
+from repro.db.types import Column, Schema, SQLType, coerce_row
 from repro.errors import CatalogError, ExecutionError, IntegrityError
 
 TABLE_FILE_SUFFIX = ".tbl"
@@ -55,6 +49,17 @@ class HashIndex:
     def add(self, rowid: int, value: Any) -> None:
         if value is not None:
             self.buckets.setdefault(value, set()).add(rowid)
+
+    def add_many(self, rowids: Iterable[int], values: Iterable[Any]) -> None:
+        """:meth:`add` each ``(rowid, value)`` pair."""
+        buckets = self.buckets
+        for rowid, value in zip(rowids, values):
+            if value is not None:
+                bucket = buckets.get(value)
+                if bucket is None:
+                    buckets[value] = {rowid}
+                else:
+                    bucket.add(rowid)
 
     def remove(self, rowid: int, value: Any) -> None:
         bucket = self.buckets.get(value)
@@ -187,25 +192,54 @@ class HeapTable:
         for index in self.indexes.values():
             index.remove(rowid, row[index.position])
 
+    def install(self, rowids: Sequence[int], versions: Sequence[int],
+                rows: Sequence[tuple[Any, ...]]) -> None:
+        """Bulk-install typed rows under explicit rowids and versions,
+        in order (a package restore, a table-file load).
+
+        All or nothing: a rowid or primary key that the table or an
+        earlier row of the batch already holds raises
+        :class:`IntegrityError` with ``position`` the offending row's
+        index, and changes nothing. The rows are not coerced; their
+        decoder checked them.
+        """
+        count = len(rows)
+        new_rows = dict(zip(rowids, rows))
+        if len(new_rows) != count or not self.rows.keys().isdisjoint(
+                new_rows.keys()):
+            position = _first_repeat(rowids, self.rows)
+            raise IntegrityError(
+                f"duplicate rowid {rowids[position]} in table {self.name}",
+                position)
+        if self._pk_positions:
+            keys = self._pk_keys(rows)
+            new_keys = dict(zip(keys, rowids))
+            if len(new_keys) != count or not self._pk_index.keys(
+                    ).isdisjoint(new_keys.keys()):
+                position = _first_repeat(keys, self._pk_index)
+                raise IntegrityError(
+                    f"duplicate primary key {keys[position]!r} in table "
+                    f"{self.name}", position)
+            self._pk_index.update(new_keys)
+        self.rows.update(new_rows)
+        self.versions.update(zip(rowids, versions))
+        for index in self.indexes.values():
+            index.add_many(rowids, map(itemgetter(index.position), rows))
+        if count:
+            self.next_rowid = max(self.next_rowid, max(rowids) + 1)
+
+    def _pk_keys(self, rows: Iterable[tuple[Any, ...]]
+                 ) -> list[tuple[Any, ...]]:
+        """The primary-key tuple of each row."""
+        if len(self._pk_positions) == 1:
+            return list(zip(map(itemgetter(self._pk_positions[0]), rows)))
+        return list(map(itemgetter(*self._pk_positions), rows))
+
     def restore_row(self, rowid: int, values: Iterable[Any],
                     version: int) -> None:
-        """Install a row under an explicit rowid/version (package
-        restore). Keeps the PK index and rowid counter consistent."""
-        if rowid in self.rows:
-            raise ExecutionError(
-                f"rowid {rowid} already present in table {self.name}")
-        row = coerce_row(values, self.schema)
-        if self._pk_positions:
-            key = tuple(row[i] for i in self._pk_positions)
-            if key in self._pk_index:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name}")
-            self._pk_index[key] = rowid
-        self.rows[rowid] = row
-        self.versions[rowid] = version
-        self.next_rowid = max(self.next_rowid, rowid + 1)
-        for index in self.indexes.values():
-            index.add(rowid, row[index.position])
+        """Install one row under an explicit rowid/version: coerce the
+        values, then :meth:`install` a batch of one."""
+        self.install([rowid], [version], [coerce_row(values, self.schema)])
 
     def get(self, rowid: int) -> tuple[Any, ...]:
         row = self.rows.get(rowid)
@@ -257,8 +291,8 @@ class HeapTable:
                                f"{self.name}")
         position = self.schema.index_of(column)
         index = HashIndex(key, column, position)
-        for rowid, row in self.rows.items():
-            index.add(rowid, row[position])
+        index.add_many(self.rows, map(itemgetter(position),
+                                      self.rows.values()))
         self.indexes[key] = index
         return index
 
@@ -297,20 +331,20 @@ class HeapTable:
         }
         buffer.write(json.dumps(header, separators=(",", ":")))
         buffer.write("\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        for rowid in sorted(self.rows):
-            cells = [str(rowid), str(self.versions[rowid])]
-            cells.extend(value_to_csv(value) for value in self.rows[rowid])
-            writer.writerow(cells)
+        csvio.write_versioned_rows(
+            buffer, ((rowid, self.versions[rowid], self.rows[rowid])
+                     for rowid in sorted(self.rows)), self.schema)
         return buffer.getvalue()
 
     @classmethod
     def deserialize(cls, text: str) -> "HeapTable":
         """Parse the on-disk file format back into a table.
 
-        A malformed header, a row whose cell count does not match the
-        schema, or a cell that does not parse as its column's type
-        raises :class:`CatalogError`.
+        A malformed header, or a row that a restore CSV would not pass
+        either (a cell count that does not match the schema, a cell
+        that does not parse as its column's type, NULL in a NOT NULL
+        column, an invalid DATE, a repeated rowid or primary key),
+        raises :class:`CatalogError` naming the row's line.
         """
         newline = text.find("\n")
         if newline == -1:
@@ -336,36 +370,28 @@ class HeapTable:
         except (ValueError, TypeError, AttributeError) as exc:
             raise CatalogError(
                 f"table file header is malformed: {exc}") from exc
-        types = table.schema.types()
-        width = len(types) + 2
-        reader = csv.reader(io.StringIO(text[newline + 1:]))
-        for cells in reader:
-            if not cells:
-                continue
-            try:
-                if len(cells) != width:
-                    raise ValueError(
-                        f"expected {width} cells (rowid, version and "
-                        f"{len(types)} values), got {len(cells)}")
-                rowid = int(cells[0])
-                version = int(cells[1])
-                values = tuple(
-                    value_from_csv(cell, sql_type)
-                    for cell, sql_type in zip(cells[2:], types))
-            except ValueError as exc:
-                # the header is line 1 of the file
-                raise CatalogError(
-                    f"table {table.name} line {reader.line_num + 1}: "
-                    f"{exc}") from exc
-            table.rows[rowid] = values
-            table.versions[rowid] = version
-            if table._pk_positions:
-                key = tuple(values[i] for i in table._pk_positions)
-                table._pk_index[key] = rowid
-        table.next_rowid = max(next_rowid, max(table.rows, default=0) + 1)
+        table.next_rowid = next_rowid
+        try:
+            # the header is line 1 of the file
+            body = csvio.decode_versioned_rows(
+                text[newline + 1:], table.schema, first_line=2)
+            body.install_into(table)
+        except (ExecutionError, IntegrityError) as exc:
+            raise CatalogError(f"table {table.name} {exc}") from exc
         for name, column in index_defs:
             table.create_index(name, column)
         return table
+
+
+def _first_repeat(keys: Sequence[Hashable], taken: Any) -> int:
+    """Index of the first key that ``taken`` or an earlier key holds
+    (error path only)."""
+    seen: set[Hashable] = set()
+    for position, key in enumerate(keys):
+        if key in taken or key in seen:
+            return position
+        seen.add(key)
+    raise AssertionError("no key repeats")
 
 
 def read_table_file(path: Path) -> HeapTable:

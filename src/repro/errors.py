@@ -47,7 +47,15 @@ class TypeError_(DatabaseError):
 
 
 class IntegrityError(DatabaseError):
-    """A constraint (primary key, not-null) would be violated."""
+    """A constraint (primary key, not-null) would be violated.
+
+    A bulk install (:meth:`repro.db.storage.HeapTable.install`) sets
+    ``position`` to the index of the offending row in its batch.
+    """
+
+    def __init__(self, message: str, position: int | None = None) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 class ExecutionError(DatabaseError):

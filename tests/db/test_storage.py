@@ -1,8 +1,10 @@
 """Versioned heap storage and data-directory persistence tests."""
 
+import re
+
 import pytest
 
-from repro.db.storage import DataDirectory, HeapTable
+from repro.db.storage import DataDirectory, HeapTable, read_table_file
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import CatalogError, ExecutionError, IntegrityError, TypeError_
 
@@ -149,6 +151,30 @@ class TestSerialization:
         with pytest.raises(CatalogError, match=message) as info:
             HeapTable.deserialize(text)
         assert "table t line 3" in str(info.value)
+
+    CHECKED = Schema([
+        Column("o_orderkey", SQLType.INTEGER, primary_key=True),
+        Column("o_custkey", SQLType.INTEGER, not_null=True),
+        Column("o_orderdate", SQLType.DATE),
+    ])
+
+    @pytest.mark.parametrize("row,message", [
+        ("2,1,1,5,1998-01-03", "duplicate primary key (1,)"),
+        ("1,1,2,5,1998-01-03", "duplicate rowid 1"),
+        ("2,1,2,5,1998-13-45",
+         "column o_orderdate: invalid DATE literal '1998-13-45'"),
+        ("2,1,2,,1998-01-03", "column o_custkey is NOT NULL"),
+    ], ids=["duplicate-pk", "duplicate-rowid", "bad-date",
+            "null-in-not-null"])
+    def test_file_rows_a_restore_refuses_are_refused(self, tmp_path, row,
+                                                     message):
+        table = HeapTable("orders", self.CHECKED)
+        table.insert((1, 4, "1998-01-02"), tick=1)
+        path = tmp_path / "orders.tbl"
+        path.write_text(table.serialize() + row + "\n")
+        with pytest.raises(CatalogError, match=re.escape(message)) as info:
+            read_table_file(path)
+        assert f"{path}: table orders line 3: " in str(info.value)
 
     @pytest.mark.parametrize("header,message", [
         ('{"name":"t","indexes":[],"columns":[]}', "missing key 'next_rowid'"),

@@ -1,7 +1,7 @@
 """Golden digests of a server-included audit's combined trace.
 
 A small seeded world (TPC-H SF 0.001, seed 7, 10 INSERTs, 3 UPDATEs,
-the query run twice) is audited once per workload query, and four
+the query run twice) is audited once per workload query, and five
 things are pinned by sha256:
 
 * the serialized trace, ``json.dumps(trace.to_json())`` — what
@@ -11,7 +11,9 @@ things are pinned by sha256:
 * the relevant tuple store, ``(rowid, version, values)`` per table —
   what the restore CSVs hold,
 * the bytes of ``trace.json.gz`` as ``Package.write_trace`` writes
-  them (trace format 2).
+  them (trace format 2),
+* the restore CSV text, ``csvio.format_versioned_rows`` of each table
+  of the store, concatenated in table order.
 
 A query result's lineage arrives as a frozenset whose iteration order
 follows string hashing, and the hasRead edges are added in that order,
@@ -33,6 +35,7 @@ import repro
 _AUDIT = """
 import hashlib, json, tempfile
 from repro.core.package import TRACE_NAME, Manifest, Package, PackageKind
+from repro.db import csvio
 from repro.monitor import AuditSession
 from repro.provenance import COMBINED_MODEL, ExecutionTrace
 from repro.workloads.app import APP_BINARY, build_world
@@ -69,6 +72,11 @@ for variant_id in ("Q3-4", "Q1-5"):
         "relevant": digest([[table, store.rows_for(table)]
                             for table in store.tables()]),
         "trace_v2": hashlib.sha256(written).hexdigest(),
+        "restore_csv": hashlib.sha256("".join(
+            csvio.format_versioned_rows(
+                store.rows_for(table),
+                world.database.catalog.get_table(table).schema)
+            for table in store.tables()).encode()).hexdigest(),
         "trace_v2_decoded": digest(decoded.to_json()),
     }
 print(json.dumps(out))
@@ -81,6 +89,7 @@ GOLDEN = {
         "edge_order": "e47d2f090bd0e4029ed79d162c632134a0f21436b4fba526d0efc67fb3e1c236",
         "relevant": "a5f883f76334f936167f0215ad636ca56e3fcb066dcdf39685058334faeed1fe",
         "trace_v2": "de44d5fb1bc594ff0e7c8123ea8c31e20e01014d3c1e3464fb348021059bb473",
+        "restore_csv": "6e0ec05ce5c73c8caa6e45e53dde4f535df6049ff09e8c4c382934ad9e03f81b",
     },
     "Q1-5": {
         "edges": 9072,
@@ -88,6 +97,7 @@ GOLDEN = {
         "edge_order": "1ab79b15b70f04555d4b4a9750050b66c959ef68ce10d9b80f8704cbf1b73d09",
         "relevant": "74a2a033939a04c5cea076338616ae7b45ce816ca717fab13294640d454ba931",
         "trace_v2": "ec0d1960843c45b2076d75008e2b74bb2607148a80d451dfff5c197a474ea1af",
+        "restore_csv": "c74c4a9304b3a0cf71ae0211e650e7dec310b2c7af72a0b39d8034616cbf7286",
     },
 }
 
@@ -109,7 +119,7 @@ def digests():
 
 @pytest.mark.parametrize("variant_id", sorted(GOLDEN))
 @pytest.mark.parametrize("key", ["edges", "trace_json", "edge_order",
-                                 "relevant", "trace_v2"])
+                                 "relevant", "trace_v2", "restore_csv"])
 def test_server_included_trace_matches_golden(digests, variant_id, key):
     assert digests[variant_id][key] == GOLDEN[variant_id][key]
 
