@@ -38,6 +38,12 @@ from repro.db.types import (
 )
 from repro.errors import ExecutionError, IntegrityError, TypeError_
 
+# A TEXT value may exceed the csv module's default field limit (131,072
+# characters). The limit is process-global: this raises it for every csv
+# reader in the process, to the largest C long of every platform.
+FIELD_SIZE_LIMIT = 2 ** 31 - 1
+csv.field_size_limit(FIELD_SIZE_LIMIT)
+
 
 def format_rows(rows: Iterable[tuple], schema: Schema,
                 header: bool = False, delimiter: str = ",") -> str:

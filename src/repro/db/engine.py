@@ -64,6 +64,7 @@ from repro.db.types import (
     Column,
     Schema,
     SQLType,
+    coerce_row,
     value_from_csv,
     value_to_csv,
 )
@@ -126,29 +127,25 @@ class UndoLog:
         self._entries.clear()
 
     def rollback(self, mark: int = 0) -> None:
-        """Restore every row changed since ``mark``. All changed rows
-        come out before the saved ones go back in, so primary keys
-        moved between rows cannot collide on the way back."""
-        counters: dict[str, tuple[HeapTable, int]] = {}
-        priors: dict[tuple[str, int], tuple[HeapTable, tuple, int]] = {}
+        """Restore every row changed since ``mark``: one
+        :meth:`HeapTable.replace` per table."""
+        counters: dict[HeapTable, int] = {}
+        states: dict[HeapTable, dict[int, Any]] = {}
         # the first entry after the mark holds the state at the mark
         for table, rowid, values, version in self._entries[mark:]:
             if rowid is None:
-                counters.setdefault(table.name, (table, values))
+                counters.setdefault(table, values)
             else:
-                priors.setdefault((table.name, rowid),
-                                  (table, values, version))
+                states.setdefault(table, {}).setdefault(
+                    rowid, (values, version))
         del self._entries[mark:]
-        for table, counter in counters.values():
-            for rowid in range(counter, table.next_rowid):
-                table.remove_row(rowid)
-        for (_, rowid), (table, _, _) in priors.items():
-            table.remove_row(rowid)
-        for (name, rowid), (table, values, version) in priors.items():
+        for table, counter in counters.items():
             # a row born after the mark stays out
-            if name not in counters or rowid < counters[name][1]:
-                table.put_row(rowid, values, version)
-        for table, counter in counters.values():
+            states.setdefault(table, {}).update(
+                dict.fromkeys(range(counter, table.next_rowid)))
+        for table, table_states in states.items():
+            table.replace(table_states)
+        for table, counter in counters.items():
             table.next_rowid = counter
 
 
@@ -325,39 +322,50 @@ class Database:
     # -- crash recovery ----------------------------------------------------------
 
     def _replay_recovered(self, recovery: WALRecovery) -> None:
-        """Apply the WAL's committed redo records over the loaded
-        table files. Records use absolute row states, so replay is
-        idempotent even when a checkpoint already captured some of
-        them."""
+        """Apply the WAL's committed records over the loaded table
+        files. Only each row's last ``put``/``delete`` state counts:
+        one :meth:`HeapTable.replace` per table installs them after the
+        last record, so a key that a newer table image (a checkpoint cut
+        before its log reset) gives another row cannot collide."""
+        pending: dict[str, dict[int, Any]] = {}
         for record in recovery.records:
             try:
-                self._apply_wal_record(record)
-            except DatabaseError as exc:
+                self._apply_wal_record(record, pending)
+            except (DatabaseError, ValueError) as exc:
                 raise WALCorruptionError(
                     f"committed WAL record {record!r} cannot be "
                     f"replayed: {exc}") from exc
+        for name, states in pending.items():
+            try:
+                self.catalog.get_table(name).replace(states)
+            except DatabaseError as exc:
+                raise WALCorruptionError(
+                    f"committed WAL records cannot be replayed: {exc}"
+                ) from exc
 
-    def _apply_wal_record(self, record: dict) -> None:
+    def _apply_wal_record(self, record: dict,
+                          pending: dict[str, dict[int, Any]]) -> None:
+        """Apply one record; a row state goes to ``pending`` (table →
+        rowid → ``(row, version)`` or ``None``)."""
         operation = record["op"]
         if "table" in record:
             # replayed over the loaded file, so the file is now stale
             self.catalog.mark_dirty(record["table"])
-        if operation == "put":
+        if operation in ("put", "delete"):
             table = self.catalog.get_table(record["table"])
-            values = tuple(
-                value_from_csv(cell, sql_type)
-                for cell, sql_type in zip(record["values"],
-                                          table.schema.types()))
-            table.put_row(record["rowid"], values, record["version"])
-        elif operation == "delete":
-            self.catalog.get_table(record["table"]).remove_row(
-                record["rowid"])
+            state = None
+            if operation == "put":
+                state = (coerce_row(map(value_from_csv, record["values"],
+                                        table.schema.types()),
+                                    table.schema), record["version"])
+            pending.setdefault(table.name, {})[record["rowid"]] = state
         elif operation == "create_table":
             if not self.catalog.has_table(record["table"]):
                 self.catalog.create_table(
                     record["table"], schema_from_wire(record["columns"]))
         elif operation == "drop_table":
             self.catalog.drop_table(record["table"], if_exists=True)
+            pending.pop(record["table"], None)
         elif operation == "create_index":
             self.catalog.get_table(record["table"]).create_index(
                 record["name"], record["column"], if_not_exists=True)

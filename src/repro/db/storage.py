@@ -25,7 +25,8 @@ import io
 import json
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import (Any, Hashable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from repro.db import csvio
 from repro.db.fileio import FileIO
@@ -151,51 +152,10 @@ class HeapTable:
         for index in self.indexes.values():
             index.remove(rowid, row[index.position])
 
-    def put_row(self, rowid: int, values: Iterable[Any],
-                version: int) -> None:
-        """Idempotently install a row at an explicit rowid/version.
-
-        This is WAL-redo semantics: if the rowid already holds a row
-        (because a checkpoint captured it before the crash), the row is
-        overwritten and all bookkeeping stays consistent — replaying a
-        log twice converges.
-        """
-        row = coerce_row(values, self.schema)
-        if rowid in self.rows:
-            self._detach_row(rowid)
-        if self._pk_positions:
-            key = tuple(row[i] for i in self._pk_positions)
-            holder = self._pk_index.get(key)
-            if holder is not None and holder != rowid:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name}")
-            self._pk_index[key] = rowid
-        self.rows[rowid] = row
-        self.versions[rowid] = version
-        self.next_rowid = max(self.next_rowid, rowid + 1)
-        for index in self.indexes.values():
-            index.add(rowid, row[index.position])
-
-    def remove_row(self, rowid: int) -> None:
-        """Delete a row if present (idempotent WAL-redo delete)."""
-        if rowid in self.rows:
-            self.delete(rowid)
-
-    def _detach_row(self, rowid: int) -> None:
-        """Drop a row's PK and secondary-index entries, then the row."""
-        row = self.rows.pop(rowid)
-        self.versions.pop(rowid, None)
-        if self._pk_positions:
-            key = tuple(row[i] for i in self._pk_positions)
-            if self._pk_index.get(key) == rowid:
-                del self._pk_index[key]
-        for index in self.indexes.values():
-            index.remove(rowid, row[index.position])
-
     def install(self, rowids: Sequence[int], versions: Sequence[int],
                 rows: Sequence[tuple[Any, ...]]) -> None:
         """Bulk-install typed rows under explicit rowids and versions,
-        in order (a package restore, a table-file load).
+        in order (a package restore, a table-file load, :meth:`replace`).
 
         All or nothing: a rowid or primary key that the table or an
         earlier row of the batch already holds raises
@@ -227,6 +187,26 @@ class HeapTable:
             index.add_many(rowids, map(itemgetter(index.position), rows))
         if count:
             self.next_rowid = max(self.next_rowid, max(rowids) + 1)
+
+    def replace(self, states: Mapping[int, Optional[tuple[tuple[Any, ...],
+                                                          int]]]) -> None:
+        """Set each named rowid to an absolute state, ``(row, version)``
+        or ``None`` for no row (WAL redo, an undo-log rollback).
+
+        Every named row comes out first, as :meth:`delete` takes it
+        out, and the rest go in through :meth:`install`: primary keys
+        are checked once, on the final states, so keys moved between
+        named rows cannot collide on the way. A key held twice at the
+        end raises :class:`IntegrityError` and leaves the named rows
+        out. The rowid counter moves past every named rowid.
+        """
+        for rowid in states.keys() & self.rows.keys():
+            self.delete(rowid)
+        live = {rowid: state for rowid, state in states.items()
+                if state is not None}
+        rows, versions = zip(*live.values()) if live else ((), ())
+        self.install(list(live), versions, rows)
+        self.next_rowid = max(self.next_rowid, max(states, default=0) + 1)
 
     def _pk_keys(self, rows: Iterable[tuple[Any, ...]]
                  ) -> list[tuple[Any, ...]]:

@@ -125,3 +125,19 @@ def test_text_with_carriage_returns_restores_as_written(tmp_path):
     restored = session.database.catalog.get_table("sales")
     assert restored.get(5) == (5, 20.0, "x\r\ny\rz")
     assert session.run().validated
+
+
+def test_long_text_restores_as_written(tmp_path):
+    # longer than the csv module's default field limit (131,072)
+    long_text = 'a,"b\n' * 40_000
+    world = World()
+    sales = world.database.catalog.get_table("sales")
+    sales.insert((5, 20.0, long_text), world.database.clock.tick())
+    ldv_audit(world.vos, "/bin/app", tmp_path / "pkg",
+              mode="server-included", database=world.database,
+              server_name="main", server_binary_paths=SERVER_BINARIES)
+    session = ReplaySession(tmp_path / "pkg", world.registry)
+    session.prepare()
+    restored = session.database.catalog.get_table("sales")
+    assert restored.get(5) == (5, 20.0, long_text)
+    assert session.run().validated

@@ -1,11 +1,12 @@
 """Crash-matrix regression: indexes after WAL recovery.
 
-Recovery replays committed ``put``/``delete`` records through
-``put_row``/``remove_row``, which must leave the primary-key index and
-every secondary :class:`HashIndex` *identical* to a database that never
-crashed. The matrix crashes an index-heavy workload (secondary-index
-churn, PK updates, a rolled-back transaction) at every injection point
-it passes through, recovers, and asserts:
+Recovery installs each row's last committed ``put``/``delete`` state
+with one ``HeapTable.replace`` per table, which must leave the
+primary-key index and every secondary :class:`HashIndex` *identical* to
+a database that never crashed. The matrix crashes an index-heavy
+workload (secondary-index churn, PK updates, primary keys moved and
+swapped between rows, a rolled-back transaction) at every injection
+point it passes through, recovers, and asserts:
 
 * IndexScan answers match a clean run at the same committed state,
 * duplicate-PK rejection matches the clean run (every live id is
@@ -32,7 +33,10 @@ OWNERS = ("ada", "bob", "cyd", "dan", "nobody")
 # Every unit churns the secondary index (owner) or the PK index: owner
 # reassignments move rowids between buckets, deletes must empty
 # buckets, the PK update must re-key _pk_index, and the rollback must
-# leave no index trace of its inserts.
+# leave no index trace of its inserts. The last units move a primary
+# key to another row and swap two, then checkpoint: a crash between
+# that checkpoint's table renames and its log reset replays the moves
+# over an image that already holds them.
 STEPS = [
     ["CREATE TABLE accounts "
      "(id integer PRIMARY KEY, owner text, balance float)"],
@@ -54,6 +58,15 @@ STEPS = [
      "ROLLBACK"],
     ["CHECKPOINT"],
     ["INSERT INTO accounts VALUES (7, 'ada', 70.0)"],
+    ["UPDATE accounts SET balance = 15.0 WHERE id = 1"],
+    ["UPDATE accounts SET id = 9 WHERE id = 1"],
+    ["UPDATE accounts SET id = 1 WHERE id = 2"],
+    ["BEGIN",
+     "UPDATE accounts SET id = 99 WHERE id = 9",
+     "UPDATE accounts SET id = 9 WHERE id = 30",
+     "UPDATE accounts SET id = 30 WHERE id = 99",
+     "COMMIT"],
+    ["CHECKPOINT"],
 ]
 
 
@@ -196,3 +209,33 @@ def test_indexes_consistent_after_crash_everywhere(tmp_path, point,
                 "EXPLAIN SELECT id FROM accounts "
                 "WHERE owner = 'ada'").rows]
             assert any("IndexScan" in line for line in lines)
+
+
+PK_MOVES = ["UPDATE a SET v = 15 WHERE id = 1",
+            "UPDATE a SET id = 9 WHERE id = 1",
+            "UPDATE a SET id = 1 WHERE id = 2"]
+
+
+@pytest.mark.parametrize("statements", [PK_MOVES,
+                                        ["BEGIN", *PK_MOVES, "COMMIT"]],
+                         ids=["autocommit", "transaction"])
+def test_moved_primary_key_reopens_after_crash_before_log_reset(
+        tmp_path, statements):
+    """A checkpoint that dies after renaming its table images but
+    before resetting the log leaves images that already hold the moved
+    keys beside the full log; replaying the log over them must
+    converge, not find key 1 held twice."""
+    data_dir = tmp_path / "d"
+    database = Database(data_directory=data_dir,
+                        io=FaultyIO(FaultInjector().crash_at(
+                            "wal.reset.write")))
+    database.execute("CREATE TABLE a (id integer PRIMARY KEY, v integer)")
+    database.execute("INSERT INTO a VALUES (1, 10), (2, 20)")
+    for sql in statements:
+        database.execute(sql)
+    with pytest.raises(SimulatedCrash):
+        database.checkpoint()
+    recovered = Database(data_directory=data_dir)
+    assert recovered.query("SELECT id, v FROM a ORDER BY id") == [
+        (1, 20), (9, 15)]
+    assert_indexes_match_clean_rebuild(recovered.catalog.get_table("a"))

@@ -95,6 +95,26 @@ class TestHeapTable:
         with pytest.raises(CatalogError):
             HeapTable("bad name", SCHEMA)
 
+    def test_replace_swaps_keys_and_drops_rows(self):
+        table = make_table()
+        table.insert((3, "fig", 3.0), tick=10)
+        table.create_index("ix_name", "name")
+        table.replace({1: ((2, "apple", 1.5), 20),
+                       2: ((1, "pear", 2.0), 20),
+                       3: None, 7: None})
+        assert sorted(table.scan_versions()) == [
+            (1, (2, "apple", 1.5), 20), (2, (1, "pear", 2.0), 20)]
+        assert table._pk_index == {(2,): 1, (1,): 2}
+        assert table.indexes["ix_name"].buckets == {
+            "apple": {1}, "pear": {2}}
+        assert table.next_rowid == 8
+
+    def test_replace_refuses_a_key_held_twice_at_the_end(self):
+        table = make_table()
+        with pytest.raises(IntegrityError,
+                           match=r"duplicate primary key \(1,\)"):
+            table.replace({2: ((1, "pear", 2.0), 20)})
+
 
 class TestSerialization:
     def test_round_trip_preserves_rows_and_versions(self):

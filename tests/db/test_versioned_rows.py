@@ -3,8 +3,8 @@ bulk install against the per-row reference.
 
 A restore CSV (``format_versioned_rows`` → ``parse_versioned_rows`` →
 ``install_into``) and a table file (``serialize`` → ``deserialize``)
-must both rebuild exactly the table that ``put_row``, one row at a
-time, builds from the same rows; and the writer must render every cell
+must both rebuild exactly the table that ``restore_row``, one row at
+a time, builds from the same rows; and the writer must render every cell
 as ``value_to_csv`` does.
 """
 
@@ -70,7 +70,7 @@ def empty_table():
 def put_one_by_one(triples):
     table = empty_table()
     for rowid, version, values in triples:
-        table.put_row(rowid, values, version)
+        table.restore_row(rowid, values, version)
     return table
 
 

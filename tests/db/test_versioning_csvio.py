@@ -110,3 +110,27 @@ class TestCsvIO:
     def test_empty_text_parses_to_nothing(self):
         assert csvio.parse_rows("", SCHEMA) == []
         assert list(csvio.parse_versioned_rows("", SCHEMA)) == []
+
+
+class TestLongText:
+    """A TEXT value longer than the csv module's default field limit
+    (131,072 characters) reads back from every file it is written to."""
+
+    LONG = 'a,"b\n' * 40_000  # 200,000 characters
+
+    def test_table_file_reopens(self, tmp_path):
+        db = Database(data_directory=tmp_path / "d")
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, s text)")
+        db.execute(f"INSERT INTO t VALUES (1, '{self.LONG}')")
+        db.checkpoint()
+        reopened = Database(data_directory=tmp_path / "d")
+        assert reopened.query("SELECT s FROM t") == [(self.LONG,)]
+
+    def test_copy_from_reads_it(self, tmp_path):
+        db = Database()
+        db.execute("CREATE TABLE t (id integer, s text)")
+        source = tmp_path / "t.csv"
+        source.write_text(csvio.format_rows(
+            [(1, self.LONG)], db.catalog.get_table("t").schema))
+        db.execute(f"COPY t FROM '{source}'")
+        assert db.query("SELECT id, s FROM t") == [(1, self.LONG)]

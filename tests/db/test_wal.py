@@ -271,6 +271,81 @@ class TestEngineDurability:
         assert reopened.query("SELECT id FROM t") == [(1,)]
 
 
+class TestRedoToLastStates:
+    """Recovery installs each row's last committed state, one batch per
+    table, so keys that collide only midway through the log converge,
+    and final states that really collide refuse in one line."""
+
+    def checkpointed(self, directory):
+        db = Database(data_directory=directory)
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v text)")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        db.checkpoint()
+        return db
+
+    def reopen_error(self, directory):
+        with pytest.raises(WALCorruptionError) as caught:
+            Database(data_directory=directory)
+        message = str(caught.value)
+        assert "\n" not in message
+        return message
+
+    def test_keys_colliding_midway_converge(self, tmp_path):
+        db = self.checkpointed(tmp_path / "d")
+        # rowid 2 takes key 1 before rowid 1 gives it up
+        db.wal.append({"op": "put", "table": "t", "rowid": 2,
+                       "version": 5, "values": ["1", "b"]})
+        db.wal.append({"op": "put", "table": "t", "rowid": 1,
+                       "version": 5, "values": ["9", "a"]})
+        db.wal.commit(tick=5)
+        reopened = Database(data_directory=tmp_path / "d")
+        assert reopened.query("SELECT id, v FROM t ORDER BY id") == [
+            (1, "b"), (9, "a")]
+
+    def test_final_states_sharing_a_key_refuse(self, tmp_path):
+        db = self.checkpointed(tmp_path / "d")
+        db.wal.append({"op": "put", "table": "t", "rowid": 2,
+                       "version": 5, "values": ["1", "b"]})
+        db.wal.commit(tick=5)
+        message = self.reopen_error(tmp_path / "d")
+        assert "duplicate primary key (1,) in table t" in message
+
+    def test_put_into_a_table_never_created_refuses(self, tmp_path):
+        db = self.checkpointed(tmp_path / "d")
+        db.wal.append({"op": "put", "table": "ghost", "rowid": 1,
+                       "version": 5, "values": ["1"]})
+        db.wal.commit(tick=5)
+        message = self.reopen_error(tmp_path / "d")
+        assert "table 'ghost' does not exist" in message
+
+    def test_unparsable_cell_refuses(self, tmp_path):
+        db = self.checkpointed(tmp_path / "d")
+        db.wal.append({"op": "put", "table": "t", "rowid": 3,
+                       "version": 5, "values": ["x9", "c"]})
+        db.wal.commit(tick=5)
+        message = self.reopen_error(tmp_path / "d")
+        assert "invalid literal for int() with base 10: 'x9'" in message
+
+    def test_rowid_counter_passes_rows_put_then_deleted(self, tmp_path):
+        db = Database(data_directory=tmp_path / "d")
+        db.execute("CREATE TABLE t (id integer)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        db.execute("DELETE FROM t WHERE id = 3")
+        reopened = Database(data_directory=tmp_path / "d")
+        assert reopened.catalog.get_table("t").next_rowid == 4
+
+    def test_dropped_table_leaves_no_states(self, tmp_path):
+        db = Database(data_directory=tmp_path / "d")
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        db.execute("DROP TABLE t")
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v text)")
+        db.execute("INSERT INTO t VALUES (5, 'x')")
+        reopened = Database(data_directory=tmp_path / "d")
+        assert reopened.query("SELECT id, v FROM t") == [(5, "x")]
+        assert reopened.catalog.get_table("t").next_rowid == 2
+
+
 class TestLegacyPartitionRecords:
     """Data directories written while the engine still hash-partitioned
     heaps for parallel scans carry ``{"op": "partition"}`` WAL records
