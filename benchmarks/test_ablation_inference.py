@@ -22,7 +22,7 @@ from repro.provenance import (
     TraceBuilder,
     bb_dependencies,
 )
-from repro.provenance.inference import brute_force_dependencies
+from tests.provenance.brute_force import brute_force_dependencies
 
 
 def pipeline_trace(stages: int, files_per_stage: int = 3):

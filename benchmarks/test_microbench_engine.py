@@ -180,11 +180,12 @@ def test_compiled_vs_interpreted(world, report):
     AST interpreter on a TPC-H-style join+aggregate. Both evaluate the
     query's expressions — the whole WHERE, the group key and the
     aggregate arguments — over the identical joined rows that feed the
-    aggregate: :class:`exprs.Evaluator` re-walks each AST per row, the
+    aggregate: :class:`Evaluator` re-walks each AST per row, the
     compiled closures do not, so the measured gap is pure
     expression-evaluation cost."""
     from repro.db import expressions as exprs
     from repro.db.sql import ast
+    from tests.db.evaluator import Evaluator
 
     database = world.database
     select = parse_one(JOIN_AGG)
@@ -199,7 +200,7 @@ def test_compiled_vs_interpreted(world, report):
         catalog.get_table("orders").schema.qualified("o"))
     rows = database.query("SELECT l.*, o.* FROM lineitem l, orders o "
                           "WHERE l.l_orderkey = o.o_orderkey")
-    evaluator = exprs.Evaluator(schema)
+    evaluator = Evaluator(schema)
     compiled_fns = [exprs.compile_expression(expression, schema)
                     for expression in expressions]
 

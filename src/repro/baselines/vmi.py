@@ -57,11 +57,3 @@ class VMIModel:
             total += self.boot_seconds
         return total
 
-    def size_ratio_vs(self, package_bytes: int, server_bytes: int,
-                      data_bytes: int,
-                      application_bytes: int = 0) -> float:
-        """How many times larger the VMI is than a given package."""
-        if package_bytes <= 0:
-            raise ValueError("package size must be positive")
-        return (self.image_bytes(server_bytes, data_bytes,
-                                 application_bytes) / package_bytes)

@@ -69,7 +69,9 @@ class Catalog:
     def attach_table(self, table: HeapTable) -> None:
         """Adopt a table built outside the engine (a PTU package's full
         table file): bump the schema version and mark it for the next
-        checkpoint."""
+        checkpoint. PTU replay's catalog is in memory; the mark is for
+        a file-backed one, where a table attached under a dropped
+        table's name would otherwise keep the dropped table's file."""
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table

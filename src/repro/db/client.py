@@ -306,15 +306,6 @@ class DBClient:
             raise
         self.commit()
 
-    def explain_analyze(self, sql: str) -> StatementResult:
-        """Run ``EXPLAIN ANALYZE`` over a SELECT.
-
-        The returned result carries the annotated plan as text rows
-        and per-operator measurements in ``result.stats["analyze"]``
-        (plus server wall time in ``result.stats["server"]``).
-        """
-        return self.execute(f"EXPLAIN ANALYZE {sql}")
-
     # -- plumbing ---------------------------------------------------------------------
 
     def _round_trip(self, frame: dict[str, Any]) -> dict[str, Any]:

@@ -236,6 +236,15 @@ class IdempotencyLedger:
         return len(self._entries)
 
 
+# the field types of the row records the engine logs; recovery refuses
+# any other shape in one line (``bool`` is refused where ``int`` is due)
+_ROW_RECORD_FIELDS = {
+    "put": (("table", str), ("rowid", int), ("version", int),
+            ("values", list)),
+    "delete": (("table", str), ("rowid", int)),
+}
+
+
 class Database:
     """An embedded database instance.
 
@@ -348,6 +357,18 @@ class Database:
         """Apply one record; a row state goes to ``pending`` (table →
         rowid → ``(row, version)`` or ``None``)."""
         operation = record["op"]
+        if operation in ("put", "delete"):
+            for field, kind in _ROW_RECORD_FIELDS[operation]:
+                value = record.get(field)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise WALCorruptionError(
+                        f"{operation} record field {field!r} must be "
+                        f"{kind.__name__}, not {value!r}")
+        if operation == "put":
+            for cell in record["values"]:
+                if not isinstance(cell, str):
+                    raise WALCorruptionError(
+                        f"put record cell must be str, not {cell!r}")
         if "table" in record:
             # replayed over the loaded file, so the file is now stale
             self.catalog.mark_dirty(record["table"])

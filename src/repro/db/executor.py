@@ -1064,7 +1064,26 @@ class Instrumented(Operator):
             yield batch
 
 
-_CHILD_ATTRS = ("child", "left", "right", "inner")
+def map_inputs(operator: Operator,
+               visit: Callable[[Operator], Operator]) -> None:
+    """Call ``visit`` on each input of ``operator`` in EXPLAIN order
+    (``child``, ``left``, ``right``, then each of ``children``) and
+    re-point the input to what it returns. An :class:`Instrumented`
+    wrapper is looked through to the operator it wraps.
+
+    The one place that knows where operators keep their inputs: the
+    EXPLAIN renderers pass a ``visit`` that returns its argument,
+    :func:`instrument_plan` one that wraps it.
+    """
+    if isinstance(operator, Instrumented):
+        operator = operator.inner
+    for attribute in ("child", "left", "right"):
+        node = getattr(operator, attribute, None)
+        if isinstance(node, Operator):
+            setattr(operator, attribute, visit(node))
+    children = getattr(operator, "children", None)
+    if isinstance(children, list):
+        operator.children = [visit(node) for node in children]
 
 
 def instrument_plan(root: Operator,
@@ -1074,12 +1093,5 @@ def instrument_plan(root: Operator,
     Mutates the tree in place (re-pointing child attributes), so it
     must only be applied to a freshly built plan.
     """
-    for attribute in _CHILD_ATTRS:
-        child = getattr(root, attribute, None)
-        if isinstance(child, Operator):
-            setattr(root, attribute, instrument_plan(child, timer))
-    children = getattr(root, "children", None)
-    if isinstance(children, list):
-        root.children = [instrument_plan(child, timer)
-                        for child in children]
+    map_inputs(root, lambda node: instrument_plan(node, timer))
     return Instrumented(root, timer)

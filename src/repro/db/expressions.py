@@ -12,9 +12,8 @@ way. The batch entry points (:func:`compile_batch_expression`,
 :func:`compile_batch_predicate`) map the row closure over a batch's
 selected rows, plus three vector forms that measured faster.
 
-:class:`Evaluator` interprets an AST against a row by re-walking the
-tree. No execution path uses it: it is the reference the tests check
-the compiled closures against, value for value and error for error.
+The AST interpreter the tests check these closures against, value for
+value and error for error, lives with them (``tests/db/evaluator.py``).
 
 Semantics: NULL (``None``) propagates through arithmetic and
 comparisons; ``AND``/``OR`` follow Kleene logic; filters treat an
@@ -269,21 +268,15 @@ def _call_scalar(name: str, fn: Callable[..., Any], args: list) -> Any:
 
 
 class Accumulator:
-    """Incremental aggregate state: feed values with :meth:`add`.
+    """Incremental aggregate state: feed value vectors (one batch
+    worth each) with :meth:`add_many`.
 
-    :meth:`add_many` consumes a whole value vector (one batch worth);
-    subclasses override it where a bulk formulation beats the per-value
-    loop without changing the fold order (SUM/AVG keep the exact
-    left-to-right accumulation so float results stay bit-identical to
-    row-at-a-time execution).
+    SUM/AVG keep the exact left-to-right accumulation, so float results
+    are bit-identical to folding one value at a time.
     """
 
-    def add(self, value: Any) -> None:  # pragma: no cover - interface
+    def add_many(self, values: list) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def add_many(self, values: list) -> None:
-        for value in values:
-            self.add(value)
 
     def result(self) -> Any:  # pragma: no cover - interface
         raise NotImplementedError
@@ -292,9 +285,6 @@ class Accumulator:
 class _CountAll(Accumulator):
     def __init__(self) -> None:
         self.count = 0
-
-    def add(self, value: Any) -> None:
-        self.count += 1
 
     def add_many(self, values: list) -> None:
         self.count += len(values)
@@ -307,10 +297,6 @@ class _Count(Accumulator):
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-
     def add_many(self, values: list) -> None:
         self.count += len(values) - values.count(None)
 
@@ -321,11 +307,6 @@ class _Count(Accumulator):
 class _Sum(Accumulator):
     def __init__(self) -> None:
         self.total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
 
     def add_many(self, values: list) -> None:
         total = self.total
@@ -342,12 +323,6 @@ class _Avg(Accumulator):
     def __init__(self) -> None:
         self.total = 0.0
         self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total += value
-        self.count += 1
 
     def add_many(self, values: list) -> None:
         total = self.total
@@ -369,12 +344,6 @@ class _Min(Accumulator):
     def __init__(self) -> None:
         self.best: Any = None
 
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value < self.best:
-            self.best = value
-
     def add_many(self, values: list) -> None:
         present = [value for value in values if value is not None]
         if not present:
@@ -391,12 +360,6 @@ class _Max(Accumulator):
     def __init__(self) -> None:
         self.best: Any = None
 
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value > self.best:
-            self.best = value
-
     def add_many(self, values: list) -> None:
         present = [value for value in values if value is not None]
         if not present:
@@ -410,25 +373,21 @@ class _Max(Accumulator):
 
 
 class _Distinct(Accumulator):
-    """Wrap another accumulator to only feed it distinct non-seen values."""
+    """Wrap another accumulator to only feed it values not seen
+    before, in the order they first appear."""
 
     def __init__(self, inner: Accumulator) -> None:
         self.inner = inner
         self.seen: set[Any] = set()
 
-    def add(self, value: Any) -> None:
-        if value in self.seen:
-            return
-        self.seen.add(value)
-        self.inner.add(value)
-
     def add_many(self, values: list) -> None:
         seen = self.seen
-        add = self.inner.add
+        fresh = []
         for value in values:
             if value not in seen:
                 seen.add(value)
-                add(value)
+                fresh.append(value)
+        self.inner.add_many(fresh)
 
     def result(self) -> Any:
         return self.inner.result()
@@ -456,7 +415,7 @@ def make_accumulator(call: ast.FunctionCall) -> Accumulator:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Scalar operators
 # ---------------------------------------------------------------------------
 
 
@@ -509,20 +468,12 @@ def _logical_not(value: Any) -> Any:
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
-    """SQL arithmetic with NULL propagation. ``+`` and ``*`` are not
-    defined on text (Python's would concatenate or repeat it)."""
+    """SQL ``/``, ``%`` and ``||`` with NULL propagation. (``+``, ``-``
+    and ``*`` compile to direct operator calls in
+    :func:`_compile_binary`.)"""
     if left is None or right is None:
         return None
-    if op in ("+", "*") and (isinstance(left, str)
-                             or isinstance(right, str)):
-        raise _bad_operands(op, left, right)
     try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
         if op == "/":
             if right == 0:
                 raise ExecutionError("division by zero")
@@ -535,164 +486,9 @@ def _arith(op: str, left: Any, right: Any) -> Any:
             return _modulo(left, right)
         if op == "||":
             return str(left) + str(right)
-    except ExecutionError:
-        raise
     except TypeError as exc:
         raise _bad_operands(op, left, right) from exc
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-
-class Evaluator:
-    """Evaluates expressions against rows of a fixed schema.
-
-    Aggregate function calls can be *pre-bound* to computed values via
-    ``bindings`` (used by the aggregate operator to substitute aggregate
-    results when evaluating HAVING / select-list expressions).
-    """
-
-    def __init__(self, schema: Schema,
-                 bindings: dict[ast.Expression, Any] | None = None) -> None:
-        self.schema = schema
-        self.bindings = bindings or {}
-        self._column_cache: dict[tuple[str, str | None], int] = {}
-        self._resolved: set[ast.Expression] = set()
-
-    def _column_index(self, ref: ast.ColumnRef) -> int:
-        key = (ref.name.lower(),
-               ref.qualifier.lower() if ref.qualifier else None)
-        index = self._column_cache.get(key)
-        if index is None:
-            index = self.schema.index_of(ref.name, ref.qualifier)
-            self._column_cache[key] = index
-        return index
-
-    def evaluate(self, expression: ast.Expression, row: tuple) -> Any:
-        """Evaluate ``expression`` against ``row``; NULL is ``None``.
-
-        The first call resolves every scalar function call up front, as
-        compilation does, so a bad name or argument count fails before
-        any operand is evaluated.
-        """
-        if expression not in self._resolved:
-            for node in walk(expression):
-                if (isinstance(node, ast.FunctionCall)
-                        and node.name not in AGGREGATE_NAMES):
-                    _scalar_function(node)
-            self._resolved.add(expression)
-        return self._evaluate(expression, row)
-
-    def _evaluate(self, expression: ast.Expression, row: tuple) -> Any:
-        if expression in self.bindings:
-            return self.bindings[expression]
-        if isinstance(expression, ast.Literal):
-            return expression.value
-        if isinstance(expression, ast.ColumnRef):
-            return row[self._column_index(expression)]
-        if isinstance(expression, ast.BinaryOp):
-            return self._evaluate_binary(expression, row)
-        if isinstance(expression, ast.UnaryOp):
-            return self._evaluate_unary(expression, row)
-        if isinstance(expression, ast.Between):
-            return self._evaluate_between(expression, row)
-        if isinstance(expression, ast.Like):
-            result = sql_like(self._evaluate(expression.operand, row),
-                              self._evaluate(expression.pattern, row))
-            if result is None:
-                return None
-            return (not result) if expression.negated else result
-        if isinstance(expression, ast.InList):
-            return self._evaluate_in(expression, row)
-        if isinstance(expression, ast.IsNull):
-            is_null = self._evaluate(expression.operand, row) is None
-            return (not is_null) if expression.negated else is_null
-        if isinstance(expression, ast.FunctionCall):
-            return self._evaluate_function(expression, row)
-        if isinstance(expression, ast.CaseWhen):
-            for condition, value in expression.branches:
-                if self._evaluate(condition, row) is True:
-                    return self._evaluate(value, row)
-            if expression.otherwise is not None:
-                return self._evaluate(expression.otherwise, row)
-            return None
-        raise _unevaluable(expression)
-
-    def matches(self, expression: ast.Expression, row: tuple) -> bool:
-        """Filter semantics: unknown (NULL) counts as false."""
-        return self.evaluate(expression, row) is True
-
-    # -- node-specific evaluation ------------------------------------------------
-
-    def _evaluate_binary(self, node: ast.BinaryOp, row: tuple) -> Any:
-        op = node.op
-        if op == "and":
-            left = self._evaluate(node.left, row)
-            if left is False:
-                return False
-            right = self._evaluate(node.right, row)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "or":
-            left = self._evaluate(node.left, row)
-            if left is True:
-                return True
-            right = self._evaluate(node.right, row)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self._evaluate(node.left, row)
-        right = self._evaluate(node.right, row)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
-        return _arith(op, left, right)
-
-    def _evaluate_unary(self, node: ast.UnaryOp, row: tuple) -> Any:
-        value = self._evaluate(node.operand, row)
-        if node.op == "not":
-            return _logical_not(value)
-        if node.op == "-":
-            return _negate(value)
-        raise ExecutionError(f"unknown unary operator {node.op!r}")
-
-    def _evaluate_between(self, node: ast.Between, row: tuple) -> Any:
-        value = self._evaluate(node.operand, row)
-        low = self._evaluate(node.low, row)
-        high = self._evaluate(node.high, row)
-        lower_ok = _compare(">=", value, low)
-        upper_ok = _compare("<=", value, high)
-        if lower_ok is False or upper_ok is False:
-            result: Any = False
-        elif lower_ok is None or upper_ok is None:
-            result = None
-        else:
-            result = True
-        if result is None:
-            return None
-        return (not result) if node.negated else result
-
-    def _evaluate_in(self, node: ast.InList, row: tuple) -> Any:
-        value = self._evaluate(node.operand, row)
-        if value is None:
-            return None
-        saw_null = False
-        for item in node.items:
-            candidate = self._evaluate(item, row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if node.negated else True
-        if saw_null:
-            return None
-        return True if node.negated else False
-
-    def _evaluate_function(self, node: ast.FunctionCall, row: tuple) -> Any:
-        fn = _scalar_function(node)
-        args = [self._evaluate(arg, row) for arg in node.args]
-        return _call_scalar(node.name, fn, args)
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +544,11 @@ def compile_expression(expression: ast.Expression, schema: Schema,
                        slots: BindingSlots | None = None) -> RowFunction:
     """Lower ``expression`` once into a closure over rows of ``schema``.
 
-    The returned callable has exactly the semantics of
-    ``Evaluator(schema).evaluate(expression, row)`` (NULL propagation,
-    Kleene logic, SQL integer division, scalar functions) without
-    re-walking the AST per row. Sub-expressions present in ``slots``
+    The returned callable has exactly the semantics of the tests'
+    interpreter, ``Evaluator(schema).evaluate(expression, row)`` in
+    ``tests/db/evaluator.py`` (NULL propagation, Kleene logic, SQL
+    integer division, scalar functions), without re-walking the AST
+    per row. Sub-expressions present in ``slots``
     compile to slot reads, mirroring the Evaluator's ``bindings``.
 
     Name-resolution errors (unknown/ambiguous columns) surface at

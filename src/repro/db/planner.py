@@ -41,6 +41,7 @@ from repro.db.executor import (
     Sort,
     StripColumns,
     Union,
+    map_inputs,
 )
 from repro.db.sql import ast
 from repro.db.storage import HashIndex, HeapTable
@@ -115,18 +116,10 @@ def explain_plan(root: Operator) -> list[str]:
             return f"Limit {operator.limit} offset {operator.offset}"
         return type(operator).__name__
 
-    def walk(operator: Operator, depth: int) -> None:
+    def walk(operator: Operator, depth: int) -> Operator:
         lines.append("  " * depth + describe(operator))
-        if isinstance(operator, Instrumented):
-            operator = operator.inner
-        for attr in ("child", "left", "right"):
-            node = getattr(operator, attr, None)
-            if isinstance(node, Operator):
-                walk(node, depth + 1)
-        children = getattr(operator, "children", None)
-        if isinstance(children, list):
-            for node in children:
-                walk(node, depth + 1)
+        map_inputs(operator, lambda node: walk(node, depth + 1))
+        return operator
 
     walk(root, 0)
     return lines
@@ -142,7 +135,7 @@ def analyze_stats(root: Operator) -> list[dict]:
     """
     entries: list[dict] = []
 
-    def walk(operator: Operator, depth: int) -> None:
+    def walk(operator: Operator, depth: int) -> Operator:
         inner = operator
         rows = seconds = loops = batches = 0
         if isinstance(operator, Instrumented):
@@ -159,14 +152,8 @@ def analyze_stats(root: Operator) -> list[dict]:
             "loops": loops,
             "batches": batches,
         })
-        for attr in ("child", "left", "right"):
-            node = getattr(inner, attr, None)
-            if isinstance(node, Operator):
-                walk(node, depth + 1)
-        children = getattr(inner, "children", None)
-        if isinstance(children, list):
-            for node in children:
-                walk(node, depth + 1)
+        map_inputs(operator, lambda node: walk(node, depth + 1))
+        return operator
 
     walk(root, 0)
     return entries

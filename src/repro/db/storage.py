@@ -228,13 +228,6 @@ class HeapTable:
                 f"rowid {rowid} not found in table {self.name}")
         return row
 
-    def version_of(self, rowid: int) -> int:
-        version = self.versions.get(rowid)
-        if version is None:
-            raise ExecutionError(
-                f"rowid {rowid} not found in table {self.name}")
-        return version
-
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield ``(rowid, values)`` in rowid order (deterministic)."""
         for rowid, values, _version in self.scan_versions():

@@ -50,7 +50,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.db.fileio import FileIO
 from repro.db.types import Column, Schema, SQLType
@@ -253,14 +253,3 @@ class WriteAheadLog:
     def pending_records(self) -> list[dict]:
         """Records buffered but not yet committed (for tests/tools)."""
         return list(self._buffered_records)
-
-    def iter_disk_records(self) -> Iterator[dict]:
-        """Yield every complete record currently on disk (debug aid)."""
-        data = self.io.read_bytes(self.path)
-        offset = len(WAL_MAGIC)
-        while True:
-            frame = self._read_frame(data, offset)
-            if frame is None:
-                return
-            record, offset = frame
-            yield record

@@ -67,10 +67,6 @@ class ProvenanceModel:
     def is_entity_type(self, type_label: str) -> bool:
         return type_label in self.entity_types
 
-    def has_node_type(self, type_label: str) -> bool:
-        return (type_label in self.activity_types
-                or type_label in self.entity_types)
-
     def edge_type(self, label: str) -> EdgeType:
         edge_type = self.edge_types.get(label)
         if edge_type is None:

@@ -280,15 +280,6 @@ class VirtualFileSystem:
                 found.append(posixpath.join(directory, name))
         return found
 
-    def total_size(self, path: str = "/") -> int:
-        """Total bytes of regular files under ``path``."""
-        total = 0
-        for file_path in self.all_files(path):
-            node = self._lookup(file_path, follow=False)
-            if isinstance(node, _File):
-                total += len(node.content)
-        return total
-
     # -- host transfer -------------------------------------------------------------------
 
     def export_file(self, virtual_path: str, host_path: Path) -> int:
@@ -298,16 +289,6 @@ class VirtualFileSystem:
         host_path.parent.mkdir(parents=True, exist_ok=True)
         host_path.write_bytes(content)
         return len(content)
-
-    def export_tree(self, virtual_path: str, host_dir: Path) -> int:
-        """Copy a whole virtual subtree to a host directory. Returns
-        total bytes written. Symlinks are materialized as files."""
-        total = 0
-        base = normalize(virtual_path)
-        for file_path in self.all_files(base):
-            relative = posixpath.relpath(file_path, base)
-            total += self.export_file(file_path, host_dir / relative)
-        return total
 
     def import_tree(self, host_dir: Path, virtual_path: str = "/") -> int:
         """Load a host directory into the virtual tree. Returns the

@@ -101,17 +101,11 @@ class VirtualOS:
                            transport: Callable[[str], str]) -> None:
         self._db_servers[name] = transport
 
-    def unregister_db_server(self, name: str) -> None:
-        self._db_servers.pop(name, None)
-
     def db_transport(self, name: str) -> Callable[[str], str]:
         transport = self._db_servers.get(name)
         if transport is None:
             raise VosError(f"no DB server registered as {name!r}")
         return transport
-
-    def has_db_server(self, name: str) -> bool:
-        return name in self._db_servers
 
     # -- process execution ---------------------------------------------------------------
 

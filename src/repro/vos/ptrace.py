@@ -2,13 +2,13 @@
 
 A :class:`Tracer` attached to a :class:`repro.vos.kernel.VirtualOS`
 receives every :class:`SyscallEvent` the kernel emits, in order. This
-is the observation surface PTU builds OS provenance from; the recording
-tracer below is also handy in tests.
+is the observation surface PTU builds OS provenance from; the tests'
+recording tracer lives in ``tests/vos/recording_tracer.py``.
 """
 
 from __future__ import annotations
 
-from repro.vos.syscalls import SyscallEvent, SyscallName
+from repro.vos.syscalls import SyscallEvent
 
 
 class Tracer:
@@ -16,21 +16,3 @@ class Tracer:
 
     def on_syscall(self, event: SyscallEvent) -> None:
         """Called synchronously for every syscall."""
-
-
-class RecordingTracer(Tracer):
-    """Keeps every event (optionally filtered by syscall name)."""
-
-    def __init__(self, only: set[SyscallName] | None = None) -> None:
-        self.events: list[SyscallEvent] = []
-        self.only = only
-
-    def on_syscall(self, event: SyscallEvent) -> None:
-        if self.only is None or event.name in self.only:
-            self.events.append(event)
-
-    def of(self, name: SyscallName) -> list[SyscallEvent]:
-        return [event for event in self.events if event.name is name]
-
-    def clear(self) -> None:
-        self.events.clear()

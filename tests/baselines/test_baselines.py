@@ -170,14 +170,6 @@ class TestVMIModel:
         model = VMIModel()
         assert model.replay_seconds(1.0) > 1.0
 
-    def test_size_ratio(self):
-        model = VMIModel(base_image_bytes=8_000)
-        assert model.size_ratio_vs(100, 100, 100) == 82.0
-
-    def test_size_ratio_rejects_empty_package(self):
-        with pytest.raises(ValueError):
-            VMIModel().size_ratio_vs(0, 1, 1)
-
     def test_paper_headline_ratio(self):
         """8.2 GB VMI vs ~100 MB average LDV package: ~80x."""
         model = VMIModel()

@@ -320,6 +320,22 @@ class TestAttachTable:
         database.execute("ROLLBACK", session=writer)
         assert database.query("SELECT v FROM t") == [(10,)]
 
+    def test_table_attached_after_a_drop_reaches_its_file(self, tmp_path):
+        """The dirty mark is what makes a file-backed catalog write an
+        attached table whose name still has a file: ``flush`` writes an
+        unmarked table only when it has no file yet, and a dropped
+        table's file stays until that same checkpoint."""
+        directory = tmp_path / "d"
+        database = Database(data_directory=directory)
+        database.execute("CREATE TABLE t (id integer PRIMARY KEY, v integer)")
+        database.execute("INSERT INTO t VALUES (7, 70)")
+        database.checkpoint()
+        database.execute("DROP TABLE t")
+        database.catalog.attach_table(self.make_table())
+        database.checkpoint()
+        reopened = Database(data_directory=directory)
+        assert reopened.query("SELECT id, v FROM t") == [(1, 10)]
+
     def test_attach_refuses_a_taken_name(self):
         database = Database()
         database.execute("CREATE TABLE t (id integer)")

@@ -261,12 +261,12 @@ class TestTransactions:
         assert len(db.query("SELECT * FROM sales")) == 3
 
     def test_rollback_update_restores_values_and_version(self, db):
-        version_before = db.catalog.get_table("sales").version_of(1)
+        version_before = db.catalog.get_table("sales").versions[1]
         db.execute("BEGIN")
         db.execute("UPDATE sales SET price = 99 WHERE id = 1")
         db.execute("ROLLBACK")
         assert db.query("SELECT price FROM sales WHERE id = 1") == [(5.0,)]
-        assert db.catalog.get_table("sales").version_of(1) == version_before
+        assert db.catalog.get_table("sales").versions[1] == version_before
 
     def test_rollback_delete_restores_row(self, db):
         db.execute("BEGIN")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.db.expressions import (
-    Evaluator,
     columns_referenced,
     contains_aggregate,
     find_aggregates,
@@ -14,6 +13,7 @@ from repro.db.sql import ast
 from repro.db.sql.parser import parse_expression
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import ExecutionError
+from tests.db.evaluator import Evaluator
 
 SCHEMA = Schema([
     Column("a", SQLType.INTEGER),
@@ -194,7 +194,7 @@ class TestAccumulators:
         call = parse_expression(text)
         accumulator = make_accumulator(call)
         for value in values:
-            accumulator.add(value)
+            accumulator.add_many([value])
         return accumulator.result()
 
     def test_count_ignores_null(self):
@@ -221,6 +221,18 @@ class TestAccumulators:
 
     def test_sum_distinct(self):
         assert self._run("sum(DISTINCT a)", [5, 5, 3]) == 8
+
+    @pytest.mark.parametrize("name", ["sum", "avg"])
+    def test_distinct_folds_first_seen_values_in_order(self, name):
+        # float addition is not associative: folded left to right,
+        # 0.1, 0.2, 0.3 give 0.6000000000000001, right to left 0.6
+        accumulator = make_accumulator(
+            parse_expression(f"{name}(DISTINCT a)"))
+        accumulator.add_many([0.1, 0.2, 0.1, None, 0.3])
+        accumulator.add_many([0.3, 0.2])
+        total = (0.1 + 0.2) + 0.3
+        assert accumulator.result() == (total if name == "sum"
+                                         else total / 3)
 
 
 class TestAnalysisHelpers:

@@ -23,6 +23,7 @@ from repro.db.sql.parser import parse_one, parse_sql
 from repro.db.sql.render import render_expression, render_statement
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import ExecutionError
+from tests.db.evaluator import Evaluator
 
 
 def make_db() -> Database:
@@ -108,7 +109,7 @@ def _outcome(evaluate):
 
 class TestCompiledParity:
     """The compiled paths are an optimization, not a semantics change:
-    the interpreter (:class:`exprs.Evaluator`) is the reference every
+    the interpreter (:class:`Evaluator`) is the reference every
     compiled form must reproduce, value for value and error for error."""
 
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
@@ -119,7 +120,7 @@ class TestCompiledParity:
         expressions = _checked_expressions(select)
         assert expressions
         for expression in expressions:
-            evaluator = exprs.Evaluator(schema)
+            evaluator = Evaluator(schema)
             reference = _outcome(lambda: [
                 evaluator.evaluate(expression, row) for row in rows])
             row_fn = exprs.compile_expression(expression, schema)
@@ -254,7 +255,7 @@ def test_expression_parity_fuzz(parity_seed):
                   for name in FUZZ_SCHEMA.column_names())
             for _ in range(rng.randint(8, 16))]
     columns = [list(column) for column in zip(*rows)]
-    evaluator = exprs.Evaluator(FUZZ_SCHEMA)
+    evaluator = Evaluator(FUZZ_SCHEMA)
     for case in range(FUZZ_EXPRESSIONS):
         expression = _fuzz_case(rng)
         subset = sorted(rng.sample(range(len(rows)),
@@ -329,7 +330,7 @@ class TestScalarErrors:
     @pytest.mark.parametrize("expression, message", BAD_SCALAR_CALLS)
     def test_interpreter_raises_execution_error(self, expression, message):
         db = make_scalar_db()
-        evaluator = exprs.Evaluator(db.catalog.get_table("v").schema)
+        evaluator = Evaluator(db.catalog.get_table("v").schema)
         with pytest.raises(ExecutionError) as raised:
             evaluator.evaluate(parse_one(f"SELECT {expression}").items[0]
                                .expression, (-7, "abc"))
@@ -355,7 +356,7 @@ class TestScalarErrors:
         assert db.query("SELECT -7.5 % 2, mod(-7.5, 2), 7.5 % -2, "
                         "a % 2.5, mod(a, -2.5) FROM v") == \
             [(-1.5, -1.5, 1.5, -2.0, -2.0)]
-        evaluator = exprs.Evaluator(db.catalog.get_table("v").schema)
+        evaluator = Evaluator(db.catalog.get_table("v").schema)
         assert evaluator.evaluate(parse_one("SELECT -7.5 % 2").items[0]
                                   .expression, (-7, "abc")) == -1.5
 
@@ -665,8 +666,8 @@ class TestExplainAnalyzeOverTheWire:
         server = DBServer(database=make_db())
         client = DBClient(server.transport())
         client.connect()
-        result = client.explain_analyze(
-            "SELECT dept, count(*) FROM emp GROUP BY dept")
+        result = client.execute(
+            "EXPLAIN ANALYZE SELECT dept, count(*) FROM emp GROUP BY dept")
         assert result.kind == "explain"
         assert any("GroupAggregate" in row[0] and "rows=" in row[0]
                    for row in result.rows)

@@ -187,7 +187,7 @@ class TestResultCache:
 
     def test_explain_analyze_reports_cache_counters(self, client):
         client.query("SELECT sum(x) FROM t")
-        result = client.explain_analyze("SELECT sum(x) FROM t")
+        result = client.execute("EXPLAIN ANALYZE SELECT sum(x) FROM t")
         assert "result_cache" in result.stats["server"]
         assert set(result.stats["server"]["result_cache"]) >= {
             "hits", "misses", "invalidations"}

@@ -29,12 +29,12 @@ class TestHeapTable:
 
     def test_insert_stamps_version(self):
         table = make_table()
-        assert table.version_of(1) == 10
+        assert table.versions[1] == 10
 
     def test_update_bumps_version(self):
         table = make_table()
         table.update(1, (1, "apple", 9.9), tick=20)
-        assert table.version_of(1) == 20
+        assert table.versions[1] == 20
         assert table.get(1)[2] == 9.9
 
     def test_delete_removes_row(self):

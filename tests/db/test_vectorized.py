@@ -2,7 +2,7 @@
 provenance byte-identity.
 
 The batch operators replaced a tuple-at-a-time executor whose
-expressions ran through the :class:`repro.db.expressions.Evaluator`
+expressions ran through the :class:`tests.db.evaluator.Evaluator`
 interpreter. Before that engine was removed, every statement here was
 run through both engines and found to give the same rows, the same
 lineage sets and the same wire bytes; those answers are pinned in
@@ -15,6 +15,7 @@ answering exactly what the tuple engine answered.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -289,6 +290,45 @@ class TestExplain:
         assert [line.split(" (rows=")[0]
                 for (line,) in analyzed.rows] == plain
         assert len(analyzed.stats["analyze"]["operators"]) == len(plain)
+
+    def test_plan_tree_text_and_measurements_are_pinned(self):
+        """Every node in EXPLAIN order, a join's left input before its
+        right, with the measurements of a one-millisecond-per-call
+        clock."""
+        ticks = itertools.count()
+        database = Database(timer=lambda: next(ticks) / 1000)
+        database.execute("CREATE TABLE big (x integer, y integer)")
+        database.execute("CREATE TABLE tiny (x integer, tag text)")
+        database.execute("INSERT INTO big VALUES " + ", ".join(
+            f"({n}, {n % 10})" for n in range(200)))
+        database.execute("INSERT INTO tiny VALUES (1, 'a'), (2, 'b')")
+        sql = ("SELECT tiny.tag, count(*) FROM big, tiny WHERE "
+               "big.x = tiny.x AND big.y > 0 GROUP BY tiny.tag "
+               "ORDER BY 1 LIMIT 5")
+        plan = [
+            "Limit 5 offset 0",
+            "  Sort on [(0, False)]",
+            "    GroupAggregate (1 keys, 1 aggregates)",
+            "      HashJoin (inner, build=right) on big.x = tiny.x",
+            "        Filter: big.y > 0",
+            "          SeqScan on big",
+            "        SeqScan on tiny",
+        ]
+        measured = [(2, 39), (2, 33), (2, 27), (2, 21), (180, 9),
+                    (200, 3), (2, 3)]
+        assert explain_text(database, f"EXPLAIN {sql}").splitlines() == plan
+        analyzed = database.execute(f"EXPLAIN ANALYZE {sql}")
+        assert [line for (line,) in analyzed.rows] == [
+            f"{line} (rows={rows} time={ms}.000 ms)"
+            for line, (rows, ms) in zip(plan, measured)]
+        stats = analyzed.stats["analyze"]
+        assert [(entry["operator"], entry["depth"], entry["rows"],
+                 round(entry["seconds"] * 1000), entry["loops"],
+                 entry["batches"]) for entry in stats["operators"]] == [
+            (line.split()[0].rstrip(":"),
+             (len(line) - len(line.lstrip())) // 2, rows, ms, 1, 1)
+            for line, (rows, ms) in zip(plan, measured)]
+        assert (stats["rows"], stats["total_seconds"]) == (2, 0.039)
 
     def test_analyze_reports_batches_and_rows(self, explain_db):
         result = explain_db.execute(

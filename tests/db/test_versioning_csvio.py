@@ -39,7 +39,7 @@ class TestVersionManager:
     def test_mark_used_records_stamp(self, db):
         manager = VersionManager(db)
         manager.enable("t")
-        ref = TupleRef("t", 1, db.catalog.get_table("t").version_of(1))
+        ref = TupleRef("t", 1, db.catalog.get_table("t").versions[1])
         manager.mark_used([ref], "q1", "p1")
         assert ("q1", "p1") in manager.used_by(ref)
 
@@ -54,7 +54,7 @@ class TestVersionManager:
         manager = VersionManager(db)
         manager.enable("t")  # stamps with empty sets
         assert manager.all_used_refs() == []
-        ref = TupleRef("t", 2, db.catalog.get_table("t").version_of(2))
+        ref = TupleRef("t", 2, db.catalog.get_table("t").versions[2])
         manager.mark_used([ref], "q", "p")
         assert manager.all_used_refs() == [ref]
 

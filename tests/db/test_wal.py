@@ -326,6 +326,31 @@ class TestRedoToLastStates:
         message = self.reopen_error(tmp_path / "d")
         assert "invalid literal for int() with base 10: 'x9'" in message
 
+    @pytest.mark.parametrize("record, complaint", [
+        ({"op": "put", "table": "t", "rowid": "2", "version": 5,
+          "values": ["1", "b"]}, "'rowid' must be int, not '2'"),
+        ({"op": "put", "table": "t", "rowid": 3, "version": "1",
+          "values": ["3", "c"]}, "'version' must be int, not '1'"),
+        ({"op": "put", "table": "t", "rowid": 3, "version": 5},
+         "'values' must be list, not None"),
+        ({"op": "delete", "rowid": 1}, "'table' must be str, not None"),
+        ({"op": "put", "table": "t", "rowid": 3, "version": 5,
+          "values": 7}, "'values' must be list, not 7"),
+        ({"op": "put", "table": "t", "rowid": True, "version": 5,
+          "values": ["3", "c"]}, "'rowid' must be int, not True"),
+        ({"op": "put", "table": "t", "rowid": 3, "version": 5,
+          "values": [None, "c"]}, "cell must be str, not None"),
+    ], ids=["rowid-text", "version-text", "put-without-values",
+            "delete-without-table", "values-not-a-list", "rowid-bool",
+            "cell-not-text"])
+    def test_malformed_row_record_refuses(self, tmp_path, record,
+                                          complaint):
+        db = self.checkpointed(tmp_path / "d")
+        db.wal.append(record)
+        db.wal.commit(tick=5)
+        message = self.reopen_error(tmp_path / "d")
+        assert complaint in message
+
     def test_rowid_counter_passes_rows_put_then_deleted(self, tmp_path):
         db = Database(data_directory=tmp_path / "d")
         db.execute("CREATE TABLE t (id integer)")

@@ -11,8 +11,8 @@ from repro.provenance import (
     TimeInterval,
     TraceBuilder,
 )
-from repro.provenance.inference import brute_force_dependencies
 from repro.provenance.lineage import tuple_node_id
+from tests.provenance.brute_force import brute_force_dependencies
 
 
 def t(rowid, version=1):

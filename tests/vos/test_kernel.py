@@ -11,8 +11,8 @@ from repro.errors import (
 )
 from repro.vos import VirtualOS
 from repro.vos.process import ProcessState
-from repro.vos.ptrace import RecordingTracer
 from repro.vos.syscalls import SyscallName
+from tests.vos.recording_tracer import RecordingTracer
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ from repro.db import Database, DBServer
 from repro.errors import BadFileDescriptorError, VosError
 from repro.vos import VirtualOS
 from repro.vos.programs import program
-from repro.vos.ptrace import RecordingTracer
 from repro.vos.syscalls import SyscallName
+from tests.vos.recording_tracer import RecordingTracer
 
 
 @pytest.fixture
