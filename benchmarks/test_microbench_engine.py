@@ -276,8 +276,8 @@ def pipeline_db():
 
 
 def test_batch_pipeline_throughput(pipeline_db, report):
-    """Batch execution (row closures mapped over each batch, plus the
-    column-gather, selector-sweep and column⊕column vector forms) on
+    """Batch execution (row closures mapped over each batch's rows,
+    plus the selector-sweep and column⊕column vector forms) on
     scan-heavy pipelines, best of 3 over one plan (built once, outside
     the timed runs, and drained the way the engine drains a SELECT's
     plan). Records the per-query throughput trajectory in BENCH_engine.json (refresh with

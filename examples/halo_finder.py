@@ -24,7 +24,11 @@ from repro.workloads import halos
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="ldv-halos-"))
+    with tempfile.TemporaryDirectory(prefix="ldv-halos-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     world = halos.build_world(n_particles=600, n_observations=800)
 
     print("== Alice audits her pipeline ==")

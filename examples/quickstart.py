@@ -50,7 +50,11 @@ def build_world():
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="ldv-quickstart-"))
+    with tempfile.TemporaryDirectory(prefix="ldv-quickstart-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     vos, database = build_world()
 
     print("== audit (server-included) ==")

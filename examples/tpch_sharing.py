@@ -25,7 +25,11 @@ def megabytes(count: int) -> str:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="ldv-tpch-"))
+    with tempfile.TemporaryDirectory(prefix="ldv-tpch-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
     config = TPCHConfig(scale_factor=0.001)
     variant = variant_by_id(config, "Q1-1")
     print(f"workload: {variant.query_id}  {variant.sql[:70]}...")

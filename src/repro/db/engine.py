@@ -601,7 +601,7 @@ class Database:
         extra_lineage: frozenset = EMPTY_LINEAGE
         if not cacheable and isinstance(
                 statement, (ast.Select, ast.SetOp, ast.Update,
-                            ast.Delete, ast.Insert)):
+                            ast.Delete, ast.Insert, ast.Explain)):
             # DML always records write provenance, so its subqueries
             # must track lineage too; queries only when asked
             track = (provenance
@@ -774,8 +774,9 @@ class Database:
         rows: list[tuple] = []
         lineages: list[frozenset] = []
         for batch in root.batches():
-            rows.extend(batch.rows())
-            lineages.extend(batch.picked_lineages())
+            rows.extend(batch.rows)
+            lineages.extend(batch.lineages
+                            or [EMPTY_LINEAGE] * len(batch.rows))
         return rows, lineages
 
     def _run_planned_select(self, planned: PlannedQuery) -> StatementResult:
@@ -800,11 +801,13 @@ class Database:
 
     def _execute_explain(self, explain: ast.Explain) -> StatementResult:
         from repro.db.executor import instrument_plan
-        from repro.db.planner import analyze_stats, explain_plan
+        from repro.db.planner import analyze_stats, explain_plan, plan_setop
 
         # always planned fresh, never a kept plan: ANALYZE rewires
         # the tree in place with Instrumented wrappers
-        planned = plan_select(explain.query, self.catalog, False)
+        plan = (plan_setop if isinstance(explain.query, ast.SetOp)
+                else plan_select)
+        planned = plan(explain.query, self.catalog, False)
         root = planned.root
         stats: dict[str, Any] = {}
         if explain.analyze:

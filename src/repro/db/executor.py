@@ -1,10 +1,10 @@
 """Batch-at-a-time query operators with optional lineage propagation.
 
 Every operator produces a stream of :class:`RowBatch` through
-:meth:`Operator.batches` — column vectors plus a parallel *annotation
+:meth:`Operator.batches` — row tuples plus a parallel *annotation
 vector* of lineages — so per-tuple interpreter overhead is paid once
 per ~:data:`BATCH_SIZE` rows, and expressions evaluate as compiled row
-closures mapped over the batch (see the batch entry points of
+closures mapped over the batch's rows (see the batch entry points of
 :mod:`repro.db.expressions`). Iterating an operator is the
 row view of the same stream: ``(values, lineage)`` pairs where
 ``values`` is a plain tuple and ``lineage`` a ``frozenset[TupleRef]``
@@ -13,12 +13,11 @@ capture and ``INSERT ... SELECT`` consume that view.
 
 Design rules:
 
-* Lineage annotations ride in a vector parallel to the columns;
+* Lineage annotations ride in a vector parallel to the rows;
   ``None`` means "no annotations anywhere in this batch" so the
   non-provenance path never allocates per-row frozensets.
-* A selection vector (``sel``) defers gathering after filters: a
-  filter only refines ``sel``, the next gathering operator pays the
-  copy once.
+* A batch holds only the rows still alive: a filter keeps the passing
+  rows and their lineages, and LIMIT slices both.
 * Operators compile their expressions **once in __init__**. Join
   residuals, aggregate outputs and index probe constants call row
   closures from :func:`repro.db.expressions.compile_expression`
@@ -45,7 +44,7 @@ aggregation) — see DESIGN.md section 1.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -60,7 +59,7 @@ Row = tuple
 Annotated = tuple[Row, frozenset]
 
 # Rows per batch: large enough to amortize per-batch dispatch, small
-# enough that column vectors stay cache-friendly Python lists.
+# enough that the vectors stay cache-friendly Python lists.
 BATCH_SIZE = 1024
 
 # Lineage annotation vectors materialized by scan paths. The
@@ -75,74 +74,22 @@ def note_lineage_vector_build() -> None:
 
 
 class RowBatch:
-    """A batch of rows in columnar layout with lineage annotations.
+    """A batch of rows with lineage annotations.
 
-    ``columns`` holds one list per schema column, each ``count`` long.
-    ``lineages`` is a parallel list of frozensets, or None when no row
-    in the batch carries lineage. ``sel`` is a selection vector of row
-    positions still alive (None = all). ``row_major`` holds the same
-    rows as tuples: producers that already hold row tuples (scans,
-    join output) pass them, and :meth:`all_rows` transposes the
-    columns into it once for any other batch. Consumers must treat the
-    vectors as immutable — operators share them across batches.
+    ``rows`` holds the row tuples. ``lineages`` is a parallel list of
+    frozensets, or None when no row in the batch carries lineage.
+    Consumers must treat both lists as immutable — operators share
+    them across batches.
     """
 
-    __slots__ = ("columns", "count", "lineages", "sel", "row_major")
+    __slots__ = ("rows", "lineages")
 
-    def __init__(self, columns: list, count: int,
-                 lineages: list | None = None,
-                 sel: Any = None,
-                 row_major: list | None = None) -> None:
-        self.columns = columns
-        self.count = count
+    def __init__(self, rows: list, lineages: list | None = None) -> None:
+        self.rows = rows
         self.lineages = lineages
-        self.sel = sel
-        self.row_major = row_major
-
-    def selection(self) -> Any:
-        return range(self.count) if self.sel is None else self.sel
 
     def __len__(self) -> int:
-        return self.count if self.sel is None else len(self.sel)
-
-    def all_rows(self) -> list[tuple]:
-        """Every row of the batch, selected or not, as a tuple.
-
-        Returns ``row_major``; a batch without one transposes its
-        columns through ``zip(*columns)`` once and keeps the result.
-        """
-        if self.row_major is None:
-            self.row_major = (list(zip(*self.columns)) if self.columns
-                              else [()] * self.count)
-        return self.row_major
-
-    def rows(self) -> list[tuple]:
-        """Selected rows as plain tuples (the row view's currency)."""
-        rows = self.all_rows()
-        if self.sel is None:
-            return rows
-        return [rows[index] for index in self.sel]
-
-    def gathered_lineages(self) -> list | None:
-        """Annotation vector aligned with :meth:`rows`, or None."""
-        if self.lineages is None:
-            return None
-        if self.sel is None:
-            return self.lineages
-        return [self.lineages[index] for index in self.sel]
-
-    def picked_lineages(self) -> list:
-        """Like :meth:`gathered_lineages` with the empty-lineage fill."""
-        gathered = self.gathered_lineages()
-        if gathered is None:
-            return [EMPTY_LINEAGE] * len(self)
-        return gathered
-
-    def slice(self, start: int, stop: int) -> "RowBatch":
-        """A sub-range of the selected rows (shares the vectors)."""
-        sel = self.selection()
-        return RowBatch(self.columns, self.count, self.lineages,
-                        sel[start:stop], self.row_major)
+        return len(self.rows)
 
 
 class Operator:
@@ -157,32 +104,30 @@ class Operator:
         """The row view: ``(values, lineage)`` pairs decoded from
         :meth:`batches`."""
         for batch in self.batches():
-            lineages = batch.gathered_lineages()
-            if lineages is None:
-                for values in batch.rows():
+            if batch.lineages is None:
+                for values in batch.rows:
                     yield values, EMPTY_LINEAGE
             else:
-                yield from zip(batch.rows(), lineages)
+                yield from zip(batch.rows, batch.lineages)
 
 
-def _chunk_annotated(iterator: Iterator[Annotated],
-                     width: int) -> Iterator[RowBatch]:
-    """Chunk an annotated-row iterator into dense batches."""
+def _dense_batch(rows: list[tuple], lineages: list | None) -> RowBatch:
+    """A batch of produced rows; all-empty lineages become None."""
+    return RowBatch(rows, lineages if lineages and any(lineages) else None)
+
+
+def _chunk_annotated(iterator: Iterator[Annotated]) -> Iterator[RowBatch]:
+    """Chunk an annotated-row iterator into batches."""
     while True:
         chunk = list(islice(iterator, BATCH_SIZE))
         if not chunk:
             return
-        columns = (list(zip(*(values for values, _ in chunk)))
-                   if width else [])
-        lineages: list | None = [lineage for _, lineage in chunk]
-        if not any(lineages):
-            lineages = None
-        yield RowBatch(columns, len(chunk), lineages, None)
+        yield _dense_batch([values for values, _ in chunk],
+                           [lineage for _, lineage in chunk])
 
 
 def _version_batches(entries: Iterable[tuple[int, tuple, int]],
-                     name: str, track_lineage: bool,
-                     width: int) -> Iterator[RowBatch]:
+                     name: str, track_lineage: bool) -> Iterator[RowBatch]:
     """Chunk ``(rowid, values, version)`` scan entries into batches,
     annotating each row with its singleton lineage when tracking."""
     iterator = iter(entries)
@@ -190,40 +135,22 @@ def _version_batches(entries: Iterable[tuple[int, tuple, int]],
         chunk = list(islice(iterator, BATCH_SIZE))
         if not chunk:
             return
-        chunk_rows = [values for _, values, _ in chunk]
-        columns = list(zip(*chunk_rows)) if width else []
         lineages = None
         if track_lineage:
             lineages = lineage_singletons(
                 name, [(rowid, version) for rowid, _, version in chunk])
             note_lineage_vector_build()
-        yield RowBatch(columns, len(chunk), lineages, None, chunk_rows)
-
-
-def _dense_batch(rows: list[tuple], lineages: list | None,
-                 width: int) -> RowBatch:
-    """Dense batch from produced row tuples (zip-transposed)."""
-    columns = list(zip(*rows)) if width else []
-    return RowBatch(columns, len(rows),
-                    lineages if lineages and any(lineages) else None,
-                    None, rows)
+        yield RowBatch([values for _, values, _ in chunk], lineages)
 
 
 class SeqScan(Operator):
-    """Columnar full scan of a heap table, optionally producing lineage.
+    """Full scan of a heap table, optionally producing lineage.
 
     With lineage tracking, rows flow through ``scan_versions()``, which
     reports the version of each row it yields, so lineage references
     the tuple versions the statement saw. Without, the scan slices the
-    heap directly.
-
-    ``needed_columns`` (set by :func:`_prune_scan` for a Project or
-    HashJoin consumer) prunes materialization on this path: only those
-    column vectors are built, the rest stay None placeholders. Every
-    other read goes through the row tuples each batch carries.
+    heap's row tuples directly.
     """
-
-    needed_columns: set[int] | None = None
 
     def __init__(self, table: HeapTable, qualifier: str,
                  track_lineage: bool) -> None:
@@ -234,10 +161,9 @@ class SeqScan(Operator):
 
     def batches(self) -> Iterator[RowBatch]:
         table = self.table
-        width = len(self.schema)
         if self.track_lineage:
             yield from _version_batches(table.scan_versions(), table.name,
-                                        self.track_lineage, width)
+                                        self.track_lineage)
             return
         heap = table.rows
         rowids = sorted(heap)
@@ -248,23 +174,8 @@ class SeqScan(Operator):
             ordered = list(heap.values())
         else:
             ordered = [heap[rowid] for rowid in rowids]
-        needed = self.needed_columns
-        if needed is not None and len(needed) < width:
-            getters = [(index, itemgetter(index))
-                       for index in sorted(needed)]
-            for start in range(0, len(ordered), BATCH_SIZE):
-                chunk_rows = ordered[start:start + BATCH_SIZE]
-                columns: list = [None] * width
-                for index, getter in getters:
-                    columns[index] = list(map(getter, chunk_rows))
-                yield RowBatch(columns, len(chunk_rows), None, None,
-                               chunk_rows)
-            return
         for start in range(0, len(ordered), BATCH_SIZE):
-            chunk_rows = ordered[start:start + BATCH_SIZE]
-            columns = list(zip(*chunk_rows)) if width else []
-            yield RowBatch(columns, len(chunk_rows), None, None,
-                           chunk_rows)
+            yield RowBatch(ordered[start:start + BATCH_SIZE])
 
 
 class IndexScan(Operator):
@@ -323,52 +234,42 @@ class IndexScan(Operator):
 
     def batches(self) -> Iterator[RowBatch]:
         return _version_batches(self.scan_versions(), self.table.name,
-                                self.track_lineage, len(self.schema))
+                                self.track_lineage)
 
 
 class Filter(Operator):
-    """Keep rows for which the predicate evaluates to TRUE.
+    """Keep the rows for which the predicate evaluates to TRUE, and
+    their lineages; a batch left empty is dropped.
 
-    A selection-vector filter: refines ``sel``, copies nothing."""
+    A batch without lineages goes through the batch predicate, which
+    returns the passing rows. A batch with lineages maps the row
+    predicate into a mask that picks the rows and lineages alike.
+    """
 
     def __init__(self, child: Operator, predicate: ast.Expression) -> None:
         self.child = child
         self.schema = child.schema
         self.predicate = predicate
-        self._refine = exprs.compile_batch_predicate(predicate,
-                                                     child.schema)
+        self._kept = exprs.compile_batch_predicate(predicate, child.schema)
+        self._test = exprs.compile_predicate(predicate, child.schema)
 
     def batches(self) -> Iterator[RowBatch]:
-        refine = self._refine
+        kept, test = self._kept, self._test
         for batch in self.child.batches():
-            sel = refine(batch)
-            if sel:
-                yield RowBatch(batch.columns, batch.count,
-                               batch.lineages, sel, batch.row_major)
-
-
-def _prune_scan(child: Operator, expressions: list) -> None:
-    """Let the SeqScan under ``child``'s chain of Filters build only the
-    column vectors that ``expressions`` and those filters reference.
-
-    The consumer is the scan's sole reader. Column gathers and the
-    other vector forms read only referenced columns; row closures and
-    ``rows()`` read the row tuples the scan always passes along.
-    """
-    expressions = list(expressions)
-    while isinstance(child, Filter):
-        expressions.append(child.predicate)
-        child = child.child
-    if isinstance(child, SeqScan):
-        child.needed_columns = {
-            child.schema.index_of(ref.name, ref.qualifier)
-            for expression in expressions
-            for ref in exprs.columns_referenced(expression)}
+            if batch.lineages is None:
+                rows = kept(batch.rows)
+                if rows:
+                    yield RowBatch(rows)
+                continue
+            mask = list(map(test, batch.rows))
+            rows = list(compress(batch.rows, mask))
+            if rows:
+                yield RowBatch(rows, list(compress(batch.lineages, mask)))
 
 
 class Project(Operator):
     """Evaluate a list of output expressions: one compiled batch
-    closure per output column."""
+    closure per output column, zipped back into row tuples."""
 
     def __init__(self, child: Operator,
                  output_expressions: list[ast.Expression],
@@ -379,15 +280,14 @@ class Project(Operator):
         self._batch_fns = [
             exprs.compile_batch_expression(expression, child.schema)
             for expression in output_expressions]
-        _prune_scan(child, output_expressions)
 
     def batches(self) -> Iterator[RowBatch]:
         batch_fns = self._batch_fns
         for batch in self.child.batches():
-            if not len(batch):
-                continue
-            columns = [fn(batch) for fn in batch_fns]
-            yield RowBatch(columns, len(batch), batch.gathered_lineages())
+            rows = batch.rows
+            if rows:
+                yield RowBatch(list(zip(*[fn(rows) for fn in batch_fns])),
+                               batch.lineages)
 
 
 class HashJoin(Operator):
@@ -401,14 +301,13 @@ class HashJoin(Operator):
     the planner picks the smaller one; a LEFT join must build on the
     right so the probe pass can pad unmatched preserved rows.
 
-    The build side is hashed as row tuples (probe output is
-    row-shaped anyway); the probe side evaluates its key expressions
-    as column vectors, so the per-row probe loop touches only the hash
-    lookup. NULL keys are never inserted into the build table, so
-    probe lookups need no NULL checks — a missing key and a NULL key
-    both miss. When neither input carries lineage annotations the
-    probe loop skips all per-row lineage bookkeeping (no frozenset
-    unions).
+    The build side is hashed as row tuples; the probe side evaluates
+    its key expressions one batch at a time into key vectors, so the
+    per-row probe loop touches only the hash lookup. NULL keys are
+    never inserted into the build table, so probe lookups need no NULL
+    checks — a missing key and a NULL key both miss. When neither
+    input carries lineage annotations the probe loop skips all
+    per-row lineage bookkeeping (no frozenset unions).
     """
 
     def __init__(self, left: Operator, right: Operator,
@@ -443,8 +342,6 @@ class HashJoin(Operator):
         self._right_batch_keys = [
             exprs.compile_batch_expression(expression, right.schema)
             for expression in right_keys]
-        _prune_scan(left, left_keys)
-        _prune_scan(right, right_keys)
 
     def _build_table(self, side: Operator,
                      key_fns: list) -> tuple[dict, bool]:
@@ -452,15 +349,15 @@ class HashJoin(Operator):
         tracked = False
         single = len(key_fns) == 1
         for batch in side.batches():
-            if not len(batch):
+            rows = batch.rows
+            if not rows:
                 continue
-            rows = batch.rows()
-            lineages = batch.gathered_lineages()
+            lineages = batch.lineages
             if lineages is None:
                 lineages = [EMPTY_LINEAGE] * len(rows)
             else:
                 tracked = True
-            key_vectors = [fn(batch) for fn in key_fns]
+            key_vectors = [fn(rows) for fn in key_fns]
             if single:
                 for position, key in enumerate(key_vectors[0]):
                     if key is None:
@@ -490,18 +387,17 @@ class HashJoin(Operator):
         residual = self._residual_fn
         left_outer = self.kind == "left"
         null_pad = (None,) * len(self.right.schema)
-        width = len(self.schema)
         empty = EMPTY_LINEAGE
         lookup = build.get
         out_rows: list[tuple] = []
         out_lineages: list = []
         for batch in probe.batches():
-            if not len(batch):
+            rows = batch.rows
+            if not rows:
                 continue
-            rows = batch.rows()
-            key_vectors = [fn(batch) for fn in probe_key_fns]
+            key_vectors = [fn(rows) for fn in probe_key_fns]
             keys = key_vectors[0] if single else list(zip(*key_vectors))
-            lineages = batch.gathered_lineages()
+            lineages = batch.lineages
             if lineages is not None and not tracking:
                 tracking = True
                 out_lineages.extend([empty] * len(out_rows))
@@ -558,12 +454,10 @@ class HashJoin(Operator):
                                        if lineages is not None else empty)
             if len(out_rows) >= BATCH_SIZE:
                 yield _dense_batch(out_rows,
-                                   out_lineages if tracking else None,
-                                   width)
+                                   out_lineages if tracking else None)
                 out_rows, out_lineages = [], []
         if out_rows:
-            yield _dense_batch(out_rows,
-                               out_lineages if tracking else None, width)
+            yield _dense_batch(out_rows, out_lineages if tracking else None)
 
 
 class NestedLoopJoin(Operator):
@@ -588,7 +482,6 @@ class NestedLoopJoin(Operator):
         condition = self._condition_fn
         left_outer = self.kind == "left"
         null_pad = (None,) * len(self.right.schema)
-        width = len(self.schema)
         out_rows: list[tuple] = []
         out_lineages: list = []
         for values, lineage in self.left:
@@ -604,10 +497,10 @@ class NestedLoopJoin(Operator):
                 out_rows.append(values + null_pad)
                 out_lineages.append(lineage)
             if len(out_rows) >= BATCH_SIZE:
-                yield _dense_batch(out_rows, out_lineages, width)
+                yield _dense_batch(out_rows, out_lineages)
                 out_rows, out_lineages = [], []
         if out_rows:
-            yield _dense_batch(out_rows, out_lineages, width)
+            yield _dense_batch(out_rows, out_lineages)
 
 
 class GroupAggregate(Operator):
@@ -703,8 +596,7 @@ class GroupAggregate(Operator):
             # global aggregate over empty input still yields one row
             groups[()] = self._new_state(None)
             order.append(())
-        return _chunk_annotated(self._finalize(groups, order),
-                                len(self.schema))
+        return _chunk_annotated(self._finalize(groups, order))
 
     def _accumulate(self) -> tuple[dict, list]:
         """Drain the child into per-group accumulator states."""
@@ -714,12 +606,12 @@ class GroupAggregate(Operator):
         groups: dict[tuple, dict[str, Any]] = {}
         order: list[tuple] = []
         for batch in self.child.batches():
-            sel = batch.selection()
-            size = len(sel)
+            rows = batch.rows
+            size = len(rows)
             if size == 0:
                 continue
             if group_fns:
-                key_vectors = [fn(batch) for fn in group_fns]
+                key_vectors = [fn(rows) for fn in group_fns]
                 # scalar partition keys in the common single-key case;
                 # the groups dict still keys on tuples (finalize reads
                 # group values back out of the key)
@@ -735,17 +627,15 @@ class GroupAggregate(Operator):
                         bucket.append(position)
             else:
                 positions = {(): list(range(size))}
-            input_vectors = [None if fn is None else fn(batch)
+            input_vectors = [None if fn is None else fn(rows)
                              for fn in input_fns]
-            lineages = batch.gathered_lineages()
-            sel_list = sel if type(sel) is list else list(sel)
+            lineages = batch.lineages
             for key, bucket in positions.items():
                 group_key = ((key,) if group_fns and single_key
                              else key)
                 state = groups.get(group_key)
                 if state is None:
-                    state = self._new_state(
-                        batch.all_rows()[sel_list[bucket[0]]])
+                    state = self._new_state(rows[bucket[0]])
                     groups[group_key] = state
                     order.append(group_key)
                 whole = len(bucket) == size
@@ -783,9 +673,8 @@ class Distinct(Operator):
         order: list[tuple] = []
         key_width = self.key_width
         for batch in self.child.batches():
-            rows = batch.rows()
-            lineages = batch.gathered_lineages()
-            for position, values in enumerate(rows):
+            lineages = batch.lineages
+            for position, values in enumerate(batch.rows):
                 key = (values if key_width is None
                        else values[:key_width])
                 entry = seen.get(key)
@@ -797,114 +686,57 @@ class Distinct(Operator):
                 elif lineages is not None:
                     entry[1].update(lineages[position])
         return _chunk_annotated(
-            ((seen[key][0], frozenset(seen[key][1])) for key in order),
-            len(self.schema))
-
-
-class _SortKey:
-    """Total order over SQL values where NULL sorts last (ASC).
-
-    Only the mixed-type fallback of :func:`_stable_key_sort` still
-    allocates these — the common homogeneous-column case sorts raw
-    values (one wrapper object per row per key was the old hot spot).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return self.value == other.value
+            (seen[key][0], frozenset(seen[key][1])) for key in order)
 
 
 def _stable_key_sort(order: list[int], values: list,
                      descending: bool) -> list[int]:
     """One stable sort pass of ``order`` by ``values[i]``.
 
-    NULLs partition out first (last in ASC order, first in DESC —
-    exactly the `_SortKey` contract) so the comparison sort only ever
-    sees non-NULL values; a mixed-type column falls back to `_SortKey`
-    wrappers, whose raw ``<`` raises the values' own TypeError (its
-    message names the two mismatched types).
+    NULLs partition out first (last in ASC order, first in DESC) so
+    the comparison sort only ever sees non-NULL values. Values with no
+    order between them (text and numbers) fail the raw sort with a
+    TypeError; the rerun through :class:`exprs.Ordered` keys raises
+    the one-line error a WHERE comparison of the pair raises.
     """
     present = [index for index in order if values[index] is not None]
     missing = [index for index in order if values[index] is None]
     try:
         present.sort(key=values.__getitem__, reverse=descending)
     except TypeError:
-        return sorted(order, key=lambda index: _SortKey(values[index]),
-                      reverse=descending)
+        present = sorted(
+            (index for index in order if values[index] is not None),
+            key=lambda index: exprs.Ordered(values[index]),
+            reverse=descending)
     if descending:
         return missing + present
     return present + missing
 
 
-def ordered_indices(count: int,
-                    key_columns: list[tuple[list, bool]]) -> list[int]:
-    """Row permutation sorting by ``(values_vector, descending)`` keys.
-
-    Stable multi-key semantics via one pass per key, last key first —
-    used by :class:`Sort`.
-    """
-    order = list(range(count))
-    for values, descending in reversed(key_columns):
-        order = _stable_key_sort(order, values, descending)
-    return order
-
-
-def _concat_batches(batches: Iterator[RowBatch],
-                    width: int) -> tuple[list, list | None, int]:
-    """Materialize a batch stream into dense full-length columns."""
-    columns: list[list] = [[] for _ in range(width)]
+def _concat_batches(batches: Iterator[RowBatch]) -> tuple[list, list | None]:
+    """Materialize a batch stream into one row list and its lineages
+    (None when no batch carried any)."""
+    rows: list[tuple] = []
     lineages: list = []
     tracking = False
-    count = 0
     for batch in batches:
-        sel = batch.selection()
-        size = len(sel)
-        if size == 0:
-            continue
-        for out, column in zip(columns, batch.columns):
-            out.extend(exprs._gather(column, sel))
-        gathered = batch.gathered_lineages()
-        if gathered is not None:
+        if batch.lineages is not None:
             if not tracking:
-                lineages.extend([EMPTY_LINEAGE] * count)
+                lineages.extend([EMPTY_LINEAGE] * len(rows))
                 tracking = True
-            lineages.extend(gathered)
+            lineages.extend(batch.lineages)
         elif tracking:
-            lineages.extend([EMPTY_LINEAGE] * size)
-        count += size
-    return columns, (lineages if tracking else None), count
-
-
-def _rechunk(columns: list, lineages: list | None,
-             count: int) -> Iterator[RowBatch]:
-    """Emit dense full-length columns as BATCH_SIZE slices."""
-    for start in range(0, count, BATCH_SIZE):
-        stop = min(start + BATCH_SIZE, count)
-        yield RowBatch(
-            [column[start:stop] for column in columns], stop - start,
-            lineages[start:stop] if lineages is not None else None,
-            None)
+            lineages.extend([EMPTY_LINEAGE] * len(batch.rows))
+        rows.extend(batch.rows)
+    return rows, (lineages if tracking else None)
 
 
 class Sort(Operator):
     """Materializing sort on a list of (column index, descending) keys.
 
-    Sorting permutes an index vector (:func:`ordered_indices` — the
-    sort keys are already columns, no per-row key extraction) over the
-    concatenated input and gathers each column once.
+    Sorting permutes an index vector over the concatenated input, one
+    stable pass per key (last key first) over that key's values read
+    off the rows, then gathers the rows and lineages once.
     """
 
     def __init__(self, child: Operator,
@@ -914,23 +746,23 @@ class Sort(Operator):
         self.keys = keys
 
     def batches(self) -> Iterator[RowBatch]:
-        columns, lineages, count = _concat_batches(
-            self.child.batches(), len(self.schema))
-        if count == 0:
-            return
-        if count > 1 and self.keys:
-            key_columns = [(columns[index], descending)
-                           for index, descending in self.keys]
-            order = ordered_indices(count, key_columns)
-            columns = [[column[index] for index in order]
-                       for column in columns]
+        rows, lineages = _concat_batches(self.child.batches())
+        if len(rows) > 1 and self.keys:
+            order = list(range(len(rows)))
+            for index, descending in reversed(self.keys):
+                order = _stable_key_sort(
+                    order, list(map(itemgetter(index), rows)), descending)
+            rows = [rows[position] for position in order]
             if lineages is not None:
-                lineages = [lineages[index] for index in order]
-        yield from _rechunk(columns, lineages, count)
+                lineages = [lineages[position] for position in order]
+        for start in range(0, len(rows), BATCH_SIZE):
+            yield RowBatch(rows[start:start + BATCH_SIZE],
+                           None if lineages is None
+                           else lineages[start:start + BATCH_SIZE])
 
 
 class Limit(Operator):
-    """LIMIT / OFFSET by slicing selection vectors."""
+    """LIMIT / OFFSET by slicing each batch's rows and lineages."""
 
     def __init__(self, child: Operator, limit: int | None,
                  offset: int | None) -> None:
@@ -958,7 +790,10 @@ class Limit(Operator):
                 if remaining <= 0:
                     return
                 stop = min(stop, start + remaining)
-            piece = batch.slice(start, stop)
+            lineages = batch.lineages
+            piece = RowBatch(batch.rows[start:stop],
+                             None if lineages is None
+                             else lineages[start:stop])
             if remaining is not None:
                 remaining -= len(piece)
             yield piece
@@ -968,7 +803,7 @@ class Limit(Operator):
 
 class StripColumns(Operator):
     """Drop hidden trailing columns appended for ORDER BY evaluation —
-    a vector-list slice per batch."""
+    a slice of each row."""
 
     def __init__(self, child: Operator, visible_width: int,
                  visible_schema: Schema) -> None:
@@ -979,8 +814,8 @@ class StripColumns(Operator):
     def batches(self) -> Iterator[RowBatch]:
         width = self.visible_width
         for batch in self.child.batches():
-            yield RowBatch(batch.columns[:width], batch.count,
-                           batch.lineages, batch.sel)
+            yield RowBatch([values[:width] for values in batch.rows],
+                           batch.lineages)
 
 
 class Union(Operator):
@@ -1017,7 +852,7 @@ class MaterializedSource(Operator):
         self.rows = list(rows)
 
     def batches(self) -> Iterator[RowBatch]:
-        return _chunk_annotated(iter(self.rows), len(self.schema))
+        return _chunk_annotated(iter(self.rows))
 
 
 class Instrumented(Operator):

@@ -10,7 +10,7 @@ compile their expressions once in ``__init__``; the engine compiles
 DML WHERE clauses, UPDATE assignments and INSERT literals the same
 way. The batch entry points (:func:`compile_batch_expression`,
 :func:`compile_batch_predicate`) map the row closure over a batch's
-selected rows, plus three vector forms that measured faster.
+rows, plus two vector forms that measured faster.
 
 The AST interpreter the tests check these closures against, value for
 value and error for error, lives with them (``tests/db/evaluator.py``).
@@ -340,32 +340,26 @@ class _Avg(Accumulator):
         return self.total / self.count
 
 
-class _Min(Accumulator):
-    def __init__(self) -> None:
+class _Extreme(Accumulator):
+    """MIN (``pick`` is ``min``, ``op`` is ``<``) or MAX (``max`` and
+    ``>``), keeping the earlier of equal values. Values with no order
+    between them raise the one-line error a WHERE comparison of the
+    pair raises."""
+
+    def __init__(self, pick: Callable, op: str) -> None:
+        self.pick = pick
+        self.op = op
         self.best: Any = None
 
     def add_many(self, values: list) -> None:
         present = [value for value in values if value is not None]
         if not present:
             return
-        best = min(present)
-        if self.best is None or best < self.best:
-            self.best = best
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _Max(Accumulator):
-    def __init__(self) -> None:
-        self.best: Any = None
-
-    def add_many(self, values: list) -> None:
-        present = [value for value in values if value is not None]
-        if not present:
-            return
-        best = max(present)
-        if self.best is None or best > self.best:
+        try:
+            best = self.pick(present)
+        except TypeError:
+            best = self.pick(present, key=Ordered)  # raises the error
+        if self.best is None or _compare(self.op, best, self.best):
             self.best = best
 
     def result(self) -> Any:
@@ -404,9 +398,9 @@ def make_accumulator(call: ast.FunctionCall) -> Accumulator:
     elif name == "avg":
         inner = _Avg()
     elif name == "min":
-        inner = _Min()
+        inner = _Extreme(min, "<")
     elif name == "max":
-        inner = _Max()
+        inner = _Extreme(max, ">")
     else:
         raise ExecutionError(f"unknown aggregate function {name!r}")
     if call.distinct:
@@ -440,6 +434,24 @@ def _compare(op: str, left: Any, right: Any) -> Any:
         raise ExecutionError(
             f"cannot compare {left!r} and {right!r}") from exc
     raise ExecutionError(f"unknown comparison operator {op!r}")
+
+
+class Ordered:
+    """A non-NULL value as a sort or MIN/MAX key: comparing two values
+    with no order between them raises the one-line
+    :class:`ExecutionError` of :func:`_compare`, where the raw values
+    raise a TypeError."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __lt__(self, other: "Ordered") -> Any:
+        return _compare("<", self.value, other.value)
+
+    def __gt__(self, other: "Ordered") -> Any:
+        return _compare(">", self.value, other.value)
 
 
 def _negate(value: Any) -> Any:
@@ -778,101 +790,66 @@ def _compile_case(node: ast.CaseWhen, schema: Schema,
 # -- batch entry points -------------------------------------------------------
 #
 # The executor evaluates expressions one RowBatch at a time. A batch
-# closure takes the batch and returns one value per selected row; a
-# batch predicate returns the refined selection vector, the selected
-# positions whose rows evaluate to SQL TRUE. Both map the row closure
-# over the batch's row tuples (``RowBatch.all_rows``), so they share
-# its semantics and its errors by construction.
+# closure takes the batch's row tuples and returns one value per row; a
+# batch predicate returns the rows that evaluate to SQL TRUE. Both map
+# the row closure over the rows, so they share its semantics and its
+# errors by construction. A plain column's row closure is already
+# ``itemgetter``, so mapping it is the column gather.
 #
-# Three vector forms read column vectors instead, each kept because it
-# measured faster on the batch pipeline benchmark (see
-# docs/engine-internals.md): gathering a plain column, the
-# ``<column> <cmp> <literal>`` selector sweep, and column⊕column
-# ``+ - *``. The last two skip per-element type checks; a batch that
-# raises a TypeError reruns through the row closure, which raises the
-# first failing row's error.
+# Two vector forms sweep the rows in one comprehension with the native
+# operator instead, each kept because dropping it measured slower on
+# the batch pipeline benchmark (see docs/engine-internals.md): the
+# ``<column> <cmp> <literal>`` selector sweep and column⊕column
+# ``+ - *``. Both skip per-element type checks; a batch that raises a
+# TypeError reruns through the row closure, which raises the first
+# failing row's error.
 
-BatchFunction = Callable[[Any], list]
-
-
-def _gather(column: list, sel: Any) -> list:
-    """Materialize ``column`` at the positions in ``sel``.
-
-    The identity selection (``range(0, len(column))``) returns the
-    column itself — callers must not mutate gathered vectors.
-    """
-    if (type(sel) is range and sel.start == 0 and sel.step == 1
-            and sel.stop == len(column)):
-        return column
-    return [column[i] for i in sel]
-
-
-def _mapped(fn: RowFunction) -> BatchFunction:
-    """The row closure ``fn`` mapped over a batch's selected rows."""
-    def mapped(batch: Any) -> list:
-        rows = batch.all_rows()
-        sel = batch.sel
-        if sel is None:
-            return list(map(fn, rows))
-        return [fn(rows[index]) for index in sel]
-    return mapped
-
-
-def _refined(fn: RowFunction) -> BatchFunction:
-    """The selected positions whose rows ``fn`` maps to SQL TRUE."""
-    def refine(batch: Any) -> list:
-        rows = batch.all_rows()
-        return [index for index in batch.selection()
-                if fn(rows[index]) is True]
-    return refine
+BatchFunction = Callable[[list], list]
 
 
 # column⊕column sweeps; ``lhs + rhs`` is written out per operator so
 # the comprehension runs the native operator, not a per-element call
 _COLUMN_ARITHMETIC: dict[str, Callable] = {
-    "+": lambda lefts, rights, sel: [
-        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
-        else lhs + rhs for i in sel],
-    "-": lambda lefts, rights, sel: [
-        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
-        else lhs - rhs for i in sel],
-    "*": lambda lefts, rights, sel: [
-        None if (lhs := lefts[i]) is None or (rhs := rights[i]) is None
-        else lhs * rhs for i in sel],
+    "+": lambda left, right: lambda rows: [
+        None if (lhs := row[left]) is None or (rhs := row[right]) is None
+        else lhs + rhs for row in rows],
+    "-": lambda left, right: lambda rows: [
+        None if (lhs := row[left]) is None or (rhs := row[right]) is None
+        else lhs - rhs for row in rows],
+    "*": lambda left, right: lambda rows: [
+        None if (lhs := row[left]) is None or (rhs := row[right]) is None
+        else lhs * rhs for row in rows],
 }
 
 
 def compile_batch_expression(expression: ast.Expression,
                              schema: Schema) -> BatchFunction:
-    """Lower ``expression`` into a closure over batches.
+    """Lower ``expression`` into a closure over a batch's rows.
 
-    The returned callable takes a ``RowBatch`` and returns one value
-    per selected row, equal to what the row closure from
+    The returned callable takes a list of row tuples and returns one
+    value per row, equal to what the row closure from
     :func:`compile_expression` yields on that row.
     """
-    if isinstance(expression, ast.ColumnRef):
-        index = schema.index_of(expression.name, expression.qualifier)
-        return lambda batch: _gather(batch.columns[index],
-                                     batch.selection())
-    mapped = _mapped(_compile(expression, schema, None))
+    fn = _compile(expression, schema, None)
+
+    def mapped(rows: list) -> list:
+        return list(map(fn, rows))
     if not (isinstance(expression, ast.BinaryOp)
             and expression.op in _COLUMN_ARITHMETIC
             and isinstance(expression.left, ast.ColumnRef)
             and isinstance(expression.right, ast.ColumnRef)):
         return mapped
-    left = schema.index_of(expression.left.name, expression.left.qualifier)
-    right = schema.index_of(expression.right.name,
-                            expression.right.qualifier)
-    sweep = _COLUMN_ARITHMETIC[expression.op]
+    sweep = _COLUMN_ARITHMETIC[expression.op](
+        schema.index_of(expression.left.name, expression.left.qualifier),
+        schema.index_of(expression.right.name, expression.right.qualifier))
 
-    def column_arithmetic(batch: Any) -> list:
-        columns = batch.columns
+    def column_arithmetic(rows: list) -> list:
         try:
-            values = sweep(columns[left], columns[right], batch.selection())
+            values = sweep(rows)
         except TypeError:
-            return mapped(batch)
+            return mapped(rows)
         if str in map(type, values):  # text concatenated or repeated
-            return mapped(batch)  # raises the row closure's error
+            return mapped(rows)  # raises the row closure's error
         return values
     return column_arithmetic
 
@@ -881,24 +858,24 @@ def compile_batch_expression(expression: ast.Expression,
 # literally per operator so the comprehension uses the native operator
 # instead of a per-element call
 _SELECTOR_SWEEPS: dict[str, Callable] = {
-    "=": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v == value],
-    "<>": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v != value],
-    "<": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v < value],
-    "<=": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v <= value],
-    ">": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v > value],
-    ">=": lambda value: lambda sel, operands: [
-        index for index, v in zip(sel, operands)
-        if v is not None and v >= value],
+    "=": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v == value],
+    "<>": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v != value],
+    "<": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v < value],
+    "<=": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v <= value],
+    ">": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v > value],
+    ">=": lambda index, value: lambda rows: [
+        row for row in rows if (v := row[index]) is not None
+        and v >= value],
 }
 
 # orient a literal-on-the-left comparison as value-on-the-right
@@ -926,20 +903,22 @@ def _column_comparison(node: ast.Expression):
 def compile_batch_predicate(expression: ast.Expression,
                             schema: Schema) -> BatchFunction:
     """Filter form of :func:`compile_batch_expression`: the closure
-    returns the *refined selection vector* — the selected positions
-    whose rows evaluate to SQL TRUE (unknown counts as false)."""
-    refine = _refined(_compile(expression, schema, None))
+    returns the rows that evaluate to SQL TRUE (unknown counts as
+    false), in order."""
+    fn = _compile(expression, schema, None)
+
+    def kept(rows: list) -> list:
+        return [row for row in rows if fn(row) is True]
     comparison = _column_comparison(expression)
     if comparison is None:
-        return refine
+        return kept
     column, op, value = comparison
-    index = schema.index_of(column.name, column.qualifier)
-    sweep = _SELECTOR_SWEEPS[op](value)
+    sweep = _SELECTOR_SWEEPS[op](
+        schema.index_of(column.name, column.qualifier), value)
 
-    def select(batch: Any) -> list:
-        sel = batch.selection()
+    def select(rows: list) -> list:
         try:
-            return sweep(sel, _gather(batch.columns[index], sel))
+            return sweep(rows)
         except TypeError:
-            return refine(batch)
+            return kept(rows)
     return select

@@ -308,13 +308,14 @@ class CopyTo(Statement):
 
 @dataclass(frozen=True)
 class Explain(Statement):
-    """``EXPLAIN [ANALYZE] <select>`` — return the plan as text rows.
+    """``EXPLAIN [ANALYZE] <select or union>`` — return the plan as
+    text rows.
 
     With ``analyze`` the query is actually executed and each plan line
     carries the rows produced and wall time of its operator.
     """
 
-    query: "Select"
+    query: "Select | SetOp"
     analyze: bool = False
 
 

@@ -136,7 +136,8 @@ class _Parser:
         if token.text == "explain":
             self.advance()
             analyze = self.accept_keyword("analyze")
-            return ast.Explain(self.parse_select(), analyze=analyze)
+            return ast.Explain(self.parse_select_or_union(),
+                               analyze=analyze)
         if token.text == "begin":
             self.advance()
             return ast.Begin()

@@ -245,7 +245,7 @@ def render_statement(statement: ast.Statement) -> str:
                 f"{render_select(statement.right)}")
     if isinstance(statement, ast.Explain):
         analyze = "ANALYZE " if statement.analyze else ""
-        return f"EXPLAIN {analyze}{render_select(statement.query)}"
+        return f"EXPLAIN {analyze}{render_statement(statement.query)}"
     if isinstance(statement, ast.Begin):
         return "BEGIN"
     if isinstance(statement, ast.Commit):

@@ -172,6 +172,9 @@ def _rewrite_statement(statement: ast.Statement, replace):
     if isinstance(statement, ast.Delete):
         return ast.Delete(statement.table,
                           _maybe(statement.where, replace))
+    if isinstance(statement, ast.Explain):
+        return ast.Explain(_rewrite_statement(statement.query, replace),
+                           statement.analyze)
     if isinstance(statement, ast.Insert):
         return ast.Insert(
             statement.table, statement.columns,

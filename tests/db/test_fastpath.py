@@ -15,7 +15,6 @@ from repro.db import protocol
 from repro.db import expressions as exprs
 from repro.db.client import DBClient
 from repro.db.engine import Database
-from repro.db.executor import RowBatch
 from repro.db.planner import explain_plan
 from repro.db.server import DBServer, ResultCache
 from repro.db.sql import ast
@@ -116,7 +115,6 @@ class TestCompiledParity:
     def test_compiled_matches_interpreted(self, sql):
         select = parse_one(sql)
         schema, rows = _source_rows(make_db(), select)
-        columns = [list(column) for column in zip(*rows)]
         expressions = _checked_expressions(select)
         assert expressions
         for expression in expressions:
@@ -125,20 +123,15 @@ class TestCompiledParity:
                 evaluator.evaluate(expression, row) for row in rows])
             row_fn = exprs.compile_expression(expression, schema)
             batch_fn = exprs.compile_batch_expression(expression, schema)
-            refine = exprs.compile_batch_predicate(expression, schema)
+            kept = exprs.compile_batch_predicate(expression, schema)
             assert _outcome(lambda: [row_fn(row) for row in rows]) \
                 == reference, expression
-            # a batch with row tuples (as scans produce) and one that
-            # must transpose its columns
-            for row_major in (rows, None):
-                batch = RowBatch(columns, len(rows), None, None, row_major)
-                assert _outcome(lambda: list(batch_fn(batch))) \
-                    == reference, expression
+            # a batch is its row tuples
+            assert _outcome(lambda: batch_fn(rows)) == reference, expression
             if reference[0] == "ok":
-                selected = [index for index, value
-                            in enumerate(reference[1]) if value is True]
-                batch = RowBatch(columns, len(rows))
-                assert list(refine(batch)) == selected, expression
+                assert kept(rows) == [row for row, value
+                                      in zip(rows, reference[1])
+                                      if value is True], expression
 
     def test_null_three_valued_logic(self):
         db = make_db()
@@ -254,7 +247,6 @@ def test_expression_parity_fuzz(parity_seed):
     rows = [tuple(rng.choice(FUZZ_VALUES[name])
                   for name in FUZZ_SCHEMA.column_names())
             for _ in range(rng.randint(8, 16))]
-    columns = [list(column) for column in zip(*rows)]
     evaluator = Evaluator(FUZZ_SCHEMA)
     for case in range(FUZZ_EXPRESSIONS):
         expression = _fuzz_case(rng)
@@ -262,7 +254,6 @@ def test_expression_parity_fuzz(parity_seed):
                                    rng.randint(1, len(rows))))
         for sel in (None, subset):
             picked = rows if sel is None else [rows[i] for i in sel]
-            positions = range(len(rows)) if sel is None else sel
             where = (f"seed {parity_seed}, case {case}, "
                      f"{'all rows' if sel is None else sel}: "
                      f"{render_expression(expression)}")
@@ -271,19 +262,17 @@ def test_expression_parity_fuzz(parity_seed):
             assert _outcome(lambda: _row_values(expression, picked)) \
                 == reference, where
             if reference[0] == "ok":
-                expected = [position for position, value
-                            in zip(positions, reference[1])
-                            if value is True]
-                selected = ("ok", expected)
+                kept = ("ok", [row for row, value
+                               in zip(picked, reference[1])
+                               if value is True])
             else:
-                selected = reference
-            for row_major in (rows, None):
-                batch = RowBatch(columns, len(rows), None, sel, row_major)
-                assert _outcome(lambda: list(exprs.compile_batch_expression(
-                    expression, FUZZ_SCHEMA)(batch))) == reference, where
-                batch = RowBatch(columns, len(rows), None, sel, row_major)
-                assert _outcome(lambda: list(exprs.compile_batch_predicate(
-                    expression, FUZZ_SCHEMA)(batch))) == selected, where
+                kept = reference
+            # a batch is its row tuples: all of them, or the rows a
+            # filter left alive
+            assert _outcome(lambda: exprs.compile_batch_expression(
+                expression, FUZZ_SCHEMA)(picked)) == reference, where
+            assert _outcome(lambda: exprs.compile_batch_predicate(
+                expression, FUZZ_SCHEMA)(picked)) == kept, where
 
 
 BAD_SCALAR_CALLS = [

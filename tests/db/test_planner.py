@@ -202,19 +202,7 @@ class TestVectorizedPlanning:
         operators = operators_in(planned.root)
         assert [type(op) for op in operators] == [
             Project, Filter, Filter, SeqScan]
-        # the projection prunes the scan to the columns it and the
-        # filters reference: x and y, never s
-        assert operators[-1].needed_columns == {0, 1}
         assert [row for row, _lin in planned.root] == [(3,)]
-
-    def test_hash_join_prunes_each_scan_to_keys_and_filters(self, db):
-        planned = plan(db, "SELECT a.s, b.z FROM a, b "
-                           "WHERE a.x = b.x AND a.y > 1")
-        scans = {op.table.name: op for op in operators_in(planned.root)
-                 if isinstance(op, SeqScan)}
-        assert scans["a"].needed_columns == {0, 1}
-        assert scans["b"].needed_columns == {0}
-        assert [row for row, _lin in planned.root] == [("p", "one")]
 
     def test_build_side_prefers_smaller_table(self, db):
         # a has 2 rows, b has 2; add rows so b is strictly larger

@@ -37,7 +37,8 @@ class TestParsing:
     def test_render_round_trip(self):
         for sql in ("SELECT x FROM a UNION SELECT x FROM b",
                     "SELECT x FROM a UNION ALL SELECT x FROM b",
-                    "SELECT 1 UNION SELECT 2 UNION ALL SELECT 3"):
+                    "SELECT 1 UNION SELECT 2 UNION ALL SELECT 3",
+                    "EXPLAIN ANALYZE SELECT x FROM a UNION SELECT x FROM b"):
             tree = parse_one(sql)
             assert parse_one(render_statement(tree)) == tree
 

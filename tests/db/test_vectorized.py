@@ -22,9 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.db import Database, executor
-from repro.db.executor import BATCH_SIZE, RowBatch
+from repro.db.executor import BATCH_SIZE, Filter, MaterializedSource
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
+from repro.db.sql.parser import parse_expression
+from repro.db.types import Column, Schema, SQLType
 from repro.errors import ExecutionError
 from repro.workloads.halos import build_world
 from repro.workloads.tpch.dbgen import TPCHConfig, TPCHGenerator
@@ -38,37 +40,23 @@ DIGESTS = json.loads(
 # -- RowBatch mechanics -------------------------------------------------------
 
 class TestRowBatch:
-    def test_identity_selection_rows(self):
-        batch = RowBatch([[1, 2, 3], ["a", "b", "c"]], 3)
-        assert batch.rows() == [(1, "a"), (2, "b"), (3, "c")]
-        assert len(batch) == 3
-
-    def test_selection_vector_filters_rows(self):
-        batch = RowBatch([[1, 2, 3], ["a", "b", "c"]], 3, sel=[0, 2])
-        assert batch.rows() == [(1, "a"), (3, "c")]
-        assert len(batch) == 2
-
-    def test_zero_width_rows_respect_selection(self):
-        batch = RowBatch([], 4, sel=[1, 3])
-        assert batch.rows() == [(), ()]
-
     def test_no_annotations_stay_none(self):
-        batch = RowBatch([[1, 2]], 2, sel=[1])
-        assert batch.gathered_lineages() is None
-        assert batch.picked_lineages() == [EMPTY_LINEAGE]
+        source = MaterializedSource(
+            Schema([Column("k", SQLType.INTEGER)]),
+            [((1,), EMPTY_LINEAGE), ((2,), EMPTY_LINEAGE)])
+        [batch] = source.batches()
+        assert (batch.rows, batch.lineages) == ([(1,), (2,)], None)
+        assert list(source) == [((1,), EMPTY_LINEAGE), ((2,), EMPTY_LINEAGE)]
 
     def test_annotations_gather_through_selection(self):
         ref_a = frozenset({TupleRef("t", 1, 1)})
         ref_b = frozenset({TupleRef("t", 2, 1)})
-        batch = RowBatch([[1, 2]], 2, lineages=[ref_a, ref_b], sel=[1])
-        assert batch.gathered_lineages() == [ref_b]
-
-    def test_slice_refines_selection(self):
-        batch = RowBatch([[10, 11, 12, 13]], 4)
-        part = batch.slice(1, 3)
-        assert part.rows() == [(11,), (12,)]
-        # the underlying columns are shared, not copied
-        assert part.columns is batch.columns
+        schema = Schema([Column("k", SQLType.INTEGER)])
+        kept = Filter(MaterializedSource(schema, [((1,), ref_a),
+                                                  ((2,), ref_b)]),
+                      parse_expression("k > 1"))
+        [batch] = kept.batches()
+        assert (batch.rows, batch.lineages) == ([(2,)], [ref_b])
 
 
 # -- pinned parity ------------------------------------------------------------
@@ -175,11 +163,20 @@ def test_error_parity_on_bad_comparison(parity_db):
 def test_mixed_type_sort_fails_identically(parity_db):
     sql = ("SELECT CASE WHEN k % 2 = 0 THEN name ELSE k END AS v "
            "FROM t WHERE k < 10 ORDER BY v")
-    with pytest.raises(TypeError) as info:
+    with pytest.raises(ExecutionError) as info:
         parity_db.execute(sql)
-    assert type(info.value) is TypeError
-    assert str(info.value) == ("'<' not supported between instances of "
-                               "'str' and 'int'")
+    assert type(info.value) is ExecutionError
+    assert str(info.value) == "cannot compare 'name2' and 1"
+
+
+@pytest.mark.parametrize("aggregate", ["min", "max"])
+def test_mixed_type_min_max_fail_like_a_comparison(parity_db, aggregate):
+    sql = (f"SELECT {aggregate}(CASE WHEN k % 2 = 0 THEN name ELSE k END) "
+           "FROM t WHERE k < 10")
+    with pytest.raises(ExecutionError) as info:
+        parity_db.execute(sql)
+    assert type(info.value) is ExecutionError
+    assert str(info.value) == "cannot compare 'name2' and 1"
 
 
 def test_multi_batch_inputs_chunk_and_reassemble():
@@ -193,6 +190,60 @@ def test_multi_batch_inputs_chunk_and_reassemble():
         database, "multi-batch",
         "SELECT n FROM wide WHERE n % 10 < 3 ORDER BY n DESC")
     assert len(result.rows) > BATCH_SIZE // 2
+
+
+BOUNDARY_ROWS = BATCH_SIZE * 2 + 17  # two full batches and a partial one
+
+
+@pytest.fixture(scope="module")
+def boundary_db():
+    database = Database()
+    database.execute("CREATE TABLE wide (n integer, g integer, tag text)")
+    database.execute("INSERT INTO wide VALUES " + ", ".join(
+        f"({n}, {n % 7}, 't{n % 5}')" for n in range(BOUNDARY_ROWS)))
+    return database
+
+
+BOUNDARY_QUERIES = [
+    # LIMIT/OFFSET straddling the first batch boundary, straight off
+    # the scan and behind a filter that thins every batch
+    "SELECT n, tag FROM wide LIMIT 30 OFFSET 1010",
+    "SELECT n FROM wide WHERE n % 3 <> 1 LIMIT 40 OFFSET 670",
+    # the hidden sort column is stripped after DISTINCT and Sort
+    "SELECT DISTINCT g, tag FROM wide ORDER BY n DESC",
+    # a filter that leaves the first two batches empty
+    "SELECT n, g + n FROM wide WHERE n > 2050",
+]
+
+
+@pytest.mark.parametrize("provenance", [False, True],
+                         ids=["plain", "provenance"])
+@pytest.mark.parametrize("sql", BOUNDARY_QUERIES)
+def test_batch_boundaries(boundary_db, sql, provenance):
+    key = f"boundary{' provenance' if provenance else ''}: {sql}"
+    result = run_pinned(boundary_db, key, sql, provenance)
+    assert result.rows
+    assert any(result.lineages) == provenance
+
+
+@pytest.mark.parametrize("aggregate", ["min", "max"])
+def test_min_max_across_batches_of_different_types(boundary_db, aggregate):
+    # the first batch holds numbers only, the second text only
+    sql = (f"SELECT {aggregate}(CASE WHEN n < {BATCH_SIZE} THEN n "
+           "ELSE tag END) FROM wide")
+    with pytest.raises(ExecutionError) as info:
+        boundary_db.execute(sql)
+    expected = "'t0' and 0" if aggregate == "min" else "'t4' and 1023"
+    assert str(info.value) == f"cannot compare {expected}"
+
+
+def test_analyze_counts_batches_a_filter_empties(boundary_db):
+    analyzed = boundary_db.execute(
+        "EXPLAIN ANALYZE SELECT n, g + n FROM wide WHERE n > 2050")
+    assert [(entry["operator"], entry["rows"], entry["batches"])
+            for entry in analyzed.stats["analyze"]["operators"]] == [
+        ("Project", 14, 1), ("Filter", 14, 1),
+        ("SeqScan", BOUNDARY_ROWS, 3)]
 
 
 class TestLineageAllocation:
@@ -378,3 +429,53 @@ class TestExplain:
             "EXPLAIN SELECT y FROM big WHERE x IN (3, 5, 9)")
         assert "IndexScan" in text
         assert "IN (" in text
+
+
+class TestExplainSubqueriesAndUnion:
+    """EXPLAIN expands a query's subqueries as execution does, and
+    plans a UNION as execution does."""
+
+    @pytest.fixture
+    def ab_db(self):
+        ticks = itertools.count()
+        database = Database(timer=lambda: next(ticks) / 1000)
+        database.execute("CREATE TABLE a (id integer, g integer)")
+        database.execute("CREATE TABLE b (a_id integer)")
+        database.execute(
+            "INSERT INTO a VALUES (1, 5), (2, 0), (3, 7), (4, 1)")
+        database.execute("INSERT INTO b VALUES (1), (3), (3)")
+        return database
+
+    def test_explain_in_subquery(self, ab_db):
+        assert explain_text(
+            ab_db, "EXPLAIN SELECT id FROM a WHERE id IN "
+                   "(SELECT a_id FROM b)").splitlines() == [
+            "Project",
+            "  Filter: id IN (1, 3, 3)",
+            "    SeqScan on a",
+        ]
+
+    def test_explain_analyze_scalar_subquery(self, ab_db):
+        analyzed = ab_db.execute(
+            "EXPLAIN ANALYZE SELECT id FROM a WHERE g > "
+            "(SELECT min(a_id) FROM b)")
+        assert [line for (line,) in analyzed.rows] == [
+            "Project (rows=2 time=15.000 ms)",
+            "  Filter: g > 1 (rows=2 time=9.000 ms)",
+            "    SeqScan on a (rows=4 time=3.000 ms)",
+        ]
+        assert ab_db.query(
+            "SELECT id FROM a WHERE g > (SELECT min(a_id) FROM b)") \
+            == [(1,), (3,)]
+
+    def test_explain_union(self, ab_db):
+        assert explain_text(
+            ab_db, "EXPLAIN SELECT id FROM a UNION "
+                   "SELECT a_id FROM b").splitlines() == [
+            "Distinct",
+            "  Union",
+            "    Project",
+            "      SeqScan on a",
+            "    Project",
+            "      SeqScan on b",
+        ]
