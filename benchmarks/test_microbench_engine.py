@@ -256,8 +256,8 @@ PIPELINE_QUERIES = {
 
 @pytest.fixture(scope="module")
 def pipeline_db():
-    """100k-row fact table + 100-row dimension, loaded via direct
-    table inserts (statement parsing at this size would dominate
+    """100k-row fact table + 100-row dimension, loaded with one batch
+    insert per table (statement parsing at this size would dominate
     setup)."""
     database = Database()
     database.execute(
@@ -265,13 +265,11 @@ def pipeline_db():
     database.execute("CREATE TABLE small (k integer, name text)")
     rng = random.Random(7)
     tick = database.clock.tick()
-    big = database.catalog.get_table("big")
-    for k in range(BENCH_ROWS):
-        big.insert((k, k % 100, rng.randrange(1000),
-                    rng.random()), tick)
-    small = database.catalog.get_table("small")
-    for k in range(100):
-        small.insert((k, f"dim{k:03d}"), tick)
+    database.catalog.get_table("big").insert_many(
+        [(k, k % 100, rng.randrange(1000), rng.random())
+         for k in range(BENCH_ROWS)], tick)
+    database.catalog.get_table("small").insert_many(
+        [(k, f"dim{k:03d}") for k in range(100)], tick)
     return database
 
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.types import (
+    ISO_DATE,
     Column,
     Schema,
     SQLType,
@@ -192,12 +192,6 @@ _CONVERTERS: dict[SQLType, Callable[[str], Any]] = {
     SQLType.BOOLEAN: _boolean,
 }
 
-# ASCII dates that _validate_date accepts. It accepts more (other
-# Unicode digits), so a cell this rejects still goes through it.
-_ISO_DATE = re.compile(
-    r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
-
-
 def decode_versioned_rows(text: str, schema: Schema,
                           first_line: int = 1) -> VersionedRows:
     """Decode a ``(rowid, version, values)`` CSV body column-at-a-time.
@@ -267,9 +261,9 @@ def _decode_column(body: VersionedRows, cells: tuple[str, ...],
         raise body.fault(values.index(None),
                          f"column {column.name} is NOT NULL")
     if (column.sql_type is SQLType.DATE
-            and not all(map(_ISO_DATE.fullmatch, filter(None, cells)))):
+            and not all(map(ISO_DATE.fullmatch, filter(None, cells)))):
         for position, cell in enumerate(cells):
-            if cell and not _ISO_DATE.fullmatch(cell):
+            if cell and not ISO_DATE.fullmatch(cell):
                 try:
                     _validate_date(cell)
                 except (TypeError_, ValueError):

@@ -852,9 +852,16 @@ class Database:
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
         self._undo.save_counter(table)
-        for values, lineage in source_rows:
-            full_values = self._spread_values(table, positions, values)
-            rowid = table.insert(full_values, tick)
+        rows: list[tuple] = []
+        try:
+            for values, _lineage in source_rows:
+                rows.append(self._spread_values(table, positions, values))
+        except ExecutionError:
+            # a fault in an earlier row is the one to report
+            table.insert_many(rows, tick)
+            raise
+        rowids = table.insert_many(rows, tick)
+        for rowid, (_values, lineage) in zip(rowids, source_rows):
             self._log_put(table, rowid)
             ref = TupleRef(table.name, rowid, tick)
             result.written.append(ref)
@@ -1022,8 +1029,7 @@ class Database:
         tick = self.clock.tick()
         result = StatementResult(kind="copy", source_tables=[table.name])
         self._undo.save_counter(table)
-        for values in rows:
-            rowid = table.insert(values, tick)
+        for rowid in table.insert_many(rows, tick):
             self._log_put(table, rowid)
             result.written.append(TupleRef(table.name, rowid, tick))
         result.rowcount = len(result.written)

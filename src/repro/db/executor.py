@@ -166,14 +166,8 @@ class SeqScan(Operator):
                                         self.track_lineage)
             return
         heap = table.rows
-        rowids = sorted(heap)
-        if rowids == list(heap):
-            # rowids are allocated monotonically, so the heap dict is
-            # almost always already in rowid order — skip 1 dict
-            # lookup per row
-            ordered = list(heap.values())
-        else:
-            ordered = [heap[rowid] for rowid in rowids]
+        ordered = (list(heap.values()) if table.rowid_ordered
+                   else [heap[rowid] for rowid in sorted(heap)])
         for start in range(0, len(ordered), BATCH_SIZE):
             yield RowBatch(ordered[start:start + BATCH_SIZE])
 

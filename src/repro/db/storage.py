@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import io
 import json
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import (Any, Hashable, Iterable, Iterator, Mapping, Optional,
                     Sequence)
@@ -31,7 +32,8 @@ from typing import (Any, Hashable, Iterable, Iterator, Mapping, Optional,
 from repro.db import csvio
 from repro.db.fileio import FileIO
 from repro.db.types import Column, Schema, SQLType, coerce_row
-from repro.errors import CatalogError, ExecutionError, IntegrityError
+from repro.errors import (CatalogError, ExecutionError, IntegrityError,
+                          TypeError_)
 
 TABLE_FILE_SUFFIX = ".tbl"
 WAL_FILE_NAME = "wal.log"
@@ -82,6 +84,12 @@ class HeapTable:
     included: the engine changes rows in place and its undo log
     (:class:`repro.db.engine.UndoLog`) puts them back on a rollback.
     Checkpoints serialize them only while no transaction is open.
+
+    ``rowid_ordered`` says that ``rows`` (and ``versions``, which
+    holds the same keys in the same order) iterates in rowid order, so
+    scans need not sort: fresh rowids only grow, and :meth:`install`
+    clears it when it puts in a rowid below the largest (a rollback or
+    WAL redo re-installing an older row).
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -92,6 +100,7 @@ class HeapTable:
         self.rows: dict[int, tuple[Any, ...]] = {}
         self.versions: dict[int, int] = {}
         self.next_rowid = 1
+        self.rowid_ordered = True
         self._pk_positions: tuple[int, ...] = tuple(
             index for index, column in enumerate(schema.columns)
             if column.primary_key)
@@ -101,21 +110,40 @@ class HeapTable:
     # -- row operations --------------------------------------------------------
 
     def insert(self, values: Iterable[Any], tick: int) -> int:
-        """Insert a row, returning its new rowid."""
-        row = coerce_row(values, self.schema)
-        if self._pk_positions:
-            key = tuple(row[i] for i in self._pk_positions)
-            if key in self._pk_index:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name}")
-            self._pk_index[key] = self.next_rowid
-        rowid = self.next_rowid
-        self.next_rowid += 1
-        self.rows[rowid] = row
-        self.versions[rowid] = tick
-        for index in self.indexes.values():
-            index.add(rowid, row[index.position])
-        return rowid
+        """Insert a row, returning its new rowid: a batch of one
+        (:meth:`insert_many`)."""
+        return self.insert_many((values,), tick)[0]
+
+    def insert_many(self, rows: Iterable[Iterable[Any]],
+                    tick: int) -> range:
+        """Insert rows under fresh rowids from ``next_rowid``, each at
+        version ``tick``, and return their rowids.
+
+        Each row is coerced (:func:`~repro.db.types.coerce_row`) and
+        the batch goes in through :meth:`install`. The first faulty
+        row in order, a cell coercion refuses or a primary key the
+        table or an earlier row holds, raises its error with the rows
+        before it installed, as inserting them one at a time would;
+        the caller's undo log takes them out again.
+        """
+        coerced: list[tuple[Any, ...]] = []
+        fault: Optional[Exception] = None
+        try:
+            for values in rows:
+                coerced.append(coerce_row(values, self.schema))
+        except TypeError_ as exc:
+            fault = exc
+        start = self.next_rowid
+        rowids = range(start, start + len(coerced))
+        try:
+            self.install(rowids, [tick] * len(coerced), coerced)
+        except IntegrityError as exc:
+            end = exc.position
+            self.install(rowids[:end], [tick] * end, coerced[:end])
+            raise
+        if fault is not None:
+            raise fault
+        return rowids
 
     def update(self, rowid: int, values: Iterable[Any], tick: int) -> None:
         """Replace a row's values, bumping its version."""
@@ -181,6 +209,10 @@ class HeapTable:
                     f"duplicate primary key {keys[position]!r} in table "
                     f"{self.name}", position)
             self._pk_index.update(new_keys)
+        if self.rowid_ordered and count and not (
+                rowids[0] > next(reversed(self.rows), 0)
+                and all(map(lt, rowids, islice(rowids, 1, None)))):
+            self.rowid_ordered = False
         self.rows.update(new_rows)
         self.versions.update(zip(rowids, versions))
         for index in self.indexes.values():
@@ -236,8 +268,14 @@ class HeapTable:
     def scan_versions(self) -> Iterator[tuple[int, tuple[Any, ...], int]]:
         """Like :meth:`scan`, additionally yielding each row's
         version."""
-        for rowid in sorted(self.rows):
-            yield rowid, self.rows[rowid], self.versions[rowid]
+        rows, versions = self.rows, self.versions
+        for rowid in self.rowids():
+            yield rowid, rows[rowid], versions[rowid]
+
+    def rowids(self) -> list[int]:
+        """Every rowid, ascending (sorted only when
+        ``rowid_ordered`` is clear)."""
+        return list(self.rows) if self.rowid_ordered else sorted(self.rows)
 
     @property
     def row_count(self) -> int:
@@ -248,6 +286,7 @@ class HeapTable:
         self.rows.clear()
         self.versions.clear()
         self._pk_index.clear()
+        self.rowid_ordered = True
         for index in self.indexes.values():
             index.buckets.clear()
 
@@ -306,7 +345,7 @@ class HeapTable:
         buffer.write("\n")
         csvio.write_versioned_rows(
             buffer, ((rowid, self.versions[rowid], self.rows[rowid])
-                     for rowid in sorted(self.rows)), self.schema)
+                     for rowid in self.rowids()), self.schema)
         return buffer.getvalue()
 
     @classmethod

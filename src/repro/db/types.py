@@ -10,7 +10,9 @@ SQL ``NULL`` is represented by Python ``None`` throughout the engine.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import CatalogError, TypeError_
@@ -104,6 +106,12 @@ def coerce_value(value: Any, sql_type: SQLType) -> Any:
     raise TypeError_(f"unhandled SQL type {sql_type!r}")  # pragma: no cover
 
 
+# ASCII dates that _validate_date accepts. It accepts more (other
+# Unicode digits), so a cell this rejects still goes through it.
+ISO_DATE = re.compile(
+    r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
+
+
 def _validate_date(text: str) -> None:
     """Check 'YYYY-MM-DD' shape without pulling in datetime parsing cost."""
     parts = text.split("-")
@@ -118,6 +126,17 @@ def _validate_date(text: str) -> None:
     )
     if not ok:
         raise TypeError_(f"invalid DATE literal: {text!r}")
+
+
+# the Python type of each SQL type's non-NULL values, as coerce_value
+# returns them
+_PYTHON_TYPES: dict[SQLType, type] = {
+    SQLType.INTEGER: int,
+    SQLType.FLOAT: float,
+    SQLType.TEXT: str,
+    SQLType.BOOLEAN: bool,
+    SQLType.DATE: str,
+}
 
 
 def value_from_csv(text: str, sql_type: SQLType) -> Any:
@@ -199,6 +218,20 @@ class Schema:
         return Schema(self.columns + other.columns,
                       self.qualifiers + other.qualifiers)
 
+    # -- what coerce_row's one-step check compares a row against ---------------
+
+    @cached_property
+    def python_types(self) -> tuple[type, ...]:
+        """The Python type of each column's non-NULL values."""
+        return tuple(_PYTHON_TYPES[column.sql_type]
+                     for column in self.columns)
+
+    @cached_property
+    def date_positions(self) -> tuple[int, ...]:
+        """The positions of the DATE columns."""
+        return tuple(index for index, column in enumerate(self.columns)
+                     if column.sql_type is SQLType.DATE)
+
     # -- lookup ----------------------------------------------------------------
 
     def index_of(self, name: str, qualifier: str | None = None) -> int:
@@ -254,9 +287,17 @@ class Schema:
 def coerce_row(values: Iterable[Any], schema: Schema) -> tuple[Any, ...]:
     """Coerce an iterable of raw values into a typed row for ``schema``.
 
-    Enforces arity and NOT NULL constraints.
+    Enforces arity and NOT NULL constraints. A row whose cells already
+    have their columns' Python types (so no NULL) and whose DATE cells
+    are ASCII ISO dates is returned as it is: coercion would give back
+    the same values. Any other row is coerced cell by cell.
     """
     values = tuple(values)
+    if tuple(map(type, values)) == schema.python_types:
+        dates = schema.date_positions
+        if not dates or all(ISO_DATE.fullmatch(values[position])
+                            for position in dates):
+            return values
     if len(values) != len(schema):
         raise TypeError_(
             f"row has {len(values)} values, schema expects {len(schema)}")

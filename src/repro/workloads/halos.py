@@ -112,11 +112,10 @@ def build_world(n_particles: int = 400, n_observations: int = 500,
         "cell_x integer, cell_y integer, particles integer)")
     rng = random.Random(seed)
     tick = database.clock.tick()
-    observations = database.catalog.get_table("observations")
-    for obs_id in range(1, n_observations + 1):
-        observations.insert(
-            (obs_id, rng.randint(0, 19), rng.randint(0, 19),
-             round(rng.random(), 3)), tick)
+    database.catalog.get_table("observations").insert_many(
+        [(obs_id, rng.randint(0, 19), rng.randint(0, 19),
+          round(rng.random(), 3))
+         for obs_id in range(1, n_observations + 1)], tick)
     database.catalog.mark_dirty("observations")
     if data_dir is not None:
         database.checkpoint()

@@ -1,9 +1,12 @@
 """TPC-H substrate tests: dbgen determinism, Table II selectivities,
 refresh streams."""
 
+import hashlib
+
 import pytest
 
 from repro.db import Database
+from repro.workloads.app import build_world
 from repro.workloads.tpch.dbgen import (
     TPCHConfig,
     TPCHGenerator,
@@ -20,6 +23,26 @@ from repro.workloads.tpch.queries import (
 from repro.workloads.tpch.refresh import insert_statements, update_statements
 
 CONFIG = TPCHConfig(scale_factor=0.001)
+
+# sha256 of each table file build_world checkpoints at SF 0.001, seed 7
+TABLE_FILES = {
+    "customer.tbl":
+        "d1f34880b7700ad4170d687dd9b0cf08a66e41ada5ff15678db232c39e633610",
+    "lineitem.tbl":
+        "07bbaff363ab0d1505c0ee4f9380f35ab7fec786398c5bfa78ac83d7b9ae8c15",
+    "nation.tbl":
+        "bbaa1965d2f6ff2d3620d12d1006936d04c034ac3a8f7adaf07bc802a99d8e81",
+    "orders.tbl":
+        "29b50fadf7aa477849a24348250733596af36290be37c151ede558de272231df",
+    "part.tbl":
+        "9ba60cd1542ba329dfabfacf290d845fc0a10c300719ecddd5422a26fa9aa1b6",
+    "partsupp.tbl":
+        "f3841a0b18fce4c8adab1818c75620d7501a51115f0b0f5941793b2134b13e86",
+    "region.tbl":
+        "0f2d336b9d66a792e425b6dbc433ee7fe1e7b28c9c5086b8717edd35ae763eb5",
+    "supplier.tbl":
+        "cde3f05c3711225ce89b11c66229aef86dc511fda6022086f3c38f634613e0db",
+}
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +86,13 @@ class TestDbgen:
                                  seed=1)).generate_into(second)
         assert list(first.catalog.get_table("orders").scan()) != \
             list(second.catalog.get_table("orders").scan())
+
+    def test_checkpointed_table_files_are_pinned(self, tmp_path):
+        # the bytes of every .tbl file the Section IX-A world writes:
+        # generated values, rowids, versions and the file format
+        build_world(scale_factor=0.001, seed=7, data_dir=tmp_path)
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(tmp_path.glob("*.tbl"))} == TABLE_FILES
 
     def test_customer_name_padding(self):
         assert customer_name(42, 9) == "Customer#000000042"
