@@ -59,23 +59,33 @@ def format_rows(rows: Iterable[tuple], schema: Schema,
 
 def parse_rows(text: str, schema: Schema,
                header: bool = False, delimiter: str = ",") -> list[tuple]:
-    """Parse CSV text into typed rows for ``schema``."""
+    """Parse CSV text into typed rows for ``schema``. A cell its
+    column's type cannot read raises :class:`ExecutionError` as
+    ``line N: column c: ...``, N the file line its row starts on."""
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    types = schema.types()
+    columns = schema.columns
     rows: list[tuple] = []
     first = True
+    line = 1
     for cells in reader:
+        start, line = line, reader.line_num + 1
         if not cells:
             continue
         if first and header:
             first = False
             continue
         first = False
-        if len(cells) != len(types):
-            raise ExecutionError(
-                f"CSV row has {len(cells)} cells, schema expects {len(types)}")
-        rows.append(tuple(value_from_csv(cell, sql_type)
-                          for cell, sql_type in zip(cells, types)))
+        if len(cells) != len(columns):
+            raise ExecutionError(f"CSV row has {len(cells)} cells, "
+                                 f"schema expects {len(columns)}")
+        row = []
+        for cell, column in zip(cells, columns):
+            try:
+                row.append(value_from_csv(cell, column.sql_type))
+            except ValueError as exc:
+                raise ExecutionError(f"line {start}: column {column.name}: "
+                                     f"{exc}") from None
+        rows.append(tuple(row))
     return rows
 
 

@@ -9,20 +9,18 @@ client library like any other traffic.
 
 from __future__ import annotations
 
-import random
-
 from repro.db.sql.render import render_literal
-from repro.workloads.tpch.dbgen import TPCHGenerator
+from repro.workloads.tpch.dbgen import TPCHGenerator, _Draws
 
 
 def insert_statements(generator: TPCHGenerator, count: int,
                       start_key: int) -> list[str]:
     """``count`` single-row INSERTs of fresh orders starting at
     ``start_key`` (keys must be beyond the loaded range)."""
-    rng = random.Random(generator.config.seed + 1000)
+    rows = generator.order_rows(range(start_key, start_key + count),
+                                _Draws(generator.config.seed + 1000))
     statements = []
-    for offset in range(count):
-        row = generator.order_row(start_key + offset, rng)
+    for row in rows:
         values = ", ".join(render_literal(value) for value in row)
         statements.append(f"INSERT INTO orders VALUES ({values})")
     return statements

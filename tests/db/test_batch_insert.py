@@ -8,7 +8,7 @@ fail leave the table and the write-ahead log as they were.
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, DBClient, DBServer, protocol
 from repro.db.provtypes import TupleRef
 from repro.db.storage import HeapTable
 from repro.db.types import Column, Schema, SQLType
@@ -191,6 +191,60 @@ class TestFailedStatements:
         assert reopened.query("SELECT id, s FROM t WHERE id > 2") == [
             (16, "z"), (17, "y"), (18, "x")]
         reopened.close()
+
+
+class TestCopyCellErrors:
+    """A cell its column's type cannot read fails the COPY as one line
+    naming the file line its row starts on and the column, embedded and
+    over the wire, and the statement has no effect."""
+
+    CASES = [
+        ("22,abc,x,,\n", "",
+         "line 1: column v: could not convert string to float: 'abc'"),
+        ("22,1.5,x,,\nxyz,3,y,,\n", "",
+         "line 2: column id: invalid literal for int() with base 10: "
+         "'xyz'"),
+        # a header, a blank line, and quoted cells holding newlines:
+        # the line named is the one the faulty row starts on
+        ('id,v,s,dt,b\n22,1.5,"two\nlines",,\n\n23,1.x,"three\nmore",,\n',
+         " WITH CSV HEADER",
+         "line 5: column v: could not convert string to float: '1.x'"),
+    ]
+    IDS = ["float", "integer", "header-multiline"]
+
+    @pytest.mark.parametrize("text,options,message", CASES, ids=IDS)
+    def test_embedded(self, tmp_path, text, options, message):
+        database = make_database(tmp_path)
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        before = snapshot(database)
+        with pytest.raises(ExecutionError) as caught:
+            database.execute(f"COPY t FROM '{source}'{options}")
+        assert str(caught.value) == message
+        assert snapshot(database) == before
+        database.close()
+
+    @pytest.mark.parametrize("text,options,message", CASES, ids=IDS)
+    def test_over_the_wire(self, tmp_path, text, options, message):
+        database = make_database(tmp_path)
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        before = snapshot(database)
+        client = DBClient(DBServer(database).transport(), "app", "pid-1")
+        client.connect()
+        response = protocol.decode_frame(client.transport(
+            protocol.encode_frame(protocol.query_frame(
+                client.connection_id, f"COPY t FROM '{source}'{options}"))))
+        assert response["frame"] == "error"
+        assert response["error_type"] == "ExecutionError"
+        assert response["message"] == message
+        with pytest.raises(ExecutionError) as caught:
+            client.execute(f"COPY t FROM '{source}'{options}")
+        assert str(caught.value) == message
+        assert snapshot(database) == before
+        assert client.query("SELECT count(*) FROM t") == [(2,)]
+        client.close()
+        database.close()
 
 
 class TestRowidOrder:

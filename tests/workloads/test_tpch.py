@@ -6,7 +6,12 @@ import hashlib
 import pytest
 
 from repro.db import Database
-from repro.workloads.app import build_world
+from repro.workloads.app import (
+    INSERT_FILE,
+    QUERY_FILE,
+    UPDATE_FILE,
+    build_world,
+)
 from repro.workloads.tpch.dbgen import (
     TPCHConfig,
     TPCHGenerator,
@@ -42,6 +47,17 @@ TABLE_FILES = {
         "0f2d336b9d66a792e425b6dbc433ee7fe1e7b28c9c5086b8717edd35ae763eb5",
     "supplier.tbl":
         "cde3f05c3711225ce89b11c66229aef86dc511fda6022086f3c38f634613e0db",
+}
+
+# sha256 of each statement file build_world(seed=7, insert_count=1000,
+# update_count=100) writes; the INSERTs come from the seed + 1000 stream
+STATEMENT_FILES = {
+    INSERT_FILE:
+        "a7e801fdbfdd75f409938289023b86e11bb5f2171671ae653864f767e394feec",
+    UPDATE_FILE:
+        "1a19901db0a1c03814b6d402ffd9b1235e8fc9c2ad9f7cc76d5858f252a187cd",
+    QUERY_FILE:
+        "6e3098ee8231daeb7fa8eaf9f7cde61a9a37b0ca13a111914fd59291c4f5c674",
 }
 
 
@@ -93,6 +109,12 @@ class TestDbgen:
         build_world(scale_factor=0.001, seed=7, data_dir=tmp_path)
         assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(tmp_path.glob("*.tbl"))} == TABLE_FILES
+
+    def test_statement_files_are_pinned(self):
+        world = build_world(scale_factor=0.001, seed=7, insert_count=1000,
+                            update_count=100)
+        assert {path: hashlib.sha256(world.vos.fs.read_file(path)).hexdigest()
+                for path in STATEMENT_FILES} == STATEMENT_FILES
 
     def test_customer_name_padding(self):
         assert customer_name(42, 9) == "Customer#000000042"
