@@ -59,9 +59,10 @@ def format_rows(rows: Iterable[tuple], schema: Schema,
 
 def parse_rows(text: str, schema: Schema,
                header: bool = False, delimiter: str = ",") -> list[tuple]:
-    """Parse CSV text into typed rows for ``schema``. A cell its
-    column's type cannot read raises :class:`ExecutionError` as
-    ``line N: column c: ...``, N the file line its row starts on."""
+    """Parse CSV text into typed rows for ``schema``. A row with the
+    wrong number of cells raises :class:`ExecutionError` as ``line N:
+    expected K cells, got M``, and a cell its column's type cannot read
+    as ``line N: column c: ...``, N the file line the row starts on."""
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     columns = schema.columns
     rows: list[tuple] = []
@@ -76,8 +77,8 @@ def parse_rows(text: str, schema: Schema,
             continue
         first = False
         if len(cells) != len(columns):
-            raise ExecutionError(f"CSV row has {len(cells)} cells, "
-                                 f"schema expects {len(columns)}")
+            raise ExecutionError(f"line {start}: expected {len(columns)} "
+                                 f"cells, got {len(cells)}")
         row = []
         for cell, column in zip(cells, columns):
             try:

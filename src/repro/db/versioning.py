@@ -5,20 +5,26 @@ four attributes: ``prov_rowid`` (stable row identifier), ``prov_v``
 (timestamp of the latest update), and ``prov_usedby`` / ``prov_p``
 (identifiers of the query and process that used the tuple). In this
 engine, ``prov_rowid`` and ``prov_v`` are native storage metadata
-(:mod:`repro.db.storage`); this module supplies the remaining half:
+(:mod:`repro.db.storage`), so extending a table's schema does no work;
+this module supplies the remaining half:
 
-* :meth:`VersionManager.enable` — "extend the schema" of a table the
-  first time the application touches it. As in the paper, this costs a
-  pass over the whole table (every tuple must be stamped), which is the
-  cold-cache overhead visible in the First Select bar of Fig 7a.
-* :meth:`VersionManager.mark_used` — stamp accessed tuple versions with
-  the query/process that read them, the steady-state per-query
-  versioning overhead of subsequent selects.
+* :meth:`VersionManager.enable` — record that the application touched
+  a table. It allocates nothing per row.
+* :meth:`VersionManager.mark_used` — record that one statement of one
+  process used some tuple versions. A call keeps one
+  ``((query, process), refs)`` entry, not a stamp per tuple version:
+  the same facts the combined trace holds as one statement's hasRead
+  and run edges.
+
+:meth:`VersionManager.used_by` and :meth:`VersionManager.all_used_refs`
+read the per-tuple ``prov_usedby`` / ``prov_p`` view back from those
+entries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Collection, Iterable
 
 from repro.db.engine import Database
 from repro.db.provtypes import TupleRef
@@ -30,8 +36,8 @@ class VersionManager:
     def __init__(self, database: Database) -> None:
         self.database = database
         self._enabled_tables: set[str] = set()
-        # (table, rowid, version) -> set of (query_id, process_id)
-        self._used_by: dict[TupleRef, set[tuple[str, str]]] = {}
+        # one ((query_id, process_id), refs) entry per mark_used call
+        self._marks: list[tuple[tuple[str, str], Collection[TupleRef]]] = []
 
     @property
     def enabled_tables(self) -> frozenset[str]:
@@ -43,46 +49,35 @@ class VersionManager:
     def enable(self, table: str) -> int:
         """Provenance-enable a table on first access.
 
-        Returns the number of tuples stamped (0 if already enabled).
-        The full-table pass mirrors the prototype's schema-extension
-        cost on first access.
+        Returns the table's row count (0 if already enabled).
         """
         key = table.lower()
         if key in self._enabled_tables:
             return 0
-        heap = self.database.catalog.get_table(key)
-        stamped = 0
-        # scan_versions pairs each row with the version the executing
-        # session sees: inside a transaction, its own provisional
-        # stamps for the rows it wrote
-        for rowid, _values, version in heap.scan_versions():
-            ref = TupleRef(key, rowid, version)
-            self._used_by.setdefault(ref, set())
-            stamped += 1
         self._enabled_tables.add(key)
-        return stamped
+        return self.database.catalog.get_table(key).row_count
 
     def ensure_enabled(self, tables: Iterable[str]) -> int:
-        """Enable every table in ``tables``; returns total tuples stamped."""
+        """Enable every table in ``tables``; returns the total row count
+        of the tables this call enabled."""
         return sum(self.enable(table) for table in tables)
 
-    def mark_used(self, refs: Iterable[TupleRef], query_id: str,
+    def mark_used(self, refs: Collection[TupleRef], query_id: str,
                   process_id: str) -> int:
-        """Stamp tuple versions as used by (query, process).
+        """Mark tuple versions as used by (query, process).
 
-        Returns the number of stamps applied.
+        ``refs`` is kept as it is, so the caller must not change it
+        afterwards. Returns the number of marks applied.
         """
-        stamp = (query_id, process_id)
-        count = 0
-        for ref in refs:
-            self._used_by.setdefault(ref, set()).add(stamp)
-            count += 1
-        return count
+        self._marks.append(((query_id, process_id), refs))
+        return len(refs)
 
     def used_by(self, ref: TupleRef) -> frozenset[tuple[str, str]]:
-        """The (query, process) stamps recorded for a tuple version."""
-        return frozenset(self._used_by.get(ref, ()))
+        """The (query, process) marks recorded for a tuple version."""
+        return frozenset(stamp for stamp, refs in self._marks
+                         if ref in refs)
 
     def all_used_refs(self) -> list[TupleRef]:
-        """Every tuple version that carries at least one usage stamp."""
-        return sorted(ref for ref, stamps in self._used_by.items() if stamps)
+        """Every tuple version that carries at least one usage mark."""
+        return sorted(set(chain.from_iterable(
+            refs for _stamp, refs in self._marks)))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.clockwork import LogicalClock
@@ -64,6 +65,10 @@ class RelevantTupleStore:
 
     def __contains__(self, ref: TupleRef) -> bool:
         return ref in self._rows
+
+    def missing(self, refs: Iterable[TupleRef]) -> list[TupleRef]:
+        """The refs not stored yet, in ``refs`` order."""
+        return list(filterfalse(self._rows.__contains__, refs))
 
     def add(self, ref: TupleRef, values: tuple) -> bool:
         """Record one tuple version; returns False if already present."""
@@ -225,6 +230,10 @@ class DBMonitor:
         holds each ref's values; without it, the values of new
         versions are read from the server database. Returns the number
         of new entries."""
+        if rows is None:
+            # most refs a query reads are stored already: drop those in
+            # one pass before the per-ref checks
+            refs = self.relevant.missing(refs)
         added = 0
         for index, ref in enumerate(refs):
             if (ref in self.relevant or ref in self.created_refs
@@ -364,8 +373,7 @@ class _MonitorInterceptor(Interceptor):
                        for index in range(1, len(prov.lineages) + 1)]
         builder.has_returned(node, result_refs, tick, prov.lineages,
                              reader=self.process.pid)
-        all_read = dict.fromkeys(ref for lineage in prov.lineages
-                                 for ref in lineage)
+        all_read = dict.fromkeys(chain.from_iterable(prov.lineages))
         builder.has_read(node, all_read, tick)
         # versioning marks + relevant tuple collection
         if monitor.versions is not None:

@@ -16,7 +16,8 @@ grow a combined execution trace while an application runs.
 
 from __future__ import annotations
 
-from itertools import chain, cycle, repeat
+from itertools import chain, compress, cycle, repeat
+from operator import is_
 from typing import Iterable
 
 from repro.db.provtypes import TupleRef
@@ -120,16 +121,16 @@ class TraceBuilder:
         """Add the tuple-version nodes of ``refs``; their interned
         indices, in ``refs`` order."""
         known = self._tuple_nodes_at
-        indices = []
+        refs = list(refs)
+        indices = list(map(known.get, refs))
         new: dict[int, TupleRef] = {}
-        for ref in refs:
-            index = known.get(ref)
+        for position, ref in compress(enumerate(refs),
+                                      map(is_, indices, repeat(None))):
+            index = self._named_at.pop(ref, None)
             if index is None:
-                index = self._named_at.pop(ref, None)
-                if index is None:
-                    index = self.trace.intern(lineage.tuple_node_id(ref))
-                new[index] = ref
-            indices.append(index)
+                index = self.trace.intern(lineage.tuple_node_id(ref))
+            new[index] = ref
+            indices[position] = index
         if new:
             self.trace.add_entities_at(lineage.TUPLE, "lin", new, [
                 (("rowid", ref.rowid), ("table", ref.table),
@@ -142,6 +143,8 @@ class TraceBuilder:
         """A hasReturned edge's Lineage attribution (Definition 7): the
         interned indices of the contributing tuple versions, sorted by
         node id."""
+        # one row per result tuple, most of one or a few refs: a plain
+        # loop costs less per row than one map over the refs
         known = self._tuple_nodes_at
         named = self._named_at
         row = []
@@ -154,7 +157,7 @@ class TraceBuilder:
                         lineage.tuple_node_id(ref))
             row.append(index)
         if len(row) > 1:
-            row.sort(key=self.trace.id_at)
+            self.trace.sort_by_id(row)
         return row
 
     # The per-statement methods below take all of one statement's tuple

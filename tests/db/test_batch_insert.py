@@ -194,9 +194,10 @@ class TestFailedStatements:
 
 
 class TestCopyCellErrors:
-    """A cell its column's type cannot read fails the COPY as one line
-    naming the file line its row starts on and the column, embedded and
-    over the wire, and the statement has no effect."""
+    """A cell its column's type cannot read, or a row with the wrong
+    number of cells, fails the COPY as one line naming the file line its
+    row starts on (and the column), embedded and over the wire, and the
+    statement has no effect."""
 
     CASES = [
         ("22,abc,x,,\n", "",
@@ -209,8 +210,13 @@ class TestCopyCellErrors:
         ('id,v,s,dt,b\n22,1.5,"two\nlines",,\n\n23,1.x,"three\nmore",,\n',
          " WITH CSV HEADER",
          "line 5: column v: could not convert string to float: '1.x'"),
+        # a row with the wrong number of cells names its line too
+        ("22,1.5,x,,\n23,2.5,y\n", "", "line 2: expected 5 cells, got 3"),
+        ('id,v,s,dt,b\n22,1.5,"a\nb",,\n23,2.5,y,,,7\n',
+         " WITH CSV HEADER", "line 4: expected 5 cells, got 6"),
     ]
-    IDS = ["float", "integer", "header-multiline"]
+    IDS = ["float", "integer", "header-multiline", "short-row",
+           "header-long-row"]
 
     @pytest.mark.parametrize("text,options,message", CASES, ids=IDS)
     def test_embedded(self, tmp_path, text, options, message):

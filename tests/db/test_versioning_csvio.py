@@ -1,5 +1,7 @@
 """VersionManager (Section VII-B bookkeeping) and CSV I/O tests."""
 
+import gc
+
 import pytest
 
 from repro.db import Database
@@ -23,6 +25,18 @@ class TestVersionManager:
         manager = VersionManager(db)
         assert manager.enable("t") == 3
         assert manager.is_enabled("t")
+
+    def test_enable_allocates_nothing_per_row(self):
+        database = Database()
+        database.execute("CREATE TABLE big (x integer)")
+        database.execute("INSERT INTO big VALUES "
+                         + ", ".join(f"({x})" for x in range(10000)))
+        manager = VersionManager(database)
+        gc.collect()
+        before = len(gc.get_objects())
+        assert manager.enable("big") == 10000
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
 
     def test_enable_is_idempotent(self, db):
         manager = VersionManager(db)
@@ -52,7 +66,7 @@ class TestVersionManager:
 
     def test_all_used_refs_only_lists_stamped(self, db):
         manager = VersionManager(db)
-        manager.enable("t")  # stamps with empty sets
+        manager.enable("t")  # enabling marks nothing
         assert manager.all_used_refs() == []
         ref = TupleRef("t", 2, db.catalog.get_table("t").versions[2])
         manager.mark_used([ref], "q", "p")

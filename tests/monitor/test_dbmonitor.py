@@ -1,6 +1,8 @@
 """DB-monitor tests: provenance retrieval, versioning, relevant-tuple
 collection, replay-log recording."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.db import Database, DBServer, csvio
@@ -17,7 +19,8 @@ from repro.monitor.dbmonitor import (
     ReplayLog,
     _MonitorInterceptor,
 )
-from repro.provenance.combined import TraceBuilder
+from repro.provenance.combined import TraceBuilder, is_run_edge
+from repro.provenance.lineage import is_read_edge, tuple_ref_of
 from repro.vos import VirtualOS
 
 
@@ -180,6 +183,71 @@ class TestProvenanceMode:
         with AuditSession(vos, "server-included", database=database) as s:
             run_client_app(vos, ["SELECT * FROM t", "SELECT * FROM t"])
         assert s.relevant_tuples.tuple_count == 3  # not 6
+
+
+class TestVersionMarksMatchTrace:
+    """Referee: the Section VII-B usage marks hold the same (statement,
+    process) facts as the combined trace's hasRead-family and run
+    edges."""
+
+    def test_used_by_equals_the_trace(self, world):
+        vos, database = world
+        database.execute("CREATE TABLE u (id integer, w integer)")
+        database.execute("INSERT INTO u VALUES (1, 5), (3, 7)")
+        database.execute("CREATE TABLE archive (id integer, v integer)")
+
+        def program(statements):
+            def app(ctx):
+                client = ctx.connect_db("main")
+                for sql in statements:
+                    client.execute(sql)
+                client.close()
+            return app
+
+        vos.register_program("/bin/first", program([
+            "SELECT id FROM t WHERE v > 15",
+            "SELECT t.id, u.w FROM t, u WHERE t.id = u.id",
+            "UPDATE t SET v = v + 1 WHERE id = 2",
+            "DELETE FROM u WHERE id = 3",
+            "INSERT INTO archive SELECT id, v FROM t WHERE v > 20",
+        ]))
+        vos.register_program("/bin/second", program([
+            "SELECT count(*) FROM t",
+            "SELECT * FROM u",
+            "SELECT id FROM t WHERE v > 15",
+        ]))
+        with AuditSession(vos, "server-included", database=database) as s:
+            vos.run("/bin/first")
+            vos.run("/bin/second")
+        trace = s.trace
+        versions = s.db_monitor.versions
+
+        pid_of = {edge.target: str(trace.node(edge.source).attr("pid"))
+                  for edge in trace.edges() if is_run_edge(edge.label)}
+        expected = defaultdict(set)
+        for edge in trace.edges():
+            if is_read_edge(edge.label):
+                statement_id = trace.node(edge.target).attr("statement_id")
+                expected[tuple_ref_of(edge.source)].add(
+                    (statement_id, pid_of[edge.target]))
+        assert len(set(pid_of.values())) == 2
+        assert {trace.node(target).type_label for target in pid_of} == {
+            "query", "update", "delete", "insert"}
+
+        # every row version of every enabled table: the current ones
+        # and the older ones the trace has nodes for
+        assert versions.enabled_tables == {"t", "u"}
+        refs = {TupleRef(table, rowid, version)
+                for table in versions.enabled_tables
+                for rowid, version in database.catalog.get_table(
+                    table).versions.items()}
+        refs.update(tuple_ref_of(node.node_id)
+                    for node in trace.entities("tuple")
+                    if node.attr("table") in versions.enabled_tables)
+        assert set(expected) <= refs
+        for ref in refs:
+            assert versions.used_by(ref) == expected.get(ref, set()), ref
+        assert versions.all_used_refs() == sorted(expected)
 
 
 class TestReenactmentThroughTheIndex:
