@@ -5,39 +5,39 @@ four attributes: ``prov_rowid`` (stable row identifier), ``prov_v``
 (timestamp of the latest update), and ``prov_usedby`` / ``prov_p``
 (identifiers of the query and process that used the tuple). In this
 engine, ``prov_rowid`` and ``prov_v`` are native storage metadata
-(:mod:`repro.db.storage`), so extending a table's schema does no work;
-this module supplies the remaining half:
+(:mod:`repro.db.storage`), so extending a table's schema does no work,
+and the combined execution trace records each use once: a statement's
+hasRead edge from the tuple version, and the run edge from the process
+that issued it. This module supplies the rest:
 
 * :meth:`VersionManager.enable` — record that the application touched
   a table. It allocates nothing per row.
-* :meth:`VersionManager.mark_used` — record that one statement of one
-  process used some tuple versions. A call keeps one
-  ``((query, process), refs)`` entry, not a stamp per tuple version:
-  the same facts the combined trace holds as one statement's hasRead
-  and run edges.
-
-:meth:`VersionManager.used_by` and :meth:`VersionManager.all_used_refs`
-read the per-tuple ``prov_usedby`` / ``prov_p`` view back from those
-entries.
+* :meth:`VersionManager.mark_used` — the per-statement marking step.
+  It stores nothing: the trace's edges are the marks.
+* :meth:`VersionManager.used_by` and
+  :meth:`VersionManager.all_used_refs` read the per-tuple
+  ``prov_usedby`` / ``prov_p`` view from the trace.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Collection, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from repro.db.engine import Database
 from repro.db.provtypes import TupleRef
 
+if TYPE_CHECKING:
+    from repro.provenance.combined import TraceBuilder
+
 
 class VersionManager:
-    """Maintains the ``prov_usedby`` / ``prov_p`` marks for one database."""
+    """The ``prov_usedby`` / ``prov_p`` marks for one database, read
+    from the trace ``builder`` grows."""
 
-    def __init__(self, database: Database) -> None:
+    def __init__(self, database: Database, builder: TraceBuilder) -> None:
         self.database = database
+        self.builder = builder
         self._enabled_tables: set[str] = set()
-        # one ((query_id, process_id), refs) entry per mark_used call
-        self._marks: list[tuple[tuple[str, str], Collection[TupleRef]]] = []
 
     @property
     def enabled_tables(self) -> frozenset[str]:
@@ -64,20 +64,15 @@ class VersionManager:
 
     def mark_used(self, refs: Collection[TupleRef], query_id: str,
                   process_id: str) -> int:
-        """Mark tuple versions as used by (query, process).
-
-        ``refs`` is kept as it is, so the caller must not change it
-        afterwards. Returns the number of marks applied.
-        """
-        self._marks.append(((query_id, process_id), refs))
+        """Mark tuple versions as used by (query, process): the
+        statement's hasRead and run edges, which the caller adds to the
+        trace. Returns the number of marks."""
         return len(refs)
 
     def used_by(self, ref: TupleRef) -> frozenset[tuple[str, str]]:
-        """The (query, process) marks recorded for a tuple version."""
-        return frozenset(stamp for stamp, refs in self._marks
-                         if ref in refs)
+        """The (query, process) marks of a tuple version."""
+        return self.builder.used_by(ref)
 
     def all_used_refs(self) -> list[TupleRef]:
         """Every tuple version that carries at least one usage mark."""
-        return sorted(set(chain.from_iterable(
-            refs for _stamp, refs in self._marks)))
+        return self.builder.used_refs()

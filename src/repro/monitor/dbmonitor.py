@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.clockwork import LogicalClock
@@ -65,10 +65,6 @@ class RelevantTupleStore:
 
     def __contains__(self, ref: TupleRef) -> bool:
         return ref in self._rows
-
-    def missing(self, refs: Iterable[TupleRef]) -> list[TupleRef]:
-        """The refs not stored yet, in ``refs`` order."""
-        return list(filterfalse(self._rows.__contains__, refs))
 
     def add(self, ref: TupleRef, values: tuple) -> bool:
         """Record one tuple version; returns False if already present."""
@@ -199,7 +195,7 @@ class DBMonitor:
         if clock is None:
             clock = database.clock if database is not None else LogicalClock()
         self.clock = clock
-        self.versions = (VersionManager(database)
+        self.versions = (VersionManager(database, builder)
                          if database is not None else None)
         self.relevant = RelevantTupleStore()
         self.replay_log = ReplayLog()
@@ -230,10 +226,6 @@ class DBMonitor:
         holds each ref's values; without it, the values of new
         versions are read from the server database. Returns the number
         of new entries."""
-        if rows is None:
-            # most refs a query reads are stored already: drop those in
-            # one pass before the per-ref checks
-            refs = self.relevant.missing(refs)
         added = 0
         for index, ref in enumerate(refs):
             if (ref in self.relevant or ref in self.created_refs

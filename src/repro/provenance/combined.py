@@ -16,8 +16,7 @@ grow a combined execution trace while an application runs.
 
 from __future__ import annotations
 
-from itertools import chain, compress, cycle, repeat
-from operator import is_
+from itertools import chain, cycle, repeat
 from typing import Iterable
 
 from repro.db.provtypes import TupleRef
@@ -121,16 +120,16 @@ class TraceBuilder:
         """Add the tuple-version nodes of ``refs``; their interned
         indices, in ``refs`` order."""
         known = self._tuple_nodes_at
-        refs = list(refs)
-        indices = list(map(known.get, refs))
+        indices = []
         new: dict[int, TupleRef] = {}
-        for position, ref in compress(enumerate(refs),
-                                      map(is_, indices, repeat(None))):
-            index = self._named_at.pop(ref, None)
+        for ref in refs:
+            index = known.get(ref)
             if index is None:
-                index = self.trace.intern(lineage.tuple_node_id(ref))
-            new[index] = ref
-            indices[position] = index
+                index = self._named_at.pop(ref, None)
+                if index is None:
+                    index = self.trace.intern(lineage.tuple_node_id(ref))
+                new[index] = ref
+            indices.append(index)
         if new:
             self.trace.add_entities_at(lineage.TUPLE, "lin", new, [
                 (("rowid", ref.rowid), ("table", ref.table),
@@ -143,8 +142,6 @@ class TraceBuilder:
         """A hasReturned edge's Lineage attribution (Definition 7): the
         interned indices of the contributing tuple versions, sorted by
         node id."""
-        # one row per result tuple, most of one or a few refs: a plain
-        # loop costs less per row than one map over the refs
         known = self._tuple_nodes_at
         named = self._named_at
         row = []
@@ -157,7 +154,7 @@ class TraceBuilder:
                         lineage.tuple_node_id(ref))
             row.append(index)
         if len(row) > 1:
-            self.trace.sort_by_id(row)
+            row.sort(key=self.trace.id_at)
         return row
 
     # The per-statement methods below take all of one statement's tuple
@@ -226,6 +223,32 @@ class TraceBuilder:
         statement_type = trace.type_at(trace.index_of(statement_node))
         trace.add_edge(bb.process_node_id(pid), statement_node,
                        run_label(statement_type), interval)
+
+    # -- Section VII-B usage marks ---------------------------------------------------
+
+    def used_by(self, ref: TupleRef) -> frozenset[tuple[str, str]]:
+        """The ``prov_usedby`` / ``prov_p`` marks of a tuple version:
+        the (statement id, pid) of each statement that read it, by its
+        hasRead edge and its run edge."""
+        trace = self.trace
+        node_id = lineage.tuple_node_id(ref)
+        if not trace.has_node(node_id):
+            return frozenset()
+        marks = set()
+        for read in trace.out_edges(node_id):
+            if lineage.is_read_edge(read.label):
+                statement_id = trace.node(read.target).attr("statement_id")
+                marks.update(
+                    (statement_id, str(trace.node(run.source).attr("pid")))
+                    for run in trace.in_edges(read.target)
+                    if is_run_edge(run.label))
+        return frozenset(marks)
+
+    def used_refs(self) -> list[TupleRef]:
+        """Every tuple version some statement read, sorted."""
+        return sorted({lineage.tuple_ref_of(edge.source)
+                       for edge in self.trace.edges()
+                       if lineage.is_read_edge(edge.label)})
 
     def read_from_db(self, pid: int, refs: Iterable[TupleRef],
                      tick: int) -> None:

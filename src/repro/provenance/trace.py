@@ -285,10 +285,6 @@ class ExecutionTrace:
         """The id interned at ``index``."""
         return self._ids[index]
 
-    def sort_by_id(self, indices: list[int]) -> None:
-        """Sort interned indices by their ids, in place."""
-        indices.sort(key=self._ids.__getitem__)
-
     def type_at(self, index: int) -> str:
         """The type label of the node at ``index``."""
         return self._types[self._node_type[index]][1]

@@ -10,6 +10,8 @@ from repro.db.provtypes import TupleRef
 from repro.db.types import Column, Schema, SQLType
 from repro.db.versioning import VersionManager
 from repro.errors import ExecutionError
+from repro.provenance.combined import TraceBuilder
+from repro.provenance.interval import TimeInterval
 
 
 @pytest.fixture
@@ -20,9 +22,21 @@ def db():
     return database
 
 
+def mark(manager, statement_id, pid, refs):
+    """Mark ``refs`` as used by one statement of process ``pid``, as
+    the DB monitor does: the statement's run and hasRead edges, then
+    the marking step."""
+    builder = manager.builder
+    builder.process(pid)
+    node = builder.statement(statement_id, "query")
+    builder.run(pid, node, TimeInterval.point(1))
+    builder.has_read(node, refs, 1)
+    return manager.mark_used(refs, statement_id, str(pid))
+
+
 class TestVersionManager:
     def test_enable_stamps_every_tuple(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         assert manager.enable("t") == 3
         assert manager.is_enabled("t")
 
@@ -31,7 +45,7 @@ class TestVersionManager:
         database.execute("CREATE TABLE big (x integer)")
         database.execute("INSERT INTO big VALUES "
                          + ", ".join(f"({x})" for x in range(10000)))
-        manager = VersionManager(database)
+        manager = VersionManager(database, TraceBuilder())
         gc.collect()
         before = len(gc.get_objects())
         assert manager.enable("big") == 10000
@@ -39,41 +53,53 @@ class TestVersionManager:
         assert len(gc.get_objects()) - before < 100
 
     def test_enable_is_idempotent(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         manager.enable("t")
         assert manager.enable("t") == 0
 
     def test_ensure_enabled_multiple(self, db):
         db.execute("CREATE TABLE u (y integer)")
         db.execute("INSERT INTO u VALUES (1)")
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         assert manager.ensure_enabled(["t", "u"]) == 4
         assert manager.enabled_tables == frozenset({"t", "u"})
 
     def test_mark_used_records_stamp(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         manager.enable("t")
         ref = TupleRef("t", 1, db.catalog.get_table("t").versions[1])
-        manager.mark_used([ref], "q1", "p1")
-        assert ("q1", "p1") in manager.used_by(ref)
+        assert mark(manager, "q1", 7, [ref]) == 1
+        assert manager.used_by(ref) == {("q1", "7")}
 
     def test_mark_used_accumulates(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         ref = TupleRef("t", 1, 1)
-        manager.mark_used([ref], "q1", "p1")
-        manager.mark_used([ref], "q2", "p1")
-        assert len(manager.used_by(ref)) == 2
+        mark(manager, "q1", 7, [ref])
+        mark(manager, "q2", 8, [ref])
+        assert manager.used_by(ref) == {("q1", "7"), ("q2", "8")}
+
+    def test_mark_used_keeps_nothing(self, db):
+        manager = VersionManager(db, TraceBuilder())
+        refs = [TupleRef("t", 1, 1), TupleRef("t", 2, 1)]
+        assert manager.mark_used(refs, "q1", "p1") == 2
+        # the marks are the trace's edges: without them, none
+        assert manager.all_used_refs() == []
+        assert vars(manager).keys() == {"database", "builder",
+                                        "_enabled_tables"}
 
     def test_all_used_refs_only_lists_stamped(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         manager.enable("t")  # enabling marks nothing
         assert manager.all_used_refs() == []
         ref = TupleRef("t", 2, db.catalog.get_table("t").versions[2])
-        manager.mark_used([ref], "q", "p")
+        mark(manager, "q", 7, [ref])
+        # a version the statement returned carries no usage mark
+        node = manager.builder.statement("q", "query")
+        manager.builder.has_returned(node, [TupleRef("_result_q", 1, 1)], 1)
         assert manager.all_used_refs() == [ref]
 
     def test_unknown_ref_has_no_stamps(self, db):
-        manager = VersionManager(db)
+        manager = VersionManager(db, TraceBuilder())
         assert manager.used_by(TupleRef("t", 99, 1)) == frozenset()
 
 

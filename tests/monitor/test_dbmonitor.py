@@ -10,6 +10,7 @@ from repro.db.provtypes import TupleRef
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_sql
 from repro.db.sql.render import render_select
+from repro.db.versioning import VersionManager
 from repro.errors import AuditError
 from repro.monitor import AuditSession
 from repro.monitor.dbmonitor import (
@@ -186,12 +187,23 @@ class TestProvenanceMode:
 
 
 class TestVersionMarksMatchTrace:
-    """Referee: the Section VII-B usage marks hold the same (statement,
-    process) facts as the combined trace's hasRead-family and run
-    edges."""
+    """Referee: the Section VII-B usage marks, which the version manager
+    reads from the trace, are the (statement, process) pairs the
+    monitor marks each statement's tuple versions with, and the
+    combined trace's hasRead-family and run edges."""
 
-    def test_used_by_equals_the_trace(self, world):
+    def test_used_by_equals_the_trace(self, world, monkeypatch):
         vos, database = world
+        marked = defaultdict(set)
+        mark_used = VersionManager.mark_used
+
+        def recording_mark_used(self, refs, query_id, process_id):
+            for ref in refs:
+                marked[ref].add((query_id, process_id))
+            return mark_used(self, refs, query_id, process_id)
+
+        monkeypatch.setattr(VersionManager, "mark_used",
+                            recording_mark_used)
         database.execute("CREATE TABLE u (id integer, w integer)")
         database.execute("INSERT INTO u VALUES (1, 5), (3, 7)")
         database.execute("CREATE TABLE archive (id integer, v integer)")
@@ -245,6 +257,7 @@ class TestVersionMarksMatchTrace:
                     for node in trace.entities("tuple")
                     if node.attr("table") in versions.enabled_tables)
         assert set(expected) <= refs
+        assert marked == expected
         for ref in refs:
             assert versions.used_by(ref) == expected.get(ref, set()), ref
         assert versions.all_used_refs() == sorted(expected)
